@@ -2,7 +2,7 @@
 # release build, tests, clippy with warnings denied, a format check, docs
 # with warnings denied, and every example executed end to end.
 
-.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke sched-smoke incr-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke examples verify clean
+.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke sched-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke examples verify clean
 
 all: verify
 
@@ -63,34 +63,6 @@ sched-smoke:
 			printf "sched-smoke: work stealing %.2fx round-robin at 4 workers\n", $$2; \
 		} \
 	}' BENCH_sched.json
-
-# The incremental gate: regenerate BENCH_incr.json (whole-repo vs
-# file-granular caching, serial best-of-3 over the repair-heavy budget-3
-# grid), then fail if required keys are missing or the file-granular path
-# regressed below the whole-repo baseline. The checked-in JSON should show
-# >= 1.0x with a large unit hit count.
-incr-smoke:
-	PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_incr.json cargo bench --bench incremental
-	@for key in '"bench": "incremental"' '"samples_per_cell"' \
-		'"repair_budget"' '"whole_repo_wall_s"' '"file_granular_wall_s"' \
-		'"speedup"' '"file_hits"' '"file_misses"'; do \
-		grep -q "$$key" BENCH_incr.json \
-			|| { echo "incr-smoke: BENCH_incr.json missing key $$key"; exit 1; }; \
-	done
-	@awk -F'[:,]' '/"speedup"/ { \
-		if ($$2 + 0.0 < 1.0) { \
-			printf "incr-smoke: file-granular caching regressed below whole-repo (%.2fx)\n", $$2; \
-			exit 1; \
-		} else { \
-			printf "incr-smoke: file-granular caching %.2fx whole-repo\n", $$2; \
-		} \
-	}' BENCH_incr.json
-	@awk -F'[:,]' '/"file_hits"/ { \
-		if ($$2 + 0 == 0) { \
-			print "incr-smoke: the unit tier never hit; the A/B is vacuous"; \
-			exit 1; \
-		} \
-	}' BENCH_incr.json
 
 # The durability gate: run a journaled grid with an injected mid-run
 # crash, resume from the journal, and require the resumed report bytes to
@@ -185,7 +157,7 @@ examples: build
 	cargo run --release --example stress_grid > /dev/null
 	cargo run --release --example fuzz_pipeline > /dev/null
 
-verify: build test clippy fmt doc examples sched-smoke incr-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke
+verify: build test clippy fmt doc examples sched-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke
 
 clean:
 	cargo clean

@@ -20,15 +20,15 @@
 //! output and is deliberately excluded; keying on whole-repo content is
 //! precisely the bug this module exists to fix.
 
-use crate::diag::{Diagnostic, ErrorCategory, Severity};
+use crate::diag::Diagnostic;
 use crate::object::ObjectCode;
 use crate::toolchain::CompileFeatures;
-use minihpc_lang::codec::{Dec, Enc};
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::parser::ParseError;
 use std::sync::Arc;
 
-/// Bumped whenever the unit codec or the sema output format changes:
-/// old disk entries simply stop matching instead of mis-decoding.
+/// Bumped whenever the sema output format changes, so units compiled
+/// under the old format stop matching.
 const UNIT_KEY_SALT: &str = "minihpc-unit-v1";
 
 /// The cached result of compiling one translation unit.
@@ -46,7 +46,7 @@ pub struct CompiledUnit {
 /// A cache the build driver consults per compile unit.
 ///
 /// Implementations live above this crate (the eval pipeline's `BuildCache`
-/// adds memory + disk tiers and stats); the driver only needs lookup,
+/// keeps units in memory and counts hits); the driver only needs lookup,
 /// store, and a memoized parse.
 pub trait UnitCache: Sync {
     /// Parse `text`, memoizing by content so unchanged files across
@@ -59,30 +59,6 @@ pub trait UnitCache: Sync {
 
     /// Store a freshly compiled unit under `key`.
     fn store_unit(&self, key: u128, unit: &CompiledUnit);
-}
-
-/// 128-bit FNV-1a hasher for unit keys (the same construction the eval
-/// layer uses for whole-repo keys; re-implemented here so the build crate
-/// stays dependency-free).
-struct KeyHasher(u128);
-
-impl KeyHasher {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-
-    fn new() -> Self {
-        KeyHasher(Self::OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        // Field separator: "ab" + "c" never collides with "a" + "bc".
-        self.0 ^= 0xff;
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
 }
 
 fn features_bits(f: &CompileFeatures) -> u8 {
@@ -115,240 +91,40 @@ pub fn unit_key<'a>(
     features: &CompileFeatures,
     closure: impl IntoIterator<Item = (&'a str, &'a str)>,
 ) -> u128 {
-    let mut h = KeyHasher::new();
-    h.write(UNIT_KEY_SALT.as_bytes());
-    h.write(input.as_bytes());
-    h.write(obj_name.as_bytes());
-    h.write(&[features_bits(features)]);
+    let mut h = Fnv128::new();
+    h.field(UNIT_KEY_SALT.as_bytes());
+    h.field(input.as_bytes());
+    h.field(obj_name.as_bytes());
+    h.field(&[features_bits(features)]);
     for (path, contents) in closure {
-        h.write(path.as_bytes());
-        h.write(contents.as_bytes());
+        h.field(path.as_bytes());
+        h.field(contents.as_bytes());
     }
-    h.0
-}
-
-// ---------------------------------------------------------------------------
-// Byte codec (for the disk tier)
-// ---------------------------------------------------------------------------
-
-fn enc_features(enc: &mut Enc, f: &CompileFeatures) {
-    enc.u8(features_bits(f));
-}
-
-fn dec_features(dec: &mut Dec) -> Option<CompileFeatures> {
-    let bits = dec.u8()?;
-    if bits >= 1 << 6 {
-        return None;
-    }
-    Some(CompileFeatures {
-        cuda: bits & 1 != 0,
-        openmp: bits & (1 << 1) != 0,
-        offload: bits & (1 << 2) != 0,
-        kokkos: bits & (1 << 3) != 0,
-        curand: bits & (1 << 4) != 0,
-        libm: bits & (1 << 5) != 0,
-    })
-}
-
-fn enc_diag(enc: &mut Enc, d: &Diagnostic) {
-    enc.boolean(d.severity == Severity::Error);
-    enc.u8(d.category.code());
-    enc.str(&d.message);
-    enc.str(&d.file);
-    match d.line {
-        Some(line) => {
-            enc.u8(1);
-            enc.u32(line);
-        }
-        None => enc.u8(0),
-    }
-}
-
-fn dec_diag(dec: &mut Dec) -> Option<Diagnostic> {
-    let severity = if dec.boolean()? {
-        Severity::Error
-    } else {
-        Severity::Warning
-    };
-    let category = ErrorCategory::from_code(dec.u8()?)?;
-    let message = dec.str()?;
-    let file = dec.str()?;
-    let line = match dec.u8()? {
-        0 => None,
-        1 => Some(dec.u32()?),
-        _ => return None,
-    };
-    Some(Diagnostic {
-        severity,
-        category,
-        message,
-        file,
-        line,
-    })
-}
-
-fn enc_object(enc: &mut Enc, o: &ObjectCode) {
-    enc.str(&o.source);
-    enc.str(&o.name);
-    enc.u32(o.functions.len() as u32);
-    for (name, f) in &o.functions {
-        enc.str(name);
-        enc.function(f);
-    }
-    enc.u32(o.structs.len() as u32);
-    for (name, s) in &o.structs {
-        enc.str(name);
-        enc.struct_def(s);
-    }
-    enc.u32(o.globals.len() as u32);
-    for g in &o.globals {
-        enc.var_decl(g);
-    }
-    enc.str_list(&o.undefined);
-    enc.boolean(o.uses_libm);
-    enc_features(enc, &o.features);
-    enc.model_usage(&o.usage);
-}
-
-fn dec_object(dec: &mut Dec) -> Option<ObjectCode> {
-    let source = dec.str()?;
-    let name = dec.str()?;
-    let nf = dec.u32()? as usize;
-    let mut functions = std::collections::BTreeMap::new();
-    for _ in 0..nf {
-        let key = dec.str()?;
-        functions.insert(key, dec.function()?);
-    }
-    let ns = dec.u32()? as usize;
-    let mut structs = std::collections::BTreeMap::new();
-    for _ in 0..ns {
-        let key = dec.str()?;
-        structs.insert(key, dec.struct_def()?);
-    }
-    let ng = dec.u32()? as usize;
-    let mut globals = Vec::with_capacity(ng.min(1024));
-    for _ in 0..ng {
-        globals.push(dec.var_decl()?);
-    }
-    Some(ObjectCode {
-        source,
-        name,
-        functions,
-        structs,
-        globals,
-        undefined: dec.str_list()?,
-        uses_libm: dec.boolean()?,
-        features: dec_features(dec)?,
-        usage: dec.model_usage()?,
-    })
-}
-
-/// Serialize a unit for the disk tier. The caller frames the payload
-/// (magic, checksum); this is content only.
-pub fn encode_unit(unit: &CompiledUnit) -> Vec<u8> {
-    let mut enc = Enc::new();
-    match &unit.object {
-        Some(o) => {
-            enc.u8(1);
-            enc_object(&mut enc, o);
-        }
-        None => enc.u8(0),
-    }
-    enc.u32(unit.diagnostics.len() as u32);
-    for d in &unit.diagnostics {
-        enc_diag(&mut enc, d);
-    }
-    enc.into_bytes()
-}
-
-/// Total decoder: any malformed byte (including trailing garbage) yields
-/// `None`, which the disk tier treats as corruption ⇒ miss.
-pub fn decode_unit(bytes: &[u8]) -> Option<CompiledUnit> {
-    let mut dec = Dec::new(bytes);
-    let object = match dec.u8()? {
-        0 => None,
-        1 => Some(Arc::new(dec_object(&mut dec)?)),
-        _ => return None,
-    };
-    let nd = dec.u32()? as usize;
-    let mut diagnostics = Vec::with_capacity(nd.min(1024));
-    for _ in 0..nd {
-        diagnostics.push(dec_diag(&mut dec)?);
-    }
-    dec.at_end().then_some(CompiledUnit {
-        object,
-        diagnostics,
-    })
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess;
-    use crate::sema;
-    use minihpc_lang::repo::SourceRepo;
 
-    fn unit_of(src: &str) -> CompiledUnit {
-        let repo = SourceRepo::new().with_file("main.cpp", src);
+    #[test]
+    fn key_value_is_pinned() {
+        // Unit keys are FNV-128 over salted fields; this value must not
+        // move when the hash implementation is refactored.
         let features = CompileFeatures {
             openmp: true,
             ..CompileFeatures::default()
         };
-        let tu = preprocess::assemble(&repo, "main.cpp", &features).expect("assemble");
-        let result = sema::check(&tu, "main.cpp", "main.o", &features);
-        CompiledUnit {
-            object: result.object.map(Arc::new),
-            diagnostics: result.diagnostics,
-        }
-    }
-
-    #[test]
-    fn unit_round_trips_through_codec() {
-        let unit = unit_of(
-            "static double acc = 0.0;\n\
-             struct P { int x; };\n\
-             double f(double* a, int n) {\n\
-             #pragma omp parallel for reduction(+: acc)\n\
-             for (int i = 0; i < n; i++) acc += a[i];\n\
-             return acc; }\n\
-             int main() { double a[4] = {1.0, 2.0, 3.0, 4.0}; return (int)f(a, 4); }\n",
+        let key = unit_key(
+            "src/main.cpp",
+            "main.o",
+            &features,
+            [
+                ("src/main.cpp", "int main() { return 0; }"),
+                ("src/a.h", "int f();"),
+            ],
         );
-        let bytes = encode_unit(&unit);
-        let back = decode_unit(&bytes).expect("decode");
-        let obj = unit.object.as_ref().unwrap();
-        let bobj = back.object.as_ref().unwrap();
-        assert_eq!(obj.source, bobj.source);
-        assert_eq!(obj.name, bobj.name);
-        assert_eq!(obj.functions, bobj.functions);
-        assert_eq!(obj.structs, bobj.structs);
-        assert_eq!(obj.globals, bobj.globals);
-        assert_eq!(obj.undefined, bobj.undefined);
-        assert_eq!(obj.uses_libm, bobj.uses_libm);
-        assert_eq!(obj.features, bobj.features);
-        assert_eq!(obj.usage, bobj.usage);
-        assert_eq!(unit.diagnostics, back.diagnostics);
-    }
-
-    #[test]
-    fn failed_unit_round_trips_diagnostics() {
-        let unit = unit_of("int main() { return undeclared_thing; }\n");
-        assert!(unit.object.is_none());
-        assert!(!unit.diagnostics.is_empty());
-        let back = decode_unit(&encode_unit(&unit)).expect("decode");
-        assert!(back.object.is_none());
-        assert_eq!(unit.diagnostics, back.diagnostics);
-    }
-
-    #[test]
-    fn truncated_or_garbled_bytes_decode_to_none() {
-        let unit = unit_of("int main() { return 0; }\n");
-        let bytes = encode_unit(&unit);
-        for cut in 0..bytes.len() {
-            assert!(decode_unit(&bytes[..cut]).is_none(), "cut at {cut}");
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(decode_unit(&trailing).is_none(), "trailing byte accepted");
+        assert_eq!(key, 0x92685739d8597d51b320e3a82be3e22b);
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //!   detection (enforces the paper's "must use the requested model" rule).
 //! - [`complexity`]: SLoC and cyclomatic-complexity statistics (Table 1).
 //! - [`repo`]: the in-memory repository that translation tasks rewrite.
+//! - [`fnv`]: FNV-1a, the stable hash behind every cache key, plan
+//!   fingerprint, checksum and generator digest in the workspace.
 
 pub mod ast;
-pub mod codec;
 pub mod complexity;
+pub mod fnv;
 pub mod lexer;
 pub mod model;
 pub mod parser;

@@ -16,5 +16,5 @@
 //! Run them with `cargo bench` (or `cargo bench --bench fig2_correctness`
 //! for one figure). `PAREVAL_SAMPLES` overrides the per-cell sample count
 //! where a bench supports it. Figure regeneration drives the experiment
-//! grid through `ParallelRunner::auto()`, which is byte-identical to the
+//! grid through `ScheduledRunner::auto()`, which is byte-identical to the
 //! serial runner for the same plan.

@@ -36,8 +36,8 @@ use crate::runner::SampleRecord;
 use crate::task::{EvalConfig, EvalOutcome, RepairRound, SampleResult, Task};
 use minihpc_analyze::{AnalysisFinding, Confidence};
 use minihpc_build::preprocess::ParsedFile;
-use minihpc_build::unit::{decode_unit, encode_unit};
 use minihpc_build::{build_repo_with, BuildRequest, CompiledUnit, ErrorCategory, UnitCache};
+use minihpc_lang::fnv::{fnv64, Fnv128};
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use minihpc_runtime::{run, RunConfig};
 use pareval_llm::{AttemptSpec, ModelProfile, RepairContext, RepairOutcome, TranslationBackend};
@@ -49,36 +49,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// 128-bit FNV-1a, the content-address of the cache (also the plan
-/// fingerprint hash, see [`crate::plan::ExperimentPlan::fingerprint`]).
-/// Stable across runs and platforms (unlike `std`'s randomized hasher) and
-/// wide enough that collisions are not a practical concern.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ContentHash(u128);
-
-impl ContentHash {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-
-    pub(crate) fn new() -> Self {
-        ContentHash(Self::OFFSET)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        // Field separator so ("ab", "c") and ("a", "bc") differ.
-        self.0 ^= 0xff;
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    pub(crate) fn finish(self) -> u128 {
-        self.0
-    }
-}
-
 /// Hit/miss/evict counters of a [`BuildCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -89,10 +59,10 @@ pub struct CacheStats {
     /// Outcome lookups that missed in memory but were served by the disk
     /// tier (the entry is promoted to memory on the way out).
     pub disk_hits: u64,
-    /// Disk entries (outcomes and units) evicted to keep the tier under
-    /// its byte budget.
+    /// Disk-tier outcome entries evicted to keep the tier under its byte
+    /// budget.
     pub evictions: u64,
-    /// Per-file compile units replayed from the cache (memory or disk)
+    /// Per-file compile units replayed from the in-memory unit tier
     /// instead of re-running sema. Counted only on outcome misses — an
     /// outcome hit never reaches the unit tier.
     pub file_hits: u64,
@@ -113,39 +83,9 @@ impl CacheStats {
     }
 }
 
-/// What a disk-tier file stores: a whole-repo [`EvalOutcome`] or a
-/// per-file [`CompiledUnit`]. The kinds live in one directory under one
-/// byte budget, distinguished by file suffix and magic, and are keyed from
-/// disjoint hash constructions (the outcome key hashes repo + knobs, the
-/// unit key hashes a version salt + closure), so the kind is part of the
-/// index key purely as a belt-and-braces measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum EntryKind {
-    Outcome,
-    Unit,
-}
-
-impl EntryKind {
-    const ALL: [EntryKind; 2] = [EntryKind::Outcome, EntryKind::Unit];
-
-    fn suffix(self) -> &'static str {
-        match self {
-            EntryKind::Outcome => "entry",
-            EntryKind::Unit => "unit",
-        }
-    }
-
-    fn magic(self) -> &'static [u8; 8] {
-        match self {
-            EntryKind::Outcome => b"PEBC0001",
-            EntryKind::Unit => b"PEBU0001",
-        }
-    }
-}
-
-/// The persistent tier of a [`BuildCache`]: one file per entry in a shared
-/// directory, named by the hex content key (`.entry` outcomes, `.unit`
-/// compile units), each payload checksummed. Because the file *name* is
+/// The persistent tier of a [`BuildCache`]: one `.entry` file per outcome
+/// in a shared directory, named by the hex content key, each payload
+/// checksummed. Because the file *name* is
 /// the full 128-bit key — which hashes every input that can change the
 /// stored value — a harness whose key computation changes (a new knob, a
 /// new hash input, a codec bump) simply stops matching old entries; it can
@@ -156,10 +96,15 @@ impl EntryKind {
 /// entry can cost a rebuild, never a wrong result. Store errors (disk
 /// full, permissions) are swallowed; the run continues on the memory tier.
 ///
-/// Eviction is least-recently-used by byte budget shared across both entry
-/// kinds: the in-process index orders entries by last touch (seeded from
-/// file mtimes at open, so LRU order survives across processes), and
-/// inserts evict from the cold end until the tier fits the budget again.
+/// Eviction is least-recently-used by byte budget: the in-process index
+/// orders entries by last touch (seeded from file mtimes at open, so LRU
+/// order survives across processes), and inserts evict from the cold end
+/// until the tier fits the budget again.
+///
+/// Only outcomes persist. Compile units stay in memory: decoding an AST
+/// from disk cost more than re-running sema. `.unit` files left in the
+/// directory by older harness versions are ignored by [`DiskCache::open`]
+/// and can be deleted.
 #[derive(Debug)]
 struct DiskCache {
     dir: PathBuf,
@@ -183,7 +128,7 @@ struct IndexSlot {
 /// `order` mirrors the slots keyed by touch counter, so the coldest entry
 /// is `order`'s first value and both touch and eviction are O(log n) —
 /// the previous `Vec` + `position()` index was O(n) per operation,
-/// quadratic over the thousands of entries the unit tier creates.
+/// quadratic over a directory of thousands of entries.
 ///
 /// `visited` is the work counter the regression test pins: **contract —
 /// every index operation (`touch`/`remove`/`coldest`) increments it by
@@ -193,8 +138,8 @@ struct IndexSlot {
 /// equality assertion fails.
 #[derive(Debug, Default)]
 struct DiskIndex {
-    slots: HashMap<(u128, EntryKind), IndexSlot>,
-    order: BTreeMap<u64, (u128, EntryKind)>,
+    slots: HashMap<u128, IndexSlot>,
+    order: BTreeMap<u64, u128>,
     next_touch: u64,
     total_bytes: u64,
     visited: u64,
@@ -202,11 +147,11 @@ struct DiskIndex {
 
 impl DiskIndex {
     /// Move `key` to the hot end (or insert it), updating the byte total.
-    fn touch(&mut self, key: u128, kind: EntryKind, size: u64) {
+    fn touch(&mut self, key: u128, size: u64) {
         self.visited += 1;
         let t = self.next_touch;
         self.next_touch += 1;
-        match self.slots.get_mut(&(key, kind)) {
+        match self.slots.get_mut(&key) {
             Some(slot) => {
                 self.order.remove(&slot.touch);
                 self.total_bytes -= slot.size;
@@ -214,27 +159,27 @@ impl DiskIndex {
                 slot.size = size;
             }
             None => {
-                self.slots.insert((key, kind), IndexSlot { touch: t, size });
+                self.slots.insert(key, IndexSlot { touch: t, size });
             }
         }
-        self.order.insert(t, (key, kind));
+        self.order.insert(t, key);
         self.total_bytes += size;
     }
 
-    fn remove(&mut self, key: u128, kind: EntryKind) {
+    fn remove(&mut self, key: u128) {
         self.visited += 1;
-        if let Some(slot) = self.slots.remove(&(key, kind)) {
+        if let Some(slot) = self.slots.remove(&key) {
             self.order.remove(&slot.touch);
             self.total_bytes -= slot.size;
         }
     }
 
-    fn contains(&self, key: u128, kind: EntryKind) -> bool {
-        self.slots.contains_key(&(key, kind))
+    fn contains(&self, key: u128) -> bool {
+        self.slots.contains_key(&key)
     }
 
     /// The least-recently-used entry, if any.
-    fn coldest(&mut self) -> Option<(u128, EntryKind)> {
+    fn coldest(&mut self) -> Option<u128> {
         self.visited += 1;
         self.order.values().next().copied()
     }
@@ -245,30 +190,32 @@ impl DiskIndex {
 }
 
 impl DiskCache {
+    /// Frame magic of an outcome entry.
+    const MAGIC: &'static [u8; 8] = b"PEBC0001";
+
     /// Open (creating if needed) the cache directory and rebuild the LRU
-    /// index from the entries already on disk, coldest mtime first.
+    /// index from the `.entry` files already on disk, coldest mtime first.
     fn open(dir: &Path, budget: u64) -> std::io::Result<DiskCache> {
         std::fs::create_dir_all(dir)?;
-        let mut found: Vec<(u128, EntryKind, u64, std::time::SystemTime)> = Vec::new();
+        let mut found: Vec<(u128, u64, std::time::SystemTime)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();
-            let Some((key, kind)) = name.to_str().and_then(|n| {
-                EntryKind::ALL.iter().find_map(|&kind| {
-                    let hex = n.strip_suffix(kind.suffix())?.strip_suffix('.')?;
-                    Some((u128::from_str_radix(hex, 16).ok()?, kind))
-                })
-            }) else {
+            let Some(key) = name
+                .to_str()
+                .and_then(|n| n.strip_suffix(".entry"))
+                .and_then(|hex| u128::from_str_radix(hex, 16).ok())
+            else {
                 continue;
             };
             let Ok(meta) = entry.metadata() else { continue };
             let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            found.push((key, kind, meta.len(), mtime));
+            found.push((key, meta.len(), mtime));
         }
-        found.sort_by_key(|&(key, kind, _, mtime)| (mtime, key, kind));
+        found.sort_by_key(|&(key, _, mtime)| (mtime, key));
         let mut index = DiskIndex::default();
-        for (key, kind, size, _) in found {
-            index.touch(key, kind, size);
+        for (key, size, _) in found {
+            index.touch(key, size);
         }
         Ok(DiskCache {
             dir: dir.to_path_buf(),
@@ -277,21 +224,16 @@ impl DiskCache {
         })
     }
 
-    fn path_of(&self, key: u128, kind: EntryKind) -> PathBuf {
-        self.dir.join(format!("{key:032x}.{}", kind.suffix()))
+    fn path_of(&self, key: u128) -> PathBuf {
+        self.dir.join(format!("{key:032x}.entry"))
     }
 
-    /// Read-through lookup of a verified payload. Any failure — missing
+    /// Read-through lookup of a verified outcome. Any failure — missing
     /// file, bad magic, bad checksum, undecodable payload — deletes the
     /// entry and reports a miss; a corrupted entry can never surface as a
     /// wrong value.
-    fn load_entry<T>(
-        &self,
-        key: u128,
-        kind: EntryKind,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Option<T> {
-        let path = self.path_of(key, kind);
+    fn load(&self, key: u128) -> Option<EvalOutcome> {
+        let path = self.path_of(key);
         let bytes = std::fs::read(&path).ok();
         // Account the entry at the length actually read: re-statting the
         // file here would race a concurrent eviction's delete and record
@@ -299,12 +241,12 @@ impl DiskCache {
         // real disk usage.
         let file_len = bytes.as_ref().map(|b| b.len() as u64).unwrap_or(0);
         let value = bytes.and_then(|bytes| {
-            let payload = bytes.strip_prefix(kind.magic())?;
+            let payload = bytes.strip_prefix(Self::MAGIC)?;
             let (sum, payload) = payload.split_first_chunk::<8>()?;
-            if u64::from_le_bytes(*sum) != codec::fnv64(payload) {
+            if u64::from_le_bytes(*sum) != fnv64(payload) {
                 return None;
             }
-            decode(payload)
+            codec::decode_outcome(payload)
         });
         match value {
             Some(value) => {
@@ -313,57 +255,49 @@ impl DiskCache {
                 // between our read and this lock must not be resurrected
                 // into the index as a ghost.
                 let mut index = self.index.lock();
-                if index.contains(key, kind) || path.exists() {
-                    index.touch(key, kind, file_len);
+                if index.contains(key) || path.exists() {
+                    index.touch(key, file_len);
                 }
                 Some(value)
             }
             None => {
                 let mut index = self.index.lock();
                 let _ = std::fs::remove_file(&path);
-                index.remove(key, kind);
+                index.remove(key);
                 None
             }
         }
     }
 
-    fn load(&self, key: u128) -> Option<EvalOutcome> {
-        self.load_entry(key, EntryKind::Outcome, codec::decode_outcome)
-    }
-
-    fn load_unit(&self, key: u128) -> Option<CompiledUnit> {
-        self.load_entry(key, EntryKind::Unit, decode_unit)
-    }
-
-    /// Write-through insert: frame the payload (magic + checksum), write to
-    /// a temp file, rename into place (atomic on POSIX), then evict cold
-    /// entries until the tier is back under budget. Returns how many
-    /// entries were evicted.
-    fn store(&self, key: u128, kind: EntryKind, payload: &[u8]) -> u64 {
-        let magic = kind.magic();
-        let mut bytes = Vec::with_capacity(magic.len() + 8 + payload.len());
-        bytes.extend_from_slice(magic);
-        bytes.extend_from_slice(&codec::fnv64(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        let path = self.path_of(key, kind);
-        let tmp = self.dir.join(format!("{key:032x}.{}.tmp", kind.suffix()));
+    /// Write-through insert: encode and frame the outcome (magic +
+    /// checksum), write to a temp file, rename into place (atomic on
+    /// POSIX), then evict cold entries until the tier is back under budget.
+    /// Returns how many entries were evicted.
+    fn store(&self, key: u128, outcome: &EvalOutcome) -> u64 {
+        let payload = codec::encode_outcome(outcome);
+        let mut bytes = Vec::with_capacity(Self::MAGIC.len() + 8 + payload.len());
+        bytes.extend_from_slice(Self::MAGIC);
+        bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let path = self.path_of(key);
+        let tmp = self.dir.join(format!("{key:032x}.entry.tmp"));
         if std::fs::write(&tmp, &bytes).is_err() || std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
             return 0;
         }
         let mut index = self.index.lock();
-        index.touch(key, kind, bytes.len() as u64);
+        index.touch(key, bytes.len() as u64);
         // Evict coldest-first until under budget. The entry just written is
         // at the hot end and is never evicted on its own insert (a single
         // over-budget entry is still worth keeping until something newer
         // displaces it).
         let mut evicted = 0;
         while index.total_bytes > self.budget && index.len() > 1 {
-            let Some((cold, cold_kind)) = index.coldest() else {
+            let Some(cold) = index.coldest() else {
                 break;
             };
-            let _ = std::fs::remove_file(self.path_of(cold, cold_kind));
-            index.remove(cold, cold_kind);
+            let _ = std::fs::remove_file(self.path_of(cold));
+            index.remove(cold);
             evicted += 1;
         }
         evicted
@@ -374,7 +308,9 @@ impl DiskCache {
 /// optionally backed by a persistent disk tier shared across
 /// processes (see [`EvalConfig::disk_cache_dir`]). Lookups read through —
 /// memory first, then disk (promoting the entry to memory) — and inserts
-/// write through to both tiers.
+/// write through to both tiers. Beneath the outcomes sit two in-memory
+/// memos the cold build compiles through: parsed files and per-file
+/// compile units.
 ///
 /// Thread-safe: lookups take a read lock, inserts a write lock, so workers
 /// of a parallel runner serve each other's hits. Two threads racing on the
@@ -385,10 +321,10 @@ pub struct BuildCache {
     map: RwLock<HashMap<u128, EvalOutcome>>,
     /// The file-granular tier: per-file compile units (parse + sema +
     /// object) keyed by include-closure content (see
-    /// [`minihpc_build::unit::unit_key`]). Outcome hits never reach this
-    /// tier; it pays off on outcome *misses* whose repos share files with
-    /// earlier builds — a repair round that touched one file re-compiles
-    /// one unit and re-runs only link + test.
+    /// [`minihpc_build::unit::unit_key`]), in memory only. Outcome hits
+    /// never reach this tier; it pays off on outcome *misses* whose repos
+    /// share files with earlier builds — a repair round that touched one
+    /// file re-compiles one unit and re-runs only link + test.
     units: RwLock<HashMap<u128, CompiledUnit>>,
     /// Parse memo backing the unit tier: `SourceFile` ASTs keyed by file
     /// content. Unit lookup needs the include closure, which needs every
@@ -435,11 +371,6 @@ impl BuildCache {
             max_steps,
             // Gates whether a cache exists at all; it cannot alias entries.
             build_cache: _,
-            // Pure wall-clock knob: the build substrate is deterministic,
-            // so outcomes are byte-identical with the file tier on or off
-            // (tests/determinism.rs proves it) — hashing it would only
-            // split otherwise-shareable entries.
-            file_cache: _,
             repair_budget,
             repair_diag_lines,
             // Where the persistent tier lives and how big it may grow
@@ -450,32 +381,32 @@ impl BuildCache {
             analyze_max_findings,
             repair_guided,
         } = eval;
-        let mut h = ContentHash::new();
-        h.write(task.app.binary.as_bytes());
-        h.write(task.app.name.as_bytes());
-        h.write(task.pair.id().as_bytes());
-        h.write(&max_cases.to_le_bytes());
-        h.write(&max_steps.to_le_bytes());
-        h.write(&repair_budget.to_le_bytes());
-        h.write(&repair_diag_lines.to_le_bytes());
+        let mut h = Fnv128::new();
+        h.field(task.app.binary.as_bytes());
+        h.field(task.app.name.as_bytes());
+        h.field(task.pair.id().as_bytes());
+        h.field(&max_cases.to_le_bytes());
+        h.field(&max_steps.to_le_bytes());
+        h.field(&repair_budget.to_le_bytes());
+        h.field(&repair_diag_lines.to_le_bytes());
         // Hashed only when the analyzer is on, so analyzer-off keys (and
         // the disk entries named by them) stay identical to the
         // pre-analyzer format.
         if *analyze {
-            h.write(b"analyze");
-            h.write(&analyze_max_findings.to_le_bytes());
+            h.field(b"analyze");
+            h.field(&analyze_max_findings.to_le_bytes());
         }
         // Same append-only discipline: guided repair changes what repair
         // rounds produce, but default-config (blind) keys keep the old
         // byte format.
         if *repair_guided {
-            h.write(b"repair-guided");
+            h.field(b"repair-guided");
         }
         for (path, contents) in repo.iter() {
-            h.write(path.as_bytes());
-            h.write(contents.as_bytes());
+            h.field(path.as_bytes());
+            h.field(contents.as_bytes());
         }
-        h.0
+        h.finish()
     }
 
     fn lookup(&self, key: u128) -> Option<EvalOutcome> {
@@ -496,7 +427,7 @@ impl BuildCache {
 
     fn insert(&self, key: u128, outcome: EvalOutcome) {
         if let Some(disk) = &self.disk {
-            let evicted = disk.store(key, EntryKind::Outcome, &codec::encode_outcome(&outcome));
+            let evicted = disk.store(key, &outcome);
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         self.map.write().insert(key, outcome);
@@ -512,8 +443,8 @@ impl BuildCache {
         self.map.read().len() + self.units.read().len()
     }
 
-    /// Entries currently indexed in the persistent disk tier (0 when no
-    /// disk tier is configured). Counts both outcome and unit entries.
+    /// Outcome entries currently indexed in the persistent disk tier (0
+    /// when no disk tier is configured). Compile units never reach disk.
     pub fn len_disk(&self) -> usize {
         self.disk
             .as_ref()
@@ -540,14 +471,13 @@ impl BuildCache {
 
 /// The file-granular cache seam the build driver compiles through (see
 /// [`minihpc_build::driver::build_repo_with`]): parses memoized by file
-/// content, compile units by include-closure key, both read through to the
-/// disk tier when one is configured.
+/// content, compile units by include-closure key, both in memory.
 impl UnitCache for BuildCache {
     fn parse_file(&self, text: &str) -> ParsedFile {
-        let mut h = ContentHash::new();
-        h.write(b"parse-v1");
-        h.write(text.as_bytes());
-        let key = h.0;
+        let mut h = Fnv128::new();
+        h.field(b"parse-v1");
+        h.field(text.as_bytes());
+        let key = h.finish();
         if let Some(hit) = self.parses.read().get(&key) {
             return hit.clone();
         }
@@ -561,20 +491,11 @@ impl UnitCache for BuildCache {
             self.file_hits.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
-        if let Some(hit) = self.disk.as_ref().and_then(|d| d.load_unit(key)) {
-            self.file_hits.fetch_add(1, Ordering::Relaxed);
-            self.units.write().insert(key, hit.clone());
-            return Some(hit);
-        }
         self.file_misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
     fn store_unit(&self, key: u128, unit: &CompiledUnit) {
-        if let Some(disk) = &self.disk {
-            let evicted = disk.store(key, EntryKind::Unit, &encode_unit(unit));
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
         self.units.write().insert(key, unit.clone());
     }
 }
@@ -865,9 +786,9 @@ impl EvalPipeline {
 
     /// Build + run the app's tests + enforce the paper's correctness
     /// criteria, through the cache when one is enabled. On an outcome miss
-    /// the cold build compiles through the cache's file-granular unit tier
-    /// (unless [`EvalConfig::file_cache`] is off), so repos sharing files
-    /// with earlier builds recompile only what changed.
+    /// the cold build compiles through the cache's file-granular unit tier,
+    /// so repos sharing files with earlier builds recompile only what
+    /// changed.
     pub fn evaluate(&self, task: &Task, repo: &SourceRepo) -> EvalOutcome {
         let Some(cache) = &self.cache else {
             return evaluate_uncached(task, repo, &self.eval, None);
@@ -876,8 +797,7 @@ impl EvalPipeline {
         if let Some(hit) = cache.lookup(key) {
             return hit;
         }
-        let units = self.eval.file_cache.then_some(cache as &dyn UnitCache);
-        let outcome = evaluate_uncached(task, repo, &self.eval, units);
+        let outcome = evaluate_uncached(task, repo, &self.eval, Some(cache));
         cache.insert(key, outcome.clone());
         outcome
     }
@@ -1184,12 +1104,11 @@ mod tests {
             build_log: "x".repeat(64),
             error_diagnostics: Vec::new(),
         };
-        let payload = codec::encode_outcome(&outcome);
         // Budget fits only a handful of entries, so the storer thread
         // evicts on nearly every insert while loaders hammer a hot key.
-        let entry_len = (payload.len() + 16) as u64;
+        let entry_len = (codec::encode_outcome(&outcome).len() + 16) as u64;
         let cache = DiskCache::open(&dir, entry_len * 4).unwrap();
-        cache.store(0, EntryKind::Outcome, &payload);
+        cache.store(0, &outcome);
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
@@ -1200,7 +1119,7 @@ mod tests {
             }
             s.spawn(|| {
                 for k in 1..300u128 {
-                    cache.store(k, EntryKind::Outcome, &payload);
+                    cache.store(k, &outcome);
                 }
             });
         });
@@ -1218,7 +1137,7 @@ mod tests {
         let indexed: std::collections::BTreeMap<u128, u64> = index
             .slots
             .iter()
-            .map(|(&(key, _), slot)| (key, slot.size))
+            .map(|(&key, slot)| (key, slot.size))
             .collect();
         assert_eq!(indexed, on_disk, "index and directory disagree");
         assert_eq!(
@@ -1240,29 +1159,30 @@ mod tests {
         let mut index = DiskIndex::default();
         let mut ops = 0u64;
         for k in 0..N {
-            index.touch(k, EntryKind::Unit, 10);
+            index.touch(k, 10);
             ops += 1;
         }
         assert_eq!(index.total_bytes, 10 * N as u64);
         // Re-touch every entry in insertion order (the worst case for the
         // old index: each re-touch scanned to the cold end).
         for k in 0..N {
-            index.touch(k, EntryKind::Unit, 12);
+            index.touch(k, 12);
             ops += 1;
         }
         assert_eq!(index.total_bytes, 12 * N as u64);
-        // The same key under the other entry kind is a distinct slot.
-        index.touch(7, EntryKind::Outcome, 100);
+        // A key beyond the range is a new slot.
+        index.touch(N, 100);
         ops += 1;
         assert_eq!(index.len(), N as usize + 1);
+        assert_eq!(index.total_bytes, 12 * N as u64 + 100);
         for k in 0..N / 2 {
-            index.remove(k, EntryKind::Unit);
+            index.remove(k);
             ops += 1;
         }
         // Drain the rest the way eviction does: coldest probe + remove.
-        while let Some((k, kind)) = index.coldest() {
+        while let Some(k) = index.coldest() {
             ops += 1;
-            index.remove(k, kind);
+            index.remove(k);
             ops += 1;
         }
         ops += 1; // the final coldest() that found the index empty
@@ -1278,6 +1198,8 @@ mod tests {
     fn per_tier_lengths_count_every_tier() {
         // `len()` used to report only the in-memory outcome map; the
         // per-tier counts must see unit entries and disk entries too.
+        // Units stay in memory, so the disk tier holds exactly the
+        // outcome entries.
         let task = task_named("nanoXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
         let model = model_by_name("o4-mini").unwrap();
         let dir = scratch_dir("tier-len");
@@ -1295,8 +1217,8 @@ mod tests {
         );
         assert_eq!(
             cache.len_disk(),
-            cache.len_memory(),
-            "every memory entry was written through to disk"
+            cache.map.read().len(),
+            "every outcome entry was written through to disk"
         );
         assert!(!cache.is_empty());
         // A fresh cache over the same dir is not empty: the disk tier

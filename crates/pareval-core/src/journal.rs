@@ -35,6 +35,7 @@
 
 use crate::plan::{CellKey, ExperimentPlan};
 use crate::runner::{ProgressSink, SampleRecord};
+use minihpc_lang::fnv::fnv64;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -95,26 +96,16 @@ impl From<std::io::Error> for JournalError {
 }
 
 /// Byte codec shared by the journal and the disk build cache: explicit
-/// little-endian, length-prefixed encoding of the record types, with a
-/// 64-bit FNV-1a frame checksum. Decoders are total — any malformed input
-/// yields `None`, never a panic — because their input is untrusted bytes
-/// from a possibly torn or corrupted file.
+/// little-endian, length-prefixed encoding of the record types, framed by
+/// callers with a [`fnv64`] checksum. Decoders are total — any malformed
+/// input yields `None`, never a panic — because their input is untrusted
+/// bytes from a possibly torn or corrupted file.
 pub(crate) mod codec {
     use crate::runner::SampleRecord;
     use crate::task::{EvalOutcome, RepairRound, SampleResult};
     use minihpc_analyze::{AnalysisFinding, Confidence, FixIt, FixItEdit, Rule};
     use minihpc_build::{Diagnostic, ErrorCategory, Severity};
     use pareval_llm::TokenUsage;
-
-    /// 64-bit FNV-1a over `bytes` (the frame checksum).
-    pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
 
     /// Stable on-disk code of an [`ErrorCategory`] — the canonical numbering
     /// lives on the type itself ([`ErrorCategory::code`]) so the journal and
@@ -679,7 +670,7 @@ impl ProgressSink for JournalSink {
             .expect(frame_err);
         state
             .file
-            .write_all(&codec::fnv64(&payload).to_le_bytes())
+            .write_all(&fnv64(&payload).to_le_bytes())
             .expect(frame_err);
         state.file.write_all(&payload).expect(frame_err);
         state.written += 1;
@@ -794,7 +785,7 @@ impl JournalReader {
         self.file.read_exact(&mut sum_buf).ok()?;
         let mut payload = vec![0u8; len as usize];
         self.file.read_exact(&mut payload).ok()?;
-        if codec::fnv64(&payload) != u64::from_le_bytes(sum_buf) {
+        if fnv64(&payload) != u64::from_le_bytes(sum_buf) {
             return None;
         }
         let raw = codec::decode_record(&payload)?;

@@ -78,8 +78,6 @@ pub use minihpc_analyze::{
 pub use plan::{
     CellFilter, CellKey, CellQuery, CellSpec, ExperimentPlan, ExperimentPlanBuilder, SampleSpec,
 };
-#[allow(deprecated)]
-pub use runner::ParallelRunner;
 pub use runner::{
     CountingSink, NullSink, ProgressSink, RoundRobinRunner, Runner, SampleRecord, SerialRunner,
 };

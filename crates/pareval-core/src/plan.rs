@@ -12,6 +12,7 @@
 //!   seeded so they can be sharded across workers in any order.
 
 use crate::task::{all_tasks, EvalConfig, Task};
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::TranslationPair;
 use pareval_apps::Application;
 use pareval_llm::{all_models, ModelProfile, SimulatedBackend, TranslationBackend};
@@ -304,40 +305,40 @@ impl ExperimentPlan {
     /// toggling them mid-resume is legal because results are byte-identical
     /// either way.
     pub fn fingerprint(&self) -> u128 {
-        let mut h = crate::eval::ContentHash::new();
-        h.write(b"pareval-plan-v1");
-        h.write(&self.seed.to_le_bytes());
-        h.write(&(self.eval.max_cases as u64).to_le_bytes());
-        h.write(&self.eval.max_steps.to_le_bytes());
-        h.write(&self.eval.repair_budget.to_le_bytes());
-        h.write(&(self.eval.repair_diag_lines as u64).to_le_bytes());
+        let mut h = Fnv128::new();
+        h.field(b"pareval-plan-v1");
+        h.field(&self.seed.to_le_bytes());
+        h.field(&(self.eval.max_cases as u64).to_le_bytes());
+        h.field(&self.eval.max_steps.to_le_bytes());
+        h.field(&self.eval.repair_budget.to_le_bytes());
+        h.field(&(self.eval.repair_diag_lines as u64).to_le_bytes());
         // Analyzer knobs change result bytes, but only when on: hashing
         // them conditionally keeps analyzer-off fingerprints (and thus
         // existing journals) byte-identical to the pre-analyzer format.
         if self.eval.analyze {
-            h.write(b"analyze");
-            h.write(&(self.eval.analyze_max_findings as u64).to_le_bytes());
+            h.field(b"analyze");
+            h.field(&(self.eval.analyze_max_findings as u64).to_le_bytes());
         }
         if self.eval.repair_guided {
-            h.write(b"repair-guided");
+            h.field(b"repair-guided");
         }
         for cell in &self.cells {
-            h.write(cell.key.pair.id().as_bytes());
-            h.write(cell.key.technique.name().as_bytes());
-            h.write(cell.key.model.as_bytes());
-            h.write(cell.key.app.as_bytes());
+            h.field(cell.key.pair.id().as_bytes());
+            h.field(cell.key.technique.name().as_bytes());
+            h.field(cell.key.model.as_bytes());
+            h.field(cell.key.app.as_bytes());
             // Generated apps additionally pin their GenSpec digest (seed +
             // every generator knob): regenerating the family differently
             // under the same names must invalidate old journals. Hashed
             // conditionally so hand-written-suite fingerprints stay
             // byte-identical to the pre-generator format.
             if let Some(digest) = self.tasks[cell.task].app.gen_digest {
-                h.write(b"gen");
-                h.write(&digest.to_le_bytes());
+                h.field(b"gen");
+                h.field(&digest.to_le_bytes());
             }
-            h.write(&[cell.feasible as u8]);
-            h.write(&cell.samples.to_le_bytes());
-            h.write(self.backends[cell.backend].name().as_bytes());
+            h.field(&[cell.feasible as u8]);
+            h.field(&cell.samples.to_le_bytes());
+            h.field(self.backends[cell.backend].name().as_bytes());
         }
         h.finish()
     }
@@ -572,6 +573,16 @@ impl ExperimentPlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quick_plan_fingerprint_is_pinned() {
+        // Journals written by earlier harness versions carry this value in
+        // their header; it must stay bit-identical for them to resume.
+        assert_eq!(
+            ExperimentPlan::quick().fingerprint(),
+            0x74badfd8346f83889330afd4717f4ebe
+        );
+    }
 
     #[test]
     fn quick_plan_enumerates_expected_cells() {

@@ -10,10 +10,9 @@
 //! output for the same plan.
 //!
 //! Three strategies ship: [`SerialRunner`] (one thread, enumeration
-//! order), [`ScheduledRunner`] (work stealing — the parallel default; see
-//! [`crate::sched`]), and [`RoundRobinRunner`] (static sharding, kept as
-//! the scheduler benchmarks' baseline). [`ParallelRunner`] is a deprecated
-//! alias that now delegates to the work-stealing scheduler.
+//! order), [`ScheduledRunner`](crate::ScheduledRunner) (work stealing —
+//! the parallel default; see [`crate::sched`]), and [`RoundRobinRunner`]
+//! (static sharding, kept as the scheduler benchmarks' baseline).
 //!
 //! Runners stream progress to a [`ProgressSink`] (observer) as samples
 //! complete — from worker threads, in completion order, which under the
@@ -24,7 +23,7 @@ use crate::collect::{CellResult, ExperimentResults};
 use crate::eval::EvalPipeline;
 use crate::journal::{self, JournalError, JournalReader};
 use crate::plan::{CellKey, ExperimentPlan, SampleSpec};
-use crate::sched::{round_robin_map, ScheduledRunner};
+use crate::sched::round_robin_map;
 use crate::task::SampleResult;
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
@@ -42,7 +41,8 @@ pub struct SampleRecord {
 }
 
 /// Observer of experiment progress. Implementations must be [`Sync`]:
-/// [`ParallelRunner`] invokes `on_sample` concurrently from worker threads.
+/// the multi-threaded runners invoke `on_sample` concurrently from worker
+/// threads.
 pub trait ProgressSink: Sync {
     /// Called once per completed sample, in completion order.
     fn on_sample(&self, record: &SampleRecord);
@@ -212,8 +212,9 @@ pub trait Runner {
     /// completed `(cell, sample)` set from the intact record prefix (torn
     /// or corrupted tails are skipped, not fatal); only the *remaining*
     /// specs are then executed through this strategy's [`Runner::run_specs`]
-    /// (so e.g. [`ScheduledRunner`] re-seeds its injector with the
-    /// remainder in LPT order), streaming fresh records to `sink` as usual.
+    /// (so e.g. [`ScheduledRunner`](crate::ScheduledRunner) re-seeds its
+    /// injector with the remainder in LPT order), streaming fresh records
+    /// to `sink` as usual.
     /// The second pass replays the journaled records and merges them with
     /// the fresh ones into the collector, one record in flight at a time —
     /// no double-buffering of the journal. Replay is capped at the
@@ -318,11 +319,12 @@ impl Runner for SerialRunner {
 /// sample `i` always runs on worker `i % N`, fixed for the whole run.
 ///
 /// This is the pre-scheduler static strategy, kept because (a) it is the
-/// baseline `benches/scheduler.rs` measures [`ScheduledRunner`] against
-/// and (b) for *uniform* per-sample costs it is optimal with zero
-/// scheduling traffic. With repair rounds enabled, per-sample cost is
-/// heavy-tailed and one unlucky shard serializes the run — prefer
-/// [`ScheduledRunner`].
+/// baseline `benches/scheduler.rs` measures
+/// [`ScheduledRunner`](crate::ScheduledRunner) against and (b) for
+/// *uniform* per-sample costs it is optimal with zero scheduling traffic.
+/// With repair rounds enabled, per-sample cost is heavy-tailed and one
+/// unlucky shard serializes the run — prefer
+/// [`ScheduledRunner`](crate::ScheduledRunner).
 ///
 /// Workers emit records to the sink as they complete; the collector then
 /// restores `(CellKey, sample_index)` order, so the returned results are
@@ -376,58 +378,11 @@ impl Runner for RoundRobinRunner {
     }
 }
 
-/// Deprecated name of the parallel execution strategy. Now a thin alias
-/// that delegates to the work-stealing [`ScheduledRunner`] — same
-/// byte-identical results, better wall-clock on heterogeneous grids. The
-/// old static sharding lives on as [`RoundRobinRunner`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use ScheduledRunner (work stealing); the old static sharding is RoundRobinRunner"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelRunner {
-    workers: usize,
-}
-
-#[allow(deprecated)]
-impl ParallelRunner {
-    /// `workers` is clamped to at least 1.
-    pub fn new(workers: usize) -> Self {
-        ParallelRunner {
-            workers: workers.max(1),
-        }
-    }
-
-    /// One worker per available CPU.
-    pub fn auto() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-#[allow(deprecated)]
-impl Runner for ParallelRunner {
-    fn run_specs(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) -> Vec<SampleRecord> {
-        ScheduledRunner::new(self.workers).run_specs(plan, specs, pipeline, sink)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::ExperimentPlan;
+    use crate::sched::ScheduledRunner;
     use minihpc_lang::model::TranslationPair;
     use pareval_llm::all_models;
     use pareval_translate::Technique;
@@ -460,17 +415,6 @@ mod tests {
         let serial = SerialRunner.run(&plan);
         let sharded = RoundRobinRunner::new(2).run(&plan);
         assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parallel_alias_still_runs_and_matches_serial() {
-        let plan = tiny_plan();
-        assert_eq!(ParallelRunner::new(0).workers(), 1);
-        assert!(ParallelRunner::auto().workers() >= 1);
-        let serial = SerialRunner.run(&plan);
-        let aliased = ParallelRunner::new(2).run(&plan);
-        assert_eq!(serial, aliased);
     }
 
     #[test]

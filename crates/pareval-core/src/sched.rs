@@ -159,9 +159,9 @@ fn find_work<T>(
 
 /// The static-sharding baseline: item `i` goes to worker `i % workers`,
 /// fixed for the whole run. Results come back in shard-concatenation
-/// order. This is what `ParallelRunner` did before work stealing — kept
-/// (a) as the baseline the scheduler benchmarks compare against and (b)
-/// because for *uniform* per-item costs it is optimal and lock-free.
+/// order. This was the parallel runner's strategy before work stealing,
+/// kept (a) as the baseline the scheduler benchmarks compare against and
+/// (b) because for *uniform* per-item costs it is optimal and lock-free.
 pub fn round_robin_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -124,17 +124,11 @@ pub struct EvalConfig {
     pub max_cases: usize,
     pub max_steps: u64,
     /// Memoize build + run outcomes by repository content hash (see
-    /// [`crate::eval::BuildCache`]). On by default; results are
-    /// byte-identical either way, this is purely a wall-clock knob.
+    /// [`crate::eval::BuildCache`]), with cold builds compiling through
+    /// its in-memory parse and per-file compile-unit memos. On by default;
+    /// results are byte-identical either way, this is purely a wall-clock
+    /// knob. Off is the uncached reference path.
     pub build_cache: bool,
-    /// File-granular caching inside the build: memoize per-file compile
-    /// units (parse + sema + object) by include-closure content, so a
-    /// re-evaluation after a repair round recompiles only changed files
-    /// and re-runs only the link + test stage. Requires
-    /// [`EvalConfig::build_cache`]; on by default. Like `build_cache`
-    /// this is purely a wall-clock knob — the build substrate is
-    /// deterministic, so results are byte-identical either way.
-    pub file_cache: bool,
     /// Maximum repair rounds after a failed build: the pipeline summarizes
     /// the build log into a [`pareval_llm::RepairContext`], re-invokes the
     /// attempt, and re-evaluates, until the build succeeds, the attempt
@@ -177,7 +171,6 @@ impl Default for EvalConfig {
             max_cases: usize::MAX,
             max_steps: 200_000_000,
             build_cache: true,
-            file_cache: true,
             repair_budget: 0,
             repair_diag_lines: 8,
             disk_cache_dir: None,

@@ -14,8 +14,6 @@ pub use minihpc_build as build;
 /// [`TranslationBackend`](pareval_llm::TranslationBackend) and a
 /// [`Runner`](pareval_core::Runner), query the collected results.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use pareval_core::ParallelRunner;
     pub use pareval_core::{
         report, CellFilter, CellKey, CellResult, CellSpec, EvalConfig, EvalPipeline,
         ExperimentPlan, ExperimentResults, JournalError, JournalReader, JournalSink, Metric,

@@ -142,12 +142,12 @@ fn repair_report_matches_golden() {
 
 #[test]
 fn incremental_file_cache_is_byte_identical_to_cold() {
-    // The ISSUE 10 acceptance matrix: at workers {1, 4, 8} × repair
-    // budgets {0, 3}, a run through the file-granular incremental cache —
-    // whose unit tier is warm across repair rounds and both scorings —
-    // is byte-identical to an uncached cold run of the same plan.
+    // At workers {1, 4, 8} × repair budgets {0, 3}, a run through the
+    // build cache — whose in-memory unit tier is warm across repair rounds
+    // and both scorings — is byte-identical to the uncached reference path
+    // (`build_cache: false`) on the same plan.
     for budget in [0u32, 3] {
-        let plan_for = |build_cache: bool, file_cache: bool| {
+        let plan_for = |build_cache: bool| {
             ExperimentPlan::builder()
                 .samples(3)
                 .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
@@ -156,14 +156,13 @@ fn incremental_file_cache_is_byte_identical_to_cold() {
                     max_cases: 1,
                     repair_budget: budget,
                     build_cache,
-                    file_cache,
                     ..EvalConfig::default()
                 })
                 .build()
         };
-        let cold = SerialRunner.run(&plan_for(false, false));
+        let cold = SerialRunner.run(&plan_for(false));
         for workers in [1usize, 4, 8] {
-            let plan = plan_for(true, true);
+            let plan = plan_for(true);
             let pipeline = EvalPipeline::new(plan.eval().clone());
             let incremental = ScheduledRunner::new(workers).run_with(&plan, &pipeline, &NullSink);
             assert_eq!(
@@ -176,13 +175,18 @@ fn incremental_file_cache_is_byte_identical_to_cold() {
                 stats.file_hits > 0,
                 "the unit tier never engaged at {workers} workers, budget {budget}: {stats:?}"
             );
+            // Work-counter pin: one serial worker makes the unit tier's
+            // traffic deterministic, so the exact replay/compile split is
+            // fixed — 20 cold compiles, replayed 47 times across repair
+            // rounds and Code-only scorings.
+            if workers == 1 && budget == 3 {
+                assert_eq!(
+                    (stats.file_hits, stats.file_misses),
+                    (47, 20),
+                    "unit-tier work changed: {stats:?}"
+                );
+            }
         }
-        // Whole-repo caching only (file tier off) is the same bytes too.
-        let whole_repo = ScheduledRunner::new(4).run(&plan_for(true, false));
-        assert_eq!(
-            cold, whole_repo,
-            "whole-repo cache diverged at budget {budget}"
-        );
     }
 }
 

@@ -31,23 +31,21 @@ fn plan_on(eval: EvalConfig) -> ExperimentPlan {
         .build()
 }
 
-fn files_with_extension(dir: &Path, ext: &str) -> Vec<std::path::PathBuf> {
+/// Every file in `dir`, sorted.
+fn all_files(dir: &Path) -> Vec<std::path::PathBuf> {
     let mut out: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == ext))
         .collect();
     out.sort();
     out
 }
 
 fn entry_files(dir: &Path) -> Vec<std::path::PathBuf> {
-    files_with_extension(dir, "entry")
-}
-
-/// Per-file compile-unit entries of the disk tier (`.unit`, magic PEBU).
-fn unit_files(dir: &Path) -> Vec<std::path::PathBuf> {
-    files_with_extension(dir, "unit")
+    all_files(dir)
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "entry"))
+        .collect()
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -70,6 +68,13 @@ fn second_process_gets_disk_hits_and_identical_results() {
     let warm = SerialRunner.run_with(&plan, &first, &pareval_core::NullSink);
     assert_eq!(first.cache_stats().disk_hits, 0, "empty tier cannot hit");
     assert!(!entry_files(dir.path()).is_empty(), "nothing persisted");
+    // Only outcomes persist: compile units stay in memory, so the tier
+    // holds `.entry` files and nothing else.
+    assert_eq!(
+        all_files(dir.path()),
+        entry_files(dir.path()),
+        "the disk tier holds files other than outcome entries"
+    );
 
     let second = EvalPipeline::new(plan.eval().clone());
     let reused = SerialRunner.run_with(&plan, &second, &pareval_core::NullSink);
@@ -206,90 +211,6 @@ fn config_changes_never_alias_disk_entries() {
 }
 
 #[test]
-fn unit_entries_cross_processes_even_when_outcome_keys_differ() {
-    // Per-file reuse across processes: a budget-3 run over a tier
-    // populated by a budget-0 run can never hit the *outcome* entries
-    // (the repair budget is hashed into the outcome key), but the
-    // file-granular unit entries key on include-closure content only —
-    // the second process replays compiled units from disk while every
-    // outcome lookup cold-misses.
-    let dir = TestDir::new("disk-unit-reuse");
-    let first = EvalPipeline::new(disk_eval(dir.path(), 64 << 20, 0));
-    SerialRunner.run_with(
-        &plan_on(disk_eval(dir.path(), 64 << 20, 0)),
-        &first,
-        &pareval_core::NullSink,
-    );
-    assert!(
-        !unit_files(dir.path()).is_empty(),
-        "no unit entries persisted"
-    );
-
-    let plan_b3 = plan_on(disk_eval(dir.path(), 64 << 20, 3));
-    let second = EvalPipeline::new(plan_b3.eval().clone());
-    let results = SerialRunner.run_with(&plan_b3, &second, &pareval_core::NullSink);
-    let stats = second.cache_stats();
-    assert_eq!(stats.disk_hits, 0, "outcome keys must not alias: {stats:?}");
-    assert!(
-        stats.file_hits > 0,
-        "unit entries did not serve the second process: {stats:?}"
-    );
-
-    // And the replayed units changed nothing: identical to uncached.
-    let mut uncached_eval = plan_b3.eval().clone();
-    uncached_eval.build_cache = false;
-    uncached_eval.disk_cache_dir = None;
-    let uncached = SerialRunner.run_with(
-        &plan_on(uncached_eval.clone()),
-        &EvalPipeline::new(uncached_eval),
-        &pareval_core::NullSink,
-    );
-    assert_eq!(results, uncached);
-}
-
-#[test]
-fn corrupted_unit_entry_is_a_miss_then_healed() {
-    // Same corruption-equals-miss discipline as outcome entries, applied
-    // to the per-file tier: garbled `.unit` files are dropped, recompiled
-    // cold, and rewritten — never replayed into a wrong object.
-    let dir = TestDir::new("disk-unit-corrupt");
-    let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
-    let baseline = SerialRunner.run(&plan);
-    let units = unit_files(dir.path());
-    assert!(!units.is_empty(), "no unit entries persisted");
-    // Drop the outcome entries so the re-run cold-builds (an outcome hit
-    // would never consult the unit tier and the corruption would go
-    // unexercised).
-    for entry in entry_files(dir.path()) {
-        std::fs::remove_file(entry).unwrap();
-    }
-    for (i, file) in units.iter().enumerate() {
-        let mut bytes = std::fs::read(file).unwrap();
-        match i % 3 {
-            0 => {
-                let at = bytes.len() - 1;
-                bytes[at] ^= 0x08;
-            }
-            1 => bytes.truncate(bytes.len() / 2),
-            _ => bytes[..8].copy_from_slice(b"XXXXXXXX"),
-        }
-        std::fs::write(file, &bytes).unwrap();
-    }
-
-    let pipeline = EvalPipeline::new(plan.eval().clone());
-    let rerun = SerialRunner.run_with(&plan, &pipeline, &pareval_core::NullSink);
-    assert_eq!(baseline, rerun, "a corrupt unit leaked into the results");
-    for file in &units {
-        let healed = std::fs::read(file).unwrap();
-        assert!(
-            healed.starts_with(b"PEBU"),
-            "unit entry was not rewritten: {}",
-            file.display()
-        );
-    }
-}
-
-#[test]
 fn analysis_is_recomputed_on_restart_not_served_stale() {
     // Analyzer findings are memoized in memory only — deliberately not
     // persisted in the disk tier. This pins that choice: a fresh process
@@ -367,4 +288,17 @@ fn disk_hits_count_toward_the_hit_rate() {
         / (stats.hits + stats.disk_hits + stats.misses) as f64;
     assert!((stats.hit_rate() - expected).abs() < 1e-12);
     assert!(stats.hit_rate() > 0.0);
+}
+
+#[test]
+fn unit_files_from_older_runs_are_ignored() {
+    // Older harness versions also persisted compile units as `.unit`
+    // files. Opening such a directory indexes only the `.entry` files, so
+    // a stale unit neither counts toward the budget nor gets evicted.
+    let dir = TestDir::new("disk-stale-unit");
+    let stale = dir.file(&format!("{:032x}.unit", 7u128));
+    std::fs::write(&stale, b"PEBU0001 stale compile unit").unwrap();
+    let cache = pareval_core::BuildCache::with_disk(dir.path(), 64 << 20).unwrap();
+    assert_eq!(cache.len_disk(), 0, "a .unit file was indexed");
+    assert!(stale.exists());
 }

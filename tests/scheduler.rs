@@ -82,10 +82,6 @@ fn two_sample_plan() -> ExperimentPlan {
 fn zero_workers_clamp_to_one_on_every_runner() {
     assert_eq!(ScheduledRunner::new(0).workers(), 1);
     assert_eq!(RoundRobinRunner::new(0).workers(), 1);
-    #[allow(deprecated)]
-    {
-        assert_eq!(pareval_core::ParallelRunner::new(0).workers(), 1);
-    }
     // And a 0-worker request still runs the whole plan.
     let plan = two_sample_plan();
     let serial = SerialRunner.run(&plan);
