@@ -13,13 +13,14 @@
 //! **Measurement.** A scheduler comparison must not depend on how many
 //! CPUs the CI box happens to have (on a single-core container, two
 //! CPU-bound thread pools both degenerate to total-work wall time). So
-//! the bench first measures every sample's real cost from serial runs
-//! (via a `ProgressSink` that timestamps completions), then *replays*
+//! the bench first measures every sample's real cost by timing
+//! `EvalPipeline::execute` per spec, in enumeration order, then *replays*
 //! those per-sample costs as `thread::sleep`s through the two scheduling
-//! primitives (`round_robin_map` / `stealing_map`). Sleeping workers
-//! overlap on any machine, so the replayed wall-clock is the schedule's
-//! makespan — the quantity a scheduler actually controls. The real
-//! (CPU-bound) grid is also timed with both runners for reference.
+//! primitives (this file's private `round_robin_map` baseline and
+//! `stealing_map`). Sleeping workers overlap on any machine, so the
+//! replayed wall-clock is the schedule's makespan — the quantity a
+//! scheduler actually controls. The real (CPU-bound) grid is also timed
+//! through both for reference.
 //!
 //! `make sched-smoke` runs this bench and fails if the emitted
 //! `BENCH_sched.json` (path override: `PAREVAL_BENCH_JSON`) is missing
@@ -27,14 +28,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use minihpc_lang::model::TranslationPair;
-use pareval_core::sched::{round_robin_map, stealing_map};
+use pareval_core::sched::stealing_map;
 use pareval_core::{
-    EvalConfig, ExperimentPlan, ProgressSink, RoundRobinRunner, Runner, SampleRecord,
-    ScheduledRunner, SerialRunner,
+    EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults, Runner, ScheduledRunner,
 };
 use pareval_llm::all_models;
 use pareval_translate::Technique;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -58,52 +57,77 @@ fn grid() -> ExperimentPlan {
         .build()
 }
 
-/// Timestamps each completed sample. Under `SerialRunner` samples complete
-/// in enumeration order on one thread, so consecutive timestamps yield
-/// per-sample durations aligned with `plan.sample_specs()`.
-struct TimingSink {
-    last: Mutex<Instant>,
-    durations: Mutex<Vec<Duration>>,
-}
-
-impl TimingSink {
-    fn new() -> Self {
-        TimingSink {
-            last: Mutex::new(Instant::now()),
-            durations: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn into_durations(self) -> Vec<Duration> {
-        self.durations.into_inner().unwrap()
-    }
-}
-
-impl ProgressSink for TimingSink {
-    fn on_sample(&self, _record: &SampleRecord) {
-        let now = Instant::now();
-        let mut last = self.last.lock().unwrap();
-        self.durations.lock().unwrap().push(now - *last);
-        *last = now;
-    }
-}
-
-/// Per-sample costs of `plan`, measured as the min over `reps` serial
-/// runs, then rescaled so they sum to `total` (replay time is a budget
-/// knob; makespan *ratios* are scale-invariant).
-fn measure_costs(plan: &ExperimentPlan, reps: usize, total: Duration) -> Vec<Duration> {
-    let mut best: Vec<Duration> = Vec::new();
-    for _ in 0..reps.max(1) {
-        let sink = TimingSink::new();
-        *sink.last.lock().unwrap() = Instant::now();
-        SerialRunner.run_with_sink(plan, &sink);
-        let run = sink.into_durations();
-        if best.is_empty() {
-            best = run;
-        } else {
-            for (b, d) in best.iter_mut().zip(run) {
-                *b = (*b).min(d);
+/// The static-sharding baseline: item `i` goes to worker `i % workers`,
+/// fixed for the whole run. Results come back in shard-concatenation
+/// order. For *uniform* per-item costs this is optimal and lock-free; with
+/// heavy-tailed repair costs one unlucky shard serializes the run, which
+/// is what the work-stealing scheduler is measured against.
+fn round_robin_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.max(1).min(items.len().max(1));
+    let mut results: Vec<R> = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let f = &f;
+                scope.spawn(move || {
+                    items
+                        .iter()
+                        .skip(w)
+                        .step_by(workers)
+                        .map(f)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(out) => results.extend(out),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
+        }
+    });
+    results
+}
+
+/// The baseline's contract, checked before it is timed: every item is
+/// mapped exactly once, and zero workers clamps to one.
+fn check_round_robin_map() {
+    let items: Vec<u64> = (0..37).collect();
+    let mut results = round_robin_map(&items, 4, |&x| x + 1);
+    results.sort_unstable();
+    assert_eq!(results, (1..38).collect::<Vec<_>>());
+    assert_eq!(round_robin_map(&items, 0, |&x| x).len(), items.len());
+}
+
+/// The real grid sharded round-robin across `workers` threads over one
+/// shared pipeline.
+fn run_round_robin(plan: &ExperimentPlan, workers: usize) -> ExperimentResults {
+    let pipeline = EvalPipeline::new(plan.eval().clone());
+    let records = round_robin_map(&plan.sample_specs(), workers, |spec| {
+        pipeline.execute(plan, spec)
+    });
+    ExperimentResults::from_records(plan, records)
+}
+
+/// Per-sample costs of `plan`, aligned with `plan.sample_specs()`: each
+/// spec's `EvalPipeline::execute` timed in enumeration order, the min over
+/// `reps` runs (a fresh pipeline each), then rescaled so they sum to
+/// `total` (replay time is a budget knob; makespan *ratios* are
+/// scale-invariant).
+fn measure_costs(plan: &ExperimentPlan, reps: usize, total: Duration) -> Vec<Duration> {
+    let specs = plan.sample_specs();
+    let mut best = vec![Duration::MAX; specs.len()];
+    for _ in 0..reps.max(1) {
+        let pipeline = EvalPipeline::new(plan.eval().clone());
+        for (b, spec) in best.iter_mut().zip(&specs) {
+            let start = Instant::now();
+            std::hint::black_box(pipeline.execute(plan, spec));
+            *b = (*b).min(start.elapsed());
         }
     }
     let sum: Duration = best.iter().sum();
@@ -165,6 +189,7 @@ fn json_map(values: &[(usize, f64)]) -> String {
 
 fn bench(c: &mut Criterion) {
     let test_mode = std::env::args().any(|a| a == "--test");
+    check_round_robin_map();
     let plan = grid();
     let specs = plan.total_samples();
     let reps = if test_mode { 1 } else { 3 };
@@ -205,11 +230,11 @@ fn bench(c: &mut Criterion) {
         .map(|(_, s)| *s)
         .unwrap_or(0.0);
 
-    // Reference: the real (CPU-bound) grid through both runners. On a
+    // Reference: the real (CPU-bound) grid through both schedules. On a
     // many-core box this tracks the replay ratio; on a single-core CI
     // container both collapse to total work.
     let start = Instant::now();
-    std::hint::black_box(RoundRobinRunner::new(4).run(&plan));
+    std::hint::black_box(run_round_robin(&plan, 4));
     let real_rr = start.elapsed().as_secs_f64();
     let start = Instant::now();
     std::hint::black_box(ScheduledRunner::new(4).run(&plan));
@@ -253,7 +278,7 @@ fn bench(c: &mut Criterion) {
     }
 
     c.bench_function("sched/round_robin_4w", |b| {
-        b.iter(|| std::hint::black_box(RoundRobinRunner::new(4).run(&plan)))
+        b.iter(|| std::hint::black_box(run_round_robin(&plan, 4)))
     });
     c.bench_function("sched/work_stealing_4w", |b| {
         b.iter(|| std::hint::black_box(ScheduledRunner::new(4).run(&plan)))

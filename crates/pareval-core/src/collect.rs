@@ -1,34 +1,27 @@
 //! The Collector layer: aggregation of raw [`SampleRecord`]s into
 //! [`ExperimentResults`].
 //!
-//! The collector retains every record, and every metric — build@k, pass@k,
-//! token means, error logs — is recomputed from them on demand, never
-//! cached. That preserves the harness invariant that two code paths cannot
-//! disagree about a metric, and it is what makes pass@k for k > 1 possible
-//! at all: an aggregate-counts design cannot answer "how many of C(n, k)
-//! draws contain a success" after the fact.
+//! Every record is folded into its cell's *sufficient statistics*
+//! ([`CellStats`]) the moment it arrives, and every count/rate accessor
+//! reads only those. The folded form is exact, not approximate: build@k
+//! and pass@k (paper Eq. 1) need only `(samples, successes)` counts for
+//! any k, per-round rates need one counter row per repair round (bounded
+//! by the repair budget), and token means are integer sums below 2^53.
+//! Folding is order-independent, so work-stolen completion orders agree
+//! with enumeration order.
+//!
+//! Raw records are kept *as well* unless the plan was built with
+//! [`streaming(true)`](crate::plan::ExperimentPlanBuilder::streaming).
+//! They back exactly two views, [`CellResult::records`] and
+//! [`CellResult::error_logs`] (Fig. 3's log text), which come back empty
+//! on a streaming plan; nothing else reads them, so the two collection
+//! modes cannot disagree about a metric. Streaming keeps memory at the
+//! in-flight samples instead of O(total samples), which is what lets a
+//! thousand-cell generated grid run.
 //!
 //! Construction is atomic per cell: a cell is either infeasible with no
-//! records, or feasible with exactly its scheduled records. A
-//! partially-filled infeasible cell — the old runner's `break` left token
-//! and error-log accumulators populated when a cell went infeasible
-//! mid-loop — is unrepresentable.
-//!
-//! ## Streaming aggregation
-//!
-//! Retaining every record is O(total samples) in memory, which a
-//! thousand-cell generated grid cannot afford. A plan built with
-//! [`streaming(true)`](crate::plan::ExperimentPlanBuilder::streaming)
-//! instead folds each record into per-cell *sufficient statistics*
-//! ([`CellStats`]) the moment it arrives. The folded form is exact, not
-//! approximate: `pass@k` needs only `(samples, successes)` counts for any
-//! k, per-round rates need one counter row per repair round (bounded by
-//! the repair budget), and token means are integer sums below 2^53 —
-//! every count/rate accessor returns bit-identical values in both modes,
-//! and folding is order-independent so work-stolen shards agree with a
-//! serial run. What streaming gives up is exactly the raw per-sample
-//! views: [`CellResult::records`] and [`CellResult::error_logs`] come
-//! back empty (categorical error counts survive via [`CellStats`]).
+//! samples, or feasible with exactly its scheduled samples. A
+//! partially-filled infeasible cell is unrepresentable.
 
 use crate::plan::{CellKey, CellQuery, ExperimentPlan};
 use crate::runner::SampleRecord;
@@ -39,6 +32,7 @@ use pareval_errclust::LogEntry;
 use pareval_metrics::{pass_at_k, MeanAccumulator};
 use pareval_translate::Technique;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Which success criterion a rate is computed over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,8 +47,7 @@ pub enum Metric {
 /// Per-cell sufficient statistics: everything the count/rate accessors
 /// need, folded one sample at a time. Every field is an order-independent
 /// aggregate (integer sums, maxes, count maps), so any fold order yields
-/// the same value — the streaming analogue of the collector's
-/// sort-by-sample-index normalisation.
+/// the same value.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellStats {
     samples: u64,
@@ -121,28 +114,25 @@ impl CellStats {
         // The sample's per-round trajectory; a sample without one (build
         // succeeded, or budget 0) reports its final outcome at every
         // round, i.e. a constant length-1 trajectory.
-        let traj: Vec<([[u64; 2]; 2], u64)> = if result.rounds.is_empty() {
-            vec![([[co[0], ov[0]], [co[1], ov[1]]], result.tokens.total())]
-        } else {
-            result
-                .rounds
-                .iter()
-                .map(|r| {
-                    let co = outcome_flags(Some(&r.code_only));
-                    let ov = outcome_flags(Some(&r.overall));
-                    ([[co[0], ov[0]], [co[1], ov[1]]], r.tokens.total())
-                })
-                .collect()
+        let final_row = ([[co[0], ov[0]], [co[1], ov[1]]], result.tokens.total());
+        let traj_len = result.rounds.len().max(1);
+        let row = |r: usize| match result.rounds.get(r.min(traj_len - 1)) {
+            None => final_row,
+            Some(round) => {
+                let co = outcome_flags(Some(&round.code_only));
+                let ov = outcome_flags(Some(&round.overall));
+                ([[co[0], ov[0]], [co[1], ov[1]]], round.tokens.total())
+            }
         };
         // Beyond its own trajectory a sample's outcome is constant, so
         // slots grown later start as a copy of the current last slot —
         // every previously folded sample is already clamped there.
-        while self.rounds.len() < traj.len() {
+        while self.rounds.len() < traj_len {
             let carried = self.rounds.last().cloned().unwrap_or_default();
             self.rounds.push(carried);
         }
         for (r, slot) in self.rounds.iter_mut().enumerate() {
-            let (succ, tokens) = &traj[r.min(traj.len() - 1)];
+            let (succ, tokens) = row(r);
             for (acc, add) in slot
                 .successes
                 .iter_mut()
@@ -165,38 +155,32 @@ impl CellStats {
     }
 }
 
-/// All retained samples of one cell — or, under streaming aggregation,
-/// their folded sufficient statistics.
+/// One cell's folded statistics, plus its raw records when the plan does
+/// not stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellResult {
     feasible: bool,
+    stats: CellStats,
     records: Vec<SampleRecord>,
-    stats: Option<CellStats>,
 }
 
 impl CellResult {
-    fn infeasible() -> Self {
-        CellResult {
-            feasible: false,
-            records: Vec::new(),
-            stats: None,
-        }
-    }
-
-    /// Fold one record in streaming mode: the aggregate-only counterpart
-    /// of pushing onto `records`, with identical feasibility semantics
-    /// (an infeasible record demotes the whole cell atomically).
-    pub(crate) fn fold_record(&mut self, record: &SampleRecord) {
+    /// Fold one record, retaining it too when `retain` is set. An
+    /// infeasible record demotes the whole cell atomically: all samples of
+    /// a cell share the plan's feasibility, so one infeasible record marks
+    /// the cell not-run, dropping what it held and blocking the rest.
+    fn add(&mut self, record: SampleRecord, retain: bool) {
         if !record.result.feasible {
-            *self = CellResult::infeasible();
+            *self = CellResult::default();
             return;
         }
         if !self.feasible {
             return;
         }
-        self.stats
-            .get_or_insert_with(CellStats::default)
-            .fold(&record.result);
+        self.stats.fold(&record.result);
+        if retain {
+            self.records.push(record);
+        }
     }
 
     /// Was this configuration runnable at all?
@@ -204,43 +188,28 @@ impl CellResult {
         self.feasible
     }
 
-    pub fn samples(&self) -> u64 {
-        match &self.stats {
-            Some(s) => s.samples,
-            None => self.records.len() as u64,
-        }
+    /// The folded sufficient statistics every count/rate accessor reads.
+    pub fn stats(&self) -> &CellStats {
+        &self.stats
     }
 
-    /// The raw per-sample records, ordered by sample index. Empty under
-    /// streaming aggregation — the records were folded, not retained.
+    pub fn samples(&self) -> u64 {
+        self.stats.samples
+    }
+
+    /// The raw per-sample records, ordered by sample index. Empty on a
+    /// streaming plan — the records were folded, not retained.
     pub fn records(&self) -> &[SampleRecord] {
         &self.records
     }
 
-    fn outcome(record: &SampleRecord, scoring: Scoring) -> Option<&EvalOutcome> {
-        match scoring {
-            Scoring::CodeOnly => record.result.code_only.as_ref(),
-            Scoring::Overall => record.result.overall.as_ref(),
-        }
-    }
-
     /// Successful samples under one metric and scoring.
     pub fn successes(&self, metric: Metric, scoring: Scoring) -> u64 {
-        if let Some(s) = &self.stats {
-            return s.successes[metric_index(metric)][scoring_index(scoring)];
-        }
-        self.records
-            .iter()
-            .filter_map(|r| Self::outcome(r, scoring))
-            .filter(|o| match metric {
-                Metric::Build => o.built,
-                Metric::Pass => o.passed,
-            })
-            .count() as u64
+        self.stats.successes[metric_index(metric)][scoring_index(scoring)]
     }
 
-    /// The unbiased build@k / pass@k estimate (paper Eq. 1) for this cell,
-    /// recomputed from the retained records. Zero-sample cells score 0.
+    /// The unbiased build@k / pass@k estimate (paper Eq. 1) for this cell.
+    /// Zero-sample cells score 0.
     ///
     /// The estimator needs `k <= samples()`; for larger k it saturates —
     /// 1 when any sample succeeded, 0 otherwise — rather than erroring or
@@ -255,46 +224,23 @@ impl CellResult {
         )
     }
 
-    /// A record's outcome as of repair round `round` (0 = before any
-    /// repair). Records without a repair trajectory — the build succeeded,
-    /// the cell ran with `repair_budget = 0`, or the sample was infeasible
-    /// — report their final outcome at every round. Rounds beyond the
-    /// recorded trajectory report the last recorded state (once a sample
-    /// stops repairing, its outcome is final).
-    fn outcome_at_round(
-        record: &SampleRecord,
-        scoring: Scoring,
-        round: u32,
-    ) -> Option<&EvalOutcome> {
-        let rounds = &record.result.rounds;
-        if rounds.is_empty() {
-            return Self::outcome(record, scoring);
-        }
-        let r = &rounds[(round as usize).min(rounds.len() - 1)];
-        Some(match scoring {
-            Scoring::CodeOnly => &r.code_only,
-            Scoring::Overall => &r.overall,
-        })
+    /// The cell's aggregate as of repair round `round` (0 = before any
+    /// repair). Samples without a repair trajectory — the build succeeded,
+    /// the cell ran with `repair_budget = 0` — count their final outcome at
+    /// every round, and rounds beyond a sample's trajectory count its last
+    /// recorded state (once a sample stops repairing, its outcome is
+    /// final). `None` only for a cell with no samples.
+    fn round_slot(&self, round: u32) -> Option<&RoundSlot> {
+        let last = self.stats.rounds.len().checked_sub(1)?;
+        self.stats.rounds.get((round as usize).min(last))
     }
 
     /// Successful samples under one metric and scoring, as of repair round
     /// `round`.
     pub fn successes_at_round(&self, metric: Metric, scoring: Scoring, round: u32) -> u64 {
-        if let Some(s) = &self.stats {
-            if s.rounds.is_empty() {
-                return s.successes[metric_index(metric)][scoring_index(scoring)];
-            }
-            let slot = &s.rounds[(round as usize).min(s.rounds.len() - 1)];
-            return slot.successes[metric_index(metric)][scoring_index(scoring)];
-        }
-        self.records
-            .iter()
-            .filter_map(|r| Self::outcome_at_round(r, scoring, round))
-            .filter(|o| match metric {
-                Metric::Build => o.built,
-                Metric::Pass => o.passed,
-            })
-            .count() as u64
+        self.round_slot(round).map_or(0, |slot| {
+            slot.successes[metric_index(metric)][scoring_index(scoring)]
+        })
     }
 
     /// build@k / pass@k as of repair round `round` — the Fig. 2 estimator
@@ -308,43 +254,18 @@ impl CellResult {
         )
     }
 
-    /// The deepest repair round any retained sample recorded (0 when no
-    /// sample entered the repair loop).
+    /// The deepest repair round any sample recorded (0 when no sample
+    /// entered the repair loop).
     pub fn max_repair_round(&self) -> u32 {
-        if let Some(s) = &self.stats {
-            return s.max_round;
-        }
-        self.records
-            .iter()
-            .filter_map(|r| r.result.rounds.last())
-            .map(|round| round.round)
-            .max()
-            .unwrap_or(0)
+        self.stats.max_round
     }
 
     /// Mean cumulative tokens per sample as of repair round `round` —
     /// repair tokens count toward E_kappa (paper Eq. 2), so the round-R
     /// token cost pairs with the round-R pass rate.
     pub fn tokens_at_round(&self, round: u32) -> MeanAccumulator {
-        if let Some(s) = &self.stats {
-            let total = if s.rounds.is_empty() {
-                s.token_total
-            } else {
-                s.rounds[(round as usize).min(s.rounds.len() - 1)].token_total
-            };
-            return MeanAccumulator::from_sum_count(total as f64, s.samples);
-        }
-        let mut acc = MeanAccumulator::default();
-        for r in &self.records {
-            let rounds = &r.result.rounds;
-            let t = if rounds.is_empty() {
-                r.result.tokens
-            } else {
-                rounds[(round as usize).min(rounds.len() - 1)].tokens
-            };
-            acc.add(t.total() as f64);
-        }
-        acc
+        let total = self.round_slot(round).map_or(0, |slot| slot.token_total);
+        MeanAccumulator::from_sum_count(total as f64, self.stats.samples)
     }
 
     pub fn build_at_k(&self, scoring: Scoring, k: u32) -> f64 {
@@ -358,10 +279,7 @@ impl CellResult {
     /// Samples that built and carried no error-severity analysis finding.
     /// Zero unless the grid ran with `EvalConfig::analyze` on.
     pub fn race_free_samples(&self) -> u64 {
-        if let Some(s) = &self.stats {
-            return s.race_free;
-        }
-        self.records.iter().filter(|r| r.result.race_free()).count() as u64
+        self.stats.race_free
     }
 
     /// race_free@k: the Eq. 1 estimator over samples whose build succeeded
@@ -370,22 +288,15 @@ impl CellResult {
         pareval_metrics::race_free_at_k(self.samples(), self.race_free_samples(), u64::from(k))
     }
 
-    /// Mean total inference tokens per sample, accumulated in sample order.
+    /// Mean total inference tokens per sample.
     pub fn tokens(&self) -> MeanAccumulator {
-        if let Some(s) = &self.stats {
-            return MeanAccumulator::from_sum_count(s.token_total as f64, s.samples);
-        }
-        let mut acc = MeanAccumulator::default();
-        for r in &self.records {
-            acc.add(r.result.tokens.total() as f64);
-        }
-        acc
+        MeanAccumulator::from_sum_count(self.stats.token_total as f64, self.stats.samples)
     }
 
     /// Failed-build logs with ground-truth categories (Fig. 3 input),
-    /// in sample order. Empty under streaming aggregation — log text is a
-    /// raw per-sample view; use [`Self::error_category_counts`] for the
-    /// categorical summary, which survives folding.
+    /// in sample order. Empty on a streaming plan — log text is a raw
+    /// per-sample view; use [`Self::error_category_counts`] for the
+    /// categorical summary, which every plan keeps.
     pub fn error_logs(&self) -> impl Iterator<Item = LogEntry> + '_ {
         self.records.iter().filter_map(|r| {
             let overall = r.result.overall.as_ref()?;
@@ -400,50 +311,77 @@ impl CellResult {
         })
     }
 
-    /// Per-category counts of failed overall builds — available in both
-    /// collection modes.
+    /// Per-category counts of failed overall builds.
     pub fn error_category_counts(&self) -> BTreeMap<ErrorCategory, u64> {
-        if let Some(s) = &self.stats {
-            return s.errors.clone();
-        }
-        let mut out: BTreeMap<ErrorCategory, u64> = BTreeMap::new();
-        for r in &self.records {
-            if let Some(o) = r.result.overall.as_ref().filter(|o| !o.built) {
-                if let Some(category) = o.error_category {
-                    *out.entry(category).or_default() += 1;
-                }
-            }
-        }
-        out
+        self.stats.errors.clone()
     }
 
-    /// Findings that carried a machine-applicable fix-it — available in
-    /// both collection modes. Zero unless the grid ran with
-    /// `EvalConfig::analyze` on.
+    /// Findings that carried a machine-applicable fix-it. Zero unless the
+    /// grid ran with `EvalConfig::analyze` on.
     pub fn fixit_count(&self) -> u64 {
-        if let Some(s) = &self.stats {
-            return s.fixits;
-        }
-        self.records
-            .iter()
-            .flat_map(|r| &r.result.analysis)
-            .filter(|f| f.fixit.is_some())
-            .count() as u64
+        self.stats.fixits
     }
 
-    /// Per-rule counts of static-analysis findings — available in both
-    /// collection modes.
+    /// Per-rule counts of static-analysis findings.
     pub fn finding_rule_counts(&self) -> BTreeMap<minihpc_analyze::Rule, u64> {
-        if let Some(s) = &self.stats {
-            return s.race_rules.clone();
+        self.stats.race_rules.clone()
+    }
+}
+
+/// The one collection path: runner workers (concurrently), journal replay
+/// and [`ExperimentResults::from_records`] all hand records to
+/// [`Collector::add`], which folds each into its cell and retains it only
+/// when the plan does not stream. Folding is order-independent and
+/// retained records are re-sorted by sample index in
+/// [`Collector::finish`], so any arrival order yields identical results.
+pub(crate) struct Collector {
+    cells: Mutex<BTreeMap<CellKey, CellResult>>,
+    retain: bool,
+}
+
+impl Collector {
+    /// One entry per plan cell with the plan's feasibility and no samples.
+    /// (A feasible cell scheduled with zero samples is still feasible; an
+    /// infeasible record demotes its cell during collection.)
+    pub(crate) fn new(plan: &ExperimentPlan) -> Self {
+        let cells = plan
+            .cells()
+            .iter()
+            .map(|spec| {
+                let cell = CellResult {
+                    feasible: spec.feasible,
+                    ..CellResult::default()
+                };
+                (spec.key, cell)
+            })
+            .collect();
+        Collector {
+            cells: Mutex::new(cells),
+            retain: !plan.streaming(),
         }
-        let mut out: BTreeMap<minihpc_analyze::Rule, u64> = BTreeMap::new();
-        for r in &self.records {
-            for finding in &r.result.analysis {
-                *out.entry(finding.rule).or_default() += 1;
-            }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the record's [`CellKey`] does not appear in the plan —
+    /// every record must come from executing that plan's own
+    /// [`SampleSpec`](crate::plan::SampleSpec)s (replaying records against
+    /// a narrower plan is a caller bug, not a recoverable state).
+    pub(crate) fn add(&self, record: SampleRecord) {
+        self.cells
+            .lock()
+            .expect("collector poisoned")
+            .get_mut(&record.key)
+            .expect("runner produced a record for a cell not in the plan")
+            .add(record, self.retain);
+    }
+
+    pub(crate) fn finish(self) -> ExperimentResults {
+        let mut cells = self.cells.into_inner().expect("collector poisoned");
+        for cell in cells.values_mut() {
+            cell.records.sort_by_key(|r| r.sample_index);
         }
-        out
+        ExperimentResults { cells }
     }
 }
 
@@ -454,85 +392,29 @@ pub struct ExperimentResults {
 }
 
 impl ExperimentResults {
-    /// Collect runner output into per-cell results.
+    /// Collect records into per-cell results through the same collector
+    /// the runners use.
     ///
-    /// Accepts any record source — a runner's `Vec`, or a lazy journal
-    /// replay chained with fresh records (see
-    /// [`Runner::resume`](crate::runner::Runner::resume)) — and consumes it
-    /// in a single pass, moving each record straight into its cell: peak
-    /// retained records = the final per-cell total plus the one record in
-    /// flight, never an extra buffered copy of the input.
+    /// Accepts any record source — a `Vec`, or a lazy journal replay — and
+    /// consumes it in a single pass, moving each record straight into its
+    /// cell: never an extra buffered copy of the input.
     ///
-    /// Records are restored to canonical `(CellKey, sample_index)` order
-    /// before the results are returned, so any execution order (serial,
-    /// sharded, work-stolen, resumed) yields identical results. Cell
-    /// construction is atomic: a cell whose plan — or any of whose records
-    /// — says infeasible holds no records at all.
+    /// Any record order yields identical results. Cell construction is
+    /// atomic: a cell whose plan — or any of whose records — says
+    /// infeasible holds no samples at all.
     ///
     /// # Panics
     ///
-    /// Panics if a record's [`CellKey`] does not appear in `plan` — every
-    /// record must come from executing that plan's own [`SampleSpec`]s
-    /// (replaying records against a narrower plan is a caller bug, not a
-    /// recoverable state).
-    ///
-    /// [`SampleSpec`]: crate::plan::SampleSpec
+    /// Panics if a record's [`CellKey`] does not appear in `plan`.
     pub fn from_records(
         plan: &ExperimentPlan,
         records: impl IntoIterator<Item = SampleRecord>,
     ) -> Self {
-        let mut cells = Self::seeded_cells(plan);
-        if plan.streaming() {
-            for record in records {
-                cells
-                    .get_mut(&record.key)
-                    .expect("runner produced a record for a cell not in the plan")
-                    .fold_record(&record);
-            }
-            return ExperimentResults { cells };
-        }
+        let collector = Collector::new(plan);
         for record in records {
-            let cell = cells
-                .get_mut(&record.key)
-                .expect("runner produced a record for a cell not in the plan");
-            if !record.result.feasible {
-                // All samples of a cell share the plan's feasibility; a
-                // single infeasible record marks its whole cell not-run,
-                // dropping any records already retained and blocking the
-                // rest.
-                *cell = CellResult::infeasible();
-            } else if cell.feasible {
-                cell.records.push(record);
-            }
+            collector.add(record);
         }
-        // Per-cell sort by sample index == the old global (key, index) sort,
-        // since the map is already keyed by cell.
-        for cell in cells.values_mut() {
-            cell.records.sort_by_key(|r| r.sample_index);
-        }
-        ExperimentResults { cells }
-    }
-
-    /// The per-cell map every collection path starts from: one entry per
-    /// plan cell with the plan's feasibility and no samples. (A feasible
-    /// cell scheduled with zero samples is still feasible; an infeasible
-    /// record demotes its cell during collection.)
-    pub(crate) fn seeded_cells(plan: &ExperimentPlan) -> BTreeMap<CellKey, CellResult> {
-        plan.cells()
-            .iter()
-            .map(|spec| {
-                let cell = if spec.feasible {
-                    CellResult {
-                        feasible: true,
-                        records: Vec::new(),
-                        stats: None,
-                    }
-                } else {
-                    CellResult::infeasible()
-                };
-                (spec.key, cell)
-            })
-            .collect()
+        collector.finish()
     }
 
     pub fn cell(
@@ -576,7 +458,7 @@ impl ExperimentResults {
     }
 
     /// Per-(model, category) counts of build failures (the ground-truth
-    /// counterpart of Fig. 3). Available in both collection modes.
+    /// counterpart of Fig. 3).
     pub fn error_counts(&self) -> BTreeMap<(String, ErrorCategory), usize> {
         let mut out: BTreeMap<(String, ErrorCategory), usize> = BTreeMap::new();
         for (key, cell) in &self.cells {
@@ -589,7 +471,6 @@ impl ExperimentResults {
 
     /// Per-(model, rule) counts of static-analysis findings across the
     /// grid. Empty unless the grid ran with `EvalConfig::analyze` on.
-    /// Available in both collection modes.
     pub fn race_finding_counts(&self) -> BTreeMap<(String, minihpc_analyze::Rule), usize> {
         let mut out: BTreeMap<(String, minihpc_analyze::Rule), usize> = BTreeMap::new();
         for (key, cell) in &self.cells {
@@ -606,7 +487,8 @@ mod tests {
     use super::*;
     use crate::eval::EvalPipeline;
     use crate::plan::ExperimentPlan;
-    use crate::runner::{Runner, SerialRunner};
+    use crate::runner::Runner;
+    use crate::sched::ScheduledRunner;
     use minihpc_lang::model::TranslationPair;
     use pareval_llm::all_models;
     use pareval_translate::Technique;
@@ -627,7 +509,7 @@ mod tests {
     #[test]
     fn pass_at_k_grows_with_k() {
         let plan = one_cell_plan(6);
-        let results = SerialRunner.run(&plan);
+        let results = ScheduledRunner::new(1).run(&plan);
         let cell = results
             .cell(
                 TranslationPair::CUDA_TO_OMP_OFFLOAD,
@@ -716,7 +598,7 @@ mod tests {
         // A budget-0 run records no rounds; every round must report the
         // final (only) outcome, and rate_at_round == rate.
         let plan = one_cell_plan(4);
-        let results = SerialRunner.run(&plan);
+        let results = ScheduledRunner::new(1).run(&plan);
         let cell = results
             .cell(
                 TranslationPair::CUDA_TO_OMP_OFFLOAD,
@@ -748,7 +630,8 @@ mod proptests {
     use pareval_llm::TokenUsage;
     use proptest::prelude::*;
 
-    /// A cell whose records succeed exactly where `successes` says.
+    /// A cell whose records succeed exactly where `successes` says, built
+    /// through the collector's fold path.
     fn forged_cell(successes: &[bool]) -> CellResult {
         let key = CellKey {
             pair: TranslationPair::CUDA_TO_OMP_OFFLOAD,
@@ -756,37 +639,34 @@ mod proptests {
             model: "o4-mini",
             app: "nanoXOR",
         };
-        let records = successes
-            .iter()
-            .enumerate()
-            .map(|(i, &ok)| {
-                let outcome = EvalOutcome {
-                    built: ok,
-                    passed: ok,
-                    error_category: None,
-                    build_log: String::new(),
-                    error_diagnostics: Vec::new(),
-                };
-                SampleRecord {
-                    key,
-                    sample_index: i as u32,
-                    result: SampleResult {
-                        feasible: true,
-                        failure_reason: None,
-                        code_only: Some(outcome.clone()),
-                        overall: Some(outcome),
-                        tokens: TokenUsage::default(),
-                        rounds: Vec::new(),
-                        analysis: Vec::new(),
-                    },
-                }
-            })
-            .collect();
-        CellResult {
+        let mut cell = CellResult {
             feasible: true,
-            records,
-            stats: None,
+            ..CellResult::default()
+        };
+        for (i, &ok) in successes.iter().enumerate() {
+            let outcome = EvalOutcome {
+                built: ok,
+                passed: ok,
+                error_category: None,
+                build_log: String::new(),
+                error_diagnostics: Vec::new(),
+            };
+            let record = SampleRecord {
+                key,
+                sample_index: i as u32,
+                result: SampleResult {
+                    feasible: true,
+                    failure_reason: None,
+                    code_only: Some(outcome.clone()),
+                    overall: Some(outcome),
+                    tokens: TokenUsage::default(),
+                    rounds: Vec::new(),
+                    analysis: Vec::new(),
+                },
+            };
+            cell.add(record, true);
         }
+        cell
     }
 
     proptest! {

@@ -20,20 +20,22 @@
 //!    builds get bounded repair rounds — categorized diagnostics fed back
 //!    to the attempt, revised files re-evaluated — tracked per round in
 //!    [`RepairRound`].
-//! 3. **Runner** ([`runner`], [`sched`]) — a [`Runner`] executes the plan:
-//!    [`SerialRunner`] on one thread, or the work-stealing
-//!    [`ScheduledRunner`] across scoped workers (per-worker LIFO deques +
-//!    a shared injector seeded most-expensive-first by
-//!    [`SampleSpec::cost_hint`]; [`RoundRobinRunner`] keeps the old static
-//!    sharding as the benchmark baseline). All stream [`SampleRecord`]s to
-//!    a [`ProgressSink`] and produce byte-identical results for the same
-//!    plan — cached or not, at any worker count. With a [`JournalSink`]
-//!    attached, completed samples are checkpointed to an append-only
-//!    on-disk journal and a crashed run continues via [`Runner::resume`]
-//!    (see [`journal`]).
-//! 4. **Collector** ([`collect`]) — [`ExperimentResults`] retains the raw
-//!    records and recomputes every metric on demand, including
-//!    [`CellResult::pass_at_k`] / [`CellResult::build_at_k`] for k > 1.
+//! 3. **Runner** ([`runner`], [`sched`]) — [`ScheduledRunner`] executes
+//!    the plan through the [`Runner`] entry points: work stealing across
+//!    scoped workers (per-worker LIFO deques + a shared injector seeded
+//!    most-expensive-first by [`SampleSpec::cost_hint`]), with
+//!    `ScheduledRunner::new(1)` as the serial case. It streams
+//!    [`SampleRecord`]s to a [`ProgressSink`] and produces byte-identical
+//!    results for the same plan — cached or not, at any worker count. With
+//!    a [`JournalSink`] attached, completed samples are checkpointed to an
+//!    append-only on-disk journal and a crashed run continues via
+//!    [`Runner::resume`] (see [`journal`]).
+//! 4. **Collector** ([`collect`]) — [`ExperimentResults`] folds every
+//!    record into per-cell sufficient statistics, from which every metric
+//!    is read, including [`CellResult::pass_at_k`] /
+//!    [`CellResult::build_at_k`] for k > 1. Raw records are kept too
+//!    (for [`CellResult::records`] and Fig. 3's error logs) unless the
+//!    plan streams.
 //!
 //! ```no_run
 //! use pareval_core::{report, ExperimentPlan, Runner, ScheduledRunner};
@@ -50,14 +52,14 @@
 //! Backends other than the default simulation plug in at the plan:
 //!
 //! ```no_run
-//! use pareval_core::{ExperimentPlan, SerialRunner, Runner};
+//! use pareval_core::{ExperimentPlan, Runner, ScheduledRunner};
 //! use pareval_llm::OracleBackend;
 //! use std::sync::Arc;
 //!
 //! let plan = ExperimentPlan::builder()
 //!     .backend(Arc::new(OracleBackend))
 //!     .build();
-//! let upper_bound = SerialRunner.run(&plan);
+//! let upper_bound = ScheduledRunner::new(1).run(&plan);
 //! ```
 
 pub mod collect;
@@ -78,8 +80,6 @@ pub use minihpc_analyze::{
 pub use plan::{
     CellFilter, CellKey, CellQuery, CellSpec, ExperimentPlan, ExperimentPlanBuilder, SampleSpec,
 };
-pub use runner::{
-    CountingSink, NullSink, ProgressSink, RoundRobinRunner, Runner, SampleRecord, SerialRunner,
-};
+pub use runner::{CountingSink, NullSink, ProgressSink, Runner, SampleRecord};
 pub use sched::{SchedStats, ScheduledRunner};
 pub use task::{all_tasks, EvalConfig, EvalOutcome, RepairRound, SampleResult, Scoring, Task};

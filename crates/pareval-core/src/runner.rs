@@ -1,38 +1,29 @@
-//! The Runner layer: execution strategies over an [`ExperimentPlan`].
+//! The Runner layer: the [`Runner`] entry points over an
+//! [`ExperimentPlan`], and the records and progress sinks they stream.
 //!
-//! A [`Runner`] turns a plan's [`SampleSpec`]s
-//! into [`SampleRecord`]s (via a shared [`EvalPipeline`]) and hands them to
-//! the Collector ([`ExperimentResults::from_records`]).
-//! Because every sample is independently seeded, execution order is
-//! irrelevant to the result: the collector restores the canonical
-//! `(CellKey, sample_index)` order before aggregation, so every
-//! multi-threaded runner's output is byte-identical to [`SerialRunner`]
-//! output for the same plan.
-//!
-//! Three strategies ship: [`SerialRunner`] (one thread, enumeration
-//! order), [`ScheduledRunner`](crate::ScheduledRunner) (work stealing —
-//! the parallel default; see [`crate::sched`]), and [`RoundRobinRunner`]
-//! (static sharding, kept as the scheduler benchmarks' baseline).
+//! A runner turns a plan's [`SampleSpec`](crate::plan::SampleSpec)s into
+//! [`SampleRecord`]s (via a shared [`EvalPipeline`]) and hands each to the
+//! collector ([`crate::collect`]). [`ScheduledRunner`](crate::ScheduledRunner)
+//! is the one strategy — work stealing across N workers, with
+//! `ScheduledRunner::new(1)` as the serial case; see [`crate::sched`].
+//! Because every sample is independently seeded and the collector is
+//! order-independent, execution order is irrelevant to the result: output
+//! is byte-identical at every worker count.
 //!
 //! Runners stream progress to a [`ProgressSink`] (observer) as samples
-//! complete — from worker threads, in completion order, which under the
-//! multi-threaded runners is nondeterministic even though the final
-//! results are not.
+//! complete — from worker threads, in completion order, which at more than
+//! one worker is nondeterministic even though the final results are not.
 
-use crate::collect::{CellResult, ExperimentResults};
+use crate::collect::ExperimentResults;
 use crate::eval::EvalPipeline;
-use crate::journal::{self, JournalError, JournalReader};
-use crate::plan::{CellKey, ExperimentPlan, SampleSpec};
-use crate::sched::round_robin_map;
+use crate::journal::JournalError;
+use crate::plan::{CellKey, ExperimentPlan};
 use crate::task::SampleResult;
-use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// One completed sample: the cell it belongs to, its index within the cell,
-/// and the raw evaluation result. Records are what the collector retains,
-/// so every metric can be recomputed (including pass@k for k > 1).
+/// and the raw evaluation result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleRecord {
     pub key: CellKey,
@@ -41,8 +32,7 @@ pub struct SampleRecord {
 }
 
 /// Observer of experiment progress. Implementations must be [`Sync`]:
-/// the multi-threaded runners invoke `on_sample` concurrently from worker
-/// threads.
+/// runner workers invoke `on_sample` concurrently.
 pub trait ProgressSink: Sync {
     /// Called once per completed sample, in completion order.
     fn on_sample(&self, record: &SampleRecord);
@@ -79,119 +69,23 @@ impl ProgressSink for CountingSink {
     }
 }
 
-/// The streaming collector: folds each completed sample into per-cell
-/// sufficient statistics the moment a worker reports it, so no raw record
-/// outlives its `on_sample` call. Folding is order-independent, so the
-/// nondeterministic completion order of multi-threaded runners still
-/// yields results byte-identical to a serial run.
-pub(crate) struct StreamingCollector {
-    cells: Mutex<BTreeMap<CellKey, CellResult>>,
-}
-
-impl StreamingCollector {
-    pub(crate) fn new(plan: &ExperimentPlan) -> Self {
-        StreamingCollector {
-            cells: Mutex::new(ExperimentResults::seeded_cells(plan)),
-        }
-    }
-
-    pub(crate) fn finish(self) -> ExperimentResults {
-        ExperimentResults {
-            cells: self
-                .cells
-                .into_inner()
-                .expect("streaming collector poisoned"),
-        }
-    }
-}
-
-impl ProgressSink for StreamingCollector {
-    fn on_sample(&self, record: &SampleRecord) {
-        self.cells
-            .lock()
-            .expect("streaming collector poisoned")
-            .get_mut(&record.key)
-            .expect("runner produced a record for a cell not in the plan")
-            .fold_record(record);
-    }
-}
-
-/// Forwards each sample to the caller's sink (e.g. a journal) and then
-/// folds it into the streaming collector.
-struct TeeSink<'a> {
-    user: &'a dyn ProgressSink,
-    collector: &'a StreamingCollector,
-}
-
-impl ProgressSink for TeeSink<'_> {
-    fn on_sample(&self, record: &SampleRecord) {
-        self.user.on_sample(record);
-        self.collector.on_sample(record);
-    }
-}
-
-/// An execution strategy for a plan.
+/// The entry points for executing a plan.
 pub trait Runner {
-    /// Execute `specs` (a subset of `plan.sample_specs()`) through
-    /// `pipeline`, streaming each completed record to `sink` and returning
-    /// the records in completion order. This is the strategy's *only*
-    /// required method — the whole-plan entry points and
-    /// [`Runner::resume`] are provided on top of it — so a strategy
-    /// defines how work is distributed exactly once and partial runs
-    /// (resume's remainder) go through the same code path as full ones.
-    fn run_specs(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) -> Vec<SampleRecord>;
-
-    /// Like [`Runner::run_specs`] but without returning (or accumulating)
-    /// the records: each record's only life is its `on_sample` delivery.
-    /// This is the streaming-aggregation execution path — peak retained
-    /// records are the in-flight samples (≤ worker count), not O(total).
-    ///
-    /// The default delegates to `run_specs` and drops the buffer, which is
-    /// correct but keeps the O(total) allocation; the shipped strategies
-    /// override it to never collect.
-    fn run_specs_discarding(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) {
-        let _ = self.run_specs(plan, specs, pipeline, sink);
-    }
-
     /// Execute every sample of `plan` through `pipeline`, streaming records
     /// to `sink`. The pipeline (and with it the build cache) is shared by
     /// every worker of this run; pass one in explicitly to inspect
     /// [`EvalPipeline::cache_stats`] afterwards.
     ///
-    /// A plan built with
+    /// `sink` sees every record before the collector takes it, so
+    /// journaling composes with either collection mode; a plan built with
     /// [`streaming(true)`](crate::plan::ExperimentPlanBuilder::streaming)
-    /// takes the fold-on-arrival path instead of buffering records; `sink`
-    /// still sees every sample first, so journaling composes unchanged.
+    /// only drops the retained raw records.
     fn run_with(
         &self,
         plan: &ExperimentPlan,
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
-    ) -> ExperimentResults {
-        if plan.streaming() {
-            let collector = StreamingCollector::new(plan);
-            let tee = TeeSink {
-                user: sink,
-                collector: &collector,
-            };
-            self.run_specs_discarding(plan, plan.sample_specs(), pipeline, &tee);
-            return collector.finish();
-        }
-        let records = self.run_specs(plan, plan.sample_specs(), pipeline, sink);
-        ExperimentResults::from_records(plan, records)
-    }
+    ) -> ExperimentResults;
 
     /// Execute with a fresh pipeline built from the plan's
     /// [`EvalConfig`](crate::task::EvalConfig).
@@ -210,18 +104,17 @@ pub trait Runner {
     ///
     /// Two streaming passes over the journal: the first recovers the
     /// completed `(cell, sample)` set from the intact record prefix (torn
-    /// or corrupted tails are skipped, not fatal); only the *remaining*
-    /// specs are then executed through this strategy's [`Runner::run_specs`]
-    /// (so e.g. [`ScheduledRunner`](crate::ScheduledRunner) re-seeds its
-    /// injector with the remainder in LPT order), streaming fresh records
-    /// to `sink` as usual.
-    /// The second pass replays the journaled records and merges them with
-    /// the fresh ones into the collector, one record in flight at a time —
-    /// no double-buffering of the journal. Replay is capped at the
+    /// or corrupted tails are skipped, not fatal). The second replays the
+    /// journaled records into the collector, one record in flight at a
+    /// time — no double-buffering of the journal. Replay is capped at the
     /// first-pass record count and deduplicated, so a `sink` that appends
     /// to the *same* journal file (the normal arrangement, via
     /// [`JournalSink::append`](crate::journal::JournalSink::append)) is
     /// safe, as is a journal holding duplicates from earlier resume cycles.
+    /// Only the *remaining* specs are then executed, through the same path
+    /// as a full run (so [`ScheduledRunner`](crate::ScheduledRunner)
+    /// re-seeds its injector with the remainder in LPT order), streaming
+    /// fresh records to `sink` as usual.
     ///
     /// Replayed records are not re-delivered to `sink`: they were delivered
     /// during the run that wrote them.
@@ -238,144 +131,7 @@ pub trait Runner {
         journal: &Path,
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
-    ) -> Result<ExperimentResults, JournalError> {
-        let replay = journal::scan(journal, plan)?;
-        let remainder: Vec<SampleSpec> = plan
-            .sample_specs()
-            .into_iter()
-            .filter(|spec| {
-                !replay
-                    .completed
-                    .contains(&(plan.cells()[spec.cell].key, spec.sample_index))
-            })
-            .collect();
-        if plan.streaming() {
-            // Fold the journaled prefix straight into the collector (one
-            // record in flight, deduplicated exactly like the buffered
-            // path), then stream the remainder on top.
-            let collector = StreamingCollector::new(plan);
-            let mut seen = HashSet::new();
-            for record in JournalReader::open(journal, plan)?.take(replay.records as usize) {
-                if seen.insert((record.key, record.sample_index)) {
-                    collector.on_sample(&record);
-                }
-            }
-            let tee = TeeSink {
-                user: sink,
-                collector: &collector,
-            };
-            self.run_specs_discarding(plan, remainder, pipeline, &tee);
-            return Ok(collector.finish());
-        }
-        let fresh = self.run_specs(plan, remainder, pipeline, sink);
-        // Second pass: replay exactly the records the scan saw (`take`
-        // stops before anything `sink` appended during `run_specs`),
-        // dropping duplicates a crash mid-append can leave behind.
-        let mut seen = HashSet::new();
-        let replayed = JournalReader::open(journal, plan)?
-            .take(replay.records as usize)
-            .filter(move |record| seen.insert((record.key, record.sample_index)));
-        Ok(ExperimentResults::from_records(plan, replayed.chain(fresh)))
-    }
-}
-
-/// Runs every sample on the calling thread, in enumeration order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialRunner;
-
-impl Runner for SerialRunner {
-    fn run_specs(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) -> Vec<SampleRecord> {
-        specs
-            .iter()
-            .map(|spec| {
-                let record = pipeline.execute(plan, spec);
-                sink.on_sample(&record);
-                record
-            })
-            .collect()
-    }
-
-    fn run_specs_discarding(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) {
-        for spec in &specs {
-            let record = pipeline.execute(plan, spec);
-            sink.on_sample(&record);
-        }
-    }
-}
-
-/// Shards the plan's samples round-robin across N scoped worker threads:
-/// sample `i` always runs on worker `i % N`, fixed for the whole run.
-///
-/// This is the pre-scheduler static strategy, kept because (a) it is the
-/// baseline `benches/scheduler.rs` measures
-/// [`ScheduledRunner`](crate::ScheduledRunner) against and (b) for
-/// *uniform* per-sample costs it is optimal with zero scheduling traffic.
-/// With repair rounds enabled, per-sample cost is heavy-tailed and one
-/// unlucky shard serializes the run — prefer
-/// [`ScheduledRunner`](crate::ScheduledRunner).
-///
-/// Workers emit records to the sink as they complete; the collector then
-/// restores `(CellKey, sample_index)` order, so the returned results are
-/// byte-identical to [`SerialRunner`]'s for the same plan. All workers
-/// share one [`EvalPipeline`], so a build-cache entry populated by one
-/// shard serves hits to every other.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundRobinRunner {
-    workers: usize,
-}
-
-impl RoundRobinRunner {
-    /// `workers` is clamped to at least 1.
-    pub fn new(workers: usize) -> Self {
-        RoundRobinRunner {
-            workers: workers.max(1),
-        }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl Runner for RoundRobinRunner {
-    fn run_specs(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) -> Vec<SampleRecord> {
-        round_robin_map(&specs, self.workers, |spec| {
-            let record = pipeline.execute(plan, spec);
-            sink.on_sample(&record);
-            record
-        })
-    }
-
-    fn run_specs_discarding(
-        &self,
-        plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
-        pipeline: &EvalPipeline,
-        sink: &dyn ProgressSink,
-    ) {
-        round_robin_map(&specs, self.workers, |spec| {
-            let record = pipeline.execute(plan, spec);
-            sink.on_sample(&record);
-        });
-    }
+    ) -> Result<ExperimentResults, JournalError>;
 }
 
 #[cfg(test)]
@@ -400,26 +156,11 @@ mod tests {
     #[test]
     fn sink_sees_every_sample() {
         let plan = tiny_plan();
-        let sink = CountingSink::new();
-        SerialRunner.run_with_sink(&plan, &sink);
-        assert_eq!(sink.completed() as usize, plan.total_samples());
-
-        let sink = CountingSink::new();
-        RoundRobinRunner::new(3).run_with_sink(&plan, &sink);
-        assert_eq!(sink.completed() as usize, plan.total_samples());
-    }
-
-    #[test]
-    fn round_robin_matches_serial_on_tiny_plan() {
-        let plan = tiny_plan();
-        let serial = SerialRunner.run(&plan);
-        let sharded = RoundRobinRunner::new(2).run(&plan);
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn zero_workers_clamps_to_one() {
-        assert_eq!(RoundRobinRunner::new(0).workers(), 1);
+        for workers in [1, 3] {
+            let sink = CountingSink::new();
+            ScheduledRunner::new(workers).run_with_sink(&plan, &sink);
+            assert_eq!(sink.completed() as usize, plan.total_samples());
+        }
     }
 
     #[test]
@@ -443,7 +184,7 @@ mod tests {
         let mut uncached_eval = plan.eval().clone();
         uncached_eval.build_cache = false;
         let uncached_pipeline = EvalPipeline::new(uncached_eval);
-        let uncached = SerialRunner.run_with(&plan, &uncached_pipeline, &NullSink);
+        let uncached = ScheduledRunner::new(1).run_with(&plan, &uncached_pipeline, &NullSink);
         assert_eq!(uncached_pipeline.cache_stats().misses, 0);
         assert_eq!(cached, uncached);
         assert_eq!(format!("{cached:?}"), format!("{uncached:?}"));
@@ -487,74 +228,23 @@ mod tests {
 
     #[test]
     fn streaming_matches_buffered_on_every_accessor() {
-        use crate::task::Scoring;
-        use crate::Metric;
-
-        let buffered = SerialRunner.run(&streaming_probe_plan(false));
+        // Every accessor but `records()`/`error_logs()` reads only the
+        // folded `CellStats`, so equal stats mean equal accessors; what is
+        // left to pin is the fold itself and the one intended divergence.
+        let buffered = ScheduledRunner::new(1).run(&streaming_probe_plan(false));
         let streamed = ScheduledRunner::new(4).run(&streaming_probe_plan(true));
-
-        // Results-level views agree wholesale.
-        assert_eq!(buffered.max_repair_round(), streamed.max_repair_round());
-        assert_eq!(buffered.error_counts(), streamed.error_counts());
-        assert_eq!(
-            buffered.race_finding_counts(),
-            streamed.race_finding_counts()
-        );
 
         let plan = streaming_probe_plan(false);
         assert!(plan.cells().len() > 20);
+        assert!(buffered.max_repair_round() > 0);
+        assert!(!buffered.error_counts().is_empty());
         for cell in plan.cells() {
             let k = cell.key;
             let b = buffered.cell(k.pair, k.technique, k.model, k.app).unwrap();
             let s = streamed.cell(k.pair, k.technique, k.model, k.app).unwrap();
             assert_eq!(b.feasible(), s.feasible(), "{k:?}");
-            assert_eq!(b.samples(), s.samples(), "{k:?}");
-            assert_eq!(b.max_repair_round(), s.max_repair_round(), "{k:?}");
-            assert_eq!(b.race_free_samples(), s.race_free_samples(), "{k:?}");
-            assert_eq!(
-                b.error_category_counts(),
-                s.error_category_counts(),
-                "{k:?}"
-            );
-            assert_eq!(b.finding_rule_counts(), s.finding_rule_counts(), "{k:?}");
-            assert_eq!(b.tokens().mean(), s.tokens().mean(), "{k:?}");
-            assert_eq!(b.tokens().count(), s.tokens().count(), "{k:?}");
-            for metric in [Metric::Build, Metric::Pass] {
-                for scoring in [Scoring::CodeOnly, Scoring::Overall] {
-                    assert_eq!(
-                        b.successes(metric, scoring),
-                        s.successes(metric, scoring),
-                        "{k:?}"
-                    );
-                    for kk in 1..=3 {
-                        assert_eq!(
-                            b.rate(metric, scoring, kk),
-                            s.rate(metric, scoring, kk),
-                            "{k:?} k={kk}"
-                        );
-                    }
-                    for round in 0..=buffered.max_repair_round() + 1 {
-                        assert_eq!(
-                            b.successes_at_round(metric, scoring, round),
-                            s.successes_at_round(metric, scoring, round),
-                            "{k:?} round={round}"
-                        );
-                        assert_eq!(
-                            b.rate_at_round(metric, scoring, 2, round),
-                            s.rate_at_round(metric, scoring, 2, round),
-                            "{k:?} round={round}"
-                        );
-                    }
-                }
-            }
-            for round in 0..=buffered.max_repair_round() + 1 {
-                assert_eq!(
-                    b.tokens_at_round(round).mean(),
-                    s.tokens_at_round(round).mean(),
-                    "{k:?} round={round}"
-                );
-            }
-            // The one intended divergence: streaming retains no raw records.
+            assert_eq!(b.stats(), s.stats(), "{k:?}");
+            // Streaming retains no raw records.
             if b.feasible() {
                 assert!(!b.records().is_empty(), "{k:?}");
                 assert!(s.records().is_empty(), "{k:?}");
@@ -577,8 +267,9 @@ mod tests {
         // Simulate a crash: journal only a prefix of the samples, then
         // resume in streaming mode and compare against a buffered run.
         let sink = JournalSink::create(&journal, &plan).expect("create journal");
-        let prefix: Vec<SampleSpec> = plan.sample_specs().into_iter().take(17).collect();
-        SerialRunner.run_specs_discarding(&plan, prefix, &pipeline, &sink);
+        for spec in plan.sample_specs().iter().take(17) {
+            sink.on_sample(&pipeline.execute(&plan, spec));
+        }
         sink.sync().expect("sync journal");
         assert_eq!(sink.records_written(), 17);
         drop(sink);
@@ -587,29 +278,13 @@ mod tests {
         let resumed = ScheduledRunner::new(4)
             .resume(&plan, &journal, &pipeline, &append)
             .expect("resume");
-        let buffered = SerialRunner.run(&streaming_probe_plan(false));
-        assert_eq!(
-            format!("{:?}", resumed.error_counts()),
-            format!("{:?}", buffered.error_counts())
-        );
+        let buffered = ScheduledRunner::new(1).run(&streaming_probe_plan(false));
         for cell in plan.cells() {
             let k = cell.key;
             let r = resumed.cell(k.pair, k.technique, k.model, k.app).unwrap();
             let b = buffered.cell(k.pair, k.technique, k.model, k.app).unwrap();
-            assert_eq!(r.samples(), b.samples(), "{k:?}");
-            for metric in [crate::Metric::Build, crate::Metric::Pass] {
-                for scoring in [
-                    crate::task::Scoring::CodeOnly,
-                    crate::task::Scoring::Overall,
-                ] {
-                    assert_eq!(
-                        r.successes(metric, scoring),
-                        b.successes(metric, scoring),
-                        "{k:?}"
-                    );
-                }
-            }
-            assert_eq!(r.tokens().mean(), b.tokens().mean(), "{k:?}");
+            assert_eq!(r.feasible(), b.feasible(), "{k:?}");
+            assert_eq!(r.stats(), b.stats(), "{k:?}");
             assert!(r.records().is_empty(), "{k:?}");
         }
 
@@ -632,7 +307,7 @@ mod tests {
             )
             .apps(["nanoXOR", "microXORh", "microXOR"])
             .build();
-        let results = SerialRunner.run(&plan);
+        let results = ScheduledRunner::new(1).run(&plan);
         let o4 = results
             .cell(
                 TranslationPair::CUDA_TO_OMP_OFFLOAD,

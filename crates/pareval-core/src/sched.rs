@@ -1,11 +1,10 @@
-//! The work-stealing scheduler: [`ScheduledRunner`] and the raw scheduling
-//! primitives ([`stealing_map`], [`round_robin_map`]) it and the scheduler
-//! benchmarks are built from.
+//! The runner: [`ScheduledRunner`], the one execution strategy, and the
+//! work-stealing primitive ([`stealing_map`]) it and the scheduler
+//! benchmark are built from.
 //!
-//! PR 4's repair rounds made per-sample cost wildly variable — a budget-3
-//! repair sample can cost several times a cache-hit sample — so the static
-//! round-robin sharding of the original parallel runner lets one unlucky
-//! shard serialize a whole grid run. This module replaces it with the
+//! Per-sample cost is wildly variable — a budget-3 repair sample can cost
+//! several times a cache-hit sample — so static sharding lets one unlucky
+//! shard serialize a whole grid run. Work is instead distributed with the
 //! classic work-stealing design over the vendored [`crossbeam::deque`]
 //! primitives:
 //!
@@ -23,18 +22,25 @@
 //!   are observed empty. Samples never spawn more samples, so that
 //!   condition is final: every item is executed exactly once.
 //!
-//! Scheduling only changes *when* a sample runs, never *what* it computes:
-//! samples are independently seeded, and the collector restores canonical
-//! `(CellKey, sample_index)` order, so [`ScheduledRunner`] output is
-//! byte-identical to [`SerialRunner`](crate::runner::SerialRunner) for the
-//! same plan at any worker count (pinned by the determinism proptests in
-//! `tests/determinism.rs`).
+//! Every entry point — [`Runner::run_with`], [`Runner::resume`]'s
+//! remainder and [`ScheduledRunner::run_with_stats`] — funnels through one
+//! private execution path in which each worker runs
+//! `execute → sink.on_sample(&record) → collector.add(record)`, handing
+//! the record to the collector by value. One worker is the serial
+//! case. Scheduling only changes *when* a sample runs, never *what* it
+//! computes: samples are independently seeded and the collector is
+//! order-independent, so results are byte-identical at any worker count
+//! (pinned against a plain enumeration-order loop by the determinism
+//! proptests in `tests/determinism.rs`).
 
-use crate::collect::ExperimentResults;
+use crate::collect::{Collector, ExperimentResults};
 use crate::eval::EvalPipeline;
+use crate::journal::{self, JournalError, JournalReader};
 use crate::plan::{ExperimentPlan, SampleSpec};
-use crate::runner::{ProgressSink, Runner, SampleRecord};
+use crate::runner::{ProgressSink, Runner};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use std::collections::HashSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters describing how one [`stealing_map`] run balanced itself.
@@ -157,53 +163,16 @@ fn find_work<T>(
     }
 }
 
-/// The static-sharding baseline: item `i` goes to worker `i % workers`,
-/// fixed for the whole run. Results come back in shard-concatenation
-/// order. This was the parallel runner's strategy before work stealing,
-/// kept (a) as the baseline the scheduler benchmarks compare against and
-/// (b) because for *uniform* per-item costs it is optimal and lock-free.
-pub fn round_robin_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    let mut results: Vec<R> = Vec::with_capacity(items.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move |_| {
-                    items
-                        .iter()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(f)
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(out) => results.extend(out),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    })
-    .expect("round-robin thread scope failed");
-    results
-}
-
-/// The work-stealing execution strategy: seeds a shared injector with the
-/// plan's samples sorted by plan-time cost hint, and lets `workers` scoped
-/// threads drain-then-steal until the grid is done.
+/// The execution strategy: seeds a shared injector with the plan's
+/// samples sorted by plan-time cost hint, and lets `workers` scoped
+/// threads drain-then-steal until the grid is done. `ScheduledRunner::new(1)`
+/// is the serial runner.
 ///
-/// Like every runner, it streams [`SampleRecord`]s to the
-/// [`ProgressSink`] in completion order (nondeterministic) and returns
-/// results that are byte-identical to a serial run (deterministic). All
-/// workers share one [`EvalPipeline`], so build-cache entries populated by
-/// one worker serve hits to every other.
+/// It streams [`SampleRecord`](crate::runner::SampleRecord)s to the
+/// [`ProgressSink`] in completion order (nondeterministic at more than one
+/// worker) and returns results that are byte-identical at every worker
+/// count (deterministic). All workers share one [`EvalPipeline`], so
+/// build-cache entries populated by one worker serve hits to every other.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduledRunner {
     workers: usize,
@@ -238,68 +207,86 @@ impl ScheduledRunner {
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
     ) -> (ExperimentResults, SchedStats) {
-        let (records, stats) = self.schedule(plan, plan.sample_specs(), pipeline, sink);
-        (ExperimentResults::from_records(plan, records), stats)
+        let collector = Collector::new(plan);
+        let stats = self.execute(plan, plan.sample_specs(), pipeline, sink, &collector);
+        (collector.finish(), stats)
     }
 
-    /// The one scheduling path every entry point funnels through: LPT-sort
-    /// `specs` and work-steal them across this runner's threads. Full runs
-    /// and resume remainders both land here, so a resumed run re-seeds its
-    /// injector with only the remaining samples — still most-expensive
-    /// first.
-    fn schedule(
+    /// The one execution path: LPT-sort `specs` and work-steal them across
+    /// this runner's threads, each worker delivering a finished record to
+    /// `sink` and then moving it into `collector`. Nothing else holds a
+    /// record, so on a streaming plan the peak retained records are the
+    /// in-flight samples (≤ worker count). Full runs and resume remainders
+    /// both land here, so a resumed run re-seeds its injector with only
+    /// the remaining samples — still most-expensive first.
+    fn execute(
         &self,
         plan: &ExperimentPlan,
         mut specs: Vec<SampleSpec>,
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
-    ) -> (Vec<SampleRecord>, SchedStats) {
+        collector: &Collector,
+    ) -> SchedStats {
         // LPT seeding: most expensive first. The sort is stable, so equal
         // hints keep enumeration order and the injector contents are
         // deterministic for a given spec list.
         specs.sort_by_key(|spec| std::cmp::Reverse(spec.cost_hint));
-        stealing_map(specs, self.workers, |spec: &SampleSpec| {
+        let (_, stats) = stealing_map(specs, self.workers, |spec: &SampleSpec| {
             let record = pipeline.execute(plan, spec);
             sink.on_sample(&record);
-            record
-        })
+            collector.add(record);
+        });
+        stats
     }
 }
 
 impl Runner for ScheduledRunner {
-    fn run_specs(
+    fn run_with(
         &self,
         plan: &ExperimentPlan,
-        specs: Vec<SampleSpec>,
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
-    ) -> Vec<SampleRecord> {
-        self.schedule(plan, specs, pipeline, sink).0
+    ) -> ExperimentResults {
+        self.run_with_stats(plan, pipeline, sink).0
     }
 
-    fn run_specs_discarding(
+    fn resume(
         &self,
         plan: &ExperimentPlan,
-        mut specs: Vec<SampleSpec>,
+        journal: &Path,
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
-    ) {
-        // Same LPT seeding as `schedule`, but the worker closure returns
-        // unit: no record outlives its `on_sample` delivery, so the
-        // streaming path's peak retained records are the in-flight
-        // samples (≤ worker count).
-        specs.sort_by_key(|spec| std::cmp::Reverse(spec.cost_hint));
-        stealing_map(specs, self.workers, |spec: &SampleSpec| {
-            let record = pipeline.execute(plan, spec);
-            sink.on_sample(&record);
-        });
+    ) -> Result<ExperimentResults, JournalError> {
+        let replay = journal::scan(journal, plan)?;
+        // The scan was the first pass; the second replays exactly the
+        // records it saw (`take` stops before anything `sink` appends
+        // later), one in flight at a time, dropping duplicates a crash
+        // mid-append can leave behind.
+        let collector = Collector::new(plan);
+        let mut seen = HashSet::new();
+        for record in JournalReader::open(journal, plan)?.take(replay.records as usize) {
+            if seen.insert((record.key, record.sample_index)) {
+                collector.add(record);
+            }
+        }
+        let remainder: Vec<SampleSpec> = plan
+            .sample_specs()
+            .into_iter()
+            .filter(|spec| {
+                !replay
+                    .completed
+                    .contains(&(plan.cells()[spec.cell].key, spec.sample_index))
+            })
+            .collect();
+        self.execute(plan, remainder, pipeline, sink, &collector);
+        Ok(collector.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{CountingSink, SerialRunner};
+    use crate::runner::CountingSink;
     use minihpc_lang::model::TranslationPair;
     use pareval_llm::all_models;
     use pareval_translate::Technique;
@@ -332,15 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_map_matches_serial_iteration() {
-        let items: Vec<u64> = (0..37).collect();
-        let mut results = round_robin_map(&items, 4, |&x| x + 1);
-        results.sort_unstable();
-        assert_eq!(results, (1..38).collect::<Vec<_>>());
-        assert_eq!(round_robin_map(&items, 0, |&x| x).len(), items.len());
-    }
-
-    #[test]
     fn imbalanced_items_get_stolen() {
         // One expensive item at the head (LPT order) plus a tail of cheap
         // ones: with 2 workers the one not holding the expensive item must
@@ -369,7 +347,7 @@ mod tests {
     #[test]
     fn scheduled_matches_serial_and_reports_progress() {
         let plan = tiny_plan();
-        let serial = SerialRunner.run(&plan);
+        let serial = ScheduledRunner::new(1).run(&plan);
         for workers in [1, 3, 8] {
             let sink = CountingSink::new();
             let runner = ScheduledRunner::new(workers);

@@ -16,7 +16,7 @@
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     journal, report, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, JournalSink, Runner,
-    ScheduledRunner, SerialRunner,
+    ScheduledRunner,
 };
 use pareval_llm::{Attempt, AttemptSpec, SimulatedBackend, TranslationBackend};
 use pareval_translate::Technique;
@@ -136,7 +136,7 @@ fn main() {
     );
 
     // --- Proof: byte-identical to a run that never crashed. -------------
-    let uninterrupted = SerialRunner.run(&plan);
+    let uninterrupted = ScheduledRunner::new(1).run(&plan);
     let resumed_report = report::table2(&resumed);
     let serial_report = report::table2(&uninterrupted);
     assert_eq!(uninterrupted, resumed, "resume diverged from serial");

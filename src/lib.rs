@@ -17,8 +17,8 @@ pub mod prelude {
     pub use pareval_core::{
         report, CellFilter, CellKey, CellResult, CellSpec, EvalConfig, EvalPipeline,
         ExperimentPlan, ExperimentResults, JournalError, JournalReader, JournalSink, Metric,
-        NullSink, ProgressSink, RepairRound, RoundRobinRunner, Runner, SampleRecord, SampleSpec,
-        SchedStats, ScheduledRunner, Scoring, SerialRunner,
+        NullSink, ProgressSink, RepairRound, Runner, SampleRecord, SampleSpec, SchedStats,
+        ScheduledRunner, Scoring,
     };
     pub use pareval_llm::{
         OracleBackend, RecordingBackend, RepairContext, RepairOutcome, ReplayBackend,

@@ -12,7 +12,6 @@ use minihpc_lang::model::TranslationPair;
 use minihpc_runtime::{run, RunConfig};
 use pareval_core::{
     journal, report, EvalConfig, EvalPipeline, ExperimentPlan, NullSink, Runner, ScheduledRunner,
-    SerialRunner,
 };
 use pareval_llm::{
     all_models, model_by_name, AttemptSpec, OracleBackend, SimulatedBackend, TranslationBackend,
@@ -47,7 +46,7 @@ fn injected_plan(samples: u32) -> ExperimentPlan {
 
 #[test]
 fn injected_races_are_flagged_statically() {
-    let results = SerialRunner.run(&injected_plan(4));
+    let results = ScheduledRunner::new(1).run(&injected_plan(4));
     let mut racy_samples = 0;
     for cell in results.cells.values() {
         for record in cell.records() {
@@ -89,7 +88,7 @@ fn oracle_grid_is_race_clean() {
             ..EvalConfig::default()
         })
         .build();
-    let results = SerialRunner.run(&plan);
+    let results = ScheduledRunner::new(1).run(&plan);
     let mut built = 0;
     for (key, cell) in &results.cells {
         for record in cell.records() {
@@ -205,7 +204,7 @@ fn guided_repair_applies_fixits_and_ends_race_free() {
     // Every injected sample drops a reduction clause; the analyzer's
     // high-confidence fix-it restores it, so guided repair must end every
     // sample race-free in exactly one round — no probability roll.
-    let results = SerialRunner.run(&repair_plan(4, true));
+    let results = ScheduledRunner::new(1).run(&repair_plan(4, true));
     let mut samples = 0;
     for cell in results.cells.values() {
         for record in cell.records() {
@@ -235,7 +234,7 @@ fn guided_repair_applies_fixits_and_ends_race_free() {
     // Blind repair on the same grid is the control: it may or may not fix
     // each sample (per-category probability), but it can never beat the
     // guided run's deterministic single round.
-    let blind = SerialRunner.run(&repair_plan(4, false));
+    let blind = ScheduledRunner::new(1).run(&repair_plan(4, false));
     let blind_race_free: u64 = blind.cells.values().map(|c| c.race_free_samples()).sum();
     assert!(
         blind_race_free <= samples,
@@ -249,7 +248,7 @@ fn guided_repair_is_deterministic_and_journal_stable() {
     // runs are byte-identical; and a guided run's journal resumes to the
     // same results, fix-its riding the finding codec.
     let plan = repair_plan(2, true);
-    let first = SerialRunner.run(&plan);
+    let first = ScheduledRunner::new(1).run(&plan);
     let second = ScheduledRunner::new(4).run(&plan);
     assert_eq!(first, second);
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
@@ -257,9 +256,10 @@ fn guided_repair_is_deterministic_and_journal_stable() {
     let dir = TestDir::new("guided-journal");
     let journal_path = dir.file("run.journal");
     let sink = journal::JournalSink::create(&journal_path, &plan).unwrap();
-    let journaled = SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+    let journaled =
+        ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -279,9 +279,10 @@ fn journaled_fixits_roundtrip() {
     let journal_path = dir.file("run.journal");
     let plan = injected_plan(2);
     let sink = journal::JournalSink::create(&journal_path, &plan).unwrap();
-    let live = SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+    let live =
+        ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -341,12 +342,12 @@ fn journaled_findings_survive_resume() {
     let plan = injected_plan(2);
     let sink = journal::JournalSink::create(&journal_path, &plan).unwrap();
     let uninterrupted =
-        SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+        ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
 
     let replay = journal::scan(&journal_path, &plan).unwrap();
     assert_eq!(replay.completed.len(), plan.total_samples());
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -368,7 +369,7 @@ fn journaled_findings_survive_resume() {
 fn truncated_findings_are_a_prefix_of_the_full_list() {
     // `analyze_max_findings` truncates *after* the deterministic sort, so
     // a tighter budget yields exactly the head of the looser run's list.
-    let full = SerialRunner.run(&injected_plan(2));
+    let full = ScheduledRunner::new(1).run(&injected_plan(2));
     let mut truncated_plan = injected_plan(2);
     {
         // Rebuild with the tighter budget (EvalConfig is set at build time).
@@ -388,7 +389,7 @@ fn truncated_findings_are_a_prefix_of_the_full_list() {
             .eval(eval)
             .build();
     }
-    let truncated = SerialRunner.run(&truncated_plan);
+    let truncated = ScheduledRunner::new(1).run(&truncated_plan);
     for (key, cell) in &truncated.cells {
         let full_cell = &full.cells[key];
         for (t, f) in cell.records().iter().zip(full_cell.records()) {
@@ -434,7 +435,7 @@ proptest! {
     #[test]
     fn analyzer_is_deterministic_across_workers(workers in 1usize..6, sample in 0u32..4) {
         let plan = injected_plan(2);
-        let serial = SerialRunner.run(&plan);
+        let serial = ScheduledRunner::new(1).run(&plan);
         let parallel = ScheduledRunner::new(workers).run(&plan);
         prop_assert_eq!(&serial, &parallel);
         prop_assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));

@@ -5,7 +5,7 @@
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     all_tasks, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentPlanBuilder, Metric, NullSink,
-    Runner, ScheduledRunner, Scoring, SerialRunner, Task,
+    Runner, ScheduledRunner, Scoring, Task,
 };
 use pareval_llm::{all_models, OracleBackend, RecordingBackend, ReplayBackend, SimulatedBackend};
 use pareval_repo as _;
@@ -40,7 +40,7 @@ fn oracle_passes_code_only_on_every_feasible_cell() {
     // workers may both miss the same cold key); parallel-vs-serial equality
     // is covered by tests/determinism.rs.
     let pipeline = EvalPipeline::new(plan.eval().clone());
-    let results = SerialRunner.run_with(&plan, &pipeline, &NullSink);
+    let results = ScheduledRunner::new(1).run_with(&plan, &pipeline, &NullSink);
 
     let mut feasible_cells = 0;
     for (key, cell) in &results.cells {
@@ -87,7 +87,7 @@ fn oracle_overall_shortfall_is_confined_to_swe_agent() {
         .apps(["nanoXOR", "microXOR"])
         .backend(Arc::new(OracleBackend))
         .build();
-    let results = SerialRunner.run(&plan);
+    let results = ScheduledRunner::new(1).run(&plan);
     for (key, cell) in &results.cells {
         if cell.samples() == 0 {
             continue;
@@ -133,11 +133,11 @@ fn record_replay_round_trip_is_byte_identical() {
     let replay_plan = recorded_slice()
         .backend(Arc::new(ReplayBackend::new(store)))
         .build();
-    let replayed = SerialRunner.run(&replay_plan);
+    let replayed = ScheduledRunner::new(1).run(&replay_plan);
     assert_eq!(recorded, replayed);
     assert_eq!(format!("{recorded:?}"), format!("{replayed:?}"));
 
-    let direct = SerialRunner.run(&recorded_slice().build());
+    let direct = ScheduledRunner::new(1).run(&recorded_slice().build());
     assert_eq!(direct, replayed, "recording proxy must be transparent");
 }
 

@@ -1,10 +1,13 @@
-//! Shared helpers for the durability test suites (`tests/resume.rs`,
-//! `tests/disk_cache.rs`).
+//! Shared helpers for the integration test suites: scratch directories and
+//! quiet panics for the durability suites (`tests/resume.rs`,
+//! `tests/disk_cache.rs`), and the independent serial reference the
+//! determinism suites compare the runner against.
 //!
 //! Each integration-test binary compiles its own copy and uses a different
 //! subset, so unused-item lints are off for the whole module.
 #![allow(dead_code)]
 
+use pareval_core::{EvalPipeline, ExperimentPlan, ExperimentResults};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,4 +59,21 @@ pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     std::panic::set_hook(hook);
     drop(guard);
     result
+}
+
+/// The reference result of `plan`, computed without the runner: a plain
+/// loop over `plan.sample_specs()` in enumeration order, each spec through
+/// [`EvalPipeline::execute`], collected by
+/// [`ExperimentResults::from_records`]. No threads, no cost-hint sort, no
+/// sink — so a scheduler bug cannot hide in both sides of a comparison.
+pub fn serial_reference(plan: &ExperimentPlan, pipeline: &EvalPipeline) -> ExperimentResults {
+    let specs = plan.sample_specs();
+    let records = specs.iter().map(|spec| pipeline.execute(plan, spec));
+    ExperimentResults::from_records(plan, records)
+}
+
+/// [`serial_reference`] through a fresh pipeline built from the plan's
+/// `EvalConfig`.
+pub fn serial_reference_of(plan: &ExperimentPlan) -> ExperimentResults {
+    serial_reference(plan, &EvalPipeline::new(plan.eval().clone()))
 }

@@ -1,12 +1,16 @@
-//! Determinism guarantees of the layered experiment API: parallel execution
-//! — including the work-stealing scheduler at any worker count — is
-//! byte-identical to serial, the build cache is invisible in the results,
-//! and a plan's seed fully determines its results.
+//! Determinism guarantees of the layered experiment API: the work-stealing
+//! runner at any worker count is byte-identical to the serial reference (a
+//! plain enumeration-order loop, `common::serial_reference`), the build
+//! cache is invisible in the results, and a plan's seed fully determines
+//! its results.
 
+mod common;
+
+use common::{serial_reference, serial_reference_of};
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     report, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults, NullSink,
-    ProgressSink, Runner, SampleRecord, ScheduledRunner, SerialRunner,
+    ProgressSink, Runner, SampleRecord, ScheduledRunner,
 };
 use pareval_repo as _;
 use proptest::prelude::*;
@@ -31,8 +35,8 @@ impl ProgressSink for OrderSink {
 #[test]
 fn parallel_runners_match_serial_byte_for_byte() {
     let plan = ExperimentPlan::quick();
-    let serial = SerialRunner.run(&plan);
-    for workers in [2, 4, 7] {
+    let serial = serial_reference_of(&plan);
+    for workers in [1, 2, 4, 7] {
         let parallel = ScheduledRunner::new(workers).run(&plan);
         // Structural equality over every retained record...
         assert_eq!(serial, parallel, "{workers} workers diverged from serial");
@@ -68,7 +72,7 @@ fn cached_parallel_matches_uncached_serial_byte_for_byte() {
     let cached = ScheduledRunner::new(4).run(&ExperimentPlan::quick());
 
     let uncached_pipeline = EvalPipeline::new(quick_uncached().eval().clone());
-    let uncached = SerialRunner.run_with(&quick_uncached(), &uncached_pipeline, &NullSink);
+    let uncached = serial_reference(&quick_uncached(), &uncached_pipeline);
     assert_eq!(
         uncached_pipeline.cache_stats().misses,
         0,
@@ -81,7 +85,7 @@ fn cached_parallel_matches_uncached_serial_byte_for_byte() {
 #[test]
 fn quick_reports_are_unchanged_since_pr2() {
     // Golden capture: tests/golden/quick_reports.txt was generated by the
-    // PR 2 harness (pre-backend, pre-cache) running SerialRunner on
+    // original harness (pre-backend, pre-cache) running serially on
     // `quick()`. The redesigned pipeline — parallel, cached, routed through
     // SimulatedBackend — must reproduce every figure/table byte for byte.
     let results = ScheduledRunner::new(4).run(&ExperimentPlan::quick());
@@ -160,7 +164,7 @@ fn incremental_file_cache_is_byte_identical_to_cold() {
                 })
                 .build()
         };
-        let cold = SerialRunner.run(&plan_for(false));
+        let cold = serial_reference_of(&plan_for(false));
         for workers in [1usize, 4, 8] {
             let plan = plan_for(true);
             let pipeline = EvalPipeline::new(plan.eval().clone());
@@ -193,7 +197,7 @@ fn incremental_file_cache_is_byte_identical_to_cold() {
 #[test]
 fn same_seed_same_results() {
     let run = |seed: u64| {
-        SerialRunner.run(
+        serial_reference_of(
             &ExperimentPlan::builder()
                 .samples(2)
                 .seed(seed)
@@ -235,7 +239,7 @@ proptest! {
     /// The work-stealing scheduler is invisible in the results: for any
     /// worker count in 1..8, with or without repair rounds, with or
     /// without the build cache, `ScheduledRunner` output — and every
-    /// rendered report — is byte-identical to `SerialRunner` on the same
+    /// rendered report — is byte-identical to the serial reference on the same
     /// plan, even though steal order is timing-dependent.
     #[test]
     fn scheduled_runner_matches_serial_byte_for_byte(
@@ -255,7 +259,7 @@ proptest! {
                 ..EvalConfig::default()
             })
             .build();
-        let serial = SerialRunner.run(&plan);
+        let serial = serial_reference_of(&plan);
         let scheduled = ScheduledRunner::new(workers).run(&plan);
         prop_assert_eq!(&serial, &scheduled);
         prop_assert_eq!(

@@ -6,7 +6,7 @@ mod common;
 
 use common::TestDir;
 use minihpc_lang::model::TranslationPair;
-use pareval_core::{EvalConfig, EvalPipeline, ExperimentPlan, Runner, SerialRunner};
+use pareval_core::{EvalConfig, EvalPipeline, ExperimentPlan, Runner, ScheduledRunner};
 use pareval_llm::all_models;
 use pareval_repo as _;
 use pareval_translate::Technique;
@@ -65,7 +65,7 @@ fn second_process_gets_disk_hits_and_identical_results() {
 
     let first = EvalPipeline::new(plan.eval().clone());
     assert!(first.disk_cache_active());
-    let warm = SerialRunner.run_with(&plan, &first, &pareval_core::NullSink);
+    let warm = ScheduledRunner::new(1).run_with(&plan, &first, &pareval_core::NullSink);
     assert_eq!(first.cache_stats().disk_hits, 0, "empty tier cannot hit");
     assert!(!entry_files(dir.path()).is_empty(), "nothing persisted");
     // Only outcomes persist: compile units stay in memory, so the tier
@@ -77,7 +77,7 @@ fn second_process_gets_disk_hits_and_identical_results() {
     );
 
     let second = EvalPipeline::new(plan.eval().clone());
-    let reused = SerialRunner.run_with(&plan, &second, &pareval_core::NullSink);
+    let reused = ScheduledRunner::new(1).run_with(&plan, &second, &pareval_core::NullSink);
     let stats = second.cache_stats();
     assert!(
         stats.disk_hits > 0,
@@ -88,7 +88,7 @@ fn second_process_gets_disk_hits_and_identical_results() {
     let mut uncached_eval = plan.eval().clone();
     uncached_eval.build_cache = false;
     uncached_eval.disk_cache_dir = None;
-    let uncached = SerialRunner.run_with(
+    let uncached = ScheduledRunner::new(1).run_with(
         &plan,
         &EvalPipeline::new(uncached_eval),
         &pareval_core::NullSink,
@@ -105,7 +105,7 @@ fn eviction_respects_the_byte_budget() {
     let budget = 600;
     let plan = plan_on(disk_eval(dir.path(), budget, 0));
     let pipeline = EvalPipeline::new(plan.eval().clone());
-    SerialRunner.run_with(&plan, &pipeline, &pareval_core::NullSink);
+    ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
     let stats = pipeline.cache_stats();
     assert!(
         stats.evictions > 0,
@@ -122,7 +122,7 @@ fn eviction_respects_the_byte_budget() {
 fn corrupted_entry_is_a_miss_never_a_wrong_result() {
     let dir = TestDir::new("disk-corrupt");
     let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
-    let baseline = SerialRunner.run(&plan);
+    let baseline = ScheduledRunner::new(1).run(&plan);
 
     // Corrupt every persisted entry three different ways: payload bit
     // flip, truncation, and magic clobber.
@@ -146,7 +146,7 @@ fn corrupted_entry_is_a_miss_never_a_wrong_result() {
     }
 
     let pipeline = EvalPipeline::new(plan.eval().clone());
-    let rerun = SerialRunner.run_with(&plan, &pipeline, &pareval_core::NullSink);
+    let rerun = ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
     assert_eq!(baseline, rerun, "a corrupt entry leaked into the results");
     let stats = pipeline.cache_stats();
     assert_eq!(
@@ -160,18 +160,18 @@ fn corrupted_entry_is_a_miss_never_a_wrong_result() {
 fn corrupt_entries_are_deleted_and_rewritten() {
     let dir = TestDir::new("disk-heal");
     let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
-    SerialRunner.run(&plan);
+    ScheduledRunner::new(1).run(&plan);
     let files = entry_files(dir.path());
     let victim = &files[0];
     std::fs::write(victim, b"not an entry").unwrap();
 
     // The re-run detects the corruption, drops the file, and re-stores the
     // freshly computed outcome — the tier heals.
-    SerialRunner.run(&plan);
+    ScheduledRunner::new(1).run(&plan);
     let healed = std::fs::read(victim).unwrap();
     assert!(healed.starts_with(b"PEBC"), "entry was not rewritten");
     let pipeline = EvalPipeline::new(plan.eval().clone());
-    SerialRunner.run_with(&plan, &pipeline, &pareval_core::NullSink);
+    ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
     assert!(pipeline.cache_stats().disk_hits > 0);
 }
 
@@ -183,11 +183,11 @@ fn config_changes_never_alias_disk_entries() {
     // entries from another config can never alias into this one.
     let dir = TestDir::new("disk-alias");
     let plan_b0 = plan_on(disk_eval(dir.path(), 64 << 20, 0));
-    SerialRunner.run(&plan_b0);
+    ScheduledRunner::new(1).run(&plan_b0);
 
     let plan_b2 = plan_on(disk_eval(dir.path(), 64 << 20, 2));
     let crossed = EvalPipeline::new(plan_b2.eval().clone());
-    let results = SerialRunner.run_with(&plan_b2, &crossed, &pareval_core::NullSink);
+    let results = ScheduledRunner::new(1).run_with(&plan_b2, &crossed, &pareval_core::NullSink);
     assert_eq!(
         crossed.cache_stats().disk_hits,
         0,
@@ -197,7 +197,7 @@ fn config_changes_never_alias_disk_entries() {
     let mut uncached_eval = plan_b2.eval().clone();
     uncached_eval.build_cache = false;
     uncached_eval.disk_cache_dir = None;
-    let uncached = SerialRunner.run_with(
+    let uncached = ScheduledRunner::new(1).run_with(
         &plan_b2,
         &EvalPipeline::new(uncached_eval),
         &pareval_core::NullSink,
@@ -206,7 +206,7 @@ fn config_changes_never_alias_disk_entries() {
 
     // Same config again: its own entries now hit.
     let same = EvalPipeline::new(plan_b2.eval().clone());
-    SerialRunner.run_with(&plan_b2, &same, &pareval_core::NullSink);
+    ScheduledRunner::new(1).run_with(&plan_b2, &same, &pareval_core::NullSink);
     assert!(same.cache_stats().disk_hits > 0);
 }
 
@@ -235,10 +235,10 @@ fn analysis_is_recomputed_on_restart_not_served_stale() {
             ..disk_eval(dir.path(), 64 << 20, 0)
         })
         .build();
-    let baseline = SerialRunner.run(&plan);
+    let baseline = ScheduledRunner::new(1).run(&plan);
 
     let restarted = EvalPipeline::new(plan.eval().clone());
-    let rerun = SerialRunner.run_with(&plan, &restarted, &pareval_core::NullSink);
+    let rerun = ScheduledRunner::new(1).run_with(&plan, &restarted, &pareval_core::NullSink);
     let stats = restarted.cache_stats();
     assert!(
         stats.disk_hits > 0,
@@ -266,10 +266,10 @@ fn unusable_cache_dir_degrades_to_memory_only() {
     let plan = plan_on(disk_eval(&blocker, 64 << 20, 0));
     let pipeline = EvalPipeline::new(plan.eval().clone());
     assert!(!pipeline.disk_cache_active());
-    let degraded = SerialRunner.run_with(&plan, &pipeline, &pareval_core::NullSink);
+    let degraded = ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
     assert_eq!(
         degraded,
-        SerialRunner.run(&plan_on(EvalConfig {
+        ScheduledRunner::new(1).run(&plan_on(EvalConfig {
             max_cases: 1,
             ..EvalConfig::default()
         }))
@@ -280,9 +280,9 @@ fn unusable_cache_dir_degrades_to_memory_only() {
 fn disk_hits_count_toward_the_hit_rate() {
     let dir = TestDir::new("disk-rate");
     let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
-    SerialRunner.run(&plan);
+    ScheduledRunner::new(1).run(&plan);
     let pipeline = EvalPipeline::new(plan.eval().clone());
-    SerialRunner.run_with(&plan, &pipeline, &pareval_core::NullSink);
+    ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
     let stats = pipeline.cache_stats();
     let expected = (stats.hits + stats.disk_hits) as f64
         / (stats.hits + stats.disk_hits + stats.misses) as f64;

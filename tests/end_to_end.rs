@@ -3,7 +3,7 @@
 //! → clustering) and check the paper's headline findings hold.
 
 use minihpc_lang::model::TranslationPair;
-use pareval_core::{ExperimentPlan, Metric, Runner, ScheduledRunner, Scoring, SerialRunner};
+use pareval_core::{ExperimentPlan, Metric, Runner, ScheduledRunner, Scoring};
 use pareval_errclust::{cluster_logs, PipelineConfig};
 use pareval_llm::all_models;
 use pareval_repo as _;
@@ -175,7 +175,7 @@ fn swe_agent_builds_sometimes_but_never_passes() {
         .models(all_models().into_iter().filter(|m| m.name == "gpt-4o-mini"))
         .apps(["nanoXOR"])
         .build();
-    let results = SerialRunner.run(&plan);
+    let results = ScheduledRunner::new(1).run(&plan);
     let cell = results
         .cell(
             TranslationPair::CUDA_TO_KOKKOS,

@@ -6,7 +6,7 @@
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     report, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentPlanBuilder, Metric, NullSink,
-    Runner, ScheduledRunner, Scoring, SerialRunner,
+    Runner, ScheduledRunner, Scoring,
 };
 use pareval_llm::{all_models, OracleBackend, RecordingBackend, ReplayBackend, SimulatedBackend};
 use pareval_repo as _;
@@ -82,8 +82,8 @@ fn repair_tokens_count_toward_the_sample_cost() {
     // Eq. 2 semantics: a repaired cell's mean tokens must include the
     // repair rounds — strictly more than the same cell translated with no
     // budget, whenever any of its samples entered the loop.
-    let baseline = SerialRunner.run(&slice(0).build());
-    let repaired = SerialRunner.run(&slice(2).build());
+    let baseline = ScheduledRunner::new(1).run(&slice(0).build());
+    let repaired = ScheduledRunner::new(1).run(&slice(2).build());
     let mut checked = 0;
     for (key, cell) in &repaired.cells {
         if cell.max_repair_round() == 0 {
@@ -119,7 +119,7 @@ fn repaired_cached_parallel_matches_uncached_serial() {
         ..eval_with_budget(2)
     };
     let uncached_pipeline = EvalPipeline::new(uncached_eval.clone());
-    let uncached = SerialRunner.run_with(
+    let uncached = ScheduledRunner::new(1).run_with(
         &slice(2).eval(uncached_eval).build(),
         &uncached_pipeline,
         &NullSink,
@@ -144,12 +144,12 @@ fn record_replay_round_trip_includes_repair_rounds() {
     let replay_plan = slice(2)
         .backend(Arc::new(ReplayBackend::new(store)))
         .build();
-    let replayed = SerialRunner.run(&replay_plan);
+    let replayed = ScheduledRunner::new(1).run(&replay_plan);
     assert_eq!(recorded, replayed);
     assert_eq!(format!("{recorded:?}"), format!("{replayed:?}"));
 
     // The recording proxy itself must be transparent under repair.
-    let direct = SerialRunner.run(&slice(2).build());
+    let direct = ScheduledRunner::new(1).run(&slice(2).build());
     assert_eq!(direct, replayed);
 }
 
@@ -170,8 +170,8 @@ fn oracle_repairs_swe_agent_corruption_in_one_round() {
             .eval(eval_with_budget(budget))
             .build()
     };
-    let broken = SerialRunner.run(&base(0));
-    let repaired = SerialRunner.run(&base(1));
+    let broken = ScheduledRunner::new(1).run(&base(0));
+    let repaired = ScheduledRunner::new(1).run(&base(1));
     let mut cells = 0;
     for (key, cell) in &repaired.cells {
         if cell.samples() == 0 {

@@ -1,17 +1,18 @@
 //! Crash/fault-injection suite for the durability layer: a run that
 //! journals its progress, crashes anywhere, and resumes must produce
-//! results byte-identical to an uninterrupted serial run — across worker
-//! counts, repair budgets, torn journal tails, flipped checksum bytes, and
-//! repeated crash/resume cycles. Wrong-plan journals are refused with a
+//! results byte-identical to an uninterrupted serial reference run
+//! (`common::serial_reference`) — across worker counts, repair budgets,
+//! torn journal tails, flipped checksum bytes, and repeated crash/resume
+//! cycles. Wrong-plan journals are refused with a
 //! typed error, never silently resumed.
 
 mod common;
 
-use common::{with_quiet_panics, TestDir};
+use common::{serial_reference_of, with_quiet_panics, TestDir};
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     journal, report, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults,
-    JournalError, JournalSink, NullSink, ProgressSink, Runner, ScheduledRunner, SerialRunner,
+    JournalError, JournalSink, NullSink, ProgressSink, Runner, ScheduledRunner,
 };
 use pareval_llm::{Attempt, AttemptSpec, SimulatedBackend, TranslationBackend};
 use pareval_repo as _;
@@ -94,11 +95,7 @@ fn run_to_crash(plan: &ExperimentPlan, journal_path: &Path, workers: usize) {
     let pipeline = EvalPipeline::new(plan.eval().clone());
     let crashed = with_quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
-            if workers == 0 {
-                SerialRunner.run_with(plan, &pipeline, &sink);
-            } else {
-                ScheduledRunner::new(workers).run_with(plan, &pipeline, &sink);
-            }
+            ScheduledRunner::new(workers).run_with(plan, &pipeline, &sink);
         }))
         .is_err()
     });
@@ -139,9 +136,9 @@ fn crash_then_resume_is_byte_identical_and_skips_completed_work() {
         "want a genuine partial journal, got {recovered}/{total}"
     );
 
-    let serial = SerialRunner.run(&plan);
+    let serial = serial_reference_of(&plan);
     let sink = CountingSink::new();
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -163,11 +160,11 @@ fn resume_of_a_completed_journal_reruns_nothing() {
     let plan = clean_plan(0);
     let sink = JournalSink::create(&journal_path, &plan).unwrap();
     let uninterrupted =
-        SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+        ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
 
     let counting = CountingSink::new();
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -207,7 +204,7 @@ proptest! {
         );
         run_to_crash(&crashing, &journal_path, workers);
 
-        let serial = SerialRunner.run(&plan);
+        let serial = serial_reference_of(&plan);
         let resumed = ScheduledRunner::new(resume_workers)
             .resume(&plan, &journal_path, &EvalPipeline::new(plan.eval().clone()), &NullSink)
             .unwrap();
@@ -262,7 +259,7 @@ fn two_crashes_one_journal_still_converges() {
         "second run made no journaled progress ({first} -> {second})"
     );
 
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -270,7 +267,7 @@ fn two_crashes_one_journal_still_converges() {
             &NullSink,
         )
         .unwrap();
-    assert_eq!(SerialRunner.run(&plan), resumed);
+    assert_eq!(serial_reference_of(&plan), resumed);
 }
 
 /// Truncate or corrupt the journal and check resume recovers the intact
@@ -280,7 +277,7 @@ fn assert_degraded_journal_still_resumes(mutate: impl FnOnce(&mut Vec<u8>), tag:
     let journal_path = dir.file("run.journal");
     let plan = clean_plan(0);
     let sink = JournalSink::create(&journal_path, &plan).unwrap();
-    let serial = SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+    ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
     let total = plan.total_samples();
     assert_eq!(
@@ -298,7 +295,7 @@ fn assert_degraded_journal_still_resumes(mutate: impl FnOnce(&mut Vec<u8>), tag:
         "{tag}: corruption went unnoticed ({recovered}/{total})"
     );
     let counting = CountingSink::new();
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -307,7 +304,11 @@ fn assert_degraded_journal_still_resumes(mutate: impl FnOnce(&mut Vec<u8>), tag:
         )
         .unwrap();
     assert_eq!(counting.completed() as usize, total - recovered);
-    assert_eq!(serial, resumed, "{tag}: resumed results diverged");
+    assert_eq!(
+        serial_reference_of(&plan),
+        resumed,
+        "{tag}: resumed results diverged"
+    );
 }
 
 #[test]
@@ -322,14 +323,14 @@ fn truncation_to_bare_header_resumes_from_scratch() {
     let journal_path = dir.file("run.journal");
     let plan = clean_plan(0);
     let sink = JournalSink::create(&journal_path, &plan).unwrap();
-    let serial = SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+    ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
 
     let bytes = std::fs::read(&journal_path).unwrap();
     std::fs::write(&journal_path, &bytes[..24]).unwrap();
     assert_eq!(journal::scan(&journal_path, &plan).unwrap().records, 0);
     let counting = CountingSink::new();
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -338,7 +339,7 @@ fn truncation_to_bare_header_resumes_from_scratch() {
         )
         .unwrap();
     assert_eq!(counting.completed() as usize, plan.total_samples());
-    assert_eq!(serial, resumed);
+    assert_eq!(serial_reference_of(&plan), resumed);
 }
 
 #[test]
@@ -384,7 +385,7 @@ fn appending_sink_truncates_a_torn_tail() {
     // And the reopened journal keeps absorbing records: resume through it,
     // then the journal alone reconstructs the full run.
     let sink = JournalSink::append(&journal_path, &plan).unwrap();
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
             &journal_path,
@@ -393,7 +394,7 @@ fn appending_sink_truncates_a_torn_tail() {
         )
         .unwrap();
     drop(sink);
-    assert_eq!(SerialRunner.run(&plan), resumed);
+    assert_eq!(serial_reference_of(&plan), resumed);
     assert_eq!(
         journal::scan(&journal_path, &plan).unwrap().completed.len(),
         plan.total_samples()
@@ -406,7 +407,7 @@ fn plan_fingerprint_mismatch_is_a_typed_error() {
     let journal_path = dir.file("run.journal");
     let plan = clean_plan(0);
     let sink = JournalSink::create(&journal_path, &plan).unwrap();
-    SerialRunner.run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+    ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
     drop(sink);
 
     // A different seed and a different repair budget are both different
@@ -419,7 +420,7 @@ fn plan_fingerprint_mismatch_is_a_typed_error() {
         .build();
     let rebudgeted = clean_plan(2);
     for other in [&reseeded, &rebudgeted] {
-        let err = SerialRunner
+        let err = ScheduledRunner::new(1)
             .resume(
                 other,
                 &journal_path,
@@ -437,7 +438,7 @@ fn plan_fingerprint_mismatch_is_a_typed_error() {
     let garbage = dir.file("garbage.bin");
     std::fs::write(&garbage, b"hello").unwrap();
     assert!(matches!(
-        SerialRunner
+        ScheduledRunner::new(1)
             .resume(
                 &plan,
                 &garbage,
@@ -448,7 +449,7 @@ fn plan_fingerprint_mismatch_is_a_typed_error() {
         JournalError::NotAJournal { .. }
     ));
     assert!(matches!(
-        SerialRunner
+        ScheduledRunner::new(1)
             .resume(
                 &plan,
                 &dir.file("missing.journal"),
@@ -502,7 +503,7 @@ fn collector_consumes_records_in_one_pass_and_retains_no_duplicates() {
     let replay = journal::scan(&journal_path, &plan).unwrap();
     assert_eq!(replay.records as usize, 2 * n);
     assert_eq!(replay.completed.len(), n);
-    let resumed = SerialRunner
+    let resumed = ScheduledRunner::new(1)
         .resume(&plan, &journal_path, &pipeline, &NullSink)
         .unwrap();
     let retained: u64 = resumed.cells.values().map(|c| c.samples()).sum();

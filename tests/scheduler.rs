@@ -1,15 +1,17 @@
 //! Scheduler-specific behaviour of the runner layer: worker-panic context,
-//! degenerate worker/sample shapes on both parallel runners, exactly-once
-//! progress delivery under stealing, and scheduling counters.
+//! degenerate worker/sample shapes, exactly-once progress delivery under
+//! stealing, and scheduling counters.
 //!
-//! (Byte-identity of scheduled results against serial lives in
-//! `tests/determinism.rs`; this file covers everything else the
-//! work-stealing rewrite promised.)
+//! (Byte-identity of scheduled results against the serial reference at
+//! every worker count lives in `tests/determinism.rs`; this file covers
+//! everything else the work-stealing runner promises.)
 
+mod common;
+
+use common::{serial_reference, serial_reference_of};
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
-    CountingSink, ExperimentPlan, NullSink, ProgressSink, RoundRobinRunner, Runner, SampleRecord,
-    ScheduledRunner, SerialRunner,
+    CountingSink, ExperimentPlan, NullSink, ProgressSink, Runner, SampleRecord, ScheduledRunner,
 };
 use pareval_llm::{all_models, Attempt, AttemptSpec, TranslationBackend};
 use pareval_repo as _;
@@ -46,24 +48,19 @@ fn panicking_plan(samples: u32) -> ExperimentPlan {
 // The panic-context contract: a panicking sample still aborts the run, but
 // the propagated message names the offending (cell, sample) instead of a
 // bare "worker panicked". The two tests pin the two halves of the message
-// shape — "sample <i> of cell <CellKey debug>" and the preserved payload.
+// shape — "sample <i> of cell <CellKey debug>" and the preserved payload —
+// on one worker and on several.
 
 #[test]
 #[should_panic(expected = "sample 0 of cell CellKey")]
 fn serial_panic_names_the_offending_sample() {
-    SerialRunner.run(&panicking_plan(1));
+    ScheduledRunner::new(1).run(&panicking_plan(1));
 }
 
 #[test]
 #[should_panic(expected = "model: \"o4-mini\", app: \"nanoXOR\" } panicked: boom")]
 fn scheduled_panic_preserves_cell_and_payload() {
     ScheduledRunner::new(2).run(&panicking_plan(1));
-}
-
-#[test]
-#[should_panic(expected = "panicked: boom")]
-fn round_robin_panic_preserves_payload() {
-    RoundRobinRunner::new(2).run(&panicking_plan(1));
 }
 
 /// A 2-cell × 1-sample plan: the smallest grid that still exercises
@@ -81,27 +78,27 @@ fn two_sample_plan() -> ExperimentPlan {
 #[test]
 fn zero_workers_clamp_to_one_on_every_runner() {
     assert_eq!(ScheduledRunner::new(0).workers(), 1);
-    assert_eq!(RoundRobinRunner::new(0).workers(), 1);
     // And a 0-worker request still runs the whole plan.
     let plan = two_sample_plan();
-    let serial = SerialRunner.run(&plan);
-    assert_eq!(serial, ScheduledRunner::new(0).run(&plan));
-    assert_eq!(serial, RoundRobinRunner::new(0).run(&plan));
+    assert_eq!(
+        serial_reference_of(&plan),
+        ScheduledRunner::new(0).run(&plan)
+    );
 }
 
 #[test]
 fn more_workers_than_samples_is_harmless() {
     let plan = two_sample_plan();
     assert_eq!(plan.total_samples(), 2);
-    let serial = SerialRunner.run(&plan);
+    let serial = serial_reference_of(&plan);
     for workers in [3, 16] {
         assert_eq!(serial, ScheduledRunner::new(workers).run(&plan));
-        assert_eq!(serial, RoundRobinRunner::new(workers).run(&plan));
     }
 }
 
 #[test]
 fn single_sample_plan_runs_on_both_parallel_runners() {
+    // On one worker and on several.
     let plan = ExperimentPlan::builder()
         .samples(1)
         .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
@@ -110,7 +107,7 @@ fn single_sample_plan_runs_on_both_parallel_runners() {
         .apps(["nanoXOR"])
         .build();
     assert_eq!(plan.total_samples(), 1);
-    let serial = SerialRunner.run(&plan);
+    let serial = serial_reference_of(&plan);
     for workers in [1, 4] {
         let sink = CountingSink::new();
         assert_eq!(
@@ -118,7 +115,6 @@ fn single_sample_plan_runs_on_both_parallel_runners() {
             ScheduledRunner::new(workers).run_with_sink(&plan, &sink)
         );
         assert_eq!(sink.completed(), 1);
-        assert_eq!(serial, RoundRobinRunner::new(workers).run(&plan));
     }
 }
 
@@ -133,9 +129,10 @@ fn empty_plan_yields_empty_results_without_spawning_trouble() {
         .apps(["nanoXOR"])
         .build();
     assert_eq!(plan.total_samples(), 0);
-    let serial = SerialRunner.run(&plan);
-    assert_eq!(serial, ScheduledRunner::new(4).run(&plan));
-    assert_eq!(serial, RoundRobinRunner::new(4).run(&plan));
+    let serial = serial_reference_of(&plan);
+    for workers in [1, 4] {
+        assert_eq!(serial, ScheduledRunner::new(workers).run(&plan));
+    }
 }
 
 /// Records every `(CellKey, sample_index)` the sink observes.
@@ -184,7 +181,7 @@ fn run_with_stats_reports_bounded_scheduling_traffic() {
     let pipeline = pareval_core::EvalPipeline::new(plan.eval().clone());
     let runner = ScheduledRunner::new(4);
     let (results, stats) = runner.run_with_stats(&plan, &pipeline, &NullSink);
-    assert_eq!(results, SerialRunner.run(&plan));
+    assert_eq!(results, serial_reference(&plan, &pipeline));
     // Each sample is handed out exactly once, so the two acquisition paths
     // together can never exceed the sample count.
     let total = plan.total_samples() as u64;
@@ -193,4 +190,22 @@ fn run_with_stats_reports_bounded_scheduling_traffic() {
         "{stats:?} exceeds {total} samples"
     );
     assert!(stats.injector_refills > 0, "injector never served a batch");
+
+    // A streaming plan goes through the same collector: its results equal
+    // `run_with`'s, its folded stats equal the buffered run's, and no raw
+    // record is retained.
+    let streaming = ExperimentPlan::builder()
+        .samples(3)
+        .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
+        .apps(["nanoXOR", "microXORh", "microXOR"])
+        .streaming(true)
+        .build();
+    let pipeline = pareval_core::EvalPipeline::new(streaming.eval().clone());
+    let (streamed, _) = runner.run_with_stats(&streaming, &pipeline, &NullSink);
+    assert_eq!(streamed, runner.run_with(&streaming, &pipeline, &NullSink));
+    assert_eq!(streamed.cells.len(), results.cells.len());
+    for (key, cell) in &streamed.cells {
+        assert_eq!(cell.stats(), results.cells[key].stats(), "{key:?}");
+        assert!(cell.records().is_empty(), "{key:?}");
+    }
 }
