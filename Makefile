@@ -2,7 +2,7 @@
 # release build, tests, clippy with warnings denied, a format check, docs
 # with warnings denied, and every example executed end to end.
 
-.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke sched-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke examples verify clean
+.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke sched-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke bench-correct examples verify clean
 
 all: verify
 
@@ -140,6 +140,23 @@ fuzz-smoke: build
 	@cargo run --release --example fuzz_pipeline | tee /tmp/fuzz_smoke.out
 	@grep -q 'fuzz-smoke: .* 0 divergences' /tmp/fuzz_smoke.out \
 		|| { echo "fuzz-smoke: gate line missing"; exit 1; }
+
+# The benchmark's correctness gate: a short run of each gridbench workload
+# with tracing off must reproduce every recorded result digest (its last
+# line reports "correct": true and "failed": 0), and --self-test must
+# count a deliberately corrupted sample as failed.
+GRIDBENCH = cargo run --release --quiet --offline --manifest-path gridbench/Cargo.toml --
+
+bench-correct:
+	@for w in paper-grid repair-heavy gen-stress; do \
+		$(GRIDBENCH) --workload $$w --seconds 1 --trace 0 > /tmp/bench_correct.out \
+			|| { echo "bench-correct: $$w exited non-zero"; exit 1; }; \
+		tail -n 1 /tmp/bench_correct.out \
+			| grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,' \
+			|| { echo "bench-correct: $$w: $$(tail -n 1 /tmp/bench_correct.out)"; exit 1; }; \
+		echo "bench-correct: $$w correct"; \
+	done
+	@$(GRIDBENCH) --workload repair-heavy --seconds 1 --trace 0 --self-test > /dev/null
 
 # Every example must run to completion (exit 0); output is discarded.
 examples: build

@@ -5,7 +5,7 @@
 //! training loop in main, and deterministic synthetic data — here a
 //! two-layer MLP classifier whose loss must decrease monotonically.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -282,15 +282,17 @@ pub fn llmc() -> Application {
             gt_cmake_kokkos("llmc", &sources),
         ),
     );
+    let tests = vec![
+        TestCase::new(["5", "1337"]),
+        TestCase::new(["10", "1337"]),
+        TestCase::new(["8", "99"]),
+    ];
     Application {
         name: "llm.c".into(),
         binary: "llmc".into(),
         repos: share(repos),
-        tests: vec![
-            TestCase::new(["5", "1337"]),
-            TestCase::new(["10", "1337"]),
-            TestCase::new(["8", "99"]),
-        ],
+        reference: ReferenceMemo::shared(&tests),
+        tests,
         cli_spec: "The program must be invoked as `llmc [steps] [seed]` (defaults 10 1337) \
                    and print one `step <i> loss <v>` line per training step followed by \
                    `final loss <v>`, six decimal places."

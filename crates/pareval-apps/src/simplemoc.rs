@@ -4,7 +4,7 @@
 //! direct OpenMP/Kokkos equivalent, forcing translations to synthesise a
 //! portable RNG.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -157,15 +157,17 @@ pub fn simplemoc_kernel() -> Application {
             gt_cmake_kokkos("simplemoc", &sources),
         ),
     );
+    let tests = vec![
+        TestCase::new(["512", "8", "42"]),
+        TestCase::new(["1024", "16", "7"]),
+        TestCase::new(["256", "32", "1234"]),
+    ];
     Application {
         name: "SimpleMOC-kernel".into(),
         binary: "simplemoc".into(),
         repos: share(repos),
-        tests: vec![
-            TestCase::new(["512", "8", "42"]),
-            TestCase::new(["1024", "16", "7"]),
-            TestCase::new(["256", "32", "1234"]),
-        ],
+        reference: ReferenceMemo::shared(&tests),
+        tests,
         cli_spec: "The program must be invoked as `simplemoc <segments> <egroups> <seed>` \
                    (all optional, defaults 1024 16 42) and print a header line followed by \
                    `mean flux <v>` and `max flux <v>` with six decimal places."

@@ -5,7 +5,7 @@
 //! The kernel is the paper's four-point XOR stencil (Listing 2): a cell
 //! becomes 1 iff exactly one of its von-Neumann neighbours is 1.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -213,11 +213,13 @@ pub fn nanoxor() -> Application {
                 omp_main("", "cellsXOR(grid_in, grid_out, N);", true),
             ),
     );
+    let tests = xor_tests();
     Application {
         name: "nanoXOR".into(),
         binary: "nanoxor".into(),
         repos: share(repos),
-        tests: xor_tests(),
+        reference: ReferenceMemo::shared(&tests),
+        tests,
         cli_spec: CLI_SPEC.to_string(),
         build_spec: BUILD_SPEC.to_string(),
         ground_truth_build: xor_ground_truth("nanoxor", &["src/main.cpp"]),
@@ -260,11 +262,13 @@ pub fn microxorh() -> Application {
                 ),
             ),
     );
+    let tests = xor_tests();
     Application {
         name: "microXORh".into(),
         binary: "microxorh".into(),
         repos: share(repos),
-        tests: xor_tests(),
+        reference: ReferenceMemo::shared(&tests),
+        tests,
         cli_spec: CLI_SPEC.to_string(),
         build_spec: BUILD_SPEC.to_string(),
         ground_truth_build: xor_ground_truth("microxorh", &["src/main.cpp"]),
@@ -316,11 +320,13 @@ pub fn microxor() -> Application {
                 ),
             ),
     );
+    let tests = xor_tests();
     Application {
         name: "microXOR".into(),
         binary: "microxor".into(),
         repos: share(repos),
-        tests: xor_tests(),
+        reference: ReferenceMemo::shared(&tests),
+        tests,
         cli_spec: CLI_SPEC.to_string(),
         build_spec: BUILD_SPEC.to_string(),
         ground_truth_build: xor_ground_truth("microxor", &["src/main.cpp", "src/kernel.cpp"]),

@@ -22,13 +22,18 @@ impl Task {
     }
 }
 
-/// Enumerate all sixteen tasks in (pair, app) order.
+/// Enumerate all sixteen tasks in (pair, app) order. The suite is built
+/// once, so an app's tasks share one reference-output memo.
 pub fn all_tasks() -> Vec<Task> {
+    let suite = pareval_apps::suite();
     let mut out = Vec::new();
     for pair in TranslationPair::ALL {
-        for app in pareval_apps::suite() {
+        for app in &suite {
             if app.repo(pair.from).is_some() {
-                out.push(Task { app, pair });
+                out.push(Task {
+                    app: app.clone(),
+                    pair,
+                });
             }
         }
     }
@@ -189,5 +194,24 @@ mod tests {
     #[test]
     fn sixteen_tasks() {
         assert_eq!(all_tasks().len(), 16);
+    }
+
+    #[test]
+    fn an_apps_tasks_share_one_reference_memo() {
+        let xsbench: Vec<Task> = all_tasks()
+            .into_iter()
+            .filter(|t| t.app.name == "XSBench")
+            .collect();
+        assert_eq!(
+            xsbench.len(),
+            3,
+            "CUDA→offload, CUDA→Kokkos, threads→offload"
+        );
+        let case = &xsbench[0].app.tests[0];
+        let expected = xsbench[0].app.expected_output(case);
+        for task in &xsbench {
+            assert_eq!(task.app.expected_output(case), expected);
+            assert_eq!(task.app.cold_reference_runs(), 1, "{}", task.id());
+        }
     }
 }

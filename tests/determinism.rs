@@ -13,6 +13,7 @@ use pareval_core::{
     ProgressSink, Runner, SampleRecord, ScheduledRunner,
 };
 use pareval_repo as _;
+use pareval_translate::Technique;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -192,6 +193,39 @@ fn incremental_file_cache_is_byte_identical_to_cold() {
             }
         }
     }
+}
+
+#[test]
+fn repair_heavy_grid_runs_each_reference_once() {
+    // The repair-heavy grid's shape: every candidate that runs cleanly is
+    // compared against its app's first case, across repair rounds and both
+    // scorings, yet each app's reference is built and run at most once.
+    let plan = ExperimentPlan::builder()
+        .samples(5)
+        .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
+        .techniques([Technique::NonAgentic, Technique::TopDownAgentic])
+        .apps(["SimpleMOC-kernel", "XSBench", "llm.c"])
+        .eval(EvalConfig {
+            max_cases: 1,
+            repair_budget: 3,
+            analyze: true,
+            ..EvalConfig::default()
+        })
+        .build();
+    let pipeline = EvalPipeline::new(plan.eval().clone());
+    ScheduledRunner::new(1).run_with(&plan, &pipeline, &NullSink);
+    let cold: Vec<(&str, usize)> = plan
+        .tasks()
+        .iter()
+        .map(|t| (&*t.app.name, t.app.cold_reference_runs()))
+        .collect();
+    // No SimpleMOC-kernel candidate runs cleanly on this grid, so its
+    // reference never runs at all.
+    assert_eq!(
+        cold,
+        [("SimpleMOC-kernel", 0), ("XSBench", 1), ("llm.c", 1)],
+        "reference work changed"
+    );
 }
 
 #[test]
