@@ -2,7 +2,7 @@
 # release build, tests, clippy with warnings denied, a format check, docs
 # with warnings denied, and every example executed end to end.
 
-.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke sched-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke bench-correct examples verify clean
+.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke bench-correct examples verify clean
 
 all: verify
 
@@ -28,10 +28,9 @@ bench:
 	cargo bench
 
 # Quick-mode figure benches for CI-style smoke runs: small sample counts,
-# and the repair/scheduler benches drop BENCH_repair.json / BENCH_sched.json
-# at the repo root — the machine-readable trajectories future PRs compare
-# against.
-bench-smoke: sched-smoke
+# and the repair bench drops BENCH_repair.json at the repo root — the
+# machine-readable trajectory future PRs compare against.
+bench-smoke:
 	PAREVAL_SAMPLES=2 cargo bench --bench fig2_correctness
 	PAREVAL_SAMPLES=2 PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_repair.json \
 		cargo bench --bench repair_loop
@@ -42,104 +41,6 @@ bench-smoke: sched-smoke
 			|| { echo "bench-smoke: BENCH_repair.json missing key $$key"; exit 1; }; \
 	done
 	@echo "bench-smoke: BENCH_repair.json keys present"
-
-# The scheduler gate: regenerate BENCH_sched.json (round-robin vs
-# work-stealing sleep-replay makespans at 1/2/4/8 workers), then fail if
-# required keys are missing or work stealing fell below round-robin at 4
-# workers. The checked-in JSON should show >= 1.2x there.
-sched-smoke:
-	PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_sched.json cargo bench --bench scheduler
-	@for key in '"bench": "scheduler"' '"workers"' '"round_robin_wall_s"' \
-		'"work_stealing_wall_s"' '"speedup_at_4"' '"steals_at_4"' \
-		'"repair_budget"' '"real_grid_wall_s"'; do \
-		grep -q "$$key" BENCH_sched.json \
-			|| { echo "sched-smoke: BENCH_sched.json missing key $$key"; exit 1; }; \
-	done
-	@awk -F'[:,]' '/"speedup_at_4"/ { \
-		if ($$2 + 0.0 < 1.0) { \
-			printf "sched-smoke: work stealing regressed below round-robin at 4 workers (%.2fx)\n", $$2; \
-			exit 1; \
-		} else { \
-			printf "sched-smoke: work stealing %.2fx round-robin at 4 workers\n", $$2; \
-		} \
-	}' BENCH_sched.json
-
-# The durability gate: run a journaled grid with an injected mid-run
-# crash, resume from the journal, and require the resumed report bytes to
-# match an uninterrupted serial run (the example asserts the diff and
-# prints the line this target greps for).
-resume-smoke: build
-	@cargo run --release --example resume_run | tee /tmp/resume_smoke.out
-	@grep -q 'resume-smoke: report bytes identical' /tmp/resume_smoke.out \
-		|| { echo "resume-smoke: crash/resume byte-identity line missing"; exit 1; }
-
-# The analyzer gate: run the static race analyzer over the oracle grid
-# (must be race-clean) and an injected-race grid (every injected site must
-# be flagged), drop BENCH_analyze.json, and fail if the example's
-# assertion line or a required key is missing. Then run the guided-repair
-# benchmark (analyzer fix-its vs blind regeneration on injected-race and
-# generated-racy grids), drop BENCH_analyze_v2.json, and fail if guided
-# repair regressed below blind in rounds-to-race-free.
-analyze-smoke: build
-	@PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_analyze.json \
-		cargo run --release --example analyze_grid | tee /tmp/analyze_smoke.out
-	@grep -q 'analyze-smoke: oracle grid race-clean' /tmp/analyze_smoke.out \
-		|| { echo "analyze-smoke: gate line missing"; exit 1; }
-	@for key in '"bench": "analyze"' '"oracle_built"' '"oracle_error_findings"' \
-		'"injected_samples"' '"injected_flagged"' '"raw_reduction_findings"' \
-		'"race_free_at_1_injected"'; do \
-		grep -q "$$key" BENCH_analyze.json \
-			|| { echo "analyze-smoke: BENCH_analyze.json missing key $$key"; exit 1; }; \
-	done
-	@PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_analyze_v2.json \
-		cargo run --release --example guided_repair | tee /tmp/guided_smoke.out
-	@grep -q 'guided-repair-smoke: guided race-free' /tmp/guided_smoke.out \
-		|| { echo "analyze-smoke: guided-repair gate line missing"; exit 1; }
-	@for key in '"bench": "analyze_v2"' '"sim_blind_race_free"' \
-		'"sim_guided_race_free"' '"sim_blind_mean_rounds"' \
-		'"sim_guided_mean_rounds"' '"oracle_blind_race_free"' \
-		'"oracle_guided_race_free"' '"oracle_guided_mean_rounds"'; do \
-		grep -q "$$key" BENCH_analyze_v2.json \
-			|| { echo "analyze-smoke: BENCH_analyze_v2.json missing key $$key"; exit 1; }; \
-	done
-	@awk -F': ' '/"sim_blind_mean_rounds": null/ { blind_null = 1 } \
-		/"sim_blind_mean_rounds"/ { blind = $$2 + 0.0 } \
-		/"sim_guided_mean_rounds"/ { guided = $$2 + 0.0 } \
-		END { \
-			if (blind_null) { \
-				printf "analyze-smoke: guided %.2f rounds, blind never race-free\n", guided; \
-			} else if (guided > blind) { \
-				printf "analyze-smoke: guided repair regressed below blind (%.2f > %.2f rounds)\n", guided, blind; \
-				exit 1; \
-			} else { \
-				printf "analyze-smoke: guided %.2f rounds <= blind %.2f\n", guided, blind; \
-			} \
-		}' BENCH_analyze_v2.json
-
-# The generated-grid gate: run the ≥1000-cell synthetic-app stress grid
-# (streaming aggregation, journal, disk cache) at 1/4/8 workers — the
-# example asserts byte-identical results and bounded in-flight records —
-# then fail if the gate line or a BENCH_gen.json key is missing.
-gen-smoke: build
-	@PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_gen.json \
-		cargo run --release --example stress_grid | tee /tmp/gen_smoke.out
-	@grep -q 'gen-smoke: .* cells byte-identical across workers' /tmp/gen_smoke.out \
-		|| { echo "gen-smoke: gate line missing"; exit 1; }
-	@for key in '"bench": "gen"' '"cells"' '"samples"' '"cells_per_sec"' \
-		'"peak_retained_records"' '"cache_hit_rate"'; do \
-		grep -q "$$key" BENCH_gen.json \
-			|| { echo "gen-smoke: BENCH_gen.json missing key $$key"; exit 1; }; \
-	done
-
-# The pipeline-fuzzing gate: generated repos across the generator's whole
-# knob space (all pragma models, both build systems, every injected-error
-# profile) through parse/sema/build/run + the analyzer, twice each — the
-# example asserts determinism and per-profile expectations and prints the
-# line this target greps for.
-fuzz-smoke: build
-	@cargo run --release --example fuzz_pipeline | tee /tmp/fuzz_smoke.out
-	@grep -q 'fuzz-smoke: .* 0 divergences' /tmp/fuzz_smoke.out \
-		|| { echo "fuzz-smoke: gate line missing"; exit 1; }
 
 # The benchmark's correctness gate: a short run of each gridbench workload
 # with tracing off must reproduce every recorded result digest (its last
@@ -158,7 +59,13 @@ bench-correct:
 	done
 	@$(GRIDBENCH) --workload repair-heavy --seconds 1 --trace 0 --self-test > /dev/null
 
-# Every example must run to completion (exit 0); output is discarded.
+# Every example runs once, and its asserts are the gate: a failed assert is
+# a non-zero exit. Output is discarded. Among them, resume_run checks that
+# crash + resume is byte-identical, stress_grid checks the 1515-cell grid
+# at 1/4/8 workers, and fuzz_pipeline checks determinism across the
+# generator's knob space. analyze_grid and guided_repair rewrite
+# BENCH_analyze.json and BENCH_analyze_v2.json, and both must match the
+# committed files byte for byte.
 examples: build
 	cargo run --release --example quickstart > /dev/null
 	cargo run --release --example suite_stats > /dev/null
@@ -173,8 +80,9 @@ examples: build
 	cargo run --release --example guided_repair > /dev/null
 	cargo run --release --example stress_grid > /dev/null
 	cargo run --release --example fuzz_pipeline > /dev/null
+	git diff --exit-code -- BENCH_analyze.json BENCH_analyze_v2.json
 
-verify: build test clippy fmt doc examples sched-smoke resume-smoke analyze-smoke gen-smoke fuzz-smoke
+verify: build test clippy fmt doc examples
 
 clean:
 	cargo clean

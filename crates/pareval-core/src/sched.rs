@@ -1,6 +1,5 @@
 //! The runner: [`ScheduledRunner`], the one execution strategy, and the
-//! work-stealing primitive ([`stealing_map`]) it and the scheduler
-//! benchmark are built from.
+//! private work-stealing primitive it is built on.
 //!
 //! Per-sample cost is wildly variable — a budget-3 repair sample can cost
 //! several times a cache-hit sample — so static sharding lets one unlucky
@@ -43,7 +42,7 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters describing how one [`stealing_map`] run balanced itself.
+/// Counters describing how one [`ScheduledRunner`] run balanced itself.
 /// Purely observational — results never depend on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -64,7 +63,7 @@ pub struct SchedStats {
 /// batches, then steals from siblings; see the module docs for the exit
 /// condition. A panicking `f` propagates out of the thread scope after the
 /// remaining workers finish their items.
-pub fn stealing_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> (Vec<R>, SchedStats)
+fn stealing_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> (Vec<R>, SchedStats)
 where
     T: Send,
     R: Send,
@@ -355,11 +354,5 @@ mod tests {
             assert_eq!(serial, results, "{workers} workers diverged");
             assert_eq!(sink.completed() as usize, plan.total_samples());
         }
-    }
-
-    #[test]
-    fn zero_workers_clamps_to_one() {
-        assert_eq!(ScheduledRunner::new(0).workers(), 1);
-        assert!(ScheduledRunner::auto().workers() >= 1);
     }
 }

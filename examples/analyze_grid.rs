@@ -10,7 +10,8 @@
 //!    (path override: `PAREVAL_BENCH_JSON`).
 //!
 //! Run with: `cargo run --release --example analyze_grid`
-//! (`make analyze-smoke` gates on this example's final line.)
+//! (`make examples` runs it; a failed assert is a non-zero exit, and the
+//! regenerated `BENCH_analyze.json` must match the committed file.)
 
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{report, EvalConfig, ExperimentPlan, Runner, ScheduledRunner};
@@ -116,7 +117,5 @@ fn main() {
     std::fs::write(&path, json).expect("write BENCH_analyze.json");
     println!("wrote {path}");
 
-    println!(
-        "analyze-smoke: oracle grid race-clean; all {injected_flagged} injected races flagged"
-    );
+    println!("oracle grid race-clean; all {injected_flagged} injected races flagged");
 }

@@ -17,7 +17,8 @@
 //! Drops `BENCH_analyze_v2.json` (path override: `PAREVAL_BENCH_JSON`).
 //!
 //! Run with: `cargo run --release --example guided_repair`
-//! (`make analyze-smoke` gates on this example's final line.)
+//! (`make examples` runs it; a failed assert is a non-zero exit, and the
+//! regenerated `BENCH_analyze_v2.json` must match the committed file.)
 
 use minihpc_gen::{ErrorProfile, GenSpec};
 use minihpc_lang::model::TranslationPair;
@@ -216,7 +217,7 @@ fn main() {
     println!("wrote {path}");
 
     println!(
-        "guided-repair-smoke: guided race-free {:.2}/{:.2} (sim/oracle), blind oracle 0.00; \
+        "guided race-free {:.2}/{:.2} (sim/oracle), blind oracle 0.00; \
          guided rounds {} <= blind {}",
         sim_guided.race_free_rate(),
         oracle_guided.race_free_rate(),

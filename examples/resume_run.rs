@@ -11,7 +11,7 @@
 //!    only the remainder, and replays the journal into the collector.
 //!
 //! Run with: `cargo run --release --example resume_run`
-//! (`make resume-smoke` gates on this example's final diff line.)
+//! (`make examples` runs it; a failed assert is a non-zero exit.)
 
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
@@ -142,7 +142,7 @@ fn main() {
     assert_eq!(uninterrupted, resumed, "resume diverged from serial");
     assert_eq!(serial_report, resumed_report);
     println!(
-        "resume-smoke: report bytes identical ({} replayed + {} fresh = {} samples)",
+        "report bytes identical ({} replayed + {} fresh = {} samples)",
         replay.completed.len(),
         counting.completed(),
         total,

@@ -9,11 +9,10 @@
 //!    aggregation mode with a journal and a disk-backed build cache,
 //! 3. assert the three runs' results are byte-identical, that no raw
 //!    records were retained, and that peak in-flight records stayed
-//!    bounded by the worker count,
-//! 4. drop `BENCH_gen.json` (path override: `PAREVAL_BENCH_JSON`).
+//!    bounded by the worker count.
 //!
 //! Run with: `cargo run --release --example stress_grid`
-//! (`make gen-smoke` gates on this example's final line.)
+//! (`make examples` runs it; a failed assert is a non-zero exit.)
 
 use minihpc_gen::{GenSpec, KernelKind};
 use minihpc_lang::model::TranslationPair;
@@ -119,16 +118,10 @@ fn run_once(specs: &[GenSpec], workers: usize, scratch: &Path) -> RunOutcome {
         plan.total_samples(),
         "journal missed samples"
     );
-    let stats = pipeline.cache_stats();
-    let lookups = stats.hits + stats.misses;
     RunOutcome {
         results,
         peak_in_flight: gauge.peak(),
-        hit_rate: if lookups == 0 {
-            0.0
-        } else {
-            stats.hits as f64 / lookups as f64
-        },
+        hit_rate: pipeline.cache_stats().hit_rate(),
         secs,
     }
 }
@@ -152,7 +145,7 @@ fn main() {
     for &workers in &worker_counts {
         let outcome = run_once(&specs, workers, &scratch);
         println!(
-            "workers={workers}: {:.1} cells/s, peak in-flight records {}, disk-cache hit rate {:.3}",
+            "workers={workers}: {:.1} cells/s, peak in-flight records {}, cache hit rate {:.3}",
             cells as f64 / outcome.secs,
             outcome.peak_in_flight,
             outcome.hit_rate,
@@ -197,36 +190,11 @@ fn main() {
         .sum();
     assert_eq!(retained, 0, "streaming run retained raw records");
 
-    let fastest = outcomes
-        .iter()
-        .map(|(_, o)| o.secs)
-        .fold(f64::INFINITY, f64::min);
-    let (_, eight) = outcomes.last().expect("outcomes");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"gen\",\n",
-            "  \"cells\": {cells},\n",
-            "  \"samples\": {samples},\n",
-            "  \"cells_per_sec\": {cps:.2},\n",
-            "  \"peak_retained_records\": {peak},\n",
-            "  \"cache_hit_rate\": {hit:.4}\n",
-            "}}\n",
-        ),
-        cells = cells,
-        samples = samples,
-        cps = cells as f64 / fastest,
-        peak = eight.peak_in_flight,
-        hit = eight.hit_rate,
-    );
-    let path = std::env::var("PAREVAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_gen.json".to_string());
-    std::fs::write(&path, json).expect("write BENCH_gen.json");
-    println!("wrote {path}");
-
     let _ = std::fs::remove_dir_all(&scratch);
 
+    let (_, eight) = outcomes.last().expect("outcomes");
     println!(
-        "gen-smoke: {cells} cells byte-identical across workers {:?}; peak retained records {}",
+        "{cells} cells byte-identical across workers {:?}; peak in-flight records {}",
         worker_counts, eight.peak_in_flight
     );
 }

@@ -1,15 +1,21 @@
 //! Shared helpers for the integration test suites: scratch directories and
 //! quiet panics for the durability suites (`tests/resume.rs`,
-//! `tests/disk_cache.rs`), and the independent serial reference the
-//! determinism suites compare the runner against.
+//! `tests/disk_cache.rs`), the independent serial reference the
+//! determinism suites compare the runner against, and the delivery
+//! recorder the scheduler and resume suites pin LPT order with.
 //!
 //! Each integration-test binary compiles its own copy and uses a different
 //! subset, so unused-item lints are off for the whole module.
 #![allow(dead_code)]
 
-use pareval_core::{EvalPipeline, ExperimentPlan, ExperimentResults};
+use pareval_core::{
+    CellKey, EvalPipeline, ExperimentPlan, ExperimentResults, ProgressSink, SampleRecord,
+    SampleSpec,
+};
+use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A unique scratch directory under the system temp dir, removed on drop.
 /// (The workspace vendors its few dependencies, so no `tempfile` crate —
@@ -50,7 +56,6 @@ impl Drop for TestDir {
 /// backtrace spam would drown real failures. Serialized by a lock so
 /// parallel tests don't race on the global hook.
 pub fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-    use std::sync::Mutex;
     static HOOK_LOCK: Mutex<()> = Mutex::new(());
     let guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let hook = std::panic::take_hook();
@@ -76,4 +81,31 @@ pub fn serial_reference(plan: &ExperimentPlan, pipeline: &EvalPipeline) -> Exper
 /// `EvalConfig`.
 pub fn serial_reference_of(plan: &ExperimentPlan) -> ExperimentResults {
     serial_reference(plan, &EvalPipeline::new(plan.eval().clone()))
+}
+
+/// Records every `(CellKey, sample_index)` the sink observes, in delivery
+/// order.
+#[derive(Default)]
+pub struct DeliverySink {
+    pub seen: Mutex<Vec<(CellKey, u32)>>,
+}
+
+impl ProgressSink for DeliverySink {
+    fn on_sample(&self, record: &SampleRecord) {
+        self.seen
+            .lock()
+            .unwrap()
+            .push((record.key, record.sample_index));
+    }
+}
+
+/// The order a one-worker `ScheduledRunner` delivers `specs` in: LPT
+/// seeding, a stable sort by descending `cost_hint`, so equal hints keep
+/// the given order.
+pub fn lpt_order(plan: &ExperimentPlan, mut specs: Vec<SampleSpec>) -> Vec<(CellKey, u32)> {
+    specs.sort_by_key(|spec| Reverse(spec.cost_hint));
+    specs
+        .iter()
+        .map(|spec| (plan.cells()[spec.cell].key, spec.sample_index))
+        .collect()
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{serial_reference_of, with_quiet_panics, TestDir};
+use common::{lpt_order, serial_reference_of, with_quiet_panics, DeliverySink, TestDir};
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     journal, report, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults,
@@ -137,7 +137,7 @@ fn crash_then_resume_is_byte_identical_and_skips_completed_work() {
     );
 
     let serial = serial_reference_of(&plan);
-    let sink = CountingSink::new();
+    let sink = DeliverySink::default();
     let resumed = ScheduledRunner::new(1)
         .resume(
             &plan,
@@ -146,8 +146,20 @@ fn crash_then_resume_is_byte_identical_and_skips_completed_work() {
             &sink,
         )
         .unwrap();
-    // Only the remainder ran; replayed records are not re-delivered.
-    assert_eq!(sink.completed() as usize, total - recovered);
+    // Only the remainder ran, re-seeded most-expensive first; replayed
+    // records are not re-delivered.
+    let remainder = plan
+        .sample_specs()
+        .into_iter()
+        .filter(|spec| {
+            !replay
+                .completed
+                .contains(&(plan.cells()[spec.cell].key, spec.sample_index))
+        })
+        .collect();
+    let seen = sink.seen.into_inner().unwrap();
+    assert_eq!(seen.len(), total - recovered);
+    assert_eq!(seen, lpt_order(&plan, remainder), "remainder not LPT");
     assert_eq!(serial, resumed);
     assert_eq!(format!("{serial:?}"), format!("{resumed:?}"));
     assert_eq!(full_report_text(&serial), full_report_text(&resumed));

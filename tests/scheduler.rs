@@ -8,15 +8,13 @@
 
 mod common;
 
-use common::{serial_reference, serial_reference_of};
+use common::{lpt_order, serial_reference, serial_reference_of, DeliverySink};
 use minihpc_lang::model::TranslationPair;
-use pareval_core::{
-    CountingSink, ExperimentPlan, NullSink, ProgressSink, Runner, SampleRecord, ScheduledRunner,
-};
+use pareval_core::{CountingSink, ExperimentPlan, NullSink, Runner, ScheduledRunner};
 use pareval_llm::{all_models, Attempt, AttemptSpec, TranslationBackend};
 use pareval_repo as _;
 use pareval_translate::Technique;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A backend whose every attempt panics — the stand-in for "a bug anywhere
 /// inside one sample's evaluation".
@@ -76,8 +74,9 @@ fn two_sample_plan() -> ExperimentPlan {
 }
 
 #[test]
-fn zero_workers_clamp_to_one_on_every_runner() {
+fn zero_workers_clamp_to_one() {
     assert_eq!(ScheduledRunner::new(0).workers(), 1);
+    assert!(ScheduledRunner::auto().workers() >= 1);
     // And a 0-worker request still runs the whole plan.
     let plan = two_sample_plan();
     assert_eq!(
@@ -97,7 +96,7 @@ fn more_workers_than_samples_is_harmless() {
 }
 
 #[test]
-fn single_sample_plan_runs_on_both_parallel_runners() {
+fn single_sample_plan_runs_on_one_and_many_workers() {
     // On one worker and on several.
     let plan = ExperimentPlan::builder()
         .samples(1)
@@ -135,33 +134,17 @@ fn empty_plan_yields_empty_results_without_spawning_trouble() {
     }
 }
 
-/// Records every `(CellKey, sample_index)` the sink observes.
-#[derive(Default)]
-struct DeliverySink {
-    seen: Mutex<Vec<(pareval_core::CellKey, u32)>>,
-}
-
-impl ProgressSink for DeliverySink {
-    fn on_sample(&self, record: &SampleRecord) {
-        self.seen
-            .lock()
-            .unwrap()
-            .push((record.key, record.sample_index));
-    }
-}
-
 #[test]
 fn stealing_delivers_every_sample_exactly_once() {
     // Count + set equality against the plan's own spec list: nothing
-    // dropped, nothing duplicated, whatever got stolen by whom.
+    // dropped, nothing duplicated, whatever got stolen by whom. One worker
+    // drains the injector in seeding order, so there the delivery order
+    // itself pins LPT seeding.
     let plan = ExperimentPlan::quick();
-    let mut expected: Vec<_> = plan
-        .sample_specs()
-        .iter()
-        .map(|spec| (plan.cells()[spec.cell].key, spec.sample_index))
-        .collect();
+    let lpt = lpt_order(&plan, plan.sample_specs());
+    let mut expected = lpt.clone();
     expected.sort();
-    for workers in [2, 5, 8] {
+    for workers in [1, 2, 5, 8] {
         let sink = DeliverySink::default();
         ScheduledRunner::new(workers).run_with_sink(&plan, &sink);
         let mut seen = sink.seen.into_inner().unwrap();
@@ -170,6 +153,9 @@ fn stealing_delivers_every_sample_exactly_once() {
             plan.total_samples(),
             "{workers} workers: wrong delivery count"
         );
+        if workers == 1 {
+            assert_eq!(seen, lpt, "one worker: delivery order is not LPT");
+        }
         seen.sort();
         assert_eq!(seen, expected, "{workers} workers: delivery set diverged");
     }
