@@ -2,7 +2,7 @@
 # release build, tests, clippy with warnings denied, a format check, docs
 # with warnings denied, and every example executed end to end.
 
-.PHONY: all build test doc fmt fmt-fix clippy bench bench-smoke bench-correct examples verify clean
+.PHONY: all build test doc fmt fmt-fix clippy bench-correct examples verify clean
 
 all: verify
 
@@ -24,24 +24,6 @@ fmt-fix:
 clippy:
 	cargo clippy --all-targets -- -D warnings
 
-bench:
-	cargo bench
-
-# Quick-mode figure benches for CI-style smoke runs: small sample counts,
-# and the repair bench drops BENCH_repair.json at the repo root — the
-# machine-readable trajectory future PRs compare against.
-bench-smoke:
-	PAREVAL_SAMPLES=2 cargo bench --bench fig2_correctness
-	PAREVAL_SAMPLES=2 PAREVAL_BENCH_JSON=$(CURDIR)/BENCH_repair.json \
-		cargo bench --bench repair_loop
-	@for key in '"bench": "repair_loop"' '"samples_per_cell"' \
-		'"wall_time_s"' '"build_at_1_overall"' '"pass_at_1_overall"' \
-		'"mean_tokens_per_sample"' '"max_repair_round"'; do \
-		grep -q "$$key" BENCH_repair.json \
-			|| { echo "bench-smoke: BENCH_repair.json missing key $$key"; exit 1; }; \
-	done
-	@echo "bench-smoke: BENCH_repair.json keys present"
-
 # The benchmark's correctness gate: a short run of each gridbench workload
 # with tracing off must reproduce every recorded result digest (its last
 # line reports "correct": true and "failed": 0), and --self-test must
@@ -49,26 +31,28 @@ bench-smoke:
 GRIDBENCH = cargo run --release --quiet --offline --manifest-path gridbench/Cargo.toml --
 
 bench-correct:
-	@for w in paper-grid repair-heavy gen-stress; do \
-		$(GRIDBENCH) --workload $$w --seconds 1 --trace 0 > /tmp/bench_correct.out \
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for w in paper-grid repair-heavy gen-stress; do \
+		$(GRIDBENCH) --workload $$w --seconds 1 --trace 0 > "$$out" \
 			|| { echo "bench-correct: $$w exited non-zero"; exit 1; }; \
-		tail -n 1 /tmp/bench_correct.out \
+		tail -n 1 "$$out" \
 			| grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,' \
-			|| { echo "bench-correct: $$w: $$(tail -n 1 /tmp/bench_correct.out)"; exit 1; }; \
+			|| { echo "bench-correct: $$w: $$(tail -n 1 "$$out")"; exit 1; }; \
 		echo "bench-correct: $$w correct"; \
 	done
 	@$(GRIDBENCH) --workload repair-heavy --seconds 1 --trace 0 --self-test > /dev/null
 
 # Every example runs once, and its asserts are the gate: a failed assert is
-# a non-zero exit. Output is discarded. Among them, resume_run checks that
-# crash + resume is byte-identical, stress_grid checks the 1515-cell grid
-# at 1/4/8 workers, and fuzz_pipeline checks determinism across the
-# generator's knob space. analyze_grid and guided_repair rewrite
-# BENCH_analyze.json and BENCH_analyze_v2.json, and both must match the
-# committed files byte for byte.
+# a non-zero exit. Output is discarded. Among them, paper_figures checks
+# every paper figure from one full(5) grid against its golden text,
+# resume_run checks that crash + resume is byte-identical, stress_grid
+# checks the 1515-cell grid at 1/4/8 workers, and fuzz_pipeline checks
+# determinism across the generator's knob space. analyze_grid and
+# guided_repair rewrite BENCH_analyze.json and BENCH_analyze_v2.json, and
+# both must match the committed files byte for byte.
 examples: build
 	cargo run --release --example quickstart > /dev/null
-	cargo run --release --example suite_stats > /dev/null
+	cargo run --release --example paper_figures > /dev/null
 	cargo run --release --example translate_xsbench > /dev/null
 	cargo run --release --example error_clustering > /dev/null
 	cargo run --release --example experiment_stream > /dev/null

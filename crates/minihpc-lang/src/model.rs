@@ -1,7 +1,7 @@
 //! Parallel programming (execution) models and detection of which model a
 //! source file is written in.
 //!
-//! The paper's correctness criterion requires a translation to be
+//! The paper's correctness rule requires a translation to be
 //! "implemented using the requested target programming model"; the detector
 //! here is what the harness uses to enforce that (e.g. a "translation" that
 //! leaves CUDA kernel launches in place is rejected even if it runs).

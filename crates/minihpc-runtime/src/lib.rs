@@ -6,7 +6,7 @@
 //! optional data-race detector, and execution telemetry.
 //!
 //! The telemetry ([`interp::TelemetrySnapshot`]) is how the ParEval-Repo
-//! harness enforces the paper's correctness criterion that a translation
+//! harness enforces the paper's correctness rule that a translation
 //! must "execute on the hardware specified in the prompt": a translated
 //! program whose loops silently run on the host (paper Listing 4) produces
 //! correct-looking execution but no device regions, and is failed.

@@ -44,8 +44,7 @@ impl TestCase {
 }
 
 /// A translation task named a source model the application does not
-/// implement. Returned by [`Application::repo_arc`] instead of the panic a
-/// bare `repo(..).unwrap()` used to produce.
+/// implement. Returned by [`Application::repo_arc`] instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfeasiblePair {
     pub app: String,
@@ -377,7 +376,7 @@ mod tests {
         // expected output is derived from it, like the hand-written suite.
         let out = gen.expected_output(&gen.tests[0]);
         assert!(out.contains("checksum "), "{out}");
-        // The typed error replaces the old unwrap-on-missing-model panic.
+        // A missing source model is a typed error, not a panic.
         let err = gen.repo_arc(ExecutionModel::Cuda).unwrap_err();
         assert_eq!(err.model, ExecutionModel::Cuda);
         assert!(err.to_string().contains(gen.name.as_ref()));

@@ -34,7 +34,7 @@ use pareval_translate::Technique;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Which success criterion a rate is computed over.
+/// Which success condition a rate is computed over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Metric {
     /// The translation compiled.

@@ -12,11 +12,10 @@
 //! [`SampleResult::rounds`](crate::task::SampleResult::rounds) so reports
 //! can plot quality as a function of repair round.
 //!
-//! [`EvalPipeline`] replaces the free `run_sample`/`evaluate` functions of
-//! the pre-backend harness. It owns the [`EvalConfig`] knobs plus a
-//! [`BuildCache`] keyed by the content hash of the evaluated repository
-//! (and everything else that determines the outcome: binary, app, target
-//! model, eval knobs), so:
+//! [`EvalPipeline`] owns the [`EvalConfig`] knobs plus a [`BuildCache`]
+//! keyed by the content hash of the evaluated repository (and everything
+//! else that determines the outcome: binary, app, target model, eval
+//! knobs), so:
 //!
 //! - the Code-only scoring reuses the Overall build whenever the translated
 //!   build file already matches ground truth (the two repos are then
@@ -126,9 +125,8 @@ struct IndexSlot {
 /// delete also holds): `total_bytes` equals the sum of the on-disk sizes
 /// of exactly the indexed entries. `slots` maps each key to its slot;
 /// `order` mirrors the slots keyed by touch counter, so the coldest entry
-/// is `order`'s first value and both touch and eviction are O(log n) —
-/// the previous `Vec` + `position()` index was O(n) per operation,
-/// quadratic over a directory of thousands of entries.
+/// is `order`'s first value and both touch and eviction are O(log n):
+/// a directory of thousands of entries never costs a quadratic scan.
 ///
 /// `visited` is the work counter the regression test pins: **contract —
 /// every index operation (`touch`/`remove`/`coldest`) increments it by
@@ -434,9 +432,7 @@ impl BuildCache {
     }
 
     /// Entries in the in-memory tiers: whole-repo outcomes plus per-file
-    /// compile units. (`len()` used to report only the outcome map, which
-    /// under-reported occupancy once the disk tier existed — size
-    /// accounting now reports each tier explicitly; see [`len_disk`].)
+    /// compile units. The disk tier is counted separately by [`len_disk`].
     ///
     /// [`len_disk`]: BuildCache::len_disk
     pub fn len_memory(&self) -> usize {

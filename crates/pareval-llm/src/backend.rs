@@ -374,8 +374,8 @@ impl Attempt for SimulatedModel {
 }
 
 /// The default [`TranslationBackend`]: paper-calibrated simulation. Each
-/// attempt is a fresh [`SimulatedModel`], so grids run through this backend
-/// are byte-identical to the pre-trait harness for the same seeds.
+/// attempt is a fresh [`SimulatedModel`], so a grid run through this
+/// backend is a pure function of its seeds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimulatedBackend;
 

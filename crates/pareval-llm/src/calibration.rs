@@ -342,7 +342,7 @@ pub fn paper_cell(
 
 /// Plan-time feasibility of one experiment cell, by model/app *name*.
 ///
-/// This is the exact criterion [`crate::SimulatedModel`] samples its attempt
+/// This is the exact condition [`crate::SimulatedModel`] samples its attempt
 /// plan with (including the index fallback for unknown names), exposed so a
 /// harness can mark cells infeasible when enumerating a plan instead of
 /// discovering it one failed sample at a time.

@@ -6,8 +6,7 @@
 //!    XSBench threads→offload cell, whose translations carry a
 //!    `reduction` clause that the injector deletes) — the analyzer must
 //!    flag every sample,
-//! 3. print the per-model race report and drop `BENCH_analyze.json`
-//!    (path override: `PAREVAL_BENCH_JSON`).
+//! 3. print the per-model race report and drop `BENCH_analyze.json`.
 //!
 //! Run with: `cargo run --release --example analyze_grid`
 //! (`make examples` runs it; a failed assert is a non-zero exit, and the
@@ -112,10 +111,8 @@ fn main() {
         rr = raw_reduction,
         rf = race_free_at_1,
     );
-    let path =
-        std::env::var("PAREVAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_analyze.json".to_string());
-    std::fs::write(&path, json).expect("write BENCH_analyze.json");
-    println!("wrote {path}");
+    std::fs::write("BENCH_analyze.json", json).expect("write BENCH_analyze.json");
+    println!("wrote BENCH_analyze.json");
 
     println!("oracle grid race-clean; all {injected_flagged} injected races flagged");
 }

@@ -14,7 +14,7 @@
 //!    fix-its the same backend repairs every sample in one round — the
 //!    cleanest possible contrast between regeneration and guided editing.
 //!
-//! Drops `BENCH_analyze_v2.json` (path override: `PAREVAL_BENCH_JSON`).
+//! Drops `BENCH_analyze_v2.json` in the working directory.
 //!
 //! Run with: `cargo run --release --example guided_repair`
 //! (`make examples` runs it; a failed assert is a non-zero exit, and the
@@ -211,10 +211,8 @@ fn main() {
         ogr = oracle_guided.race_free_rate(),
         ogm = fmt_rounds(oracle_guided.mean_rounds),
     );
-    let path =
-        std::env::var("PAREVAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_analyze_v2.json".to_string());
-    std::fs::write(&path, json).expect("write BENCH_analyze_v2.json");
-    println!("wrote {path}");
+    std::fs::write("BENCH_analyze_v2.json", json).expect("write BENCH_analyze_v2.json");
+    println!("wrote BENCH_analyze_v2.json");
 
     println!(
         "guided race-free {:.2}/{:.2} (sim/oracle), blind oracle 0.00; \
