@@ -1,8 +1,9 @@
 # Development entry points. `make verify` is the documented tier-1 gate:
 # release build, tests, clippy with warnings denied, a format check, docs
-# with warnings denied, and every example executed end to end.
+# with warnings denied, every example executed end to end, and a compile
+# check of the gridbench benchmark.
 
-.PHONY: all build test doc fmt fmt-fix clippy bench-correct examples verify clean
+.PHONY: all build test doc fmt fmt-fix clippy gridbench-check bench-correct examples verify clean
 
 all: verify
 
@@ -23,6 +24,11 @@ fmt-fix:
 
 clippy:
 	cargo clippy --all-targets -- -D warnings
+
+# gridbench is a workspace of its own that compiles against the harness's
+# public API, so the root build cannot see when a harness change breaks it.
+gridbench-check:
+	cargo check --offline --manifest-path gridbench/Cargo.toml
 
 # The benchmark's correctness gate: a short run of each gridbench workload
 # with tracing off must reproduce every recorded result digest (its last
@@ -66,7 +72,7 @@ examples: build
 	cargo run --release --example fuzz_pipeline > /dev/null
 	git diff --exit-code -- BENCH_analyze.json BENCH_analyze_v2.json
 
-verify: build test clippy fmt doc examples
+verify: build test clippy fmt doc examples gridbench-check
 
 clean:
 	cargo clean

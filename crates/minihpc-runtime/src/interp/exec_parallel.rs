@@ -1,10 +1,11 @@
 //! The parallel index-space executor: fans logical indices out across real
-//! OS threads with `crossbeam::thread::scope`.
+//! OS threads with `std::thread::scope`.
 //!
 //! Each logical index builds its own [`Frame`], so worker closures share
 //! only `&Interp` (whose memory system is lock-protected). The first error
 //! wins; remaining workers observe the poison flag and stop at their next
-//! index.
+//! index. A worker panic propagates: the scope panics once every worker has
+//! been joined.
 
 use super::*;
 use std::sync::atomic::AtomicBool;
@@ -24,11 +25,11 @@ impl<'e> Interp<'e> {
         let poison = AtomicBool::new(false);
         let first_error: Mutex<Option<Interrupt>> = Mutex::new(None);
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..workers {
                 let poison = &poison;
                 let first_error = &first_error;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let lo = w * chunk;
                     let hi = ((w + 1) * chunk).min(total);
                     for i in lo..hi {
@@ -46,8 +47,7 @@ impl<'e> Interp<'e> {
                     }
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
 
         match first_error.into_inner() {
             Some(e) => Err(e),

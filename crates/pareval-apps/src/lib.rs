@@ -160,7 +160,7 @@ impl Application {
     /// reference itself fails — that is a bug in the benchmark suite, not
     /// in a translation — and a failure is never memoised, so every call
     /// panics again. Turning that panic into a typed infeasibility is
-    /// still open (ROADMAP item 4); it too must stay lazy.
+    /// still open (ROADMAP item 5); it too must stay lazy.
     pub fn expected_output(&self, case: &TestCase) -> String {
         let slot = self
             .reference

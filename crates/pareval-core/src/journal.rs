@@ -568,11 +568,11 @@ struct SinkState {
 /// sample (see [`Runner::resume`](crate::runner::Runner::resume)).
 ///
 /// Thread-safe: workers of a parallel runner serialize through an internal
-/// lock, so records are framed atomically even under stealing. Durability
-/// is tunable via [`JournalSink::with_sync_every`]: with batching `n`, the
-/// file is fsynced every `n` records (default 1, maximum durability — a
-/// crash loses at most the in-flight sample). The sink flushes and syncs on
-/// drop regardless.
+/// lock, so records are framed atomically in whatever order workers
+/// finish. Durability is tunable via [`JournalSink::with_sync_every`]: with
+/// batching `n`, the file is fsynced every `n` records (default 1, maximum
+/// durability — a crash loses at most the in-flight sample). The sink
+/// flushes and syncs on drop regardless.
 pub struct JournalSink {
     state: Mutex<SinkState>,
     sync_every: u64,

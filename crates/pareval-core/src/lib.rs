@@ -21,9 +21,9 @@
 //!    to the attempt, revised files re-evaluated — tracked per round in
 //!    [`RepairRound`].
 //! 3. **Runner** ([`runner`], [`sched`]) — [`ScheduledRunner`] executes
-//!    the plan through the [`Runner`] entry points: work stealing across
-//!    scoped workers (per-worker LIFO deques + a shared injector seeded
-//!    most-expensive-first by [`SampleSpec::cost_hint`]), with
+//!    the plan through the [`Runner`] entry points: scoped workers claim
+//!    from one shared queue sorted most-expensive-first by
+//!    [`SampleSpec::cost_hint`] (LPT list scheduling), with
 //!    `ScheduledRunner::new(1)` as the serial case. It streams
 //!    [`SampleRecord`]s to a [`ProgressSink`] and produces byte-identical
 //!    results for the same plan — cached or not, at any worker count. With

@@ -131,7 +131,7 @@ pub struct CellSpec {
 }
 
 /// Plan-time relative cost estimate of one sample: the scheduling weight
-/// the work-stealing runner seeds its injector with (most expensive first,
+/// the runner sorts its shared queue by (most expensive first,
 /// the classic longest-processing-time heuristic), derived from everything
 /// the plan knows before a single sample runs:
 ///
@@ -144,7 +144,8 @@ pub struct CellSpec {
 ///   it is never scheduled).
 ///
 /// Units are arbitrary — only the relative order matters, and mispredicted
-/// hints are corrected at run time by stealing.
+/// hints are absorbed at run time: a worker that finishes early claims the
+/// next specs from the shared queue.
 pub fn sample_cost_hint(technique: Technique, eval: &EvalConfig, feasible: bool) -> u32 {
     if !feasible {
         return 0;
@@ -210,8 +211,8 @@ pub struct SampleSpec {
     pub cell: usize,
     pub sample_index: u32,
     /// Plan-time relative cost estimate (see [`sample_cost_hint`]): the
-    /// weight [`crate::sched::ScheduledRunner`] sorts by when seeding its
-    /// injector. Purely advisory — results never depend on it.
+    /// weight [`crate::sched::ScheduledRunner`] sorts its shared queue by.
+    /// Purely advisory — results never depend on it.
     pub cost_hint: u32,
 }
 

@@ -4,7 +4,7 @@
 //! A runner turns a plan's [`SampleSpec`](crate::plan::SampleSpec)s into
 //! [`SampleRecord`]s (via a shared [`EvalPipeline`]) and hands each to the
 //! collector ([`crate::collect`]). [`ScheduledRunner`](crate::ScheduledRunner)
-//! is the one strategy — work stealing across N workers, with
+//! is the one strategy — one shared LPT queue across N workers, with
 //! `ScheduledRunner::new(1)` as the serial case; see [`crate::sched`].
 //! Because every sample is independently seeded and the collector is
 //! order-independent, execution order is irrelevant to the result: output
@@ -113,7 +113,7 @@ pub trait Runner {
     /// safe, as is a journal holding duplicates from earlier resume cycles.
     /// Only the *remaining* specs are then executed, through the same path
     /// as a full run (so [`ScheduledRunner`](crate::ScheduledRunner)
-    /// re-seeds its injector with the remainder in LPT order), streaming
+    /// queues the remainder in LPT order), streaming
     /// fresh records to `sink` as usual.
     ///
     /// Replayed records are not re-delivered to `sink`: they were delivered

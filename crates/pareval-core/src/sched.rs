@@ -1,25 +1,22 @@
 //! The runner: [`ScheduledRunner`], the one execution strategy, and the
-//! private work-stealing primitive it is built on.
+//! private shared-queue pool it is built on.
 //!
 //! Per-sample cost is wildly variable — a budget-3 repair sample can cost
 //! several times a cache-hit sample — so static sharding lets one unlucky
-//! shard serialize a whole grid run. Work is instead distributed with the
-//! classic work-stealing design over the vendored [`crossbeam::deque`]
-//! primitives:
+//! shard serialize a whole grid run. Work is instead handed out from one
+//! shared queue (Graham's list scheduling):
 //!
-//! - the full work list is seeded into a shared FIFO [`Injector`], sorted
-//!   most-expensive-first by the plan-time
+//! - the full work list is sorted most-expensive-first by the plan-time
 //!   [`SampleSpec::cost_hint`](crate::plan::SampleSpec::cost_hint)
 //!   (longest-processing-time-first: big rocks start early, the tail of a
 //!   run is made of small ones);
-//! - every worker owns a LIFO [`Worker`] deque and publishes a [`Stealer`]
-//!   handle; it drains its own deque first, refills from the injector in
-//!   small batches, and only when both are empty steals from a sibling —
-//!   so a worker stuck on an expensive repair sample cannot strand the
-//!   work queued behind it;
-//! - a worker exits when its deque, the injector, and every sibling deque
-//!   are observed empty. Samples never spawn more samples, so that
-//!   condition is final: every item is executed exactly once.
+//! - every worker claims the next `CHUNK` consecutive specs of that list
+//!   with one atomic increment of a shared cursor, runs them, and claims
+//!   again — so a worker stuck on an expensive repair sample holds at most
+//!   `CHUNK - 1` specs back, and everything else stays claimable;
+//! - a worker exits when the cursor has passed the end of the list. The
+//!   grid is fixed before the run starts (samples never spawn more
+//!   samples), so every item is executed exactly once.
 //!
 //! Every entry point — [`Runner::run_with`], [`Runner::resume`]'s
 //! remainder and [`ScheduledRunner::run_with_stats`] — funnels through one
@@ -37,135 +34,82 @@ use crate::eval::EvalPipeline;
 use crate::journal::{self, JournalError, JournalReader};
 use crate::plan::{ExperimentPlan, SampleSpec};
 use crate::runner::{ProgressSink, Runner};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::collections::HashSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Counters describing how one [`ScheduledRunner`] run balanced itself.
-/// Purely observational — results never depend on them.
+/// Scheduling counters of one [`ScheduledRunner`] run. Purely
+/// observational — results never depend on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Items taken from a *sibling worker's* deque (the rebalancing acts).
+    /// Items taken from a sibling worker. Always 0: all workers claim from
+    /// one shared queue, so there is nothing to steal.
     pub steals: u64,
-    /// Batch refills served by the shared injector.
-    pub injector_refills: u64,
 }
 
-/// Runs `f` over every item of `items` on `workers` scoped threads using
-/// work stealing, returning the results in completion order (callers that
-/// need a canonical order restore it themselves — the experiment collector
-/// sorts by `(CellKey, sample_index)`).
+/// Consecutive items one worker claims per cursor increment. Measured on
+/// gridbench's 2-worker `gen-stress` grid (2 vCPUs, medians of 3 runs):
+/// claiming one spec at a time raised `sample_p90_ms` from 1.22 to 2.02 ms
+/// and cut throughput from 2124 to 1806 samples/s, while 5 matched the
+/// previous scheduler, whose batched claims also took 5 specs.
+/// Adjacent LPT-sorted specs likely share outcome and unit-cache keys, so
+/// splitting them across workers would run the same cold build twice at
+/// once.
+const CHUNK: usize = 5;
+
+/// Runs `f` over every item of `items` on `workers` scoped threads,
+/// returning the results in completion order (callers that need a
+/// canonical order restore it themselves — the experiment collector sorts
+/// by `(CellKey, sample_index)`).
 ///
-/// Items are seeded into the shared injector in the given order; pass a
-/// cost-sorted list (most expensive first) to get LPT scheduling. Each
-/// worker drains its local deque, refills from the injector in small
-/// batches, then steals from siblings; see the module docs for the exit
-/// condition. A panicking `f` propagates out of the thread scope after the
-/// remaining workers finish their items.
-fn stealing_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> (Vec<R>, SchedStats)
+/// Workers claim [`CHUNK`] consecutive items at a time from a shared
+/// cursor, so items start in the given order; pass a cost-sorted list
+/// (most expensive first) to get LPT scheduling. `workers` is clamped to
+/// `1..=` the number of chunks. A panicking `f` propagates out of the
+/// thread scope, with its own payload, after the remaining workers finish
+/// their items.
+fn pool_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let total = items.len();
-    let workers = workers.max(1).min(total.max(1));
-    let injector = Injector::new();
-    for item in items {
-        injector.push(item);
-    }
-    let locals: Vec<Worker<T>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<T>> = locals.iter().map(Worker::stealer).collect();
-    let steals = AtomicU64::new(0);
-    let refills = AtomicU64::new(0);
-
-    let mut results: Vec<R> = Vec::with_capacity(total);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .iter()
-            .enumerate()
-            .map(|(me, local)| {
-                let (injector, stealers) = (&injector, &stealers);
-                let (f, steals, refills) = (&f, &steals, &refills);
-                scope.spawn(move |_| {
+    let workers = workers.clamp(1, items.len().div_ceil(CHUNK).max(1));
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
                     let mut out = Vec::new();
-                    while let Some(item) = find_work(local, injector, stealers, me, steals, refills)
-                    {
-                        out.push(f(&item));
+                    loop {
+                        let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+                        if start >= items.len() {
+                            return out;
+                        }
+                        let chunk = &items[start..items.len().min(start + CHUNK)];
+                        out.extend(chunk.iter().map(&f));
                     }
-                    out
                 })
             })
             .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(out) => results.extend(out),
-                // Re-raise the worker's own payload (the pipeline already
-                // attached the offending cell/sample) instead of a bare
-                // "worker panicked".
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+        // Re-raise the worker's own payload (the pipeline already attached
+        // the offending cell/sample) instead of a bare "a scoped thread
+        // panicked"; the scope joins the remaining workers first.
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
     })
-    .expect("scheduler thread scope failed");
-
-    (
-        results,
-        SchedStats {
-            steals: steals.load(Ordering::Relaxed),
-            injector_refills: refills.load(Ordering::Relaxed),
-        },
-    )
 }
 
-/// One worker's drain-then-steal step: local deque first, then a batch
-/// refill from the injector, then a steal from the first non-empty sibling.
-/// Returns `None` only after observing all three sources empty.
-fn find_work<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-    steals: &AtomicU64,
-    refills: &AtomicU64,
-) -> Option<T> {
-    if let Some(item) = local.pop() {
-        return Some(item);
-    }
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(item) => {
-                refills.fetch_add(1, Ordering::Relaxed);
-                return Some(item);
-            }
-            Steal::Retry => continue,
-            Steal::Empty => {}
-        }
-        let mut contended = false;
-        for (i, stealer) in stealers.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(item) => {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(item);
-                }
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-    }
-}
-
-/// The execution strategy: seeds a shared injector with the plan's
-/// samples sorted by plan-time cost hint, and lets `workers` scoped
-/// threads drain-then-steal until the grid is done. `ScheduledRunner::new(1)`
-/// is the serial runner.
+/// The execution strategy: sorts the plan's samples by plan-time cost
+/// hint into one shared queue, and lets `workers` scoped threads claim
+/// from it until the grid is done. `ScheduledRunner::new(1)` is the serial
+/// runner.
 ///
 /// It streams [`SampleRecord`](crate::runner::SampleRecord)s to the
 /// [`ProgressSink`] in completion order (nondeterministic at more than one
@@ -179,7 +123,8 @@ pub struct ScheduledRunner {
 
 impl ScheduledRunner {
     /// `workers` is clamped to at least 1 (and, at run time, to the number
-    /// of scheduled samples — idle threads are never spawned).
+    /// of claims the scheduled samples make — idle threads are never
+    /// spawned).
     pub fn new(workers: usize) -> Self {
         ScheduledRunner {
             workers: workers.max(1),
@@ -199,25 +144,23 @@ impl ScheduledRunner {
     }
 
     /// [`Runner::run_with`], additionally returning the run's scheduling
-    /// counters (how many steals and injector refills it took to balance).
+    /// counters (all zero: see [`SchedStats`]).
     pub fn run_with_stats(
         &self,
         plan: &ExperimentPlan,
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
     ) -> (ExperimentResults, SchedStats) {
-        let collector = Collector::new(plan);
-        let stats = self.execute(plan, plan.sample_specs(), pipeline, sink, &collector);
-        (collector.finish(), stats)
+        (self.run_with(plan, pipeline, sink), SchedStats::default())
     }
 
-    /// The one execution path: LPT-sort `specs` and work-steal them across
-    /// this runner's threads, each worker delivering a finished record to
-    /// `sink` and then moving it into `collector`. Nothing else holds a
-    /// record, so on a streaming plan the peak retained records are the
-    /// in-flight samples (≤ worker count). Full runs and resume remainders
-    /// both land here, so a resumed run re-seeds its injector with only
-    /// the remaining samples — still most-expensive first.
+    /// The one execution path: LPT-sort `specs` into the shared queue and
+    /// run them across this runner's threads, each worker delivering a
+    /// finished record to `sink` and then moving it into `collector`.
+    /// Nothing else holds a record, so on a streaming plan the peak
+    /// retained records are the in-flight samples (≤ worker count). Full
+    /// runs and resume remainders both land here, so a resumed run queues
+    /// only the remaining samples — still most-expensive first.
     fn execute(
         &self,
         plan: &ExperimentPlan,
@@ -225,17 +168,16 @@ impl ScheduledRunner {
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
         collector: &Collector,
-    ) -> SchedStats {
-        // LPT seeding: most expensive first. The sort is stable, so equal
-        // hints keep enumeration order and the injector contents are
-        // deterministic for a given spec list.
+    ) {
+        // LPT order: most expensive first. The sort is stable, so equal
+        // hints keep enumeration order and the queue is deterministic for
+        // a given spec list.
         specs.sort_by_key(|spec| std::cmp::Reverse(spec.cost_hint));
-        let (_, stats) = stealing_map(specs, self.workers, |spec: &SampleSpec| {
+        pool_map(&specs, self.workers, |spec| {
             let record = pipeline.execute(plan, spec);
             sink.on_sample(&record);
             collector.add(record);
         });
-        stats
     }
 }
 
@@ -246,7 +188,9 @@ impl Runner for ScheduledRunner {
         pipeline: &EvalPipeline,
         sink: &dyn ProgressSink,
     ) -> ExperimentResults {
-        self.run_with_stats(plan, pipeline, sink).0
+        let collector = Collector::new(plan);
+        self.execute(plan, plan.sample_specs(), pipeline, sink, &collector);
+        collector.finish()
     }
 
     fn resume(
@@ -289,48 +233,76 @@ mod tests {
     use minihpc_lang::model::TranslationPair;
     use pareval_llm::all_models;
     use pareval_translate::Technique;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Mutex};
 
-    #[test]
-    fn stealing_map_runs_every_item_exactly_once() {
-        let items: Vec<u64> = (0..100).collect();
+    fn assert_each_item_runs_once(len: u64, workers: usize) {
+        let items: Vec<u64> = (0..len).collect();
         let calls = AtomicUsize::new(0);
-        let (mut results, _) = stealing_map(items, 4, |&x| {
+        let mut results = pool_map(&items, workers, |&x| {
             calls.fetch_add(1, Ordering::Relaxed);
             x * 2
         });
-        assert_eq!(calls.load(Ordering::Relaxed), 100);
+        assert_eq!(
+            calls.into_inner(),
+            items.len(),
+            "{len} items on {workers} workers"
+        );
         results.sort_unstable();
-        assert_eq!(results, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        let expected: Vec<u64> = items.iter().map(|x| x * 2).collect();
+        assert_eq!(results, expected, "{len} items on {workers} workers");
     }
 
     #[test]
-    fn stealing_map_handles_degenerate_shapes() {
-        // No items: no worker ever finds work.
-        let (results, stats) = stealing_map(Vec::<u64>::new(), 8, |&x| x);
-        assert!(results.is_empty());
-        assert_eq!(stats, SchedStats::default());
-        // One item, many workers; zero workers clamps to one.
-        for workers in [0, 1, 8] {
-            let (results, _) = stealing_map(vec![7u64], workers, |&x| x + 1);
-            assert_eq!(results, vec![8]);
+    fn pool_map_runs_every_item_exactly_once() {
+        // Item counts straddle the chunk boundaries; more workers than
+        // chunks is harmless.
+        for len in [4, 5, 6, 11, 100] {
+            for workers in [1, 2, 3, 8] {
+                assert_each_item_runs_once(len, workers);
+            }
         }
     }
 
     #[test]
-    fn imbalanced_items_get_stolen() {
-        // One expensive item at the head (LPT order) plus a tail of cheap
-        // ones: with 2 workers the one not holding the expensive item must
-        // refill from the injector repeatedly, and the counters see it.
-        let mut items = vec![1u64; 64];
-        items[0] = 50;
-        let (_, stats) = stealing_map(items, 2, |&ms| {
-            std::thread::sleep(std::time::Duration::from_micros(ms * 100));
-        });
-        assert!(
-            stats.injector_refills > 1,
-            "expected multiple refills, got {stats:?}"
-        );
+    fn pool_map_handles_degenerate_shapes() {
+        // No items, one item, and zero workers (which clamps to one).
+        for len in [0, 1] {
+            for workers in [0, 1, 2, 3, 8] {
+                assert_each_item_runs_once(len, workers);
+            }
+        }
+        for len in [4, 5, 6, 11, 100] {
+            assert_each_item_runs_once(len, 0);
+        }
+    }
+
+    #[test]
+    fn chunks_run_on_one_thread() {
+        // Each worker's first item waits until every worker holds a claim,
+        // so the workers are forced to interleave; still, every aligned run
+        // of 5 consecutive items (the measured `CHUNK`) must execute on one
+        // thread.
+        let items: Vec<usize> = (0..100).collect();
+        for workers in [2, 3] {
+            let barrier = Barrier::new(workers);
+            let started = Mutex::new(HashSet::new());
+            let ids = Mutex::new(vec![None; items.len()]);
+            pool_map(&items, workers, |&i| {
+                let me = std::thread::current().id();
+                if started.lock().unwrap().insert(me) {
+                    barrier.wait();
+                }
+                ids.lock().unwrap()[i] = Some(me);
+            });
+            let ids = ids.into_inner().unwrap();
+            assert_eq!(started.into_inner().unwrap().len(), workers);
+            for (run, ids) in ids.chunks(5).enumerate() {
+                assert!(
+                    ids.iter().all(|id| id.is_some() && *id == ids[0]),
+                    "{workers} workers: run {run} split across threads: {ids:?}"
+                );
+            }
+        }
     }
 
     fn tiny_plan() -> ExperimentPlan {

@@ -158,7 +158,7 @@ fn main() {
         outcomes.push((workers, outcome));
     }
 
-    // Determinism: work-stealing order and worker count must not leak into
+    // Determinism: completion order and worker count must not leak into
     // the aggregated results.
     let (_, baseline) = &outcomes[0];
     for (workers, outcome) in &outcomes[1..] {

@@ -1,4 +1,4 @@
-//! Determinism guarantees of the layered experiment API: the work-stealing
+//! Determinism guarantees of the layered experiment API: the shared-queue
 //! runner at any worker count is byte-identical to the serial reference (a
 //! plain enumeration-order loop, `common::serial_reference`), the build
 //! cache is invisible in the results, and a plan's seed fully determines
@@ -270,11 +270,11 @@ fn full_report_text(results: &ExperimentResults) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The work-stealing scheduler is invisible in the results: for any
+    /// The shared-queue scheduler is invisible in the results: for any
     /// worker count in 1..8, with or without repair rounds, with or
     /// without the build cache, `ScheduledRunner` output — and every
     /// rendered report — is byte-identical to the serial reference on the same
-    /// plan, even though steal order is timing-dependent.
+    /// plan, even though which worker runs what is timing-dependent.
     #[test]
     fn scheduled_runner_matches_serial_byte_for_byte(
         workers in 1usize..8,

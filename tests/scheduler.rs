@@ -1,16 +1,16 @@
 //! Scheduler-specific behaviour of the runner layer: worker-panic context,
-//! degenerate worker/sample shapes, exactly-once progress delivery under
-//! stealing, and scheduling counters.
+//! degenerate worker/sample shapes, exactly-once progress delivery from
+//! the shared LPT queue, and scheduling counters.
 //!
 //! (Byte-identity of scheduled results against the serial reference at
 //! every worker count lives in `tests/determinism.rs`; this file covers
-//! everything else the work-stealing runner promises.)
+//! everything else the shared-queue runner promises.)
 
 mod common;
 
 use common::{lpt_order, serial_reference, serial_reference_of, DeliverySink};
 use minihpc_lang::model::TranslationPair;
-use pareval_core::{CountingSink, ExperimentPlan, NullSink, Runner, ScheduledRunner};
+use pareval_core::{CountingSink, ExperimentPlan, NullSink, Runner, SchedStats, ScheduledRunner};
 use pareval_llm::{all_models, Attempt, AttemptSpec, TranslationBackend};
 use pareval_repo as _;
 use pareval_translate::Technique;
@@ -135,11 +135,11 @@ fn empty_plan_yields_empty_results_without_spawning_trouble() {
 }
 
 #[test]
-fn stealing_delivers_every_sample_exactly_once() {
+fn every_sample_is_delivered_exactly_once() {
     // Count + set equality against the plan's own spec list: nothing
-    // dropped, nothing duplicated, whatever got stolen by whom. One worker
-    // drains the injector in seeding order, so there the delivery order
-    // itself pins LPT seeding.
+    // dropped, nothing duplicated, whichever worker claimed what. One
+    // worker claims the whole queue in order, so there the delivery order
+    // itself pins LPT order.
     let plan = ExperimentPlan::quick();
     let lpt = lpt_order(&plan, plan.sample_specs());
     let mut expected = lpt.clone();
@@ -162,20 +162,14 @@ fn stealing_delivers_every_sample_exactly_once() {
 }
 
 #[test]
-fn run_with_stats_reports_bounded_scheduling_traffic() {
+fn run_with_stats_matches_run_with_in_both_collection_modes() {
     let plan = ExperimentPlan::quick();
     let pipeline = pareval_core::EvalPipeline::new(plan.eval().clone());
     let runner = ScheduledRunner::new(4);
     let (results, stats) = runner.run_with_stats(&plan, &pipeline, &NullSink);
     assert_eq!(results, serial_reference(&plan, &pipeline));
-    // Each sample is handed out exactly once, so the two acquisition paths
-    // together can never exceed the sample count.
-    let total = plan.total_samples() as u64;
-    assert!(
-        stats.steals + stats.injector_refills <= total,
-        "{stats:?} exceeds {total} samples"
-    );
-    assert!(stats.injector_refills > 0, "injector never served a batch");
+    // One shared queue: nothing is ever stolen.
+    assert_eq!(stats, SchedStats::default());
 
     // A streaming plan goes through the same collector: its results equal
     // `run_with`'s, its folded stats equal the buffered run's, and no raw
