@@ -11,8 +11,7 @@
 //! 1. **Plan** ([`plan`]) — [`ExperimentPlan::builder`] deterministically
 //!    enumerates typed cells ([`CellKey`], [`CellSpec`]) and per-sample work
 //!    units ([`SampleSpec`]), resolving feasibility up front and binding
-//!    each cell to a [`pareval_llm::TranslationBackend`] (grids can mix
-//!    backends per cell).
+//!    the grid to one [`pareval_llm::TranslationBackend`].
 //! 2. **Pipeline** ([`eval`]) — an [`EvalPipeline`] turns one sample spec
 //!    into a [`SampleResult`]: backend attempt → technique → build → run →
 //!    score, through a content-addressed [`BuildCache`] shared by every
@@ -77,9 +76,7 @@ pub use journal::{JournalError, JournalReader, JournalSink, Replay};
 pub use minihpc_analyze::{
     AnalysisFinding, Confidence as AnalysisConfidence, FixIt, FixItEdit, Rule as AnalysisRule,
 };
-pub use plan::{
-    CellFilter, CellKey, CellQuery, CellSpec, ExperimentPlan, ExperimentPlanBuilder, SampleSpec,
-};
+pub use plan::{CellKey, CellQuery, CellSpec, ExperimentPlan, ExperimentPlanBuilder, SampleSpec};
 pub use runner::{CountingSink, NullSink, ProgressSink, Runner, SampleRecord};
 pub use sched::{SchedStats, ScheduledRunner};
 pub use task::{all_tasks, EvalConfig, EvalOutcome, RepairRound, SampleResult, Scoring, Task};

@@ -105,9 +105,8 @@ impl Ord for dyn CellQuery + '_ {
     }
 }
 
-/// One enumerated cell of the plan: its key, indices into the plan's task,
-/// model, and backend tables, and the sampling parameters resolved at plan
-/// time.
+/// One enumerated cell of the plan: its key, indices into the plan's task
+/// and model tables, and the sampling parameters resolved at plan time.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     pub key: CellKey,
@@ -115,10 +114,7 @@ pub struct CellSpec {
     pub task: usize,
     /// Index into [`ExperimentPlan::models`].
     pub model: usize,
-    /// Index into [`ExperimentPlan::backends`] — the translation backend
-    /// this cell runs on (grids can mix backends per cell).
-    pub backend: usize,
-    /// Plan-time feasibility, as judged by the cell's backend (the default
+    /// Plan-time feasibility, as judged by the plan's backend (the default
     /// [`SimulatedBackend`] uses the paper calibration): infeasible cells
     /// get zero [`SampleSpec`]s, so a partially-run infeasible cell cannot
     /// exist.
@@ -158,51 +154,6 @@ pub fn sample_cost_hint(technique: Technique, eval: &EvalConfig, feasible: bool)
     base * (1 + eval.repair_budget)
 }
 
-/// A declarative cell predicate for [`ExperimentPlanBuilder::backend_for`]:
-/// `None` fields match anything. Plain data (not a closure) so plans and
-/// builders stay `Clone + Debug`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CellFilter {
-    pub pair: Option<TranslationPair>,
-    pub technique: Option<Technique>,
-    pub model: Option<String>,
-    pub app: Option<String>,
-}
-
-impl CellFilter {
-    /// Matches every cell.
-    pub fn any() -> Self {
-        Self::default()
-    }
-
-    pub fn pair(mut self, pair: TranslationPair) -> Self {
-        self.pair = Some(pair);
-        self
-    }
-
-    pub fn technique(mut self, technique: Technique) -> Self {
-        self.technique = Some(technique);
-        self
-    }
-
-    pub fn model(mut self, model: impl Into<String>) -> Self {
-        self.model = Some(model.into());
-        self
-    }
-
-    pub fn app(mut self, app: impl Into<String>) -> Self {
-        self.app = Some(app.into());
-        self
-    }
-
-    pub fn matches(&self, key: &CellKey) -> bool {
-        self.pair.is_none_or(|p| p == key.pair)
-            && self.technique.is_none_or(|t| t == key.technique)
-            && self.model.as_deref().is_none_or(|m| m == key.model)
-            && self.app.as_deref().is_none_or(|a| a == key.app)
-    }
-}
-
 /// One schedulable unit of work: a single seeded generation of one cell.
 /// Samples are independent, so a runner may execute them in any order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +174,7 @@ pub struct ExperimentPlan {
     eval: EvalConfig,
     tasks: Vec<Task>,
     models: Vec<ModelProfile>,
-    backends: Vec<Arc<dyn TranslationBackend>>,
+    backend: Arc<dyn TranslationBackend>,
     cells: Vec<CellSpec>,
     streaming: bool,
 }
@@ -267,12 +218,6 @@ impl ExperimentPlan {
         &self.cells
     }
 
-    /// The backend table: index 0 is the default, later entries were added
-    /// by [`ExperimentPlanBuilder::backend_for`] overrides.
-    pub fn backends(&self) -> &[Arc<dyn TranslationBackend>] {
-        &self.backends
-    }
-
     pub fn task_of(&self, cell: &CellSpec) -> &Task {
         &self.tasks[cell.task]
     }
@@ -281,8 +226,10 @@ impl ExperimentPlan {
         &self.models[cell.model]
     }
 
-    pub fn backend_of(&self, cell: &CellSpec) -> &dyn TranslationBackend {
-        &*self.backends[cell.backend]
+    /// The translation backend `cell` runs on: the plan's one backend
+    /// (see [`ExperimentPlanBuilder::backend`]), the same for every cell.
+    pub fn backend_of(&self, _cell: &CellSpec) -> &dyn TranslationBackend {
+        &*self.backend
     }
 
     /// Total samples a runner will execute (infeasible cells contribute 0).
@@ -301,7 +248,7 @@ impl ExperimentPlan {
     /// [`crate::journal`]) so a resume can refuse a journal written by a
     /// different grid. Hashes everything that determines the result set:
     /// the seed, the result-affecting [`EvalConfig`] knobs, and every
-    /// cell's key, feasibility, sample count, and backend *name*. Pure
+    /// cell's key, feasibility, sample count, and the backend *name*. Pure
     /// wall-clock knobs (`build_cache`, the disk-cache tier) are excluded —
     /// toggling them mid-resume is legal because results are byte-identical
     /// either way.
@@ -339,7 +286,7 @@ impl ExperimentPlan {
             }
             h.field(&[cell.feasible as u8]);
             h.field(&cell.samples.to_le_bytes());
-            h.field(self.backends[cell.backend].name().as_bytes());
+            h.field(self.backend.name().as_bytes());
         }
         h.finish()
     }
@@ -385,7 +332,6 @@ pub struct ExperimentPlanBuilder {
     extra_apps: Vec<Application>,
     eval: EvalConfig,
     backend: Arc<dyn TranslationBackend>,
-    backend_overrides: Vec<(CellFilter, Arc<dyn TranslationBackend>)>,
     streaming: bool,
 }
 
@@ -401,7 +347,6 @@ impl Default for ExperimentPlanBuilder {
             extra_apps: Vec::new(),
             eval: default_eval(),
             backend: Arc::new(SimulatedBackend),
-            backend_overrides: Vec::new(),
             streaming: false,
         }
     }
@@ -474,21 +419,12 @@ impl ExperimentPlanBuilder {
         self
     }
 
-    /// The default [`TranslationBackend`] for every cell
-    /// ([`SimulatedBackend`] unless set). `Arc<ConcreteBackend>` coerces,
-    /// so `.backend(Arc::new(OracleBackend))` just works; pass a clone of
-    /// an existing handle to share stateful backends (e.g. a recorder)
-    /// with the caller.
+    /// The [`TranslationBackend`] every cell of the plan runs on
+    /// ([`SimulatedBackend`] unless set); it also judges each cell's
+    /// feasibility. `Arc<ConcreteBackend>` coerces, so
+    /// `.backend(Arc::new(OracleBackend))` just works.
     pub fn backend(mut self, backend: Arc<dyn TranslationBackend>) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Route the cells matching `filter` to a different backend — a grid
-    /// can mix backends per cell (e.g. oracle upper-bounds for one model
-    /// column, replay for the rest). Later overrides win on overlap.
-    pub fn backend_for(mut self, filter: CellFilter, backend: Arc<dyn TranslationBackend>) -> Self {
-        self.backend_overrides.push((filter, backend));
         self
     }
 
@@ -518,8 +454,6 @@ impl ExperimentPlanBuilder {
                 }
             }
         }
-        let mut backends: Vec<Arc<dyn TranslationBackend>> = vec![self.backend];
-        backends.extend(self.backend_overrides.iter().map(|(_, b)| Arc::clone(b)));
         let mut seen = std::collections::BTreeSet::new();
         let mut cells = Vec::with_capacity(tasks.len() * self.techniques.len() * self.models.len());
         for (ti, task) in tasks.iter().enumerate() {
@@ -534,14 +468,7 @@ impl ExperimentPlanBuilder {
                     if !seen.insert(key) {
                         continue;
                     }
-                    // Backend table slot: the last matching override, else
-                    // the default at index 0.
-                    let backend = self
-                        .backend_overrides
-                        .iter()
-                        .rposition(|(f, _)| f.matches(&key))
-                        .map_or(0, |i| i + 1);
-                    let feasible = backends[backend].cell_feasible(
+                    let feasible = self.backend.cell_feasible(
                         task.pair,
                         *technique,
                         model.name,
@@ -551,7 +478,6 @@ impl ExperimentPlanBuilder {
                         key,
                         task: ti,
                         model: mi,
-                        backend,
                         feasible,
                         samples: if feasible { self.samples } else { 0 },
                         cost_hint: sample_cost_hint(*technique, &self.eval, feasible),
@@ -564,7 +490,7 @@ impl ExperimentPlanBuilder {
             eval: self.eval,
             tasks,
             models: self.models,
-            backends,
+            backend: self.backend,
             cells,
             streaming: self.streaming,
         }
@@ -583,6 +509,17 @@ mod tests {
             ExperimentPlan::quick().fingerprint(),
             0x74badfd8346f83889330afd4717f4ebe
         );
+        // The same slice on the oracle: the backend's name enters the
+        // fingerprint once per cell, and the oracle also makes the
+        // SWE-agent cells feasible, so this pins that term for a
+        // non-default backend.
+        let oracle = ExperimentPlan::builder()
+            .samples(3)
+            .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
+            .apps(["nanoXOR", "microXORh", "microXOR"])
+            .backend(Arc::new(pareval_llm::OracleBackend))
+            .build();
+        assert_eq!(oracle.fingerprint(), 0x25b68f2f5ec798d9eda4b3a2e9bf209c);
     }
 
     #[test]
@@ -636,54 +573,6 @@ mod tests {
             assert_eq!(x.samples, y.samples);
         }
         assert_eq!(a.sample_specs(), b.sample_specs());
-    }
-
-    #[test]
-    fn backend_overrides_route_cells_and_feasibility() {
-        use pareval_llm::OracleBackend;
-
-        // One override: gemini cells run on the oracle, the rest on the
-        // default simulation.
-        let plan = ExperimentPlan::builder()
-            .samples(2)
-            .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
-            .techniques([Technique::NonAgentic])
-            .apps(["XSBench"])
-            .backend_for(
-                CellFilter::any().model("gemini-1.5-flash"),
-                Arc::new(OracleBackend),
-            )
-            .build();
-        assert_eq!(plan.backends().len(), 2);
-        for cell in plan.cells() {
-            if cell.key.model == "gemini-1.5-flash" {
-                assert_eq!(cell.backend, 1);
-                assert_eq!(plan.backend_of(cell).name(), "oracle");
-                // The paper could not run this cell (context window); the
-                // oracle can, so it is feasible and scheduled.
-                assert!(cell.feasible && cell.samples == 2);
-            } else {
-                assert_eq!(cell.backend, 0);
-                assert_eq!(plan.backend_of(cell).name(), "simulated");
-            }
-        }
-    }
-
-    #[test]
-    fn later_backend_overrides_win() {
-        use pareval_llm::{OracleBackend, SimulatedBackend};
-
-        let plan = ExperimentPlan::builder()
-            .samples(1)
-            .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
-            .techniques([Technique::NonAgentic])
-            .apps(["nanoXOR"])
-            .backend_for(CellFilter::any(), Arc::new(OracleBackend))
-            .backend_for(CellFilter::any().app("nanoXOR"), Arc::new(SimulatedBackend))
-            .build();
-        for cell in plan.cells() {
-            assert_eq!(plan.backend_of(cell).name(), "simulated");
-        }
     }
 
     #[test]

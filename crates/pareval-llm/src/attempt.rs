@@ -9,14 +9,12 @@
 //! techniques drive it file by file) extended with the attempt-level
 //! reporting the harness needs: feasibility and token usage.
 //!
-//! Four backends ship with the crate:
+//! Two backends ship with the crate:
 //!
 //! | backend | purpose |
 //! |---|---|
 //! | [`SimulatedBackend`](crate::SimulatedBackend) | paper-calibrated simulation (the default; wraps [`SimulatedModel`](crate::SimulatedModel)) |
 //! | [`OracleBackend`](crate::OracleBackend) | always-correct translations — a pass@1 = 1.0 upper bound |
-//! | [`RecordingBackend`](crate::RecordingBackend) | transparent proxy that serializes every attempt to a [`ReplayStore`](crate::ReplayStore) |
-//! | [`ReplayBackend`](crate::ReplayBackend) | replays a store verbatim for deterministic offline re-evaluation |
 
 use crate::backend::TokenUsage;
 use crate::profiles::ModelProfile;
@@ -205,10 +203,9 @@ impl Backend for Box<dyn Attempt + '_> {
 
 /// An object-safe family of translation attempts.
 ///
-/// Implementations must be `Send + Sync`: a plan holds its backends behind
+/// Implementations must be `Send + Sync`: a plan holds its backend behind
 /// `Arc` and parallel runners start attempts from many worker threads at
-/// once. Backends with mutable state (e.g. the recording store) use
-/// interior locking.
+/// once, so a backend with mutable state must lock it internally.
 pub trait TranslationBackend: Send + Sync {
     /// Short stable identifier, used in `Debug` output and reports.
     fn name(&self) -> &'static str;

@@ -18,9 +18,6 @@
 //!   [`RepairOutcome`]).
 //! - [`oracle`]: [`OracleBackend`], always-correct translations (a
 //!   pass@1 = 1.0 upper bound the paper cannot measure).
-//! - [`replay`]: [`RecordingBackend`] / [`ReplayBackend`], which serialize
-//!   attempts to an in-memory [`ReplayStore`] for deterministic offline
-//!   re-evaluation.
 
 pub mod attempt;
 pub mod backend;
@@ -28,7 +25,6 @@ pub mod calibration;
 pub mod inject;
 pub mod oracle;
 pub mod profiles;
-pub mod replay;
 
 pub use attempt::{
     apply_fixits, Attempt, AttemptSpec, RepairContext, RepairOutcome, TranslationBackend,
@@ -40,4 +36,3 @@ pub use profiles::{
     all_models, base_fix_probability, model_by_name, model_index, ModelKind, ModelProfile,
     MODEL_ORDER,
 };
-pub use replay::{AttemptKey, RecordingBackend, ReplayBackend, ReplayStore};

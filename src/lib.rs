@@ -15,14 +15,13 @@ pub use minihpc_build as build;
 /// [`Runner`](pareval_core::Runner), query the collected results.
 pub mod prelude {
     pub use pareval_core::{
-        report, CellFilter, CellKey, CellResult, CellSpec, EvalConfig, EvalPipeline,
-        ExperimentPlan, ExperimentResults, JournalError, JournalReader, JournalSink, Metric,
-        NullSink, ProgressSink, RepairRound, Runner, SampleRecord, SampleSpec, SchedStats,
-        ScheduledRunner, Scoring,
+        report, CellKey, CellResult, CellSpec, EvalConfig, EvalPipeline, ExperimentPlan,
+        ExperimentResults, JournalError, JournalReader, JournalSink, Metric, NullSink,
+        ProgressSink, RepairRound, Runner, SampleRecord, SampleSpec, SchedStats, ScheduledRunner,
+        Scoring,
     };
     pub use pareval_llm::{
-        OracleBackend, RecordingBackend, RepairContext, RepairOutcome, ReplayBackend,
-        SimulatedBackend, TranslationBackend,
+        OracleBackend, RepairContext, RepairOutcome, SimulatedBackend, TranslationBackend,
     };
 }
 pub use minihpc_gen as gen;

@@ -1,13 +1,12 @@
 //! Integration tests for the pluggable backend layer: the oracle upper
-//! bound, recording → replay round-trips, and the build-cache = cold-build
-//! property.
+//! bound and the build-cache = cold-build property.
 
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
-    all_tasks, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentPlanBuilder, Metric, NullSink,
-    Runner, ScheduledRunner, Scoring, Task,
+    all_tasks, EvalConfig, EvalPipeline, ExperimentPlan, Metric, NullSink, Runner, ScheduledRunner,
+    Scoring, Task,
 };
-use pareval_llm::{all_models, OracleBackend, RecordingBackend, ReplayBackend, SimulatedBackend};
+use pareval_llm::{all_models, OracleBackend, SimulatedBackend};
 use pareval_repo as _;
 use pareval_translate::Technique;
 use proptest::prelude::*;
@@ -102,55 +101,6 @@ fn oracle_overall_shortfall_is_confined_to_swe_agent() {
             _ => assert_eq!(overall, 1.0, "{key:?}"),
         }
     }
-}
-
-// -- RecordingBackend → ReplayBackend -----------------------------------------
-
-fn recorded_slice() -> ExperimentPlanBuilder {
-    ExperimentPlan::builder()
-        .samples(3)
-        .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
-        .techniques([Technique::NonAgentic, Technique::TopDownAgentic])
-        .models(
-            all_models()
-                .into_iter()
-                .filter(|m| m.name == "o4-mini" || m.name == "qwq-32b-q8_0"),
-        )
-        .apps(["nanoXOR", "microXOR"])
-}
-
-#[test]
-fn record_replay_round_trip_is_byte_identical() {
-    let recording = RecordingBackend::new(SimulatedBackend);
-    let store = recording.store();
-
-    // Record a parallel run...
-    let record_plan = recorded_slice().backend(Arc::new(recording)).build();
-    let recorded = ScheduledRunner::new(3).run(&record_plan);
-
-    // ...then replay it offline (different runner, different worker count)
-    // and against the plain simulated run for transparency.
-    let replay_plan = recorded_slice()
-        .backend(Arc::new(ReplayBackend::new(store)))
-        .build();
-    let replayed = ScheduledRunner::new(1).run(&replay_plan);
-    assert_eq!(recorded, replayed);
-    assert_eq!(format!("{recorded:?}"), format!("{replayed:?}"));
-
-    let direct = ScheduledRunner::new(1).run(&recorded_slice().build());
-    assert_eq!(direct, replayed, "recording proxy must be transparent");
-}
-
-#[test]
-fn replay_marks_unrecorded_cells_infeasible_at_plan_time() {
-    // An empty store: every cell is infeasible, nothing is scheduled.
-    let plan = recorded_slice()
-        .backend(Arc::new(ReplayBackend::new(
-            RecordingBackend::new(SimulatedBackend).store(),
-        )))
-        .build();
-    assert!(plan.cells().iter().all(|c| !c.feasible && c.samples == 0));
-    assert_eq!(plan.total_samples(), 0);
 }
 
 // -- BuildCache ---------------------------------------------------------------

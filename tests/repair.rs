@@ -1,14 +1,13 @@
 //! Integration tests for the repair-loop subsystem: bounded repair rounds
-//! strictly improve build rates, repaired grids stay deterministic, record →
-//! replay round-trips include repair rounds, and the oracle undoes
-//! technique-level damage in one round.
+//! strictly improve build rates, repaired grids stay deterministic, and the
+//! oracle undoes technique-level damage in one round.
 
 use minihpc_lang::model::TranslationPair;
 use pareval_core::{
     report, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentPlanBuilder, Metric, NullSink,
     Runner, ScheduledRunner, Scoring,
 };
-use pareval_llm::{all_models, OracleBackend, RecordingBackend, ReplayBackend, SimulatedBackend};
+use pareval_llm::{all_models, OracleBackend};
 use pareval_repo as _;
 use pareval_translate::Technique;
 use std::sync::Arc;
@@ -127,30 +126,6 @@ fn repaired_cached_parallel_matches_uncached_serial() {
     assert_eq!(uncached_pipeline.cache_stats().misses, 0);
     assert_eq!(cached, uncached);
     assert_eq!(format!("{cached:?}"), format!("{uncached:?}"));
-}
-
-#[test]
-fn record_replay_round_trip_includes_repair_rounds() {
-    let recording = RecordingBackend::new(SimulatedBackend);
-    let store = recording.store();
-
-    let record_plan = slice(2).backend(Arc::new(recording)).build();
-    let recorded = ScheduledRunner::new(3).run(&record_plan);
-    assert!(
-        recorded.max_repair_round() >= 1,
-        "the recorded grid must exercise repair"
-    );
-
-    let replay_plan = slice(2)
-        .backend(Arc::new(ReplayBackend::new(store)))
-        .build();
-    let replayed = ScheduledRunner::new(1).run(&replay_plan);
-    assert_eq!(recorded, replayed);
-    assert_eq!(format!("{recorded:?}"), format!("{replayed:?}"));
-
-    // The recording proxy itself must be transparent under repair.
-    let direct = ScheduledRunner::new(1).run(&slice(2).build());
-    assert_eq!(direct, replayed);
 }
 
 #[test]
