@@ -75,10 +75,6 @@ pub(crate) struct Summaries {
 }
 
 impl Summaries {
-    pub fn empty() -> Summaries {
-        Summaries::default()
-    }
-
     pub fn get(&self, name: &str) -> Option<&FnSummary> {
         self.map.get(name)
     }

@@ -53,34 +53,11 @@ use callgraph::Summaries;
 use minihpc_lang::{parse_file, FileKind, SourceRepo};
 use rules::FnAnalyzer;
 
-/// Analysis configuration.
-#[derive(Debug, Clone)]
-pub struct AnalyzeOptions {
-    /// Run the call-graph summary pass so rules see writes hidden behind
-    /// helper calls. On by default; turning it off reproduces the v1
-    /// (intraprocedural) behaviour — kept for the regression tests that
-    /// prove the one-call-deep false negative.
-    pub interprocedural: bool,
-}
-
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            interprocedural: true,
-        }
-    }
-}
-
-/// Analyze every parseable code file of a repository with default options.
+/// Analyze every parseable code file of a repository.
 /// Unparseable files are skipped (the build pipeline owns syntax errors).
 /// Findings are returned in a deterministic order:
 /// (file, line, rule, variable, message).
 pub fn analyze_repo(repo: &SourceRepo) -> Vec<AnalysisFinding> {
-    analyze_repo_with(repo, &AnalyzeOptions::default())
-}
-
-/// [`analyze_repo`] with explicit [`AnalyzeOptions`].
-pub fn analyze_repo_with(repo: &SourceRepo, opts: &AnalyzeOptions) -> Vec<AnalysisFinding> {
     // Parse everything once: the same ASTs feed the summary pass and the
     // per-function rules.
     let parsed: Vec<(&str, &str, minihpc_lang::ast::SourceFile)> = repo
@@ -89,11 +66,7 @@ pub fn analyze_repo_with(repo: &SourceRepo, opts: &AnalyzeOptions) -> Vec<Analys
         .filter_map(|(path, text)| Some((path, text, parse_file(text).ok()?)))
         .collect();
 
-    let summaries = if opts.interprocedural {
-        Summaries::build(parsed.iter().map(|(_, _, f)| f))
-    } else {
-        Summaries::empty()
-    };
+    let summaries = Summaries::build(parsed.iter().map(|(_, _, f)| f));
 
     let mut findings = Vec::new();
     for (path, text, file) in &parsed {
@@ -131,16 +104,6 @@ mod tests {
     fn analyze_src(src: &str) -> Vec<AnalysisFinding> {
         let repo = SourceRepo::new().with_file("src/main.cpp", src);
         analyze_repo(&repo)
-    }
-
-    fn analyze_src_v1(src: &str) -> Vec<AnalysisFinding> {
-        let repo = SourceRepo::new().with_file("src/main.cpp", src);
-        analyze_repo_with(
-            &repo,
-            &AnalyzeOptions {
-                interprocedural: false,
-            },
-        )
     }
 
     fn rules(findings: &[AnalysisFinding]) -> Vec<Rule> {
@@ -488,9 +451,9 @@ mod tests {
     #[test]
     fn interprocedural_raw_reduction_was_a_v1_false_negative() {
         // A race hidden one call deep: the region calls `accumulate(&sum, x)`
-        // and the helper does `*acc += x`. v1 (intraprocedural) sees only a
-        // read of `sum` — the frozen false negative. v2's summary pass
-        // catches it with Medium confidence and the same reduction fix-it.
+        // and the helper does `*acc += x`. The region itself only reads
+        // `sum`; the summary pass catches the write with Medium confidence
+        // and the same reduction fix-it.
         let src = "void accumulate(double* acc, double x) { *acc += x; }\n\
                    double run(int n) {\n\
                    double sum = 0.0;\n\
@@ -500,9 +463,6 @@ mod tests {
                    }\n\
                    return sum;\n\
                    }\n";
-        let v1 = analyze_src_v1(src);
-        assert!(v1.is_empty(), "v1 must miss the hidden race: {v1:#?}");
-
         let v2 = analyze_src(src);
         assert_eq!(rules(&v2), vec![Rule::RawReduction], "{v2:#?}");
         assert_eq!(v2[0].variable, "sum");
@@ -525,8 +485,6 @@ mod tests {
                    bump_first(data);\n\
                    }\n\
                    }\n";
-        let v1 = analyze_src_v1(src);
-        assert!(v1.is_empty(), "v1 must miss it: {v1:#?}");
         let v2 = analyze_src(src);
         assert_eq!(rules(&v2), vec![Rule::SharedWriteConflict], "{v2:#?}");
         assert_eq!(v2[0].variable, "data");

@@ -92,7 +92,7 @@ impl<'e> Interp<'e> {
                     return Err(type_err("printf requires a format string").into());
                 };
                 let text = printf(fmt, &values[1..]);
-                self.out.lock().push_str(&text);
+                self.out.borrow_mut().push_str(&text);
                 Ok(Value::Int(text.len() as i64))
             }
             "fprintf" => {
@@ -100,7 +100,7 @@ impl<'e> Interp<'e> {
                     return Err(type_err("fprintf requires a format string").into());
                 };
                 let text = printf(fmt, &values[2..]);
-                self.out.lock().push_str(&text);
+                self.out.borrow_mut().push_str(&text);
                 Ok(Value::Int(text.len() as i64))
             }
             "malloc" => Ok(Value::UntypedAlloc {
@@ -185,14 +185,16 @@ impl<'e> Interp<'e> {
             "min" => Ok(Value::Int(int(&arg(0)).min(int(&arg(1))))),
             "max" => Ok(Value::Int(int(&arg(0)).max(int(&arg(1))))),
             "rand" => {
-                let mut s = self.rng.lock();
-                *s = s
+                let s = self
+                    .rng
+                    .get()
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                Ok(Value::Int(((*s >> 33) & 0x7FFF_FFFF) as i64))
+                self.rng.set(s);
+                Ok(Value::Int(((s >> 33) & 0x7FFF_FFFF) as i64))
             }
             "srand" => {
-                *self.rng.lock() = int(&arg(0)) as u64 | 1;
+                self.rng.set(int(&arg(0)) as u64 | 1);
                 Ok(Value::Void)
             }
             "assert" => {
@@ -206,9 +208,9 @@ impl<'e> Interp<'e> {
                 Ok(Value::Void)
             }
             "omp_get_wtime" => {
-                let mut t = self.clock.lock();
-                *t += 1e-6;
-                Ok(Value::Float(*t))
+                let t = self.clock.get() + 1e-6;
+                self.clock.set(t);
+                Ok(Value::Float(t))
             }
             "omp_get_num_threads" | "omp_get_max_threads" => {
                 Ok(Value::Int(self.config.workers as i64))
@@ -493,7 +495,7 @@ impl<'e> Interp<'e> {
             values.push(self.eval(frame, a)?);
         }
         let total = grid.count() * block.count();
-        self.telemetry.record_device_region(total);
+        self.record_device_region(total);
         self.mem.detector.begin_kernel();
 
         let depth = frame.depth;
@@ -528,26 +530,17 @@ impl<'e> Interp<'e> {
             }
         };
 
-        let run_one = |interp: &Self, logical: u64| -> IResult<()> {
+        for logical in 0..total {
             let mut kframe = make_frame(logical);
             for (p, v) in f.params.iter().zip(values.iter().cloned()) {
-                let v = interp.coerce(v, &p.ty)?;
+                let v = self.coerce(v, &p.ty)?;
                 kframe.declare(&p.name, v, Some(p.ty.clone()));
             }
             let body = f
                 .body
                 .as_ref()
                 .ok_or_else(|| type_err(format!("kernel '{kernel}' has no definition")))?;
-            interp.exec_block(&mut kframe, body)?;
-            Ok(())
-        };
-
-        if self.config.parallel && total > 1 {
-            self.run_indices_parallel(total, &run_one)?;
-        } else {
-            for logical in 0..total {
-                run_one(self, logical)?;
-            }
+            self.exec_block(&mut kframe, body)?;
         }
         Ok(Value::Void)
     }
@@ -562,11 +555,11 @@ impl<'e> Interp<'e> {
         let base = func.split('<').next().unwrap_or(func);
         match base {
             "initialize" => {
-                *self.kokkos_initialized.lock() = true;
+                self.kokkos_initialized.set(true);
                 Ok(Value::Void)
             }
             "finalize" => {
-                *self.kokkos_initialized.lock() = false;
+                self.kokkos_initialized.set(false);
                 Ok(Value::Void)
             }
             "fence" => Ok(Value::Void),
@@ -644,7 +637,7 @@ impl<'e> Interp<'e> {
     }
 
     fn kokkos_parallel(&self, frame: &mut Frame, which: &str, args: &[Expr]) -> IResult<Value> {
-        if !*self.kokkos_initialized.lock() {
+        if !self.kokkos_initialized.get() {
             return Err(type_err(format!(
                 "Kokkos::{which} called before Kokkos::initialize()"
             ))
@@ -670,7 +663,7 @@ impl<'e> Interp<'e> {
             return Err(type_err(format!("Kokkos::{which} requires a lambda")).into());
         };
 
-        let (total, to_indices): (u64, Box<dyn Fn(u64) -> Vec<i64> + Sync>) = match policy {
+        let (total, to_indices): (u64, Box<dyn Fn(u64) -> Vec<i64>>) = match policy {
             Policy::Range { lo, hi } => {
                 let n = (hi - lo).max(0) as u64;
                 (n, Box::new(move |i| vec![lo + i as i64]))
@@ -684,12 +677,12 @@ impl<'e> Interp<'e> {
                 )
             }
         };
-        self.telemetry.record_device_region(total);
+        self.record_device_region(total);
         self.mem.detector.begin_kernel();
         let depth = frame.depth;
 
         if which == "parallel_for" {
-            let run_one = |interp: &Self, logical: u64| -> IResult<()> {
+            for logical in 0..total {
                 let indices = to_indices(logical);
                 let mut kframe = Frame {
                     scopes: vec![closure.captures.iter().cloned().collect(), HashMap::new()],
@@ -704,15 +697,7 @@ impl<'e> Interp<'e> {
                 for (p, idx) in closure.params.iter().zip(indices) {
                     kframe.declare(&p.name, Value::Int(idx), Some(p.ty.clone()));
                 }
-                interp.exec_block(&mut kframe, &closure.body)?;
-                Ok(())
-            };
-            if self.config.parallel && total > 1 {
-                self.run_indices_parallel(total, &run_one)?;
-            } else {
-                for i in 0..total {
-                    run_one(self, i)?;
-                }
+                self.exec_block(&mut kframe, &closure.body)?;
             }
             return Ok(Value::Void);
         }

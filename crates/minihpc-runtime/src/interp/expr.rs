@@ -182,7 +182,7 @@ impl<'e> Interp<'e> {
                 body,
             } => Ok(Value::Lambda(Box::new(Closure {
                 params: params.clone(),
-                body: Arc::new(body.clone()),
+                body: Rc::new(body.clone()),
                 captures: frame.visible(),
             }))),
         }
@@ -204,7 +204,7 @@ impl<'e> Interp<'e> {
                 return Ok(Value::Dim3(d));
             }
         }
-        if let Some(v) = self.globals.lock().get(name) {
+        if let Some(v) = self.globals.borrow().get(name) {
             return Ok(v.clone());
         }
         match name {
@@ -261,7 +261,7 @@ impl<'e> Interp<'e> {
                         let current = frame
                             .get(&name)
                             .cloned()
-                            .or_else(|| self.globals.lock().get(&name).cloned())
+                            .or_else(|| self.globals.borrow().get(&name).cloned())
                             .ok_or_else(|| type_err(format!("unbound variable '{name}'")))?;
                         let elem = frame
                             .types
@@ -455,7 +455,7 @@ impl<'e> Interp<'e> {
             Place::Var(name) => frame
                 .get(name)
                 .cloned()
-                .or_else(|| self.globals.lock().get(name).cloned())
+                .or_else(|| self.globals.borrow().get(name).cloned())
                 .ok_or_else(|| type_err(format!("unbound variable '{name}'")).into()),
             Place::Mem {
                 space,
@@ -504,7 +504,7 @@ impl<'e> Interp<'e> {
                 if frame.set_existing(name, value.clone()) {
                     return Ok(());
                 }
-                let mut globals = self.globals.lock();
+                let mut globals = self.globals.borrow_mut();
                 if let Some(slot) = globals.get_mut(name) {
                     *slot = value;
                     return Ok(());

@@ -8,8 +8,9 @@
 //!   clauses allocate/copy device buffers and rebind the mapped pointers for
 //!   the region's extent. A directive *without* `target` (paper Listing 4)
 //!   runs on the host — the harness's GPU-execution check then fails it.
-//! - **OpenMP threads**: `parallel for` executes the loop (optionally on a
-//!   real thread pool) in host space.
+//! - **OpenMP threads**: `parallel for` executes the loop in host space,
+//!   either as one sequential loop or (with [`RunConfig::parallel`]) as
+//!   per-worker chunks run one after another.
 //! - **Kokkos**: views are device buffers; `parallel_for`/`parallel_reduce`
 //!   execute lambdas in device space; `create_mirror_view`/`deep_copy`
 //!   perform the transfers.
@@ -24,10 +25,9 @@ use crate::value::*;
 use minihpc_build::object::Executable;
 use minihpc_lang::ast::*;
 use minihpc_lang::pragma::{MapKind, OmpConstruct, OmpDirective, ReductionOp};
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Runtime configuration.
 #[derive(Debug, Clone)]
@@ -37,9 +37,14 @@ pub struct RunConfig {
     /// Statement budget; exceeding it aborts with `StepLimit` (the run-time
     /// analogue of the paper's per-experiment timeout).
     pub max_steps: u64,
-    /// Execute device regions on a real thread pool.
+    /// Run OpenMP `parallel for` loops as `workers` logical workers, run in
+    /// order on the calling thread: each worker gets its own frame, private
+    /// reduction accumulators, and a contiguous chunk of the iterations.
+    /// CUDA and Kokkos launches compute the same either way.
     pub parallel: bool,
-    /// Number of worker threads for parallel mode.
+    /// Number of logical workers for parallel mode, and the value of
+    /// `omp_get_max_threads()`. Defaults to 4 on every host, so no result
+    /// depends on the machine's CPU count.
     pub workers: usize,
     /// Enable the write-race detector on device memory.
     pub detect_races: bool,
@@ -56,9 +61,7 @@ impl Default for RunConfig {
             args: vec![],
             max_steps: 200_000_000,
             parallel: false,
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
+            workers: 4,
             detect_races: false,
             record_shared_writes: false,
         }
@@ -75,34 +78,6 @@ impl RunConfig {
 }
 
 /// Where parallel work executed.
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    pub device_regions: AtomicU64,
-    pub device_threads: AtomicU64,
-    pub max_device_parallelism: AtomicU64,
-    pub host_parallel_regions: AtomicU64,
-}
-
-impl Telemetry {
-    fn record_device_region(&self, logical_threads: u64) {
-        self.device_regions.fetch_add(1, Ordering::Relaxed);
-        self.device_threads
-            .fetch_add(logical_threads, Ordering::Relaxed);
-        self.max_device_parallelism
-            .fetch_max(logical_threads, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            device_regions: self.device_regions.load(Ordering::Relaxed),
-            device_threads: self.device_threads.load(Ordering::Relaxed),
-            max_device_parallelism: self.max_device_parallelism.load(Ordering::Relaxed),
-            host_parallel_regions: self.host_parallel_regions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Immutable copy of the telemetry counters after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     pub device_regions: u64,
@@ -176,7 +151,7 @@ struct Frame {
     /// Shared-write recorder for the watched parallel region this frame
     /// executes under, if any (`RunConfig::record_shared_writes`).
     /// Propagated into calls so global writes are still seen.
-    watch: Option<Arc<RegionWatch>>,
+    watch: Option<Rc<RegionWatch>>,
     /// How many leading scopes of this frame hold the region's shared
     /// snapshot: 1 on worker frames, 0 everywhere else (a callee's scope 0
     /// holds its own parameters, which are private).
@@ -266,18 +241,18 @@ struct StructLayout {
 pub struct Interp<'e> {
     exe: &'e Executable,
     mem: Memory,
-    out: Mutex<String>,
-    steps: AtomicU64,
+    out: RefCell<String>,
+    steps: Cell<u64>,
     config: RunConfig,
-    pub telemetry: Telemetry,
-    rng: Mutex<u64>,
-    clock: Mutex<f64>,
+    telemetry: Cell<TelemetrySnapshot>,
+    rng: Cell<u64>,
+    clock: Cell<f64>,
     layouts: HashMap<String, StructLayout>,
-    globals: Mutex<HashMap<String, Value>>,
+    globals: RefCell<HashMap<String, Value>>,
     global_types: HashMap<String, Type>,
-    kokkos_initialized: Mutex<bool>,
+    kokkos_initialized: Cell<bool>,
     /// Monotonic id for watched parallel regions (shared-write recording).
-    regions: AtomicU64,
+    regions: Cell<u64>,
 }
 
 /// Run a linked executable to completion.
@@ -313,14 +288,14 @@ pub fn run(exe: &Executable, config: RunConfig) -> RunResult {
     let interp = Interp {
         exe,
         mem: Memory::new(detect, record_shared),
-        out: Mutex::new(String::new()),
-        steps: AtomicU64::new(0),
+        out: RefCell::default(),
+        steps: Cell::new(0),
         config,
-        telemetry: Telemetry::default(),
-        rng: Mutex::new(0x2545F4914F6CDD1D),
-        clock: Mutex::new(0.0),
+        telemetry: Cell::default(),
+        rng: Cell::new(0x2545F4914F6CDD1D),
+        clock: Cell::new(0.0),
         layouts,
-        globals: Mutex::new(HashMap::new()),
+        globals: RefCell::default(),
         global_types: exe
             .globals
             .iter()
@@ -332,8 +307,8 @@ pub fn run(exe: &Executable, config: RunConfig) -> RunResult {
                 (d.name.clone(), t)
             })
             .collect(),
-        kokkos_initialized: Mutex::new(false),
-        regions: AtomicU64::new(0),
+        kokkos_initialized: Cell::new(false),
+        regions: Cell::new(0),
     };
     interp.run_main()
 }
@@ -341,10 +316,10 @@ pub fn run(exe: &Executable, config: RunConfig) -> RunResult {
 impl<'e> Interp<'e> {
     fn run_main(self) -> RunResult {
         let outcome = self.exec_program();
-        let telemetry = self.telemetry.snapshot();
+        let telemetry = self.telemetry.get();
         let races = self.mem.detector.races();
         let race_vars = self.mem.detector.shared_conflict_vars();
-        let stdout = std::mem::take(&mut *self.out.lock());
+        let stdout = self.out.into_inner();
         match outcome {
             Ok(code) => RunResult {
                 stdout,
@@ -378,7 +353,7 @@ impl<'e> Interp<'e> {
         // Initialise globals.
         for decl in &self.exe.globals {
             let value = self.eval_decl_value(&mut frame, decl)?;
-            self.globals.lock().insert(decl.name.clone(), value);
+            self.globals.borrow_mut().insert(decl.name.clone(), value);
         }
         let main = self
             .exe
@@ -436,7 +411,8 @@ impl<'e> Interp<'e> {
     }
 
     fn step(&self) -> IResult<()> {
-        let n = self.steps.fetch_add(1, Ordering::Relaxed);
+        let n = self.steps.get();
+        self.steps.set(n + 1);
         if n >= self.config.max_steps {
             return Err(Interrupt::Rt(RuntimeError::new(
                 RuntimeErrorKind::StepLimit,
@@ -447,6 +423,22 @@ impl<'e> Interp<'e> {
             )));
         }
         Ok(())
+    }
+
+    /// A device region of `logical_threads` threads ran.
+    fn record_device_region(&self, logical_threads: u64) {
+        let mut t = self.telemetry.get();
+        t.device_regions += 1;
+        t.device_threads += logical_threads;
+        t.max_device_parallelism = t.max_device_parallelism.max(logical_threads);
+        self.telemetry.set(t);
+    }
+
+    /// A host `parallel` region ran.
+    fn record_host_region(&self) {
+        let mut t = self.telemetry.get();
+        t.host_parallel_regions += 1;
+        self.telemetry.set(t);
     }
 
     fn struct_zero(&self, name: &str) -> Value {
@@ -738,9 +730,8 @@ fn type_err(msg: impl Into<String>) -> RuntimeError {
     RuntimeError::new(RuntimeErrorKind::TypeError, msg)
 }
 
-// Expression evaluation, builtins, lvalues, and the parallel execution
-// engines live in sibling modules to keep files reviewable.
+// Expression evaluation, builtins, lvalues, and the OpenMP engine live in
+// sibling modules to keep files reviewable.
 mod builtins;
-mod exec_parallel;
 mod expr;
 mod omp;

@@ -86,7 +86,7 @@ impl<'e> Interp<'e> {
                 return self.exec_stmt(frame, body);
             }
             if d.has(OmpConstruct::Target) {
-                self.telemetry.record_device_region(1);
+                self.record_device_region(1);
                 let saved = frame.space;
                 frame.space = Space::Device;
                 let r = self.exec_stmt(frame, body);
@@ -96,9 +96,7 @@ impl<'e> Interp<'e> {
             // Host `parallel` region (no loop): body runs once per "team";
             // we execute it once, which is observationally the sequential
             // schedule.
-            self.telemetry
-                .host_parallel_regions
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.record_host_region();
             return self.exec_stmt(frame, body);
         }
 
@@ -113,19 +111,14 @@ impl<'e> Interp<'e> {
         let collapse = d.collapse().max(1) as usize;
         let nest = self.analyze_nest(frame, body, collapse)?;
 
-        let space = if is_target { Space::Host } else { frame.space };
-        let _ = space;
         let parallel_semantics = d.has(OmpConstruct::Parallel) || d.has(OmpConstruct::Teams);
 
         if is_target {
             let total = nest.as_ref().map(|n| n.total()).unwrap_or(1);
-            self.telemetry
-                .record_device_region(if parallel_semantics { total } else { 1 });
+            self.record_device_region(if parallel_semantics { total } else { 1 });
             self.mem.detector.begin_kernel();
         } else if parallel_semantics {
-            self.telemetry
-                .host_parallel_regions
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.record_host_region();
         }
 
         let exec_space = if is_target {
@@ -187,15 +180,13 @@ impl<'e> Interp<'e> {
             return Ok(Flow::Normal);
         }
 
-        // Parallel schedule: workers get frames built from a snapshot of the
-        // visible bindings; reduction variables start from the identity and
-        // are combined at the end.
+        // Per-worker schedule: workers `0..n` run one after another, each on
+        // a contiguous chunk of the iterations, in a frame built from a
+        // snapshot of the visible bindings. Reduction variables start from
+        // the identity in each worker and are folded in worker order.
         let snapshot: Vec<(String, Value)> = frame.visible();
-        let types = frame.types.clone();
-        let depth = frame.depth;
-        let n_workers = self.config.workers.max(1);
-        let chunk = total.div_ceil(n_workers as u64).max(1);
-        let combined: Mutex<Vec<Vec<(String, Value)>>> = Mutex::new(Vec::new());
+        let n_workers = self.config.workers.max(1) as u64;
+        let chunk = total.div_ceil(n_workers);
 
         // Opt-in shared-write recording: writes that resolve into the
         // snapshot scope (or globals) from more than one worker are
@@ -211,27 +202,26 @@ impl<'e> Interp<'e> {
                     exempt.extend(vars.iter().cloned());
                 }
             }
-            Some(Arc::new(RegionWatch {
-                region: self.regions.fetch_add(1, Ordering::Relaxed),
-                exempt,
-            }))
+            let region = self.regions.get();
+            self.regions.set(region + 1);
+            Some(Rc::new(RegionWatch { region, exempt }))
         } else {
             None
         };
 
-        let run_chunk = |interp: &Self, w: u64| -> IResult<()> {
+        for w in 0..n_workers {
             let lo = w * chunk;
             let hi = ((w + 1) * chunk).min(total);
             if lo >= hi {
-                return Ok(());
+                break;
             }
             let mut wframe = Frame {
                 scopes: vec![snapshot.iter().cloned().collect(), HashMap::new()],
-                types: types.clone(),
+                types: frame.types.clone(),
                 space: exec_space,
                 thread: w,
                 cuda: None,
-                depth,
+                depth: frame.depth,
                 watch: watch.clone(),
                 watch_scopes: 1,
             };
@@ -245,34 +235,18 @@ impl<'e> Interp<'e> {
                 for (var, idx) in nest.vars.iter().zip(&indices) {
                     wframe.declare(var, Value::Int(*idx), Some(Type::INT));
                 }
-                let r = interp.exec_stmt(&mut wframe, &nest.body);
+                let r = self.exec_stmt(&mut wframe, &nest.body);
                 wframe.scopes.pop();
                 r?;
             }
-            let finals: Vec<(String, Value)> = reductions
-                .iter()
-                .map(|(_, var)| {
-                    (
-                        var.clone(),
-                        wframe.get(var).cloned().unwrap_or(Value::Int(0)),
-                    )
-                })
-                .collect();
-            combined.lock().push(finals);
-            Ok(())
-        };
-
-        self.run_indices_parallel(n_workers as u64, &run_chunk)?;
-
-        // Fold worker contributions into the shared frame.
-        for worker_finals in combined.into_inner() {
-            for ((op, var), (_, v)) in reductions.iter().zip(worker_finals) {
+            // Fold this worker's partials into the shared frame.
+            for (op, var) in &reductions {
+                let partial = wframe.get(var).cloned().unwrap_or(Value::Int(0));
                 let current = frame
                     .get(var)
                     .cloned()
                     .ok_or_else(|| type_err(format!("reduction variable '{var}' not found")))?;
-                let merged = combine_reduction(*op, current, v)?;
-                frame.set_existing(var, merged);
+                frame.set_existing(var, combine_reduction(*op, current, partial)?);
             }
         }
         Ok(Flow::Normal)
@@ -289,7 +263,7 @@ impl<'e> Interp<'e> {
                 let current = frame
                     .get(&section.var)
                     .cloned()
-                    .or_else(|| self.globals.lock().get(&section.var).cloned())
+                    .or_else(|| self.globals.borrow().get(&section.var).cloned())
                     .ok_or_else(|| {
                         type_err(format!("mapped variable '{}' not found", section.var))
                     })?;

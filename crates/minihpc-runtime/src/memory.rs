@@ -1,17 +1,16 @@
 //! The simulated memory system: separate host and device address spaces with
 //! explicit transfers, plus an optional write-race detector.
 //!
-//! Buffers are guarded by `parking_lot::RwLock` so kernel execution can run
-//! across real OS threads (see `interp::parallel`), while keeping the
-//! data-race freedom guarantees Rust demands — a racy *translated program*
-//! shows up as detector findings, never as UB in the interpreter.
+//! A run executes on one OS thread, so the pools are plain `RefCell`s. The
+//! interpreter's logical threads (CUDA threads, Kokkos indices, OpenMP
+//! workers) run one after another, and a racy *translated program* shows
+//! up as detector findings attributed by logical thread id.
 
 use crate::value::{Space, Value};
 use minihpc_lang::ast::Type;
-use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A runtime error raised by memory operations or the interpreter.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,9 +65,20 @@ impl std::error::Error for RuntimeError {}
 pub type RtResult<T> = Result<T, RuntimeError>;
 
 struct Buffer {
-    data: RwLock<Vec<Value>>,
+    data: Vec<Value>,
     elem: Type,
-    freed: RwLock<bool>,
+    freed: bool,
+}
+
+fn use_after_free(space: Space, buffer: usize) -> RuntimeError {
+    RuntimeError::new(
+        RuntimeErrorKind::UseAfterFree,
+        format!("use of freed {space:?} buffer {buffer}"),
+    )
+}
+
+fn invalid_handle(space: Space, buffer: usize) -> RuntimeError {
+    RuntimeError::illegal(format!("invalid {space:?} buffer handle {buffer}"))
 }
 
 /// A recorded write for the race detector: (buffer, element) by logical
@@ -82,11 +92,11 @@ pub struct RaceDetector {
     shared_enabled: bool,
     /// element → first writer thread. A second writer with a different id is
     /// a race.
-    writes: Mutex<HashMap<(usize, usize), u64>>,
+    writes: RefCell<HashMap<(usize, usize), u64>>,
     /// (region, variable) → first writer thread; `u64::MAX` marks a
     /// conflict already reported, so each racy scalar is flagged once.
-    shared_writes: Mutex<HashMap<(u64, String), u64>>,
-    races: Mutex<Vec<String>>,
+    shared_writes: RefCell<HashMap<(u64, String), u64>>,
+    races: RefCell<Vec<String>>,
 }
 
 impl RaceDetector {
@@ -94,10 +104,10 @@ impl RaceDetector {
         if !self.enabled {
             return;
         }
-        let mut writes = self.writes.lock();
+        let mut writes = self.writes.borrow_mut();
         match writes.get(&(buffer, index)) {
             Some(&prev) if prev != thread => {
-                self.races.lock().push(format!(
+                self.races.borrow_mut().push(format!(
                     "write-write race on device buffer {buffer} element {index}: \
                      threads {prev} and {thread}"
                 ));
@@ -117,10 +127,10 @@ impl RaceDetector {
         if !self.shared_enabled {
             return;
         }
-        let mut writes = self.shared_writes.lock();
+        let mut writes = self.shared_writes.borrow_mut();
         match writes.get_mut(&(region, name.to_string())) {
             Some(prev) if *prev != thread && *prev != u64::MAX => {
-                self.races.lock().push(format!(
+                self.races.borrow_mut().push(format!(
                     "conflicting shared write to '{name}' in parallel region {region}: \
                      threads {} and {thread}",
                     *prev
@@ -143,12 +153,12 @@ impl RaceDetector {
     /// Reset per-kernel state (races accumulate across the run).
     pub fn begin_kernel(&self) {
         if self.enabled {
-            self.writes.lock().clear();
+            self.writes.borrow_mut().clear();
         }
     }
 
     pub fn races(&self) -> Vec<String> {
-        self.races.lock().clone()
+        self.races.borrow().clone()
     }
 
     /// Distinct shared-scalar names that conflicted (sorted, deduped) —
@@ -156,7 +166,7 @@ impl RaceDetector {
     /// the dynamic ground truth the differential tests compare against the
     /// static analyzer's per-variable error findings.
     pub fn shared_conflict_vars(&self) -> Vec<String> {
-        let writes = self.shared_writes.lock();
+        let writes = self.shared_writes.borrow();
         let mut vars: Vec<String> = writes
             .iter()
             .filter(|(_, &thread)| thread == u64::MAX)
@@ -170,20 +180,21 @@ impl RaceDetector {
 
 /// Host + device memory.
 ///
-/// Pools are append-only `RwLock<Vec<Arc<Buffer>>>` so allocation can happen
+/// Pools are append-only `RefCell<Vec<Buffer>>` so allocation can happen
 /// from any execution context (e.g. a function with a local array called
-/// from inside a kernel) without `&mut` access.
+/// from inside a kernel) without `&mut` access. No borrow outlives the
+/// method that takes it.
 pub struct Memory {
-    host: RwLock<Vec<Arc<Buffer>>>,
-    device: RwLock<Vec<Arc<Buffer>>>,
+    host: RefCell<Vec<Buffer>>,
+    device: RefCell<Vec<Buffer>>,
     pub detector: RaceDetector,
 }
 
 impl Memory {
     pub fn new(detect_races: bool, record_shared_writes: bool) -> Self {
         Memory {
-            host: RwLock::new(Vec::new()),
-            device: RwLock::new(Vec::new()),
+            host: RefCell::new(Vec::new()),
+            device: RefCell::new(Vec::new()),
             detector: RaceDetector {
                 enabled: detect_races,
                 shared_enabled: record_shared_writes,
@@ -192,7 +203,7 @@ impl Memory {
         }
     }
 
-    fn pool(&self, space: Space) -> &RwLock<Vec<Arc<Buffer>>> {
+    fn pool(&self, space: Space) -> &RefCell<Vec<Buffer>> {
         match space {
             Space::Host => &self.host,
             Space::Device => &self.device,
@@ -201,43 +212,63 @@ impl Memory {
 
     /// Allocate a buffer of `len` elements of `elem`, zero-initialised.
     pub fn alloc(&self, space: Space, elem: Type, len: usize, zero: Value) -> usize {
-        let mut pool = self.pool(space).write();
-        pool.push(Arc::new(Buffer {
-            data: RwLock::new(vec![zero; len]),
+        let mut pool = self.pool(space).borrow_mut();
+        pool.push(Buffer {
+            data: vec![zero; len],
             elem,
-            freed: RwLock::new(false),
-        }));
+            freed: false,
+        });
         pool.len() - 1
     }
 
     pub fn free(&self, space: Space, buffer: usize) -> RtResult<()> {
-        let buf = self.buffer(space, buffer)?;
-        let mut freed = buf.freed.write();
-        if *freed {
+        let mut pool = self.pool(space).borrow_mut();
+        let buf = pool
+            .get_mut(buffer)
+            .ok_or_else(|| invalid_handle(space, buffer))?;
+        if buf.freed {
             return Err(RuntimeError::new(
                 RuntimeErrorKind::UseAfterFree,
                 format!("double free of {space:?} buffer {buffer}"),
             ));
         }
-        *freed = true;
-        buf.data.write().clear();
+        buf.freed = true;
+        buf.data.clear();
         Ok(())
     }
 
-    fn buffer(&self, space: Space, buffer: usize) -> RtResult<Arc<Buffer>> {
-        self.pool(space).read().get(buffer).cloned().ok_or_else(|| {
-            RuntimeError::illegal(format!("invalid {space:?} buffer handle {buffer}"))
-        })
-    }
-
-    fn check_live(&self, buf: &Buffer, space: Space, buffer: usize) -> RtResult<()> {
-        if *buf.freed.read() {
-            return Err(RuntimeError::new(
-                RuntimeErrorKind::UseAfterFree,
-                format!("use of freed {space:?} buffer {buffer}"),
-            ));
+    /// Run `f` on the live elements of a buffer.
+    fn read<R>(
+        &self,
+        space: Space,
+        buffer: usize,
+        f: impl FnOnce(&[Value]) -> RtResult<R>,
+    ) -> RtResult<R> {
+        let pool = self.pool(space).borrow();
+        let buf = pool
+            .get(buffer)
+            .ok_or_else(|| invalid_handle(space, buffer))?;
+        if buf.freed {
+            return Err(use_after_free(space, buffer));
         }
-        Ok(())
+        f(&buf.data)
+    }
+
+    /// Run `f` on the live elements of a buffer, mutably.
+    fn write<R>(
+        &self,
+        space: Space,
+        buffer: usize,
+        f: impl FnOnce(&mut [Value]) -> RtResult<R>,
+    ) -> RtResult<R> {
+        let mut pool = self.pool(space).borrow_mut();
+        let buf = pool
+            .get_mut(buffer)
+            .ok_or_else(|| invalid_handle(space, buffer))?;
+        if buf.freed {
+            return Err(use_after_free(space, buffer));
+        }
+        f(&mut buf.data)
     }
 
     /// Load an element, enforcing that `ctx_space` (the executing context)
@@ -255,14 +286,13 @@ impl Memory {
                  (buffer {buffer}); copy the data with cudaMemcpy / map / deep_copy first"
             )));
         }
-        let buf = self.buffer(space, buffer)?;
-        self.check_live(&buf, space, buffer)?;
-        let data = buf.data.read();
-        data.get(index).cloned().ok_or_else(|| {
-            RuntimeError::oob(format!(
-                "index {index} out of bounds for {space:?} buffer {buffer} of length {}",
-                data.len()
-            ))
+        self.read(space, buffer, |data| {
+            data.get(index).cloned().ok_or_else(|| {
+                RuntimeError::oob(format!(
+                    "index {index} out of bounds for {space:?} buffer {buffer} of length {}",
+                    data.len()
+                ))
+            })
         })
     }
 
@@ -281,25 +311,17 @@ impl Memory {
                 "{ctx_space:?} code wrote through a {space:?} pointer (buffer {buffer})"
             )));
         }
-        let buf = self.buffer(space, buffer)?;
-        self.check_live(&buf, space, buffer)?;
-        let mut data = buf.data.write();
-        let len = data.len();
-        let slot = data.get_mut(index).ok_or_else(|| {
-            RuntimeError::oob(format!(
-                "index {index} out of bounds for {space:?} buffer {buffer} of length {len}"
-            ))
+        self.write(space, buffer, |data| {
+            *slot_mut(data, space, buffer, index)? = value;
+            Ok(())
         })?;
-        *slot = value;
-        drop(data);
         if space == Space::Device {
             self.detector.record_write(buffer, index, thread);
         }
         Ok(())
     }
 
-    /// Atomic read-modify-write add (the `atomicAdd` primitive): performed
-    /// under the buffer's write lock so concurrent kernel threads are safe.
+    /// Read-modify-write add (the `atomicAdd` primitive).
     pub fn fetch_add(
         &self,
         ctx_space: Space,
@@ -313,38 +335,37 @@ impl Memory {
                 "{ctx_space:?} code atomicAdd on a {space:?} pointer (buffer {buffer})"
             )));
         }
-        let buf = self.buffer(space, buffer)?;
-        self.check_live(&buf, space, buffer)?;
-        let mut data = buf.data.write();
-        let len = data.len();
-        let slot = data.get_mut(index).ok_or_else(|| {
-            RuntimeError::oob(format!(
-                "index {index} out of bounds for {space:?} buffer {buffer} of length {len}"
-            ))
-        })?;
-        let old = slot.clone();
-        *slot = match (&old, delta) {
-            (Value::Int(a), d) => Value::Int(a + d.as_int().unwrap_or(0)),
-            (Value::Float(a), d) => Value::Float(a + d.as_float().unwrap_or(0.0)),
-            _ => {
-                return Err(RuntimeError::new(
-                    RuntimeErrorKind::TypeError,
-                    "atomicAdd on non-numeric element",
-                ))
-            }
-        };
-        Ok(old)
+        self.write(space, buffer, |data| {
+            let slot = slot_mut(data, space, buffer, index)?;
+            let old = slot.clone();
+            *slot = match (&old, delta) {
+                (Value::Int(a), d) => Value::Int(a + d.as_int().unwrap_or(0)),
+                (Value::Float(a), d) => Value::Float(a + d.as_float().unwrap_or(0.0)),
+                _ => {
+                    return Err(RuntimeError::new(
+                        RuntimeErrorKind::TypeError,
+                        "atomicAdd on non-numeric element",
+                    ))
+                }
+            };
+            Ok(old)
+        })
     }
 
     /// Length (element count) of a buffer.
     pub fn len_of(&self, space: Space, buffer: usize) -> RtResult<usize> {
-        let buf = self.buffer(space, buffer)?;
-        let len = buf.data.read().len();
-        Ok(len)
+        let pool = self.pool(space).borrow();
+        let buf = pool
+            .get(buffer)
+            .ok_or_else(|| invalid_handle(space, buffer))?;
+        Ok(buf.data.len())
     }
 
     pub fn elem_type(&self, space: Space, buffer: usize) -> RtResult<Type> {
-        let buf = self.buffer(space, buffer)?;
+        let pool = self.pool(space).borrow();
+        let buf = pool
+            .get(buffer)
+            .ok_or_else(|| invalid_handle(space, buffer))?;
         Ok(buf.elem.clone())
     }
 
@@ -361,10 +382,9 @@ impl Memory {
         src_off: usize,
         len: usize,
     ) -> RtResult<()> {
-        let src_buf = self.buffer(src_space, src)?;
-        self.check_live(&src_buf, src_space, src)?;
-        let values: Vec<Value> = {
-            let data = src_buf.data.read();
+        // Source and destination may share a pool, so the values are
+        // copied out before the destination is borrowed.
+        let values: Vec<Value> = self.read(src_space, src, |data| {
             if src_off + len > data.len() {
                 return Err(RuntimeError::oob(format!(
                     "copy source range {src_off}..{} exceeds buffer length {}",
@@ -372,20 +392,19 @@ impl Memory {
                     data.len()
                 )));
             }
-            data[src_off..src_off + len].to_vec()
-        };
-        let dst_buf = self.buffer(dst_space, dst)?;
-        self.check_live(&dst_buf, dst_space, dst)?;
-        let mut data = dst_buf.data.write();
-        if dst_off + len > data.len() {
-            return Err(RuntimeError::oob(format!(
-                "copy destination range {dst_off}..{} exceeds buffer length {}",
-                dst_off + len,
-                data.len()
-            )));
-        }
-        data[dst_off..dst_off + len].clone_from_slice(&values);
-        Ok(())
+            Ok(data[src_off..src_off + len].to_vec())
+        })?;
+        self.write(dst_space, dst, |data| {
+            if dst_off + len > data.len() {
+                return Err(RuntimeError::oob(format!(
+                    "copy destination range {dst_off}..{} exceeds buffer length {}",
+                    dst_off + len,
+                    data.len()
+                )));
+            }
+            data[dst_off..dst_off + len].clone_from_slice(&values);
+            Ok(())
+        })
     }
 
     /// Fill `len` elements with a value (the `memset` primitive).
@@ -403,21 +422,28 @@ impl Memory {
                 "{ctx_space:?} code memset a {space:?} pointer"
             )));
         }
-        let buf = self.buffer(space, buffer)?;
-        self.check_live(&buf, space, buffer)?;
-        let mut data = buf.data.write();
-        let end = offset + len;
-        if end > data.len() {
-            return Err(RuntimeError::oob(format!(
-                "memset range {offset}..{end} exceeds buffer length {}",
-                data.len()
-            )));
-        }
-        for slot in &mut data[offset..end] {
-            *slot = value.clone();
-        }
-        Ok(())
+        self.write(space, buffer, |data| {
+            let end = offset + len;
+            if end > data.len() {
+                return Err(RuntimeError::oob(format!(
+                    "memset range {offset}..{end} exceeds buffer length {}",
+                    data.len()
+                )));
+            }
+            data[offset..end].fill(value);
+            Ok(())
+        })
     }
+}
+
+/// Element `index` of a buffer's data, bounds-checked.
+fn slot_mut(data: &mut [Value], space: Space, buffer: usize, index: usize) -> RtResult<&mut Value> {
+    let len = data.len();
+    data.get_mut(index).ok_or_else(|| {
+        RuntimeError::oob(format!(
+            "index {index} out of bounds for {space:?} buffer {buffer} of length {len}"
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Runtime values for the MiniHPC interpreter.
 
 use minihpc_lang::ast::{Block, Param, ScalarType, Type};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Which address space a pointer or buffer lives in. The simulated GPU has a
 /// discrete memory: host dereferences of device pointers (and vice versa)
@@ -102,13 +102,13 @@ pub enum Policy {
 #[derive(Debug, Clone)]
 pub struct Closure {
     pub params: Vec<Param>,
-    pub body: Arc<Block>,
+    pub body: Rc<Block>,
     pub captures: Vec<(String, Value)>,
 }
 
 impl PartialEq for Closure {
     fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(Arc::as_ptr(&self.body), Arc::as_ptr(&other.body))
+        std::ptr::eq(Rc::as_ptr(&self.body), Rc::as_ptr(&other.body))
     }
 }
 
@@ -123,7 +123,7 @@ pub enum Value {
     Ptr(Pointer),
     /// The null pointer.
     Null,
-    Str(Arc<str>),
+    Str(Rc<str>),
     Dim3(Dim3),
     Struct(Box<StructVal>),
     View(ViewHandle),

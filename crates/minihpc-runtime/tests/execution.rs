@@ -107,18 +107,6 @@ fn cuda_stencil_runs_and_matches_reference() {
 }
 
 #[test]
-fn cuda_parallel_mode_matches_sequential() {
-    let out = build_repo(&cuda_xor_repo(), &BuildRequest::new("app"));
-    let exe = out.executable.unwrap();
-    let seq = run(&exe, RunConfig::with_args(["32"]));
-    let mut cfg = RunConfig::with_args(["32"]);
-    cfg.parallel = true;
-    let par = run(&exe, cfg);
-    assert_eq!(seq.stdout, par.stdout);
-    assert!(par.error.is_none());
-}
-
-#[test]
 fn cuda_race_detector_clean_on_disjoint_writes() {
     let out = build_repo(&cuda_xor_repo(), &BuildRequest::new("app"));
     let exe = out.executable.unwrap();
@@ -269,6 +257,72 @@ int main(int argc, char** argv) {
     cfg.parallel = true;
     let par = run(&exe, cfg);
     assert_eq!(par.stdout, seq.stdout, "parallel reduction must agree");
+}
+
+fn omp_threads_repo(main: &str) -> SourceRepo {
+    SourceRepo::new()
+        .with_file(
+            "Makefile",
+            "app: main.cpp\n\tg++ -O2 -fopenmp -o app main.cpp\n",
+        )
+        .with_file("main.cpp", main)
+}
+
+#[test]
+fn default_worker_count_is_four_on_every_host() {
+    let r = build_and_run(
+        &omp_threads_repo(
+            r#"
+#include <omp.h>
+#include <stdio.h>
+
+int main() {
+    printf("%d\n", omp_get_max_threads());
+    return 0;
+}
+"#,
+        ),
+        &[],
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "4\n");
+}
+
+#[test]
+fn parallel_reduction_folds_partials_in_worker_order() {
+    // Four one-element chunks whose float sum depends on the fold order:
+    // ((1e16 + 1) - 1e16) + 1 is 1, while other orders give 0 or 2.
+    let out = build_repo(
+        &omp_threads_repo(
+            r#"
+#include <stdio.h>
+
+int main() {
+    double vals[4] = {1e16, 1.0, -1e16, 1.0};
+    double total = 0.0;
+    #pragma omp parallel for reduction(+: total)
+    for (int i = 0; i < 4; i++) {
+        total += vals[i];
+    }
+    printf("total %.1f\n", total);
+    return 0;
+}
+"#,
+        ),
+        &BuildRequest::new("app"),
+    );
+    assert!(out.succeeded(), "{}", out.log.text());
+    let exe = out.executable.unwrap();
+    for _ in 0..20 {
+        let cfg = RunConfig {
+            parallel: true,
+            workers: 4,
+            ..RunConfig::default()
+        };
+        let r = run(&exe, cfg);
+        assert!(r.error.is_none(), "{:?}", r.error);
+        assert_eq!(r.stdout, "total 1.0\n");
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Property tests on the simulated runtime: determinism under seeds, and
-//! parallel/sequential agreement for race-free kernels.
+//! Property tests on the simulated runtime: a CUDA kernel matches its
+//! closed form for any size and coefficient, and its disjoint writes are
+//! race-free.
 
 use minihpc_build::{build_repo, BuildRequest};
 use minihpc_lang::repo::SourceRepo;
@@ -57,7 +58,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// saxpy through the full pipeline matches the closed form, for any
-    /// size/coefficient, sequentially and on the thread pool.
+    /// size/coefficient.
     #[test]
     fn saxpy_matches_closed_form(n in 1i64..300, a_times_4 in -20i64..20) {
         let a = a_times_4 as f64 / 4.0;
@@ -71,11 +72,6 @@ proptest! {
         prop_assert!(seq.error.is_none(), "{:?}", seq.error);
         let got: f64 = seq.stdout.trim().parse().unwrap();
         prop_assert!((got - expected).abs() < 1e-6, "{got} vs {expected}");
-
-        let mut cfg = RunConfig::with_args(args.iter().cloned());
-        cfg.parallel = true;
-        let par = run(&exe, cfg);
-        prop_assert_eq!(par.stdout, seq.stdout, "parallel must agree");
 
         let mut cfg = RunConfig::with_args(args.iter().cloned());
         cfg.detect_races = true;

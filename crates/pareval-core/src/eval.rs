@@ -21,7 +21,7 @@
 //!   build file already matches ground truth (the two repos are then
 //!   identical, hence the same key), and
 //! - [`ScheduledRunner`](crate::sched::ScheduledRunner) workers share hits
-//!   across threads — the cache sits behind a `parking_lot` lock and one
+//!   across threads — the cache sits behind `std::sync` locks and one
 //!   pipeline serves the whole run.
 //!
 //! A cache hit returns a clone of the stored [`EvalOutcome`]; since the
@@ -42,11 +42,10 @@ use minihpc_runtime::{run, RunConfig};
 use pareval_llm::{AttemptSpec, ModelProfile, RepairContext, RepairOutcome, TranslationBackend};
 use pareval_translate::techniques::{translate_with, TranslationJob};
 use pareval_translate::Technique;
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Hit/miss/evict counters of a [`BuildCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -252,14 +251,14 @@ impl DiskCache {
                 // and only while the entry still exists — an entry evicted
                 // between our read and this lock must not be resurrected
                 // into the index as a ghost.
-                let mut index = self.index.lock();
+                let mut index = self.index.lock().expect("cache lock poisoned");
                 if index.contains(key) || path.exists() {
                     index.touch(key, file_len);
                 }
                 Some(value)
             }
             None => {
-                let mut index = self.index.lock();
+                let mut index = self.index.lock().expect("cache lock poisoned");
                 let _ = std::fs::remove_file(&path);
                 index.remove(key);
                 None
@@ -283,7 +282,7 @@ impl DiskCache {
             let _ = std::fs::remove_file(&tmp);
             return 0;
         }
-        let mut index = self.index.lock();
+        let mut index = self.index.lock().expect("cache lock poisoned");
         index.touch(key, bytes.len() as u64);
         // Evict coldest-first until under budget. The entry just written is
         // at the hot end and is never evicted on its own insert (a single
@@ -341,6 +340,17 @@ pub struct BuildCache {
     file_hits: AtomicU64,
     file_misses: AtomicU64,
     evictions: AtomicU64,
+}
+
+/// Read one of the cache's maps. No code panics while holding one, so a
+/// poisoned lock is a bug.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().expect("cache lock poisoned")
+}
+
+/// Write one of the cache's maps (see [`read`]).
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().expect("cache lock poisoned")
 }
 
 impl BuildCache {
@@ -408,7 +418,7 @@ impl BuildCache {
     }
 
     fn lookup(&self, key: u128) -> Option<EvalOutcome> {
-        if let Some(hit) = self.map.read().get(&key).cloned() {
+        if let Some(hit) = read(&self.map).get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
@@ -416,7 +426,7 @@ impl BuildCache {
         // repeat lookups in this process are pure memory hits.
         if let Some(hit) = self.disk.as_ref().and_then(|d| d.load(key)) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.map.write().insert(key, hit.clone());
+            write(&self.map).insert(key, hit.clone());
             return Some(hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -428,7 +438,7 @@ impl BuildCache {
             let evicted = disk.store(key, &outcome);
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        self.map.write().insert(key, outcome);
+        write(&self.map).insert(key, outcome);
     }
 
     /// Entries in the in-memory tiers: whole-repo outcomes plus per-file
@@ -436,7 +446,7 @@ impl BuildCache {
     ///
     /// [`len_disk`]: BuildCache::len_disk
     pub fn len_memory(&self) -> usize {
-        self.map.read().len() + self.units.read().len()
+        read(&self.map).len() + read(&self.units).len()
     }
 
     /// Outcome entries currently indexed in the persistent disk tier (0
@@ -444,7 +454,7 @@ impl BuildCache {
     pub fn len_disk(&self) -> usize {
         self.disk
             .as_ref()
-            .map(|d| d.index.lock().len())
+            .map(|d| d.index.lock().expect("cache lock poisoned").len())
             .unwrap_or(0)
     }
 
@@ -474,16 +484,16 @@ impl UnitCache for BuildCache {
         h.field(b"parse-v1");
         h.field(text.as_bytes());
         let key = h.finish();
-        if let Some(hit) = self.parses.read().get(&key) {
+        if let Some(hit) = read(&self.parses).get(&key) {
             return hit.clone();
         }
         let parsed = minihpc_lang::parser::parse_file(text);
-        self.parses.write().insert(key, parsed.clone());
+        write(&self.parses).insert(key, parsed.clone());
         parsed
     }
 
     fn lookup_unit(&self, key: u128) -> Option<CompiledUnit> {
-        if let Some(hit) = self.units.read().get(&key).cloned() {
+        if let Some(hit) = read(&self.units).get(&key).cloned() {
             self.file_hits.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
@@ -492,7 +502,7 @@ impl UnitCache for BuildCache {
     }
 
     fn store_unit(&self, key: u128, unit: &CompiledUnit) {
-        self.units.write().insert(key, unit.clone());
+        write(&self.units).insert(key, unit.clone());
     }
 }
 
@@ -734,14 +744,14 @@ impl EvalPipeline {
             .is_some()
             .then(|| BuildCache::key(task, repo, &self.eval));
         if let (Some(cache), Some(key)) = (&self.cache, cached_key) {
-            if let Some(hit) = cache.analysis.read().get(&key).cloned() {
+            if let Some(hit) = read(&cache.analysis).get(&key).cloned() {
                 return hit;
             }
         }
         let mut findings = minihpc_analyze::analyze_repo(repo);
         findings.truncate(self.eval.analyze_max_findings);
         if let (Some(cache), Some(key)) = (&self.cache, cached_key) {
-            cache.analysis.write().insert(key, findings.clone());
+            write(&cache.analysis).insert(key, findings.clone());
         }
         findings
     }
@@ -1121,7 +1131,7 @@ mod tests {
         });
         // Quiesced invariant: the index tracks exactly the on-disk entry
         // files, and `total_bytes` is the sum of their real sizes.
-        let index = cache.index.lock();
+        let index = cache.index.lock().expect("cache lock poisoned");
         let mut on_disk = std::collections::BTreeMap::new();
         for entry in std::fs::read_dir(&dir).unwrap() {
             let entry = entry.unwrap();
@@ -1208,12 +1218,12 @@ mod tests {
         pipeline.run_sample(&task, Technique::NonAgentic, &model, &OracleBackend, 7, 0);
         let cache = pipeline.cache.as_ref().unwrap();
         assert!(
-            cache.len_memory() > cache.map.read().len(),
+            cache.len_memory() > read(&cache.map).len(),
             "unit entries must count toward the memory tier"
         );
         assert_eq!(
             cache.len_disk(),
-            cache.map.read().len(),
+            read(&cache.map).len(),
             "every outcome entry was written through to disk"
         );
         assert!(!cache.is_empty());

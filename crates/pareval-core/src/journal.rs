@@ -36,12 +36,12 @@
 use crate::plan::{CellKey, ExperimentPlan};
 use crate::runner::{ProgressSink, SampleRecord};
 use minihpc_lang::fnv::fnv64;
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Magic + version tag opening every journal file.
 const MAGIC: &[u8; 8] = b"PEJR0001";
@@ -639,15 +639,22 @@ impl JournalSink {
         self
     }
 
+    /// The sink's state. A poisoned lock is taken as is: the only panic
+    /// under it is a failed append, and the reader already stops at a torn
+    /// frame.
+    fn state(&self) -> MutexGuard<'_, SinkState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records appended through this sink (not counting any the journal
     /// already held when opened with [`JournalSink::append`]).
     pub fn records_written(&self) -> u64 {
-        self.state.lock().written
+        self.state().written
     }
 
     /// Flush buffered records and fsync to disk now.
     pub fn sync(&self) -> std::io::Result<()> {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         state.file.flush()?;
         state.file.get_ref().sync_data()?;
         state.unsynced = 0;
@@ -662,7 +669,7 @@ impl ProgressSink for JournalSink {
     /// sample is recoverable when it is not.
     fn on_sample(&self, record: &SampleRecord) {
         let payload = codec::encode_record(record);
-        let mut state = self.state.lock();
+        let mut state = self.state();
         let frame_err = "journal append failed (durability lost)";
         state
             .file
@@ -685,10 +692,10 @@ impl ProgressSink for JournalSink {
 
 impl Drop for JournalSink {
     fn drop(&mut self) {
-        let state = self.state.lock();
-        // Best-effort final flush; errors here cannot be reported and the
-        // periodic fsync already bounded the loss window.
-        let mut state = state;
+        // Best-effort final flush, also after a failed append poisoned the
+        // lock; errors here cannot be reported and the periodic fsync
+        // already bounded the loss window.
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
         let _ = state.file.flush();
         let _ = state.file.get_ref().sync_data();
     }
@@ -845,4 +852,45 @@ pub fn scan(path: &Path, plan: &ExperimentPlan) -> Result<Replay, JournalError> 
         completed,
         records: reader.records_read(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EvalPipeline, Runner, ScheduledRunner};
+    use minihpc_lang::model::TranslationPair;
+
+    /// A failed append panics while it holds the sink's lock. Dropping the
+    /// sink afterwards must still flush the records it buffered, and must
+    /// not panic.
+    #[test]
+    fn drop_flushes_through_a_poisoned_lock() {
+        let plan = ExperimentPlan::builder()
+            .samples(1)
+            .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
+            .apps(["nanoXOR"])
+            .build();
+        let path = std::env::temp_dir().join(format!("poisoned-{}.journal", std::process::id()));
+        let sink = JournalSink::create(&path, &plan)
+            .unwrap()
+            .with_sync_every(0);
+        ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+        let written = sink.records_written();
+        assert!(
+            scan(&path, &plan).unwrap().records < written,
+            "some records must still sit in the write buffer"
+        );
+        std::thread::scope(|s| {
+            let failed_append = s.spawn(|| {
+                let _held = sink.state.lock();
+                panic!("journal append failed");
+            });
+            assert!(failed_append.join().is_err());
+        });
+        assert!(sink.state.is_poisoned());
+        drop(sink);
+        let recovered = scan(&path, &plan).unwrap().records;
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(recovered, written);
+    }
 }

@@ -9,7 +9,6 @@
 //! cargo run --release --example analyze_repo -- <DIR>         # analyze a directory
 //! cargo run --release --example analyze_repo -- --gen <SEED>  # analyze a generated repo
 //! cargo run --release --example analyze_repo -- --json ...    # machine-readable output
-//! cargo run --release --example analyze_repo -- --no-interprocedural ...
 //! ```
 //!
 //! With no arguments it analyzes a generated `directive-race` repository
@@ -18,7 +17,7 @@
 //! (warnings do not fail the run); generated-seed demo runs always exit 0 —
 //! their injected race is the expected output, not a failure.
 
-use minihpc_analyze::{analyze_repo_with, render_findings_with_fixits, AnalyzeOptions};
+use minihpc_analyze::{analyze_repo, render_findings_with_fixits};
 use minihpc_gen::{ErrorProfile, GenSpec};
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use std::path::Path;
@@ -31,12 +30,11 @@ enum Input {
 struct Cli {
     input: Input,
     json: bool,
-    interprocedural: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: analyze_repo [--json] [--no-interprocedural] (<DIR> | --gen <SEED>)\n\
+        "usage: analyze_repo [--json] (<DIR> | --gen <SEED>)\n\
          With no input, analyzes a generated directive-race repo (seed 0xA11A)."
     );
     std::process::exit(2);
@@ -46,13 +44,11 @@ fn parse_args() -> Cli {
     let mut cli = Cli {
         input: Input::Gen(0xA11A),
         json: false,
-        interprocedural: true,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => cli.json = true,
-            "--no-interprocedural" => cli.interprocedural = false,
             "--gen" => {
                 let seed = args.next().unwrap_or_else(|| usage());
                 let seed = seed
@@ -128,10 +124,7 @@ fn main() {
         }
     };
 
-    let opts = AnalyzeOptions {
-        interprocedural: cli.interprocedural,
-    };
-    let findings = analyze_repo_with(&repo, &opts);
+    let findings = analyze_repo(&repo);
     let errors = findings.iter().filter(|f| f.is_error()).count();
 
     if cli.json {

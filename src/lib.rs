@@ -24,6 +24,12 @@ pub mod prelude {
         OracleBackend, RepairContext, RepairOutcome, SimulatedBackend, TranslationBackend,
     };
 }
+/// Compiles README.md's Rust examples, so a renamed or deleted API cannot
+/// leave them stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use minihpc_gen as gen;
 pub use minihpc_lang as lang;
 pub use minihpc_runtime as runtime;

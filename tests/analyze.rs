@@ -141,10 +141,10 @@ fn translated_repo(seed: u64, sample: u32) -> minihpc_lang::repo::SourceRepo {
 #[test]
 fn dynamic_recorder_confirms_no_static_false_negatives() {
     // Cross-validation: build each injected-race translation and execute
-    // it on a real thread pool with the shared-write recorder on. Every
-    // sample where the recorder observes a cross-thread conflict must
-    // carry an error-severity static finding — the static verdict has no
-    // false negatives on this grid.
+    // it under the per-worker OpenMP schedule with the shared-write
+    // recorder on. Every sample where the recorder observes a cross-thread
+    // conflict must carry an error-severity static finding — the static
+    // verdict has no false negatives on this grid.
     let task = pareval_core::all_tasks()
         .into_iter()
         .find(|t| t.app.name == "XSBench" && t.pair == TranslationPair::OMP_THREADS_TO_OFFLOAD)

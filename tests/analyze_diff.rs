@@ -8,13 +8,13 @@
 //!   every `DirectiveRace` repo carries an error-severity finding, and
 //!   every variable the dynamic recorder observes conflicting is among
 //!   the variables the analyzer flagged (`race_vars ⊆ static error vars`).
-//! - **The interprocedural pass is pinned by a golden snapshot** — the
-//!   one-call-deep false negative of the v1 analyzer, now caught via
-//!   call-graph summaries, is frozen in
+//! - **The interprocedural pass is pinned by a golden snapshot** — a raw
+//!   reduction hidden one helper call deep, caught via call-graph
+//!   summaries, is frozen in
 //!   `tests/golden/interproc_findings.txt` (regenerate with
 //!   `UPDATE_GOLDEN=1`).
 
-use minihpc_analyze::{analyze_repo, analyze_repo_with, AnalyzeOptions};
+use minihpc_analyze::analyze_repo;
 use minihpc_build::{build_repo, BuildRequest};
 use minihpc_gen::{generate, ErrorProfile, GenSpec, KernelKind, PragmaModel};
 use minihpc_runtime::{run, RunConfig};
@@ -89,9 +89,9 @@ fn injected_races_have_zero_static_false_negatives() {
             app.name
         );
 
-        // Differential half: execute the racy repo on a real thread pool
-        // with the shared-write recorder on. Every variable the recorder
-        // sees conflicting must be one the analyzer flagged.
+        // Differential half: execute the racy repo under the per-worker
+        // OpenMP schedule with the shared-write recorder on. Every variable
+        // the recorder sees conflicting must be one the analyzer flagged.
         let outcome = build_repo(&app.repo, &BuildRequest::new(&app.binary));
         let exe = outcome.executable.unwrap_or_else(|| {
             panic!(
@@ -129,9 +129,8 @@ fn injected_races_have_zero_static_false_negatives() {
     );
 }
 
-/// The v1 analyzer's one-call-deep false negative, frozen: a raw reduction
-/// hidden behind a helper call is invisible without the call-graph summary
-/// pass and caught (with an applicable fix-it) with it. The rendered v2
+/// A raw reduction hidden behind a helper call, which only the call-graph
+/// summary pass sees, is caught with an applicable fix-it. The rendered
 /// verdict is pinned as a golden snapshot.
 #[test]
 fn interprocedural_findings_match_golden() {
@@ -150,17 +149,6 @@ double tally(int n) {
 }
 "#;
     let repo = minihpc_lang::repo::SourceRepo::new().with_file("src/tally.cpp", src);
-
-    let v1 = analyze_repo_with(
-        &repo,
-        &AnalyzeOptions {
-            interprocedural: false,
-        },
-    );
-    assert!(
-        v1.is_empty(),
-        "v1 (intraprocedural) unexpectedly sees through the call: {v1:?}"
-    );
 
     let v2 = analyze_repo(&repo);
     assert!(
