@@ -48,15 +48,18 @@ bench-correct:
 	done
 	@$(GRIDBENCH) --workload repair-heavy --seconds 1 --trace 0 --self-test > /dev/null
 
-# Every example runs once, and its asserts are the gate: a failed assert is
-# a non-zero exit. Output is discarded. Among them, paper_figures checks
-# every paper figure from one full(5) grid against its golden text,
-# resume_run checks that crash + resume is byte-identical, stress_grid
-# checks the 1515-cell grid at 1/4/8 workers, and fuzz_pipeline checks
-# determinism across the generator's knob space. analyze_grid and
-# guided_repair rewrite BENCH_analyze.json and BENCH_analyze_v2.json, and
-# both must match the committed files byte for byte.
+# Every example is built first in one cargo invocation, so their release
+# (LTO) links can overlap. Then each runs once, and its asserts are the
+# gate: a failed assert is a non-zero exit. Output is discarded. Among
+# them, paper_figures checks every paper figure from one full(5) grid
+# against its golden text, resume_run checks that crash + resume is
+# byte-identical, stress_grid checks the 1515-cell grid at 1/4/8 workers,
+# and fuzz_pipeline checks determinism across the generator's knob space.
+# analyze_grid and guided_repair rewrite BENCH_analyze.json and
+# BENCH_analyze_v2.json, and both must match the committed files byte for
+# byte.
 examples: build
+	cargo build --release --examples
 	cargo run --release --example quickstart > /dev/null
 	cargo run --release --example paper_figures > /dev/null
 	cargo run --release --example translate_xsbench > /dev/null

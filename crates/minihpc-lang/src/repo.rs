@@ -3,9 +3,10 @@
 //! build files, documentation — exactly what gets shown to (and rewritten by)
 //! a translation technique.
 
+use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Classification of a repository file, used by prompt construction, the
 //  dependency agent, and the build driver.
@@ -69,9 +70,52 @@ impl RepoFile {
 /// bodies are `Arc<str>` handles: cloning a repository (or overlaying a few
 /// files on a clone, as repair rounds and Code-only scoring do) shares the
 /// unchanged bodies instead of deep-copying every source.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// A repository also memoises results derived from its files alone, such as
+/// the oracle transpile of one of its files ([`SourceRepo::memoized`]). The
+/// memo is invisible in the repository's value: it is created on first
+/// use, every `&mut self` mutator ([`add`](Self::add),
+/// [`remove`](Self::remove), and so [`with_file`](Self::with_file)) drops
+/// it, a clone starts without one, and `PartialEq` and `Debug` see only
+/// the files.
+#[derive(Default)]
 pub struct SourceRepo {
     files: BTreeMap<String, Arc<str>>,
+    memo: OnceLock<Box<Mutex<Memo>>>,
+}
+
+/// Results derived from a repository's files, computed on first use.
+#[derive(Default)]
+struct Memo {
+    /// Each result's `OnceLock<T>` under its type `T` and the caller's
+    /// content key. A cell is shared out of the map, so it is filled
+    /// without the map's lock held.
+    results: BTreeMap<(TypeId, u128), Arc<dyn Any + Send + Sync>>,
+    /// Cold derivations begun, per result type.
+    cold: BTreeMap<TypeId, usize>,
+}
+
+impl Clone for SourceRepo {
+    fn clone(&self) -> Self {
+        SourceRepo {
+            files: self.files.clone(),
+            memo: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for SourceRepo {
+    fn eq(&self, other: &Self) -> bool {
+        self.files == other.files
+    }
+}
+
+impl fmt::Debug for SourceRepo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SourceRepo")
+            .field("files", &self.files)
+            .finish()
+    }
 }
 
 impl SourceRepo {
@@ -84,12 +128,70 @@ impl SourceRepo {
         self
     }
 
+    /// Add or replace a file. Drops the memo.
     pub fn add(&mut self, path: impl Into<String>, contents: impl Into<Arc<str>>) {
+        self.memo.take();
         self.files.insert(path.into(), contents.into());
     }
 
+    /// Remove a file. Drops the memo.
     pub fn remove(&mut self, path: &str) -> Option<Arc<str>> {
+        self.memo.take();
         self.files.remove(path)
+    }
+
+    /// The value of `derive` memoised under `key`: the first call with a
+    /// given result type `T` and `key` runs `derive`, and later calls on
+    /// this repository return a clone of its result until a mutator drops
+    /// the memo.
+    ///
+    /// `derive` must be a pure function of this repository's files and of
+    /// the inputs `key` was hashed from, which should be their
+    /// [`Fnv128`](crate::fnv::Fnv128) field hash. Each key has its own
+    /// once-cell, as each case of the apps' reference memo does: the
+    /// memo's lock is held only to find the cell, never while `derive`
+    /// runs, so derivations of different keys proceed in parallel and
+    /// `derive` may use the memo for other keys. A concurrent call with the
+    /// same key waits for the running derivation and returns its result,
+    /// so each key is derived once however threads interleave. `derive`
+    /// must not ask for its own key. If it panics, the cell stays empty
+    /// and the next call derives again.
+    pub fn memoized<T>(&self, key: u128, derive: impl FnOnce() -> T) -> T
+    where
+        T: Clone + Send + Sync + 'static,
+    {
+        let ty = TypeId::of::<T>();
+        let cell = Arc::clone(
+            self.memo()
+                .results
+                .entry((ty, key))
+                .or_insert_with(|| Arc::new(OnceLock::<T>::new())),
+        );
+        let cell = cell
+            .downcast::<OnceLock<T>>()
+            .expect("memo cells are keyed by their result type");
+        cell.get_or_init(|| {
+            *self.memo().cold.entry(ty).or_default() += 1;
+            derive()
+        })
+        .clone()
+    }
+
+    /// How many times [`memoized`](Self::memoized) has begun a cold
+    /// derivation of a `T` on this repository since its last mutation. A
+    /// clone starts at 0.
+    pub fn cold_derivations<T: 'static>(&self) -> usize {
+        self.memo.get().map_or(0, |memo| {
+            lock(memo)
+                .cold
+                .get(&TypeId::of::<T>())
+                .copied()
+                .unwrap_or(0)
+        })
+    }
+
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        lock(self.memo.get_or_init(Box::default))
     }
 
     pub fn get(&self, path: &str) -> Option<&str> {
@@ -204,6 +306,12 @@ impl SourceRepo {
     }
 }
 
+fn lock(memo: &Mutex<Memo>) -> MutexGuard<'_, Memo> {
+    // Every critical section is one lookup, insert or count, and no
+    // derivation runs under the lock, so a poisoned memo is intact.
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl fmt::Display for SourceRepo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.file_tree())
@@ -212,9 +320,7 @@ impl fmt::Display for SourceRepo {
 
 impl FromIterator<(String, String)> for SourceRepo {
     fn from_iter<T: IntoIterator<Item = (String, String)>>(iter: T) -> Self {
-        SourceRepo {
-            files: iter.into_iter().map(|(p, c)| (p, Arc::from(c))).collect(),
-        }
+        iter.into_iter().map(|(p, c)| (p, Arc::from(c))).collect()
     }
 }
 
@@ -222,6 +328,7 @@ impl FromIterator<(String, Arc<str>)> for SourceRepo {
     fn from_iter<T: IntoIterator<Item = (String, Arc<str>)>>(iter: T) -> Self {
         SourceRepo {
             files: iter.into_iter().collect(),
+            memo: OnceLock::new(),
         }
     }
 }
@@ -313,6 +420,86 @@ mod tests {
             &a.get_shared("src/kernel.h").unwrap(),
             &c.get_shared("src/kernel.h").unwrap()
         ));
+    }
+
+    fn memo_is_empty(repo: &SourceRepo) -> bool {
+        repo.memo.get().is_none()
+    }
+
+    #[test]
+    fn memo_fills_lazily_and_derives_each_key_once() {
+        let repo = sample();
+        assert!(
+            memo_is_empty(&repo),
+            "building a repo must not fill the memo"
+        );
+        assert_eq!(repo.memoized(1, || 10_u32), 10);
+        assert_eq!(
+            repo.memoized(1, || 11_u32),
+            10,
+            "a warm call must not derive"
+        );
+        assert_eq!(repo.cold_derivations::<u32>(), 1);
+        // The result type is part of the key.
+        assert_eq!(repo.memoized(1, || "other".to_string()), "other");
+        assert_eq!(repo.cold_derivations::<String>(), 1);
+        // No lock is held while deriving, so a derivation may use the memo
+        // for another key.
+        let outer = repo.memoized(2, || repo.memoized(3, || 20_u32) + 1);
+        assert_eq!(outer, 21);
+        assert_eq!(repo.memoized(3, || 30_u32), 20);
+        assert_eq!(repo.cold_derivations::<u32>(), 3);
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_share_one_derivation() {
+        // The second thread asks for the key while the first is deriving
+        // it. It must wait for that result, not derive its own: the work
+        // of a memoised grid must not depend on how its workers interleave.
+        let repo = sample();
+        let deriving = std::sync::Barrier::new(2);
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                repo.memoized(7, || {
+                    deriving.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    1_u32
+                })
+            });
+            deriving.wait();
+            let second = repo.memoized(7, || 2_u32);
+            (first.join().expect("first caller"), second)
+        });
+        assert_eq!((first, second), (1, 1));
+        assert_eq!(repo.cold_derivations::<u32>(), 1);
+    }
+
+    #[test]
+    fn mutators_drop_the_memo() {
+        let mut repo = sample();
+        repo.memoized(1, || 1_u32);
+        repo.add("src/extra.h", "void e();\n");
+        assert!(memo_is_empty(&repo));
+        assert_eq!(repo.memoized(1, || 2_u32), 2);
+        repo.remove("src/extra.h");
+        assert!(memo_is_empty(&repo));
+        assert_eq!(repo.memoized(1, || 3_u32), 3);
+        assert_eq!(repo.cold_derivations::<u32>(), 1);
+        let repo = repo.with_file("src/extra.h", "void e();\n");
+        assert!(memo_is_empty(&repo));
+        assert_eq!(repo.cold_derivations::<u32>(), 0);
+    }
+
+    #[test]
+    fn memo_is_invisible_in_the_value() {
+        let warm = sample();
+        warm.memoized(1, || 1_u32);
+        let clone = warm.clone();
+        assert!(memo_is_empty(&clone), "a clone starts cold");
+        assert_eq!(clone.cold_derivations::<u32>(), 0);
+        assert_eq!(warm, sample());
+        assert_eq!(format!("{warm:?}"), format!("{:?}", sample()));
+        assert!(format!("{warm:?}").starts_with("SourceRepo { files: {"));
     }
 
     #[test]

@@ -85,6 +85,10 @@ struct OracleAttempt {
 }
 
 impl OracleAttempt {
+    /// This attempt's reference translation. `transpile_repo` is pure, and
+    /// its per-file transpiles come from `source_repo`'s memo, which every
+    /// attempt on the same app shares; so only the first attempt of a
+    /// (repo, pair) transpiles its files, and later ones only reassemble.
     fn translated(&mut self, binary: &str) -> &SourceRepo {
         self.translated
             .get_or_insert_with(|| transpile::transpile_repo(&self.source_repo, self.pair, binary))

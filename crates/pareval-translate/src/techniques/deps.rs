@@ -3,13 +3,23 @@
 //! with no dependencies first. MiniHPC's structured include tokens play the
 //! role of clang's dependency analysis; circular includes cannot occur.
 
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::parser;
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use std::collections::BTreeMap;
 
 /// Topological order: dependencies (included headers) before dependents,
 /// build files last, with deterministic (path-ordered) tie-breaking.
+///
+/// A pure function of `repo`'s files, so it is memoised on `repo` (one
+/// include scan per repository, counted there as a cold derivation of a
+/// `Vec<String>`); any mutation of `repo` drops the memo.
 pub fn dependency_order(repo: &SourceRepo) -> Vec<String> {
+    // The order has no input besides the repository: its key hashes none.
+    repo.memoized(Fnv128::new().finish(), || dependency_order_cold(repo))
+}
+
+fn dependency_order_cold(repo: &SourceRepo) -> Vec<String> {
     // Edges: file → its resolved local includes.
     let mut deps: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut code_files: Vec<String> = Vec::new();
@@ -108,6 +118,17 @@ mod tests {
         let order = dependency_order(&repo);
         let pos = |p: &str| order.iter().position(|x| x == p).unwrap();
         assert!(pos("util.h") < pos("broken.cpp"));
+    }
+
+    #[test]
+    fn an_added_include_reorders() {
+        let mut repo = SourceRepo::new()
+            .with_file("a.h", "void a(void);\n")
+            .with_file("b.h", "void b(void);\n");
+        assert_eq!(dependency_order(&repo), vec!["a.h", "b.h"]);
+        repo.add("a.h", "#include \"b.h\"\nvoid a(void);\n");
+        assert_eq!(dependency_order(&repo), vec!["b.h", "a.h"]);
+        assert_eq!(repo.cold_derivations::<Vec<String>>(), 1);
     }
 
     #[test]

@@ -12,6 +12,7 @@ pub mod kernel;
 pub mod rw;
 
 use minihpc_lang::ast::*;
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::{ExecutionModel, TranslationPair};
 use minihpc_lang::parser;
 use minihpc_lang::pragma::*;
@@ -21,6 +22,7 @@ use rw::{call_name, map_exprs, map_exprs_stmt, map_type, rewrite_stmts};
 use std::collections::{BTreeMap, HashSet};
 
 /// Outcome of transpiling one source/header file.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileResult {
     pub path: String,
     pub text: String,
@@ -53,6 +55,10 @@ const RNG_PROTOS: &str = "long rng_mix(long x);\nvoid rng_seed_into(long seed, l
 
 /// Translate a whole repository to the pair's destination model, producing
 /// the translated sources *and* build system (the "Overall" configuration).
+///
+/// A pure function of its arguments. Each code file goes through
+/// [`transpile_file`], so repeated calls on one repository are served from
+/// its memo; the build file and the RNG-helper pass are redone per call.
 pub fn transpile_repo(repo: &SourceRepo, pair: TranslationPair, binary: &str) -> SourceRepo {
     let mut out = SourceRepo::new();
     let mut translated_sources: Vec<String> = Vec::new();
@@ -100,7 +106,29 @@ pub fn transpile_repo(repo: &SourceRepo, pair: TranslationPair, binary: &str) ->
 }
 
 /// Translate one source or header file.
+///
+/// A pure function of `repo`'s files, `path`, `text` and `pair`: `text`
+/// need not be `repo`'s copy of `path` (the top-down technique passes
+/// chunks), and under CUDA→Kokkos the result also reads every other code
+/// file of `repo`. It is therefore memoised on `repo` under the
+/// [`Fnv128`] hash of (`pair`, `path`, `text`), and counted there as a
+/// cold derivation of a [`FileResult`]. Any mutation of `repo` drops the
+/// memo.
 pub fn transpile_file(
+    repo: &SourceRepo,
+    path: &str,
+    text: &str,
+    pair: TranslationPair,
+) -> FileResult {
+    let mut key = Fnv128::new();
+    key.field(pair.from.id().as_bytes());
+    key.field(pair.to.id().as_bytes());
+    key.field(path.as_bytes());
+    key.field(text.as_bytes());
+    repo.memoized(key.finish(), || transpile_file_cold(repo, path, text, pair))
+}
+
+fn transpile_file_cold(
     repo: &SourceRepo,
     path: &str,
     text: &str,
@@ -1148,5 +1176,57 @@ fn collect_decl_types(b: &Block, out: &mut BTreeMap<String, Type>) {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memoised_transpile_matches_the_cold_path() {
+        for app in pareval_apps::suite() {
+            for pair in app.pairs() {
+                let repo = app.repo(pair.from).unwrap();
+                let cold_before = repo.cold_derivations::<FileResult>();
+                for path in repo.code_files() {
+                    let text = repo.get(path).unwrap();
+                    let cold = transpile_file_cold(repo, path, text, pair);
+                    let first = transpile_file(repo, path, text, pair);
+                    let warm = transpile_file(repo, path, text, pair);
+                    assert_eq!(first, cold, "{}: {path} ({pair})", app.name);
+                    assert_eq!(warm, cold, "{}: {path} ({pair})", app.name);
+                }
+                assert_eq!(
+                    repo.cold_derivations::<FileResult>() - cold_before,
+                    repo.code_files().len(),
+                    "{} ({pair}): one cold transpile per file",
+                    app.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn editing_another_file_invalidates_a_kokkos_transpile() {
+        // Under CUDA→Kokkos, kernel.h's `runXOR` parameters become views
+        // only because kernel.cu's `runXOR` forwards them to a kernel.
+        let app = pareval_apps::by_name("microXOR").unwrap();
+        let pair = TranslationPair::CUDA_TO_KOKKOS;
+        let mut repo = app.repo(pair.from).unwrap().clone();
+        let header = repo.get("src/kernel.h").unwrap().to_string();
+        let before = transpile_file(&repo, "src/kernel.h", &header, pair);
+
+        let kernel = repo.get("src/kernel.cu").unwrap();
+        let unlaunched = kernel.replace("cellsXOR<<<grid, block>>>(in, out, N);", "");
+        assert_ne!(unlaunched, kernel);
+        repo.add("src/kernel.cu", unlaunched);
+
+        let after = transpile_file(&repo, "src/kernel.h", &header, pair);
+        assert_eq!(
+            after,
+            transpile_file_cold(&repo, "src/kernel.h", &header, pair)
+        );
+        assert_ne!(after, before, "the edit must matter to kernel.h");
     }
 }

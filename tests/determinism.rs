@@ -7,14 +7,16 @@
 mod common;
 
 use common::{serial_reference, serial_reference_of};
-use minihpc_lang::model::TranslationPair;
+use minihpc_lang::model::{ExecutionModel, TranslationPair};
 use pareval_core::{
     report, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults, NullSink,
     ProgressSink, Runner, SampleRecord, ScheduledRunner,
 };
 use pareval_repo as _;
+use pareval_translate::transpile::FileResult;
 use pareval_translate::Technique;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 /// A sink that records completion order, to prove the *stream* may be
@@ -226,6 +228,54 @@ fn repair_heavy_grid_runs_each_reference_once() {
         [("SimpleMOC-kernel", 0), ("XSBench", 1), ("llm.c", 1)],
         "reference work changed"
     );
+}
+
+#[test]
+fn paper_grid_transpiles_each_distinct_file_once() {
+    // Work-counter pin: on `full(5)` the simulated backend asks for 2,970
+    // file transpiles and top-down asks for 365 dependency orders, but
+    // they come from 67 distinct (repo, pair, path, text) inputs and one
+    // include scan per source repo, each memoised on the app's shared
+    // source repo. Two workers do the same work: a worker that asks for a
+    // result the other is deriving waits for it instead of deriving it
+    // again.
+    for workers in [1, 2] {
+        let plan = ExperimentPlan::full(5);
+        ScheduledRunner::new(workers).run(&plan);
+        let mut per_repo: BTreeMap<(&str, ExecutionModel), (usize, usize)> = BTreeMap::new();
+        for task in plan.tasks() {
+            let repo = task.app.repo(task.pair.from).expect("task's source repo");
+            per_repo.insert(
+                (&task.app.name, task.pair.from),
+                (
+                    repo.cold_derivations::<FileResult>(),
+                    repo.cold_derivations::<Vec<String>>(),
+                ),
+            );
+        }
+        let transpiles: usize = per_repo.values().map(|&(t, _)| t).sum();
+        assert_eq!(
+            transpiles, 67,
+            "transpile work changed at {workers} workers: {per_repo:?}"
+        );
+
+        let top_down: BTreeSet<(&str, ExecutionModel)> = plan
+            .cells()
+            .iter()
+            .filter(|c| c.feasible && c.key.technique == Technique::TopDownAgentic)
+            .map(|c| {
+                let task = plan.task_of(c);
+                (&*task.app.name, task.pair.from)
+            })
+            .collect();
+        for (repo, &(_, orders)) in &per_repo {
+            let expected = usize::from(top_down.contains(repo));
+            assert_eq!(
+                orders, expected,
+                "dependency orders of {repo:?} at {workers} workers"
+            );
+        }
+    }
 }
 
 #[test]
