@@ -21,6 +21,8 @@
 //!   detection (enforces the paper's "must use the requested model" rule).
 //! - [`complexity`]: SLoC and cyclomatic-complexity statistics (Table 1).
 //! - [`repo`]: the in-memory repository that translation tasks rewrite.
+//! - [`memo`]: [`OnceMap`](memo::OnceMap), the once-per-key memo behind
+//!   every content-derived cache in the workspace.
 //! - [`fnv`]: FNV-1a, the stable hash behind every cache key, plan
 //!   fingerprint, checksum and generator digest in the workspace.
 
@@ -28,6 +30,7 @@ pub mod ast;
 pub mod complexity;
 pub mod fnv;
 pub mod lexer;
+pub mod memo;
 pub mod model;
 pub mod parser;
 pub mod pragma;

@@ -3,10 +3,11 @@
 //! build files, documentation — exactly what gets shown to (and rewritten by)
 //! a translation technique.
 
+use crate::memo::OnceMap;
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// Classification of a repository file, used by prompt construction, the
 //  dependency agent, and the build driver.
@@ -73,33 +74,23 @@ impl RepoFile {
 ///
 /// A repository also memoises results derived from its files alone, such as
 /// the oracle transpile of one of its files ([`SourceRepo::memoized`]). The
-/// memo is invisible in the repository's value: it is created on first
-/// use, every `&mut self` mutator ([`add`](Self::add),
+/// memo is invisible in the repository's value: it fills on first use,
+/// every `&mut self` mutator ([`add`](Self::add),
 /// [`remove`](Self::remove), and so [`with_file`](Self::with_file)) drops
 /// it, a clone starts without one, and `PartialEq` and `Debug` see only
 /// the files.
 #[derive(Default)]
 pub struct SourceRepo {
     files: BTreeMap<String, Arc<str>>,
-    memo: OnceLock<Box<Mutex<Memo>>>,
-}
-
-/// Results derived from a repository's files, computed on first use.
-#[derive(Default)]
-struct Memo {
-    /// Each result's `OnceLock<T>` under its type `T` and the caller's
-    /// content key. A cell is shared out of the map, so it is filled
-    /// without the map's lock held.
-    results: BTreeMap<(TypeId, u128), Arc<dyn Any + Send + Sync>>,
-    /// Cold derivations begun, per result type.
-    cold: BTreeMap<TypeId, usize>,
+    /// One `OnceMap<u128, T>` per result type `T`.
+    memo: OnceMap<TypeId, Arc<dyn Any + Send + Sync>>,
 }
 
 impl Clone for SourceRepo {
     fn clone(&self) -> Self {
         SourceRepo {
             files: self.files.clone(),
-            memo: OnceLock::new(),
+            memo: OnceMap::default(),
         }
     }
 }
@@ -130,13 +121,13 @@ impl SourceRepo {
 
     /// Add or replace a file. Drops the memo.
     pub fn add(&mut self, path: impl Into<String>, contents: impl Into<Arc<str>>) {
-        self.memo.take();
+        self.memo = OnceMap::default();
         self.files.insert(path.into(), contents.into());
     }
 
     /// Remove a file. Drops the memo.
     pub fn remove(&mut self, path: &str) -> Option<Arc<str>> {
-        self.memo.take();
+        self.memo = OnceMap::default();
         self.files.remove(path)
     }
 
@@ -148,50 +139,34 @@ impl SourceRepo {
     /// `derive` must be a pure function of this repository's files and of
     /// the inputs `key` was hashed from, which should be their
     /// [`Fnv128`](crate::fnv::Fnv128) field hash. Each key has its own
-    /// once-cell, as each case of the apps' reference memo does: the
-    /// memo's lock is held only to find the cell, never while `derive`
-    /// runs, so derivations of different keys proceed in parallel and
-    /// `derive` may use the memo for other keys. A concurrent call with the
-    /// same key waits for the running derivation and returns its result,
-    /// so each key is derived once however threads interleave. `derive`
-    /// must not ask for its own key. If it panics, the cell stays empty
-    /// and the next call derives again.
+    /// once-cell in an [`OnceMap`]: derivations of different keys proceed
+    /// in parallel, `derive` may use the memo for other keys (but not its
+    /// own), a concurrent call with the same key waits for the running
+    /// derivation, and a derivation that panics leaves its cell empty.
     pub fn memoized<T>(&self, key: u128, derive: impl FnOnce() -> T) -> T
     where
         T: Clone + Send + Sync + 'static,
     {
         let ty = TypeId::of::<T>();
-        let cell = Arc::clone(
-            self.memo()
-                .results
-                .entry((ty, key))
-                .or_insert_with(|| Arc::new(OnceLock::<T>::new())),
-        );
-        let cell = cell
-            .downcast::<OnceLock<T>>()
-            .expect("memo cells are keyed by their result type");
-        cell.get_or_init(|| {
-            *self.memo().cold.entry(ty).or_default() += 1;
-            derive()
-        })
-        .clone()
+        let results = self
+            .memo
+            .get_or_init(ty, || Arc::new(OnceMap::<u128, T>::default()));
+        results
+            .downcast_ref::<OnceMap<u128, T>>()
+            .expect("memo maps are keyed by their result type")
+            .get_or_init(key, derive)
     }
 
     /// How many times [`memoized`](Self::memoized) has begun a cold
     /// derivation of a `T` on this repository since its last mutation. A
     /// clone starts at 0.
     pub fn cold_derivations<T: 'static>(&self) -> usize {
-        self.memo.get().map_or(0, |memo| {
-            lock(memo)
-                .cold
-                .get(&TypeId::of::<T>())
-                .copied()
-                .unwrap_or(0)
+        self.memo.get(&TypeId::of::<T>()).map_or(0, |results| {
+            results
+                .downcast_ref::<OnceMap<u128, T>>()
+                .expect("memo maps are keyed by their result type")
+                .derivations()
         })
-    }
-
-    fn memo(&self) -> MutexGuard<'_, Memo> {
-        lock(self.memo.get_or_init(Box::default))
     }
 
     pub fn get(&self, path: &str) -> Option<&str> {
@@ -306,12 +281,6 @@ impl SourceRepo {
     }
 }
 
-fn lock(memo: &Mutex<Memo>) -> MutexGuard<'_, Memo> {
-    // Every critical section is one lookup, insert or count, and no
-    // derivation runs under the lock, so a poisoned memo is intact.
-    memo.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl fmt::Display for SourceRepo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.file_tree())
@@ -328,7 +297,7 @@ impl FromIterator<(String, Arc<str>)> for SourceRepo {
     fn from_iter<T: IntoIterator<Item = (String, Arc<str>)>>(iter: T) -> Self {
         SourceRepo {
             files: iter.into_iter().collect(),
-            memo: OnceLock::new(),
+            memo: OnceMap::default(),
         }
     }
 }
@@ -423,61 +392,17 @@ mod tests {
     }
 
     fn memo_is_empty(repo: &SourceRepo) -> bool {
-        repo.memo.get().is_none()
-    }
-
-    #[test]
-    fn memo_fills_lazily_and_derives_each_key_once() {
-        let repo = sample();
-        assert!(
-            memo_is_empty(&repo),
-            "building a repo must not fill the memo"
-        );
-        assert_eq!(repo.memoized(1, || 10_u32), 10);
-        assert_eq!(
-            repo.memoized(1, || 11_u32),
-            10,
-            "a warm call must not derive"
-        );
-        assert_eq!(repo.cold_derivations::<u32>(), 1);
-        // The result type is part of the key.
-        assert_eq!(repo.memoized(1, || "other".to_string()), "other");
-        assert_eq!(repo.cold_derivations::<String>(), 1);
-        // No lock is held while deriving, so a derivation may use the memo
-        // for another key.
-        let outer = repo.memoized(2, || repo.memoized(3, || 20_u32) + 1);
-        assert_eq!(outer, 21);
-        assert_eq!(repo.memoized(3, || 30_u32), 20);
-        assert_eq!(repo.cold_derivations::<u32>(), 3);
-    }
-
-    #[test]
-    fn concurrent_callers_of_one_key_share_one_derivation() {
-        // The second thread asks for the key while the first is deriving
-        // it. It must wait for that result, not derive its own: the work
-        // of a memoised grid must not depend on how its workers interleave.
-        let repo = sample();
-        let deriving = std::sync::Barrier::new(2);
-        let (first, second) = std::thread::scope(|scope| {
-            let first = scope.spawn(|| {
-                repo.memoized(7, || {
-                    deriving.wait();
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    1_u32
-                })
-            });
-            deriving.wait();
-            let second = repo.memoized(7, || 2_u32);
-            (first.join().expect("first caller"), second)
-        });
-        assert_eq!((first, second), (1, 1));
-        assert_eq!(repo.cold_derivations::<u32>(), 1);
+        repo.memo.is_empty()
     }
 
     #[test]
     fn mutators_drop_the_memo() {
         let mut repo = sample();
+        assert!(memo_is_empty(&repo), "building a repo must not fill it");
         repo.memoized(1, || 1_u32);
+        // The result type is part of the key.
+        assert_eq!(repo.memoized(1, || "other".to_string()), "other");
+        assert_eq!(repo.cold_derivations::<String>(), 1);
         repo.add("src/extra.h", "void e();\n");
         assert!(memo_is_empty(&repo));
         assert_eq!(repo.memoized(1, || 2_u32), 2);

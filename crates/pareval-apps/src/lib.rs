@@ -9,9 +9,10 @@
 //! Expected outputs are not hard-coded: they are produced by building and
 //! running the application's own source-model implementation through the
 //! MiniHPC toolchain, exactly as the paper leverages "the correctness
-//! validation test cases provided by the developers". Each declared test
-//! case's reference output is computed once, lazily on first use, and
-//! shared by every clone of its [`Application`].
+//! validation test cases provided by the developers". Each test case's
+//! reference output is computed once, lazily on first use, and memoised on
+//! the reference repository that every clone of its [`Application`]
+//! shares.
 
 mod llmc;
 mod simplemoc;
@@ -20,13 +21,13 @@ mod xsbench;
 
 use minihpc_build::{build_repo, BuildRequest};
 use minihpc_gen::{generate, GenSpec};
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::{BuildSystemKind, ExecutionModel, TranslationPair};
 use minihpc_lang::repo::SourceRepo;
 use minihpc_runtime::{run, RunConfig};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One developer-provided test case: CLI arguments (expected stdout is
 /// derived from the reference implementation).
@@ -93,34 +94,12 @@ pub struct Application {
     /// `minihpc-gen`; `None` for the hand-written suite. Experiment-plan
     /// fingerprints fold this in so a resumed run detects generator drift.
     pub gen_digest: Option<u64>,
-    /// Reference stdout per declared test case, shared by every clone.
-    reference: Arc<ReferenceMemo>,
 }
 
-/// The lazily computed reference stdout of an application's declared test
-/// cases. Each slot is its own `OnceLock`, so no lock is held across
-/// different cases, and a reference that panics leaves its slot empty.
-/// The memo assumes `repos`, `binary` and `tests` are not replaced after
-/// construction, which no caller does.
-#[derive(Debug)]
-struct ReferenceMemo {
-    /// One slot per declared test case, keyed by its arguments.
-    slots: Vec<(Vec<String>, OnceLock<String>)>,
-    /// Cold reference builds and runs begun, including failed ones.
-    cold_runs: AtomicUsize,
-}
-
-impl ReferenceMemo {
-    fn shared(tests: &[TestCase]) -> Arc<Self> {
-        Arc::new(ReferenceMemo {
-            slots: tests
-                .iter()
-                .map(|case| (case.args.clone(), OnceLock::new()))
-                .collect(),
-            cold_runs: AtomicUsize::new(0),
-        })
-    }
-}
+/// The reference implementation's stdout for one test case, as memoised
+/// on the reference repository.
+#[derive(Clone)]
+struct ReferenceOutput(String);
 
 impl Application {
     /// Models this application is implemented in.
@@ -153,57 +132,55 @@ impl Application {
             .collect()
     }
 
-    /// The reference implementation's stdout for a test case. A declared
-    /// case is built and run once, on its first call, and every later call
-    /// (through any clone of this application) returns a copy; an
-    /// undeclared case is built and run on every call. Panics if the
-    /// reference itself fails — that is a bug in the benchmark suite, not
-    /// in a translation — and a failure is never memoised, so every call
-    /// panics again. Turning that panic into a typed infeasibility is
-    /// still open (ROADMAP item 5); it too must stay lazy.
+    /// The reference implementation's stdout for a test case. Each case is
+    /// built and run once, on its first call, and every later call (through
+    /// any clone of this application) returns a copy: the output is
+    /// memoised on the reference [`SourceRepo`], keyed by the binary and the
+    /// case's arguments. Panics if the reference itself fails — that is a
+    /// bug in the benchmark suite, not in a translation — and a failure is
+    /// never memoised, so every call panics again. Turning that panic into
+    /// a typed infeasibility is still open (ROADMAP item 7); it too must
+    /// stay lazy.
     pub fn expected_output(&self, case: &TestCase) -> String {
-        let slot = self
-            .reference
-            .slots
-            .iter()
-            .find(|(args, _)| *args == case.args);
-        match slot {
-            Some((_, memo)) => memo.get_or_init(|| self.run_reference(case)).clone(),
-            None => self.run_reference(case),
+        let (model, repo) = self.reference_repo();
+        let mut key = Fnv128::new();
+        key.field(self.binary.as_bytes());
+        for arg in &case.args {
+            key.field(arg.as_bytes());
         }
+        let reference = repo.memoized(key.finish(), || {
+            let outcome = build_repo(repo, &BuildRequest::new(&*self.binary));
+            let exe = outcome.executable.unwrap_or_else(|| {
+                panic!(
+                    "reference build of {} ({model}) failed:\n{}",
+                    self.name,
+                    outcome.log.text()
+                )
+            });
+            let result = run(&exe, RunConfig::with_args(case.args.iter().cloned()));
+            assert!(
+                result.error.is_none() && result.exit_code == 0,
+                "reference run of {} failed: {:?}\n{}",
+                self.name,
+                result.error,
+                result.stdout,
+            );
+            ReferenceOutput(result.stdout)
+        });
+        reference.0
     }
 
     /// Cold reference builds and runs begun so far by this application and
     /// its clones, including ones that panicked.
     pub fn cold_reference_runs(&self) -> usize {
-        self.reference.cold_runs.load(Ordering::Relaxed)
+        let (_, repo) = self.reference_repo();
+        repo.cold_derivations::<ReferenceOutput>()
     }
 
-    /// Build the reference implementation and run it on `case`.
-    fn run_reference(&self, case: &TestCase) -> String {
-        self.reference.cold_runs.fetch_add(1, Ordering::Relaxed);
-        let (model, repo) = self
-            .repos
-            .iter()
-            .next()
-            .expect("application has at least one implementation");
-        let outcome = build_repo(repo, &BuildRequest::new(&*self.binary));
-        let exe = outcome.executable.unwrap_or_else(|| {
-            panic!(
-                "reference build of {} ({model}) failed:\n{}",
-                self.name,
-                outcome.log.text()
-            )
-        });
-        let result = run(&exe, RunConfig::with_args(case.args.iter().cloned()));
-        assert!(
-            result.error.is_none() && result.exit_code == 0,
-            "reference run of {} failed: {:?}\n{}",
-            self.name,
-            result.error,
-            result.stdout,
-        );
-        result.stdout
+    /// The implementation the reference outputs come from.
+    fn reference_repo(&self) -> (&ExecutionModel, &Arc<SourceRepo>) {
+        let first = self.repos.iter().next();
+        first.expect("application has at least one implementation")
     }
 
     /// The build system the source-model repo of `pair` uses.
@@ -257,7 +234,6 @@ pub fn generated_app(spec: &GenSpec) -> Application {
         name: Cow::Owned(g.name),
         binary: Cow::Owned(g.binary),
         repos,
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: g.cli_spec,
         build_spec: g.build_spec,
@@ -397,11 +373,11 @@ mod tests {
         assert_eq!(app.cold_reference_runs(), 2, "one cold run per case");
         // The memoised output is the cold one.
         assert_eq!(by_name("nanoXOR").unwrap().expected_output(first), out);
-        // An undeclared case has no slot: it runs cold on every call.
+        // An undeclared case is memoised like a declared one.
         let undeclared = TestCase::new(["8", "1"]);
         app.expected_output(&undeclared);
         app.expected_output(&undeclared);
-        assert_eq!(app.cold_reference_runs(), 4);
+        assert_eq!(app.cold_reference_runs(), 3);
     }
 
     #[test]
@@ -421,7 +397,6 @@ mod tests {
         );
         let broken = Application {
             repos,
-            reference: ReferenceMemo::shared(&good.tests),
             ..good.clone()
         };
         let case = &broken.tests[0];
@@ -440,7 +415,6 @@ mod tests {
                 "call {call} must run cold"
             );
         }
-        assert!(broken.reference.slots[0].1.get().is_none());
         assert_eq!(
             good.cold_reference_runs(),
             0,

@@ -5,7 +5,7 @@
 //! training loop in main, and deterministic synthetic data — here a
 //! two-layer MLP classifier whose loss must decrease monotonically.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -291,7 +291,6 @@ pub fn llmc() -> Application {
         name: "llm.c".into(),
         binary: "llmc".into(),
         repos: share(repos),
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: "The program must be invoked as `llmc [steps] [seed]` (defaults 10 1337) \
                    and print one `step <i> loss <v>` line per training step followed by \

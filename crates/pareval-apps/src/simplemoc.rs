@@ -4,7 +4,7 @@
 //! direct OpenMP/Kokkos equivalent, forcing translations to synthesise a
 //! portable RNG.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -166,7 +166,6 @@ pub fn simplemoc_kernel() -> Application {
         name: "SimpleMOC-kernel".into(),
         binary: "simplemoc".into(),
         repos: share(repos),
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: "The program must be invoked as `simplemoc <segments> <egroups> <seed>` \
                    (all optional, defaults 1024 16 42) and print a header line followed by \

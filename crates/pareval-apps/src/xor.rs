@@ -5,7 +5,7 @@
 //! The kernel is the paper's four-point XOR stencil (Listing 2): a cell
 //! becomes 1 iff exactly one of its von-Neumann neighbours is 1.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -218,7 +218,6 @@ pub fn nanoxor() -> Application {
         name: "nanoXOR".into(),
         binary: "nanoxor".into(),
         repos: share(repos),
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: CLI_SPEC.to_string(),
         build_spec: BUILD_SPEC.to_string(),
@@ -267,7 +266,6 @@ pub fn microxorh() -> Application {
         name: "microXORh".into(),
         binary: "microxorh".into(),
         repos: share(repos),
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: CLI_SPEC.to_string(),
         build_spec: BUILD_SPEC.to_string(),
@@ -325,7 +323,6 @@ pub fn microxor() -> Application {
         name: "microXOR".into(),
         binary: "microxor".into(),
         repos: share(repos),
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: CLI_SPEC.to_string(),
         build_spec: BUILD_SPEC.to_string(),

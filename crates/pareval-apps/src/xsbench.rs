@@ -9,7 +9,7 @@
 //! cross-sections. Verification is an integer checksum (order-independent
 //! sum), so all models and schedules agree exactly.
 
-use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, ReferenceMemo, TestCase};
+use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
 use minihpc_lang::model::ExecutionModel;
 use minihpc_lang::repo::SourceRepo;
 use std::collections::BTreeMap;
@@ -427,7 +427,6 @@ pub fn xsbench() -> Application {
         name: "XSBench".into(),
         binary: "xsbench".into(),
         repos: share(repos),
-        reference: ReferenceMemo::shared(&tests),
         tests,
         cli_spec: "The program must be invoked as `xsbench [n_lookups] [n_isotopes] \
                    [n_gridpoints] [seed]` (defaults 2000 12 64 1070) and print the header \

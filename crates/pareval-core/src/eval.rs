@@ -21,8 +21,9 @@
 //!   build file already matches ground truth (the two repos are then
 //!   identical, hence the same key), and
 //! - [`ScheduledRunner`](crate::sched::ScheduledRunner) workers share hits
-//!   across threads — the cache sits behind `std::sync` locks and one
-//!   pipeline serves the whole run.
+//!   across threads — one pipeline serves the whole run, and each outcome
+//!   is evaluated once however the workers interleave (a worker that asks
+//!   for an outcome another is evaluating waits for it).
 //!
 //! A cache hit returns a clone of the stored [`EvalOutcome`]; since the
 //! build + run substrate is deterministic, a hit is byte-identical to the
@@ -37,6 +38,7 @@ use minihpc_analyze::{AnalysisFinding, Confidence};
 use minihpc_build::preprocess::ParsedFile;
 use minihpc_build::{build_repo_with, BuildRequest, CompiledUnit, ErrorCategory, UnitCache};
 use minihpc_lang::fnv::{fnv64, Fnv128};
+use minihpc_lang::memo::OnceMap;
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use minihpc_runtime::{run, RunConfig};
 use pareval_llm::{AttemptSpec, ModelProfile, RepairContext, RepairOutcome, TranslationBackend};
@@ -45,7 +47,7 @@ use pareval_translate::Technique;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex};
 
 /// Hit/miss/evict counters of a [`BuildCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -301,56 +303,43 @@ impl DiskCache {
     }
 }
 
-/// A content-addressed memo of build + run outcomes: an in-memory map,
-/// optionally backed by a persistent disk tier shared across
-/// processes (see [`EvalConfig::disk_cache_dir`]). Lookups read through —
-/// memory first, then disk (promoting the entry to memory) — and inserts
-/// write through to both tiers. Beneath the outcomes sit two in-memory
-/// memos the cold build compiles through: parsed files and per-file
-/// compile units.
+/// A content-addressed memo of build + run outcomes: an in-memory
+/// [`OnceMap`], optionally backed by a persistent disk tier shared across
+/// processes (see [`EvalConfig::disk_cache_dir`]). An outcome missing from
+/// memory is loaded from disk, or else evaluated cold and written to disk.
+/// Beneath the outcomes sit two in-memory memos the cold build compiles
+/// through: parsed files and per-file compile units.
 ///
-/// Thread-safe: lookups take a read lock, inserts a write lock, so workers
-/// of a parallel runner serve each other's hits. Two threads racing on the
-/// same cold key may both evaluate; the substrate is deterministic, so
-/// whichever insert lands last stores the same outcome.
+/// Thread-safe, and each outcome, analysis and parse is derived once: a
+/// worker that asks for one another worker is deriving waits for it, so
+/// the cold work and the counters do not depend on how workers interleave.
+/// The unit tier is the exception (see [`UnitCache`]).
 #[derive(Debug, Default)]
 pub struct BuildCache {
-    map: RwLock<HashMap<u128, EvalOutcome>>,
+    outcomes: OnceMap<u128, EvalOutcome>,
     /// The file-granular tier: per-file compile units (parse + sema +
     /// object) keyed by include-closure content (see
     /// [`minihpc_build::unit::unit_key`]), in memory only. Outcome hits
     /// never reach this tier; it pays off on outcome *misses* whose repos
     /// share files with earlier builds — a repair round that touched one
     /// file re-compiles one unit and re-runs only link + test.
-    units: RwLock<HashMap<u128, CompiledUnit>>,
+    units: OnceMap<u128, CompiledUnit>,
     /// Parse memo backing the unit tier: `SourceFile` ASTs keyed by file
     /// content. Unit lookup needs the include closure, which needs every
     /// file parsed — this memo makes that discovery pass reparse only
     /// changed files.
-    parses: RwLock<HashMap<u128, ParsedFile>>,
+    parses: OnceMap<u128, ParsedFile>,
     /// Analyzer findings memoized by the same content key as build
     /// outcomes: the analysis is pure over repo content, so a repeated
     /// evaluation (Code-only reuse, repair rounds that re-emit unchanged
     /// files) reuses its findings alongside the cached objects.
-    analysis: RwLock<HashMap<u128, Vec<AnalysisFinding>>>,
+    analysis: OnceMap<u128, Vec<AnalysisFinding>>,
     disk: Option<DiskCache>,
     hits: AtomicU64,
-    misses: AtomicU64,
     disk_hits: AtomicU64,
     file_hits: AtomicU64,
     file_misses: AtomicU64,
     evictions: AtomicU64,
-}
-
-/// Read one of the cache's maps. No code panics while holding one, so a
-/// poisoned lock is a bug.
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().expect("cache lock poisoned")
-}
-
-/// Write one of the cache's maps (see [`read`]).
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().expect("cache lock poisoned")
 }
 
 impl BuildCache {
@@ -417,36 +406,12 @@ impl BuildCache {
         h.finish()
     }
 
-    fn lookup(&self, key: u128) -> Option<EvalOutcome> {
-        if let Some(hit) = read(&self.map).get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-        // Read through to the disk tier, promoting the entry to memory so
-        // repeat lookups in this process are pure memory hits.
-        if let Some(hit) = self.disk.as_ref().and_then(|d| d.load(key)) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            write(&self.map).insert(key, hit.clone());
-            return Some(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    fn insert(&self, key: u128, outcome: EvalOutcome) {
-        if let Some(disk) = &self.disk {
-            let evicted = disk.store(key, &outcome);
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        write(&self.map).insert(key, outcome);
-    }
-
     /// Entries in the in-memory tiers: whole-repo outcomes plus per-file
     /// compile units. The disk tier is counted separately by [`len_disk`].
     ///
     /// [`len_disk`]: BuildCache::len_disk
     pub fn len_memory(&self) -> usize {
-        read(&self.map).len() + read(&self.units).len()
+        self.outcomes.len() + self.units.len()
     }
 
     /// Outcome entries currently indexed in the persistent disk tier (0
@@ -464,10 +429,12 @@ impl BuildCache {
     }
 
     pub fn stats(&self) -> CacheStats {
+        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            // Every outcome derivation the disk tier did not serve ran cold.
+            misses: (self.outcomes.derivations() as u64).saturating_sub(disk_hits),
+            disk_hits,
             file_hits: self.file_hits.load(Ordering::Relaxed),
             file_misses: self.file_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -478,31 +445,33 @@ impl BuildCache {
 /// The file-granular cache seam the build driver compiles through (see
 /// [`minihpc_build::driver::build_repo_with`]): parses memoized by file
 /// content, compile units by include-closure key, both in memory.
+///
+/// Parses are derived once, like outcomes. Units go through the trait's
+/// split lookup and store, so two workers that miss the same unit at once
+/// both compile it, and at two or more workers `file_hits`/`file_misses`
+/// depend on timing (ROADMAP item 6 decides whether the tier stays).
 impl UnitCache for BuildCache {
     fn parse_file(&self, text: &str) -> ParsedFile {
         let mut h = Fnv128::new();
         h.field(b"parse-v1");
         h.field(text.as_bytes());
-        let key = h.finish();
-        if let Some(hit) = read(&self.parses).get(&key) {
-            return hit.clone();
-        }
-        let parsed = minihpc_lang::parser::parse_file(text);
-        write(&self.parses).insert(key, parsed.clone());
-        parsed
+        self.parses
+            .get_or_init(h.finish(), || minihpc_lang::parser::parse_file(text))
     }
 
     fn lookup_unit(&self, key: u128) -> Option<CompiledUnit> {
-        if let Some(hit) = read(&self.units).get(&key).cloned() {
-            self.file_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-        self.file_misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let hit = self.units.get(&key);
+        let counter = if hit.is_some() {
+            &self.file_hits
+        } else {
+            &self.file_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     fn store_unit(&self, key: u128, unit: &CompiledUnit) {
-        write(&self.units).insert(key, unit.clone());
+        self.units.get_or_init(key, || unit.clone());
     }
 }
 
@@ -739,21 +708,17 @@ impl EvalPipeline {
         if !self.eval.analyze {
             return Vec::new();
         }
-        let cached_key = self
-            .cache
-            .is_some()
-            .then(|| BuildCache::key(task, repo, &self.eval));
-        if let (Some(cache), Some(key)) = (&self.cache, cached_key) {
-            if let Some(hit) = read(&cache.analysis).get(&key).cloned() {
-                return hit;
-            }
+        let analyze = || {
+            let mut findings = minihpc_analyze::analyze_repo(repo);
+            findings.truncate(self.eval.analyze_max_findings);
+            findings
+        };
+        match &self.cache {
+            Some(cache) => cache
+                .analysis
+                .get_or_init(BuildCache::key(task, repo, &self.eval), analyze),
+            None => analyze(),
         }
-        let mut findings = minihpc_analyze::analyze_repo(repo);
-        findings.truncate(self.eval.analyze_max_findings);
-        if let (Some(cache), Some(key)) = (&self.cache, cached_key) {
-            write(&cache.analysis).insert(key, findings.clone());
-        }
-        findings
     }
 
     /// Code-only scoring of `translated`: swap in the ground-truth build
@@ -800,11 +765,25 @@ impl EvalPipeline {
             return evaluate_uncached(task, repo, &self.eval, None);
         };
         let key = BuildCache::key(task, repo, &self.eval);
-        if let Some(hit) = cache.lookup(key) {
-            return hit;
+        let mut derived = false;
+        let outcome = cache.outcomes.get_or_init(key, || {
+            derived = true;
+            // Not in memory: load it from disk, or else evaluate it cold
+            // and store it there.
+            if let Some(hit) = cache.disk.as_ref().and_then(|d| d.load(key)) {
+                cache.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return hit;
+            }
+            let outcome = evaluate_uncached(task, repo, &self.eval, Some(cache));
+            if let Some(disk) = &cache.disk {
+                let evicted = disk.store(key, &outcome);
+                cache.evictions.fetch_add(evicted, Ordering::Relaxed);
+            }
+            outcome
+        });
+        if !derived {
+            cache.hits.fetch_add(1, Ordering::Relaxed);
         }
-        let outcome = evaluate_uncached(task, repo, &self.eval, Some(cache));
-        cache.insert(key, outcome.clone());
         outcome
     }
 
@@ -1218,12 +1197,12 @@ mod tests {
         pipeline.run_sample(&task, Technique::NonAgentic, &model, &OracleBackend, 7, 0);
         let cache = pipeline.cache.as_ref().unwrap();
         assert!(
-            cache.len_memory() > read(&cache.map).len(),
+            cache.len_memory() > cache.outcomes.len(),
             "unit entries must count toward the memory tier"
         );
         assert_eq!(
             cache.len_disk(),
-            read(&cache.map).len(),
+            cache.outcomes.len(),
             "every outcome entry was written through to disk"
         );
         assert!(!cache.is_empty());

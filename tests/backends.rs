@@ -35,9 +35,8 @@ fn oracle_passes_code_only_on_every_feasible_cell() {
         .apps(["nanoXOR", "microXOR", "SimpleMOC-kernel", "XSBench"])
         .backend(Arc::new(OracleBackend))
         .build();
-    // Serial so the cache counters are deterministic (racing parallel
-    // workers may both miss the same cold key); parallel-vs-serial equality
-    // is covered by tests/determinism.rs.
+    // Serial: parallel-vs-serial equality is covered by
+    // tests/determinism.rs.
     let pipeline = EvalPipeline::new(plan.eval().clone());
     let results = ScheduledRunner::new(1).run_with(&plan, &pipeline, &NullSink);
 
