@@ -110,6 +110,9 @@ pub struct RunResult {
     /// (sorted, deduped). Empty unless `RunConfig::record_shared_writes`
     /// — the per-variable ground truth for analyzer differential tests.
     pub race_vars: Vec<String>,
+    /// Statements and loop iterations executed: the interpreter's unit of
+    /// work, counted against [`RunConfig::max_steps`].
+    pub steps: u64,
 }
 
 impl RunResult {
@@ -319,6 +322,7 @@ impl<'e> Interp<'e> {
         let telemetry = self.telemetry.get();
         let races = self.mem.detector.races();
         let race_vars = self.mem.detector.shared_conflict_vars();
+        let steps = self.steps.get();
         let stdout = self.out.into_inner();
         match outcome {
             Ok(code) => RunResult {
@@ -328,6 +332,7 @@ impl<'e> Interp<'e> {
                 telemetry,
                 races,
                 race_vars,
+                steps,
             },
             Err(Interrupt::Exit(code)) => RunResult {
                 stdout,
@@ -336,6 +341,7 @@ impl<'e> Interp<'e> {
                 telemetry,
                 races,
                 race_vars,
+                steps,
             },
             Err(Interrupt::Rt(e)) => RunResult {
                 stdout,
@@ -344,6 +350,7 @@ impl<'e> Interp<'e> {
                 telemetry,
                 races,
                 race_vars,
+                steps,
             },
         }
     }

@@ -652,3 +652,280 @@ int main(int argc, char** argv) {
     assert_eq!(r.stdout.trim(), format!("{}", 10i64 * 10 * 9));
     assert_eq!(r.telemetry.max_device_parallelism, 100);
 }
+
+// ---------------------------------------------------------------------------
+// Name resolution: which binding an identifier reaches, pinned on the
+// constructs where scoping, capture and rebinding interact.
+// ---------------------------------------------------------------------------
+
+fn make_repo(main: &str) -> SourceRepo {
+    SourceRepo::new()
+        .with_file("Makefile", "app: main.cpp\n\tg++ -O2 -o app main.cpp\n")
+        .with_file("main.cpp", main)
+}
+
+fn kokkos_repo(main: &str) -> SourceRepo {
+    SourceRepo::new()
+        .with_file(
+            "CMakeLists.txt",
+            "cmake_minimum_required(VERSION 3.16)\nproject(app LANGUAGES CXX)\n\
+             find_package(Kokkos REQUIRED)\nadd_executable(app main.cpp)\n\
+             target_link_libraries(app PRIVATE Kokkos::kokkos)\n",
+        )
+        .with_file("main.cpp", main)
+}
+
+#[test]
+fn inner_scope_shadowing_reaches_the_innermost_binding() {
+    let r = build_and_run(
+        &make_repo(
+            r#"
+#include <stdio.h>
+
+int g = 7;
+
+int show() { return g; }
+
+int main() {
+    int x = 1;
+    {
+        int x = 2;
+        x = x + 10;
+        printf("%d\n", x);
+        int g = 100;
+        g = g + 1;
+        printf("%d %d\n", g, show());
+    }
+    printf("%d\n", x);
+    for (int x = 5; x < 7; x++) printf("%d\n", x);
+    printf("%d %d\n", x, g);
+    return 0;
+}
+"#,
+        ),
+        &[],
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "12\n101 7\n1\n5\n6\n1 7\n");
+}
+
+#[test]
+fn lambda_captures_by_value_at_creation() {
+    // Each evaluation of the lambda copies `k` as it is then; a write to
+    // the copy inside the body is seen neither by the next index nor by
+    // the enclosing scope.
+    let r = build_and_run(
+        &kokkos_repo(
+            r#"
+#include <Kokkos_Core.hpp>
+#include <stdio.h>
+
+int main() {
+    Kokkos::initialize();
+    {
+        Kokkos::View<int*> d("d", 4);
+        int k = 3;
+        for (int r = 0; r < 2; r++) {
+            Kokkos::parallel_for(4, KOKKOS_LAMBDA(int i) {
+                d(i) = d(i) + k * i;
+                k = 100;
+            });
+            k = k + 1;
+        }
+        Kokkos::fence();
+        Kokkos::View<int*> h = Kokkos::create_mirror_view(d);
+        Kokkos::deep_copy(h, d);
+        printf("%d %d %d %d k=%d\n", h(0), h(1), h(2), h(3), k);
+    }
+    Kokkos::finalize();
+    return 0;
+}
+"#,
+        ),
+        &[],
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "0 7 14 21 k=5\n");
+}
+
+#[test]
+fn map_clause_rebinds_a_host_pointer_for_the_region_only() {
+    let repo = SourceRepo::new()
+        .with_file(
+            "Makefile",
+            "CXX = clang++\nFLAGS = -fopenmp -fopenmp-targets=nvptx64-nvidia-cuda\n\
+             app: main.cpp\n\t$(CXX) $(FLAGS) -o app main.cpp\n",
+        )
+        .with_file(
+            "main.cpp",
+            r#"
+#include <stdio.h>
+#include <stdlib.h>
+
+int main() {
+    int N = 8;
+    int* a = (int*)malloc(N * sizeof(int));
+    for (int i = 0; i < N; i++) a[i] = i;
+    int* keep = a;
+    #pragma omp target data map(tofrom: a[0:N])
+    {
+        printf("inside %d\n", a == keep);
+        #pragma omp target teams distribute parallel for
+        for (int i = 0; i < N; i++) {
+            a[i] = a[i] * 2;
+        }
+    }
+    printf("after %d %d\n", a == keep, a[3]);
+    return 0;
+}
+"#,
+        );
+    let r = build_and_run(&repo, &[]);
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "inside 0\nafter 1 6\n");
+    assert!(r.telemetry.ran_on_device());
+}
+
+#[test]
+fn locals_shadow_cuda_builtins_and_constants() {
+    let repo = SourceRepo::new()
+        .with_file(
+            "Makefile",
+            "app: main.cu\n\tnvcc -O2 -arch=sm_80 -o app main.cu\n",
+        )
+        .with_file(
+            "main.cu",
+            r#"
+#include <cuda_runtime.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+__global__ void fill(int* out) {
+    int t = threadIdx.x;
+    {
+        int threadIdx = 40;
+        out[t] = threadIdx + t;
+    }
+}
+
+int main() {
+    int* d;
+    cudaMalloc(&d, 4 * sizeof(int));
+    fill<<<1, 4>>>(d);
+    int* h = (int*)malloc(4 * sizeof(int));
+    cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);
+    int RAND_MAX = 9;
+    printf("%d %d %d\n", h[0], h[3], RAND_MAX);
+    return 0;
+}
+"#,
+        );
+    let r = build_and_run(&repo, &[]);
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "40 43 9\n");
+}
+
+#[test]
+fn local_view_shadows_a_same_named_function() {
+    let r = build_and_run(
+        &kokkos_repo(
+            r#"
+#include <Kokkos_Core.hpp>
+#include <stdio.h>
+
+int v(int i) { return 1000 + i; }
+
+int main() {
+    Kokkos::initialize();
+    printf("%d\n", v(1));
+    {
+        Kokkos::View<int*> v("v", 4);
+        Kokkos::parallel_for(4, KOKKOS_LAMBDA(int i) { v(i) = i * 3; });
+        Kokkos::fence();
+        Kokkos::View<int*> h = Kokkos::create_mirror_view(v);
+        Kokkos::deep_copy(h, v);
+        printf("%d\n", h(2));
+    }
+    printf("%d\n", v(2));
+    Kokkos::finalize();
+    return 0;
+}
+"#,
+        ),
+        &[],
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "1001\n6\n1002\n");
+}
+
+const SNAPSHOT_LOOP: &str = r#"
+#include <stdio.h>
+
+int g = 0;
+
+void bump(int i) {
+    int scratch = i;
+    scratch = scratch + 1;
+    g = scratch;
+}
+
+int main() {
+    int N = 10;
+    long total = 0;
+    int scale = 3;
+    int last = -1;
+    #pragma omp parallel for reduction(+: total)
+    for (int i = 0; i < N; i++) {
+        int t = i * scale;
+        t = t + 1;
+        total += t;
+        last = i;
+        bump(i);
+    }
+    printf("%ld %d %d\n", total, last, g);
+    return 0;
+}
+"#;
+
+#[test]
+fn parallel_workers_run_on_snapshots_and_fold_reductions() {
+    let out = build_repo(&omp_threads_repo(SNAPSHOT_LOOP), &BuildRequest::new("app"));
+    assert!(out.succeeded(), "{}", out.log.text());
+    let exe = out.executable.unwrap();
+    let seq = run(&exe, RunConfig::default());
+    assert_eq!(seq.stdout, "145 9 10\n");
+    // Four workers over chunks of 3, 3, 3 and 1 iterations: the reduction
+    // folds back, a plain write to a shared local stays in the worker's
+    // snapshot, and a callee's write to a global is seen by everyone.
+    let par = run(
+        &exe,
+        RunConfig {
+            parallel: true,
+            workers: 4,
+            ..RunConfig::default()
+        },
+    );
+    assert!(par.error.is_none(), "{:?}", par.error);
+    assert_eq!(par.stdout, "145 -1 10\n");
+}
+
+#[test]
+fn shared_write_recorder_separates_shared_from_private() {
+    // `last` (a snapshot local) and `g` (a global written by a callee) are
+    // shared; the body local `t`, the loop variable, the callee's
+    // `scratch` and the reduction accumulator are not.
+    let out = build_repo(&omp_threads_repo(SNAPSHOT_LOOP), &BuildRequest::new("app"));
+    let exe = out.executable.unwrap();
+    let r = run(
+        &exe,
+        RunConfig {
+            parallel: true,
+            workers: 4,
+            record_shared_writes: true,
+            ..RunConfig::default()
+        },
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.race_vars, vec!["g".to_string(), "last".to_string()]);
+    assert_eq!(r.races.len(), 2, "{:?}", r.races);
+}
