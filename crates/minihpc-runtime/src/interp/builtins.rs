@@ -4,90 +4,227 @@
 use super::expr::Place;
 use super::*;
 
-impl<'e> Interp<'e> {
-    pub(super) fn eval_call(
-        &self,
-        frame: &mut Frame,
-        callee: &Expr,
-        args: &[Expr],
-    ) -> IResult<Value> {
-        match &callee.kind {
-            ExprKind::Ident(name) => {
-                // Kokkos view element read: `v(i, j)`.
-                if let Some(Value::View(h)) = frame.get(name).cloned() {
-                    let place = self.view_place(frame, &h, args)?;
-                    return self.read_place(frame, &place);
-                }
-                // Out-parameter builtins get the raw arg expressions.
-                match name.as_str() {
-                    "cudaMalloc" => return self.cuda_malloc(frame, args),
-                    "curand_init" => return self.curand_init(frame, args),
-                    "curand" | "curand_uniform" | "curand_uniform_double" => {
-                        return self.curand_next(frame, name, args)
-                    }
-                    _ => {}
-                }
-                // User function?
-                if let Some(f) = self.exe.functions.get(name.as_str()) {
-                    if f.quals.cuda_global && frame.cuda.is_none() {
-                        return Err(type_err(format!(
-                            "__global__ function '{name}' called without a launch"
-                        ))
-                        .into());
-                    }
-                    let mut values = Vec::with_capacity(args.len());
-                    for a in args {
-                        values.push(self.eval(frame, a)?);
-                    }
-                    return self.call_function(frame, f, values);
-                }
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval(frame, a)?);
-                }
-                self.call_host_builtin(frame, name, values, args)
+/// A host library function: libc, libm, the OpenMP and CUDA runtime APIs.
+#[derive(Debug)]
+pub(crate) enum Builtin {
+    Printf,
+    Fprintf,
+    Malloc,
+    Calloc,
+    Free,
+    Memset,
+    Memcpy,
+    Strcmp,
+    Atoi,
+    Atof,
+    Exit,
+    Abs,
+    Min,
+    Max,
+    Rand,
+    Srand,
+    /// `assert(e)`, with `e` printed for the failure message.
+    Assert(String),
+    OmpGetWtime,
+    OmpMaxThreads,
+    OmpThreadNum,
+    OmpNumDevices,
+    OmpIsInitialDevice,
+    OmpSetNumThreads,
+    Math(fn(f64) -> f64),
+    Math2(fn(f64, f64) -> f64),
+    CudaMemcpy,
+    CudaMemset,
+    CudaFree,
+    /// `cudaDeviceSynchronize`, `cudaGetLastError`: always `cudaSuccess`.
+    CudaSuccess,
+    CudaGetErrorString,
+    AtomicAdd,
+    Unknown(String),
+}
+
+impl Builtin {
+    pub(crate) fn from_name(name: &str, args: &[Expr]) -> Builtin {
+        match name {
+            "printf" => Builtin::Printf,
+            "fprintf" => Builtin::Fprintf,
+            "malloc" => Builtin::Malloc,
+            "calloc" => Builtin::Calloc,
+            "free" => Builtin::Free,
+            "memset" => Builtin::Memset,
+            "memcpy" => Builtin::Memcpy,
+            "strcmp" => Builtin::Strcmp,
+            "atoi" | "atol" => Builtin::Atoi,
+            "atof" => Builtin::Atof,
+            "exit" => Builtin::Exit,
+            "abs" | "labs" => Builtin::Abs,
+            "min" => Builtin::Min,
+            "max" => Builtin::Max,
+            "rand" => Builtin::Rand,
+            "srand" => Builtin::Srand,
+            "assert" => Builtin::Assert(
+                args.first()
+                    .map(minihpc_lang::printer::print_expr)
+                    .unwrap_or_default(),
+            ),
+            "omp_get_wtime" => Builtin::OmpGetWtime,
+            "omp_get_num_threads" | "omp_get_max_threads" => Builtin::OmpMaxThreads,
+            "omp_get_thread_num" => Builtin::OmpThreadNum,
+            "omp_get_num_devices" => Builtin::OmpNumDevices,
+            "omp_is_initial_device" => Builtin::OmpIsInitialDevice,
+            "omp_set_num_threads" => Builtin::OmpSetNumThreads,
+            "sqrt" | "sqrtf" => Builtin::Math(f64::sqrt),
+            "fabs" | "fabsf" => Builtin::Math(f64::abs),
+            "exp" | "expf" => Builtin::Math(f64::exp),
+            "log" | "logf" => Builtin::Math(f64::ln),
+            "log2" | "log2f" => Builtin::Math(f64::log2),
+            "floor" | "floorf" => Builtin::Math(f64::floor),
+            "ceil" | "ceilf" => Builtin::Math(f64::ceil),
+            "sin" | "sinf" => Builtin::Math(f64::sin),
+            "cos" | "cosf" => Builtin::Math(f64::cos),
+            "tanh" | "tanhf" => Builtin::Math(f64::tanh),
+            "coshf" => Builtin::Math(f64::cosh),
+            "erf" | "erff" => Builtin::Math(erf),
+            "pow" | "powf" => Builtin::Math2(f64::powf),
+            "fmax" | "fmaxf" => Builtin::Math2(f64::max),
+            "fmin" | "fminf" => Builtin::Math2(f64::min),
+            "fmod" => Builtin::Math2(|a, b| a % b),
+            "cudaMemcpy" => Builtin::CudaMemcpy,
+            "cudaMemset" => Builtin::CudaMemset,
+            "cudaFree" => Builtin::CudaFree,
+            "cudaDeviceSynchronize" | "cudaGetLastError" => Builtin::CudaSuccess,
+            "cudaGetErrorString" => Builtin::CudaGetErrorString,
+            "atomicAdd" => Builtin::AtomicAdd,
+            other => Builtin::Unknown(other.to_string()),
+        }
+    }
+}
+
+/// A `Kokkos::` entry point.
+#[derive(Debug)]
+pub(crate) enum Kokkos {
+    Initialize,
+    Finalize,
+    Fence,
+    RangePolicy,
+    MDRangePolicy,
+    DeepCopy,
+    CreateMirrorView,
+    /// `parallel_for` or `parallel_reduce`, whose first argument may be a
+    /// label.
+    Parallel {
+        reduce: bool,
+        label: bool,
+    },
+    Unsupported(String),
+}
+
+impl Kokkos {
+    /// The entry point `Kokkos::func` (template arguments ignored).
+    pub(crate) fn from_name(func: &str, label: bool) -> Kokkos {
+        match func.split('<').next().unwrap_or(func) {
+            "initialize" => Kokkos::Initialize,
+            "finalize" => Kokkos::Finalize,
+            "fence" => Kokkos::Fence,
+            "RangePolicy" => Kokkos::RangePolicy,
+            "MDRangePolicy" => Kokkos::MDRangePolicy,
+            "deep_copy" => Kokkos::DeepCopy,
+            "create_mirror_view" => Kokkos::CreateMirrorView,
+            "parallel_for" => Kokkos::Parallel {
+                reduce: false,
+                label,
+            },
+            "parallel_reduce" => Kokkos::Parallel {
+                reduce: true,
+                label,
+            },
+            other => Kokkos::Unsupported(other.to_string()),
+        }
+    }
+}
+
+impl<'p> Interp<'p> {
+    pub(super) fn eval_call(&self, frame: &mut Frame, call: &RCall) -> IResult<Value> {
+        let args = &call.args;
+        // Kokkos view element read: `v(i, j)`.
+        if let Some(slot) = call.view {
+            if let Value::View(h) = &frame.slots[slot as usize] {
+                let h = h.clone();
+                let place = self.view_place(frame, &h, args)?;
+                return self.read_place(frame, &place);
             }
-            ExprKind::Member { base, member, .. } => {
-                // View method calls.
-                let bv = self.eval(frame, base)?;
-                if let Value::View(h) = bv {
-                    match member.as_str() {
-                        "extent" => {
-                            let i = args
-                                .first()
-                                .map(|a| self.eval(frame, a))
-                                .transpose()?
-                                .and_then(|v| v.as_int())
-                                .unwrap_or(0);
-                            let d = h.dims.get(i as usize).copied().unwrap_or(1);
-                            return Ok(Value::Int(d as i64));
-                        }
-                        other => {
-                            return Err(
-                                type_err(format!("unsupported view method '{other}'")).into()
-                            )
-                        }
+        }
+        match &call.target {
+            // Out-parameter builtins get their place arguments resolved.
+            Target::CudaMalloc(dst) => self.cuda_malloc(frame, dst.as_ref(), &args[1]),
+            Target::CurandInit(state) => self.curand_init(frame, args, state),
+            Target::CurandNext(state, int) => self.curand_next(frame, state, *int),
+            Target::User(f) => {
+                let f = &self.prog.functions[*f as usize];
+                if f.cuda_global && frame.cuda.is_none() {
+                    return Err(type_err(format!(
+                        "__global__ function '{}' called without a launch",
+                        f.name
+                    ))
+                    .into());
+                }
+                // Arguments go straight to the parameter slots; extra
+                // ones are evaluated and dropped.
+                let mut slots = self.slots(f.vars.len());
+                for (i, a) in args.iter().enumerate() {
+                    let v = self.eval(frame, a)?;
+                    if i < f.params {
+                        slots[i] = v;
                     }
+                }
+                self.call_function(frame, f, slots)
+            }
+            Target::Builtin(b) => {
+                let values = self.eval_args(frame, args)?;
+                self.call_host_builtin(frame, b, values)
+            }
+            Target::Method(base, method) => {
+                // View method calls.
+                if let Value::View(h) = self.eval(frame, base)? {
+                    if &**method != "extent" {
+                        let msg = format!("unsupported view method '{method}'");
+                        return Err(type_err(msg).into());
+                    }
+                    let i = args
+                        .first()
+                        .map(|a| self.eval(frame, a))
+                        .transpose()?
+                        .and_then(|v| v.as_int())
+                        .unwrap_or(0);
+                    let d = h.dims.get(i as usize).copied().unwrap_or(1);
+                    return Ok(Value::Int(d as i64));
                 }
                 Err(type_err("method calls are only supported on Kokkos views").into())
             }
-            ExprKind::Path(segments) => self.eval_kokkos(frame, segments, args),
-            _ => Err(type_err("unsupported call target").into()),
+            Target::Kokkos(k) => self.eval_kokkos(frame, k, args),
+            Target::Fail(msg) => Err(type_err(msg.as_str()).into()),
         }
+    }
+
+    fn eval_args(&self, frame: &mut Frame, args: &[RExpr]) -> IResult<Vec<Value>> {
+        let mut values = Vec::with_capacity(args.len());
+        for a in args {
+            values.push(self.eval(frame, a)?);
+        }
+        Ok(values)
     }
 
     fn call_host_builtin(
         &self,
         frame: &mut Frame,
-        name: &str,
+        builtin: &Builtin,
         values: Vec<Value>,
-        arg_exprs: &[Expr],
     ) -> IResult<Value> {
         let int = |v: &Value| v.as_int().unwrap_or(0);
         let flt = |v: &Value| v.as_float().unwrap_or(0.0);
         let arg = |i: usize| values.get(i).cloned().unwrap_or(Value::Int(0));
-        match name {
-            "printf" => {
+        match builtin {
+            Builtin::Printf => {
                 let Some(Value::Str(fmt)) = values.first() else {
                     return Err(type_err("printf requires a format string").into());
                 };
@@ -95,7 +232,7 @@ impl<'e> Interp<'e> {
                 self.out.borrow_mut().push_str(&text);
                 Ok(Value::Int(text.len() as i64))
             }
-            "fprintf" => {
+            Builtin::Fprintf => {
                 let Some(Value::Str(fmt)) = values.get(1) else {
                     return Err(type_err("fprintf requires a format string").into());
                 };
@@ -103,21 +240,21 @@ impl<'e> Interp<'e> {
                 self.out.borrow_mut().push_str(&text);
                 Ok(Value::Int(text.len() as i64))
             }
-            "malloc" => Ok(Value::UntypedAlloc {
+            Builtin::Malloc => Ok(Value::UntypedAlloc {
                 bytes: int(&arg(0)).max(0) as usize,
             }),
-            "calloc" => Ok(Value::UntypedAlloc {
+            Builtin::Calloc => Ok(Value::UntypedAlloc {
                 bytes: (int(&arg(0)).max(0) * int(&arg(1)).max(0)) as usize,
             }),
-            "free" => {
+            Builtin::Free => {
                 match arg(0) {
-                    Value::Ptr(p) => self.mem.free(p.space, p.buffer).map_err(Interrupt::Rt)?,
+                    Value::Ptr(p) => self.mem.free(p.space, p.buffer).map_err(Interrupt::from)?,
                     Value::Null | Value::UntypedAlloc { .. } => {}
                     other => return Err(type_err(format!("free of {}", other.type_name())).into()),
                 }
                 Ok(Value::Void)
             }
-            "memset" => {
+            Builtin::Memset => {
                 let Value::Ptr(p) = arg(0) else {
                     return Err(type_err("memset requires a pointer").into());
                 };
@@ -126,7 +263,7 @@ impl<'e> Interp<'e> {
                 let elem = self
                     .mem
                     .elem_type(p.space, p.buffer)
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 let len = bytes / self.sizeof(&elem).max(1);
                 let fill = if byte == 0 {
                     self.zero_of(&elem)
@@ -135,10 +272,10 @@ impl<'e> Interp<'e> {
                 };
                 self.mem
                     .fill(frame.space, p.space, p.buffer, p.offset, len, fill)
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 Ok(arg(0))
             }
-            "memcpy" => {
+            Builtin::Memcpy => {
                 let (Value::Ptr(d), Value::Ptr(s)) = (arg(0), arg(1)) else {
                     return Err(type_err("memcpy requires pointers").into());
                 };
@@ -153,16 +290,16 @@ impl<'e> Interp<'e> {
                 let elem = self
                     .mem
                     .elem_type(s.space, s.buffer)
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 let len = bytes / self.sizeof(&elem).max(1);
                 self.mem
                     .copy(
                         d.space, d.buffer, d.offset, s.space, s.buffer, s.offset, len,
                     )
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 Ok(arg(0))
             }
-            "strcmp" => {
+            Builtin::Strcmp => {
                 let (Value::Str(a), Value::Str(b)) = (arg(0), arg(1)) else {
                     return Err(type_err("strcmp requires strings").into());
                 };
@@ -172,19 +309,19 @@ impl<'e> Interp<'e> {
                     std::cmp::Ordering::Greater => 1,
                 }))
             }
-            "atoi" | "atol" => match arg(0) {
+            Builtin::Atoi => match arg(0) {
                 Value::Str(s) => Ok(Value::Int(s.trim().parse().unwrap_or(0))),
                 other => Err(type_err(format!("atoi of {}", other.type_name())).into()),
             },
-            "atof" => match arg(0) {
+            Builtin::Atof => match arg(0) {
                 Value::Str(s) => Ok(Value::Float(s.trim().parse().unwrap_or(0.0))),
                 other => Err(type_err(format!("atof of {}", other.type_name())).into()),
             },
-            "exit" => Err(Interrupt::Exit(int(&arg(0)))),
-            "abs" | "labs" => Ok(Value::Int(int(&arg(0)).abs())),
-            "min" => Ok(Value::Int(int(&arg(0)).min(int(&arg(1))))),
-            "max" => Ok(Value::Int(int(&arg(0)).max(int(&arg(1))))),
-            "rand" => {
+            Builtin::Exit => Err(Interrupt::Exit(int(&arg(0)))),
+            Builtin::Abs => Ok(Value::Int(int(&arg(0)).abs())),
+            Builtin::Min => Ok(Value::Int(int(&arg(0)).min(int(&arg(1))))),
+            Builtin::Max => Ok(Value::Int(int(&arg(0)).max(int(&arg(1))))),
+            Builtin::Rand => {
                 let s = self
                     .rng
                     .get()
@@ -193,51 +330,31 @@ impl<'e> Interp<'e> {
                 self.rng.set(s);
                 Ok(Value::Int(((s >> 33) & 0x7FFF_FFFF) as i64))
             }
-            "srand" => {
+            Builtin::Srand => {
                 self.rng.set(int(&arg(0)) as u64 | 1);
                 Ok(Value::Void)
             }
-            "assert" => {
+            Builtin::Assert(text) => {
                 if !arg(0).truthy() {
-                    let text = arg_exprs
-                        .first()
-                        .map(minihpc_lang::printer::print_expr)
-                        .unwrap_or_default();
                     return Err(type_err(format!("assertion failed: {text}")).into());
                 }
                 Ok(Value::Void)
             }
-            "omp_get_wtime" => {
+            Builtin::OmpGetWtime => {
                 let t = self.clock.get() + 1e-6;
                 self.clock.set(t);
                 Ok(Value::Float(t))
             }
-            "omp_get_num_threads" | "omp_get_max_threads" => {
-                Ok(Value::Int(self.config.workers as i64))
-            }
-            "omp_get_thread_num" => Ok(Value::Int(0)),
-            "omp_get_num_devices" => Ok(Value::Int(1)),
-            "omp_is_initial_device" => Ok(Value::Int(i64::from(frame.space == Space::Host))),
-            "omp_set_num_threads" => Ok(Value::Void),
+            Builtin::OmpMaxThreads => Ok(Value::Int(self.config.workers as i64)),
+            Builtin::OmpThreadNum => Ok(Value::Int(0)),
+            Builtin::OmpNumDevices => Ok(Value::Int(1)),
+            Builtin::OmpIsInitialDevice => Ok(Value::Int(i64::from(frame.space == Space::Host))),
+            Builtin::OmpSetNumThreads => Ok(Value::Void),
             // libm --------------------------------------------------------
-            "sqrt" | "sqrtf" => Ok(Value::Float(flt(&arg(0)).sqrt())),
-            "fabs" | "fabsf" => Ok(Value::Float(flt(&arg(0)).abs())),
-            "exp" | "expf" => Ok(Value::Float(flt(&arg(0)).exp())),
-            "log" | "logf" => Ok(Value::Float(flt(&arg(0)).ln())),
-            "log2" | "log2f" => Ok(Value::Float(flt(&arg(0)).log2())),
-            "floor" | "floorf" => Ok(Value::Float(flt(&arg(0)).floor())),
-            "ceil" | "ceilf" => Ok(Value::Float(flt(&arg(0)).ceil())),
-            "sin" | "sinf" => Ok(Value::Float(flt(&arg(0)).sin())),
-            "cos" | "cosf" => Ok(Value::Float(flt(&arg(0)).cos())),
-            "tanh" | "tanhf" => Ok(Value::Float(flt(&arg(0)).tanh())),
-            "coshf" => Ok(Value::Float(flt(&arg(0)).cosh())),
-            "erf" | "erff" => Ok(Value::Float(erf(flt(&arg(0))))),
-            "pow" | "powf" => Ok(Value::Float(flt(&arg(0)).powf(flt(&arg(1))))),
-            "fmax" | "fmaxf" => Ok(Value::Float(flt(&arg(0)).max(flt(&arg(1))))),
-            "fmin" | "fminf" => Ok(Value::Float(flt(&arg(0)).min(flt(&arg(1))))),
-            "fmod" => Ok(Value::Float(flt(&arg(0)) % flt(&arg(1)))),
+            Builtin::Math(f) => Ok(Value::Float(f(flt(&arg(0))))),
+            Builtin::Math2(f) => Ok(Value::Float(f(flt(&arg(0)), flt(&arg(1))))),
             // CUDA runtime API ---------------------------------------------
-            "cudaMemcpy" => {
+            Builtin::CudaMemcpy => {
                 let (Value::Ptr(d), Value::Ptr(s)) = (arg(0), arg(1)) else {
                     return Err(type_err("cudaMemcpy requires pointer arguments").into());
                 };
@@ -260,16 +377,16 @@ impl<'e> Interp<'e> {
                 let elem = self
                     .mem
                     .elem_type(s.space, s.buffer)
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 let len = bytes / self.sizeof(&elem).max(1);
                 self.mem
                     .copy(
                         d.space, d.buffer, d.offset, s.space, s.buffer, s.offset, len,
                     )
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 Ok(Value::Int(0))
             }
-            "cudaMemset" => {
+            Builtin::CudaMemset => {
                 let Value::Ptr(p) = arg(0) else {
                     return Err(type_err("cudaMemset requires a device pointer").into());
                 };
@@ -277,43 +394,45 @@ impl<'e> Interp<'e> {
                 let elem = self
                     .mem
                     .elem_type(p.space, p.buffer)
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 let len = bytes / self.sizeof(&elem).max(1);
                 let fill = self.zero_of(&elem);
                 // cudaMemset is issued from the host but writes device memory.
                 self.mem
                     .fill(p.space, p.space, p.buffer, p.offset, len, fill)
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 Ok(Value::Int(0))
             }
-            "cudaFree" => {
+            Builtin::CudaFree => {
                 if let Value::Ptr(p) = arg(0) {
-                    self.mem.free(p.space, p.buffer).map_err(Interrupt::Rt)?;
+                    self.mem.free(p.space, p.buffer).map_err(Interrupt::from)?;
                 }
                 Ok(Value::Int(0))
             }
-            "cudaDeviceSynchronize" | "cudaGetLastError" => Ok(Value::Int(0)),
-            "cudaGetErrorString" => Ok(Value::Str("no error".into())),
-            "atomicAdd" => {
+            Builtin::CudaSuccess => Ok(Value::Int(0)),
+            Builtin::CudaGetErrorString => Ok(Value::Str("no error".into())),
+            Builtin::AtomicAdd => {
                 let Value::Ptr(p) = arg(0) else {
                     return Err(type_err("atomicAdd requires a pointer").into());
                 };
                 self.mem
                     .fetch_add(frame.space, p.space, p.buffer, p.offset, &arg(1))
-                    .map_err(Interrupt::Rt)
+                    .map_err(Interrupt::from)
             }
-            other => {
-                Err(type_err(format!("call to unknown function '{other}' at run time")).into())
+            Builtin::Unknown(name) => {
+                Err(type_err(format!("call to unknown function '{name}' at run time")).into())
             }
         }
     }
 
     /// `cudaMalloc(&ptr, bytes)`: allocates a device buffer typed from the
     /// declared pointee of the destination pointer variable.
-    fn cuda_malloc(&self, frame: &mut Frame, args: &[Expr]) -> IResult<Value> {
-        let [dst, size] = args else {
-            return Err(type_err("cudaMalloc expects (&ptr, bytes)").into());
-        };
+    fn cuda_malloc(
+        &self,
+        frame: &mut Frame,
+        dst: Option<&(RExpr, Type)>,
+        size: &RExpr,
+    ) -> IResult<Value> {
         let bytes = self
             .eval(frame, size)?
             .as_int()
@@ -321,27 +440,12 @@ impl<'e> Interp<'e> {
             .ok_or_else(|| type_err("cudaMalloc size must be a non-negative integer"))?
             as usize;
         // Destination must be `&var` or `&expr-place` holding a pointer.
-        let inner = match &dst.kind {
-            ExprKind::Unary {
-                op: UnaryOp::AddrOf,
-                expr,
-            } => expr,
-            ExprKind::Cast { expr, .. } => match &expr.kind {
-                ExprKind::Unary {
-                    op: UnaryOp::AddrOf,
-                    expr,
-                } => expr,
-                _ => return Err(type_err("cudaMalloc first argument must be &pointer").into()),
-            },
-            _ => return Err(type_err("cudaMalloc first argument must be &pointer").into()),
+        let Some((dst, elem)) = dst else {
+            return Err(type_err("cudaMalloc first argument must be &pointer").into());
         };
-        let place = self.resolve_place(frame, inner)?;
-        let elem = self
-            .static_type_of_place(frame, inner)
-            .and_then(|t| t.pointee().cloned())
-            .unwrap_or(Type::Scalar(ScalarType::Double));
-        let len = bytes / self.sizeof(&elem).max(1);
-        let buf = self.alloc_zeroed(Space::Device, elem, len);
+        let place = self.resolve_place(frame, dst)?;
+        let len = bytes / self.sizeof(elem).max(1);
+        let buf = self.alloc_zeroed(Space::Device, elem.clone(), len);
         self.write_place(
             frame,
             &place,
@@ -354,58 +458,13 @@ impl<'e> Interp<'e> {
         Ok(Value::Int(0))
     }
 
-    /// Best-effort static type of an lvalue expression (for allocation
-    /// typing).
-    fn static_type_of_place(&self, frame: &Frame, e: &Expr) -> Option<Type> {
-        match &e.kind {
-            ExprKind::Ident(name) => frame
-                .types
-                .get(name)
-                .or_else(|| self.global_types.get(name))
-                .cloned(),
-            ExprKind::Paren(inner) => self.static_type_of_place(frame, inner),
-            ExprKind::Member { base, member, .. } => {
-                let base_ty = self.static_type_of_place(frame, base)?;
-                let name = match base_ty.unqualified() {
-                    Type::Named(n) => n.clone(),
-                    Type::Ptr(inner) => match inner.unqualified() {
-                        Type::Named(n) => n.clone(),
-                        _ => return None,
-                    },
-                    _ => return None,
-                };
-                self.layouts
-                    .get(&name)?
-                    .fields
-                    .iter()
-                    .find(|(f, _)| f == member)
-                    .map(|(_, t)| t.clone())
-            }
-            ExprKind::Index { base, .. } => {
-                let base_ty = self.static_type_of_place(frame, base)?;
-                base_ty.pointee().cloned()
-            }
-            ExprKind::Unary {
-                op: UnaryOp::Deref,
-                expr,
-            } => {
-                let t = self.static_type_of_place(frame, expr)?;
-                t.pointee().cloned()
-            }
-            _ => None,
-        }
-    }
-
     // -- cuRAND ----------------------------------------------------------
 
-    fn rng_place(&self, frame: &mut Frame, e: &Expr) -> IResult<Place> {
+    fn rng_place(&self, frame: &mut Frame, state: &RngState) -> IResult<Place> {
         // The state argument is `&states[i]` or a curandState* value.
-        match &e.kind {
-            ExprKind::Unary {
-                op: UnaryOp::AddrOf,
-                expr,
-            } => self.resolve_place(frame, expr),
-            _ => match self.eval(frame, e)? {
+        match state {
+            RngState::Place(place) => self.resolve_place(frame, place),
+            RngState::Pointer(e) => match self.eval(frame, e)? {
                 Value::Ptr(p) => Ok(Place::Mem {
                     space: p.space,
                     buffer: p.buffer,
@@ -420,32 +479,25 @@ impl<'e> Interp<'e> {
         }
     }
 
-    fn curand_init(&self, frame: &mut Frame, args: &[Expr]) -> IResult<Value> {
-        if args.len() != 4 {
-            return Err(type_err("curand_init expects 4 arguments").into());
-        }
+    fn curand_init(&self, frame: &mut Frame, args: &[RExpr], state: &RngState) -> IResult<Value> {
         let seed = self.eval(frame, &args[0])?.as_int().unwrap_or(0) as u64;
         let seq = self.eval(frame, &args[1])?.as_int().unwrap_or(0) as u64;
         let offset = self.eval(frame, &args[2])?.as_int().unwrap_or(0) as u64;
-        let place = self.rng_place(frame, &args[3])?;
+        let place = self.rng_place(frame, state)?;
         let state = splitmix(seed ^ seq.wrapping_mul(0x9E3779B97F4A7C15) ^ offset);
-        self.write_place(
-            frame,
-            &place,
-            Value::Struct(Box::new(StructVal {
-                name: "curandState".into(),
-                fields: vec![Value::Int(state as i64)],
-            })),
-        )?;
+        let layout = self
+            .layout("curandState")
+            .expect("the resolve pass defines curandState");
+        let value = Value::Struct(Box::new(StructVal {
+            name: layout.name.clone(),
+            fields: vec![Value::Int(state as i64)],
+        }));
+        self.write_place(frame, &place, value)?;
         Ok(Value::Void)
     }
 
-    fn curand_next(&self, frame: &mut Frame, which: &str, args: &[Expr]) -> IResult<Value> {
-        let place = self.rng_place(
-            frame,
-            args.first()
-                .ok_or_else(|| type_err("curand expects a state pointer"))?,
-        )?;
+    fn curand_next(&self, frame: &mut Frame, state: &RngState, int: bool) -> IResult<Value> {
+        let place = self.rng_place(frame, state)?;
         let current = self.read_place(frame, &place)?;
         let Value::Struct(mut s) = current else {
             return Err(type_err("curand state is not initialised").into());
@@ -454,24 +506,18 @@ impl<'e> Interp<'e> {
         let next = splitmix(state);
         s.fields[0] = Value::Int(next as i64);
         self.write_place(frame, &place, Value::Struct(s))?;
-        let out = match which {
-            "curand" => Value::Int((next >> 32) as i64),
+        let out = if int {
+            Value::Int((next >> 32) as i64)
+        } else {
             // (0, 1], like cuRAND.
-            _ => Value::Float(((next >> 11) as f64 + 1.0) / (1u64 << 53) as f64),
+            Value::Float(((next >> 11) as f64 + 1.0) / (1u64 << 53) as f64)
         };
         Ok(out)
     }
 
     // -- CUDA kernel launch ------------------------------------------------
 
-    pub(super) fn cuda_launch(
-        &self,
-        frame: &mut Frame,
-        kernel: &str,
-        grid: &Expr,
-        block: &Expr,
-        args: &[Expr],
-    ) -> IResult<Value> {
+    pub(super) fn cuda_launch(&self, frame: &mut Frame, launch: &RLaunch) -> IResult<Value> {
         let to_dim3 = |v: Value| -> IResult<Dim3> {
             match v {
                 Value::Dim3(d) => Ok(d),
@@ -483,24 +529,19 @@ impl<'e> Interp<'e> {
                 .into()),
             }
         };
-        let grid = to_dim3(self.eval(frame, grid)?)?;
-        let block = to_dim3(self.eval(frame, block)?)?;
-        let f = self
-            .exe
-            .functions
-            .get(kernel)
-            .ok_or_else(|| type_err(format!("kernel '{kernel}' not found")))?;
-        let mut values = Vec::with_capacity(args.len());
-        for a in args {
-            values.push(self.eval(frame, a)?);
-        }
+        let grid = to_dim3(self.eval(frame, &launch.grid)?)?;
+        let block = to_dim3(self.eval(frame, &launch.block)?)?;
+        let f = match &launch.kernel {
+            Ok(f) => &self.prog.functions[*f as usize],
+            Err(kernel) => return Err(type_err(format!("kernel '{kernel}' not found")).into()),
+        };
+        let values = self.eval_args(frame, &launch.args)?;
         let total = grid.count() * block.count();
         self.record_device_region(total);
         self.mem.detector.begin_kernel();
 
-        let depth = frame.depth;
         let threads_per_block = block.count();
-        let make_frame = |logical: u64| -> Frame {
+        for logical in 0..total {
             let b = logical / threads_per_block;
             let t = logical % threads_per_block;
             let block_idx = Dim3 {
@@ -513,62 +554,49 @@ impl<'e> Interp<'e> {
                 y: (t / block.x as u64 % block.y as u64) as u32,
                 z: (t / (block.x as u64 * block.y as u64)) as u32,
             };
-            Frame {
-                scopes: vec![HashMap::new()],
-                types: HashMap::new(),
-                space: Space::Device,
-                thread: logical,
-                cuda: Some(CudaCtx {
-                    thread_idx,
-                    block_idx,
-                    block_dim: block,
-                    grid_dim: grid,
-                }),
-                depth,
-                watch: None,
-                watch_scopes: 0,
+            let mut kframe = Frame::new(&f.vars, frame, frame.depth);
+            kframe.slots = self.slots(f.vars.len());
+            kframe.space = Space::Device;
+            kframe.thread = logical;
+            kframe.cuda = Some(CudaCtx {
+                thread_idx,
+                block_idx,
+                block_dim: block,
+                grid_dim: grid,
+            });
+            for (slot, v) in kframe.slots[..f.params].iter_mut().zip(&values) {
+                *slot = v.clone();
             }
-        };
-
-        for logical in 0..total {
-            let mut kframe = make_frame(logical);
-            for (p, v) in f.params.iter().zip(values.iter().cloned()) {
-                let v = self.coerce(v, &p.ty)?;
-                kframe.declare(&p.name, v, Some(p.ty.clone()));
-            }
+            self.coerce_params(&mut kframe, f.params.min(values.len()));
             let body = f
                 .body
                 .as_ref()
-                .ok_or_else(|| type_err(format!("kernel '{kernel}' has no definition")))?;
+                .ok_or_else(|| type_err(format!("kernel '{}' has no definition", f.name)))?;
             self.exec_block(&mut kframe, body)?;
+            self.recycle(kframe.slots);
         }
         Ok(Value::Void)
     }
 
     // -- Kokkos -------------------------------------------------------------
 
-    fn eval_kokkos(&self, frame: &mut Frame, segments: &[String], args: &[Expr]) -> IResult<Value> {
-        if segments.first().map(String::as_str) != Some("Kokkos") {
-            return Err(type_err(format!("unknown namespace '{}'", segments.join("::"))).into());
-        }
-        let func = segments.get(1).map(String::as_str).unwrap_or("");
-        let base = func.split('<').next().unwrap_or(func);
-        match base {
-            "initialize" => {
+    fn eval_kokkos(&self, frame: &mut Frame, k: &Kokkos, args: &[RExpr]) -> IResult<Value> {
+        match k {
+            Kokkos::Initialize => {
                 self.kokkos_initialized.set(true);
                 Ok(Value::Void)
             }
-            "finalize" => {
+            Kokkos::Finalize => {
                 self.kokkos_initialized.set(false);
                 Ok(Value::Void)
             }
-            "fence" => Ok(Value::Void),
-            "RangePolicy" => {
+            Kokkos::Fence => Ok(Value::Void),
+            Kokkos::RangePolicy => {
                 let lo = self.eval(frame, &args[0])?.as_int().unwrap_or(0);
                 let hi = self.eval(frame, &args[1])?.as_int().unwrap_or(0);
                 Ok(Value::Policy(Policy::Range { lo, hi }))
             }
-            "MDRangePolicy" => {
+            Kokkos::MDRangePolicy => {
                 // `MDRangePolicy<Rank<2>>({l0, l1}, {h0, h1})` is written in
                 // MiniHPC as MDRangePolicy(l0, l1, h0, h1).
                 if args.len() != 4 {
@@ -583,7 +611,7 @@ impl<'e> Interp<'e> {
                     hi: [v[2], v[3]],
                 }))
             }
-            "deep_copy" => {
+            Kokkos::DeepCopy => {
                 // Accepts (View, View), and — modelling Kokkos unmanaged
                 // host views wrapping raw pointers — (View, host ptr) or
                 // (host ptr, View), with the view's length.
@@ -617,10 +645,10 @@ impl<'e> Interp<'e> {
                     .copy(
                         dst_space, dst_buf, dst_off, src_space, src_buf, src_off, len,
                     )
-                    .map_err(Interrupt::Rt)?;
+                    .map_err(Interrupt::from)?;
                 Ok(Value::Void)
             }
-            "create_mirror_view" => {
+            Kokkos::CreateMirrorView => {
                 let Value::View(v) = self.eval(frame, &args[0])? else {
                     return Err(type_err("create_mirror_view requires a view").into());
                 };
@@ -631,22 +659,29 @@ impl<'e> Interp<'e> {
                     ..v
                 }))
             }
-            "parallel_for" | "parallel_reduce" => self.kokkos_parallel(frame, base, args),
-            other => Err(type_err(format!("unsupported Kokkos function '{other}'")).into()),
+            Kokkos::Parallel { reduce, label } => {
+                let rest = &args[usize::from(*label)..];
+                self.kokkos_parallel(frame, *reduce, rest)
+            }
+            Kokkos::Unsupported(other) => {
+                Err(type_err(format!("unsupported Kokkos function '{other}'")).into())
+            }
         }
     }
 
-    fn kokkos_parallel(&self, frame: &mut Frame, which: &str, args: &[Expr]) -> IResult<Value> {
+    /// `parallel_for(policy, lambda)` or `parallel_reduce(policy, lambda,
+    /// result)`, label already skipped.
+    fn kokkos_parallel(&self, frame: &mut Frame, reduce: bool, rest: &[RExpr]) -> IResult<Value> {
+        let which = if reduce {
+            "parallel_reduce"
+        } else {
+            "parallel_for"
+        };
         if !self.kokkos_initialized.get() {
             return Err(type_err(format!(
                 "Kokkos::{which} called before Kokkos::initialize()"
             ))
             .into());
-        }
-        // Optional label first.
-        let mut rest = args;
-        if matches!(rest.first().map(|a| &a.kind), Some(ExprKind::StrLit(_))) {
-            rest = &rest[1..];
         }
         let policy = match self.eval(frame, &rest[0])? {
             Value::Policy(p) => p,
@@ -662,49 +697,61 @@ impl<'e> Interp<'e> {
         let Value::Lambda(closure) = self.eval(frame, &rest[1])? else {
             return Err(type_err(format!("Kokkos::{which} requires a lambda")).into());
         };
+        let lambda = &*closure.lambda;
 
-        let (total, to_indices): (u64, Box<dyn Fn(u64) -> Vec<i64>>) = match policy {
+        let (total, to_indices): (u64, Box<dyn Fn(u64) -> [i64; 2]>) = match policy {
             Policy::Range { lo, hi } => {
                 let n = (hi - lo).max(0) as u64;
-                (n, Box::new(move |i| vec![lo + i as i64]))
+                (n, Box::new(move |i| [lo + i as i64, 0]))
             }
             Policy::MDRange { lo, hi } => {
                 let n0 = (hi[0] - lo[0]).max(0) as u64;
                 let n1 = (hi[1] - lo[1]).max(0) as u64;
                 (
                     n0 * n1,
-                    Box::new(move |i| vec![lo[0] + (i / n1) as i64, lo[1] + (i % n1) as i64]),
+                    Box::new(move |i| [lo[0] + (i / n1) as i64, lo[1] + (i % n1) as i64]),
                 )
             }
         };
+        let rank = match policy {
+            Policy::Range { .. } => 1,
+            Policy::MDRange { .. } => 2,
+        };
         self.record_device_region(total);
         self.mem.detector.begin_kernel();
-        let depth = frame.depth;
 
-        if which == "parallel_for" {
+        // One frame per index: the captures, then the index parameters.
+        let index_frame = |logical: u64, index_params: usize| -> Frame {
+            let mut kframe = Frame::new(&lambda.vars, frame, frame.depth);
+            kframe.slots = self.slots(lambda.vars.len());
+            kframe.space = Space::Device;
+            kframe.thread = logical;
+            kframe.cuda = None;
+            for ((_, slot), v) in lambda.captures.iter().zip(&closure.captures) {
+                kframe.slots[*slot as usize] = v.clone();
+            }
+            let indices = to_indices(logical);
+            for (slot, idx) in kframe.slots[..index_params.min(rank)]
+                .iter_mut()
+                .zip(indices)
+            {
+                *slot = Value::Int(idx);
+            }
+            kframe
+        };
+
+        if !reduce {
             for logical in 0..total {
-                let indices = to_indices(logical);
-                let mut kframe = Frame {
-                    scopes: vec![closure.captures.iter().cloned().collect(), HashMap::new()],
-                    types: HashMap::new(),
-                    space: Space::Device,
-                    thread: logical,
-                    cuda: None,
-                    depth,
-                    watch: None,
-                    watch_scopes: 0,
-                };
-                for (p, idx) in closure.params.iter().zip(indices) {
-                    kframe.declare(&p.name, Value::Int(idx), Some(p.ty.clone()));
-                }
-                self.exec_block(&mut kframe, &closure.body)?;
+                let mut kframe = index_frame(logical, lambda.params);
+                self.exec_block(&mut kframe, &lambda.body)?;
+                self.recycle(kframe.slots);
             }
             return Ok(Value::Void);
         }
 
         // parallel_reduce: the final lambda parameter is the accumulator;
         // the third argument receives the combined result.
-        if closure.params.len() < 2 {
+        if lambda.params < 2 {
             return Err(
                 type_err("parallel_reduce lambda must take (index..., accumulator&)").into(),
             );
@@ -712,31 +759,15 @@ impl<'e> Interp<'e> {
         if rest.len() < 3 {
             return Err(type_err("parallel_reduce requires a result argument").into());
         }
-        let acc_param = closure.params.last().unwrap().clone();
-        let index_params = &closure.params[..closure.params.len() - 1];
+        let acc_slot = lambda.params - 1;
 
         let mut acc = Value::Float(0.0);
         for logical in 0..total {
-            let indices = to_indices(logical);
-            let mut kframe = Frame {
-                scopes: vec![closure.captures.iter().cloned().collect(), HashMap::new()],
-                types: HashMap::new(),
-                space: Space::Device,
-                thread: logical,
-                cuda: None,
-                depth,
-                watch: None,
-                watch_scopes: 0,
-            };
-            for (p, idx) in index_params.iter().zip(indices) {
-                kframe.declare(&p.name, Value::Int(idx), Some(p.ty.clone()));
-            }
-            kframe.declare(&acc_param.name, acc.clone(), Some(acc_param.ty.clone()));
-            self.exec_block(&mut kframe, &closure.body)?;
-            acc = kframe
-                .get(&acc_param.name)
-                .cloned()
-                .unwrap_or(Value::Float(0.0));
+            let mut kframe = index_frame(logical, acc_slot);
+            kframe.slots[acc_slot] = acc;
+            self.exec_block(&mut kframe, &lambda.body)?;
+            acc = std::mem::take(&mut kframe.slots[acc_slot]);
+            self.recycle(kframe.slots);
         }
         let place = self.resolve_place(frame, &rest[2])?;
         self.write_place(frame, &place, acc)?;

@@ -4,8 +4,10 @@ use super::*;
 
 /// A resolved assignment target.
 pub(super) enum Place {
-    /// A named local or global variable.
-    Var(String),
+    Local(u32),
+    Global(u32),
+    /// A name with no variable behind it: reading or writing it fails.
+    Unbound(Rc<str>),
     /// A buffer element.
     Mem {
         space: Space,
@@ -16,19 +18,31 @@ pub(super) enum Place {
     Field(Box<Place>, usize),
 }
 
-impl<'e> Interp<'e> {
-    pub(super) fn eval(&self, frame: &mut Frame, e: &Expr) -> IResult<Value> {
-        match &e.kind {
-            ExprKind::IntLit(v) => Ok(Value::Int(*v)),
-            ExprKind::FloatLit(v) => Ok(Value::Float(*v)),
-            ExprKind::StrLit(s) => Ok(Value::Str(s.as_str().into())),
-            ExprKind::CharLit(c) => Ok(Value::Int(*c as i64)),
-            ExprKind::BoolLit(b) => Ok(Value::Bool(*b)),
-            ExprKind::Ident(name) => self.eval_ident(frame, name),
-            ExprKind::Path(_) => Err(type_err("a namespace path is not a value").into()),
-            ExprKind::Paren(inner) => self.eval(frame, inner),
-            ExprKind::Unary { op, expr } => self.eval_unary(frame, *op, expr),
-            ExprKind::Binary { op, lhs, rhs } => {
+impl<'p> Interp<'p> {
+    /// Evaluate an expression. Literals and locals, the commonest
+    /// operands, are read inline at every call site.
+    #[inline(always)]
+    pub(super) fn eval(&self, frame: &mut Frame, e: &RExpr) -> IResult<Value> {
+        match e {
+            RExpr::Lit(v) => Ok(v.clone()),
+            RExpr::Var(Name::Local(slot)) => Ok(frame.slots[*slot as usize].clone()),
+            _ => self.eval_node(frame, e),
+        }
+    }
+
+    fn eval_node(&self, frame: &mut Frame, e: &RExpr) -> IResult<Value> {
+        match e {
+            RExpr::Lit(v) => Ok(v.clone()),
+            RExpr::Var(name) => self.eval_name(frame, name),
+            RExpr::Fail(msg) => Err(type_err(msg.as_str()).into()),
+            RExpr::Unary(op, inner) => self.eval_unary(frame, *op, inner),
+            RExpr::Binary(op, lhs, rhs) => {
+                if !op.is_logical() {
+                    // Operands that are locals or literals are read in place.
+                    if let (Some(a), Some(b)) = (peek(frame, lhs), peek(frame, rhs)) {
+                        return Ok(apply_binop(*op, a, b)?);
+                    }
+                }
                 let a = self.eval(frame, lhs)?;
                 // Short-circuit logicals.
                 match op {
@@ -39,64 +53,59 @@ impl<'e> Interp<'e> {
                     _ => {}
                 }
                 let b = self.eval(frame, rhs)?;
-                apply_binop(*op, a, b).map_err(Interrupt::Rt)
+                Ok(apply_binop(*op, &a, &b)?)
             }
-            ExprKind::Assign { op, lhs, rhs } => {
+            RExpr::Assign(op, lhs, rhs) => {
                 let rhs_v = self.eval(frame, rhs)?;
                 let place = self.resolve_place(frame, lhs)?;
                 let value = match op {
                     Some(op) => {
                         let old = self.read_place(frame, &place)?;
-                        apply_binop(*op, old, rhs_v).map_err(Interrupt::Rt)?
+                        apply_binop(*op, &old, &rhs_v)?
                     }
                     None => rhs_v,
                 };
-                // Coerce to the declared type of simple variables so that
+                // Coerce to the declared type of locals so that
                 // `double x; x = 1;` stores a float.
                 let value = match &place {
-                    Place::Var(name) => match frame.types.get(name).cloned() {
-                        Some(ty) => self.coerce(value, &ty)?,
-                        None => value,
-                    },
+                    Place::Local(slot) => self.coerce_to(value, &frame.vars[*slot as usize]),
                     Place::Mem { space, buffer, .. } => {
-                        let ty = self.mem.elem_type(*space, *buffer).map_err(Interrupt::Rt)?;
-                        self.coerce(value, &ty)?
+                        let (space, buffer) = (*space, *buffer);
+                        let conv = self.mem.with_elem_type(space, buffer, Conv::of)?;
+                        match (conv, value) {
+                            (Conv::Pointer, Value::UntypedAlloc { bytes }) => {
+                                let ty = self.mem.elem_type(space, buffer)?;
+                                self.typed_alloc(bytes, &ty)
+                            }
+                            (conv, value) => conv.apply(value),
+                        }
                     }
                     _ => value,
                 };
                 self.write_place(frame, &place, value.clone())?;
                 Ok(value)
             }
-            ExprKind::Ternary { cond, then, els } => {
+            RExpr::Ternary(cond, then, els) => {
                 if self.eval(frame, cond)?.truthy() {
                     self.eval(frame, then)
                 } else {
                     self.eval(frame, els)
                 }
             }
-            ExprKind::Call { callee, args } => self.eval_call(frame, callee, args),
-            ExprKind::KernelLaunch {
-                kernel,
-                grid,
-                block,
-                args,
-            } => self.cuda_launch(frame, kernel, grid, block, args),
-            ExprKind::Index { .. } => {
-                let place = self.resolve_place(frame, e)?;
-                self.read_place(frame, &place)
+            RExpr::Call(call) => self.eval_call(frame, call),
+            RExpr::Launch(launch) => self.cuda_launch(frame, launch),
+            RExpr::Index(base, index) => {
+                let p = self.element(frame, base, index)?;
+                Ok(self.mem.load(frame.space, p.space, p.buffer, p.offset)?)
             }
-            ExprKind::Member {
-                base,
-                member,
-                arrow,
-            } => {
+            RExpr::Member(base, arrow, field) => {
                 let bv = self.eval(frame, base)?;
                 let sv = if *arrow {
                     match bv {
                         Value::Ptr(p) => self
                             .mem
                             .load(frame.space, p.space, p.buffer, p.offset)
-                            .map_err(Interrupt::Rt)?,
+                            .map_err(Interrupt::from)?,
                         Value::Null => {
                             return Err(RuntimeError::illegal("null pointer dereference").into())
                         }
@@ -111,26 +120,17 @@ impl<'e> Interp<'e> {
                 } else {
                     bv
                 };
+                let member = &field.name;
                 match sv {
-                    Value::Dim3(d) => match member.as_str() {
+                    Value::Dim3(d) => match &**member {
                         "x" => Ok(Value::Int(d.x as i64)),
                         "y" => Ok(Value::Int(d.y as i64)),
                         "z" => Ok(Value::Int(d.z as i64)),
                         other => Err(type_err(format!("no member '{other}' in dim3")).into()),
                     },
-                    Value::Struct(s) => {
-                        let layout = self
-                            .layouts
-                            .get(&s.name)
-                            .ok_or_else(|| type_err(format!("unknown struct '{}'", s.name)))?;
-                        let idx = layout
-                            .fields
-                            .iter()
-                            .position(|(n, _)| n == member)
-                            .ok_or_else(|| {
-                                type_err(format!("no field '{member}' in '{}'", s.name))
-                            })?;
-                        Ok(s.fields[idx].clone())
+                    Value::Struct(mut s) => {
+                        let idx = self.field_index(&s, field, "")?;
+                        Ok(std::mem::take(&mut s.fields[idx]))
                     }
                     other => Err(type_err(format!(
                         "member access '{member}' on {}",
@@ -139,88 +139,92 @@ impl<'e> Interp<'e> {
                     .into()),
                 }
             }
-            ExprKind::Cast { ty, expr } => {
+            RExpr::Cast(ty, expr) => {
                 let v = self.eval(frame, expr)?;
-                self.coerce(v, ty)
+                Ok(self.coerce(v, ty))
             }
-            ExprKind::SizeOfType(ty) => Ok(Value::Int(self.sizeof(ty) as i64)),
-            ExprKind::SizeOfExpr(inner) => {
-                // Prefer the declared type of a plain variable.
-                if let ExprKind::Ident(name) = &inner.kind {
-                    if let Some(ty) = frame
-                        .types
-                        .get(name)
-                        .or_else(|| self.global_types.get(name))
-                    {
-                        return Ok(Value::Int(self.sizeof(ty) as i64));
-                    }
-                }
-                if let ExprKind::Ident(name) = &inner.kind {
-                    if let Some(l) = self.layouts.get(name) {
-                        let sz: usize = l.fields.iter().map(|(_, t)| self.sizeof(t)).sum();
-                        return Ok(Value::Int(sz.max(1) as i64));
-                    }
-                }
+            RExpr::SizeOfValue(inner) => {
                 let v = self.eval(frame, inner)?;
                 let size: usize = match &v {
                     Value::Int(_) => 4,
                     Value::Float(_) => 8,
                     Value::Bool(_) => 1,
                     Value::Ptr(_) | Value::Null | Value::UntypedAlloc { .. } => 8,
-                    Value::Struct(s) => self
-                        .layouts
-                        .get(&s.name)
-                        .map(|l| l.fields.iter().map(|(_, t)| self.sizeof(t)).sum())
-                        .unwrap_or(8),
+                    Value::Struct(s) => self.layout(&s.name).map_or(8, |l| l.fields_size),
                     _ => 8,
                 };
                 Ok(Value::Int(size as i64))
             }
-            ExprKind::Lambda {
-                capture: _,
-                params,
-                body,
-            } => Ok(Value::Lambda(Box::new(Closure {
-                params: params.clone(),
-                body: Rc::new(body.clone()),
-                captures: frame.visible(),
+            RExpr::Lambda(lambda) => Ok(Value::Lambda(Box::new(Closure {
+                captures: lambda
+                    .captures
+                    .iter()
+                    .map(|(outer, _)| frame.slots[*outer as usize].clone())
+                    .collect(),
+                lambda: lambda.clone(),
             }))),
         }
     }
 
-    fn eval_ident(&self, frame: &mut Frame, name: &str) -> IResult<Value> {
-        if let Some(v) = frame.get(name) {
-            return Ok(v.clone());
-        }
-        if let Some(ctx) = frame.cuda {
-            let d = match name {
-                "threadIdx" => Some(ctx.thread_idx),
-                "blockIdx" => Some(ctx.block_idx),
-                "blockDim" => Some(ctx.block_dim),
-                "gridDim" => Some(ctx.grid_dim),
-                _ => None,
-            };
-            if let Some(d) = d {
-                return Ok(Value::Dim3(d));
-            }
-        }
-        if let Some(v) = self.globals.borrow().get(name) {
-            return Ok(v.clone());
-        }
+    /// The index of `field` in struct value `s`. `within` is the error
+    /// message's article: "" for reads, "struct " for places.
+    fn field_index(&self, s: &StructVal, field: &FieldName, within: &str) -> IResult<usize> {
+        let layout = self
+            .layout(&s.name)
+            .ok_or_else(|| type_err(format!("unknown struct '{}'", s.name)))?;
+        layout
+            .fields
+            .iter()
+            .position(|(sym, _)| *sym == field.sym)
+            .ok_or_else(|| {
+                let member = &field.name;
+                type_err(format!("no field '{member}' in {within}'{}'", s.name)).into()
+            })
+    }
+
+    fn eval_name(&self, frame: &Frame, name: &Name) -> IResult<Value> {
         match name {
-            "cudaMemcpyHostToDevice" => Ok(Value::Int(1)),
-            "cudaMemcpyDeviceToHost" => Ok(Value::Int(2)),
-            "cudaMemcpyDeviceToDevice" => Ok(Value::Int(3)),
-            "cudaSuccess" => Ok(Value::Int(0)),
-            "RAND_MAX" => Ok(Value::Int(2147483647)),
-            "INT_MAX" => Ok(Value::Int(i32::MAX as i64)),
-            "DBL_MAX" => Ok(Value::Float(f64::MAX)),
-            "NULL" => Ok(Value::Null),
-            _ => Err(type_err(format!("use of unbound identifier '{name}' at run time")).into()),
+            Name::Local(slot) => Ok(frame.slots[*slot as usize].clone()),
+            Name::Global(g) => Ok(self.globals.borrow()[*g as usize].clone()),
+            Name::Mapped { slot, global } => match &frame.slots[*slot as usize] {
+                Value::Void => Ok(self.globals.borrow()[*global as usize].clone()),
+                v => Ok(v.clone()),
+            },
+            Name::Cuda(dim, global, name) => {
+                if let Some(ctx) = frame.cuda {
+                    return Ok(Value::Dim3(match dim {
+                        CudaDim::ThreadIdx => ctx.thread_idx,
+                        CudaDim::BlockIdx => ctx.block_idx,
+                        CudaDim::BlockDim => ctx.block_dim,
+                        CudaDim::GridDim => ctx.grid_dim,
+                    }));
+                }
+                match global {
+                    Some(g) => Ok(self.globals.borrow()[*g as usize].clone()),
+                    None => Err(unbound(name)),
+                }
+            }
+            Name::Const(v, _) => Ok(v.clone()),
+            Name::Unbound(name) => Err(unbound(name)),
         }
     }
 
-    fn eval_unary(&self, frame: &mut Frame, op: UnaryOp, inner: &Expr) -> IResult<Value> {
+    /// The variable a name denotes as an assignment target.
+    pub(super) fn name_place(&self, frame: &Frame, name: &Name) -> Place {
+        match name {
+            Name::Local(slot) => Place::Local(*slot),
+            Name::Global(g) | Name::Cuda(_, Some(g), _) => Place::Global(*g),
+            Name::Mapped { slot, global } => match frame.slots[*slot as usize] {
+                Value::Void => Place::Global(*global),
+                _ => Place::Local(*slot),
+            },
+            Name::Cuda(_, None, name) | Name::Const(_, name) | Name::Unbound(name) => {
+                Place::Unbound(name.clone())
+            }
+        }
+    }
+
+    fn eval_unary(&self, frame: &mut Frame, op: UnaryOp, inner: &RExpr) -> IResult<Value> {
         match op {
             UnaryOp::Neg => {
                 let v = self.eval(frame, inner)?;
@@ -245,45 +249,39 @@ impl<'e> Interp<'e> {
             }
             UnaryOp::AddrOf => {
                 // `&lvalue` is meaningful for memory places only.
-                match self.resolve_place(frame, inner)? {
+                let place = self.resolve_place(frame, inner)?;
+                let elem = match place {
                     Place::Mem {
                         space,
                         buffer,
                         index,
-                    } => Ok(Value::Ptr(Pointer {
-                        space,
-                        buffer,
-                        offset: index,
-                    })),
-                    Place::Var(name) => {
-                        // Taking the address of a stack variable: MiniHPC
-                        // promotes it to a 1-element buffer on first use.
-                        let current = frame
-                            .get(&name)
-                            .cloned()
-                            .or_else(|| self.globals.borrow().get(&name).cloned())
-                            .ok_or_else(|| type_err(format!("unbound variable '{name}'")))?;
-                        let elem = frame
-                            .types
-                            .get(&name)
-                            .cloned()
-                            .unwrap_or(Type::Scalar(ScalarType::Long));
-                        let buf = self.alloc_with(frame.space, elem, vec![current]);
-                        let ptr = Value::Ptr(Pointer {
-                            space: frame.space,
-                            buffer: buf,
-                            offset: 0,
-                        });
-                        // The variable itself now aliases the buffer: we
-                        // rebind it to a pointer-backed mirror by keeping the
-                        // old binding (value semantics). Supported uses are
-                        // call-by-pointer out-params, handled by builtins.
-                        Ok(ptr)
+                    } => {
+                        return Ok(Value::Ptr(Pointer {
+                            space,
+                            buffer,
+                            offset: index,
+                        }))
                     }
                     Place::Field(..) => {
-                        Err(type_err("cannot take the address of a struct field").into())
+                        return Err(type_err("cannot take the address of a struct field").into())
                     }
-                }
+                    Place::Local(slot) => {
+                        frame.vars[slot as usize].ty.as_ref().map(|d| d.ty.clone())
+                    }
+                    Place::Global(_) | Place::Unbound(_) => None,
+                };
+                // Taking the address of a variable: MiniHPC copies it into
+                // a 1-element buffer and leaves the variable as it is
+                // (value semantics). Supported uses are call-by-pointer
+                // out-params, handled by builtins.
+                let current = self.read_place(frame, &place)?;
+                let elem = elem.unwrap_or(Type::Scalar(ScalarType::Long));
+                let buf = self.alloc_with(frame.space, elem, vec![current]);
+                Ok(Value::Ptr(Pointer {
+                    space: frame.space,
+                    buffer: buf,
+                    offset: 0,
+                }))
             }
             UnaryOp::PreInc | UnaryOp::PreDec | UnaryOp::PostInc | UnaryOp::PostDec => {
                 let place = self.resolve_place(frame, inner)?;
@@ -325,7 +323,7 @@ impl<'e> Interp<'e> {
         }
     }
 
-    fn resolve_deref(&self, frame: &mut Frame, ptr_expr: &Expr) -> IResult<Place> {
+    fn resolve_deref(&self, frame: &mut Frame, ptr_expr: &RExpr) -> IResult<Place> {
         let v = self.eval(frame, ptr_expr)?;
         match v {
             Value::Ptr(p) => Ok(Place::Mem {
@@ -341,48 +339,19 @@ impl<'e> Interp<'e> {
     }
 
     /// Resolve an expression to an assignable place.
-    pub(super) fn resolve_place(&self, frame: &mut Frame, e: &Expr) -> IResult<Place> {
-        match &e.kind {
-            ExprKind::Ident(name) => Ok(Place::Var(name.clone())),
-            ExprKind::Paren(inner) => self.resolve_place(frame, inner),
-            ExprKind::Unary {
-                op: UnaryOp::Deref,
-                expr,
-            } => self.resolve_deref(frame, expr),
-            ExprKind::Index { base, index } => {
-                let base_v = self.eval(frame, base)?;
-                let idx = self
-                    .eval(frame, index)?
-                    .as_int()
-                    .ok_or_else(|| type_err("array index must be an integer"))?;
-                match base_v {
-                    Value::Ptr(p) => {
-                        let off = p.offset as i64 + idx;
-                        if off < 0 {
-                            return Err(RuntimeError::oob(format!(
-                                "negative effective index {off}"
-                            ))
-                            .into());
-                        }
-                        Ok(Place::Mem {
-                            space: p.space,
-                            buffer: p.buffer,
-                            index: off as usize,
-                        })
-                    }
-                    Value::Null => Err(RuntimeError::illegal("null pointer indexed").into()),
-                    other => Err(type_err(format!(
-                        "subscripted value has type {}",
-                        other.type_name()
-                    ))
-                    .into()),
-                }
+    pub(super) fn resolve_place(&self, frame: &mut Frame, e: &RExpr) -> IResult<Place> {
+        match e {
+            RExpr::Var(name) => Ok(self.name_place(frame, name)),
+            RExpr::Unary(UnaryOp::Deref, expr) => self.resolve_deref(frame, expr),
+            RExpr::Index(base, index) => {
+                let p = self.element(frame, base, index)?;
+                Ok(Place::Mem {
+                    space: p.space,
+                    buffer: p.buffer,
+                    index: p.offset,
+                })
             }
-            ExprKind::Member {
-                base,
-                member,
-                arrow,
-            } => {
+            RExpr::Member(base, arrow, field) => {
                 let base_place = if *arrow {
                     self.resolve_deref(frame, base)?
                 } else {
@@ -391,29 +360,21 @@ impl<'e> Interp<'e> {
                 let sv = self.read_place(frame, &base_place)?;
                 let Value::Struct(s) = &sv else {
                     return Err(type_err(format!(
-                        "member access '{member}' on non-struct {}",
+                        "member access '{}' on non-struct {}",
+                        field.name,
                         sv.type_name()
                     ))
                     .into());
                 };
-                let layout = self
-                    .layouts
-                    .get(&s.name)
-                    .ok_or_else(|| type_err(format!("unknown struct '{}'", s.name)))?;
-                let idx = layout
-                    .fields
-                    .iter()
-                    .position(|(n, _)| n == member)
-                    .ok_or_else(|| {
-                        type_err(format!("no field '{member}' in struct '{}'", s.name))
-                    })?;
+                let idx = self.field_index(s, field, "struct ")?;
                 Ok(Place::Field(Box::new(base_place), idx))
             }
             // Kokkos view element as lvalue: `v(i) = x;`
-            ExprKind::Call { callee, args } => {
-                if let ExprKind::Ident(name) = &callee.kind {
-                    if let Some(Value::View(h)) = frame.get(name).cloned() {
-                        return self.view_place(frame, &h, args);
+            RExpr::Call(call) => {
+                if let Some(slot) = call.view {
+                    if let Value::View(h) = &frame.slots[slot as usize] {
+                        let h = h.clone();
+                        return self.view_place(frame, &h, &call.args);
                     }
                 }
                 Err(type_err("call expression is not assignable").into())
@@ -422,21 +383,59 @@ impl<'e> Interp<'e> {
         }
     }
 
+    /// The element `base[index]` addresses.
+    fn element(&self, frame: &mut Frame, base: &RExpr, index: &RExpr) -> IResult<Pointer> {
+        let base_v = self.eval(frame, base)?;
+        let idx = self
+            .eval(frame, index)?
+            .as_int()
+            .ok_or_else(|| type_err("array index must be an integer"))?;
+        match base_v {
+            Value::Ptr(p) => {
+                let off = p.offset as i64 + idx;
+                if off < 0 {
+                    return Err(RuntimeError::oob(format!("negative effective index {off}")).into());
+                }
+                Ok(Pointer {
+                    offset: off as usize,
+                    ..p
+                })
+            }
+            Value::Null => Err(RuntimeError::illegal("null pointer indexed").into()),
+            other => {
+                Err(type_err(format!("subscripted value has type {}", other.type_name())).into())
+            }
+        }
+    }
+
     pub(super) fn view_place(
         &self,
         frame: &mut Frame,
         h: &ViewHandle,
-        args: &[Expr],
+        args: &[RExpr],
     ) -> IResult<Place> {
-        let mut indices = Vec::with_capacity(args.len());
-        for a in args {
-            indices.push(
-                self.eval(frame, a)?
-                    .as_int()
-                    .ok_or_else(|| type_err("view index must be an integer"))?,
-            );
+        // Rank 1 and 2 indices stay on the stack.
+        let (mut short, mut long) = ([0i64; 2], Vec::new());
+        for (i, a) in args.iter().enumerate() {
+            let v = self
+                .eval(frame, a)?
+                .as_int()
+                .ok_or_else(|| type_err("view index must be an integer"))?;
+            if i < 2 {
+                short[i] = v;
+            } else {
+                if i == 2 {
+                    long.extend_from_slice(&short);
+                }
+                long.push(v);
+            }
         }
-        let flat = h.flat_index(&indices).ok_or_else(|| {
+        let indices = if args.len() <= 2 {
+            &short[..args.len()]
+        } else {
+            &long[..]
+        };
+        let flat = h.flat_index(indices).ok_or_else(|| {
             RuntimeError::oob(format!(
                 "view index {indices:?} out of bounds for extents {:?} (rank {})",
                 &h.dims[..h.rank as usize],
@@ -452,11 +451,9 @@ impl<'e> Interp<'e> {
 
     pub(super) fn read_place(&self, frame: &Frame, place: &Place) -> IResult<Value> {
         match place {
-            Place::Var(name) => frame
-                .get(name)
-                .cloned()
-                .or_else(|| self.globals.borrow().get(name).cloned())
-                .ok_or_else(|| type_err(format!("unbound variable '{name}'")).into()),
+            Place::Local(slot) => Ok(frame.slots[*slot as usize].clone()),
+            Place::Global(g) => Ok(self.globals.borrow()[*g as usize].clone()),
+            Place::Unbound(name) => Err(type_err(format!("unbound variable '{name}'")).into()),
             Place::Mem {
                 space,
                 buffer,
@@ -464,15 +461,14 @@ impl<'e> Interp<'e> {
             } => self
                 .mem
                 .load(frame.space, *space, *buffer, *index)
-                .map_err(Interrupt::Rt),
+                .map_err(Interrupt::from),
             Place::Field(base, idx) => {
                 let v = self.read_place(frame, base)?;
                 match v {
-                    Value::Struct(s) => {
-                        s.fields.get(*idx).cloned().ok_or_else(|| {
-                            type_err(format!("field index {idx} out of range")).into()
-                        })
-                    }
+                    Value::Struct(mut s) => match s.fields.get_mut(*idx) {
+                        Some(f) => Ok(std::mem::take(f)),
+                        None => Err(type_err(format!("field index {idx} out of range")).into()),
+                    },
                     other => Err(type_err(format!("field read on {}", other.type_name())).into()),
                 }
             }
@@ -485,30 +481,36 @@ impl<'e> Interp<'e> {
         place: &Place,
         value: Value,
     ) -> IResult<()> {
+        // Shared-write recording (opt-in): a write to the region's shared
+        // snapshot — or to a global — is a write to state every worker
+        // sees.
+        if let Some(watch) = &frame.watch {
+            let name = match place {
+                Place::Local(slot) if (*slot as usize) < frame.watch_base => {
+                    Some(&*frame.vars[*slot as usize].name)
+                }
+                Place::Global(g) => Some(&*self.prog.globals[*g as usize].name),
+                Place::Unbound(name) => Some(&**name),
+                _ => None,
+            };
+            if let Some(name) = name {
+                if !watch.exempt.iter().any(|e| e == name) {
+                    self.mem
+                        .detector
+                        .record_shared_write(watch.region, name, frame.thread);
+                }
+            }
+        }
         match place {
-            Place::Var(name) => {
-                // Shared-write recording (opt-in): a write resolving into
-                // the region's snapshot scope — or into globals — is a
-                // write to state every worker sees.
-                if let Some(watch) = &frame.watch {
-                    let shared = match frame.scope_of(name) {
-                        Some(i) => i < frame.watch_scopes,
-                        None => true, // falls through to globals below
-                    };
-                    if shared && !watch.exempt.contains(name) {
-                        self.mem
-                            .detector
-                            .record_shared_write(watch.region, name, frame.thread);
-                    }
-                }
-                if frame.set_existing(name, value.clone()) {
-                    return Ok(());
-                }
-                let mut globals = self.globals.borrow_mut();
-                if let Some(slot) = globals.get_mut(name) {
-                    *slot = value;
-                    return Ok(());
-                }
+            Place::Local(slot) => {
+                frame.slots[*slot as usize] = value;
+                Ok(())
+            }
+            Place::Global(g) => {
+                self.globals.borrow_mut()[*g as usize] = value;
+                Ok(())
+            }
+            Place::Unbound(name) => {
                 Err(type_err(format!("assignment to unbound variable '{name}'")).into())
             }
             Place::Mem {
@@ -518,7 +520,7 @@ impl<'e> Interp<'e> {
             } => self
                 .mem
                 .store(frame.space, *space, *buffer, *index, value, frame.thread)
-                .map_err(Interrupt::Rt),
+                .map_err(Interrupt::from),
             Place::Field(base, idx) => {
                 let current = self.read_place(frame, base)?;
                 match current {
@@ -537,63 +539,24 @@ impl<'e> Interp<'e> {
     }
 }
 
-/// Apply a binary operator to two values with C-like promotion.
-pub(super) fn apply_binop(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
-    use BinOp::*;
-    // Pointer arithmetic and comparison.
-    match (&a, &b) {
-        (Value::Ptr(p), other) if matches!(op, Add | Sub) => {
-            let n = other
-                .as_int()
-                .ok_or_else(|| type_err("pointer arithmetic requires an integer"))?;
-            let delta = if op == Sub { -n } else { n };
-            let off = p.offset as i64 + delta;
-            if off < 0 {
-                return Err(RuntimeError::oob("pointer moved below buffer start"));
-            }
-            return Ok(Value::Ptr(Pointer {
-                offset: off as usize,
-                ..*p
-            }));
-        }
-        (other, Value::Ptr(p)) if op == Add => {
-            let n = other
-                .as_int()
-                .ok_or_else(|| type_err("pointer arithmetic requires an integer"))?;
-            let off = p.offset as i64 + n;
-            if off < 0 {
-                return Err(RuntimeError::oob("pointer moved below buffer start"));
-            }
-            return Ok(Value::Ptr(Pointer {
-                offset: off as usize,
-                ..*p
-            }));
-        }
-        (Value::Ptr(p), Value::Ptr(q)) => {
-            return match op {
-                Sub => Ok(Value::Int(p.offset as i64 - q.offset as i64)),
-                Eq => Ok(Value::Bool(p == q)),
-                Ne => Ok(Value::Bool(p != q)),
-                Lt => Ok(Value::Bool(p.offset < q.offset)),
-                Gt => Ok(Value::Bool(p.offset > q.offset)),
-                Le => Ok(Value::Bool(p.offset <= q.offset)),
-                Ge => Ok(Value::Bool(p.offset >= q.offset)),
-                _ => Err(type_err("invalid pointer operation")),
-            };
-        }
-        (Value::Ptr(_) | Value::Null, Value::Null) | (Value::Null, Value::Ptr(_)) => {
-            let same = matches!((&a, &b), (Value::Null, Value::Null));
-            return match op {
-                Eq => Ok(Value::Bool(same)),
-                Ne => Ok(Value::Bool(!same)),
-                _ => Err(type_err("invalid null pointer operation")),
-            };
-        }
-        _ => {}
+/// The value of a local or a literal, without copying it.
+fn peek<'f>(frame: &'f Frame, e: &'f RExpr) -> Option<&'f Value> {
+    match e {
+        RExpr::Lit(v) => Some(v),
+        RExpr::Var(Name::Local(slot)) => Some(&frame.slots[*slot as usize]),
+        _ => None,
     }
+}
 
-    let both_int = matches!(&a, Value::Int(_) | Value::Bool(_))
-        && matches!(&b, Value::Int(_) | Value::Bool(_));
+fn unbound(name: &str) -> Interrupt {
+    type_err(format!("use of unbound identifier '{name}' at run time")).into()
+}
+
+/// Apply a binary operator to two values with C-like promotion.
+pub(super) fn apply_binop(op: BinOp, a: &Value, b: &Value) -> RtResult<Value> {
+    use BinOp::*;
+    let both_int =
+        matches!(a, Value::Int(_) | Value::Bool(_)) && matches!(b, Value::Int(_) | Value::Bool(_));
     if both_int {
         let x = a.as_int().unwrap();
         let y = b.as_int().unwrap();
@@ -636,6 +599,58 @@ pub(super) fn apply_binop(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
         return Ok(v);
     }
 
+    // Pointer arithmetic and comparison (no pattern matches two numbers).
+    match (a, b) {
+        (Value::Ptr(p), other) if matches!(op, Add | Sub) => {
+            let n = other
+                .as_int()
+                .ok_or_else(|| type_err("pointer arithmetic requires an integer"))?;
+            let delta = if op == Sub { -n } else { n };
+            let off = p.offset as i64 + delta;
+            if off < 0 {
+                return Err(RuntimeError::oob("pointer moved below buffer start"));
+            }
+            return Ok(Value::Ptr(Pointer {
+                offset: off as usize,
+                ..*p
+            }));
+        }
+        (other, Value::Ptr(p)) if op == Add => {
+            let n = other
+                .as_int()
+                .ok_or_else(|| type_err("pointer arithmetic requires an integer"))?;
+            let off = p.offset as i64 + n;
+            if off < 0 {
+                return Err(RuntimeError::oob("pointer moved below buffer start"));
+            }
+            return Ok(Value::Ptr(Pointer {
+                offset: off as usize,
+                ..*p
+            }));
+        }
+        (Value::Ptr(p), Value::Ptr(q)) => {
+            return match op {
+                Sub => Ok(Value::Int(p.offset as i64 - q.offset as i64)),
+                Eq => Ok(Value::Bool(p == q)),
+                Ne => Ok(Value::Bool(p != q)),
+                Lt => Ok(Value::Bool(p.offset < q.offset)),
+                Gt => Ok(Value::Bool(p.offset > q.offset)),
+                Le => Ok(Value::Bool(p.offset <= q.offset)),
+                Ge => Ok(Value::Bool(p.offset >= q.offset)),
+                _ => Err(type_err("invalid pointer operation")),
+            };
+        }
+        (Value::Ptr(_) | Value::Null, Value::Null) | (Value::Null, Value::Ptr(_)) => {
+            let same = matches!((a, b), (Value::Null, Value::Null));
+            return match op {
+                Eq => Ok(Value::Bool(same)),
+                Ne => Ok(Value::Bool(!same)),
+                _ => Err(type_err("invalid null pointer operation")),
+            };
+        }
+        _ => {}
+    }
+
     let (Some(x), Some(y)) = (a.as_float(), b.as_float()) else {
         return Err(type_err(format!(
             "invalid operands to '{}' ({} and {})",
@@ -675,26 +690,26 @@ mod tests {
     #[test]
     fn int_ops() {
         assert_eq!(
-            apply_binop(BinOp::Add, Value::Int(2), Value::Int(3)).unwrap(),
+            apply_binop(BinOp::Add, &Value::Int(2), &Value::Int(3)).unwrap(),
             Value::Int(5)
         );
         assert_eq!(
-            apply_binop(BinOp::BitXor, Value::Int(5), Value::Int(3)).unwrap(),
+            apply_binop(BinOp::BitXor, &Value::Int(5), &Value::Int(3)).unwrap(),
             Value::Int(6)
         );
         assert_eq!(
-            apply_binop(BinOp::Div, Value::Int(7), Value::Int(2)).unwrap(),
+            apply_binop(BinOp::Div, &Value::Int(7), &Value::Int(2)).unwrap(),
             Value::Int(3)
         );
     }
 
     #[test]
     fn div_by_zero() {
-        let err = apply_binop(BinOp::Div, Value::Int(1), Value::Int(0)).unwrap_err();
+        let err = apply_binop(BinOp::Div, &Value::Int(1), &Value::Int(0)).unwrap_err();
         assert_eq!(err.kind, RuntimeErrorKind::DivByZero);
         // Float division by zero is IEEE (inf), not an error.
         assert_eq!(
-            apply_binop(BinOp::Div, Value::Float(1.0), Value::Float(0.0)).unwrap(),
+            apply_binop(BinOp::Div, &Value::Float(1.0), &Value::Float(0.0)).unwrap(),
             Value::Float(f64::INFINITY)
         );
     }
@@ -702,7 +717,7 @@ mod tests {
     #[test]
     fn mixed_promotes_to_float() {
         assert_eq!(
-            apply_binop(BinOp::Mul, Value::Int(2), Value::Float(1.5)).unwrap(),
+            apply_binop(BinOp::Mul, &Value::Int(2), &Value::Float(1.5)).unwrap(),
             Value::Float(3.0)
         );
     }
@@ -714,26 +729,26 @@ mod tests {
             buffer: 0,
             offset: 4,
         });
-        match apply_binop(BinOp::Add, p.clone(), Value::Int(3)).unwrap() {
+        match apply_binop(BinOp::Add, &p.clone(), &Value::Int(3)).unwrap() {
             Value::Ptr(q) => assert_eq!(q.offset, 7),
             other => panic!("{other:?}"),
         }
-        match apply_binop(BinOp::Sub, p.clone(), Value::Int(4)).unwrap() {
+        match apply_binop(BinOp::Sub, &p.clone(), &Value::Int(4)).unwrap() {
             Value::Ptr(q) => assert_eq!(q.offset, 0),
             other => panic!("{other:?}"),
         }
-        assert!(apply_binop(BinOp::Sub, p, Value::Int(5)).is_err());
+        assert!(apply_binop(BinOp::Sub, &p, &Value::Int(5)).is_err());
     }
 
     #[test]
     fn bitwise_on_float_rejected() {
-        assert!(apply_binop(BinOp::BitXor, Value::Float(1.0), Value::Int(1)).is_err());
+        assert!(apply_binop(BinOp::BitXor, &Value::Float(1.0), &Value::Int(1)).is_err());
     }
 
     #[test]
     fn null_comparisons() {
         assert_eq!(
-            apply_binop(BinOp::Eq, Value::Null, Value::Null).unwrap(),
+            apply_binop(BinOp::Eq, &Value::Null, &Value::Null).unwrap(),
             Value::Bool(true)
         );
         let p = Value::Ptr(Pointer {
@@ -742,7 +757,7 @@ mod tests {
             offset: 0,
         });
         assert_eq!(
-            apply_binop(BinOp::Ne, p, Value::Null).unwrap(),
+            apply_binop(BinOp::Ne, &p, &Value::Null).unwrap(),
             Value::Bool(true)
         );
     }

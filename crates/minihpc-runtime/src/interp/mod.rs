@@ -21,12 +21,12 @@
 
 use crate::format::printf;
 use crate::memory::{Memory, RtResult, RuntimeError, RuntimeErrorKind};
+use crate::resolve::*;
 use crate::value::*;
 use minihpc_build::object::Executable;
 use minihpc_lang::ast::*;
-use minihpc_lang::pragma::{MapKind, OmpConstruct, OmpDirective, ReductionOp};
+use minihpc_lang::pragma::ReductionOp;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Runtime configuration.
@@ -123,13 +123,14 @@ impl RunResult {
 
 /// Internal control signals.
 enum Interrupt {
-    Rt(RuntimeError),
+    /// Boxed, so results on the evaluation path stay small.
+    Rt(Box<RuntimeError>),
     Exit(i64),
 }
 
 impl From<RuntimeError> for Interrupt {
     fn from(e: RuntimeError) -> Self {
-        Interrupt::Rt(e)
+        Interrupt::Rt(Box::new(e))
     }
 }
 
@@ -142,11 +143,12 @@ enum Flow {
     Return(Value),
 }
 
-/// Per-execution-context state (one per logical thread).
-struct Frame {
-    scopes: Vec<HashMap<String, Value>>,
-    /// Static types of declared locals (needed to type `cudaMalloc(&p, n)`).
-    types: HashMap<String, Type>,
+/// Per-execution-context state (one per logical thread): the slots of
+/// one function or lambda activation.
+struct Frame<'p> {
+    slots: Vec<Value>,
+    /// Name and declared type of each slot.
+    vars: &'p [SlotVar],
     space: Space,
     thread: u64,
     cuda: Option<CudaCtx>,
@@ -155,10 +157,9 @@ struct Frame {
     /// executes under, if any (`RunConfig::record_shared_writes`).
     /// Propagated into calls so global writes are still seen.
     watch: Option<Rc<RegionWatch>>,
-    /// How many leading scopes of this frame hold the region's shared
-    /// snapshot: 1 on worker frames, 0 everywhere else (a callee's scope 0
-    /// holds its own parameters, which are private).
-    watch_scopes: usize,
+    /// Slots below this hold the region's shared snapshot on worker
+    /// frames; 0 everywhere else (a callee's slots are all private).
+    watch_base: usize,
 }
 
 /// One watched parallel region (see [`RunConfig::record_shared_writes`]).
@@ -166,9 +167,9 @@ struct RegionWatch {
     /// Region id, for race messages and per-region write maps.
     region: u64,
     /// Variables the region privatizes per worker — reduction accumulators
-    /// and `private`/`firstprivate` clause names — whose snapshot-scope
-    /// writes are worker-local by construction.
-    exempt: std::collections::HashSet<String>,
+    /// and `private`/`firstprivate` clause names — whose snapshot writes
+    /// are worker-local by construction.
+    exempt: Vec<String>,
 }
 
 #[derive(Clone, Copy)]
@@ -179,70 +180,26 @@ struct CudaCtx {
     grid_dim: Dim3,
 }
 
-impl Frame {
-    fn host() -> Self {
+impl<'p> Frame<'p> {
+    /// An activation in `caller`'s context, its slots still to be set.
+    fn new(vars: &'p [SlotVar], caller: &Frame, depth: u32) -> Self {
         Frame {
-            scopes: vec![HashMap::new()],
-            types: HashMap::new(),
-            space: Space::Host,
-            thread: 0,
-            cuda: None,
-            depth: 0,
+            slots: Vec::new(),
+            vars,
+            space: caller.space,
+            thread: caller.thread,
+            cuda: caller.cuda,
+            depth,
             watch: None,
-            watch_scopes: 0,
+            watch_base: 0,
         }
     }
-
-    /// Index of the scope `name` resolves to (innermost wins), if any.
-    fn scope_of(&self, name: &str) -> Option<usize> {
-        (0..self.scopes.len())
-            .rev()
-            .find(|&i| self.scopes[i].contains_key(name))
-    }
-
-    fn get(&self, name: &str) -> Option<&Value> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn set_existing(&mut self, name: &str, value: Value) -> bool {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn declare(&mut self, name: &str, value: Value, ty: Option<Type>) {
-        self.scopes
-            .last_mut()
-            .expect("frame always has a scope")
-            .insert(name.to_string(), value);
-        if let Some(t) = ty {
-            self.types.insert(name.to_string(), t);
-        }
-    }
-
-    /// All visible bindings (for lambda capture-by-value).
-    fn visible(&self) -> Vec<(String, Value)> {
-        let mut seen = HashMap::new();
-        for scope in self.scopes.iter().rev() {
-            for (k, v) in scope {
-                seen.entry(k.clone()).or_insert_with(|| v.clone());
-            }
-        }
-        seen.into_iter().collect()
-    }
-}
-
-struct StructLayout {
-    fields: Vec<(String, Type)>,
 }
 
 /// The interpreter.
-pub struct Interp<'e> {
-    exe: &'e Executable,
+pub struct Interp<'p> {
+    exe: &'p Executable,
+    prog: &'p Program,
     mem: Memory,
     out: RefCell<String>,
     steps: Cell<u64>,
@@ -250,46 +207,23 @@ pub struct Interp<'e> {
     telemetry: Cell<TelemetrySnapshot>,
     rng: Cell<u64>,
     clock: Cell<f64>,
-    layouts: HashMap<String, StructLayout>,
-    globals: RefCell<HashMap<String, Value>>,
-    global_types: HashMap<String, Type>,
+    globals: RefCell<Vec<Value>>,
+    /// Slot vectors of finished activations, for reuse.
+    spare: RefCell<Vec<Vec<Value>>>,
     kokkos_initialized: Cell<bool>,
     /// Monotonic id for watched parallel regions (shared-write recording).
     regions: Cell<u64>,
 }
 
-/// Run a linked executable to completion.
+/// Run a linked executable to completion: resolve it, then execute the
+/// resolved tree.
 pub fn run(exe: &Executable, config: RunConfig) -> RunResult {
-    let mut layouts = HashMap::new();
-    for (name, def) in &exe.structs {
-        layouts.insert(
-            name.clone(),
-            StructLayout {
-                fields: def
-                    .fields
-                    .iter()
-                    .map(|f| {
-                        let mut t = f.ty.clone();
-                        for _ in &f.array_dims {
-                            t = Type::ptr(t);
-                        }
-                        (f.name.clone(), t)
-                    })
-                    .collect(),
-            },
-        );
-    }
-    // The cuRAND state is an opaque one-field struct at run time.
-    layouts
-        .entry("curandState".to_string())
-        .or_insert(StructLayout {
-            fields: vec![("__state".to_string(), Type::Scalar(ScalarType::Long))],
-        });
-
+    let prog = resolve(exe);
     let detect = config.detect_races;
     let record_shared = config.record_shared_writes;
     let interp = Interp {
         exe,
+        prog: &prog,
         mem: Memory::new(detect, record_shared),
         out: RefCell::default(),
         steps: Cell::new(0),
@@ -297,26 +231,15 @@ pub fn run(exe: &Executable, config: RunConfig) -> RunResult {
         telemetry: Cell::default(),
         rng: Cell::new(0x2545F4914F6CDD1D),
         clock: Cell::new(0.0),
-        layouts,
-        globals: RefCell::default(),
-        global_types: exe
-            .globals
-            .iter()
-            .map(|d| {
-                let mut t = d.ty.clone();
-                for _ in &d.array_dims {
-                    t = Type::ptr(t);
-                }
-                (d.name.clone(), t)
-            })
-            .collect(),
+        globals: RefCell::new(vec![Value::Void; prog.globals.len()]),
+        spare: RefCell::default(),
         kokkos_initialized: Cell::new(false),
         regions: Cell::new(0),
     };
     interp.run_main()
 }
 
-impl<'e> Interp<'e> {
+impl<'p> Interp<'p> {
     fn run_main(self) -> RunResult {
         let outcome = self.exec_program();
         let telemetry = self.telemetry.get();
@@ -324,47 +247,41 @@ impl<'e> Interp<'e> {
         let race_vars = self.mem.detector.shared_conflict_vars();
         let steps = self.steps.get();
         let stdout = self.out.into_inner();
-        match outcome {
-            Ok(code) => RunResult {
-                stdout,
-                exit_code: code,
-                error: None,
-                telemetry,
-                races,
-                race_vars,
-                steps,
-            },
-            Err(Interrupt::Exit(code)) => RunResult {
-                stdout,
-                exit_code: code,
-                error: None,
-                telemetry,
-                races,
-                race_vars,
-                steps,
-            },
-            Err(Interrupt::Rt(e)) => RunResult {
-                stdout,
-                exit_code: 1,
-                error: Some(e),
-                telemetry,
-                races,
-                race_vars,
-                steps,
-            },
+        let (exit_code, error) = match outcome {
+            Ok(code) | Err(Interrupt::Exit(code)) => (code, None),
+            Err(Interrupt::Rt(e)) => (1, Some(*e)),
+        };
+        RunResult {
+            stdout,
+            exit_code,
+            error,
+            telemetry,
+            races,
+            race_vars,
+            steps,
         }
     }
 
     fn exec_program(&self) -> IResult<i64> {
-        let mut frame = Frame::host();
+        let mut frame = Frame {
+            slots: vec![],
+            vars: &[],
+            space: Space::Host,
+            thread: 0,
+            cuda: None,
+            depth: 0,
+            watch: None,
+            watch_base: 0,
+        };
         // Initialise globals.
-        for decl in &self.exe.globals {
-            let value = self.eval_decl_value(&mut frame, decl)?;
-            self.globals.borrow_mut().insert(decl.name.clone(), value);
+        for (i, g) in self.prog.globals.iter().enumerate() {
+            let value = self.decl_value(&mut frame, &g.init)?;
+            self.globals.borrow_mut()[i] = value;
         }
         let main = self
-            .exe
-            .main()
+            .prog
+            .main
+            .map(|f| &self.prog.functions[f as usize])
             .ok_or_else(|| RuntimeError::new(RuntimeErrorKind::Unsupported, "no main function"))?;
         // Build argv.
         let mut argv_vals: Vec<Value> = vec![Value::Str(self.exe.name.as_str().into())];
@@ -375,7 +292,7 @@ impl<'e> Interp<'e> {
                 .map(|a| Value::Str(a.as_str().into())),
         );
         let argc = argv_vals.len() as i64;
-        let args = match main.params.len() {
+        let args = match main.params {
             0 => vec![],
             2 => {
                 let buf = self.alloc_with(
@@ -393,13 +310,17 @@ impl<'e> Interp<'e> {
                 ]
             }
             n => {
-                return Err(Interrupt::Rt(RuntimeError::new(
+                return Err(Interrupt::from(RuntimeError::new(
                     RuntimeErrorKind::Unsupported,
                     format!("main must take 0 or 2 parameters, has {n}"),
                 )))
             }
         };
-        let ret = self.call_function(&mut frame, main, args)?;
+        let mut slots = self.slots(main.vars.len());
+        for (slot, arg) in slots.iter_mut().zip(args) {
+            *slot = arg;
+        }
+        let ret = self.call_function(&mut frame, main, slots)?;
         Ok(ret.as_int().unwrap_or(0))
     }
 
@@ -421,7 +342,7 @@ impl<'e> Interp<'e> {
         let n = self.steps.get();
         self.steps.set(n + 1);
         if n >= self.config.max_steps {
-            return Err(Interrupt::Rt(RuntimeError::new(
+            return Err(Interrupt::from(RuntimeError::new(
                 RuntimeErrorKind::StepLimit,
                 format!(
                     "step limit of {} exceeded (runaway loop?)",
@@ -448,106 +369,101 @@ impl<'e> Interp<'e> {
         self.telemetry.set(t);
     }
 
-    fn struct_zero(&self, name: &str) -> Value {
-        let fields = self
-            .layouts
-            .get(name)
-            .map(|l| l.fields.iter().map(|(_, t)| zero_value(t)).collect())
-            .unwrap_or_default();
-        Value::Struct(Box::new(StructVal {
-            name: name.to_string(),
-            fields,
-        }))
+    fn layout(&self, name: &str) -> Option<&'p StructLayout> {
+        self.prog.layouts.get(name)
     }
 
     fn zero_of(&self, ty: &Type) -> Value {
-        match ty.unqualified() {
-            Type::Named(n) => self.struct_zero(n),
-            other => zero_value(other),
-        }
+        self.prog.layouts.zero_of(ty)
     }
 
     fn sizeof(&self, ty: &Type) -> usize {
-        byte_size(ty, &|name| {
-            self.layouts.get(name).map(|l| {
-                l.fields
-                    .iter()
-                    .map(|(_, t)| self.sizeof(t))
-                    .sum::<usize>()
-                    .max(1)
-            })
-        })
+        self.prog.layouts.size_of(ty)
     }
 
     // ------------------------------------------------------------------
     // Statements
     // ------------------------------------------------------------------
 
-    fn call_function(&self, caller: &mut Frame, f: &Function, args: Vec<Value>) -> IResult<Value> {
+    /// Call `f` with `slots` from [`Interp::slots`], the arguments
+    /// already in the parameter slots.
+    fn call_function(
+        &self,
+        caller: &mut Frame,
+        f: &RFunction,
+        slots: Vec<Value>,
+    ) -> IResult<Value> {
         if caller.depth > 200 {
-            return Err(Interrupt::Rt(RuntimeError::new(
+            return Err(Interrupt::from(RuntimeError::new(
                 RuntimeErrorKind::StepLimit,
                 "recursion depth limit exceeded",
             )));
         }
-        let mut frame = Frame {
-            scopes: vec![HashMap::new()],
-            types: HashMap::new(),
-            space: caller.space,
-            thread: caller.thread,
-            cuda: caller.cuda,
-            depth: caller.depth + 1,
-            // Callees see only globals from the watched region's shared
-            // state, so their own scopes are all private.
-            watch: caller.watch.clone(),
-            watch_scopes: 0,
-        };
-        for (p, v) in f.params.iter().zip(args) {
-            let v = self.coerce(v, &p.ty)?;
-            frame.declare(&p.name, v, Some(p.ty.clone()));
-        }
+        let mut frame = Frame::new(&f.vars, caller, caller.depth + 1);
+        frame.slots = slots;
+        // Callees see only globals from the watched region's shared state,
+        // so their own slots are all private.
+        frame.watch = caller.watch.clone();
+        self.coerce_params(&mut frame, f.params);
         let Some(body) = &f.body else {
-            return Err(Interrupt::Rt(RuntimeError::new(
+            return Err(Interrupt::from(RuntimeError::new(
                 RuntimeErrorKind::Unsupported,
                 format!("call to undefined function '{}'", f.name),
             )));
         };
-        match self.exec_block(&mut frame, body)? {
+        let flow = self.exec_block(&mut frame, body)?;
+        self.recycle(frame.slots);
+        match flow {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Void),
         }
     }
 
-    fn exec_block(&self, frame: &mut Frame, b: &Block) -> IResult<Flow> {
-        frame.scopes.push(HashMap::new());
-        let mut flow = Flow::Normal;
-        for s in &b.stmts {
-            flow = self.exec_stmt(frame, s)?;
-            if !matches!(flow, Flow::Normal) {
-                break;
-            }
+    /// Convert the first `n` slots (the parameters) to their declared
+    /// types. A parameter no argument reached is `Void` and stays so.
+    fn coerce_params(&self, frame: &mut Frame, n: usize) {
+        for (slot, var) in frame.slots[..n].iter_mut().zip(frame.vars) {
+            let v = std::mem::take(slot);
+            *slot = self.coerce_to(v, var);
         }
-        frame.scopes.pop();
-        Ok(flow)
     }
 
-    fn exec_stmt(&self, frame: &mut Frame, s: &Stmt) -> IResult<Flow> {
+    /// `n` `Void` slots for a new activation, reusing the vector of a
+    /// finished one.
+    fn slots(&self, n: usize) -> Vec<Value> {
+        let mut slots = self.spare.borrow_mut().pop().unwrap_or_default();
+        slots.resize(n, Value::Void);
+        slots
+    }
+
+    /// Keep a finished activation's slot vector for [`Interp::slots`].
+    fn recycle(&self, mut slots: Vec<Value>) {
+        slots.clear();
+        self.spare.borrow_mut().push(slots);
+    }
+
+    fn exec_block(&self, frame: &mut Frame, b: &RBlock) -> IResult<Flow> {
+        for s in &b.stmts {
+            let flow = self.exec_stmt(frame, s)?;
+            if !matches!(flow, Flow::Normal) {
+                return Ok(flow);
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_stmt(&self, frame: &mut Frame, s: &RStmt) -> IResult<Flow> {
         self.step()?;
-        match &s.kind {
-            StmtKind::Decl(d) => {
-                let value = self.eval_decl_value(frame, d)?;
-                let mut ty = d.ty.clone();
-                for _ in &d.array_dims {
-                    ty = Type::ptr(ty);
-                }
-                frame.declare(&d.name, value, Some(ty));
+        match s {
+            RStmt::Decl(slot, init) => {
+                frame.slots[*slot as usize] = self.decl_value(frame, init)?;
                 Ok(Flow::Normal)
             }
-            StmtKind::Expr(e) => {
+            RStmt::Expr(e) => {
                 self.eval(frame, e)?;
                 Ok(Flow::Normal)
             }
-            StmtKind::If { cond, then, els } => {
+            RStmt::If(cond, then, els) => {
                 if self.eval(frame, cond)?.truthy() {
                     self.exec_stmt(frame, then)
                 } else if let Some(els) = els {
@@ -556,7 +472,7 @@ impl<'e> Interp<'e> {
                     Ok(Flow::Normal)
                 }
             }
-            StmtKind::While { cond, body } => {
+            RStmt::While(cond, body) => {
                 while self.eval(frame, cond)?.truthy() {
                     self.step()?;
                     match self.exec_stmt(frame, body)? {
@@ -567,97 +483,83 @@ impl<'e> Interp<'e> {
                 }
                 Ok(Flow::Normal)
             }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                frame.scopes.push(HashMap::new());
-                if let Some(i) = init {
+            RStmt::For(f) => {
+                if let Some(i) = &f.init {
                     self.exec_stmt(frame, i)?;
                 }
-                let flow = loop {
-                    if let Some(c) = cond {
+                loop {
+                    if let Some(c) = &f.cond {
                         if !self.eval(frame, c)?.truthy() {
-                            break Flow::Normal;
+                            return Ok(Flow::Normal);
                         }
                     }
                     self.step()?;
-                    match self.exec_stmt(frame, body)? {
-                        Flow::Break => break Flow::Normal,
-                        Flow::Return(v) => break Flow::Return(v),
+                    match self.exec_stmt(frame, &f.body)? {
+                        Flow::Break => return Ok(Flow::Normal),
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
                         _ => {}
                     }
-                    if let Some(st) = step {
+                    if let Some(st) = &f.step {
                         self.eval(frame, st)?;
                     }
-                };
-                frame.scopes.pop();
-                Ok(flow)
+                }
             }
-            StmtKind::Return(e) => {
+            RStmt::Return(e) => {
                 let v = match e {
                     Some(e) => self.eval(frame, e)?,
                     None => Value::Void,
                 };
                 Ok(Flow::Return(v))
             }
-            StmtKind::Break => Ok(Flow::Break),
-            StmtKind::Continue => Ok(Flow::Continue),
-            StmtKind::Block(b) => self.exec_block(frame, b),
-            StmtKind::Omp { directive, body } => self.exec_omp(frame, directive, body.as_deref()),
-            StmtKind::RawPragma(_) | StmtKind::Empty => Ok(Flow::Normal),
+            RStmt::Break => Ok(Flow::Break),
+            RStmt::Continue => Ok(Flow::Continue),
+            RStmt::Block(b) => self.exec_block(frame, b),
+            RStmt::Omp(omp) => self.exec_omp(frame, omp),
+            RStmt::Empty => Ok(Flow::Normal),
         }
     }
 
-    fn eval_decl_value(&self, frame: &mut Frame, d: &VarDecl) -> IResult<Value> {
-        // Fixed-size arrays allocate a buffer in the current space.
-        if !d.array_dims.is_empty() {
-            let mut len = 1usize;
-            for dim in &d.array_dims {
-                let n = self
-                    .eval(frame, dim)?
-                    .as_int()
-                    .filter(|n| *n >= 0)
-                    .ok_or_else(|| type_err("array dimension must be a non-negative integer"))?;
-                len *= n as usize;
-            }
-            let buf = self.alloc_zeroed(frame.space, d.ty.clone(), len);
-            if let Some(Init::List(elems)) = &d.init {
-                for (i, e) in elems.iter().enumerate() {
+    fn decl_value(&self, frame: &mut Frame, init: &DeclInit) -> IResult<Value> {
+        match init {
+            // Fixed-size arrays allocate a buffer in the current space.
+            DeclInit::Array {
+                dims,
+                elem,
+                zero,
+                list,
+            } => {
+                let mut len = 1usize;
+                for dim in dims {
+                    let n = self
+                        .eval(frame, dim)?
+                        .as_int()
+                        .filter(|n| *n >= 0)
+                        .ok_or_else(|| {
+                            type_err("array dimension must be a non-negative integer")
+                        })?;
+                    len *= n as usize;
+                }
+                let buf = self.mem.alloc(frame.space, elem.clone(), len, zero.clone());
+                for (i, e) in list.iter().enumerate() {
                     let v = self.eval(frame, e)?;
                     self.mem
                         .store(frame.space, frame.space, buf, i, v, frame.thread)
-                        .map_err(Interrupt::Rt)?;
+                        .map_err(Interrupt::from)?;
                 }
+                Ok(Value::Ptr(Pointer {
+                    space: frame.space,
+                    buffer: buf,
+                    offset: 0,
+                }))
             }
-            return Ok(Value::Ptr(Pointer {
-                space: frame.space,
-                buffer: buf,
-                offset: 0,
-            }));
-        }
-        match (&d.init, d.ty.unqualified()) {
             // Kokkos view construction: `View<double*> v("label", n, ...)`.
-            (Some(Init::Ctor(args)), Type::View { elem, rank }) => {
+            DeclInit::View {
+                elem,
+                rank,
+                extents,
+            } => {
                 let mut dims = [1usize; 2];
-                let dim_args: Vec<&Expr> = args
-                    .iter()
-                    .skip(usize::from(matches!(
-                        args.first().map(|a| &a.kind),
-                        Some(ExprKind::StrLit(_))
-                    )))
-                    .collect();
-                if dim_args.len() != *rank as usize {
-                    return Err(type_err(format!(
-                        "view '{}' of rank {rank} constructed with {} extents",
-                        d.name,
-                        dim_args.len()
-                    ))
-                    .into());
-                }
-                for (i, a) in dim_args.iter().enumerate() {
+                for (i, a) in extents.iter().enumerate() {
                     dims[i] = self
                         .eval(frame, a)?
                         .as_int()
@@ -680,9 +582,9 @@ impl<'e> Interp<'e> {
                 }))
             }
             // dim3 construction.
-            (Some(Init::Ctor(args)), Type::Dim3) => {
+            DeclInit::Dim3(args) => {
                 let mut parts = [1u32; 3];
-                for (i, a) in args.iter().take(3).enumerate() {
+                for (i, a) in args.iter().enumerate() {
                     parts[i] = self
                         .eval(frame, a)?
                         .as_int()
@@ -692,44 +594,44 @@ impl<'e> Interp<'e> {
                 }
                 Ok(Value::Dim3(Dim3::new(parts[0], parts[1], parts[2])))
             }
-            (Some(Init::Ctor(_)), _) => Err(type_err(format!(
-                "constructor syntax is not supported for type of '{}'",
-                d.name
-            ))
-            .into()),
-            (Some(Init::Expr(e)), _) => {
+            DeclInit::Expr(e, ty) => {
                 let v = self.eval(frame, e)?;
-                self.coerce(v, &d.ty)
+                Ok(self.coerce(v, ty))
             }
-            (Some(Init::List(_)), _) => {
-                Err(type_err("initialiser lists are only supported on arrays").into())
-            }
-            (None, _) => Ok(self.zero_of(&d.ty)),
+            DeclInit::Zero(zero) => Ok(zero.clone()),
+            DeclInit::Fail(msg) => Err(type_err(msg.as_str()).into()),
         }
     }
 
-    /// Convert a value to a declared type — this is where `malloc`'s
-    /// untyped allocation becomes a typed buffer.
-    fn coerce(&self, v: Value, ty: &Type) -> IResult<Value> {
-        match (v, ty.unqualified()) {
-            (Value::UntypedAlloc { bytes }, Type::Ptr(inner)) => {
-                let elem = (**inner).clone();
-                let esize = self.sizeof(&elem).max(1);
-                let len = bytes / esize;
-                let buf = self.alloc_zeroed(Space::Host, elem, len);
-                Ok(Value::Ptr(Pointer {
-                    space: Space::Host,
-                    buffer: buf,
-                    offset: 0,
-                }))
-            }
-            (Value::Int(n), Type::Scalar(s)) if s.is_float() => Ok(Value::Float(n as f64)),
-            (Value::Float(f), Type::Scalar(s)) if s.is_integer() => Ok(Value::Int(f as i64)),
-            (Value::Int(n), Type::Scalar(ScalarType::Bool)) => Ok(Value::Bool(n != 0)),
-            (Value::Bool(b), Type::Scalar(s)) if s.is_integer() => Ok(Value::Int(i64::from(b))),
-            (Value::Int(n), Type::Dim3) => Ok(Value::Dim3(Dim3::scalar(n.max(0) as u32))),
-            (other, _) => Ok(other),
+    /// Convert a value to a declared type.
+    #[inline]
+    fn coerce(&self, v: Value, to: &Declared) -> Value {
+        match (to.conv, v) {
+            (Conv::Pointer, Value::UntypedAlloc { bytes }) => self.typed_alloc(bytes, &to.ty),
+            (conv, v) => conv.apply(v),
         }
+    }
+
+    /// [`Interp::coerce`] to a slot's declared type, if it has one.
+    #[inline]
+    fn coerce_to(&self, v: Value, var: &SlotVar) -> Value {
+        match &var.ty {
+            Some(to) => self.coerce(v, to),
+            None => v,
+        }
+    }
+
+    /// `malloc`'s untyped allocation of `bytes`, assigned to pointer type
+    /// `ptr`: this is where it becomes a typed buffer.
+    fn typed_alloc(&self, bytes: usize, ptr: &Type) -> Value {
+        let elem = ptr.pointee().expect("a pointer type").clone();
+        let len = bytes / self.sizeof(&elem).max(1);
+        let buf = self.alloc_zeroed(Space::Host, elem, len);
+        Value::Ptr(Pointer {
+            space: Space::Host,
+            buffer: buf,
+            offset: 0,
+        })
     }
 }
 
@@ -739,6 +641,6 @@ fn type_err(msg: impl Into<String>) -> RuntimeError {
 
 // Expression evaluation, builtins, lvalues, and the OpenMP engine live in
 // sibling modules to keep files reviewable.
-mod builtins;
+pub(crate) mod builtins;
 mod expr;
 mod omp;

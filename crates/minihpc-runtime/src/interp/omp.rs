@@ -2,138 +2,127 @@
 //! and `target teams distribute parallel for` offload loops.
 
 use super::*;
-use minihpc_lang::pragma::ArraySection;
+use minihpc_lang::pragma::MapKind;
 
 /// A mapping established by a `map(...)` clause for the extent of a region.
 struct Mapping {
-    var: String,
+    /// The slot rebound to the device buffer inside the region.
+    slot: Option<u32>,
     host: Pointer,
     device_buffer: usize,
     lo: usize,
     len: usize,
     kind: MapKind,
     /// True when the variable was already device-mapped by an enclosing
-    /// region (present-table hit): no transfer, no rebinding restore needed.
+    /// region (present-table hit): no transfer, no rebinding.
     preexisting: bool,
 }
 
-impl<'e> Interp<'e> {
-    pub(super) fn exec_omp(
-        &self,
-        frame: &mut Frame,
-        d: &OmpDirective,
-        body: Option<&Stmt>,
-    ) -> IResult<Flow> {
-        if d.is_standalone() {
-            return Ok(Flow::Normal);
+/// A canonical (possibly collapsed) loop nest with precomputed bounds.
+struct LoopNest<'a> {
+    slots: Vec<u32>,
+    starts: Vec<i64>,
+    counts: Vec<u64>,
+    /// The innermost loop's body, borrowed from the resolved tree.
+    body: &'a RStmt,
+}
+
+impl LoopNest<'_> {
+    fn total(&self) -> u64 {
+        self.counts.iter().product()
+    }
+
+    /// Bind the loop variables of flat logical index `logical`.
+    fn bind(&self, slots: &mut [Value], mut logical: u64) {
+        for level in (0..self.slots.len()).rev() {
+            let c = self.counts[level].max(1);
+            let idx = self.starts[level] + (logical % c) as i64;
+            slots[self.slots[level] as usize] = Value::Int(idx);
+            logical /= c;
         }
-        let Some(body) = body else {
-            return Ok(Flow::Normal);
-        };
+    }
+}
+
+impl<'p> Interp<'p> {
+    pub(super) fn exec_omp(&self, frame: &mut Frame, omp: &ROmp) -> IResult<Flow> {
         // Without -fopenmp the pragma was warned about at compile time and
         // is ignored: the body executes as plain serial code.
         if !self.exe.features.openmp {
-            return self.exec_stmt(frame, body);
+            return self.exec_stmt(frame, &omp.body);
         }
-
-        let is_target = d.targets_device();
         // Establish map-clause mappings (target constructs only; `map` on a
-        // host directive was a compile-time warning and is a no-op here).
-        let mappings = if is_target {
-            self.enter_mappings(frame, d)?
-        } else {
-            vec![]
-        };
-        // Mapped variables are rebound inside a fresh scope.
-        frame.scopes.push(HashMap::new());
-        for m in &mappings {
-            if !m.preexisting {
-                frame.scopes.last_mut().unwrap().insert(
-                    m.var.clone(),
-                    Value::Ptr(Pointer {
-                        space: Space::Device,
-                        buffer: m.device_buffer,
-                        offset: 0,
-                    }),
-                );
+        // host directive was a compile-time warning and is a no-op here),
+        // and rebind the mapped variables for the region's extent.
+        let mappings = self.enter_mappings(frame, &omp.maps)?;
+        let mut saved = Vec::new();
+        for m in mappings.iter().filter(|m| !m.preexisting) {
+            if let Some(slot) = m.slot {
+                let device = Value::Ptr(Pointer {
+                    space: Space::Device,
+                    buffer: m.device_buffer,
+                    offset: 0,
+                });
+                let old = std::mem::replace(&mut frame.slots[slot as usize], device);
+                saved.push((slot, old));
             }
         }
 
-        let result = self.exec_omp_inner(frame, d, body, is_target);
+        let result = self.exec_region(frame, omp);
 
-        frame.scopes.pop();
-        // Copy back and release the mappings even on error paths? On error
-        // the run is abandoned, so ordering does not matter; on success we
-        // must copy back.
+        for (slot, old) in saved.into_iter().rev() {
+            frame.slots[slot as usize] = old;
+        }
+        // On error the run is abandoned, so only a completed region copies
+        // back.
         if result.is_ok() {
             self.exit_mappings(&mappings)?;
         }
         result
     }
 
-    fn exec_omp_inner(
-        &self,
-        frame: &mut Frame,
-        d: &OmpDirective,
-        body: &Stmt,
-        is_target: bool,
-    ) -> IResult<Flow> {
+    fn exec_region(&self, frame: &mut Frame, omp: &ROmp) -> IResult<Flow> {
         // `target data` and plain region constructs: execute the body with
         // the mappings in place. `target data` itself stays on the host;
         // a bare `target` region moves execution to the device.
-        if !d.is_loop_directive() {
-            if d.has(OmpConstruct::TargetData) {
-                return self.exec_stmt(frame, body);
-            }
-            if d.has(OmpConstruct::Target) {
+        let l = match &omp.region {
+            Region::TargetData => return self.exec_stmt(frame, &omp.body),
+            Region::Target => {
                 self.record_device_region(1);
                 let saved = frame.space;
                 frame.space = Space::Device;
-                let r = self.exec_stmt(frame, body);
+                let r = self.exec_stmt(frame, &omp.body);
                 frame.space = saved;
                 return r;
             }
             // Host `parallel` region (no loop): body runs once per "team";
             // we execute it once, which is observationally the sequential
             // schedule.
-            self.record_host_region();
-            return self.exec_stmt(frame, body);
-        }
-
-        // Loop directives.
-        let StmtKind::For { .. } = body.kind else {
-            return Err(type_err(format!(
-                "'#pragma {}' must be followed by a for loop",
-                d.text()
-            ))
-            .into());
+            Region::HostParallel => {
+                self.record_host_region();
+                return self.exec_stmt(frame, &omp.body);
+            }
+            Region::NotALoop(msg) => return Err(type_err(msg.as_str()).into()),
+            Region::Loop(l) => l,
         };
-        let collapse = d.collapse().max(1) as usize;
-        let nest = self.analyze_nest(frame, body, collapse)?;
 
-        let parallel_semantics = d.has(OmpConstruct::Parallel) || d.has(OmpConstruct::Teams);
-
-        if is_target {
+        let nest = self.analyze_nest(frame, &l.nest, &omp.body)?;
+        if l.target {
             let total = nest.as_ref().map(|n| n.total()).unwrap_or(1);
-            self.record_device_region(if parallel_semantics { total } else { 1 });
+            self.record_device_region(if l.parallel { total } else { 1 });
             self.mem.detector.begin_kernel();
-        } else if parallel_semantics {
+        } else if l.parallel {
             self.record_host_region();
         }
 
-        let exec_space = if is_target {
-            Space::Device
-        } else {
-            frame.space
-        };
+        let exec_space = if l.target { Space::Device } else { frame.space };
 
         match nest {
-            Some(nest) => self.run_loop_nest(frame, d, &nest, exec_space),
+            Some(nest) => self.run_loop_nest(frame, l, &nest, exec_space),
             None => {
                 // Non-canonical loop: run it serially in the right space.
                 let saved = frame.space;
                 frame.space = exec_space;
-                let r = self.exec_stmt(frame, body);
+                let r = self.exec_stmt(frame, &omp.body);
                 frame.space = saved;
                 r.map(|_| Flow::Normal)
             }
@@ -143,19 +132,12 @@ impl<'e> Interp<'e> {
     fn run_loop_nest(
         &self,
         frame: &mut Frame,
-        d: &OmpDirective,
+        l: &RLoop,
         nest: &LoopNest,
         exec_space: Space,
     ) -> IResult<Flow> {
         let total = nest.total();
-        let reductions: Vec<(ReductionOp, String)> = d
-            .reductions()
-            .flat_map(|(op, vars)| vars.iter().map(move |v| (*op, v.clone())))
-            .collect();
-
-        let use_parallel = self.config.parallel
-            && total > 1
-            && (d.has(OmpConstruct::Parallel) || d.has(OmpConstruct::Teams));
+        let use_parallel = self.config.parallel && total > 1 && l.parallel;
 
         if !use_parallel {
             // Sequential schedule in a shared frame: reductions and scalar
@@ -164,14 +146,8 @@ impl<'e> Interp<'e> {
             frame.space = exec_space;
             let result = (|| -> IResult<()> {
                 for logical in 0..total {
-                    frame.scopes.push(HashMap::new());
-                    let indices = nest.indices_of(logical);
-                    for (var, idx) in nest.vars.iter().zip(&indices) {
-                        frame.declare(var, Value::Int(*idx), Some(Type::INT));
-                    }
-                    let r = self.exec_stmt(frame, &nest.body);
-                    frame.scopes.pop();
-                    r?;
+                    nest.bind(&mut frame.slots, logical);
+                    self.exec_stmt(frame, nest.body)?;
                 }
                 Ok(())
             })();
@@ -182,32 +158,24 @@ impl<'e> Interp<'e> {
 
         // Per-worker schedule: workers `0..n` run one after another, each on
         // a contiguous chunk of the iterations, in a frame built from a
-        // snapshot of the visible bindings. Reduction variables start from
-        // the identity in each worker and are folded in worker order.
-        let snapshot: Vec<(String, Value)> = frame.visible();
+        // snapshot of the slots. Reduction variables start from the
+        // identity in each worker and are folded in worker order.
+        let snapshot = frame.slots.clone();
         let n_workers = self.config.workers.max(1) as u64;
         let chunk = total.div_ceil(n_workers);
 
-        // Opt-in shared-write recording: writes that resolve into the
-        // snapshot scope (or globals) from more than one worker are
-        // conflicting shared writes — unless the directive privatizes the
-        // variable (reduction / private / firstprivate).
-        let watch = if self.mem.detector.recording_shared() {
-            let mut exempt: std::collections::HashSet<String> =
-                reductions.iter().map(|(_, v)| v.clone()).collect();
-            for c in &d.clauses {
-                if let minihpc_lang::pragma::OmpClause::Private(vars)
-                | minihpc_lang::pragma::OmpClause::FirstPrivate(vars) = c
-                {
-                    exempt.extend(vars.iter().cloned());
-                }
-            }
+        // Opt-in shared-write recording: writes to the snapshot's slots
+        // (or to globals) from more than one worker are conflicting shared
+        // writes — unless the directive privatizes the variable
+        // (reduction / private / firstprivate).
+        let watch = self.mem.detector.recording_shared().then(|| {
             let region = self.regions.get();
             self.regions.set(region + 1);
-            Some(Rc::new(RegionWatch { region, exempt }))
-        } else {
-            None
-        };
+            Rc::new(RegionWatch {
+                region,
+                exempt: l.exempt.clone(),
+            })
+        });
 
         for w in 0..n_workers {
             let lo = w * chunk;
@@ -216,37 +184,33 @@ impl<'e> Interp<'e> {
                 break;
             }
             let mut wframe = Frame {
-                scopes: vec![snapshot.iter().cloned().collect(), HashMap::new()],
-                types: frame.types.clone(),
+                slots: snapshot.clone(),
+                vars: frame.vars,
                 space: exec_space,
                 thread: w,
                 cuda: None,
                 depth: frame.depth,
                 watch: watch.clone(),
-                watch_scopes: 1,
+                watch_base: l.shared_slots as usize,
             };
             // Private reduction accumulators.
-            for (op, var) in &reductions {
-                wframe.set_existing(var, reduction_identity(*op));
+            for (op, _, slot) in &l.reductions {
+                if let Some(slot) = slot {
+                    wframe.slots[*slot as usize] = reduction_identity(*op);
+                }
             }
             for logical in lo..hi {
-                wframe.scopes.push(HashMap::new());
-                let indices = nest.indices_of(logical);
-                for (var, idx) in nest.vars.iter().zip(&indices) {
-                    wframe.declare(var, Value::Int(*idx), Some(Type::INT));
-                }
-                let r = self.exec_stmt(&mut wframe, &nest.body);
-                wframe.scopes.pop();
-                r?;
+                nest.bind(&mut wframe.slots, logical);
+                self.exec_stmt(&mut wframe, nest.body)?;
             }
             // Fold this worker's partials into the shared frame.
-            for (op, var) in &reductions {
-                let partial = wframe.get(var).cloned().unwrap_or(Value::Int(0));
-                let current = frame
-                    .get(var)
-                    .cloned()
-                    .ok_or_else(|| type_err(format!("reduction variable '{var}' not found")))?;
-                frame.set_existing(var, combine_reduction(*op, current, partial)?);
+            for (op, var, slot) in &l.reductions {
+                let Some(slot) = slot.map(|s| s as usize) else {
+                    return Err(type_err(format!("reduction variable '{var}' not found")).into());
+                };
+                let partial = wframe.slots[slot].clone();
+                let current = std::mem::take(&mut frame.slots[slot]);
+                frame.slots[slot] = combine_reduction(*op, current, partial)?;
             }
         }
         Ok(Flow::Normal)
@@ -254,101 +218,99 @@ impl<'e> Interp<'e> {
 
     // -- map clauses -------------------------------------------------------
 
-    fn enter_mappings(&self, frame: &mut Frame, d: &OmpDirective) -> IResult<Vec<Mapping>> {
+    fn enter_mappings(&self, frame: &mut Frame, maps: &[RMap]) -> IResult<Vec<Mapping>> {
         let mut mappings = Vec::new();
-        let clauses: Vec<(MapKind, Vec<ArraySection>)> =
-            d.map_clauses().map(|(k, s)| (*k, s.clone())).collect();
-        for (kind, sections) in clauses {
-            for section in sections {
-                let current = frame
-                    .get(&section.var)
-                    .cloned()
-                    .or_else(|| self.globals.borrow().get(&section.var).cloned())
-                    .ok_or_else(|| {
-                        type_err(format!("mapped variable '{}' not found", section.var))
-                    })?;
-                let ptr = match current {
-                    Value::Ptr(p) => p,
-                    // Already mapped by an enclosing region, or a scalar:
-                    // scalars are implicitly firstprivate (copied by the
-                    // frame snapshot), so nothing to do.
-                    Value::Int(_) | Value::Float(_) | Value::Bool(_) => continue,
-                    Value::View(_) => continue, // views are device-native
-                    other => {
-                        return Err(type_err(format!(
-                            "cannot map {} variable '{}'",
-                            other.type_name(),
-                            section.var
-                        ))
-                        .into())
-                    }
-                };
-                if ptr.space == Space::Device {
-                    mappings.push(Mapping {
-                        var: section.var.clone(),
-                        host: ptr,
-                        device_buffer: ptr.buffer,
-                        lo: 0,
-                        len: 0,
-                        kind,
-                        preexisting: true,
-                    });
-                    continue;
+        for m in maps {
+            let current = match &m.var {
+                Name::Local(slot) => Some(frame.slots[*slot as usize].clone()),
+                Name::Mapped { .. } | Name::Global(_) | Name::Cuda(_, Some(_), _) => {
+                    Some(self.read_place(frame, &self.name_place(frame, &m.var))?)
                 }
-                // Evaluate the array section bounds.
-                let (lo, len) = match section.ranges.first() {
-                    Some((lo_e, len_e)) => {
-                        let lo = self
-                            .eval(frame, lo_e)?
-                            .as_int()
-                            .filter(|v| *v >= 0)
-                            .ok_or_else(|| type_err("map lower bound must be >= 0"))?
-                            as usize;
-                        let len = self
-                            .eval(frame, len_e)?
-                            .as_int()
-                            .filter(|v| *v >= 0)
-                            .ok_or_else(|| type_err("map length must be >= 0"))?
-                            as usize;
-                        (lo, len)
-                    }
-                    None => {
-                        // Bare pointer in a map clause: map the whole buffer.
-                        let len = self
-                            .mem
-                            .len_of(ptr.space, ptr.buffer)
-                            .map_err(Interrupt::Rt)?;
-                        (0, len.saturating_sub(ptr.offset))
-                    }
-                };
-                let elem = self
-                    .mem
-                    .elem_type(ptr.space, ptr.buffer)
-                    .map_err(Interrupt::Rt)?;
-                let dev = self.alloc_zeroed(Space::Device, elem, len);
-                if kind.copies_to_device() {
-                    self.mem
-                        .copy(
-                            Space::Device,
-                            dev,
-                            0,
-                            Space::Host,
-                            ptr.buffer,
-                            ptr.offset + lo,
-                            len,
-                        )
-                        .map_err(Interrupt::Rt)?;
+                _ => None,
+            };
+            let current = current
+                .ok_or_else(|| type_err(format!("mapped variable '{}' not found", m.name)))?;
+            let ptr = match current {
+                Value::Ptr(p) => p,
+                // Already mapped by an enclosing region, or a scalar:
+                // scalars are implicitly firstprivate (copied by the
+                // frame snapshot), so nothing to do.
+                Value::Int(_) | Value::Float(_) | Value::Bool(_) => continue,
+                Value::View(_) => continue, // views are device-native
+                other => {
+                    return Err(type_err(format!(
+                        "cannot map {} variable '{}'",
+                        other.type_name(),
+                        m.name
+                    ))
+                    .into())
                 }
+            };
+            if ptr.space == Space::Device {
                 mappings.push(Mapping {
-                    var: section.var.clone(),
+                    slot: m.slot,
                     host: ptr,
-                    device_buffer: dev,
-                    lo,
-                    len,
-                    kind,
-                    preexisting: false,
+                    device_buffer: ptr.buffer,
+                    lo: 0,
+                    len: 0,
+                    kind: m.kind,
+                    preexisting: true,
                 });
+                continue;
             }
+            // Evaluate the array section bounds.
+            let (lo, len) = match &m.range {
+                Some((lo_e, len_e)) => {
+                    let lo = self
+                        .eval(frame, lo_e)?
+                        .as_int()
+                        .filter(|v| *v >= 0)
+                        .ok_or_else(|| type_err("map lower bound must be >= 0"))?
+                        as usize;
+                    let len = self
+                        .eval(frame, len_e)?
+                        .as_int()
+                        .filter(|v| *v >= 0)
+                        .ok_or_else(|| type_err("map length must be >= 0"))?
+                        as usize;
+                    (lo, len)
+                }
+                None => {
+                    // Bare pointer in a map clause: map the whole buffer.
+                    let len = self
+                        .mem
+                        .len_of(ptr.space, ptr.buffer)
+                        .map_err(Interrupt::from)?;
+                    (0, len.saturating_sub(ptr.offset))
+                }
+            };
+            let elem = self
+                .mem
+                .elem_type(ptr.space, ptr.buffer)
+                .map_err(Interrupt::from)?;
+            let dev = self.alloc_zeroed(Space::Device, elem, len);
+            if m.kind.copies_to_device() {
+                self.mem
+                    .copy(
+                        Space::Device,
+                        dev,
+                        0,
+                        Space::Host,
+                        ptr.buffer,
+                        ptr.offset + lo,
+                        len,
+                    )
+                    .map_err(Interrupt::from)?;
+            }
+            mappings.push(Mapping {
+                slot: m.slot,
+                host: ptr,
+                device_buffer: dev,
+                lo,
+                len,
+                kind: m.kind,
+                preexisting: false,
+            });
         }
         Ok(mappings)
     }
@@ -368,135 +330,63 @@ impl<'e> Interp<'e> {
                     0,
                     m.len,
                 )
-                .map_err(Interrupt::Rt)?;
+                .map_err(Interrupt::from)?;
         }
         Ok(())
     }
 
     // -- canonical loop analysis --------------------------------------------
 
-    /// Analyze up to `depth` perfectly nested canonical loops, evaluating
-    /// their bounds in `frame`. Returns `None` for non-canonical loops.
-    fn analyze_nest(
+    /// Evaluate a loop nest's bounds in `frame`, in the order the levels
+    /// are nested. Returns `None` for a non-canonical nest, or one whose
+    /// bounds are not integers.
+    fn analyze_nest<'a>(
         &self,
         frame: &mut Frame,
-        stmt: &Stmt,
-        depth: usize,
-    ) -> IResult<Option<LoopNest>> {
-        let mut vars = Vec::new();
-        let mut starts = Vec::new();
-        let mut counts = Vec::new();
-        let mut current = stmt;
-        for level in 0..depth {
-            let StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } = &current.kind
-            else {
+        plan: &NestPlan,
+        stmt: &'a RStmt,
+    ) -> IResult<Option<LoopNest<'a>>> {
+        let mut slots = Vec::with_capacity(plan.levels.len());
+        let mut starts = Vec::with_capacity(plan.levels.len());
+        let mut counts = Vec::with_capacity(plan.levels.len());
+        for level in &plan.levels {
+            let Some(start) = self.eval(frame, &level.start)?.as_int() else {
                 return Ok(None);
             };
-            // init: `int i = <expr>`
-            let (var, start) = match init.as_deref().map(|s| &s.kind) {
-                Some(StmtKind::Decl(d)) => {
-                    let Some(Init::Expr(e)) = &d.init else {
-                        return Ok(None);
-                    };
-                    let Some(start) = self.eval(frame, e)?.as_int() else {
-                        return Ok(None);
-                    };
-                    (d.name.clone(), start)
-                }
-                _ => return Ok(None),
-            };
-            // cond: `i < expr` or `i <= expr`
-            let Some(cond) = cond else { return Ok(None) };
-            let end = match &cond.kind {
-                ExprKind::Binary { op, lhs, rhs } => {
-                    let lhs_is_var = matches!(&lhs.kind, ExprKind::Ident(n) if *n == var);
-                    if !lhs_is_var {
-                        return Ok(None);
-                    }
-                    let Some(bound) = self.eval(frame, rhs)?.as_int() else {
-                        return Ok(None);
-                    };
-                    match op {
-                        BinOp::Lt => bound,
-                        BinOp::Le => bound + 1,
-                        _ => return Ok(None),
-                    }
-                }
-                _ => return Ok(None),
-            };
-            // step: `i++`, `++i`, `i += 1`, `i = i + 1`
-            let step_ok = match step.as_ref().map(|e| &e.kind) {
-                Some(ExprKind::Unary { op, expr })
-                    if matches!(op, UnaryOp::PostInc | UnaryOp::PreInc)
-                        && matches!(&expr.kind, ExprKind::Ident(n) if *n == var) =>
-                {
-                    true
-                }
-                Some(ExprKind::Assign {
-                    op: Some(BinOp::Add),
-                    lhs,
-                    rhs,
-                }) => {
-                    matches!(&lhs.kind, ExprKind::Ident(n) if *n == var)
-                        && matches!(rhs.kind, ExprKind::IntLit(1))
-                }
-                _ => false,
-            };
-            if !step_ok {
+            let Some(bound) = &level.bound else {
                 return Ok(None);
-            }
-            vars.push(var);
+            };
+            let Some(bound) = self.eval(frame, bound)?.as_int() else {
+                return Ok(None);
+            };
+            let end = if level.inclusive { bound + 1 } else { bound };
+            slots.push(level.slot);
             starts.push(start);
             counts.push((end - start).max(0) as u64);
-            if level + 1 == depth {
-                return Ok(Some(LoopNest {
-                    vars,
-                    starts,
-                    counts,
-                    body: (**body).clone(),
-                }));
-            }
-            // Descend into the (single) nested loop.
-            current = match &body.kind {
-                StmtKind::Block(b) if b.stmts.len() == 1 => &b.stmts[0],
-                StmtKind::For { .. } => body,
-                _ => return Ok(None),
+        }
+        if !plan.canonical {
+            return Ok(None);
+        }
+        // The innermost body: descend through each level's `for`, and the
+        // single-statement block around a nested one.
+        let mut body = stmt;
+        for level in 0..slots.len() {
+            let RStmt::For(f) = body else {
+                unreachable!("a canonical nest is perfectly nested")
             };
-            if !matches!(current.kind, StmtKind::For { .. }) {
-                return Ok(None);
+            body = &f.body;
+            if level + 1 < slots.len() {
+                if let RStmt::Block(b) = body {
+                    body = &b.stmts[0];
+                }
             }
         }
-        Ok(None)
-    }
-}
-
-/// A canonical (possibly collapsed) loop nest with precomputed bounds.
-pub(super) struct LoopNest {
-    pub vars: Vec<String>,
-    pub starts: Vec<i64>,
-    pub counts: Vec<u64>,
-    pub body: Stmt,
-}
-
-impl LoopNest {
-    pub fn total(&self) -> u64 {
-        self.counts.iter().product()
-    }
-
-    /// Map a flat logical index to per-level loop variable values.
-    pub fn indices_of(&self, mut logical: u64) -> Vec<i64> {
-        let mut out = vec![0i64; self.vars.len()];
-        for level in (0..self.vars.len()).rev() {
-            let c = self.counts[level].max(1);
-            out[level] = self.starts[level] + (logical % c) as i64;
-            logical /= c;
-        }
-        out
+        Ok(Some(LoopNest {
+            slots,
+            starts,
+            counts,
+            body,
+        }))
     }
 }
 
@@ -512,11 +402,11 @@ fn reduction_identity(op: ReductionOp) -> Value {
 
 fn combine_reduction(op: ReductionOp, a: Value, b: Value) -> IResult<Value> {
     let out = match op {
-        ReductionOp::Add => expr::apply_binop(BinOp::Add, a, b).map_err(Interrupt::Rt)?,
-        ReductionOp::Mul => expr::apply_binop(BinOp::Mul, a, b).map_err(Interrupt::Rt)?,
-        ReductionOp::BitOr => expr::apply_binop(BinOp::BitOr, a, b).map_err(Interrupt::Rt)?,
-        ReductionOp::BitXor => expr::apply_binop(BinOp::BitXor, a, b).map_err(Interrupt::Rt)?,
-        ReductionOp::BitAnd => expr::apply_binop(BinOp::BitAnd, a, b).map_err(Interrupt::Rt)?,
+        ReductionOp::Add => expr::apply_binop(BinOp::Add, &a, &b)?,
+        ReductionOp::Mul => expr::apply_binop(BinOp::Mul, &a, &b)?,
+        ReductionOp::BitOr => expr::apply_binop(BinOp::BitOr, &a, &b)?,
+        ReductionOp::BitXor => expr::apply_binop(BinOp::BitXor, &a, &b)?,
+        ReductionOp::BitAnd => expr::apply_binop(BinOp::BitAnd, &a, &b)?,
         ReductionOp::Min => {
             let (x, y) = (a.as_float().unwrap_or(0.0), b.as_float().unwrap_or(0.0));
             Value::Float(x.min(y))

@@ -16,6 +16,7 @@
 pub mod format;
 pub mod interp;
 pub mod memory;
+mod resolve;
 pub mod value;
 
 pub use interp::{run, RunConfig, RunResult, TelemetrySnapshot};

@@ -362,11 +362,22 @@ impl Memory {
     }
 
     pub fn elem_type(&self, space: Space, buffer: usize) -> RtResult<Type> {
+        self.with_elem_type(space, buffer, Type::clone)
+    }
+
+    /// Apply `f` to a buffer's element type without cloning it. `f` must
+    /// not use this memory.
+    pub fn with_elem_type<R>(
+        &self,
+        space: Space,
+        buffer: usize,
+        f: impl FnOnce(&Type) -> R,
+    ) -> RtResult<R> {
         let pool = self.pool(space).borrow();
         let buf = pool
             .get(buffer)
             .ok_or_else(|| invalid_handle(space, buffer))?;
-        Ok(buf.elem.clone())
+        Ok(f(&buf.elem))
     }
 
     /// Copy `len` elements between buffers (the `cudaMemcpy` / `map` /

@@ -1,6 +1,7 @@
 //! Runtime values for the MiniHPC interpreter.
 
-use minihpc_lang::ast::{Block, Param, ScalarType, Type};
+use crate::resolve::Lambda;
+use minihpc_lang::ast::{ScalarType, Type};
 use std::rc::Rc;
 
 /// Which address space a pointer or buffer lives in. The simulated GPU has a
@@ -46,9 +47,11 @@ impl Dim3 {
 }
 
 /// A struct value (by-value semantics, fields ordered per the definition).
+/// The name is shared with the struct's layout, so copying a value does
+/// not copy its name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructVal {
-    pub name: String,
+    pub name: Rc<str>,
     pub fields: Vec<Value>,
 }
 
@@ -98,22 +101,22 @@ pub enum Policy {
     MDRange { lo: [i64; 2], hi: [i64; 2] },
 }
 
-/// A lambda closure: parameters, body, and the by-value captured environment.
+/// A lambda closure: the resolved lambda, shared by every closure its
+/// expression creates, and the values it captured when it was created.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    pub params: Vec<Param>,
-    pub body: Rc<Block>,
-    pub captures: Vec<(String, Value)>,
+    pub(crate) lambda: Rc<Lambda>,
+    pub(crate) captures: Vec<Value>,
 }
 
 impl PartialEq for Closure {
     fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(Rc::as_ptr(&self.body), Rc::as_ptr(&other.body))
+        Rc::ptr_eq(&self.lambda, &other.lambda)
     }
 }
 
 /// A runtime value.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub enum Value {
     #[default]
     Void,
@@ -135,7 +138,39 @@ pub enum Value {
     },
 }
 
+impl Clone for Value {
+    /// Inline for the variants without heap data: reading a variable
+    /// copies its value, so this is on every access.
+    #[inline(always)]
+    fn clone(&self) -> Self {
+        match self {
+            Value::Void => Value::Void,
+            Value::Int(v) => Value::Int(*v),
+            Value::Float(v) => Value::Float(*v),
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Ptr(p) => Value::Ptr(*p),
+            Value::Null => Value::Null,
+            Value::Dim3(d) => Value::Dim3(*d),
+            Value::UntypedAlloc { bytes } => Value::UntypedAlloc { bytes: *bytes },
+            _ => self.clone_shared(),
+        }
+    }
+}
+
 impl Value {
+    /// [`Clone::clone`] of the variants that own or share heap data.
+    #[inline(never)]
+    fn clone_shared(&self) -> Self {
+        match self {
+            Value::Str(s) => Value::Str(s.clone()),
+            Value::Struct(s) => Value::Struct(s.clone()),
+            Value::View(v) => Value::View(v.clone()),
+            Value::Policy(p) => Value::Policy(p.clone()),
+            Value::Lambda(l) => Value::Lambda(l.clone()),
+            _ => unreachable!("plain variants are cloned inline"),
+        }
+    }
+
     /// Truthiness for conditions.
     pub fn truthy(&self) -> bool {
         match self {
@@ -182,6 +217,45 @@ impl Value {
             Value::Policy(_) => "Kokkos::Policy",
             Value::Lambda(_) => "lambda",
             Value::UntypedAlloc { .. } => "void*",
+        }
+    }
+}
+
+/// How a value converts on assignment to a declared type: a scalar
+/// conversion, or (for pointers) typing `malloc`'s untyped allocation.
+/// Decided once per type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Conv {
+    Keep,
+    Float,
+    Int,
+    Bool,
+    Dim3,
+    Pointer,
+}
+
+impl Conv {
+    pub(crate) fn of(ty: &Type) -> Conv {
+        match ty.unqualified() {
+            Type::Scalar(s) if s.is_float() => Conv::Float,
+            Type::Scalar(ScalarType::Bool) => Conv::Bool,
+            Type::Scalar(s) if s.is_integer() => Conv::Int,
+            Type::Ptr(_) => Conv::Pointer,
+            Type::Dim3 => Conv::Dim3,
+            _ => Conv::Keep,
+        }
+    }
+
+    /// The scalar conversions; a pointer conversion is the interpreter's.
+    #[inline]
+    pub(crate) fn apply(self, v: Value) -> Value {
+        match (self, v) {
+            (Conv::Float, Value::Int(n)) => Value::Float(n as f64),
+            (Conv::Int | Conv::Bool, Value::Float(f)) => Value::Int(f as i64),
+            (Conv::Bool, Value::Int(n)) => Value::Bool(n != 0),
+            (Conv::Int | Conv::Bool, Value::Bool(b)) => Value::Int(i64::from(b)),
+            (Conv::Dim3, Value::Int(n)) => Value::Dim3(Dim3::scalar(n.max(0) as u32)),
+            (_, v) => v,
         }
     }
 }

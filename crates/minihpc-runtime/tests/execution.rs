@@ -929,3 +929,31 @@ fn shared_write_recorder_separates_shared_from_private() {
     assert_eq!(r.race_vars, vec!["g".to_string(), "last".to_string()]);
     assert_eq!(r.races.len(), 2, "{:?}", r.races);
 }
+
+#[test]
+fn declared_type_ends_with_its_scope() {
+    // The inner `int x` must not change how the outer `double x` converts
+    // an assignment once the inner scope has closed.
+    let r = build_and_run(
+        &make_repo(
+            r#"
+#include <stdio.h>
+
+int main() {
+    double x = 0.5;
+    {
+        int x = 3;
+        x = 2.75;
+        printf("%d\n", x);
+    }
+    x = 1.5;
+    printf("%f\n", x);
+    return 0;
+}
+"#,
+        ),
+        &[],
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "2\n1.500000\n");
+}
