@@ -592,8 +592,12 @@ impl<'p> Interp<'p> {
             }
             Kokkos::Fence => Ok(Value::Void),
             Kokkos::RangePolicy => {
-                let lo = self.eval(frame, &args[0])?.as_int().unwrap_or(0);
-                let hi = self.eval(frame, &args[1])?.as_int().unwrap_or(0);
+                // Semantic analysis does not count these arguments.
+                let [lo, hi, ..] = args else {
+                    return Err(type_err("MiniHPC RangePolicy takes (lo, hi)").into());
+                };
+                let lo = self.eval(frame, lo)?.as_int().unwrap_or(0);
+                let hi = self.eval(frame, hi)?.as_int().unwrap_or(0);
                 Ok(Value::Policy(Policy::Range { lo, hi }))
             }
             Kokkos::MDRangePolicy => {

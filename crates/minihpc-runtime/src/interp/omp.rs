@@ -67,7 +67,7 @@ impl<'p> Interp<'p> {
             }
         }
 
-        let result = self.exec_region(frame, omp);
+        let result = self.exec_omp_inner(frame, omp);
 
         for (slot, old) in saved.into_iter().rev() {
             frame.slots[slot as usize] = old;
@@ -80,7 +80,7 @@ impl<'p> Interp<'p> {
         result
     }
 
-    fn exec_region(&self, frame: &mut Frame, omp: &ROmp) -> IResult<Flow> {
+    fn exec_omp_inner(&self, frame: &mut Frame, omp: &ROmp) -> IResult<Flow> {
         // `target data` and plain region constructs: execute the body with
         // the mappings in place. `target data` itself stays on the host;
         // a bare `target` region moves execution to the device.

@@ -957,3 +957,29 @@ int main() {
     assert!(r.error.is_none(), "{:?}", r.error);
     assert_eq!(r.stdout, "2\n1.500000\n");
 }
+
+#[test]
+fn range_policy_without_both_bounds_is_a_run_time_error() {
+    // The build accepts any argument count here; the run must fail with
+    // an error, not abort the harness.
+    let r = build_and_run(
+        &kokkos_repo(
+            r#"
+#include <Kokkos_Core.hpp>
+
+int main() {
+    Kokkos::initialize();
+    {
+        Kokkos::View<int*> d("d", 4);
+        Kokkos::parallel_for(Kokkos::RangePolicy<>(4), KOKKOS_LAMBDA(int i) { d(i) = i; });
+    }
+    Kokkos::finalize();
+    return 0;
+}
+"#,
+        ),
+        &[],
+    );
+    let err = r.error.expect("a one-argument RangePolicy must fail");
+    assert_eq!(err.kind, RuntimeErrorKind::TypeError);
+}
