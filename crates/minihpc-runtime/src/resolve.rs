@@ -19,7 +19,8 @@
 //! Scoping follows the interpreter's dynamic rules statically: a name
 //! resolves to the innermost binding declared before it, then (inside a
 //! lambda) to a by-value capture of the enclosing frame's binding, then to
-//! the global of that name, then to a builtin.
+//! a CUDA builtin (in a kernel's frame), the global of that name, or a
+//! constant.
 
 use crate::interp::builtins::{Builtin, Kokkos};
 use crate::value::*;
@@ -118,7 +119,7 @@ pub(crate) struct RFunction {
 
 /// A lambda body, shared by every closure its expression creates.
 #[derive(Debug)]
-pub struct Lambda {
+pub(crate) struct Lambda {
     pub(crate) vars: Vec<SlotVar>,
     /// Parameter `i` lives in slot `i`.
     pub(crate) params: usize,
