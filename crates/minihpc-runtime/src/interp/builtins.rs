@@ -703,24 +703,14 @@ impl<'p> Interp<'p> {
         };
         let lambda = &*closure.lambda;
 
-        let (total, to_indices): (u64, Box<dyn Fn(u64) -> [i64; 2]>) = match policy {
-            Policy::Range { lo, hi } => {
-                let n = (hi - lo).max(0) as u64;
-                (n, Box::new(move |i| [lo + i as i64, 0]))
-            }
-            Policy::MDRange { lo, hi } => {
-                let n0 = (hi[0] - lo[0]).max(0) as u64;
-                let n1 = (hi[1] - lo[1]).max(0) as u64;
-                (
-                    n0 * n1,
-                    Box::new(move |i| [lo[0] + (i / n1) as i64, lo[1] + (i % n1) as i64]),
-                )
-            }
+        // A range is a rank-2 range whose second extent is 1.
+        let extent = |lo: i64, hi: i64| (hi - lo).max(0) as u64;
+        let (rank, lo, n) = match policy {
+            Policy::Range { lo, hi } => (1, [lo, 0], [extent(lo, hi), 1]),
+            Policy::MDRange { lo, hi } => (2, lo, [extent(lo[0], hi[0]), extent(lo[1], hi[1])]),
         };
-        let rank = match policy {
-            Policy::Range { .. } => 1,
-            Policy::MDRange { .. } => 2,
-        };
+        let total = n[0] * n[1];
+        let to_indices = |i: u64| [lo[0] + (i / n[1]) as i64, lo[1] + (i % n[1]) as i64];
         self.record_device_region(total);
         self.mem.detector.begin_kernel();
 
