@@ -36,7 +36,10 @@
 //!
 //! The analysis is *pure*: it depends only on repository content, never on
 //! execution, which lets the eval pipeline cache findings content-addressed
-//! alongside build objects and keep journaled runs byte-identical.
+//! alongside build objects and keep journaled runs byte-identical. It reads
+//! the same ASTs the build does: [`analyze_repo_with`] takes the build's
+//! parse hook, so the pipeline's content-keyed parse memo serves both and
+//! a file the build already parsed is not parsed again.
 
 mod callgraph;
 pub mod cfg;
@@ -50,23 +53,34 @@ pub use fixit::{FixIt, FixItEdit};
 pub use report::{render_findings, render_findings_with_fixits, AnalysisFinding, Confidence, Rule};
 
 use callgraph::Summaries;
-use minihpc_lang::{parse_file, FileKind, SourceRepo};
+use minihpc_build::preprocess::{self, ParsedFile};
+use minihpc_lang::{FileKind, SourceRepo};
 use rules::FnAnalyzer;
 
-/// Analyze every parseable code file of a repository.
+/// Analyze every parseable code file of a repository, parsing each fresh.
 /// Unparseable files are skipped (the build pipeline owns syntax errors).
 /// Findings are returned in a deterministic order:
 /// (file, line, rule, variable, message).
 pub fn analyze_repo(repo: &SourceRepo) -> Vec<AnalysisFinding> {
+    analyze_repo_with(repo, &preprocess::parse)
+}
+
+/// [`analyze_repo`], obtaining each file's AST through `parse` — typically
+/// the content-keyed memo the build assembles through (see
+/// [`minihpc_build::preprocess::assemble_with`]).
+pub fn analyze_repo_with(
+    repo: &SourceRepo,
+    parse: &dyn Fn(&str) -> ParsedFile,
+) -> Vec<AnalysisFinding> {
     // Parse everything once: the same ASTs feed the summary pass and the
     // per-function rules.
-    let parsed: Vec<(&str, &str, minihpc_lang::ast::SourceFile)> = repo
+    let parsed: Vec<_> = repo
         .iter()
         .filter(|(path, _)| FileKind::of(path).is_code())
-        .filter_map(|(path, text)| Some((path, text, parse_file(text).ok()?)))
+        .filter_map(|(path, text)| Some((path, text, parse(text).ok()?)))
         .collect();
 
-    let summaries = Summaries::build(parsed.iter().map(|(_, _, f)| f));
+    let summaries = Summaries::build(parsed.iter().map(|(_, _, f)| &**f));
 
     let mut findings = Vec::new();
     for (path, text, file) in &parsed {

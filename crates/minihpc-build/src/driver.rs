@@ -12,7 +12,6 @@ use crate::preprocess;
 use crate::sema;
 use crate::toolchain::{parse_invocation, Invocation};
 use crate::unit::{unit_key, CompiledUnit, UnitCache};
-use minihpc_lang::parser;
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -208,47 +207,42 @@ struct ExecState {
 /// Compile one source input to a unit, consulting `cache` when present.
 ///
 /// Assembly always runs — it is what discovers the include closure the
-/// unit key hashes — but parses inside it are memoized by the cache, and
-/// a key hit skips sema entirely, replaying the stored object and
-/// diagnostics. Assembly failures (missing file/header, syntax error) are
-/// reported directly and never cached: they are cheap to recompute and
-/// have no object to store.
+/// unit key hashes — but parses inside it are memoized by the cache and
+/// shared by pointer, and a key hit skips sema entirely, replaying the
+/// stored object and diagnostics. Assembly failures (missing file/header,
+/// syntax error) are reported directly and never cached: they are cheap to
+/// recompute and have no object to store.
 fn compile_input(
     repo: &SourceRepo,
     input: &str,
     inv: &Invocation,
     cache: Option<&dyn UnitCache>,
 ) -> Result<CompiledUnit, Vec<Diagnostic>> {
-    let tu = match cache {
-        Some(c) => preprocess::assemble_with(repo, input, &inv.features, &|t| c.parse_file(t))?,
-        None => preprocess::assemble_with(repo, input, &inv.features, &parser::parse_file)?,
+    let parse = |text: &str| match cache {
+        Some(c) => c.parse_file(text),
+        None => preprocess::parse(text),
     };
+    let tu = preprocess::assemble_with(repo, input, &inv.features, &parse)?;
     let obj_name = object_name_for(input);
-    if let Some(c) = cache {
-        let key = unit_key(
-            input,
-            &obj_name,
-            &inv.features,
-            tu.files
-                .iter()
-                .map(|p| (p.as_str(), repo.get(p).unwrap_or(""))),
-        );
-        if let Some(unit) = c.lookup_unit(key) {
-            return Ok(unit);
-        }
-        let result = sema::check(&tu, input, &obj_name, &inv.features);
-        let unit = CompiledUnit {
-            object: result.object.map(Arc::new),
-            diagnostics: result.diagnostics,
-        };
-        c.store_unit(key, &unit);
+    let keyed = cache.map(|c| {
+        let closure = tu
+            .files
+            .iter()
+            .map(|p| (p.as_str(), repo.get(p).unwrap_or("")));
+        (c, unit_key(input, &obj_name, &inv.features, closure))
+    });
+    if let Some(unit) = keyed.and_then(|(c, key)| c.lookup_unit(key)) {
         return Ok(unit);
     }
     let result = sema::check(&tu, input, &obj_name, &inv.features);
-    Ok(CompiledUnit {
+    let unit = CompiledUnit {
         object: result.object.map(Arc::new),
         diagnostics: result.diagnostics,
-    })
+    };
+    if let Some((c, key)) = keyed {
+        c.store_unit(key, &unit);
+    }
+    Ok(unit)
 }
 
 /// Execute one compiler invocation: compile each input (source files inline,
@@ -348,18 +342,18 @@ fn object_name_for(input: &str) -> String {
     }
 }
 
-fn finish(request: &BuildRequest, state: ExecState, mut log: BuildLog) -> BuildOutcome {
+fn finish(request: &BuildRequest, mut state: ExecState, mut log: BuildLog) -> BuildOutcome {
     // Accept the expected binary name, tolerating path prefixes
     // (`./app`, `bin/app`).
     let found = state
         .executables
-        .iter()
-        .find(|(name, _)| {
+        .keys()
+        .find(|name| {
             name.as_str() == request.binary
                 || name.rsplit('/').next() == Some(request.binary.as_str())
         })
-        .map(|(_, exe)| exe.clone());
-    match found {
+        .cloned();
+    match found.and_then(|name| state.executables.remove(&name)) {
         Some(exe) => {
             log.note(format!("build succeeded: produced '{}'", request.binary));
             BuildOutcome {

@@ -7,6 +7,7 @@ use crate::object::{Executable, ObjectCode};
 use crate::toolchain::{CompileFeatures, CompilerKind};
 use minihpc_lang::model::ModelUsage;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Link objects into an executable named `output`.
 ///
@@ -36,7 +37,7 @@ pub fn link<B: std::borrow::Borrow<ObjectCode>>(
                 // static name collision is still reported (a MiniHPC
                 // simplification documented in DESIGN.md).
             }
-            if functions.insert(name.clone(), f.clone()).is_some() {
+            if functions.insert(name.clone(), Arc::clone(f)).is_some() {
                 diags.push(Diagnostic::error(
                     ErrorCategory::LinkerError,
                     output,

@@ -2,12 +2,14 @@
 //!
 //! A MiniHPC "object" keeps the semantically-checked AST of its translation
 //! unit plus the symbol information the linker needs. A linked [`Executable`]
-//! is what the simulated runtime (`minihpc-runtime`) interprets.
+//! is what the simulated runtime (`minihpc-runtime`) interprets. Functions
+//! are `Arc`-shared, so linking copies pointers, not function bodies.
 
 use crate::toolchain::CompileFeatures;
 use minihpc_lang::ast::{Function, StructDef, VarDecl};
 use minihpc_lang::model::ModelUsage;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A compiled translation unit.
 #[derive(Debug, Clone)]
@@ -17,7 +19,7 @@ pub struct ObjectCode {
     /// The (logical) object file name, e.g. `main.o`.
     pub name: String,
     /// Function definitions, by name.
-    pub functions: BTreeMap<String, Function>,
+    pub functions: BTreeMap<String, Arc<Function>>,
     /// Struct definitions visible in this unit.
     pub structs: BTreeMap<String, StructDef>,
     /// Global variable definitions.
@@ -36,7 +38,7 @@ pub struct ObjectCode {
 pub struct Executable {
     /// Program name (the `-o` output).
     pub name: String,
-    pub functions: BTreeMap<String, Function>,
+    pub functions: BTreeMap<String, Arc<Function>>,
     pub structs: BTreeMap<String, StructDef>,
     pub globals: Vec<VarDecl>,
     /// Union of the features of all linked objects.
@@ -47,7 +49,7 @@ pub struct Executable {
 
 impl Executable {
     pub fn main(&self) -> Option<&Function> {
-        self.functions.get("main")
+        self.functions.get("main").map(Arc::as_ref)
     }
 }
 

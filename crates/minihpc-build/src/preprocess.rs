@@ -1,6 +1,6 @@
 //! Translation-unit assembly: resolves `#include` directives against the
-//! repository and the simulated system header set, producing one merged
-//! [`SourceFile`] per compiled source.
+//! repository and the simulated system header set, producing the include
+//! closure of one compiled source as shared per-file ASTs.
 //!
 //! Missing headers are the paper's "Missing Header File" category — in the
 //! paper this is a dominant failure for XSBench, whose many cross-file
@@ -9,10 +9,12 @@
 use crate::diag::{Diagnostic, ErrorCategory};
 use crate::toolchain::CompileFeatures;
 use minihpc_lang::ast::{Item, ItemKind, SourceFile};
-use minihpc_lang::parser;
+use minihpc_lang::parser::{self, ParseError};
 use minihpc_lang::repo::SourceRepo;
 use minihpc_lang::span;
 use std::collections::HashSet;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// System headers that always exist (libc/libm and friends).
 const ALWAYS_HEADERS: [&str; 12] = [
@@ -43,19 +45,40 @@ fn header_available(path: &str, features: &CompileFeatures) -> bool {
     }
 }
 
-/// The result of assembling a translation unit.
+/// The result of assembling a translation unit: its include closure as
+/// shared per-file ASTs. Nothing is copied out of them; [`items`] splices
+/// their items on the fly.
+///
+/// [`items`]: TranslationUnit::items
 #[derive(Debug, Clone)]
 pub struct TranslationUnit {
-    /// The merged AST: items of all transitively included local headers
-    /// spliced in include order, each file included at most once.
-    pub ast: SourceFile,
-    /// Paths of all repository files that went into this unit.
+    /// Paths of all repository files that went into this unit, in splice
+    /// order (each file at most once).
     pub files: Vec<String>,
+    /// The merged item order: runs of one file's items between its include
+    /// directives, each with that file's AST.
+    runs: Vec<(Arc<SourceFile>, Range<usize>)>,
+}
+
+impl TranslationUnit {
+    /// The merged unit: the items of all transitively included local
+    /// headers spliced in include order, include directives dropped.
+    pub fn items(&self) -> impl Iterator<Item = &Item> {
+        self.runs
+            .iter()
+            .flat_map(|(ast, run)| &ast.items[run.clone()])
+    }
 }
 
 /// The outcome of parsing one file — what the [`assemble_with`] parse hook
-/// returns, letting callers memoize parses by file content.
-pub type ParsedFile = Result<SourceFile, minihpc_lang::parser::ParseError>;
+/// returns, letting callers memoize parses by file content and share each
+/// AST by pointer.
+pub type ParsedFile = Result<Arc<SourceFile>, ParseError>;
+
+/// Parse `text` fresh, unmemoized.
+pub fn parse(text: &str) -> ParsedFile {
+    parser::parse_file(text).map(Arc::new)
+}
 
 /// Assemble the translation unit rooted at `main_path`, parsing every file
 /// fresh.
@@ -64,7 +87,7 @@ pub fn assemble(
     main_path: &str,
     features: &CompileFeatures,
 ) -> Result<TranslationUnit, Vec<Diagnostic>> {
-    assemble_with(repo, main_path, features, &parser::parse_file)
+    assemble_with(repo, main_path, features, &parse)
 }
 
 /// Assemble the translation unit rooted at `main_path`, obtaining each
@@ -77,9 +100,11 @@ pub fn assemble_with(
     features: &CompileFeatures,
     parse: &dyn Fn(&str) -> ParsedFile,
 ) -> Result<TranslationUnit, Vec<Diagnostic>> {
+    let mut tu = TranslationUnit {
+        files: Vec::new(),
+        runs: Vec::new(),
+    };
     let mut included: HashSet<String> = HashSet::new();
-    let mut files = Vec::new();
-    let mut items = Vec::new();
     let mut diags = Vec::new();
     expand_file(
         repo,
@@ -87,28 +112,22 @@ pub fn assemble_with(
         features,
         parse,
         &mut included,
-        &mut files,
-        &mut items,
+        &mut tu,
         &mut diags,
     );
     if diags.iter().any(Diagnostic::is_error) {
         return Err(diags);
     }
-    Ok(TranslationUnit {
-        ast: SourceFile { items },
-        files,
-    })
+    Ok(tu)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn expand_file(
     repo: &SourceRepo,
     path: &str,
     features: &CompileFeatures,
     parse: &dyn Fn(&str) -> ParsedFile,
     included: &mut HashSet<String>,
-    files: &mut Vec<String>,
-    items: &mut Vec<Item>,
+    tu: &mut TranslationUnit,
     diags: &mut Vec<Diagnostic>,
 ) {
     if !included.insert(path.to_string()) {
@@ -122,7 +141,7 @@ fn expand_file(
         ));
         return;
     };
-    files.push(path.to_string());
+    tu.files.push(path.to_string());
     let parsed = match parse(text) {
         Ok(p) => p,
         Err(e) => {
@@ -136,49 +155,39 @@ fn expand_file(
             return;
         }
     };
-    for item in parsed.items {
-        match &item.kind {
-            ItemKind::Include {
-                path: inc,
-                system: false,
-            } => match repo.resolve_include(path, inc) {
-                Some(resolved) => {
-                    let resolved = resolved.to_string();
-                    expand_file(
-                        repo, &resolved, features, parse, included, files, items, diags,
-                    );
-                }
-                None => {
-                    let line = span::line_col(text, item.span.start).line;
-                    diags.push(
-                        Diagnostic::error(
-                            ErrorCategory::MissingHeader,
-                            path,
-                            format!("'{inc}' file not found"),
-                        )
-                        .at_line(line),
-                    );
-                }
-            },
-            ItemKind::Include {
-                path: inc,
-                system: true,
-            } => {
-                if !header_available(inc, features) {
-                    let line = span::line_col(text, item.span.start).line;
-                    diags.push(
-                        Diagnostic::error(
-                            ErrorCategory::MissingHeader,
-                            path,
-                            format!("'{inc}' file not found"),
-                        )
-                        .at_line(line),
-                    );
-                }
-                // Available system headers contribute builtins via sema, not items.
-            }
-            _ => items.push(item),
+    let mut start = 0;
+    for (i, item) in parsed.items.iter().enumerate() {
+        let ItemKind::Include { path: inc, system } = &item.kind else {
+            continue;
+        };
+        if start < i {
+            tu.runs.push((Arc::clone(&parsed), start..i));
         }
+        start = i + 1;
+        let found = if *system {
+            // Available system headers contribute builtins via sema, not items.
+            header_available(inc, features)
+        } else if let Some(resolved) = repo.resolve_include(path, inc) {
+            expand_file(repo, resolved, features, parse, included, tu, diags);
+            true
+        } else {
+            false
+        };
+        if !found {
+            let line = span::line_col(text, item.span.start).line;
+            diags.push(
+                Diagnostic::error(
+                    ErrorCategory::MissingHeader,
+                    path,
+                    format!("'{inc}' file not found"),
+                )
+                .at_line(line),
+            );
+        }
+    }
+    if start < parsed.items.len() {
+        let end = parsed.items.len();
+        tu.runs.push((parsed, start..end));
     }
 }
 
@@ -204,8 +213,40 @@ mod tests {
             );
         let tu = assemble(&repo, "src/main.cpp", &CompileFeatures::default()).unwrap();
         assert_eq!(tu.files, vec!["src/main.cpp", "src/kernel.h"]);
-        assert!(tu.ast.find_function("k").is_some());
-        assert!(tu.ast.find_function("main").is_some());
+        assert_eq!(function_names(&tu), vec!["k", "main"]);
+    }
+
+    fn function_names(tu: &TranslationUnit) -> Vec<&str> {
+        tu.items()
+            .filter_map(|i| match &i.kind {
+                ItemKind::Function(f) => Some(f.name.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn items_splice_at_each_include_and_share_the_parsed_asts() {
+        let repo = SourceRepo::new()
+            .with_file("a.h", "int in_a(void);\n")
+            .with_file(
+                "main.cpp",
+                "int before(void);\n#include \"a.h\"\nint after(void);\n",
+            );
+        let a_ast = parse("int in_a(void);\n").unwrap();
+        let memo = |text: &str| {
+            if text.starts_with("int in_a") {
+                Ok(Arc::clone(&a_ast))
+            } else {
+                parse(text)
+            }
+        };
+        let tu = assemble_with(&repo, "main.cpp", &CompileFeatures::default(), &memo).unwrap();
+        assert_eq!(function_names(&tu), vec!["before", "in_a", "after"]);
+        assert!(
+            std::ptr::eq(tu.items().nth(1).unwrap(), &a_ast.items[0]),
+            "the unit must read the parse hook's AST in place, not a copy"
+        );
     }
 
     #[test]
@@ -255,13 +296,7 @@ mod tests {
             )
             .with_file("b.h", "#include \"a.h\"\nint other(void);\n");
         let tu = assemble(&repo, "main.cpp", &CompileFeatures::default()).unwrap();
-        let shared_count = tu
-            .ast
-            .items
-            .iter()
-            .filter(|i| matches!(&i.kind, ItemKind::Function(f) if f.name == "shared"))
-            .count();
-        assert_eq!(shared_count, 1);
+        assert_eq!(function_names(&tu), vec!["shared", "other", "main"]);
     }
 
     #[test]

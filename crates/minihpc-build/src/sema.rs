@@ -18,6 +18,7 @@ use minihpc_lang::model::detect_usage;
 use minihpc_lang::pragma::{OmpClause, OmpConstruct, OmpDirective};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Result of checking one translation unit: the object (present unless
 /// errors occurred) and all diagnostics, warnings included.
@@ -263,7 +264,7 @@ pub fn check(
     // Object-like macros from headers behave as constants across the TU
     // (lexer-level expansion is per-file; cross-file uses resolve here).
     let mut define_globals: Vec<VarDecl> = Vec::new();
-    for item in &tu.ast.items {
+    for item in tu.items() {
         if let ItemKind::Define { name, body_text } = &item.kind {
             if let Ok(e) = minihpc_lang::parser::parse_expr_str(body_text) {
                 let ty = match &e.kind {
@@ -281,7 +282,7 @@ pub fn check(
             }
         }
     }
-    for item in &tu.ast.items {
+    for item in tu.items() {
         match &item.kind {
             ItemKind::Struct(s) => {
                 ck.structs.insert(s.name.clone(), s.clone());
@@ -324,7 +325,7 @@ pub fn check(
     }
 
     // Pass 2: check bodies.
-    for item in &tu.ast.items {
+    for item in tu.items() {
         match &item.kind {
             ItemKind::Function(f) => {
                 if let Some(body) = &f.body {
@@ -348,10 +349,10 @@ pub fn check(
     } else {
         let mut functions = BTreeMap::new();
         let mut globals = define_globals;
-        for item in &tu.ast.items {
+        for item in tu.items() {
             match &item.kind {
                 ItemKind::Function(f) if f.is_definition() => {
-                    functions.insert(f.name.clone(), f.clone());
+                    functions.insert(f.name.clone(), Arc::new(f.clone()));
                 }
                 ItemKind::Global(d) => globals.push(d.clone()),
                 _ => {}
@@ -372,7 +373,7 @@ pub fn check(
             undefined,
             uses_libm: ck.uses_libm,
             features: *features,
-            usage: detect_usage(&tu.ast),
+            usage: detect_usage(tu.items()),
         })
     };
     SemaResult {

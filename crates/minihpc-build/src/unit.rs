@@ -4,10 +4,12 @@
 //! A *unit* is the result of `preprocess → parse → sema` for one compiler
 //! input: the object code (when sema succeeded) plus every diagnostic the
 //! front end emitted. Builds that differ in a single file re-run assemble
-//! (cheap: parsing is memoized behind [`UnitCache::parse_file`]) to
-//! rediscover each input's include closure, then replay every unit whose
+//! to rediscover each input's include closure, then replay every unit whose
 //! closure is byte-identical from the cache — only changed units pay for
-//! sema, and only the link + run stages execute unconditionally.
+//! sema, and only the link + run stages execute unconditionally. Assembly
+//! is cheap on a warm cache: [`UnitCache::parse_file`] hands out one shared
+//! AST per file content, and the unit refers to those ASTs instead of
+//! copying their items, so a unit-key hit costs the key and nothing more.
 //!
 //! # Key discipline
 //!
@@ -22,9 +24,9 @@
 
 use crate::diag::Diagnostic;
 use crate::object::ObjectCode;
+use crate::preprocess::ParsedFile;
 use crate::toolchain::CompileFeatures;
 use minihpc_lang::fnv::Fnv128;
-use minihpc_lang::parser::ParseError;
 use std::sync::Arc;
 
 /// Bumped whenever the sema output format changes, so units compiled
@@ -51,8 +53,9 @@ pub struct CompiledUnit {
 pub trait UnitCache: Sync {
     /// Parse `text`, memoizing by content so unchanged files across
     /// repeated builds (and headers shared between units within one
-    /// build) are parsed once.
-    fn parse_file(&self, text: &str) -> Result<minihpc_lang::ast::SourceFile, ParseError>;
+    /// build) are parsed once. A memo hit returns the memoized AST itself,
+    /// an `Arc` clone: nothing is deep-copied.
+    fn parse_file(&self, text: &str) -> ParsedFile;
 
     /// Fetch the unit stored under `key`, if any.
     fn lookup_unit(&self, key: u128) -> Option<CompiledUnit>;

@@ -6,7 +6,7 @@
 //! here is what the harness uses to enforce that (e.g. a "translation" that
 //! leaves CUDA kernel launches in place is rejected even if it runs).
 
-use crate::ast::{Expr, ExprKind, ItemKind, SourceFile, Stmt, StmtKind};
+use crate::ast::{Expr, ExprKind, Item, ItemKind, Stmt, StmtKind};
 use crate::pragma::OmpDirective;
 use std::fmt;
 
@@ -208,10 +208,11 @@ impl ModelUsage {
     }
 }
 
-/// Scan a parsed file for evidence of each execution model.
-pub fn detect_usage(file: &SourceFile) -> ModelUsage {
+/// Scan a parsed file's items (or a translation unit's) for evidence of
+/// each execution model.
+pub fn detect_usage<'a>(items: impl IntoIterator<Item = &'a Item>) -> ModelUsage {
     let mut u = ModelUsage::default();
-    for item in &file.items {
+    for item in items {
         match &item.kind {
             ItemKind::Function(f) => {
                 if f.quals.cuda_global || f.quals.cuda_device {
@@ -372,7 +373,7 @@ mod tests {
 __global__ void k(int* a) { a[threadIdx.x] = 1; }
 int main() { int* d; cudaMalloc(&d, 4); k<<<1, 32>>>(d); return 0; }
 "#;
-        let u = detect_usage(&parse_file(src).unwrap());
+        let u = detect_usage(&parse_file(src).unwrap().items);
         assert!(u.uses_cuda());
         assert_eq!(u.cuda_kernels, 1);
         assert_eq!(u.cuda_launches, 1);
@@ -389,7 +390,7 @@ void f(int* a, int n) {
     for (int i = 0; i < n; i++) a[i] = i;
 }
 "#;
-        let u = detect_usage(&parse_file(threads).unwrap());
+        let u = detect_usage(&parse_file(threads).unwrap().items);
         assert!(u.uses_omp_threads());
         assert!(!u.uses_omp_offload());
         assert!(u.conforms_to(ExecutionModel::OmpThreads));
@@ -400,7 +401,7 @@ void f(int* a, int n) {
     for (int i = 0; i < n; i++) a[i] = i;
 }
 "#;
-        let u = detect_usage(&parse_file(offload).unwrap());
+        let u = detect_usage(&parse_file(offload).unwrap().items);
         assert!(u.uses_omp_offload());
         assert!(u.conforms_to(ExecutionModel::OmpOffload));
     }
@@ -414,7 +415,7 @@ int main() {
     return 0;
 }
 "#;
-        let u = detect_usage(&parse_file(src).unwrap());
+        let u = detect_usage(&parse_file(src).unwrap().items);
         assert!(u.uses_kokkos());
         assert_eq!(u.kokkos_views, 1);
         assert_eq!(u.kokkos_parallel_calls, 1);
@@ -431,7 +432,7 @@ void f(int* a, int n) {
 }
 int main() { int* d; k<<<1, 32>>>(d); return 0; }
 "#;
-        let u = detect_usage(&parse_file(src).unwrap());
+        let u = detect_usage(&parse_file(src).unwrap().items);
         assert!(!u.conforms_to(ExecutionModel::OmpOffload));
         assert!(!u.conforms_to(ExecutionModel::Cuda));
     }

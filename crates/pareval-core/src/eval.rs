@@ -35,7 +35,7 @@ use crate::plan::{ExperimentPlan, SampleSpec};
 use crate::runner::SampleRecord;
 use crate::task::{EvalConfig, EvalOutcome, RepairRound, SampleResult, Task};
 use minihpc_analyze::{AnalysisFinding, Confidence};
-use minihpc_build::preprocess::ParsedFile;
+use minihpc_build::preprocess::{self, ParsedFile};
 use minihpc_build::{build_repo_with, BuildRequest, CompiledUnit, ErrorCategory, UnitCache};
 use minihpc_lang::fnv::{fnv64, Fnv128};
 use minihpc_lang::memo::OnceMap;
@@ -68,6 +68,9 @@ pub struct CacheStats {
     pub file_hits: u64,
     /// Per-file compile units that had to be compiled cold.
     pub file_misses: u64,
+    /// Distinct file contents parsed cold, by build assembly and the
+    /// analyzer together: both parse through one memo.
+    pub parses: u64,
 }
 
 impl CacheStats {
@@ -324,10 +327,11 @@ pub struct BuildCache {
     /// share files with earlier builds — a repair round that touched one
     /// file re-compiles one unit and re-runs only link + test.
     units: OnceMap<u128, CompiledUnit>,
-    /// Parse memo backing the unit tier: `SourceFile` ASTs keyed by file
-    /// content. Unit lookup needs the include closure, which needs every
-    /// file parsed — this memo makes that discovery pass reparse only
-    /// changed files.
+    /// The one parse memo: `Arc`-shared ASTs keyed by file content. Unit
+    /// lookup needs the include closure, which needs every file parsed —
+    /// this memo makes that discovery pass reparse only changed files, and
+    /// the analyzer reads the same ASTs. A hit is a pointer clone, and no
+    /// unit copies the items out of the ASTs it shares.
     parses: OnceMap<u128, ParsedFile>,
     /// Analyzer findings memoized by the same content key as build
     /// outcomes: the analysis is pure over repo content, so a repeated
@@ -438,6 +442,7 @@ impl BuildCache {
             file_hits: self.file_hits.load(Ordering::Relaxed),
             file_misses: self.file_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            parses: self.parses.derivations() as u64,
         }
     }
 }
@@ -446,17 +451,20 @@ impl BuildCache {
 /// [`minihpc_build::driver::build_repo_with`]): parses memoized by file
 /// content, compile units by include-closure key, both in memory.
 ///
-/// Parses are derived once, like outcomes. Units go through the trait's
-/// split lookup and store, so two workers that miss the same unit at once
-/// both compile it, and at two or more workers `file_hits`/`file_misses`
-/// depend on timing (ROADMAP item 6 decides whether the tier stays).
+/// Parses are derived once, like outcomes, and shared by `Arc`. Units go
+/// through the trait's split lookup and store, so two workers that miss the
+/// same unit at once both compile it, and at two or more workers
+/// `file_hits`/`file_misses` depend on timing (ROADMAP item 4 decides
+/// whether the tier stays).
 impl UnitCache for BuildCache {
     fn parse_file(&self, text: &str) -> ParsedFile {
         let mut h = Fnv128::new();
         h.field(b"parse-v1");
         h.field(text.as_bytes());
-        self.parses
-            .get_or_init(h.finish(), || minihpc_lang::parser::parse_file(text))
+        // The memo keeps a compact clone: the parser's own vectors carry
+        // growth slack, and the memo holds every AST for the whole run.
+        let parse = || minihpc_lang::parser::parse_file(text).map(|f| Arc::new(f.clone()));
+        self.parses.get_or_init(h.finish(), parse)
     }
 
     fn lookup_unit(&self, key: u128) -> Option<CompiledUnit> {
@@ -474,6 +482,10 @@ impl UnitCache for BuildCache {
         self.units.get_or_init(key, || unit.clone());
     }
 }
+
+/// A pipeline's cache with one repo's outcome key, hashed once per (repo,
+/// round); `None` when the cache is off.
+type Keyed<'a> = Option<(&'a BuildCache, u128)>;
 
 /// The sample-evaluation pipeline: owns the eval knobs and the build cache.
 ///
@@ -590,11 +602,14 @@ impl EvalPipeline {
             };
         };
 
-        let mut overall = self.evaluate(task, &repo);
+        // The Overall outcome key is hashed once per (repo, round): the
+        // build and the analyzer are both memoized under it.
+        let keyed = self.keyed(task, &repo);
+        let mut overall = self.evaluate_keyed(task, &repo, keyed);
         let mut code_only = self.code_only_outcome(task, &repo, &overall);
         // The post-build verdict stage: static race/directive analysis of
         // the translated repository (always empty with the analyzer off).
-        let mut analysis = self.analyze(task, &repo);
+        let mut analysis = self.analyze(&repo, keyed);
 
         // A sample needs repair while the Overall build is broken, or —
         // with the analyzer on — while it builds but carries race errors.
@@ -670,9 +685,10 @@ impl EvalPipeline {
                             for (p, c) in files {
                                 repo.add(p, c);
                             }
-                            overall = self.evaluate(task, &repo);
+                            let keyed = self.keyed(task, &repo);
+                            overall = self.evaluate_keyed(task, &repo, keyed);
                             code_only = self.code_only_outcome(task, &repo, &overall);
-                            analysis = self.analyze(task, &repo);
+                            analysis = self.analyze(&repo, keyed);
                         }
                         rounds.push(RepairRound {
                             round,
@@ -700,24 +716,33 @@ impl EvalPipeline {
         }
     }
 
-    /// The analyzer verdict for `repo`, memoized by the same content key as
-    /// build outcomes when a cache is enabled. Always empty with
+    /// The cache and `repo`'s outcome key under it, when a cache is
+    /// enabled. [`evaluate`](Self::evaluate) and the analyzer memoize under
+    /// the same key.
+    fn keyed(&self, task: &Task, repo: &SourceRepo) -> Keyed<'_> {
+        let cache = self.cache.as_ref()?;
+        Some((cache, BuildCache::key(task, repo, &self.eval)))
+    }
+
+    /// The analyzer verdict for `repo`, memoized under its outcome key when
+    /// a cache is enabled, and parsing through the cache's parse memo, so a
+    /// file the build just parsed is not parsed again. Always empty with
     /// [`EvalConfig::analyze`] off; otherwise sorted findings, truncated to
     /// [`EvalConfig::analyze_max_findings`].
-    fn analyze(&self, task: &Task, repo: &SourceRepo) -> Vec<AnalysisFinding> {
+    fn analyze(&self, repo: &SourceRepo, keyed: Keyed) -> Vec<AnalysisFinding> {
         if !self.eval.analyze {
             return Vec::new();
         }
-        let analyze = || {
-            let mut findings = minihpc_analyze::analyze_repo(repo);
+        let analyze = |parse: &dyn Fn(&str) -> ParsedFile| {
+            let mut findings = minihpc_analyze::analyze_repo_with(repo, parse);
             findings.truncate(self.eval.analyze_max_findings);
             findings
         };
-        match &self.cache {
-            Some(cache) => cache
+        match keyed {
+            Some((cache, key)) => cache
                 .analysis
-                .get_or_init(BuildCache::key(task, repo, &self.eval), analyze),
-            None => analyze(),
+                .get_or_init(key, || analyze(&|text| cache.parse_file(text))),
+            None => analyze(&preprocess::parse),
         }
     }
 
@@ -761,10 +786,14 @@ impl EvalPipeline {
     /// so repos sharing files with earlier builds recompile only what
     /// changed.
     pub fn evaluate(&self, task: &Task, repo: &SourceRepo) -> EvalOutcome {
-        let Some(cache) = &self.cache else {
+        self.evaluate_keyed(task, repo, self.keyed(task, repo))
+    }
+
+    /// [`evaluate`](Self::evaluate) with the outcome key already hashed.
+    fn evaluate_keyed(&self, task: &Task, repo: &SourceRepo, keyed: Keyed) -> EvalOutcome {
+        let Some((cache, key)) = keyed else {
             return evaluate_uncached(task, repo, &self.eval, None);
         };
-        let key = BuildCache::key(task, repo, &self.eval);
         let mut derived = false;
         let outcome = cache.outcomes.get_or_init(key, || {
             derived = true;
@@ -1054,10 +1083,49 @@ mod tests {
                 misses: 2,
                 file_hits: 1,
                 file_misses: 1,
+                parses: 1,
                 ..CacheStats::default()
             },
             "sample 1 must be pure hits; code-only must replay the unit"
         );
+    }
+
+    #[test]
+    fn a_parse_memo_hit_shares_the_memoized_ast() {
+        let cache = BuildCache::new();
+        let text = "int main() { return 0; }\n";
+        let first = cache.parse_file(text).unwrap();
+        let second = cache.parse_file(text).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a memo hit must hand out the memoized AST, not a copy"
+        );
+        assert_eq!(cache.stats().parses, 1);
+    }
+
+    #[test]
+    fn analyzing_a_repo_the_build_just_parsed_parses_nothing_new() {
+        // microXOR's three code files (two sources and the header both
+        // include) are all reached by its build, so the analyzer finds
+        // every AST it needs in the parse memo.
+        let task = task_named("microXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
+        let repo = task.app.repo(task.pair.from).unwrap();
+        let pipeline = EvalPipeline::new(EvalConfig {
+            analyze: true,
+            ..eval_config()
+        });
+        let keyed = pipeline.keyed(&task, repo);
+        pipeline.evaluate_keyed(&task, repo, keyed);
+        let parsed = pipeline.cache_stats().parses;
+        let code_files = repo.iter().filter(|(p, _)| FileKind::of(p).is_code());
+        assert_eq!(parsed, code_files.count() as u64);
+        let findings = pipeline.analyze(repo, keyed);
+        assert_eq!(
+            pipeline.cache_stats().parses,
+            parsed,
+            "the analyzer must parse through the build's memo"
+        );
+        assert_eq!(findings, minihpc_analyze::analyze_repo(repo));
     }
 
     /// A unique scratch dir under the system temp dir (no `tempfile`

@@ -7,11 +7,12 @@
 mod common;
 
 use common::TestDir;
-use minihpc_build::{build_repo, BuildRequest};
+use minihpc_build::{build_repo, BuildRequest, UnitCache};
 use minihpc_lang::model::TranslationPair;
 use minihpc_runtime::{run, RunConfig};
 use pareval_core::{
-    journal, report, EvalConfig, EvalPipeline, ExperimentPlan, NullSink, Runner, ScheduledRunner,
+    journal, report, BuildCache, EvalConfig, EvalPipeline, ExperimentPlan, NullSink, Runner,
+    ScheduledRunner,
 };
 use pareval_llm::{
     all_models, model_by_name, AttemptSpec, OracleBackend, SimulatedBackend, TranslationBackend,
@@ -19,7 +20,7 @@ use pareval_llm::{
 use pareval_repo as _;
 use pareval_translate::{translate_with, Technique, TranslationJob};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// The injected-race grid: o4-mini with `race_rate` 1.0 on the one cell
 /// whose translations carry a `reduction` clause end to end (XSBench,
@@ -444,10 +445,15 @@ proptest! {
             report::race_report(&parallel)
         );
 
+        // Through a parse memo shared by every case, as the pipeline's
+        // analyzer reads the build's ASTs, the findings stay the same.
+        static MEMO: LazyLock<BuildCache> = LazyLock::new(BuildCache::new);
         let repo = translated_repo(7, sample);
+        let fresh = minihpc_analyze::analyze_repo(&repo);
+        prop_assert_eq!(&fresh, &minihpc_analyze::analyze_repo(&repo));
         prop_assert_eq!(
-            minihpc_analyze::analyze_repo(&repo),
-            minihpc_analyze::analyze_repo(&repo)
+            &fresh,
+            &minihpc_analyze::analyze_repo_with(&repo, &|text| MEMO.parse_file(text))
         );
     }
 }

@@ -238,8 +238,8 @@ fn paper_grid_transpiles_each_distinct_file_once() {
     // include scan per source repo, each memoised on the app's shared
     // source repo. Two workers do the same work: a worker that asks for a
     // result the other is deriving waits for it instead of deriving it
-    // again. The same holds for cold outcome evaluations and cold
-    // reference runs, which must not depend on the worker count.
+    // again. The same holds for cold outcome evaluations, cold parses and
+    // cold reference runs, which must not depend on the worker count.
     let mut work_at = Vec::new();
     for workers in [1, 2] {
         let plan = ExperimentPlan::full(5);
@@ -250,7 +250,8 @@ fn paper_grid_transpiles_each_distinct_file_once() {
             .iter()
             .map(|t| (t.app.name.to_string(), t.app.cold_reference_runs()))
             .collect();
-        work_at.push((workers, pipeline.cache_stats().misses, references));
+        let stats = pipeline.cache_stats();
+        work_at.push((workers, stats.misses, stats.parses, references));
         let mut per_repo: BTreeMap<(&str, ExecutionModel), (usize, usize)> = BTreeMap::new();
         for task in plan.tasks() {
             let repo = task.app.repo(task.pair.from).expect("task's source repo");
@@ -287,9 +288,9 @@ fn paper_grid_transpiles_each_distinct_file_once() {
     }
     let (serial, parallel) = (&work_at[0], &work_at[1]);
     assert_eq!(
-        (serial.1, &serial.2),
-        (parallel.1, &parallel.2),
-        "cold outcome evaluations or cold reference runs at (workers, misses, per-app runs) {serial:?} vs {parallel:?}"
+        (serial.1, serial.2, &serial.3),
+        (parallel.1, parallel.2, &parallel.3),
+        "cold outcome evaluations, parses or reference runs at (workers, misses, parses, per-app runs) {serial:?} vs {parallel:?}"
     );
 }
 
