@@ -31,18 +31,16 @@ gridbench-check:
 	cargo check --offline --manifest-path gridbench/Cargo.toml
 
 # The benchmark's correctness gate: a short run of each gridbench workload
-# with tracing off must reproduce every recorded result digest (its last
-# line reports "correct": true and "failed": 0), and --self-test must
-# count a deliberately corrupted sample as failed.
+# with tracing off must reproduce every recorded result digest, and
+# --self-test must count a deliberately corrupted sample as failed.
+# gridbench exits non-zero exactly when its last line reports "correct":
+# false, which with tracing off means "failed" is above 0.
 GRIDBENCH = cargo run --release --quiet --offline --manifest-path gridbench/Cargo.toml --
 
 bench-correct:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
 	for w in paper-grid repair-heavy gen-stress; do \
 		$(GRIDBENCH) --workload $$w --seconds 1 --trace 0 > "$$out" \
-			|| { echo "bench-correct: $$w exited non-zero"; exit 1; }; \
-		tail -n 1 "$$out" \
-			| grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,' \
 			|| { echo "bench-correct: $$w: $$(tail -n 1 "$$out")"; exit 1; }; \
 		echo "bench-correct: $$w correct"; \
 	done

@@ -209,9 +209,10 @@ struct ExecState {
 /// Assembly always runs — it is what discovers the include closure the
 /// unit key hashes — but parses inside it are memoized by the cache and
 /// shared by pointer, and a key hit skips sema entirely, replaying the
-/// stored object and diagnostics. Assembly failures (missing file/header,
-/// syntax error) are reported directly and never cached: they are cheap to
-/// recompute and have no object to store.
+/// stored object and diagnostics. An object compiled through the cache
+/// records its unit key, from which `link` keys the executable. Assembly
+/// failures (missing file/header, syntax error) are reported directly and
+/// never cached: they are cheap to recompute and have no object to store.
 fn compile_input(
     repo: &SourceRepo,
     input: &str,
@@ -236,7 +237,10 @@ fn compile_input(
     }
     let result = sema::check(&tu, input, &obj_name, &inv.features);
     let unit = CompiledUnit {
-        object: result.object.map(Arc::new),
+        object: result.object.map(|mut obj| {
+            obj.key = keyed.map(|(_, key)| key);
+            Arc::new(obj)
+        }),
         diagnostics: result.diagnostics,
     };
     if let Some((c, key)) = keyed {

@@ -1,20 +1,29 @@
 //! The linker: merges object files into an [`Executable`], reporting the
 //! paper's "Linker Error" category for undefined references, duplicate
-//! definitions, and a missing `main`.
+//! definitions, and a missing `main`. A linked program carries a content
+//! key built from its objects' unit keys, so a harness can run each
+//! distinct program once.
 
 use crate::diag::{Diagnostic, ErrorCategory};
 use crate::object::{Executable, ObjectCode};
 use crate::toolchain::{CompileFeatures, CompilerKind};
+use crate::unit::features_bits;
+use minihpc_lang::ast::StructDef;
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::ModelUsage;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Bumped whenever the executable key's inputs or their encoding change.
+const EXE_KEY_SALT: &str = "minihpc-exe-v1";
 
 /// Link objects into an executable named `output`.
 ///
 /// `compiler` is the driver doing the link (nvcc bundles libm and the CUDA
 /// runtime; gcc/clang need `-lm` for math usage, which is the classic
 /// missing-flag linker failure).
-pub fn link<B: std::borrow::Borrow<ObjectCode>>(
+pub fn link<B: Borrow<ObjectCode>>(
     objects: &[B],
     output: &str,
     compiler: CompilerKind,
@@ -94,12 +103,86 @@ pub fn link<B: std::borrow::Borrow<ObjectCode>>(
     }
     Ok(Executable {
         name: output.to_string(),
+        key: executable_key(objects, output, &features),
         functions,
         structs,
         globals,
         features,
         usage,
     })
+}
+
+/// The content key of the program [`link`] merged from `objects`, or `None`
+/// when any object has no unit key.
+///
+/// It covers everything the runtime reads of an [`Executable`]: the output
+/// name (argv\[0\]), the merged features, each function, the struct
+/// definitions and the globals. A function is named by the unit key of the
+/// object that defines it, which fixes its body, so the key hashes no AST.
+/// The key does not depend on link order wherever the merged program does
+/// not. Functions are keyed by name. A struct that several objects define
+/// alike is keyed by the sorted unit keys of its definers; when the
+/// definitions differ, the first one linked wins, so they are keyed in link
+/// order. Globals are concatenated in link order, and keyed so.
+fn executable_key<B: Borrow<ObjectCode>>(
+    objects: &[B],
+    output: &str,
+    features: &CompileFeatures,
+) -> Option<u128> {
+    let keyed: Vec<(&ObjectCode, u128)> = objects
+        .iter()
+        .map(|o| {
+            let o = o.borrow();
+            Some((o, o.key?))
+        })
+        .collect::<Option<_>>()?;
+    let mut h = Fnv128::new();
+    h.field(EXE_KEY_SALT.as_bytes());
+    h.field(output.as_bytes());
+    h.field(&[features_bits(features)]);
+
+    // A successful link defines each function name once.
+    let mut functions: Vec<(&str, u128)> = keyed
+        .iter()
+        .flat_map(|&(o, key)| o.functions.keys().map(move |name| (name.as_str(), key)))
+        .collect();
+    functions.sort_unstable();
+    h.field(&(functions.len() as u64).to_le_bytes());
+    for (name, key) in functions {
+        h.field(name.as_bytes());
+        h.field(&key.to_le_bytes());
+    }
+
+    // The sort is stable, so each struct's definers stay in link order.
+    let mut structs: Vec<(&str, u128, &StructDef)> = keyed
+        .iter()
+        .flat_map(|&(o, key)| {
+            o.structs
+                .iter()
+                .map(move |(name, s)| (name.as_str(), key, s))
+        })
+        .collect();
+    structs.sort_by_key(|&(name, ..)| name);
+    let groups: Vec<_> = structs.chunk_by(|a, b| a.0 == b.0).collect();
+    h.field(&(groups.len() as u64).to_le_bytes());
+    for group in groups {
+        let alike = group.iter().all(|&(.., s)| s == group[0].2);
+        let mut definers: Vec<u128> = group.iter().map(|&(_, key, _)| key).collect();
+        if alike {
+            definers.sort_unstable();
+        }
+        h.field(group[0].0.as_bytes());
+        h.field(&[u8::from(alike)]);
+        h.field(&(definers.len() as u64).to_le_bytes());
+        for key in definers {
+            h.field(&key.to_le_bytes());
+        }
+    }
+
+    for (_, key) in keyed.iter().filter(|(o, _)| !o.globals.is_empty()) {
+        h.field(&key.to_le_bytes());
+    }
+    Some(h.finish())
 }
 
 #[cfg(test)]
@@ -212,5 +295,112 @@ mod tests {
         .unwrap();
         assert!(exe.features.cuda);
         assert!(exe.features.openmp);
+    }
+
+    /// An object as a unit cache would compile it: stamped with its unit
+    /// key.
+    fn keyed_object(path: &str, src: &str) -> ObjectCode {
+        let f = CompileFeatures::default();
+        let name = format!("{path}.o");
+        let mut obj = object_of(path, src, f);
+        obj.key = Some(crate::unit::unit_key(path, &name, &f, [(path, src)]));
+        obj
+    }
+
+    const MAIN: &str = "struct P { int x; };\nint scale(int v);\n\
+                        int main() { struct P p; p.x = scale(2); return p.x - 4; }";
+    const HELPER: &str = "struct P { int x; };\nint bias = 1;\n\
+                          int scale(int v) { return 2 * v + bias - 1; }";
+
+    /// The key of `main.cpp` + `helper.cpp` linked in the given order.
+    fn exe_key(main: &str, helper: &str, helper_first: bool, output: &str, libm: bool) -> u128 {
+        let (m, h) = (
+            keyed_object("main.cpp", main),
+            keyed_object("helper.cpp", helper),
+        );
+        let objects = if helper_first { [h, m] } else { [m, h] };
+        let features = CompileFeatures {
+            libm,
+            ..CompileFeatures::default()
+        };
+        let exe = link(&objects, output, CompilerKind::Gcc, &features).unwrap();
+        exe.key.expect("every object is keyed")
+    }
+
+    #[test]
+    fn executable_key_value_is_pinned() {
+        // Executable keys are FNV-128 over salted fields; this value must
+        // not move unless `EXE_KEY_SALT` is bumped.
+        assert_eq!(
+            exe_key(MAIN, HELPER, false, "app", false),
+            0x7d623c8c3280cb7d0067ffdd82db690a
+        );
+    }
+
+    #[test]
+    fn executable_key_ignores_the_link_order_of_disjoint_objects() {
+        // Both objects define `struct P` alike; functions and the one global
+        // are disjoint, so the merged program does not depend on the order.
+        assert_eq!(
+            exe_key(MAIN, HELPER, false, "app", false),
+            exe_key(MAIN, HELPER, true, "app", false)
+        );
+    }
+
+    #[test]
+    fn executable_key_covers_what_the_runtime_reads() {
+        let base = exe_key(MAIN, HELPER, false, "app", false);
+        let changed = [
+            (
+                "a function body",
+                exe_key(MAIN, &HELPER.replace("2 * v", "3 * v"), false, "app", false),
+            ),
+            (
+                "a struct field",
+                exe_key(
+                    &MAIN.replace("int x;", "long x;"),
+                    HELPER,
+                    false,
+                    "app",
+                    false,
+                ),
+            ),
+            (
+                "a global initializer",
+                exe_key(
+                    MAIN,
+                    &HELPER.replace("bias = 1", "bias = 2"),
+                    false,
+                    "app",
+                    false,
+                ),
+            ),
+            (
+                "the output name",
+                exe_key(MAIN, HELPER, false, "app2", false),
+            ),
+            ("a feature flag", exe_key(MAIN, HELPER, false, "app", true)),
+        ];
+        for (what, key) in changed {
+            assert_ne!(key, base, "changing {what} must change the key");
+        }
+        // The definitions of `struct P` now differ, so the first one linked
+        // wins and the link order is part of the key.
+        let long_main = MAIN.replace("int x;", "long x;");
+        assert_ne!(
+            exe_key(&long_main, HELPER, false, "app", false),
+            exe_key(&long_main, HELPER, true, "app", false)
+        );
+    }
+
+    #[test]
+    fn executable_key_is_none_when_an_object_was_compiled_uncached() {
+        let f = CompileFeatures::default();
+        let objects = [
+            keyed_object("main.cpp", MAIN),
+            object_of("helper.cpp", HELPER, f),
+        ];
+        let exe = link(&objects, "app", CompilerKind::Gcc, &f).unwrap();
+        assert_eq!(exe.key, None);
     }
 }

@@ -31,6 +31,10 @@ pub struct ObjectCode {
     pub uses_libm: bool,
     pub features: CompileFeatures,
     pub usage: ModelUsage,
+    /// The unit key this object was compiled under (see
+    /// [`unit_key`](crate::unit::unit_key)); `None` when it was compiled
+    /// without a unit cache.
+    pub key: Option<u128>,
 }
 
 /// A fully linked program, ready for the simulated runtime.
@@ -45,6 +49,10 @@ pub struct Executable {
     pub features: CompileFeatures,
     /// Merged model-usage evidence (for the harness's target-model check).
     pub usage: ModelUsage,
+    /// The program's content key: equal keys mean the runtime sees the
+    /// same program (see [`link`](crate::linker::link)). `None` when any
+    /// linked object has no unit key.
+    pub key: Option<u128>,
 }
 
 impl Executable {
@@ -66,6 +74,7 @@ mod tests {
             globals: vec![],
             features: CompileFeatures::default(),
             usage: ModelUsage::default(),
+            key: None,
         };
         assert!(exe.main().is_none());
     }

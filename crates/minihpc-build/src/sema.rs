@@ -374,6 +374,7 @@ pub fn check(
             uses_libm: ck.uses_libm,
             features: *features,
             usage: detect_usage(tu.items()),
+            key: None,
         })
     };
     SemaResult {

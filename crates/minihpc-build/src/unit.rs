@@ -64,7 +64,8 @@ pub trait UnitCache: Sync {
     fn store_unit(&self, key: u128, unit: &CompiledUnit);
 }
 
-fn features_bits(f: &CompileFeatures) -> u8 {
+/// The compile features as one byte, for content keys.
+pub(crate) fn features_bits(f: &CompileFeatures) -> u8 {
     let CompileFeatures {
         cuda,
         openmp,

@@ -983,3 +983,99 @@ int main() {
     let err = r.error.expect("a one-argument RangePolicy must fail");
     assert_eq!(err.kind, RuntimeErrorKind::TypeError);
 }
+
+#[test]
+fn struct_fields_read_and_write_in_every_storage() {
+    // Nested fields of a local, a global and heap elements, through `.`,
+    // `->` and `[i].`, with compound assignment and increments. A struct
+    // field of a struct is zero-initialised as a scalar, so each `in` is
+    // assigned a struct first.
+    let repo = omp_threads_repo(
+        r#"
+#include <stdio.h>
+#include <stdlib.h>
+
+typedef struct { int x; double y; } Inner;
+typedef struct { Inner in; int n; } Outer;
+
+Outer g;
+
+int main() {
+    Inner z;
+    z.x = 0;
+    z.y = 0.0;
+    Outer o;
+    o.in = z;
+    g.in = z;
+    o.n = 2;
+    o.in.x = 3;
+    o.in.y = 0.5;
+    o.in.x += o.n;
+    o.in.y *= 4;
+    o.n++;
+    g.in.x = o.in.x * 10;
+    g.n = g.in.x + 1;
+    g.in.x -= 8;
+    Outer* p = (Outer*)malloc(2 * sizeof(Outer));
+    p[1].in = z;
+    p[1].n = 7;
+    p[1].in.x = o.n;
+    p->n = 9;
+    p[1].in.y = p->n + 0.25;
+    p[1].in.x++;
+    printf("%d %.1f %d %d %d %d %d %d %.2f\n", o.in.x, o.in.y, o.n, g.in.x, g.n,
+           p->n, p[1].n, p[1].in.x, p[1].in.y);
+    free(p);
+    return 0;
+}
+"#,
+    );
+    let r = build_and_run(&repo, &[]);
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "5 2.0 3 42 51 9 7 4 9.25\n");
+}
+
+#[test]
+fn shared_write_recorder_sees_struct_field_writes() {
+    // A field write is a write to the variable that holds the struct: the
+    // snapshot local `acc` and the global `g` are shared, the body local
+    // `t` is not.
+    let out = build_repo(
+        &omp_threads_repo(
+            r#"
+#include <stdio.h>
+
+typedef struct { int n; int m; } Pair;
+
+Pair g;
+
+int main() {
+    Pair acc;
+    acc.n = 0;
+    #pragma omp parallel for
+    for (int i = 0; i < 8; i++) {
+        Pair t;
+        t.n = i;
+        acc.n = t.n;
+        g.m = i;
+    }
+    printf("%d\n", g.m);
+    return 0;
+}
+"#,
+        ),
+        &BuildRequest::new("app"),
+    );
+    assert!(out.succeeded(), "{}", out.log.text());
+    let r = run(
+        &out.executable.unwrap(),
+        RunConfig {
+            parallel: true,
+            workers: 4,
+            record_shared_writes: true,
+            ..RunConfig::default()
+        },
+    );
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.race_vars, vec!["acc".to_string(), "g".to_string()]);
+}

@@ -19,7 +19,8 @@
 //!
 //! - the Code-only scoring reuses the Overall build whenever the translated
 //!   build file already matches ground truth (the two repos are then
-//!   identical, hence the same key), and
+//!   identical, hence the same key), and the Overall build's test runs
+//!   whenever the two builds link the same program, and
 //! - [`ScheduledRunner`](crate::sched::ScheduledRunner) workers share hits
 //!   across threads — one pipeline serves the whole run, and each outcome
 //!   is evaluated once however the workers interleave (a worker that asks
@@ -71,6 +72,11 @@ pub struct CacheStats {
     /// Distinct file contents parsed cold, by build assembly and the
     /// analyzer together: both parse through one memo.
     pub parses: u64,
+    /// Test-case runs of a linked program made cold: one per distinct
+    /// (executable key, step budget, case arguments). Outcome misses that
+    /// link the same program, such as a sample's Overall and Code-only
+    /// builds, share its runs.
+    pub runs: u64,
 }
 
 impl CacheStats {
@@ -310,11 +316,12 @@ impl DiskCache {
 /// [`OnceMap`], optionally backed by a persistent disk tier shared across
 /// processes (see [`EvalConfig::disk_cache_dir`]). An outcome missing from
 /// memory is loaded from disk, or else evaluated cold and written to disk.
-/// Beneath the outcomes sit two in-memory memos the cold build compiles
-/// through: parsed files and per-file compile units.
+/// Beneath the outcomes sit three in-memory memos a cold evaluation goes
+/// through: parsed files and per-file compile units for the build, and
+/// test runs keyed by the linked program's content for the tests.
 ///
-/// Thread-safe, and each outcome, analysis and parse is derived once: a
-/// worker that asks for one another worker is deriving waits for it, so
+/// Thread-safe, and each outcome, analysis, parse and run is derived once:
+/// a worker that asks for one another worker is deriving waits for it, so
 /// the cold work and the counters do not depend on how workers interleave.
 /// The unit tier is the exception (see [`UnitCache`]).
 #[derive(Debug, Default)]
@@ -338,6 +345,13 @@ pub struct BuildCache {
     /// evaluation (Code-only reuse, repair rounds that re-emit unchanged
     /// files) reuses its findings alongside the cached objects.
     analysis: OnceMap<u128, Vec<AnalysisFinding>>,
+    /// Test runs keyed by (executable key, step budget, case arguments),
+    /// holding only what a verdict reads. Outcome misses that link the
+    /// same program, such as a sample's Overall and Code-only builds, run
+    /// each case once, whatever order their build files link the objects
+    /// in. The verdict (expected output, GPU rule) is still judged per
+    /// evaluation.
+    runs: OnceMap<u128, CaseRun>,
     disk: Option<DiskCache>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -443,6 +457,7 @@ impl BuildCache {
             file_misses: self.file_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             parses: self.parses.derivations() as u64,
+            runs: self.runs.derivations() as u64,
         }
     }
 }
@@ -481,6 +496,16 @@ impl UnitCache for BuildCache {
     fn store_unit(&self, key: u128, unit: &CompiledUnit) {
         self.units.get_or_init(key, || unit.clone());
     }
+}
+
+/// What a test verdict reads of one run of a program.
+#[derive(Debug, Clone)]
+struct CaseRun {
+    /// No runtime error and exit code 0.
+    clean: bool,
+    /// Boxed, so the memo holds no growth slack.
+    stdout: Box<str>,
+    ran_on_device: bool,
 }
 
 /// A pipeline's cache with one repo's outcome key, hashed once per (repo,
@@ -900,15 +925,16 @@ fn repair_context(outcome: &EvalOutcome, round: u32, max_lines: usize) -> Repair
 }
 
 /// The cold path: build, enforce the target-model rule, run the developer
-/// tests (right answers, on the specified hardware). `units` is the
-/// optional file-granular compile cache the build reads and writes
-/// per-file results through.
+/// tests (right answers, on the specified hardware). With a `cache`, the
+/// build compiles through its file-granular tiers and each test run is
+/// memoized by the linked program's content key.
 fn evaluate_uncached(
     task: &Task,
     repo: &SourceRepo,
     eval: &EvalConfig,
-    units: Option<&dyn UnitCache>,
+    cache: Option<&BuildCache>,
 ) -> EvalOutcome {
+    let units = cache.map(|c| c as &dyn UnitCache);
     let outcome = build_repo_with(repo, &BuildRequest::new(&*task.app.binary), units);
     let build_log = outcome.log.text();
     let Some(exe) = outcome.executable else {
@@ -933,14 +959,32 @@ fn evaluate_uncached(
     }
     let mut passed = true;
     for case in task.app.tests.iter().take(eval.max_cases) {
-        let mut cfg = RunConfig::with_args(case.args.iter().cloned());
-        cfg.max_steps = eval.max_steps;
-        let r = run(&exe, cfg);
+        let run_case = || {
+            let mut cfg = RunConfig::with_args(case.args.iter().cloned());
+            cfg.max_steps = eval.max_steps;
+            let r = run(&exe, cfg);
+            CaseRun {
+                clean: r.error.is_none() && r.exit_code == 0,
+                stdout: r.stdout.into_boxed_str(),
+                ran_on_device: r.telemetry.ran_on_device(),
+            }
+        };
+        let r = match (cache, exe.key) {
+            (Some(cache), Some(exe_key)) => {
+                let mut h = Fnv128::new();
+                h.field(&exe_key.to_le_bytes());
+                h.field(&eval.max_steps.to_le_bytes());
+                for arg in &case.args {
+                    h.field(arg.as_bytes());
+                }
+                cache.runs.get_or_init(h.finish(), run_case)
+            }
+            _ => run_case(),
+        };
         // The reference is fetched only for a candidate that ran cleanly.
-        let ok = r.error.is_none()
-            && r.exit_code == 0
-            && r.stdout == task.app.expected_output(case)
-            && (!task.pair.to.is_gpu() || r.telemetry.ran_on_device());
+        let ok = r.clean
+            && *r.stdout == task.app.expected_output(case)
+            && (!task.pair.to.is_gpu() || r.ran_on_device);
         if !ok {
             passed = false;
             break;
@@ -1075,7 +1119,8 @@ mod tests {
         // Sample 0's two scorings are the only outcome misses; sample 1 is
         // pure hits. Within sample 0's misses, the file tier engages: the
         // Overall build compiles its unit cold, and the Code-only build —
-        // same sources, different build file — replays it.
+        // same sources, different build file — replays it, links the same
+        // program and so shares its one test run.
         assert_eq!(
             stats,
             CacheStats {
@@ -1084,10 +1129,66 @@ mod tests {
                 file_hits: 1,
                 file_misses: 1,
                 parses: 1,
+                runs: 1,
                 ..CacheStats::default()
             },
-            "sample 1 must be pure hits; code-only must replay the unit"
+            "sample 1 must be pure hits; code-only must replay the unit and the run"
         );
+    }
+
+    #[test]
+    fn overall_and_code_only_builds_of_one_program_share_its_runs() {
+        // The translated Makefile lists microXOR's two sources in the
+        // reverse of the ground-truth order. So the two scorings are
+        // distinct outcomes, each built cold, that link the same program,
+        // and the run memo runs its test case once.
+        let task = task_named("microXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
+        let model = model_by_name("o4-mini").unwrap();
+        let source_repo = task.app.repo_arc(task.pair.from).unwrap();
+        let spec = AttemptSpec {
+            model: &model,
+            technique: Technique::NonAgentic,
+            pair: task.pair,
+            app_name: &task.app.name,
+            source_repo: Arc::clone(&source_repo),
+            seed: 7,
+            sample: 0,
+        };
+        let job = TranslationJob {
+            app_name: &task.app.name,
+            binary: &task.app.binary,
+            source_repo: &source_repo,
+            pair: task.pair,
+            cli_spec: &task.app.cli_spec,
+            build_spec: &task.app.build_spec,
+        };
+        let mut attempt = OracleBackend.start_attempt(&spec);
+        let mut repo = translate_with(Technique::NonAgentic, &job, &mut attempt)
+            .repo
+            .unwrap();
+        let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
+        let reordered =
+            gt_text.replace("src/main.cpp src/kernel.cpp", "src/kernel.cpp src/main.cpp");
+        assert_ne!(&reordered, gt_text);
+        repo.add(gt_path.clone(), reordered);
+
+        let pipeline = EvalPipeline::new(eval_config());
+        let overall = pipeline.evaluate(&task, &repo);
+        let code_only = pipeline.code_only_outcome(&task, &repo, &overall);
+        assert!(overall.passed && code_only.passed);
+        let stats = pipeline.cache_stats();
+        assert_eq!(
+            (stats.misses, stats.runs),
+            (2, 1),
+            "two cold outcomes, one cold run: {stats:?}"
+        );
+        let uncached = EvalPipeline::new(EvalConfig {
+            build_cache: false,
+            ..eval_config()
+        });
+        let cold = uncached.evaluate(&task, &repo);
+        assert_eq!(cold, overall);
+        assert_eq!(uncached.code_only_outcome(&task, &repo, &cold), code_only);
     }
 
     #[test]

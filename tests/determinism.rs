@@ -238,8 +238,9 @@ fn paper_grid_transpiles_each_distinct_file_once() {
     // include scan per source repo, each memoised on the app's shared
     // source repo. Two workers do the same work: a worker that asks for a
     // result the other is deriving waits for it instead of deriving it
-    // again. The same holds for cold outcome evaluations, cold parses and
-    // cold reference runs, which must not depend on the worker count.
+    // again. The same holds for cold outcome evaluations, cold parses,
+    // cold test runs and cold reference runs, which must not depend on the
+    // worker count.
     let mut work_at = Vec::new();
     for workers in [1, 2] {
         let plan = ExperimentPlan::full(5);
@@ -251,7 +252,7 @@ fn paper_grid_transpiles_each_distinct_file_once() {
             .map(|t| (t.app.name.to_string(), t.app.cold_reference_runs()))
             .collect();
         let stats = pipeline.cache_stats();
-        work_at.push((workers, stats.misses, stats.parses, references));
+        work_at.push((workers, stats.misses, stats.parses, stats.runs, references));
         let mut per_repo: BTreeMap<(&str, ExecutionModel), (usize, usize)> = BTreeMap::new();
         for task in plan.tasks() {
             let repo = task.app.repo(task.pair.from).expect("task's source repo");
@@ -288,10 +289,26 @@ fn paper_grid_transpiles_each_distinct_file_once() {
     }
     let (serial, parallel) = (&work_at[0], &work_at[1]);
     assert_eq!(
-        (serial.1, serial.2, &serial.3),
-        (parallel.1, parallel.2, &parallel.3),
-        "cold outcome evaluations, parses or reference runs at (workers, misses, parses, per-app runs) {serial:?} vs {parallel:?}"
+        (serial.1, serial.2, serial.3, &serial.4),
+        (parallel.1, parallel.2, parallel.3, &parallel.4),
+        "cold outcome evaluations, parses, test runs or reference runs at (workers, misses, parses, runs, per-app references) {serial:?} vs {parallel:?}"
     );
+}
+
+#[test]
+fn paper_grid_runs_each_distinct_program_once() {
+    // Work-counter pin: `full(5)` at plan seed 0 evaluates 30 test runs
+    // across its cold outcomes, but most Code-only builds link the same
+    // program as their Overall build, with objects listed in another
+    // order. The run memo, keyed by the program's content, runs the 16
+    // distinct programs once each. That the run count does not depend on
+    // the worker count is checked on `full(5)` in
+    // `paper_grid_transpiles_each_distinct_file_once`.
+    let plan = ExperimentPlan::builder().samples(5).seed(0).build();
+    let pipeline = EvalPipeline::new(plan.eval().clone());
+    ScheduledRunner::new(1).run_with(&plan, &pipeline, &NullSink);
+    let stats = pipeline.cache_stats();
+    assert_eq!(stats.runs, 16, "cold test runs: {stats:?}");
 }
 
 #[test]
