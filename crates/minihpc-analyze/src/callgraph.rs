@@ -18,9 +18,10 @@
 
 use std::collections::HashMap;
 
-use crate::visit::{expr_references, reduction_op_of, visit_expr};
+use crate::visit::{expr_references, reduction_op_of};
 use minihpc_lang::ast::{Block, Expr, ExprKind, Function, SourceFile, Stmt, StmtKind, UnaryOp};
 use minihpc_lang::pragma::{OmpConstruct, ReductionOp};
+use minihpc_lang::walk::{walk, Node};
 
 /// How a scalar write updates its target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,15 +213,19 @@ impl SummaryWalker<'_> {
     /// Propagate effects of direct calls appearing anywhere in `e`.
     fn find_calls(&mut self, e: &Expr) {
         let mut calls = Vec::new();
-        visit_expr(e, &mut |sub| {
-            if let ExprKind::Call { callee, args } = &sub.kind {
+        walk(Node::Expr(e), &mut |n| {
+            if let Node::Expr(Expr {
+                kind: ExprKind::Call { callee, args },
+                ..
+            }) = n
+            {
                 if let ExprKind::Ident(name) = &callee.kind {
-                    calls.push((name.clone(), args.clone()));
+                    calls.push((name.as_str(), args.as_slice()));
                 }
             }
         });
         for (name, args) in calls {
-            self.apply_call(&name, &args);
+            self.apply_call(name, args);
         }
     }
 

@@ -16,9 +16,9 @@
 
 use std::collections::HashMap;
 
-use crate::visit::{visit_expr, visit_stmt_exprs};
 use minihpc_lang::ast::{Block, Expr, ExprKind, Function, Stmt, StmtKind, UnaryOp};
 use minihpc_lang::pragma::{OmpConstruct, OmpDirective};
+use minihpc_lang::walk::{walk, Node};
 
 /// Interned scalar variable names (ids are indices).
 #[derive(Debug, Default)]
@@ -159,29 +159,16 @@ impl Builder {
     /// conservative shape for conditions and opaque statements.
     fn use_step(&mut self, e: &Expr) -> Step {
         let mut step = Step::default();
-        collect_uses(e, &mut self.cfg.vars, &mut step.uses);
+        collect_uses(Node::Expr(e), &mut self.cfg.vars, &mut step.uses);
         step
     }
 
     fn walk_stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Decl(d) => {
+                // Array dimensions, then the initializer.
                 let mut step = Step::default();
-                for dim in &d.array_dims {
-                    collect_uses(dim, &mut self.cfg.vars, &mut step.uses);
-                }
-                match &d.init {
-                    Some(minihpc_lang::ast::Init::Expr(e)) => {
-                        collect_uses(e, &mut self.cfg.vars, &mut step.uses)
-                    }
-                    Some(minihpc_lang::ast::Init::List(es))
-                    | Some(minihpc_lang::ast::Init::Ctor(es)) => {
-                        for e in es {
-                            collect_uses(e, &mut self.cfg.vars, &mut step.uses);
-                        }
-                    }
-                    None => {}
-                }
+                collect_uses(Node::Stmt(s), &mut self.cfg.vars, &mut step.uses);
                 let id = self.cfg.vars.intern(&d.name);
                 step.defs.push(id);
                 self.push_step(step);
@@ -314,14 +301,7 @@ impl Builder {
         // analyze the region's interior themselves; the CFG only needs the
         // surrounding program points to be right.
         let mut step = Step::default();
-        visit_stmt_exprs(body, &mut |e| {
-            if let ExprKind::Ident(name) = &e.kind {
-                let id = self.cfg.vars.intern(name);
-                if !step.uses.contains(&id) {
-                    step.uses.push(id);
-                }
-            }
-        });
+        collect_uses(Node::Stmt(body), &mut self.cfg.vars, &mut step.uses);
         let block = self.current;
         let step_idx = self.cfg.blocks[block].steps.len();
         self.cfg.blocks[block].steps.push(step);
@@ -345,7 +325,7 @@ fn expr_step(e: &Expr, vars: &mut VarTable) -> Step {
     let mut step = Step::default();
     match &e.kind {
         ExprKind::Assign { op, lhs, rhs } => {
-            collect_uses(rhs, vars, &mut step.uses);
+            collect_uses(Node::Expr(rhs), vars, &mut step.uses);
             match &lhs.kind {
                 ExprKind::Ident(name) => {
                     let id = vars.intern(name);
@@ -357,7 +337,7 @@ fn expr_step(e: &Expr, vars: &mut VarTable) -> Step {
                 _ => {
                     // Array/deref/member store: the base is read (address
                     // computation) and the scalar itself is not killed.
-                    collect_uses(lhs, vars, &mut step.uses);
+                    collect_uses(Node::Expr(lhs), vars, &mut step.uses);
                 }
             }
         }
@@ -365,21 +345,27 @@ fn expr_step(e: &Expr, vars: &mut VarTable) -> Step {
             op: UnaryOp::PreInc | UnaryOp::PreDec | UnaryOp::PostInc | UnaryOp::PostDec,
             expr,
         } => {
-            collect_uses(expr, vars, &mut step.uses);
+            collect_uses(Node::Expr(expr), vars, &mut step.uses);
             if let ExprKind::Ident(name) = &expr.kind {
                 let id = vars.intern(name);
                 step.defs.push(id);
             }
         }
         ExprKind::Paren(inner) => return expr_step(inner, vars),
-        _ => collect_uses(e, vars, &mut step.uses),
+        _ => collect_uses(Node::Expr(e), vars, &mut step.uses),
     }
     step
 }
 
-fn collect_uses(e: &Expr, vars: &mut VarTable, out: &mut Vec<u32>) {
-    visit_expr(e, &mut |sub| {
-        if let ExprKind::Ident(name) = &sub.kind {
+/// Intern every identifier under `node` and add it to `out` once, in walk
+/// order.
+fn collect_uses(node: Node, vars: &mut VarTable, out: &mut Vec<u32>) {
+    walk(node, &mut |n| {
+        if let Node::Expr(Expr {
+            kind: ExprKind::Ident(name),
+            ..
+        }) = n
+        {
             let id = vars.intern(name);
             if !out.contains(&id) {
                 out.push(id);

@@ -10,10 +10,11 @@ use crate::fixit::{FixIt, FixItEdit};
 use crate::report::{Confidence, Rule};
 use crate::rules::FnAnalyzer;
 use crate::visit::{
-    expr_references, index_root, plain_index_var, reduction_op_of, shifted_index_offset, visit_expr,
+    expr_references, index_root, plain_index_var, reduction_op_of, shifted_index_offset,
 };
 use minihpc_lang::ast::{Expr, ExprKind, Stmt, StmtKind, UnaryOp};
 use minihpc_lang::pragma::{OmpClause, OmpConstruct, OmpDirective, ReductionOp};
+use minihpc_lang::walk::{walk, Node};
 
 #[derive(Debug)]
 struct ScalarWrite {
@@ -384,29 +385,32 @@ impl<'f, 'a> RegionAnalyzer<'f, 'a> {
         let mut array_reads = Vec::new();
         let mut scalar_reads = Vec::new();
         let mut calls = Vec::new();
-        visit_expr(e, &mut |sub| match &sub.kind {
-            ExprKind::Index { base, index } => {
-                if let Some(root) = index_root(base) {
-                    array_reads.push(ArrayAccess {
-                        base: root.to_string(),
-                        index: (**index).clone(),
-                        span_start: sub.span.start,
-                        via_call: false,
-                    });
+        walk(Node::Expr(e), &mut |n| {
+            let Node::Expr(sub) = n else { return };
+            match &sub.kind {
+                ExprKind::Index { base, index } => {
+                    if let Some(root) = index_root(base) {
+                        array_reads.push(ArrayAccess {
+                            base: root.to_string(),
+                            index: (**index).clone(),
+                            span_start: sub.span.start,
+                            via_call: false,
+                        });
+                    }
                 }
-            }
-            ExprKind::Ident(name) => scalar_reads.push(name.clone()),
-            ExprKind::Call { callee, args } => {
-                if let ExprKind::Ident(name) = &callee.kind {
-                    calls.push((name.clone(), args.clone(), sub.span.start));
+                ExprKind::Ident(name) => scalar_reads.push(name.clone()),
+                ExprKind::Call { callee, args } => {
+                    if let ExprKind::Ident(name) = &callee.kind {
+                        calls.push((name.as_str(), args.as_slice(), sub.span.start));
+                    }
                 }
+                _ => {}
             }
-            _ => {}
         });
         self.array_reads.extend(array_reads);
         self.scalar_reads.extend(scalar_reads);
         for (name, args, span) in calls {
-            self.apply_call_effects(&name, &args, span);
+            self.apply_call_effects(name, args, span);
         }
     }
 

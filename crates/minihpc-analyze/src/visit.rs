@@ -1,8 +1,10 @@
-//! Shared AST walkers and small expression classifiers used by every pass
-//! (rules, CFG construction, call-graph summaries).
+//! Small expression classifiers used by every pass (rules, CFG
+//! construction, call-graph summaries). Tree walks go through
+//! [`minihpc_lang::walk`].
 
-use minihpc_lang::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, Type, UnaryOp};
+use minihpc_lang::ast::{BinOp, Expr, ExprKind, Stmt, Type, UnaryOp};
 use minihpc_lang::pragma::ReductionOp;
+use minihpc_lang::walk::{walk, Node};
 
 /// Pointer rank of a type (0 = scalar): levels of indirection for raw
 /// pointers, the declared rank for Kokkos-style views.
@@ -16,128 +18,15 @@ pub(crate) fn rank_of(ty: &Type) -> u8 {
 
 /// Collect every identifier occurrence (with span start) in a statement tree.
 pub(crate) fn collect_idents(s: &Stmt, out: &mut Vec<(String, u32)>) {
-    visit_stmt_exprs(s, &mut |e| {
-        if let ExprKind::Ident(name) = &e.kind {
-            out.push((name.clone(), e.span.start));
+    walk(Node::Stmt(s), &mut |n| {
+        if let Node::Expr(Expr {
+            kind: ExprKind::Ident(name),
+            span,
+        }) = n
+        {
+            out.push((name.clone(), span.start));
         }
     });
-}
-
-pub(crate) fn visit_stmt_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
-    match &s.kind {
-        StmtKind::Decl(d) => {
-            for dim in &d.array_dims {
-                visit_expr(dim, f);
-            }
-            match &d.init {
-                Some(minihpc_lang::ast::Init::Expr(e)) => visit_expr(e, f),
-                Some(minihpc_lang::ast::Init::List(es))
-                | Some(minihpc_lang::ast::Init::Ctor(es)) => {
-                    for e in es {
-                        visit_expr(e, f);
-                    }
-                }
-                None => {}
-            }
-        }
-        StmtKind::Expr(e) => visit_expr(e, f),
-        StmtKind::If { cond, then, els } => {
-            visit_expr(cond, f);
-            visit_stmt_exprs(then, f);
-            if let Some(e) = els {
-                visit_stmt_exprs(e, f);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            visit_expr(cond, f);
-            visit_stmt_exprs(body, f);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                visit_stmt_exprs(i, f);
-            }
-            if let Some(c) = cond {
-                visit_expr(c, f);
-            }
-            if let Some(st) = step {
-                visit_expr(st, f);
-            }
-            visit_stmt_exprs(body, f);
-        }
-        StmtKind::Return(Some(e)) => visit_expr(e, f),
-        StmtKind::Block(b) => {
-            for s in &b.stmts {
-                visit_stmt_exprs(s, f);
-            }
-        }
-        StmtKind::Omp { body, .. } => {
-            if let Some(b) = body {
-                visit_stmt_exprs(b, f);
-            }
-        }
-        StmtKind::Return(None)
-        | StmtKind::Break
-        | StmtKind::Continue
-        | StmtKind::RawPragma(_)
-        | StmtKind::Empty => {}
-    }
-}
-
-pub(crate) fn visit_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Unary { expr, .. }
-        | ExprKind::Cast { expr, .. }
-        | ExprKind::SizeOfExpr(expr)
-        | ExprKind::Paren(expr) => visit_expr(expr, f),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            visit_expr(lhs, f);
-            visit_expr(rhs, f);
-        }
-        ExprKind::Ternary { cond, then, els } => {
-            visit_expr(cond, f);
-            visit_expr(then, f);
-            visit_expr(els, f);
-        }
-        ExprKind::Call { callee, args } => {
-            visit_expr(callee, f);
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
-        ExprKind::KernelLaunch {
-            grid, block, args, ..
-        } => {
-            visit_expr(grid, f);
-            visit_expr(block, f);
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
-        ExprKind::Index { base, index } => {
-            visit_expr(base, f);
-            visit_expr(index, f);
-        }
-        ExprKind::Member { base, .. } => visit_expr(base, f),
-        ExprKind::Lambda { body, .. } => {
-            for s in &body.stmts {
-                visit_stmt_exprs(s, f);
-            }
-        }
-        ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::CharLit(_)
-        | ExprKind::BoolLit(_)
-        | ExprKind::Ident(_)
-        | ExprKind::Path(_)
-        | ExprKind::SizeOfType(_) => {}
-    }
 }
 
 /// The root identifier of a (possibly nested) indexing base.
@@ -157,8 +46,8 @@ pub(crate) fn index_root(base: &Expr) -> Option<&str> {
 /// Does `e` reference identifier `name` anywhere?
 pub(crate) fn expr_references(e: &Expr, name: &str) -> bool {
     let mut found = false;
-    visit_expr(e, &mut |sub| {
-        if matches!(&sub.kind, ExprKind::Ident(n) if n == name) {
+    walk(Node::Expr(e), &mut |n| {
+        if matches!(n, Node::Expr(Expr { kind: ExprKind::Ident(id), .. }) if id == name) {
             found = true;
         }
     });

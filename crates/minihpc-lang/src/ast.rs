@@ -549,13 +549,6 @@ impl SourceFile {
         })
     }
 
-    pub fn functions_mut(&mut self) -> impl Iterator<Item = &mut Function> {
-        self.items.iter_mut().filter_map(|i| match &mut i.kind {
-            ItemKind::Function(f) => Some(f),
-            _ => None,
-        })
-    }
-
     /// Local (quoted) include paths referenced by this file.
     pub fn local_includes(&self) -> Vec<&str> {
         self.items

@@ -2,6 +2,7 @@
 //! complexity (CC), reproducing the `pmccabe`-style numbers of paper Table 1.
 
 use crate::ast::*;
+use crate::walk::{walk_stmts, Node};
 
 /// Statistics for one source file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,9 +67,7 @@ pub fn sloc(text: &str) -> usize {
 pub fn function_complexity(f: &Function) -> usize {
     let mut cc = 1;
     if let Some(body) = &f.body {
-        for s in &body.stmts {
-            cc += stmt_decisions(s);
-        }
+        walk_stmts(&body.stmts, &mut |n| cc += usize::from(is_decision(n)));
     }
     cc
 }
@@ -88,66 +87,17 @@ pub fn file_stats(text: &str, file: &SourceFile) -> FileStats {
     stats
 }
 
-fn stmt_decisions(s: &Stmt) -> usize {
-    match &s.kind {
-        StmtKind::Decl(d) => match &d.init {
-            Some(Init::Expr(e)) => expr_decisions(e),
-            Some(Init::List(es)) | Some(Init::Ctor(es)) => es.iter().map(expr_decisions).sum(),
-            None => 0,
+fn is_decision(n: Node) -> bool {
+    match n {
+        Node::Stmt(s) => matches!(
+            s.kind,
+            StmtKind::If { .. } | StmtKind::While { .. } | StmtKind::For { .. }
+        ),
+        Node::Expr(e) => match &e.kind {
+            ExprKind::Binary { op, .. } => op.is_logical(),
+            ExprKind::Ternary { .. } => true,
+            _ => false,
         },
-        StmtKind::Expr(e) => expr_decisions(e),
-        StmtKind::If { cond, then, els } => {
-            1 + expr_decisions(cond)
-                + stmt_decisions(then)
-                + els.as_ref().map_or(0, |e| stmt_decisions(e))
-        }
-        StmtKind::While { cond, body } => 1 + expr_decisions(cond) + stmt_decisions(body),
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            1 + init.as_ref().map_or(0, |i| stmt_decisions(i))
-                + cond.as_ref().map_or(0, expr_decisions)
-                + step.as_ref().map_or(0, expr_decisions)
-                + stmt_decisions(body)
-        }
-        StmtKind::Return(e) => e.as_ref().map_or(0, expr_decisions),
-        StmtKind::Block(b) => b.stmts.iter().map(stmt_decisions).sum(),
-        StmtKind::Omp { body, .. } => body.as_ref().map_or(0, |b| stmt_decisions(b)),
-        _ => 0,
-    }
-}
-
-fn expr_decisions(e: &Expr) -> usize {
-    match &e.kind {
-        ExprKind::Binary { op, lhs, rhs } => {
-            let here = usize::from(op.is_logical());
-            here + expr_decisions(lhs) + expr_decisions(rhs)
-        }
-        ExprKind::Ternary { cond, then, els } => {
-            1 + expr_decisions(cond) + expr_decisions(then) + expr_decisions(els)
-        }
-        ExprKind::Unary { expr, .. } => expr_decisions(expr),
-        ExprKind::Assign { lhs, rhs, .. } => expr_decisions(lhs) + expr_decisions(rhs),
-        ExprKind::Call { callee, args } => {
-            expr_decisions(callee) + args.iter().map(expr_decisions).sum::<usize>()
-        }
-        ExprKind::KernelLaunch {
-            grid, block, args, ..
-        } => {
-            expr_decisions(grid)
-                + expr_decisions(block)
-                + args.iter().map(expr_decisions).sum::<usize>()
-        }
-        ExprKind::Index { base, index } => expr_decisions(base) + expr_decisions(index),
-        ExprKind::Member { base, .. } => expr_decisions(base),
-        ExprKind::Cast { expr, .. } => expr_decisions(expr),
-        ExprKind::SizeOfExpr(e) => expr_decisions(e),
-        ExprKind::Lambda { body, .. } => body.stmts.iter().map(stmt_decisions).sum(),
-        ExprKind::Paren(inner) => expr_decisions(inner),
-        _ => 0,
     }
 }
 

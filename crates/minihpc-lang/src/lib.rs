@@ -20,6 +20,8 @@
 //! - [`model`]: execution models, translation pairs, and model-usage
 //!   detection (enforces the paper's "must use the requested model" rule).
 //! - [`complexity`]: SLoC and cyclomatic-complexity statistics (Table 1).
+//! - [`walk`]: the one read-only preorder traversal of statements and
+//!   expressions, behind usage detection, complexity and the analyzer.
 //! - [`repo`]: the in-memory repository that translation tasks rewrite.
 //! - [`memo`]: [`OnceMap`](memo::OnceMap), the once-per-key memo behind
 //!   every content-derived cache in the workspace.
@@ -38,6 +40,7 @@ pub mod printer;
 pub mod repo;
 pub mod span;
 pub mod token;
+pub mod walk;
 
 pub use ast::SourceFile;
 pub use model::{ExecutionModel, TranslationPair};

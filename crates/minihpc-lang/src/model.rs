@@ -6,8 +6,8 @@
 //! here is what the harness uses to enforce that (e.g. a "translation" that
 //! leaves CUDA kernel launches in place is rejected even if it runs).
 
-use crate::ast::{Expr, ExprKind, Item, ItemKind, Stmt, StmtKind};
-use crate::pragma::OmpDirective;
+use crate::ast::{ExprKind, Item, ItemKind, StmtKind};
+use crate::walk::{walk_stmts, Node};
 use std::fmt;
 
 /// The four parallel programming models in ParEval-Repo (paper Table 1).
@@ -219,9 +219,7 @@ pub fn detect_usage<'a>(items: impl IntoIterator<Item = &'a Item>) -> ModelUsage
                     u.cuda_kernels += 1;
                 }
                 if let Some(body) = &f.body {
-                    for s in &body.stmts {
-                        scan_stmt(s, &mut u);
-                    }
+                    walk_stmts(&body.stmts, &mut |n| count(&mut u, n));
                 }
             }
             ItemKind::Global(d) if d.ty.is_view() => {
@@ -233,88 +231,22 @@ pub fn detect_usage<'a>(items: impl IntoIterator<Item = &'a Item>) -> ModelUsage
     u
 }
 
-fn scan_stmt(s: &Stmt, u: &mut ModelUsage) {
-    match &s.kind {
-        StmtKind::Decl(d) => {
-            if d.ty.is_view() {
-                u.kokkos_views += 1;
+/// Count the model construct `n` is, if any. Inlined into the walk: it
+/// runs on every node of every cold unit's sema.
+#[inline]
+fn count(u: &mut ModelUsage, n: Node) {
+    match n {
+        Node::Stmt(s) => match &s.kind {
+            StmtKind::Decl(d) if d.ty.is_view() => u.kokkos_views += 1,
+            StmtKind::Omp { directive, .. } if directive.targets_device() => {
+                u.omp_target_directives += 1
             }
-            if let Some(crate::ast::Init::Expr(e)) = &d.init {
-                scan_expr(e, u);
-            }
-            if let Some(crate::ast::Init::Ctor(args)) = &d.init {
-                for a in args {
-                    scan_expr(a, u);
-                }
-            }
-        }
-        StmtKind::Expr(e) => scan_expr(e, u),
-        StmtKind::If { cond, then, els } => {
-            scan_expr(cond, u);
-            scan_stmt(then, u);
-            if let Some(e) = els {
-                scan_stmt(e, u);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            scan_expr(cond, u);
-            scan_stmt(body, u);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                scan_stmt(i, u);
-            }
-            if let Some(c) = cond {
-                scan_expr(c, u);
-            }
-            if let Some(st) = step {
-                scan_expr(st, u);
-            }
-            scan_stmt(body, u);
-        }
-        StmtKind::Return(Some(e)) => scan_expr(e, u),
-        StmtKind::Block(b) => {
-            for s in &b.stmts {
-                scan_stmt(s, u);
-            }
-        }
-        StmtKind::Omp { directive, body } => {
-            scan_directive(directive, u);
-            if let Some(b) = body {
-                scan_stmt(b, u);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn scan_directive(d: &OmpDirective, u: &mut ModelUsage) {
-    if d.targets_device() {
-        u.omp_target_directives += 1;
-    } else {
-        u.omp_parallel_directives += 1;
-    }
-}
-
-fn scan_expr(e: &Expr, u: &mut ModelUsage) {
-    match &e.kind {
-        ExprKind::KernelLaunch {
-            grid, block, args, ..
-        } => {
-            u.cuda_launches += 1;
-            scan_expr(grid, u);
-            scan_expr(block, u);
-            for a in args {
-                scan_expr(a, u);
-            }
-        }
-        ExprKind::Call { callee, args } => {
-            match &callee.kind {
+            StmtKind::Omp { .. } => u.omp_parallel_directives += 1,
+            _ => {}
+        },
+        Node::Expr(e) => match &e.kind {
+            ExprKind::KernelLaunch { .. } => u.cuda_launches += 1,
+            ExprKind::Call { callee, .. } => match &callee.kind {
                 ExprKind::Ident(name) if name.starts_with("cuda") || name.starts_with("curand") => {
                     u.cuda_api_calls += 1;
                 }
@@ -325,40 +257,9 @@ fn scan_expr(e: &Expr, u: &mut ModelUsage) {
                     u.kokkos_parallel_calls += 1;
                 }
                 _ => {}
-            }
-            scan_expr(callee, u);
-            for a in args {
-                scan_expr(a, u);
-            }
-        }
-        ExprKind::Unary { expr, .. } => scan_expr(expr, u),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            scan_expr(lhs, u);
-            scan_expr(rhs, u);
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            scan_expr(lhs, u);
-            scan_expr(rhs, u);
-        }
-        ExprKind::Ternary { cond, then, els } => {
-            scan_expr(cond, u);
-            scan_expr(then, u);
-            scan_expr(els, u);
-        }
-        ExprKind::Index { base, index } => {
-            scan_expr(base, u);
-            scan_expr(index, u);
-        }
-        ExprKind::Member { base, .. } => scan_expr(base, u),
-        ExprKind::Cast { expr, .. } => scan_expr(expr, u),
-        ExprKind::SizeOfExpr(e) => scan_expr(e, u),
-        ExprKind::Lambda { body, .. } => {
-            for s in &body.stmts {
-                scan_stmt(s, u);
-            }
-        }
-        ExprKind::Paren(inner) => scan_expr(inner, u),
-        _ => {}
+            },
+            _ => {}
+        },
     }
 }
 
@@ -420,6 +321,19 @@ int main() {
         assert_eq!(u.kokkos_views, 1);
         assert_eq!(u.kokkos_parallel_calls, 1);
         assert!(u.conforms_to(ExecutionModel::Kokkos));
+    }
+
+    #[test]
+    fn views_declared_inside_lambdas_count() {
+        let src = r#"
+int main() {
+    Kokkos::parallel_for(1, KOKKOS_LAMBDA(int i) { Kokkos::View<double*> t("t", 4); });
+    return 0;
+}
+"#;
+        let u = detect_usage(&parse_file(src).unwrap().items);
+        assert_eq!(u.kokkos_views, 1);
+        assert_eq!(u.kokkos_parallel_calls, 1);
     }
 
     #[test]

@@ -23,13 +23,6 @@ pub fn print_file(file: &SourceFile) -> String {
     p.out
 }
 
-/// Print a single function definition or declaration.
-pub fn print_function(f: &Function) -> String {
-    let mut p = Printer::new();
-    p.function(f);
-    p.out
-}
-
 /// Print a single statement at indent level zero.
 pub fn print_stmt(s: &Stmt) -> String {
     let mut p = Printer::new();
@@ -42,11 +35,6 @@ pub fn print_expr(e: &Expr) -> String {
     let mut p = Printer::new();
     p.expr(e);
     p.out
-}
-
-/// Print a type.
-pub fn print_type(t: &Type) -> String {
-    type_to_string(t)
 }
 
 pub fn type_to_string(t: &Type) -> String {

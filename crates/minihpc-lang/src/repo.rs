@@ -195,18 +195,8 @@ impl SourceRepo {
         self.files.iter().map(|(p, c)| (p.as_str(), &**c))
     }
 
-    /// Iterate `(path, shared contents)` in deterministic path order.
-    pub fn iter_shared(&self) -> impl Iterator<Item = (&str, &Arc<str>)> {
-        self.files.iter().map(|(p, c)| (p.as_str(), c))
-    }
-
     pub fn paths(&self) -> impl Iterator<Item = &str> {
         self.files.keys().map(String::as_str)
-    }
-
-    /// Paths of all files of the given kind.
-    pub fn paths_of_kind(&self, kind: FileKind) -> Vec<&str> {
-        self.paths().filter(|p| FileKind::of(p) == kind).collect()
     }
 
     /// All code files (sources + headers).

@@ -459,14 +459,10 @@ impl<'a> Resolver<'a> {
                 .iter()
                 .map(|(_, t)| type_size(t, &shapes, &mut vec![name.to_string()]))
                 .sum();
-            let name: Rc<str> = (*name).into();
-            let zero = Value::Struct(Box::new(StructVal {
-                name: name.clone(),
-                fields: fields.iter().map(|(_, t)| zero_value(t)).collect(),
-            }));
+            let zero = type_zero(&Type::Named(name.to_string()), &shapes, &mut Vec::new());
             let fields = fields.iter().map(|(f, t)| (r.sym(f), t.clone())).collect();
             r.layouts.0.push(StructLayout {
-                name,
+                name: (*name).into(),
                 fields,
                 fields_size,
                 zero,
@@ -1090,6 +1086,34 @@ impl<'a> Resolver<'a> {
             } => self.place_type(expr)?.pointee().cloned(),
             _ => None,
         }
+    }
+}
+
+/// The zero value of a type over struct shapes: a struct, nested ones
+/// included, is zeroed field by field, as [`type_size`] sums it; a struct
+/// that contains itself by value falls back to [`zero_value`].
+fn type_zero(
+    ty: &Type,
+    shapes: &HashMap<&str, &[(String, Type)]>,
+    open: &mut Vec<String>,
+) -> Value {
+    let Type::Named(n) = ty.unqualified() else {
+        return zero_value(ty);
+    };
+    match shapes.get(n.as_str()) {
+        Some(fields) if !open.contains(n) => {
+            open.push(n.clone());
+            let fields = fields
+                .iter()
+                .map(|(_, t)| type_zero(t, shapes, open))
+                .collect();
+            open.pop();
+            Value::Struct(Box::new(StructVal {
+                name: n.as_str().into(),
+                fields,
+            }))
+        }
+        _ => zero_value(ty),
     }
 }
 

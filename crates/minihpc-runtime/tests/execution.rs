@@ -987,9 +987,8 @@ int main() {
 #[test]
 fn struct_fields_read_and_write_in_every_storage() {
     // Nested fields of a local, a global and heap elements, through `.`,
-    // `->` and `[i].`, with compound assignment and increments. A struct
-    // field of a struct is zero-initialised as a scalar, so each `in` is
-    // assigned a struct first.
+    // `->` and `[i].`, with compound assignment and increments, after each
+    // `in` is assigned a whole struct.
     let repo = omp_threads_repo(
         r#"
 #include <stdio.h>
@@ -1033,6 +1032,43 @@ int main() {
     let r = build_and_run(&repo, &[]);
     assert!(r.error.is_none(), "{:?}", r.error);
     assert_eq!(r.stdout, "5 2.0 3 42 51 9 7 4 9.25\n");
+}
+
+#[test]
+fn nested_struct_fields_start_as_zeroed_structs() {
+    // A struct-typed field is itself a zeroed struct, as in C: its fields
+    // can be read and written without assigning the field first, two levels
+    // deep, in a local, a global and a heap element.
+    let repo = omp_threads_repo(
+        r#"
+#include <stdio.h>
+#include <stdlib.h>
+
+typedef struct { int x; double y; } Inner;
+typedef struct { Inner in; int n; } Outer;
+typedef struct { Outer out; Inner in; } Deep;
+
+Outer g;
+
+int main() {
+    Outer o;
+    o.in.x = 3;
+    g.in.y = 1.5;
+    Deep d;
+    d.out.in.x = 4;
+    d.in.x += 2;
+    Outer* p = (Outer*)malloc(2 * sizeof(Outer));
+    p[1].in.x = 5;
+    printf("%d %.1f %d %.1f %d %d %d %d\n", o.in.x, o.in.y, g.in.x, g.in.y, d.out.in.x,
+           d.out.n, d.in.x, p[1].in.x);
+    free(p);
+    return 0;
+}
+"#,
+    );
+    let r = build_and_run(&repo, &[]);
+    assert!(r.error.is_none(), "{:?}", r.error);
+    assert_eq!(r.stdout, "3 0.0 0 1.5 4 0 2 5\n");
 }
 
 #[test]

@@ -18,6 +18,7 @@ use minihpc_lang::parser;
 use minihpc_lang::pragma::*;
 use minihpc_lang::printer;
 use minihpc_lang::repo::{FileKind, SourceRepo};
+use minihpc_lang::walk::{walk, walk_stmts, Node};
 use rw::{call_name, map_exprs, map_exprs_stmt, map_type, rewrite_stmts};
 use std::collections::{BTreeMap, HashSet};
 
@@ -409,27 +410,25 @@ fn view_params_map(repo: &SourceRepo) -> BTreeMap<String, Vec<bool>> {
             let mut forwards = Vec::new();
             let mut callees = HashSet::new();
             if let Some(body) = &f.body {
-                let mut b = Block::new(body.stmts.clone());
-                for s in &mut b.stmts {
-                    map_exprs_stmt(s, &mut |e| {
-                        let (callee, args) = match &e.kind {
-                            ExprKind::Call { callee, args } => match &callee.kind {
-                                ExprKind::Ident(n) => (n.clone(), args),
-                                _ => return,
-                            },
-                            ExprKind::KernelLaunch { kernel, args, .. } => (kernel.clone(), args),
+                walk_stmts(&body.stmts, &mut |n| {
+                    let Node::Expr(e) = n else { return };
+                    let (callee, args) = match &e.kind {
+                        ExprKind::Call { callee, args } => match &callee.kind {
+                            ExprKind::Ident(n) => (n.clone(), args),
                             _ => return,
-                        };
-                        callees.insert(callee.clone());
-                        for (i, a) in args.iter().enumerate() {
-                            if let ExprKind::Ident(n) = &a.kind {
-                                if param_names.contains(n.as_str()) {
-                                    forwards.push((callee.clone(), i, n.clone()));
-                                }
+                        },
+                        ExprKind::KernelLaunch { kernel, args, .. } => (kernel.clone(), args),
+                        _ => return,
+                    };
+                    callees.insert(callee.clone());
+                    for (i, a) in args.iter().enumerate() {
+                        if let ExprKind::Ident(n) = &a.kind {
+                            if param_names.contains(n.as_str()) {
+                                forwards.push((callee.clone(), i, n.clone()));
                             }
                         }
-                    });
-                }
+                    }
+                });
             }
             let entry = fns.entry(f.name.clone()).or_insert(FnInfo {
                 params: f.params.clone(),
@@ -855,7 +854,7 @@ fn upgrade_in_block(block: &mut Block, pointer_vars: &mut Vec<(String, bool)>) {
                     let mut to_secs = Vec::new();
                     let mut tofrom_secs = Vec::new();
                     for (name, is_const) in pointer_vars.iter() {
-                        if referenced.contains(name) {
+                        if referenced.contains(name.as_str()) {
                             if *is_const {
                                 to_secs.push(ArraySection::scalar(name.clone()));
                             } else {
@@ -888,13 +887,16 @@ fn upgrade_in_block(block: &mut Block, pointer_vars: &mut Vec<(String, bool)>) {
     }
 }
 
-fn referenced_idents(s: Option<&Stmt>) -> HashSet<String> {
+fn referenced_idents(s: Option<&Stmt>) -> HashSet<&str> {
     let mut out = HashSet::new();
     let Some(s) = s else { return out };
-    let mut cloned = s.clone();
-    map_exprs_stmt(&mut cloned, &mut |e| {
-        if let ExprKind::Ident(n) = &e.kind {
-            out.insert(n.clone());
+    walk(Node::Stmt(s), &mut |n| {
+        if let Node::Expr(Expr {
+            kind: ExprKind::Ident(name),
+            ..
+        }) = n
+        {
+            out.insert(name.as_str());
         }
     });
     out
