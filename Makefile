@@ -1,7 +1,7 @@
 # Development entry points. `make verify` is the documented tier-1 gate:
 # release build, tests, clippy with warnings denied, a format check, docs
-# with warnings denied, every example executed end to end, and a compile
-# check of the gridbench benchmark.
+# with warnings denied, every example executed end to end, a compile
+# check of the gridbench benchmark, and its correctness gate.
 
 .PHONY: all build test doc fmt fmt-fix clippy gridbench-check bench-correct examples verify clean
 
@@ -31,18 +31,24 @@ gridbench-check:
 	cargo check --offline --manifest-path gridbench/Cargo.toml
 
 # The benchmark's correctness gate: a short run of each gridbench workload
-# with tracing off must reproduce every recorded result digest, and
+# with tracing off must reproduce every recorded result digest, a short
+# traced run of each must pass gridbench's traced self-check, and
 # --self-test must count a deliberately corrupted sample as failed.
 # gridbench exits non-zero exactly when its last line reports "correct":
-# false, which with tracing off means "failed" is above 0.
+# false. With tracing off that means "failed" is above 0; with tracing on
+# it also means the traced mirror disagreed with the pipeline (a result
+# digest, the outcome or unit hit/miss counts) or its layers covered too
+# little of the sample wall time.
 GRIDBENCH = cargo run --release --quiet --offline --manifest-path gridbench/Cargo.toml --
 
 bench-correct:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	for w in paper-grid repair-heavy gen-stress; do \
-		$(GRIDBENCH) --workload $$w --seconds 1 --trace 0 > "$$out" \
-			|| { echo "bench-correct: $$w: $$(tail -n 1 "$$out")"; exit 1; }; \
-		echo "bench-correct: $$w correct"; \
+	for trace in 0 1; do \
+		for w in paper-grid repair-heavy gen-stress; do \
+			$(GRIDBENCH) --workload $$w --seconds 1 --trace $$trace > "$$out" \
+				|| { echo "bench-correct: $$w --trace $$trace: $$(tail -n 1 "$$out")"; exit 1; }; \
+			echo "bench-correct: $$w --trace $$trace correct"; \
+		done; \
 	done
 	@$(GRIDBENCH) --workload repair-heavy --seconds 1 --trace 0 --self-test > /dev/null
 
@@ -73,7 +79,7 @@ examples: build
 	cargo run --release --example fuzz_pipeline > /dev/null
 	git diff --exit-code -- BENCH_analyze.json BENCH_analyze_v2.json
 
-verify: build test clippy fmt doc examples gridbench-check
+verify: build test clippy fmt doc examples gridbench-check bench-correct
 
 clean:
 	cargo clean

@@ -38,8 +38,9 @@
 //! execution, which lets the eval pipeline cache findings content-addressed
 //! alongside build objects and keep journaled runs byte-identical. It reads
 //! the same ASTs the build does: [`analyze_repo_with`] takes the build's
-//! parse hook, so the pipeline's content-keyed parse memo serves both and
-//! a file the build already parsed is not parsed again.
+//! unit cache, so the pipeline's parse memo, keyed by each body's content
+//! hash, serves both and a file the build already parsed is not parsed
+//! again.
 
 mod callgraph;
 pub mod cfg;
@@ -53,7 +54,8 @@ pub use fixit::{FixIt, FixItEdit};
 pub use report::{render_findings, render_findings_with_fixits, AnalysisFinding, Confidence, Rule};
 
 use callgraph::Summaries;
-use minihpc_build::preprocess::{self, ParsedFile};
+use minihpc_build::preprocess;
+use minihpc_build::UnitCache;
 use minihpc_lang::{FileKind, SourceRepo};
 use rules::FnAnalyzer;
 
@@ -62,22 +64,22 @@ use rules::FnAnalyzer;
 /// Findings are returned in a deterministic order:
 /// (file, line, rule, variable, message).
 pub fn analyze_repo(repo: &SourceRepo) -> Vec<AnalysisFinding> {
-    analyze_repo_with(repo, &preprocess::parse)
+    analyze_repo_with(repo, None)
 }
 
-/// [`analyze_repo`], obtaining each file's AST through `parse` — typically
-/// the content-keyed memo the build assembles through (see
-/// [`minihpc_build::preprocess::assemble_with`]).
-pub fn analyze_repo_with(
-    repo: &SourceRepo,
-    parse: &dyn Fn(&str) -> ParsedFile,
-) -> Vec<AnalysisFinding> {
+/// [`analyze_repo`], obtaining each file's AST through `cache`'s parse
+/// memo when there is one — the memo the build assembles through (see
+/// [`minihpc_build::preprocess::parse_body`]).
+pub fn analyze_repo_with(repo: &SourceRepo, cache: Option<&dyn UnitCache>) -> Vec<AnalysisFinding> {
     // Parse everything once: the same ASTs feed the summary pass and the
     // per-function rules.
     let parsed: Vec<_> = repo
         .iter()
         .filter(|(path, _)| FileKind::of(path).is_code())
-        .filter_map(|(path, text)| Some((path, text, parse(text).ok()?)))
+        .filter_map(|(path, text)| {
+            let file = preprocess::parse_body(repo, path, text, cache).ok()?;
+            Some((path, text, file))
+        })
         .collect();
 
     let summaries = Summaries::build(parsed.iter().map(|(_, _, f)| &**f));

@@ -61,7 +61,7 @@ pub fn build_repo(repo: &SourceRepo, request: &BuildRequest) -> BuildOutcome {
 /// [`build_repo`] with an optional per-file compile-unit cache.
 ///
 /// When `cache` is present, each compiler input's include closure is
-/// rediscovered (parses memoized through [`UnitCache::parse_file`]) and
+/// rediscovered (parses memoized through [`UnitCache::parse_hashed`]) and
 /// sema runs only for units whose closure content changed — everything
 /// else replays the cached object + diagnostics byte-identically. The
 /// link and binary-contract stages always run: they see cross-unit state
@@ -208,7 +208,8 @@ struct ExecState {
 ///
 /// Assembly always runs — it is what discovers the include closure the
 /// unit key hashes — but parses inside it are memoized by the cache and
-/// shared by pointer, and a key hit skips sema entirely, replaying the
+/// shared by pointer, the key reads each closure file's body hash, never
+/// its text, and a key hit skips sema entirely, replaying the
 /// stored object and diagnostics. An object compiled through the cache
 /// records its unit key, from which `link` keys the executable. Assembly
 /// failures (missing file/header, syntax error) are reported directly and
@@ -219,17 +220,13 @@ fn compile_input(
     inv: &Invocation,
     cache: Option<&dyn UnitCache>,
 ) -> Result<CompiledUnit, Vec<Diagnostic>> {
-    let parse = |text: &str| match cache {
-        Some(c) => c.parse_file(text),
-        None => preprocess::parse(text),
-    };
-    let tu = preprocess::assemble_with(repo, input, &inv.features, &parse)?;
+    let tu = preprocess::assemble_with(repo, input, &inv.features, cache)?;
     let obj_name = object_name_for(input);
     let keyed = cache.map(|c| {
-        let closure = tu
-            .files
-            .iter()
-            .map(|p| (p.as_str(), repo.get(p).unwrap_or("")));
+        let closure = tu.files.iter().map(|p| {
+            let spliced = "assembly splices only files the repo holds";
+            (p.as_str(), repo.body_hash(p).expect(spliced))
+        });
         (c, unit_key(input, &obj_name, &inv.features, closure))
     });
     if let Some(unit) = keyed.and_then(|(c, key)| c.lookup_unit(key)) {

@@ -8,6 +8,7 @@
 
 use crate::diag::{Diagnostic, ErrorCategory};
 use crate::toolchain::CompileFeatures;
+use crate::unit::UnitCache;
 use minihpc_lang::ast::{Item, ItemKind, SourceFile};
 use minihpc_lang::parser::{self, ParseError};
 use minihpc_lang::repo::SourceRepo;
@@ -70,14 +71,29 @@ impl TranslationUnit {
     }
 }
 
-/// The outcome of parsing one file — what the [`assemble_with`] parse hook
-/// returns, letting callers memoize parses by file content and share each
+/// The outcome of parsing one file — what [`UnitCache::parse_file`]
+/// returns, letting a cache memoize parses by file content and share each
 /// AST by pointer.
 pub type ParsedFile = Result<Arc<SourceFile>, ParseError>;
 
 /// Parse `text` fresh, unmemoized.
 pub fn parse(text: &str) -> ParsedFile {
     parser::parse_file(text).map(Arc::new)
+}
+
+/// Parse `text`, `repo`'s body at `path`: through `cache`'s memo, keyed by
+/// the body's kept content hash ([`SourceRepo::hash_of`]), when there is
+/// a cache, and fresh otherwise.
+pub fn parse_body(
+    repo: &SourceRepo,
+    path: &str,
+    text: &str,
+    cache: Option<&dyn UnitCache>,
+) -> ParsedFile {
+    match cache {
+        Some(cache) => cache.parse_hashed(repo.hash_of(path, text), text),
+        None => parse(text),
+    }
 }
 
 /// Assemble the translation unit rooted at `main_path`, parsing every file
@@ -87,18 +103,18 @@ pub fn assemble(
     main_path: &str,
     features: &CompileFeatures,
 ) -> Result<TranslationUnit, Vec<Diagnostic>> {
-    assemble_with(repo, main_path, features, &parse)
+    assemble_with(repo, main_path, features, None)
 }
 
 /// Assemble the translation unit rooted at `main_path`, obtaining each
-/// file's AST through `parse` — typically a content-addressed memo, so a
-/// header shared by many units (or unchanged across re-evaluations) is
-/// parsed once.
+/// file's AST through `cache`'s parse memo when there is one (see
+/// [`parse_body`]), so a header shared by many units (or unchanged across
+/// re-evaluations) is parsed once.
 pub fn assemble_with(
     repo: &SourceRepo,
     main_path: &str,
     features: &CompileFeatures,
-    parse: &dyn Fn(&str) -> ParsedFile,
+    cache: Option<&dyn UnitCache>,
 ) -> Result<TranslationUnit, Vec<Diagnostic>> {
     let mut tu = TranslationUnit {
         files: Vec::new(),
@@ -110,7 +126,7 @@ pub fn assemble_with(
         repo,
         main_path,
         features,
-        parse,
+        cache,
         &mut included,
         &mut tu,
         &mut diags,
@@ -125,7 +141,7 @@ fn expand_file(
     repo: &SourceRepo,
     path: &str,
     features: &CompileFeatures,
-    parse: &dyn Fn(&str) -> ParsedFile,
+    cache: Option<&dyn UnitCache>,
     included: &mut HashSet<String>,
     tu: &mut TranslationUnit,
     diags: &mut Vec<Diagnostic>,
@@ -142,7 +158,7 @@ fn expand_file(
         return;
     };
     tu.files.push(path.to_string());
-    let parsed = match parse(text) {
+    let parsed = match parse_body(repo, path, text, cache) {
         Ok(p) => p,
         Err(e) => {
             let line = span::line_col(text, e.span.start).line;
@@ -168,7 +184,7 @@ fn expand_file(
             // Available system headers contribute builtins via sema, not items.
             header_available(inc, features)
         } else if let Some(resolved) = repo.resolve_include(path, inc) {
-            expand_file(repo, resolved, features, parse, included, tu, diags);
+            expand_file(repo, resolved, features, cache, included, tu, diags);
             true
         } else {
             false
@@ -233,19 +249,34 @@ mod tests {
                 "main.cpp",
                 "int before(void);\n#include \"a.h\"\nint after(void);\n",
             );
-        let a_ast = parse("int in_a(void);\n").unwrap();
-        let memo = |text: &str| {
-            if text.starts_with("int in_a") {
-                Ok(Arc::clone(&a_ast))
-            } else {
+        /// Serves one memoized AST for `a.h`'s body, by its content hash.
+        struct Memo(u128, Arc<SourceFile>);
+        impl UnitCache for Memo {
+            fn parse_file(&self, text: &str) -> ParsedFile {
                 parse(text)
             }
-        };
-        let tu = assemble_with(&repo, "main.cpp", &CompileFeatures::default(), &memo).unwrap();
+            fn parse_hashed(&self, hash: u128, text: &str) -> ParsedFile {
+                if hash == self.0 {
+                    Ok(Arc::clone(&self.1))
+                } else {
+                    parse(text)
+                }
+            }
+            fn lookup_unit(&self, _: u128) -> Option<crate::unit::CompiledUnit> {
+                None
+            }
+            fn store_unit(&self, _: u128, _: &crate::unit::CompiledUnit) {}
+        }
+        let memo = Memo(
+            repo.body_hash("a.h").unwrap(),
+            parse("int in_a(void);\n").unwrap(),
+        );
+        let features = CompileFeatures::default();
+        let tu = assemble_with(&repo, "main.cpp", &features, Some(&memo)).unwrap();
         assert_eq!(function_names(&tu), vec!["before", "in_a", "after"]);
         assert!(
-            std::ptr::eq(tu.items().nth(1).unwrap(), &a_ast.items[0]),
-            "the unit must read the parse hook's AST in place, not a copy"
+            std::ptr::eq(tu.items().nth(1).unwrap(), &memo.1.items[0]),
+            "the unit must read the memo's AST in place, not a copy"
         );
     }
 

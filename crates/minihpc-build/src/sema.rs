@@ -18,7 +18,7 @@ use minihpc_lang::model::detect_usage;
 use minihpc_lang::pragma::{OmpClause, OmpConstruct, OmpDirective};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Result of checking one translation unit: the object (present unless
 /// errors occurred) and all diagnostics, warnings included.
@@ -53,6 +53,10 @@ struct Builtin {
     /// Counts as a libm reference (link-time `-lm` requirement).
     libm: bool,
 }
+
+/// Every builtin function, built once per process and borrowed by each
+/// [`Checker`].
+static BUILTINS: LazyLock<HashMap<&'static str, Builtin>> = LazyLock::new(builtin_table);
 
 fn builtin_table() -> HashMap<&'static str, Builtin> {
     fn b(params: &'static [P], ret: Type) -> Builtin {
@@ -183,24 +187,23 @@ fn builtin_table() -> HashMap<&'static str, Builtin> {
     m
 }
 
-/// Builtin integer constants (CUDA enums, limits).
-fn builtin_constants(features: &CompileFeatures) -> HashMap<&'static str, Type> {
-    let mut m = HashMap::new();
-    m.insert("RAND_MAX", Type::INT);
-    m.insert("NULL", Type::ptr(Type::VOID));
-    m.insert("INT_MAX", Type::INT);
-    m.insert("DBL_MAX", Type::Scalar(ScalarType::Double));
-    if features.cuda {
-        for c in [
-            "cudaMemcpyHostToDevice",
-            "cudaMemcpyDeviceToHost",
-            "cudaMemcpyDeviceToDevice",
-            "cudaSuccess",
-        ] {
-            m.insert(c, Type::INT);
+/// The type of the builtin constant `name` (CUDA enums, limits), if it is
+/// one under `features`.
+fn builtin_constant(name: &str, features: &CompileFeatures) -> Option<Type> {
+    match name {
+        "RAND_MAX" | "INT_MAX" => Some(Type::INT),
+        "NULL" => Some(Type::ptr(Type::VOID)),
+        "DBL_MAX" => Some(Type::Scalar(ScalarType::Double)),
+        "cudaMemcpyHostToDevice"
+        | "cudaMemcpyDeviceToHost"
+        | "cudaMemcpyDeviceToDevice"
+        | "cudaSuccess"
+            if features.cuda =>
+        {
+            Some(Type::INT)
         }
+        _ => None,
     }
-    m
 }
 
 struct UserFn {
@@ -214,8 +217,7 @@ struct UserFn {
 pub struct Checker<'a> {
     features: &'a CompileFeatures,
     source: String,
-    builtins: HashMap<&'static str, Builtin>,
-    constants: HashMap<&'static str, Type>,
+    builtins: &'static HashMap<&'static str, Builtin>,
     structs: BTreeMap<String, StructDef>,
     functions: BTreeMap<String, UserFn>,
     globals: HashMap<String, Type>,
@@ -236,8 +238,7 @@ pub fn check(
     let mut ck = Checker {
         features,
         source: source_path.to_string(),
-        builtins: builtin_table(),
-        constants: builtin_constants(features),
+        builtins: &BUILTINS,
         structs: BTreeMap::new(),
         functions: BTreeMap::new(),
         globals: HashMap::new(),
@@ -803,8 +804,8 @@ impl<'a> Checker<'a> {
         if let Some(t) = self.lookup_var(name) {
             return Some(t);
         }
-        if let Some(t) = self.constants.get(name) {
-            return Some(t.clone());
+        if let Some(t) = builtin_constant(name, self.features) {
+            return Some(t);
         }
         // CUDA kernel builtins.
         if matches!(name, "threadIdx" | "blockIdx" | "blockDim" | "gridDim") {

@@ -16,7 +16,9 @@
 //! [`unit_key`] must cover every input `sema::check` sees. The translation
 //! unit handed to sema is a pure function of the include closure — the
 //! resolved file paths and their byte contents, in splice order — so the
-//! key hashes exactly that, plus the input path, the object name, the
+//! key hashes exactly that, each body by its content hash
+//! ([`SourceRepo::body_hash`](minihpc_lang::repo::SourceRepo::body_hash),
+//! computed once per body), plus the input path, the object name, the
 //! [`CompileFeatures`], and a format-version salt. Anything else (other
 //! repo files, build-system text, link flags) cannot reach a unit's
 //! output and is deliberately excluded; keying on whole-repo content is
@@ -31,7 +33,7 @@ use std::sync::Arc;
 
 /// Bumped whenever the sema output format changes, so units compiled
 /// under the old format stop matching.
-const UNIT_KEY_SALT: &str = "minihpc-unit-v1";
+const UNIT_KEY_SALT: &str = "minihpc-unit-v2";
 
 /// The cached result of compiling one translation unit.
 ///
@@ -56,6 +58,18 @@ pub trait UnitCache: Sync {
     /// build) are parsed once. A memo hit returns the memoized AST itself,
     /// an `Arc` clone: nothing is deep-copied.
     fn parse_file(&self, text: &str) -> ParsedFile;
+
+    /// [`parse_file`](Self::parse_file) of a body whose content hash is
+    /// already known: `hash` must be
+    /// [`fnv128`](minihpc_lang::fnv::fnv128) of `text`, as
+    /// [`SourceRepo::body_hash`](minihpc_lang::repo::SourceRepo::body_hash)
+    /// returns it. A memo keyed by that hash finds its entry without
+    /// reading `text`; `parse_file` and this entry must reach the same
+    /// entry. The default ignores `hash`.
+    fn parse_hashed(&self, hash: u128, text: &str) -> ParsedFile {
+        let _ = hash;
+        self.parse_file(text)
+    }
 
     /// Fetch the unit stored under `key`, if any.
     fn lookup_unit(&self, key: u128) -> Option<CompiledUnit>;
@@ -85,24 +99,24 @@ pub(crate) fn features_bits(f: &CompileFeatures) -> u8 {
 /// The content key of one compile unit.
 ///
 /// `closure` is the unit's include closure in splice order — resolved
-/// paths *and* contents, exactly as `preprocess::assemble` discovered it.
-/// Hashing resolved paths (not just contents) prevents aliasing between
-/// repos whose include resolution differs but whose file bodies happen to
-/// match.
+/// paths *and* the content hashes of their bodies, exactly as
+/// `preprocess::assemble` discovered it. Hashing resolved paths (not just
+/// contents) prevents aliasing between repos whose include resolution
+/// differs but whose file bodies happen to match. No file text is read.
 pub fn unit_key<'a>(
     input: &str,
     obj_name: &str,
     features: &CompileFeatures,
-    closure: impl IntoIterator<Item = (&'a str, &'a str)>,
+    closure: impl IntoIterator<Item = (&'a str, u128)>,
 ) -> u128 {
     let mut h = Fnv128::new();
     h.field(UNIT_KEY_SALT.as_bytes());
     h.field(input.as_bytes());
     h.field(obj_name.as_bytes());
     h.field(&[features_bits(features)]);
-    for (path, contents) in closure {
+    for (path, body_hash) in closure {
         h.field(path.as_bytes());
-        h.field(contents.as_bytes());
+        h.field(&body_hash.to_le_bytes());
     }
     h.finish()
 }
@@ -110,16 +124,31 @@ pub fn unit_key<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minihpc_lang::fnv::fnv128;
+
+    /// `unit_key` over `(path, body)` pairs, each body by its content hash.
+    fn key_of<'a>(
+        input: &str,
+        obj_name: &str,
+        features: &CompileFeatures,
+        closure: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> u128 {
+        let closure = closure
+            .into_iter()
+            .map(|(path, body)| (path, fnv128(body.as_bytes())));
+        unit_key(input, obj_name, features, closure)
+    }
 
     #[test]
     fn key_value_is_pinned() {
-        // Unit keys are FNV-128 over salted fields; this value must not
-        // move when the hash implementation is refactored.
+        // Unit keys are FNV-128 over salted fields, each closure body by
+        // its content hash (`minihpc-unit-v2`); this value must not move
+        // when the hash implementation is refactored.
         let features = CompileFeatures {
             openmp: true,
             ..CompileFeatures::default()
         };
-        let key = unit_key(
+        let key = key_of(
             "src/main.cpp",
             "main.o",
             &features,
@@ -128,13 +157,13 @@ mod tests {
                 ("src/a.h", "int f();"),
             ],
         );
-        assert_eq!(key, 0x92685739d8597d51b320e3a82be3e22b);
+        assert_eq!(key, 0xcf388902157bdd1fe1b8068115e306d7);
     }
 
     #[test]
     fn key_covers_closure_paths_and_contents() {
         let features = CompileFeatures::default();
-        let base = unit_key(
+        let base = key_of(
             "src/main.cpp",
             "main.o",
             &features,
@@ -144,7 +173,7 @@ mod tests {
             ],
         );
         // Changing any header byte changes the key.
-        let edited = unit_key(
+        let edited = key_of(
             "src/main.cpp",
             "main.o",
             &features,
@@ -155,7 +184,7 @@ mod tests {
         );
         assert_ne!(base, edited);
         // Same bytes resolved from a different path changes the key.
-        let moved = unit_key(
+        let moved = key_of(
             "src/main.cpp",
             "main.o",
             &features,
@@ -172,7 +201,7 @@ mod tests {
         };
         assert_ne!(
             base,
-            unit_key(
+            key_of(
                 "src/main.cpp",
                 "main.o",
                 &cuda,
@@ -184,8 +213,8 @@ mod tests {
         );
         // Field separation: shifting a byte across the path/content
         // boundary must not collide.
-        let a = unit_key("m", "o", &features, [("ab", "c")]);
-        let b = unit_key("m", "o", &features, [("a", "bc")]);
+        let a = key_of("m", "o", &features, [("ab", "c")]);
+        let b = key_of("m", "o", &features, [("a", "bc")]);
         assert_ne!(a, b);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Every persisted or compared hash in the harness is FNV-1a: outcome and
 //! compile-unit cache keys and plan fingerprints (128-bit, field
-//! separated), journal and disk-entry checksums (64-bit, plain), and
-//! generator-spec digests (64-bit, field separated). Unlike `std`'s
-//! randomized hasher it is stable across runs, processes and platforms,
-//! which is what lets a disk entry or a journal written by one process be
-//! verified by another.
+//! separated), file-body content hashes (128-bit, plain), journal and
+//! disk-entry checksums (64-bit, plain), and generator-spec digests
+//! (64-bit, field separated). Unlike `std`'s randomized hasher it is
+//! stable across runs, processes and platforms, which is what lets a disk
+//! entry or a journal written by one process be verified by another.
 
 macro_rules! fnv1a {
     ($(#[$doc:meta])* $name:ident, $word:ty, $offset:expr, $prime:expr) => {
@@ -74,6 +74,14 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// 128-bit FNV-1a over `bytes` (the content hash of a file body, which
+/// every content key hashes in place of the body's text).
+pub fn fnv128(bytes: &[u8]) -> u128 {
+    let mut h = Fnv128::new();
+    h.write(bytes);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +110,9 @@ mod tests {
             h.finish()
         };
         assert_eq!(fields128(&[]), 0x6c62272e07bb014262b821756295c58d);
+        assert_eq!(fnv128(b""), 0x6c62272e07bb014262b821756295c58d);
+        assert_eq!(fnv128(b"a"), 0xd228cb696f1a8caf78912b704e4a8964);
+        assert_eq!(fnv128(b"foobar"), 0x343e1662793c64bf6f0d3597ba446f18);
         assert_eq!(
             fields128(&[b"ab", b"c"]),
             0x32763e664083d94f70814487f805ad59

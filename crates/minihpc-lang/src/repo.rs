@@ -3,11 +3,12 @@
 //! build files, documentation — exactly what gets shown to (and rewritten by)
 //! a translation technique.
 
+use crate::fnv::fnv128;
 use crate::memo::OnceMap;
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Classification of a repository file, used by prompt construction, the
 //  dependency agent, and the build driver.
@@ -72,6 +73,13 @@ impl RepoFile {
 /// files on a clone, as repair rounds and Code-only scoring do) shares the
 /// unchanged bodies instead of deep-copying every source.
 ///
+/// Each file body also has one content hash, its [`fnv128`], which every
+/// content key (build outcomes, compile units, parses, transpiles) hashes
+/// in place of the body's text ([`SourceRepo::body_hash`]). It is computed
+/// on first use, never when a file is added, and kept with the body: a
+/// clone carries every hash computed so far, and [`add`](Self::add)
+/// resets only the entry it replaces.
+///
 /// A repository also memoises results derived from its files alone, such as
 /// the oracle transpile of one of its files ([`SourceRepo::memoized`]). The
 /// memo is invisible in the repository's value: it fills on first use,
@@ -81,9 +89,30 @@ impl RepoFile {
 /// the files.
 #[derive(Default)]
 pub struct SourceRepo {
-    files: BTreeMap<String, Arc<str>>,
+    files: BTreeMap<String, Body>,
     /// One `OnceMap<u128, T>` per result type `T`.
     memo: OnceMap<TypeId, Arc<dyn Any + Send + Sync>>,
+}
+
+/// One file body and its content hash.
+#[derive(Clone)]
+struct Body {
+    text: Arc<str>,
+    /// [`fnv128`] of `text`, filled on first use.
+    hash: OnceLock<u128>,
+}
+
+impl Body {
+    fn new(text: Arc<str>) -> Self {
+        Body {
+            text,
+            hash: OnceLock::new(),
+        }
+    }
+
+    fn hash(&self) -> u128 {
+        *self.hash.get_or_init(|| fnv128(self.text.as_bytes()))
+    }
 }
 
 impl Clone for SourceRepo {
@@ -97,14 +126,22 @@ impl Clone for SourceRepo {
 
 impl PartialEq for SourceRepo {
     fn eq(&self, other: &Self) -> bool {
-        self.files == other.files
+        self.iter().eq(other.iter())
     }
 }
 
 impl fmt::Debug for SourceRepo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Files<'a>(&'a SourceRepo);
+        impl fmt::Debug for Files<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.files.iter().map(|(p, b)| (p, &b.text)))
+                    .finish()
+            }
+        }
         f.debug_struct("SourceRepo")
-            .field("files", &self.files)
+            .field("files", &Files(self))
             .finish()
     }
 }
@@ -119,16 +156,17 @@ impl SourceRepo {
         self
     }
 
-    /// Add or replace a file. Drops the memo.
+    /// Add or replace a file. Drops the memo; the other files keep their
+    /// content hashes.
     pub fn add(&mut self, path: impl Into<String>, contents: impl Into<Arc<str>>) {
         self.memo = OnceMap::default();
-        self.files.insert(path.into(), contents.into());
+        self.files.insert(path.into(), Body::new(contents.into()));
     }
 
     /// Remove a file. Drops the memo.
     pub fn remove(&mut self, path: &str) -> Option<Arc<str>> {
         self.memo = OnceMap::default();
-        self.files.remove(path)
+        self.files.remove(path).map(|body| body.text)
     }
 
     /// The value of `derive` memoised under `key`: the first call with a
@@ -170,12 +208,29 @@ impl SourceRepo {
     }
 
     pub fn get(&self, path: &str) -> Option<&str> {
-        self.files.get(path).map(|c| &**c)
+        self.files.get(path).map(|b| &*b.text)
     }
 
     /// The shared handle of a file body (cheap to clone into another repo).
     pub fn get_shared(&self, path: &str) -> Option<Arc<str>> {
-        self.files.get(path).cloned()
+        self.files.get(path).map(|b| Arc::clone(&b.text))
+    }
+
+    /// The content hash of the body at `path`: [`fnv128`] of its bytes,
+    /// hashed on the first call and kept with the body.
+    pub fn body_hash(&self, path: &str) -> Option<u128> {
+        self.files.get(path).map(Body::hash)
+    }
+
+    /// [`fnv128`] of `text`, taken from the body at `path` when `text` is
+    /// that body (borrowed from this repo, or equal byte for byte: a
+    /// comparison is far cheaper than a hash), and hashed afresh
+    /// otherwise.
+    pub fn hash_of(&self, path: &str, text: &str) -> u128 {
+        match self.files.get(path) {
+            Some(body) if std::ptr::eq(&*body.text, text) || *body.text == *text => body.hash(),
+            _ => fnv128(text.as_bytes()),
+        }
     }
 
     pub fn contains(&self, path: &str) -> bool {
@@ -192,7 +247,13 @@ impl SourceRepo {
 
     /// Iterate `(path, contents)` in deterministic path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.files.iter().map(|(p, c)| (p.as_str(), &**c))
+        self.files.iter().map(|(p, b)| (p.as_str(), &*b.text))
+    }
+
+    /// Iterate `(path, body hash)` in path order (see
+    /// [`body_hash`](Self::body_hash)).
+    pub fn iter_hashed(&self) -> impl Iterator<Item = (&str, u128)> {
+        self.files.iter().map(|(p, b)| (p.as_str(), b.hash()))
     }
 
     pub fn paths(&self) -> impl Iterator<Item = &str> {
@@ -267,7 +328,7 @@ impl SourceRepo {
     /// Total size of all file contents in bytes (used for context-window
     /// accounting in the token model).
     pub fn total_bytes(&self) -> usize {
-        self.files.values().map(|c| c.len()).sum()
+        self.files.values().map(|b| b.text.len()).sum()
     }
 }
 
@@ -286,7 +347,7 @@ impl FromIterator<(String, String)> for SourceRepo {
 impl FromIterator<(String, Arc<str>)> for SourceRepo {
     fn from_iter<T: IntoIterator<Item = (String, Arc<str>)>>(iter: T) -> Self {
         SourceRepo {
-            files: iter.into_iter().collect(),
+            files: iter.into_iter().map(|(p, c)| (p, Body::new(c))).collect(),
             memo: OnceMap::default(),
         }
     }
@@ -415,6 +476,60 @@ mod tests {
         assert_eq!(warm, sample());
         assert_eq!(format!("{warm:?}"), format!("{:?}", sample()));
         assert!(format!("{warm:?}").starts_with("SourceRepo { files: {"));
+    }
+
+    fn hashed_paths(repo: &SourceRepo) -> Vec<&str> {
+        repo.files
+            .iter()
+            .filter(|(_, b)| b.hash.get().is_some())
+            .map(|(p, _)| p.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn body_hashes_are_lazy_and_kept_with_the_body() {
+        let mut repo = sample();
+        assert!(hashed_paths(&repo).is_empty(), "adding a file hashed it");
+        let collected: SourceRepo = repo
+            .iter()
+            .map(|(p, c)| (p.to_string(), c.to_string()))
+            .collect();
+        assert!(hashed_paths(&collected).is_empty());
+
+        let hashes: Vec<(String, u128)> = repo
+            .iter_hashed()
+            .map(|(p, h)| (p.to_string(), h))
+            .collect();
+        for ((path, hash), (_, text)) in hashes.iter().zip(repo.iter()) {
+            assert_eq!(*hash, fnv128(text.as_bytes()), "{path}");
+        }
+        assert_eq!(hashed_paths(&repo).len(), repo.len());
+
+        // A clone carries every computed hash.
+        let clone = repo.clone();
+        assert_eq!(hashed_paths(&clone).len(), clone.len());
+
+        // `add` resets only the entry it replaces; `remove` drops its own.
+        repo.add("src/main.cpp", "int main() { return 1; }\n");
+        repo.remove("README.md");
+        assert_eq!(hashed_paths(&repo), vec!["Makefile", "src/kernel.h"]);
+        assert_eq!(
+            repo.body_hash("src/main.cpp"),
+            Some(fnv128(b"int main() { return 1; }\n"))
+        );
+        assert_eq!(repo.body_hash("README.md"), None);
+    }
+
+    #[test]
+    fn hash_of_reuses_the_body_hash_only_for_equal_text() {
+        let repo = sample();
+        let body = "void k();\n";
+        assert_eq!(repo.hash_of("src/kernel.h", body), fnv128(body.as_bytes()));
+        assert_eq!(hashed_paths(&repo), vec!["src/kernel.h"]);
+        // A chunk, or a body the repo does not hold, is hashed afresh.
+        assert_eq!(repo.hash_of("src/kernel.h", "void"), fnv128(b"void"));
+        assert_eq!(repo.hash_of("src/other.h", body), fnv128(body.as_bytes()));
+        assert_eq!(hashed_paths(&repo), vec!["src/kernel.h"]);
     }
 
     #[test]

@@ -36,9 +36,9 @@ use crate::plan::{ExperimentPlan, SampleSpec};
 use crate::runner::SampleRecord;
 use crate::task::{EvalConfig, EvalOutcome, RepairRound, SampleResult, Task};
 use minihpc_analyze::{AnalysisFinding, Confidence};
-use minihpc_build::preprocess::{self, ParsedFile};
+use minihpc_build::preprocess::ParsedFile;
 use minihpc_build::{build_repo_with, BuildRequest, CompiledUnit, ErrorCategory, UnitCache};
-use minihpc_lang::fnv::{fnv64, Fnv128};
+use minihpc_lang::fnv::{fnv128, fnv64, Fnv128};
 use minihpc_lang::memo::OnceMap;
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use minihpc_runtime::{run, RunConfig};
@@ -334,10 +334,11 @@ pub struct BuildCache {
     /// share files with earlier builds — a repair round that touched one
     /// file re-compiles one unit and re-runs only link + test.
     units: OnceMap<u128, CompiledUnit>,
-    /// The one parse memo: `Arc`-shared ASTs keyed by file content. Unit
-    /// lookup needs the include closure, which needs every file parsed —
-    /// this memo makes that discovery pass reparse only changed files, and
-    /// the analyzer reads the same ASTs. A hit is a pointer clone, and no
+    /// The one parse memo: `Arc`-shared ASTs keyed by each file body's
+    /// content hash ([`SourceRepo::body_hash`]). Unit lookup needs the
+    /// include closure, which needs every file parsed — this memo makes
+    /// that discovery pass reparse only changed files, and the analyzer
+    /// reads the same ASTs. A hit is a pointer clone, and no
     /// unit copies the items out of the ASTs it shares.
     parses: OnceMap<u128, ParsedFile>,
     /// Analyzer findings memoized by the same content key as build
@@ -375,8 +376,16 @@ impl BuildCache {
         })
     }
 
+    /// Names the outcome key's format. Disk entries written under another
+    /// format (v1 hashed every file's text) are simply never looked up.
+    const KEY_VERSION: &'static [u8] = b"outcome-v2";
+
     /// The full outcome key: repo content plus every input that changes
-    /// what `evaluate` returns for it.
+    /// what `evaluate` returns for it. Each file enters as its path and its
+    /// body's content hash ([`SourceRepo::iter_hashed`]), hashed once per
+    /// body and carried by the repo's clones, so re-keying a repo that
+    /// shares bodies with a keyed one (the Code-only overlay, a repair
+    /// round) hashes only the new bodies.
     fn key(task: &Task, repo: &SourceRepo, eval: &EvalConfig) -> u128 {
         // Destructure exhaustively: adding an `EvalConfig` field refuses to
         // compile until it is hashed below or explicitly exempted, so a new
@@ -397,6 +406,7 @@ impl BuildCache {
             repair_guided,
         } = eval;
         let mut h = Fnv128::new();
+        h.field(Self::KEY_VERSION);
         h.field(task.app.binary.as_bytes());
         h.field(task.app.name.as_bytes());
         h.field(task.pair.id().as_bytes());
@@ -405,21 +415,20 @@ impl BuildCache {
         h.field(&repair_budget.to_le_bytes());
         h.field(&repair_diag_lines.to_le_bytes());
         // Hashed only when the analyzer is on, so analyzer-off keys (and
-        // the disk entries named by them) stay identical to the
-        // pre-analyzer format.
+        // the disk entries named by them) do not depend on the analyzer's
+        // knobs.
         if *analyze {
             h.field(b"analyze");
             h.field(&analyze_max_findings.to_le_bytes());
         }
-        // Same append-only discipline: guided repair changes what repair
-        // rounds produce, but default-config (blind) keys keep the old
-        // byte format.
+        // Same discipline: guided repair changes what repair rounds
+        // produce, and default-config (blind) keys leave it out.
         if *repair_guided {
             h.field(b"repair-guided");
         }
-        for (path, contents) in repo.iter() {
+        for (path, body_hash) in repo.iter_hashed() {
             h.field(path.as_bytes());
-            h.field(contents.as_bytes());
+            h.field(&body_hash.to_le_bytes());
         }
         h.finish()
     }
@@ -463,8 +472,9 @@ impl BuildCache {
 }
 
 /// The file-granular cache seam the build driver compiles through (see
-/// [`minihpc_build::driver::build_repo_with`]): parses memoized by file
-/// content, compile units by include-closure key, both in memory.
+/// [`minihpc_build::driver::build_repo_with`]): parses memoized by each
+/// body's content hash, compile units by include-closure key, both in
+/// memory.
 ///
 /// Parses are derived once, like outcomes, and shared by `Arc`. Units go
 /// through the trait's split lookup and store, so two workers that miss the
@@ -473,13 +483,15 @@ impl BuildCache {
 /// whether the tier stays).
 impl UnitCache for BuildCache {
     fn parse_file(&self, text: &str) -> ParsedFile {
-        let mut h = Fnv128::new();
-        h.field(b"parse-v1");
-        h.field(text.as_bytes());
+        self.parse_hashed(fnv128(text.as_bytes()), text)
+    }
+
+    /// The parse memo is keyed by the body hash alone: a hit reads no text.
+    fn parse_hashed(&self, hash: u128, text: &str) -> ParsedFile {
         // The memo keeps a compact clone: the parser's own vectors carry
         // growth slack, and the memo holds every AST for the whole run.
         let parse = || minihpc_lang::parser::parse_file(text).map(|f| Arc::new(f.clone()));
-        self.parses.get_or_init(h.finish(), parse)
+        self.parses.get_or_init(hash, parse)
     }
 
     fn lookup_unit(&self, key: u128) -> Option<CompiledUnit> {
@@ -758,16 +770,14 @@ impl EvalPipeline {
         if !self.eval.analyze {
             return Vec::new();
         }
-        let analyze = |parse: &dyn Fn(&str) -> ParsedFile| {
-            let mut findings = minihpc_analyze::analyze_repo_with(repo, parse);
+        let analyze = |cache: Option<&dyn UnitCache>| {
+            let mut findings = minihpc_analyze::analyze_repo_with(repo, cache);
             findings.truncate(self.eval.analyze_max_findings);
             findings
         };
         match keyed {
-            Some((cache, key)) => cache
-                .analysis
-                .get_or_init(key, || analyze(&|text| cache.parse_file(text))),
-            None => analyze(&preprocess::parse),
+            Some((cache, key)) => cache.analysis.get_or_init(key, || analyze(Some(cache))),
+            None => analyze(None),
         }
     }
 
@@ -1383,6 +1393,111 @@ mod tests {
         assert_eq!(reopened.len_disk(), cache.len_disk());
         drop(pipeline);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Property tests of the outcome key.
+    mod key_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Two to five files with distinct paths and short ASCII bodies.
+        fn files() -> impl Strategy<Value = Vec<(String, String)>> {
+            let file = (0u8..8, proptest::collection::vec(32u8..127, 0..24));
+            proptest::collection::vec(file, 2..6).prop_map(|raw| {
+                let files: BTreeMap<String, String> = raw
+                    .into_iter()
+                    .map(|(p, body)| (format!("src/f{p}.c"), String::from_utf8(body).unwrap()))
+                    .collect();
+                files.into_iter().collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// One content has one outcome key, however the repo was built:
+            /// by `add` in either order, by `FromIterator`, by clone + remove
+            /// + re-add of a keyed repo, or as a clone carrying its hashes.
+            #[test]
+            fn outcome_key_is_a_function_of_content(files in files(), pick in 0usize..5) {
+                let task = task_named("nanoXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
+                let eval = eval_config();
+                let key = |repo: &SourceRepo| BuildCache::key(&task, repo, &eval);
+                let mut forward = SourceRepo::new();
+                for (p, c) in &files {
+                    forward.add(p.clone(), c.clone());
+                }
+                let mut backward = SourceRepo::new();
+                for (p, c) in files.iter().rev() {
+                    backward.add(p.clone(), c.clone());
+                }
+                let collected: SourceRepo = files.iter().cloned().collect();
+                let base = key(&forward);
+                prop_assert_eq!(key(&backward), base);
+                prop_assert_eq!(key(&collected), base);
+                prop_assert_eq!(key(&forward.clone()), base);
+                let (p, c) = &files[pick % files.len()];
+                let mut readded = forward.clone();
+                readded.remove(p);
+                prop_assert_ne!(key(&readded), base);
+                readded.add(p.clone(), c.clone());
+                prop_assert_eq!(key(&readded), base);
+            }
+
+            /// Any one-byte edit of any file, and moving a body to a new path,
+            /// change the key.
+            #[test]
+            fn outcome_key_covers_every_byte_and_path(
+                files in files(),
+                pick in 0usize..5,
+                at in 0usize..24,
+                byte in 32u8..127,
+            ) {
+                let task = task_named("nanoXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
+                let eval = eval_config();
+                let key = |repo: &SourceRepo| BuildCache::key(&task, repo, &eval);
+                let repo: SourceRepo = files.iter().cloned().collect();
+                let base = key(&repo);
+                let (p, c) = &files[pick % files.len()];
+                let mut bytes = c.clone().into_bytes();
+                if !bytes.is_empty() {
+                    let at = at % bytes.len();
+                    bytes[at] = if bytes[at] == byte { b'\n' } else { byte };
+                    let mut edited = repo.clone();
+                    edited.add(p.clone(), String::from_utf8(bytes).unwrap());
+                    prop_assert_ne!(key(&edited), base);
+                }
+                let mut moved = repo.clone();
+                let body = moved.remove(p).unwrap();
+                moved.add(format!("{p}.moved"), body);
+                prop_assert_ne!(key(&moved), base);
+            }
+        }
+    }
+
+    #[test]
+    fn outcome_key_separates_path_from_body() {
+        let task = task_named("nanoXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
+        let eval = eval_config();
+        let a = SourceRepo::new().with_file("src/ab", "c");
+        let b = SourceRepo::new().with_file("src/a", "bc");
+        assert_ne!(
+            BuildCache::key(&task, &a, &eval),
+            BuildCache::key(&task, &b, &eval)
+        );
+    }
+
+    #[test]
+    fn both_parse_entries_reach_one_memo_entry() {
+        let repo = SourceRepo::new().with_file("main.c", "int main() { return 0; }\n");
+        let text = repo.get("main.c").unwrap();
+        let cache = BuildCache::new();
+        let by_text = cache.parse_file(text).unwrap();
+        let by_hash = cache
+            .parse_hashed(repo.body_hash("main.c").unwrap(), text)
+            .unwrap();
+        assert!(Arc::ptr_eq(&by_text, &by_hash));
+        assert_eq!(cache.stats().parses, 1);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use minihpc_lang::repo::{FileKind, SourceRepo};
 use minihpc_lang::walk::{walk, walk_stmts, Node};
 use rw::{call_name, map_exprs, map_exprs_stmt, map_type, rewrite_stmts};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Outcome of transpiling one source/header file.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,9 +113,11 @@ pub fn transpile_repo(repo: &SourceRepo, pair: TranslationPair, binary: &str) ->
 /// need not be `repo`'s copy of `path` (the top-down technique passes
 /// chunks), and under CUDA→Kokkos the result also reads every other code
 /// file of `repo`. It is therefore memoised on `repo` under the
-/// [`Fnv128`] hash of (`pair`, `path`, `text`), and counted there as a
-/// cold derivation of a [`FileResult`]. Any mutation of `repo` drops the
-/// memo.
+/// [`Fnv128`] hash of (`pair`, `path`, the content hash of `text`), and
+/// counted there as a cold derivation of a [`FileResult`]. When `text` is
+/// `repo`'s body at `path`, its hash is that body's, hashed once per
+/// repository ([`SourceRepo::hash_of`]); a chunk is hashed afresh. Any
+/// mutation of `repo` drops the memo.
 pub fn transpile_file(
     repo: &SourceRepo,
     path: &str,
@@ -125,7 +128,7 @@ pub fn transpile_file(
     key.field(pair.from.id().as_bytes());
     key.field(pair.to.id().as_bytes());
     key.field(path.as_bytes());
-    key.field(text.as_bytes());
+    key.field(&repo.hash_of(path, text).to_le_bytes());
     repo.memoized(key.finish(), || transpile_file_cold(repo, path, text, pair))
 }
 
@@ -298,7 +301,7 @@ fn cuda_to_kokkos(file: &mut SourceFile, repo: &SourceRepo) {
     // Repo-wide analysis: which function parameters carry device data (and
     // therefore become views)? Kernels seed the set; ordinary calls and
     // kernel launches propagate it to wrappers like `runXOR`.
-    let view_param_map = view_params_map(repo);
+    let view_param_map = view_params(repo);
 
     let var_types = collect_fn_types(file);
     for item in &mut file.items {
@@ -381,6 +384,20 @@ fn cuda_to_kokkos(file: &mut SourceFile, repo: &SourceRepo) {
         }
     }
 }
+
+/// [`view_params_map`] of `repo`, memoised on it: one derivation per
+/// repository, however many of its files are transpiled, counted there as
+/// a cold derivation of a [`ViewParams`].
+fn view_params(repo: &SourceRepo) -> Arc<BTreeMap<String, Vec<bool>>> {
+    // The map has no input besides the repository: its key hashes none.
+    let derive = || ViewParams(Arc::new(view_params_map(repo)));
+    repo.memoized(Fnv128::new().finish(), derive).0
+}
+
+/// The memoised [`view_params_map`]: a type of its own, so its memo entry
+/// is told apart from other results by type.
+#[derive(Clone)]
+struct ViewParams(Arc<BTreeMap<String, Vec<bool>>>);
 
 /// Repo-wide analysis: per function, which parameters become Kokkos views.
 ///
@@ -1230,5 +1247,20 @@ mod tests {
             transpile_file_cold(&repo, "src/kernel.h", &header, pair)
         );
         assert_ne!(after, before, "the edit must matter to kernel.h");
+    }
+
+    #[test]
+    fn a_kokkos_transpile_derives_the_view_map_once_per_repo() {
+        // microXOR's CUDA repo has three code files, and each one's
+        // CUDA→Kokkos transpile reads the repo-wide view map.
+        let app = pareval_apps::by_name("microXOR").unwrap();
+        let pair = TranslationPair::CUDA_TO_KOKKOS;
+        let repo = app.repo(pair.from).unwrap().clone();
+        assert_eq!(repo.code_files().len(), 3);
+        for path in repo.code_files() {
+            transpile_file(&repo, path, repo.get(path).unwrap(), pair);
+        }
+        assert_eq!(repo.cold_derivations::<FileResult>(), 3);
+        assert_eq!(repo.cold_derivations::<ViewParams>(), 1);
     }
 }

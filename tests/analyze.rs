@@ -7,7 +7,7 @@
 mod common;
 
 use common::TestDir;
-use minihpc_build::{build_repo, BuildRequest, UnitCache};
+use minihpc_build::{build_repo, BuildRequest};
 use minihpc_lang::model::TranslationPair;
 use minihpc_runtime::{run, RunConfig};
 use pareval_core::{
@@ -453,7 +453,7 @@ proptest! {
         prop_assert_eq!(&fresh, &minihpc_analyze::analyze_repo(&repo));
         prop_assert_eq!(
             &fresh,
-            &minihpc_analyze::analyze_repo_with(&repo, &|text| MEMO.parse_file(text))
+            &minihpc_analyze::analyze_repo_with(&repo, Some(&*MEMO))
         );
     }
 }

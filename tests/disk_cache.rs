@@ -5,8 +5,10 @@
 mod common;
 
 use common::TestDir;
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::TranslationPair;
-use pareval_core::{EvalConfig, EvalPipeline, ExperimentPlan, Runner, ScheduledRunner};
+use minihpc_lang::repo::SourceRepo;
+use pareval_core::{EvalConfig, EvalPipeline, ExperimentPlan, Runner, ScheduledRunner, Task};
 use pareval_llm::all_models;
 use pareval_repo as _;
 use pareval_translate::Technique;
@@ -301,4 +303,82 @@ fn unit_files_from_older_runs_are_ignored() {
     let cache = pareval_core::BuildCache::with_disk(dir.path(), 64 << 20).unwrap();
     assert_eq!(cache.len_disk(), 0, "a .unit file was indexed");
     assert!(stale.exists());
+}
+
+/// The outcome key as its v1 format computed it, hashing every file's
+/// text: a copy kept only to name the disk entries older runs left behind.
+fn v1_outcome_key(task: &Task, repo: &SourceRepo, eval: &EvalConfig) -> u128 {
+    let mut h = Fnv128::new();
+    h.field(task.app.binary.as_bytes());
+    h.field(task.app.name.as_bytes());
+    h.field(task.pair.id().as_bytes());
+    h.field(&eval.max_cases.to_le_bytes());
+    h.field(&eval.max_steps.to_le_bytes());
+    h.field(&eval.repair_budget.to_le_bytes());
+    h.field(&eval.repair_diag_lines.to_le_bytes());
+    if eval.analyze {
+        h.field(b"analyze");
+        h.field(&eval.analyze_max_findings.to_le_bytes());
+    }
+    if eval.repair_guided {
+        h.field(b"repair-guided");
+    }
+    for (path, contents) in repo.iter() {
+        h.field(path.as_bytes());
+        h.field(contents.as_bytes());
+    }
+    h.finish()
+}
+
+#[test]
+fn entries_under_the_v1_key_format_miss_cleanly() {
+    // A directory written by an older run names its entries by the v1
+    // key. Put a well-formed entry there, holding another repo's outcome,
+    // under the v1 key of the repo evaluated next: the lookup must miss,
+    // and the outcome must be the uncached one.
+    let task = pareval_core::all_tasks()
+        .into_iter()
+        .find(|t| t.app.name == "nanoXOR" && t.pair == TranslationPair::CUDA_TO_OMP_OFFLOAD)
+        .unwrap();
+    let source = task.app.repo(task.pair.from).unwrap();
+    let repo = pareval_translate::transpile_repo(source, task.pair, &task.app.binary);
+    let mut unbuildable = repo.clone();
+    unbuildable
+        .remove("Makefile")
+        .expect("the offload repo has a Makefile");
+
+    let writer_dir = TestDir::new("disk-v1-writer");
+    let writer = EvalPipeline::new(disk_eval(writer_dir.path(), 64 << 20, 0));
+    let wrong = writer.evaluate(&task, &unbuildable);
+    assert!(!wrong.built);
+    let written = entry_files(writer_dir.path());
+    assert_eq!(written.len(), 1);
+
+    let dir = TestDir::new("disk-v1");
+    let eval = disk_eval(dir.path(), 64 << 20, 0);
+    let v1_entry = dir.file(&format!(
+        "{:032x}.entry",
+        v1_outcome_key(&task, &repo, &eval)
+    ));
+    std::fs::copy(&written[0], &v1_entry).unwrap();
+
+    let pipeline = EvalPipeline::new(eval.clone());
+    let outcome = pipeline.evaluate(&task, &repo);
+    assert_eq!(pipeline.cache_stats().disk_hits, 0);
+    let uncached = EvalPipeline::new(EvalConfig {
+        build_cache: false,
+        disk_cache_dir: None,
+        ..eval
+    })
+    .evaluate(&task, &repo);
+    assert_eq!(outcome, uncached);
+    assert!(outcome.passed, "the translated repo builds and passes");
+    // The old entry is left alone; the new one sits beside it.
+    assert!(v1_entry.exists());
+    assert_eq!(entry_files(dir.path()).len(), 2);
+
+    // Control: the same bytes under the current key are served.
+    let reader = EvalPipeline::new(disk_eval(writer_dir.path(), 64 << 20, 0));
+    assert_eq!(reader.evaluate(&task, &unbuildable), wrong);
+    assert_eq!(reader.cache_stats().disk_hits, 1);
 }
