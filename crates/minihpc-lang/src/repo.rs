@@ -291,38 +291,11 @@ impl SourceRepo {
     }
 
     /// Render the file tree in the format used by the paper's prompts
-    /// (Listing 1): a `|--`/`+--` tree with `src/` subdirectories.
+    /// (Listing 1): a `|--`/`+--` tree with `src/` subdirectories. The
+    /// [`Display`](fmt::Display) impl writes the same tree without
+    /// building it.
     pub fn file_tree(&self) -> String {
-        let mut top: Vec<&str> = Vec::new();
-        let mut dirs: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        for path in self.files.keys() {
-            match path.split_once('/') {
-                Some((dir, rest)) => dirs.entry(dir).or_default().push(rest),
-                None => top.push(path),
-            }
-        }
-        let mut out = String::new();
-        for (i, f) in top.iter().enumerate() {
-            let last = i + 1 == top.len() && dirs.is_empty();
-            out.push_str(if last { "+-- " } else { "|-- " });
-            out.push_str(f);
-            out.push('\n');
-        }
-        let ndirs = dirs.len();
-        for (di, (dir, mut files)) in dirs.into_iter().enumerate() {
-            let last_dir = di + 1 == ndirs;
-            out.push_str(if last_dir { "+-- " } else { "|-- " });
-            out.push_str(dir);
-            out.push_str("/\n");
-            files.sort_unstable();
-            for f in files {
-                out.push_str("    ");
-                out.push_str("+-- ");
-                out.push_str(f);
-                out.push('\n');
-            }
-        }
-        out
+        self.to_string()
     }
 
     /// Total size of all file contents in bytes (used for context-window
@@ -332,9 +305,36 @@ impl SourceRepo {
     }
 }
 
+/// The file tree of [`SourceRepo::file_tree`]: top-level files in path
+/// order, then each directory in name order with its files below it.
 impl fmt::Display for SourceRepo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.file_tree())
+        let branch = |last: bool| if last { "+-- " } else { "|-- " };
+        let in_dirs = || self.paths().filter_map(|p| p.split_once('/'));
+        // Name order is not path order when one directory's name is a
+        // prefix of another's (`src` sorts before `src-gpu`, but
+        // `src-gpu/a` before `src/a`), so each next directory is looked up
+        // by name rather than taken from the path iteration.
+        let next_dir = |after: Option<&str>| {
+            in_dirs()
+                .map(|(dir, _)| dir)
+                .filter(|dir| after.is_none_or(|a| *dir > a))
+                .min()
+        };
+        let mut dir = next_dir(None);
+        let mut top = self.paths().filter(|p| !p.contains('/')).peekable();
+        while let Some(file) = top.next() {
+            let last = top.peek().is_none() && dir.is_none();
+            writeln!(f, "{}{file}", branch(last))?;
+        }
+        while let Some(name) = dir {
+            dir = next_dir(Some(name));
+            writeln!(f, "{}{name}/", branch(dir.is_none()))?;
+            for (_, file) in in_dirs().filter(|(d, _)| *d == name) {
+                writeln!(f, "    +-- {file}")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -380,6 +380,17 @@ mod tests {
         assert!(tree.contains("|-- Makefile"), "{tree}");
         assert!(tree.contains("+-- src/"), "{tree}");
         assert!(tree.contains("    +-- main.cpp"), "{tree}");
+        // Directories in name order, even where path order differs.
+        let repo = sample()
+            .with_file("src-gpu/k.cu", "")
+            .with_file("zeta.txt", "");
+        assert_eq!(
+            repo.file_tree(),
+            "|-- Makefile\n|-- README.md\n|-- zeta.txt\n|-- src/\n    +-- kernel.h\n    \
+             +-- main.cpp\n+-- src-gpu/\n    +-- k.cu\n"
+        );
+        let flat = SourceRepo::new().with_file("a", "").with_file("b", "");
+        assert_eq!(flat.file_tree(), "|-- a\n+-- b\n");
     }
 
     #[test]

@@ -22,9 +22,9 @@ use minihpc_analyze::FixIt;
 use minihpc_build::ErrorCategory;
 use minihpc_lang::model::TranslationPair;
 use minihpc_lang::repo::SourceRepo;
-use pareval_translate::techniques::{Backend, BackendError, BackendOutput, FileJob};
+use pareval_translate::techniques::{Backend, BackendError, BackendOutput, ByteCount, FileJob};
 use pareval_translate::Technique;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 /// Everything a backend needs to start one translation attempt (one sample
@@ -85,38 +85,45 @@ pub struct RepairContext {
 }
 
 impl RepairContext {
-    /// The feedback text a backend "reads" this round — the token-accounting
-    /// basis for repair input cost.
+    /// The feedback text a backend "reads" this round.
     pub fn prompt_text(&self) -> String {
-        let mut out = String::from("The build failed. Fix the following and re-emit the files.\n");
+        let mut out = String::new();
+        self.write_prompt(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// The byte length of [`prompt_text`](Self::prompt_text), counted
+    /// without building it — the token-accounting basis for repair input
+    /// cost.
+    pub fn prompt_len(&self) -> usize {
+        ByteCount::of(|n| self.write_prompt(n))
+    }
+
+    fn write_prompt(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("The build failed. Fix the following and re-emit the files.\n")?;
         for c in &self.categories {
-            out.push_str("category: ");
-            out.push_str(c.label());
-            out.push('\n');
+            writeln!(out, "category: {}", c.label())?;
         }
         for f in &self.files {
-            out.push_str("file: ");
-            out.push_str(f);
-            out.push('\n');
+            writeln!(out, "file: {f}")?;
         }
         for d in &self.diagnostics {
-            out.push_str(d);
-            out.push('\n');
+            writeln!(out, "{d}")?;
         }
         if !self.race_findings.is_empty() {
-            out.push_str("Static analysis found data races. Fix the directives.\n");
+            out.write_str("Static analysis found data races. Fix the directives.\n")?;
             for r in &self.race_findings {
-                out.push_str(r);
-                out.push('\n');
+                writeln!(out, "{r}")?;
             }
         }
         if !self.fixits.is_empty() {
-            out.push_str("Suggested fixes (machine-applicable):\n");
+            out.write_str("Suggested fixes (machine-applicable):\n")?;
             for fx in &self.fixits {
-                out.push_str(&format!("{} at {}:{}\n", fx.title, fx.file, fx.line));
+                writeln!(out, "{} at {}:{}", fx.title, fx.file, fx.line)?;
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -235,5 +242,51 @@ pub trait TranslationBackend: Send + Sync {
 impl fmt::Debug for dyn TranslationBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TranslationBackend({})", self.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minihpc_analyze::FixItEdit;
+
+    #[test]
+    fn repair_prompt_len_matches_its_text() {
+        let blind = RepairContext {
+            round: 1,
+            categories: vec![ErrorCategory::CodeSyntax, ErrorCategory::LinkerError],
+            files: vec!["src/main.cpp".to_string(), "Makefile".to_string()],
+            diagnostics: vec!["src/main.cpp:3: error: expected ';'".to_string()],
+            race_findings: Vec::new(),
+            fixits: Vec::new(),
+            fixit_sources: Vec::new(),
+        };
+        let racy = RepairContext {
+            race_findings: vec!["src/main.cpp:7: race on `sum`".to_string()],
+            ..blind.clone()
+        };
+        let guided = RepairContext {
+            fixits: vec![FixIt {
+                file: "src/main.cpp".to_string(),
+                line: 7,
+                title: "add `reduction(+: sum)`".to_string(),
+                edit: FixItEdit::AddClause {
+                    clause: "reduction(+: sum)".to_string(),
+                },
+            }],
+            ..racy.clone()
+        };
+        let empty = RepairContext {
+            categories: Vec::new(),
+            files: Vec::new(),
+            diagnostics: Vec::new(),
+            ..blind.clone()
+        };
+        for ctx in [&blind, &racy, &guided, &empty] {
+            assert_eq!(ctx.prompt_len(), ctx.prompt_text().len(), "{ctx:?}");
+        }
+        assert!(racy.prompt_text().contains("data races"));
+        assert!(guided.prompt_text().contains("Suggested fixes"));
+        assert!(!blind.prompt_text().contains("Suggested fixes"));
     }
 }

@@ -240,7 +240,7 @@ impl SimulatedModel {
     /// with seeded ±10% noise (Eq. 2 accounting, shared by translation and
     /// repair so the two cannot drift).
     fn charge_output(&mut self, emitted: usize) {
-        let base_out = ((emitted as f64) * self.profile.tokens_per_char).ceil() as u64;
+        let base_out = self.profile.tokens_for_len(emitted);
         let noise = 0.9 + self.rng.gen::<f64>() * 0.2;
         self.usage.output +=
             ((base_out as f64) * self.profile.output_multiplier * noise).round() as u64;
@@ -299,7 +299,7 @@ impl Attempt for SimulatedModel {
     /// up.
     fn repair(&mut self, ctx: &RepairContext) -> RepairOutcome {
         // The model reads the structured feedback whether or not it helps.
-        self.usage.input += self.profile.count_tokens(&ctx.prompt_text());
+        self.usage.input += self.profile.tokens_for_len(ctx.prompt_len());
         // Guided repair: machine-applicable analyzer fix-its are applied
         // deterministically — no probability roll, no regeneration. The
         // injected directive race those edits cure is retired from the
@@ -409,7 +409,7 @@ impl Backend for SimulatedModel {
 
         // Token accounting: the full prompt in, the emitted text out
         // (scaled by the model's verbosity/reasoning multiplier).
-        self.usage.input += self.profile.count_tokens(&job.prompt);
+        self.usage.input += self.profile.tokens_for_len(job.prompt_len);
 
         let output = if job.kind.is_build_file() {
             let sources: Vec<String> = self

@@ -102,7 +102,7 @@ impl Backend for OracleAttempt {
             // bypassing the plan still gets a clean failure.
             return Err(BackendError::BudgetExhausted);
         }
-        self.usage.input += self.model.count_tokens(&job.prompt);
+        self.usage.input += self.model.tokens_for_len(job.prompt_len);
         let pair = self.pair;
         let reference = self.translated(&job.binary);
         let output = if job.kind.is_build_file() {
@@ -127,7 +127,7 @@ impl Backend for OracleAttempt {
             }
         };
         let emitted: usize = output.files.iter().map(|(_, c)| c.len()).sum();
-        self.usage.output += ((emitted as f64) * self.model.tokens_per_char).ceil() as u64;
+        self.usage.output += self.model.tokens_for_len(emitted);
         Ok(output)
     }
 
@@ -155,7 +155,7 @@ impl Attempt for OracleAttempt {
     /// SWE-agent technique's tab-normalized Makefiles — which one round
     /// undoes completely.
     fn repair(&mut self, ctx: &RepairContext) -> RepairOutcome {
-        self.usage.input += self.model.count_tokens(&ctx.prompt_text());
+        self.usage.input += self.model.tokens_for_len(ctx.prompt_len());
         // Guided repair: when the harness hands over analyzer fix-its,
         // apply them deterministically. The oracle faithfully transpiles
         // whatever source it is given — a racy generated app stays racy
@@ -165,7 +165,7 @@ impl Attempt for OracleAttempt {
             let revised = crate::attempt::apply_fixits(ctx);
             if !revised.is_empty() {
                 let emitted: usize = revised.iter().map(|(_, c)| c.len()).sum();
-                self.usage.output += ((emitted as f64) * self.model.tokens_per_char).ceil() as u64;
+                self.usage.output += self.model.tokens_for_len(emitted);
                 return RepairOutcome::Revised(revised);
             }
         }

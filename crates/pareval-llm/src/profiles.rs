@@ -75,7 +75,13 @@ pub fn base_fix_probability(category: ErrorCategory) -> f64 {
 
 impl ModelProfile {
     pub fn count_tokens(&self, text: &str) -> u64 {
-        ((text.len() as f64) * self.tokens_per_char).ceil() as u64
+        self.tokens_for_len(text.len())
+    }
+
+    /// The tokens of a text `len` bytes long: `ceil(len × tokens_per_char)`,
+    /// the one formula behind every input and output charge.
+    pub fn tokens_for_len(&self, len: usize) -> u64 {
+        ((len as f64) * self.tokens_per_char).ceil() as u64
     }
 
     /// Per-category probability that one repair round by this model fixes a

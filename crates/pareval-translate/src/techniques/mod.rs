@@ -12,11 +12,12 @@ mod deps;
 mod prompt;
 
 pub use deps::dependency_order;
-pub use prompt::{build_prompt, PromptParts};
+pub use prompt::{build_prompt, prompt_len, ByteCount, ContextSummary, PromptParts};
 
 use minihpc_lang::model::TranslationPair;
 use minihpc_lang::repo::{FileKind, SourceRepo};
-use std::fmt;
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// The full task specification a technique receives.
 #[derive(Debug, Clone)]
@@ -33,15 +34,15 @@ pub struct TranslationJob<'a> {
 #[derive(Debug, Clone)]
 pub struct FileJob {
     pub path: String,
-    pub contents: String,
-    /// The complete prompt text (system + context + instruction).
-    pub prompt: String,
+    /// The text to translate: the file's body, shared with the source
+    /// repo, or one chunk of it.
+    pub contents: Arc<str>,
+    /// The byte length of the complete prompt (system + context +
+    /// instruction), which the backend charges as input tokens. The
+    /// prompt itself is measured, not built ([`prompt_len`]).
+    pub prompt_len: usize,
     pub pair: TranslationPair,
     pub kind: FileKind,
-    /// Top-down: summaries of already-translated dependencies.
-    pub context_summary: Option<String>,
-    /// `(index, total)` when the chunk agent split the file.
-    pub chunk: Option<(usize, usize)>,
     pub binary: String,
 }
 
@@ -155,14 +156,13 @@ pub fn translate_with(
     }
 }
 
-/// Files a technique must translate (code + build files), in repo order.
-fn translatable_files(repo: &SourceRepo) -> Vec<(&str, &str)> {
-    repo.iter()
-        .filter(|(p, _)| {
-            let k = FileKind::of(p);
-            k.is_code() || k.is_build_file()
-        })
-        .collect()
+/// Files a technique must translate (code + build files), in repo order,
+/// with their shared bodies.
+fn translatable_files(repo: &SourceRepo) -> impl Iterator<Item = (&str, Arc<str>)> {
+    repo.paths().filter_map(|p| {
+        let k = FileKind::of(p);
+        (k.is_code() || k.is_build_file()).then(|| (p, repo.get_shared(p).expect("listed path")))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -178,20 +178,17 @@ fn non_agentic(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRu
         }
     }
     for (path, contents) in translatable_files(job.source_repo) {
-        let prompt = build_prompt(&PromptParts {
-            job,
-            target_path: path,
-            full_repo_context: true,
-            context_summary: None,
-        });
         let file_job = FileJob {
             path: path.to_string(),
-            contents: contents.to_string(),
-            prompt,
+            contents,
+            prompt_len: prompt_len(&PromptParts {
+                job,
+                target_path: path,
+                full_repo_context: true,
+                context_summary: None,
+            }),
             pair: job.pair,
             kind: FileKind::of(path),
-            context_summary: None,
-            chunk: None,
             binary: job.binary.to_string(),
         };
         match backend.translate(&file_job) {
@@ -232,28 +229,37 @@ fn top_down(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
     let mut summaries: Vec<(String, String)> = Vec::new();
 
     for path in order {
-        let contents = job.source_repo.get(&path).unwrap_or_default().to_string();
-        let summary_text = context_for(job.source_repo, &summaries, backend);
+        let contents = job
+            .source_repo
+            .get_shared(&path)
+            .unwrap_or_else(|| Arc::from(""));
+        // Every chunk of a file is sent with the same prompt: the whole
+        // file plus the context agent's summary.
+        let prompt_len = prompt_len(&PromptParts {
+            job,
+            target_path: &path,
+            full_repo_context: false,
+            context_summary: Some(ContextSummary {
+                repo: job.source_repo,
+                translated: &summaries,
+                verbose: backend.verbose_context(),
+            }),
+        });
         // Chunk agent: split oversized files at function boundaries.
         let chunks = chunk_file(&contents, backend.context_limit());
-        let total = chunks.len();
         let mut translated_parts: Vec<(String, String)> = Vec::new();
         let mut file_summary = String::new();
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let prompt = build_prompt(&PromptParts {
-                job,
-                target_path: &path,
-                full_repo_context: false,
-                context_summary: Some(&summary_text),
-            });
+        for &chunk in &chunks {
             let file_job = FileJob {
                 path: path.clone(),
-                contents: chunk,
-                prompt,
+                contents: if chunks.len() == 1 {
+                    Arc::clone(&contents)
+                } else {
+                    Arc::from(chunk)
+                },
+                prompt_len,
                 pair: job.pair,
                 kind: FileKind::of(&path),
-                context_summary: Some(summary_text.clone()),
-                chunk: if total > 1 { Some((i, total)) } else { None },
                 binary: job.binary.to_string(),
             };
             match backend.translate(&file_job) {
@@ -289,47 +295,25 @@ fn top_down(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
     }
 }
 
-fn context_for(repo: &SourceRepo, summaries: &[(String, String)], backend: &dyn Backend) -> String {
-    if summaries.is_empty() {
-        return String::new();
-    }
-    if backend.verbose_context() {
-        // Less conservative models re-include the full text of translated
-        // dependencies (paper Sec. 8.4: local models are more expensive in
-        // the top-down method for exactly this reason).
-        summaries
-            .iter()
-            .map(|(p, s)| {
-                let original = repo.get(p).unwrap_or_default();
-                format!("=== {p} (translated; summary: {s})\n{original}\n")
-            })
-            .collect()
-    } else {
-        summaries
-            .iter()
-            .map(|(p, s)| format!("- {p}: {s}\n"))
-            .collect()
-    }
-}
-
-/// Split file text at function-ish boundaries (closing braces at column 0)
-/// so each chunk fits in roughly a quarter of the context window.
-fn chunk_file(text: &str, context_limit: u64) -> Vec<String> {
+/// Split file text at function-ish boundaries (a line that is exactly `}`)
+/// so each chunk fits in roughly a quarter of the context window. The
+/// chunks are slices of `text` that rejoin to it byte for byte.
+fn chunk_file(text: &str, context_limit: u64) -> Vec<&str> {
     let budget = (context_limit / 4).max(256) as usize * 4; // ≈ chars
     if text.len() <= budget {
-        return vec![text.to_string()];
+        return vec![text];
     }
     let mut chunks = Vec::new();
-    let mut current = String::new();
-    for line in text.lines() {
-        current.push_str(line);
-        current.push('\n');
-        if current.len() >= budget && line == "}" {
-            chunks.push(std::mem::take(&mut current));
+    let (mut start, mut end) = (0, 0);
+    for line in text.split_inclusive('\n') {
+        end += line.len();
+        if end - start >= budget && matches!(line, "}\n" | "}\r\n") {
+            chunks.push(&text[start..end]);
+            start = end;
         }
     }
-    if !current.is_empty() {
-        chunks.push(current);
+    if start < text.len() {
+        chunks.push(&text[start..]);
     }
     chunks
 }
@@ -337,6 +321,14 @@ fn chunk_file(text: &str, context_limit: u64) -> Vec<String> {
 // ---------------------------------------------------------------------------
 // SWE-agent (paper Sec. 3.3)
 // ---------------------------------------------------------------------------
+
+/// Write SWE-agent's prompt for one file: the issue, then the file.
+fn write_swe_prompt(out: &mut impl Write, issue: &str, path: &str, contents: &str) -> fmt::Result {
+    writeln!(
+        out,
+        "{issue}\nResolve the issue for file {path}:\n{contents}"
+    )
+}
 
 fn swe_agent(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
     // The task is rephrased as a GitHub issue in a dedicated file, and the
@@ -354,15 +346,12 @@ fn swe_agent(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun 
         }
     }
     for (path, contents) in translatable_files(job.source_repo) {
-        let prompt = format!("{issue}\nResolve the issue for file {path}:\n{contents}\n");
         let file_job = FileJob {
             path: path.to_string(),
-            contents: contents.to_string(),
-            prompt,
+            prompt_len: ByteCount::of(|n| write_swe_prompt(n, &issue, path, &contents)),
+            contents,
             pair: job.pair,
             kind: FileKind::of(path),
-            context_summary: None,
-            chunk: None,
             binary: job.binary.to_string(),
         };
         match backend.translate(&file_job) {
@@ -545,9 +534,91 @@ mod tests {
     #[test]
     fn chunking_splits_large_files() {
         let big = "void f() {\nint x = 1;\n}\n".repeat(400);
-        let chunks = chunk_file(&big, 1000);
-        assert!(chunks.len() > 1);
-        let rejoined: String = chunks.concat();
-        assert_eq!(rejoined, big, "chunking must not lose text");
+        let crlf = big.replace('\n', "\r\n");
+        let unterminated = format!("{big}int tail = 0;");
+        for text in [&big, &crlf, &unterminated] {
+            let chunks = chunk_file(text, 1000);
+            assert!(chunks.len() > 1);
+            assert_eq!(chunks.concat(), *text, "chunking must not alter text");
+            for chunk in &chunks[..chunks.len() - 1] {
+                assert_eq!(chunk.lines().last(), Some("}"), "cut after a `}}` line");
+            }
+        }
+    }
+
+    /// The prompt lengths every technique charges equal the lengths of the
+    /// prompts they stand for: for each pair of `app`, each translatable
+    /// file, with and without the whole repo as context, and with no, an
+    /// empty, a terse and a verbose top-down summary.
+    fn assert_prompt_lens_match(app: &pareval_apps::Application) {
+        for pair in app.pairs() {
+            let j = job(app, pair);
+            let files: Vec<(&str, Arc<str>)> = translatable_files(j.source_repo).collect();
+            let translated: Vec<(String, String)> = files
+                .iter()
+                .map(|(p, _)| (p.to_string(), format!("translated {p} to {}", pair.to)))
+                .collect();
+            let summary = |translated, verbose| ContextSummary {
+                repo: j.source_repo,
+                translated,
+                verbose,
+            };
+            let summaries = [
+                None,
+                Some(summary(&[], false)),
+                Some(summary(&translated, false)),
+                Some(summary(&translated, true)),
+            ];
+            let issue = format!(
+                "# Issue: translate {} from {} to {}\n",
+                app.name, pair.from, pair.to
+            );
+            for (path, contents) in &files {
+                for full_repo_context in [true, false] {
+                    for context_summary in summaries {
+                        let parts = PromptParts {
+                            job: &j,
+                            target_path: path,
+                            full_repo_context,
+                            context_summary,
+                        };
+                        assert_eq!(
+                            prompt_len(&parts),
+                            build_prompt(&parts).len(),
+                            "{} {pair} {path} full={full_repo_context}",
+                            app.name
+                        );
+                    }
+                }
+                let swe = format!("{issue}\nResolve the issue for file {path}:\n{contents}\n");
+                assert_eq!(
+                    ByteCount::of(|n| write_swe_prompt(n, &issue, path, contents)),
+                    swe.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prompt_len_matches_built_prompt_on_every_app() {
+        for app in pareval_apps::suite() {
+            assert_prompt_lens_match(&app);
+        }
+    }
+
+    #[test]
+    fn prompt_len_matches_built_prompt_on_generated_apps() {
+        use minihpc_gen::{GenSpec, KernelKind};
+        for i in 0..8u64 {
+            let kernels = match i % 3 {
+                0 => KernelKind::ALL.to_vec(),
+                1 => vec![KernelKind::Stencil, KernelKind::Reduction],
+                _ => vec![KernelKind::GemmLike, KernelKind::MemcpyBound],
+            };
+            let spec = GenSpec::new(0x5EED_0000 + i * 7919)
+                .with_files(1 + (i as usize % 4))
+                .with_kernels(kernels);
+            assert_prompt_lens_match(&pareval_apps::generated_app(&spec));
+        }
     }
 }
