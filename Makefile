@@ -38,7 +38,9 @@ gridbench-check:
 # false. With tracing off that means "failed" is above 0; with tracing on
 # it also means the traced mirror disagreed with the pipeline (a result
 # digest, the outcome or unit hit/miss counts) or its layers covered too
-# little of the sample wall time.
+# little of the sample wall time. The self-test runs on repair-heavy and
+# on paper-grid, whose samples take all three techniques' paths for the
+# translated bodies the corrupting backend appends to.
 GRIDBENCH = cargo run --release --quiet --offline --manifest-path gridbench/Cargo.toml --
 
 bench-correct:
@@ -50,7 +52,9 @@ bench-correct:
 			echo "bench-correct: $$w --trace $$trace correct"; \
 		done; \
 	done
-	@$(GRIDBENCH) --workload repair-heavy --seconds 1 --trace 0 --self-test > /dev/null
+	@for w in repair-heavy paper-grid; do \
+		$(GRIDBENCH) --workload $$w --seconds 1 --trace 0 --self-test > /dev/null || exit 1; \
+	done
 
 # Every example is built first in one cargo invocation, so their release
 # (LTO) links can overlap. Then each runs once, and its asserts are the

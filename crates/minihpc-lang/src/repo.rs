@@ -69,16 +69,18 @@ impl RepoFile {
 ///
 /// Files are kept in a `BTreeMap` keyed by path so iteration order (and thus
 /// prompts, dependency resolution, and error logs) is deterministic. File
-/// bodies are `Arc<str>` handles: cloning a repository (or overlaying a few
+/// bodies are [`Body`] handles: cloning a repository (or overlaying a few
 /// files on a clone, as repair rounds and Code-only scoring do) shares the
-/// unchanged bodies instead of deep-copying every source.
+/// unchanged bodies instead of deep-copying every source, and a body
+/// derived once elsewhere is added by handle.
 ///
 /// Each file body also has one content hash, its [`fnv128`], which every
 /// content key (build outcomes, compile units, parses, transpiles) hashes
 /// in place of the body's text ([`SourceRepo::body_hash`]). It is computed
-/// on first use, never when a file is added, and kept with the body: a
-/// clone carries every hash computed so far, and [`add`](Self::add)
-/// resets only the entry it replaces.
+/// on first use, never when text is added, and kept with the body: a
+/// clone carries every hash computed so far, a body added by handle
+/// brings its own, and [`add`](Self::add) resets only the entry it
+/// replaces.
 ///
 /// A repository also memoises results derived from its files alone, such as
 /// the oracle transpile of one of its files ([`SourceRepo::memoized`]). The
@@ -94,24 +96,85 @@ pub struct SourceRepo {
     memo: OnceMap<TypeId, Arc<dyn Any + Send + Sync>>,
 }
 
-/// One file body and its content hash.
+/// One file body and its content hash: the text behind a shared
+/// `Arc<str>` handle, and its [`fnv128`], filled on first use.
+///
+/// Cloning a body shares its text and carries its hash as far as it was
+/// computed, so a body hashed once where it is derived (an oracle
+/// transpile, a build file) is hashed for every repository it is later
+/// added to. A clone taken before the first hash hashes on its own. [`push_str`](Body::push_str) is the one
+/// mutator: it copies the text and resets the hash. A body reads as its
+/// text (`Deref<Target = str>`), and two bodies are equal when their texts
+/// are.
 #[derive(Clone)]
-struct Body {
+pub struct Body {
     text: Arc<str>,
     /// [`fnv128`] of `text`, filled on first use.
     hash: OnceLock<u128>,
 }
 
 impl Body {
-    fn new(text: Arc<str>) -> Self {
+    /// [`fnv128`] of the text: hashed on the first call, and kept with
+    /// this handle and every clone taken after it.
+    pub fn hash(&self) -> u128 {
+        *self.hash.get_or_init(|| fnv128(self.text.as_bytes()))
+    }
+
+    /// Do `a` and `b` share one text allocation (rather than equal texts)?
+    pub fn ptr_eq(a: &Body, b: &Body) -> bool {
+        Arc::ptr_eq(&a.text, &b.text)
+    }
+
+    /// Append `text`: copies the body into a new allocation, and drops the
+    /// hash, which no longer describes it.
+    pub fn push_str(&mut self, text: &str) {
+        let mut joined = String::with_capacity(self.text.len() + text.len());
+        joined.push_str(&self.text);
+        joined.push_str(text);
+        *self = Body::from(joined);
+    }
+}
+
+impl std::ops::Deref for Body {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl From<Arc<str>> for Body {
+    fn from(text: Arc<str>) -> Self {
         Body {
             text,
             hash: OnceLock::new(),
         }
     }
+}
 
-    fn hash(&self) -> u128 {
-        *self.hash.get_or_init(|| fnv128(self.text.as_bytes()))
+impl From<String> for Body {
+    fn from(text: String) -> Self {
+        Body::from(Arc::<str>::from(text))
+    }
+}
+
+impl From<&str> for Body {
+    fn from(text: &str) -> Self {
+        Body::from(Arc::<str>::from(text))
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+    }
+}
+
+impl Eq for Body {}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text, f)
     }
 }
 
@@ -151,16 +214,17 @@ impl SourceRepo {
         SourceRepo::default()
     }
 
-    pub fn with_file(mut self, path: impl Into<String>, contents: impl Into<Arc<str>>) -> Self {
+    pub fn with_file(mut self, path: impl Into<String>, contents: impl Into<Body>) -> Self {
         self.add(path, contents);
         self
     }
 
-    /// Add or replace a file. Drops the memo; the other files keep their
-    /// content hashes.
-    pub fn add(&mut self, path: impl Into<String>, contents: impl Into<Arc<str>>) {
+    /// Add or replace a file. A [`Body`] is added by handle, with its hash
+    /// if it has one; text becomes a new, unhashed body. Drops the memo;
+    /// the other files keep their content hashes.
+    pub fn add(&mut self, path: impl Into<String>, contents: impl Into<Body>) {
         self.memo = OnceMap::default();
-        self.files.insert(path.into(), Body::new(contents.into()));
+        self.files.insert(path.into(), contents.into());
     }
 
     /// Remove a file. Drops the memo.
@@ -211,9 +275,9 @@ impl SourceRepo {
         self.files.get(path).map(|b| &*b.text)
     }
 
-    /// The shared handle of a file body (cheap to clone into another repo).
-    pub fn get_shared(&self, path: &str) -> Option<Arc<str>> {
-        self.files.get(path).map(|b| Arc::clone(&b.text))
+    /// The body at `path`, to clone into another repository by handle.
+    pub fn get_body(&self, path: &str) -> Option<&Body> {
+        self.files.get(path)
     }
 
     /// The content hash of the body at `path`: [`fnv128`] of its bytes,
@@ -248,6 +312,11 @@ impl SourceRepo {
     /// Iterate `(path, contents)` in deterministic path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.files.iter().map(|(p, b)| (p.as_str(), &*b.text))
+    }
+
+    /// Iterate `(path, body)` in path order.
+    pub fn iter_bodies(&self) -> impl Iterator<Item = (&str, &Body)> {
+        self.files.iter().map(|(p, b)| (p.as_str(), b))
     }
 
     /// Iterate `(path, body hash)` in path order (see
@@ -347,7 +416,7 @@ impl FromIterator<(String, String)> for SourceRepo {
 impl FromIterator<(String, Arc<str>)> for SourceRepo {
     fn from_iter<T: IntoIterator<Item = (String, Arc<str>)>>(iter: T) -> Self {
         SourceRepo {
-            files: iter.into_iter().map(|(p, c)| (p, Body::new(c))).collect(),
+            files: iter.into_iter().map(|(p, c)| (p, Body::from(c))).collect(),
             memo: OnceMap::default(),
         }
     }
@@ -439,17 +508,17 @@ mod tests {
     fn clones_share_file_bodies() {
         let a = sample();
         let b = a.clone();
-        let pa = a.get_shared("src/main.cpp").unwrap();
-        let pb = b.get_shared("src/main.cpp").unwrap();
-        assert!(Arc::ptr_eq(&pa, &pb), "clone must not deep-copy bodies");
+        let pa = a.get_body("src/main.cpp").unwrap();
+        let pb = b.get_body("src/main.cpp").unwrap();
+        assert!(Body::ptr_eq(pa, pb), "clone must not deep-copy bodies");
 
         // Overlaying one file leaves the other handles shared.
         let mut c = a.clone();
         c.add("src/main.cpp", "int main() { return 1; }\n");
-        assert!(!Arc::ptr_eq(&pa, &c.get_shared("src/main.cpp").unwrap()));
-        assert!(Arc::ptr_eq(
-            &a.get_shared("src/kernel.h").unwrap(),
-            &c.get_shared("src/kernel.h").unwrap()
+        assert!(!Body::ptr_eq(pa, c.get_body("src/main.cpp").unwrap()));
+        assert!(Body::ptr_eq(
+            a.get_body("src/kernel.h").unwrap(),
+            c.get_body("src/kernel.h").unwrap()
         ));
     }
 
@@ -541,6 +610,39 @@ mod tests {
         assert_eq!(repo.hash_of("src/kernel.h", "void"), fnv128(b"void"));
         assert_eq!(repo.hash_of("src/other.h", body), fnv128(body.as_bytes()));
         assert_eq!(hashed_paths(&repo), vec!["src/kernel.h"]);
+    }
+
+    #[test]
+    fn bodies_are_added_by_handle_with_their_hash() {
+        let repo = sample();
+        let body = repo.get_body("src/main.cpp").unwrap();
+        let hash = body.hash();
+        let mut other = SourceRepo::new();
+        other.add("main.cpp", body.clone());
+        assert!(Body::ptr_eq(body, other.get_body("main.cpp").unwrap()));
+        assert_eq!(hashed_paths(&other), vec!["main.cpp"]);
+        assert_eq!(other.body_hash("main.cpp"), Some(hash));
+        // Text is a new, unhashed body.
+        other.add("b.h", String::from("void b();\n"));
+        other.add("c.h", "void c();\n");
+        other.add("d.h", Arc::<str>::from("void d();\n"));
+        assert_eq!(hashed_paths(&other), vec!["main.cpp"]);
+    }
+
+    #[test]
+    fn push_str_rehashes_the_new_text() {
+        let mut body = Body::from("int x;\n");
+        let shared = body.clone();
+        assert_eq!(body.hash(), fnv128(b"int x;\n"));
+        body.push_str("int y;\n");
+        assert_eq!(&*body, "int x;\nint y;\n");
+        assert!(body.hash.get().is_none(), "push_str kept a stale hash");
+        assert_eq!(body.hash(), fnv128(b"int x;\nint y;\n"));
+        // The text is copied: other handles keep the old text and hash.
+        assert_eq!(&*shared, "int x;\n");
+        assert_eq!(shared.hash(), fnv128(b"int x;\n"));
+        assert_eq!(body, Body::from("int x;\nint y;\n"));
+        assert_ne!(body, shared);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use minihpc_build::{build_repo, BuildRequest};
 use minihpc_gen::{generate, GenSpec};
 use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::{BuildSystemKind, ExecutionModel, TranslationPair};
-use minihpc_lang::repo::SourceRepo;
+use minihpc_lang::repo::{Body, SourceRepo};
 use minihpc_runtime::{run, RunConfig};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -85,8 +85,9 @@ pub struct Application {
     pub build_spec: String,
     /// Ground-truth build files per *target* model, hand-written (paper: the
     /// authors' manually translated Makefile/CMakeLists used for the
-    /// "Code-only" score).
-    pub ground_truth_build: BTreeMap<ExecutionModel, (String, String)>,
+    /// "Code-only" score). Stored as bodies that are not hashed here:
+    /// Code-only scoring hashes a copy on its first overlay.
+    pub ground_truth_build: BTreeMap<ExecutionModel, (String, Body)>,
     /// True when public ports exist in the target models (XSBench — the
     /// paper's data-contamination probe).
     pub public_ports_exist: bool,
@@ -258,23 +259,23 @@ pub(crate) fn share(
 }
 
 /// Shared ground-truth build files used by several applications.
-pub(crate) fn gt_make_omp_offload(binary: &str, sources: &[&str]) -> String {
-    format!(
+pub(crate) fn gt_make_omp_offload(binary: &str, sources: &[&str]) -> Body {
+    Body::from(format!(
         "CXX = clang++\nCXXFLAGS = -O2 -fopenmp -fopenmp-targets=nvptx64-nvidia-cuda -lm\n\n\
          {binary}: {srcs}\n\t$(CXX) $(CXXFLAGS) -o {binary} {srcs}\n\n\
          .PHONY: clean\nclean:\n\trm -f {binary}\n",
         srcs = sources.join(" "),
-    )
+    ))
 }
 
-pub(crate) fn gt_cmake_kokkos(binary: &str, sources: &[&str]) -> String {
-    format!(
+pub(crate) fn gt_cmake_kokkos(binary: &str, sources: &[&str]) -> Body {
+    Body::from(format!(
         "cmake_minimum_required(VERSION 3.16)\nproject({binary} LANGUAGES CXX)\n\
          find_package(Kokkos REQUIRED)\nset(CMAKE_CXX_STANDARD 17)\n\
          add_executable({binary} {srcs})\n\
          target_link_libraries({binary} PRIVATE Kokkos::kokkos)\n",
         srcs = sources.join(" "),
-    )
+    ))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::{gt_cmake_kokkos, gt_make_omp_offload, share, Application, TestCase};
 use minihpc_lang::model::ExecutionModel;
-use minihpc_lang::repo::SourceRepo;
+use minihpc_lang::repo::{Body, SourceRepo};
 use std::collections::BTreeMap;
 
 const CLI_SPEC: &str = "The program must be invoked as `<binary> <N> <iterations>` \
@@ -177,7 +177,7 @@ fn xor_tests() -> Vec<TestCase> {
     ]
 }
 
-fn xor_ground_truth(binary: &str, sources: &[&str]) -> BTreeMap<ExecutionModel, (String, String)> {
+fn xor_ground_truth(binary: &str, sources: &[&str]) -> BTreeMap<ExecutionModel, (String, Body)> {
     let mut gt = BTreeMap::new();
     gt.insert(
         ExecutionModel::OmpOffload,

@@ -787,10 +787,14 @@ impl EvalPipeline {
     /// wholesale.
     ///
     /// The overlay repo is a clone of `translated` — which shares file
-    /// bodies by handle ([`SourceRepo`] stores `Arc<str>`), so swapping the
-    /// build file costs two map edits, not a deep copy of every source.
+    /// bodies by handle ([`SourceRepo`] stores
+    /// [`Body`](minihpc_lang::repo::Body) handles), so swapping the build
+    /// file costs two map edits, not a deep copy of every source.
     /// The unchanged sources also keep their content, so the file tier
-    /// serves their compile units straight from the Overall build.
+    /// serves their compile units straight from the Overall build. The
+    /// ground-truth build file is added by handle too: the task's copy is
+    /// hashed on its first overlay, not when the suite is built, and every
+    /// later overlay carries that hash.
     fn code_only_outcome(
         &self,
         task: &Task,
@@ -808,6 +812,7 @@ impl EvalPipeline {
                 for p in build_files {
                     repo.remove(&p);
                 }
+                gt_text.hash();
                 repo.add(gt_path.clone(), gt_text.clone());
                 self.evaluate(task, &repo)
             }
@@ -1179,7 +1184,7 @@ mod tests {
         let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
         let reordered =
             gt_text.replace("src/main.cpp src/kernel.cpp", "src/kernel.cpp src/main.cpp");
-        assert_ne!(&reordered, gt_text);
+        assert_ne!(reordered, **gt_text);
         repo.add(gt_path.clone(), reordered);
 
         let pipeline = EvalPipeline::new(eval_config());

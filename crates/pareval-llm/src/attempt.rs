@@ -21,7 +21,7 @@ use crate::profiles::ModelProfile;
 use minihpc_analyze::FixIt;
 use minihpc_build::ErrorCategory;
 use minihpc_lang::model::TranslationPair;
-use minihpc_lang::repo::SourceRepo;
+use minihpc_lang::repo::{Body, SourceRepo};
 use pareval_translate::techniques::{Backend, BackendError, BackendOutput, ByteCount, FileJob};
 use pareval_translate::Technique;
 use std::fmt::{self, Write};
@@ -132,7 +132,7 @@ impl RepairContext {
 /// least one edit applied — ready to return as
 /// [`RepairOutcome::Revised`]. Deterministic: order follows
 /// `fixit_sources`, and the edits themselves are line-anchored.
-pub fn apply_fixits(ctx: &RepairContext) -> Vec<(String, String)> {
+pub fn apply_fixits(ctx: &RepairContext) -> Vec<(String, Body)> {
     let mut out = Vec::new();
     for (path, text) in &ctx.fixit_sources {
         let for_file: Vec<FixIt> = ctx
@@ -145,7 +145,7 @@ pub fn apply_fixits(ctx: &RepairContext) -> Vec<(String, String)> {
             continue;
         }
         if let Some(edited) = minihpc_analyze::fixit::apply_all(text, &for_file) {
-            out.push((path.clone(), edited));
+            out.push((path.clone(), Body::from(edited)));
         }
     }
     out
@@ -156,8 +156,9 @@ pub fn apply_fixits(ctx: &RepairContext) -> Vec<(String, String)> {
 pub enum RepairOutcome {
     /// Revised `(path, contents)` files to overlay on the translated repo;
     /// the harness re-evaluates the result. May re-emit unchanged (still
-    /// broken) text — the re-evaluation is then a build-cache hit.
-    Revised(Vec<(String, String)>),
+    /// broken) text — the re-evaluation is then a build-cache hit. A body
+    /// the attempt emitted before is re-emitted by handle, with its hash.
+    Revised(Vec<(String, Body)>),
     /// The attempt declines this round (nothing it knows how to fix);
     /// the harness stops the loop even if budget remains.
     GaveUp,

@@ -13,7 +13,7 @@ use crate::inject;
 use crate::profiles::{model_index, ModelKind, ModelProfile};
 use minihpc_build::ErrorCategory;
 use minihpc_lang::model::TranslationPair;
-use minihpc_lang::repo::{FileKind, SourceRepo};
+use minihpc_lang::repo::{Body, FileKind, SourceRepo};
 use pareval_translate::techniques::{Backend, BackendError, BackendOutput, FileJob};
 use pareval_translate::{transpile, Technique};
 use rand::rngs::StdRng;
@@ -58,13 +58,15 @@ enum AttemptPlan {
 
 /// One injected-and-still-unfixed build error this attempt knows about:
 /// what category it planted, where, and both the broken text it emitted and
-/// the clean text a successful repair round restores.
+/// the clean text a successful repair round restores. For an unchunked
+/// file both are the memoised bodies the translation emitted, so a repair
+/// re-emits a body already hashed.
 #[derive(Debug, Clone)]
 struct PendingRepair {
     category: ErrorCategory,
     path: String,
-    broken: String,
-    clean: String,
+    broken: Body,
+    clean: Body,
     /// Code injection (vs build-file): a successful repair of code re-rolls
     /// functional correctness — compiling is not passing.
     is_code: bool,
@@ -87,7 +89,7 @@ pub struct SimulatedModel {
     /// Per-path text emitted before an injection lands on that path —
     /// chunked files mutate mid-stream, and a repair must re-emit the
     /// whole reassembled file, not just the chunks from the injection on.
-    prior_chunks: Vec<(String, String)>,
+    prior_chunks: Vec<(String, Body)>,
     /// P(tests pass | code builds) for this cell — what a successfully
     /// repaired code file re-rolls against (fixing the compile error does
     /// not grant correctness beyond the model's calibrated skill).
@@ -246,22 +248,21 @@ impl SimulatedModel {
             ((base_out as f64) * self.profile.output_multiplier * noise).round() as u64;
     }
 
-    /// Remove and return the text this attempt emitted for `path` before
-    /// an injection landed on it (empty for unchunked files).
-    fn take_prior_chunks(&mut self, path: &str) -> String {
+    /// The `(broken, clean)` pair a pending repair of `path` holds when an
+    /// injection turned `clean` into `broken`: the bodies themselves, or,
+    /// when earlier chunks of the file were emitted before the injection
+    /// landed, those chunks followed by each.
+    fn whole_file(&mut self, path: &str, broken: &Body, clean: &Body) -> (Body, Body) {
         match self.prior_chunks.iter().position(|(p, _)| p == path) {
-            Some(i) => self.prior_chunks.swap_remove(i).1,
-            None => String::new(),
+            Some(i) => {
+                let prior = self.prior_chunks.swap_remove(i).1;
+                let (mut whole_broken, mut whole_clean) = (prior.clone(), prior);
+                whole_broken.push_str(broken);
+                whole_clean.push_str(clean);
+                (whole_broken, whole_clean)
+            }
+            None => (broken.clone(), clean.clone()),
         }
-    }
-
-    /// Is this translated file the one that should receive the code
-    /// mutation? (The file carrying the parallel construct, approximated by
-    /// content inspection of the oracle output.)
-    fn is_mutation_target(&self, translated: &str) -> bool {
-        translated.contains("#pragma omp target")
-            || translated.contains("Kokkos::parallel_for")
-            || translated.contains("#pragma omp parallel")
     }
 
     fn infeasibility_error(&self) -> BackendError {
@@ -344,7 +345,8 @@ impl Attempt for SimulatedModel {
                 let mut text = if fixed.is_code && self.rng.gen::<f64>() >= self.p_pass_given_build
                 {
                     let kind = Self::pick_functional(self.pair, &mut self.rng);
-                    inject::inject_functional_error(&fixed.clean, kind).unwrap_or(fixed.clean)
+                    inject::inject_functional_error(&fixed.clean, kind)
+                        .map_or(fixed.clean, Body::from)
                 } else {
                     fixed.clean
                 };
@@ -357,7 +359,7 @@ impl Attempt for SimulatedModel {
                 if self.technique == Technique::SweAgent
                     && FileKind::of(&fixed.path) == FileKind::Makefile
                 {
-                    text = text.replace('\t', "    ");
+                    text = Body::from(text.replace('\t', "    "));
                 }
                 emitted += text.len();
                 files.push((fixed.path, text));
@@ -412,52 +414,41 @@ impl Backend for SimulatedModel {
         self.usage.input += self.profile.tokens_for_len(job.prompt_len);
 
         let output = if job.kind.is_build_file() {
-            let sources: Vec<String> = self
-                .source_repo
-                .iter()
-                .filter(|(p, _)| FileKind::of(p) == FileKind::Source)
-                .map(|(p, _)| transpile::rename_for_target(p, self.pair.to))
-                .collect();
-            let (path, mut text) =
-                transpile::transpile_build_file(self.pair, &job.binary, &sources);
+            let clean = transpile::translated_build_file(&self.source_repo, self.pair, &job.binary);
+            let mut text = clean.text.clone();
             if let Some(category) = buildfile_error {
-                let clean = text.clone();
-                let applied = if let Some(mutated) =
-                    inject::inject_buildfile_error(&text, category, self.pair.to)
-                {
-                    text = mutated;
-                    Some(category)
-                } else if let Some(mutated) = inject::inject_buildfile_error(
-                    &text,
-                    ErrorCategory::MakefileMissingTarget,
-                    self.pair.to,
-                ) {
-                    // Fallback anchor when the sampled category does not
-                    // apply to this build system.
-                    text = mutated;
-                    Some(ErrorCategory::MakefileMissingTarget)
-                } else {
-                    None
-                };
-                if let Some(category) = applied {
+                // Fall back to a missing target when the sampled category
+                // does not apply to this build system.
+                let applied = [category, ErrorCategory::MakefileMissingTarget]
+                    .into_iter()
+                    .find_map(|c| {
+                        inject::inject_buildfile_error(&clean.text, c, self.pair.to)
+                            .map(|broken| (c, Body::from(broken)))
+                    });
+                if let Some((category, broken)) = applied {
+                    text = broken.clone();
                     self.pending.push(PendingRepair {
                         category,
-                        path: path.clone(),
-                        broken: text.clone(),
-                        clean,
+                        path: clean.path.clone(),
+                        broken,
+                        clean: clean.text,
                         is_code: false,
                     });
                 }
             }
             BackendOutput {
-                files: vec![(path, text)],
+                files: vec![(clean.path, text)],
                 summary: "translated the build system".to_string(),
             }
         } else {
+            // The memoised oracle transpile, emitted by handle unless an
+            // injection lands on it.
             let r =
                 transpile::transpile_file(&self.source_repo, &job.path, &job.contents, self.pair);
-            let mut text = r.text;
-            let apply_here = self.is_mutation_target(&text);
+            let mut text = r.text.clone();
+            // The file carrying the parallel construct is the one that
+            // receives the code mutation.
+            let apply_here = r.parallel;
             let mut injected_now = false;
             match &code {
                 // A racy "correct" translation: drop the reduction clause
@@ -468,17 +459,16 @@ impl Backend for SimulatedModel {
                 // repair restores the clause verbatim with no correctness
                 // re-roll.
                 CodePlan::Correct if self.race_plan && !self.mutation_done => {
-                    let clean = text.clone();
-                    if let Some(m) = inject::inject_race_error(&text) {
-                        text = m;
+                    if let Some(racy) = inject::inject_race_error(&r.text) {
+                        text = Body::from(racy);
                         self.mutation_done = true;
                         injected_now = true;
-                        let prior = self.take_prior_chunks(&r.path);
+                        let (broken, clean) = self.whole_file(&r.path, &text, &r.text);
                         self.pending.push(PendingRepair {
                             category: ErrorCategory::OmpInvalidDirective,
                             path: r.path.clone(),
-                            broken: format!("{prior}{text}"),
-                            clean: format!("{prior}{clean}"),
+                            broken,
+                            clean,
                             is_code: false,
                         });
                     }
@@ -489,36 +479,28 @@ impl Backend for SimulatedModel {
                 // its translation, and apps like llm.c spread kernels across
                 // several files.
                 CodePlan::WrongResult(kind) if apply_here => {
-                    if let Some(m) = inject::inject_functional_error(&text, *kind) {
-                        text = m;
+                    if let Some(wrong) = inject::inject_functional_error(&r.text, *kind) {
+                        text = Body::from(wrong);
                         self.mutation_done = true;
                     }
                 }
                 // Build-breaking errors hit one file (the first eligible).
                 CodePlan::BuildError(category) if apply_here && !self.mutation_done => {
-                    let clean = text.clone();
-                    let applied = if let Some(m) = inject::inject_code_error(&text, *category) {
-                        text = m;
-                        Some(*category)
-                    } else if let Some(m) =
-                        inject::inject_code_error(&text, ErrorCategory::CodeSyntax)
-                    {
-                        text = m;
-                        Some(ErrorCategory::CodeSyntax)
-                    } else {
-                        None
-                    };
-                    if let Some(category) = applied {
+                    let applied = [*category, ErrorCategory::CodeSyntax]
+                        .into_iter()
+                        .find_map(|c| inject::inject_code_error(&r.text, c).map(|m| (c, m)));
+                    if let Some((category, broken)) = applied {
+                        text = Body::from(broken);
                         self.mutation_done = true;
                         injected_now = true;
                         // Chunks of this file emitted before the injection
                         // landed are part of the merged file too.
-                        let prior = self.take_prior_chunks(&r.path);
+                        let (broken, clean) = self.whole_file(&r.path, &text, &r.text);
                         self.pending.push(PendingRepair {
                             category,
                             path: r.path.clone(),
-                            broken: format!("{prior}{text}"),
-                            clean: format!("{prior}{clean}"),
+                            broken,
+                            clean,
                             is_code: true,
                         });
                     }
@@ -547,11 +529,16 @@ impl Backend for SimulatedModel {
                     }
                 }
             }
-            let summary = format!(
-                "translated {} to {} ({} lines)",
-                job.path,
-                self.pair.to,
+            // An unmutated body's line count was taken when it was
+            // transpiled.
+            let lines = if Body::ptr_eq(&text, &r.text) {
+                r.lines
+            } else {
                 text.lines().count()
+            };
+            let summary = format!(
+                "translated {} to {} ({lines} lines)",
+                job.path, self.pair.to
             );
             BackendOutput {
                 files: vec![(r.path, text)],
@@ -839,6 +826,101 @@ mod tests {
             }
         }
         assert!(repaired_any, "no sample repaired its race in one round");
+    }
+
+    /// Two samples with the same plan share every translated body they
+    /// did not mutate by handle, the clean build file included, and the
+    /// second sample derives nothing cold. Injected bodies are derived per
+    /// sample. A successful repair re-emits the memo's clean body, or a
+    /// fresh functional re-roll of it.
+    #[test]
+    fn repeated_samples_carry_memoised_bodies() {
+        use crate::attempt::{RepairContext, RepairOutcome};
+        use pareval_translate::transpile::{BuildFile, FileResult};
+        let app = pareval_apps::by_name("microXOR").unwrap();
+        let pair = TranslationPair::CUDA_TO_OMP_OFFLOAD;
+        // A verbatim file as well, which must be carried from the source.
+        let repo = app.repo(pair.from).unwrap().clone();
+        let repo = Arc::new(repo.with_file("README.md", "# microXOR\n"));
+        let job = TranslationJob {
+            app_name: &app.name,
+            binary: &app.binary,
+            source_repo: &repo,
+            pair,
+            cli_spec: &app.cli_spec,
+            build_spec: &app.build_spec,
+        };
+        let translate = |sample| {
+            let mut model = SimulatedModel::new(
+                model_by_name("gemini-1.5-flash").unwrap(),
+                Technique::NonAgentic,
+                pair,
+                "microXOR",
+                Arc::clone(&repo),
+                20240612,
+                sample,
+            );
+            let run = translate_with(Technique::NonAgentic, &job, &mut model);
+            (model, run.repo.unwrap())
+        };
+        let cold = || {
+            [
+                repo.cold_derivations::<FileResult>(),
+                repo.cold_derivations::<BuildFile>(),
+            ]
+        };
+        // The memo's clean bodies, by handle.
+        let oracle = transpile::transpile_repo(&repo, pair, &app.binary);
+        let (mut clean, mut injected, mut restored) = (0, 0, 0);
+        for sample in 0..16 {
+            let (_, a) = translate(sample);
+            let before = cold();
+            let (mut second, b) = translate(sample);
+            assert_eq!(cold(), before, "sample {sample} derived cold");
+            assert_eq!(a, b);
+            let readme = b.get_body("README.md").unwrap();
+            assert!(Body::ptr_eq(readme, repo.get_body("README.md").unwrap()));
+            for (path, body) in b.iter_bodies() {
+                let memo = oracle.get_body(path).unwrap();
+                if body == memo {
+                    let from_a = a.get_body(path).unwrap();
+                    assert!(
+                        Body::ptr_eq(body, memo) && Body::ptr_eq(body, from_a),
+                        "sample {sample}: {path} was copied"
+                    );
+                    clean += 1;
+                } else {
+                    injected += 1;
+                }
+            }
+            // One repair round on every pending error.
+            let ctx = RepairContext {
+                round: 1,
+                categories: second.pending.iter().map(|p| p.category).collect(),
+                files: Vec::new(),
+                diagnostics: Vec::new(),
+                race_findings: Vec::new(),
+                fixits: Vec::new(),
+                fixit_sources: Vec::new(),
+            };
+            let RepairOutcome::Revised(files) = second.repair(&ctx) else {
+                continue;
+            };
+            for (path, body) in files {
+                let memo = oracle.get_body(&path).unwrap();
+                if Body::ptr_eq(&body, memo) {
+                    restored += 1;
+                } else {
+                    // A repaired code file whose correctness re-rolled.
+                    assert!(FileKind::of(&path).is_code(), "{path}");
+                    assert_ne!(body, *memo);
+                }
+            }
+        }
+        assert!(
+            clean > 0 && injected > 0 && restored > 0,
+            "{clean} clean, {injected} injected, {restored} restored"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::attempt::{Attempt, AttemptSpec, RepairContext, RepairOutcome, Transla
 use crate::backend::TokenUsage;
 use crate::profiles::ModelProfile;
 use minihpc_lang::model::TranslationPair;
-use minihpc_lang::repo::SourceRepo;
+use minihpc_lang::repo::{Body, FileKind, SourceRepo};
 use pareval_translate::techniques::{Backend, BackendError, BackendOutput, FileJob};
 use pareval_translate::{transpile, Technique};
 use std::sync::Arc;
@@ -105,10 +105,12 @@ impl Backend for OracleAttempt {
         self.usage.input += self.model.tokens_for_len(job.prompt_len);
         let pair = self.pair;
         let reference = self.translated(&job.binary);
+        // Reference bodies are served by handle, with their hashes.
         let output = if job.kind.is_build_file() {
             let (path, text) = reference
-                .build_file()
-                .map(|(p, t)| (p.to_string(), t.to_string()))
+                .iter_bodies()
+                .find(|(p, _)| FileKind::of(p).is_build_file())
+                .map(|(p, t)| (p.to_string(), t.clone()))
                 .expect("reference translation has a build file");
             BackendOutput {
                 files: vec![(path, text)],
@@ -117,9 +119,9 @@ impl Backend for OracleAttempt {
         } else {
             let path = transpile::rename_for_target(&job.path, pair.to);
             let text = reference
-                .get(&path)
+                .get_body(&path)
                 .unwrap_or_else(|| panic!("reference translation lacks {path}"))
-                .to_string();
+                .clone();
             let summary = format!("translated {} to {}", job.path, pair.to);
             BackendOutput {
                 files: vec![(path, text)],
@@ -172,16 +174,16 @@ impl Attempt for OracleAttempt {
         let Some(reference) = self.translated.as_ref() else {
             return RepairOutcome::GaveUp;
         };
-        let files: Vec<(String, String)> = ctx
+        let files: Vec<(String, Body)> = ctx
             .files
             .iter()
-            .filter_map(|p| reference.get(p).map(|t| (p.clone(), t.to_string())))
+            .filter_map(|p| reference.get_body(p).map(|t| (p.clone(), t.clone())))
             .collect();
         if files.is_empty() {
             return RepairOutcome::GaveUp;
         }
         let emitted: usize = files.iter().map(|(_, c)| c.len()).sum();
-        self.usage.output += ((emitted as f64) * self.model.tokens_per_char).ceil() as u64;
+        self.usage.output += self.model.tokens_for_len(emitted);
         RepairOutcome::Revised(files)
     }
 }

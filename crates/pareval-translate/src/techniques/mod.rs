@@ -15,9 +15,8 @@ pub use deps::dependency_order;
 pub use prompt::{build_prompt, prompt_len, ByteCount, ContextSummary, PromptParts};
 
 use minihpc_lang::model::TranslationPair;
-use minihpc_lang::repo::{FileKind, SourceRepo};
+use minihpc_lang::repo::{Body, FileKind, SourceRepo};
 use std::fmt::{self, Write};
-use std::sync::Arc;
 
 /// The full task specification a technique receives.
 #[derive(Debug, Clone)]
@@ -36,7 +35,7 @@ pub struct FileJob {
     pub path: String,
     /// The text to translate: the file's body, shared with the source
     /// repo, or one chunk of it.
-    pub contents: Arc<str>,
+    pub contents: Body,
     /// The byte length of the complete prompt (system + context +
     /// instruction), which the backend charges as input tokens. The
     /// prompt itself is measured, not built ([`prompt_len`]).
@@ -50,8 +49,11 @@ pub struct FileJob {
 #[derive(Debug, Clone)]
 pub struct BackendOutput {
     /// Translated files (path may be renamed, e.g. `.cu` → `.cpp`; a
-    /// response may carry several files when the model merges them).
-    pub files: Vec<(String, String)>,
+    /// response may carry several files when the model merges them). A
+    /// backend that re-emits a body it derived before hands back the same
+    /// handle, and the technique adds it to the translated repository as
+    /// is, content hash included.
+    pub files: Vec<(String, Body)>,
     /// A short summary of the changes (produced by the context agent's
     /// underlying model; used in dependents' prompts).
     pub summary: String,
@@ -156,12 +158,24 @@ pub fn translate_with(
     }
 }
 
+/// Start a translated repository with `source`'s non-code, non-build
+/// files, which carry over verbatim: by handle, each hashed once on the
+/// shared source repository rather than once per translation.
+fn carry_other_files(source: &SourceRepo, out: &mut SourceRepo) {
+    for (p, body) in source.iter_bodies() {
+        if FileKind::of(p) == FileKind::Other {
+            body.hash();
+            out.add(p, body.clone());
+        }
+    }
+}
+
 /// Files a technique must translate (code + build files), in repo order,
 /// with their shared bodies.
-fn translatable_files(repo: &SourceRepo) -> impl Iterator<Item = (&str, Arc<str>)> {
-    repo.paths().filter_map(|p| {
+fn translatable_files(repo: &SourceRepo) -> impl Iterator<Item = (&str, Body)> {
+    repo.iter_bodies().filter_map(|(p, body)| {
         let k = FileKind::of(p);
-        (k.is_code() || k.is_build_file()).then(|| (p, repo.get_shared(p).expect("listed path")))
+        (k.is_code() || k.is_build_file()).then(|| (p, body.clone()))
     })
 }
 
@@ -171,12 +185,7 @@ fn translatable_files(repo: &SourceRepo) -> impl Iterator<Item = (&str, Arc<str>
 
 fn non_agentic(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
     let mut out = SourceRepo::new();
-    // Non-code, non-build files carry over verbatim.
-    for (p, c) in job.source_repo.iter() {
-        if FileKind::of(p) == FileKind::Other {
-            out.add(p, c);
-        }
-    }
+    carry_other_files(job.source_repo, &mut out);
     for (path, contents) in translatable_files(job.source_repo) {
         let file_job = FileJob {
             path: path.to_string(),
@@ -217,11 +226,7 @@ fn non_agentic(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRu
 
 fn top_down(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
     let mut out = SourceRepo::new();
-    for (p, c) in job.source_repo.iter() {
-        if FileKind::of(p) == FileKind::Other {
-            out.add(p, c);
-        }
-    }
+    carry_other_files(job.source_repo, &mut out);
     // Dependency agent: include-based ordering (clang-equivalent static
     // analysis; no circular includes by construction).
     let order = dependency_order(job.source_repo);
@@ -231,8 +236,9 @@ fn top_down(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
     for path in order {
         let contents = job
             .source_repo
-            .get_shared(&path)
-            .unwrap_or_else(|| Arc::from(""));
+            .get_body(&path)
+            .cloned()
+            .unwrap_or_else(|| Body::from(""));
         // Every chunk of a file is sent with the same prompt: the whole
         // file plus the context agent's summary.
         let prompt_len = prompt_len(&PromptParts {
@@ -247,15 +253,15 @@ fn top_down(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
         });
         // Chunk agent: split oversized files at function boundaries.
         let chunks = chunk_file(&contents, backend.context_limit());
-        let mut translated_parts: Vec<(String, String)> = Vec::new();
+        let mut translated_parts: Vec<(String, Body)> = Vec::new();
         let mut file_summary = String::new();
         for &chunk in &chunks {
             let file_job = FileJob {
                 path: path.clone(),
                 contents: if chunks.len() == 1 {
-                    Arc::clone(&contents)
+                    contents.clone()
                 } else {
-                    Arc::from(chunk)
+                    Body::from(chunk)
                 },
                 prompt_len,
                 pair: job.pair,
@@ -276,7 +282,8 @@ fn top_down(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun {
             }
         }
         // Reassemble chunked output: concatenate parts that share a path.
-        let mut merged: Vec<(String, String)> = Vec::new();
+        // An unchunked file's body is added by handle.
+        let mut merged: Vec<(String, Body)> = Vec::new();
         for (p, c) in translated_parts {
             if let Some(last) = merged.iter_mut().find(|(mp, _)| *mp == p) {
                 last.1.push_str(&c);
@@ -339,12 +346,8 @@ fn swe_agent(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun 
     );
     let mut out = SourceRepo::new();
     out.add(".git/HEAD", "ref: refs/heads/main\n");
-    out.add("ISSUE.md", issue.clone());
-    for (p, c) in job.source_repo.iter() {
-        if FileKind::of(p) == FileKind::Other {
-            out.add(p, c);
-        }
-    }
+    out.add("TASK_ISSUE.txt", issue.as_str());
+    carry_other_files(job.source_repo, &mut out);
     for (path, contents) in translatable_files(job.source_repo) {
         let file_job = FileJob {
             path: path.to_string(),
@@ -370,19 +373,34 @@ fn swe_agent(job: &TranslationJob, backend: &mut dyn Backend) -> TranslationRun 
     }
     // SWE-agent's editor normalises tabs to spaces, destroying Makefile
     // recipes (paper Sec. 3.3) — applied to every Makefile it wrote.
-    let makefiles: Vec<String> = out
-        .paths()
-        .filter(|p| FileKind::of(p) == FileKind::Makefile)
-        .map(str::to_string)
+    let makefiles: Vec<(String, Body)> = out
+        .iter_bodies()
+        .filter(|(p, _)| FileKind::of(p) == FileKind::Makefile)
+        .map(|(p, body)| (p.to_string(), tabs_expanded(job.source_repo, body)))
         .collect();
-    for p in makefiles {
-        let text = out.get(&p).unwrap().replace('\t', "    ");
-        out.add(p, text);
+    for (p, body) in makefiles {
+        out.add(p, body);
     }
     TranslationRun {
         repo: Some(out),
         failure: None,
     }
+}
+
+/// A body as SWE-agent's editor writes it: every tab became four spaces.
+#[derive(Clone)]
+struct TabsExpanded(Body);
+
+/// `body` with its tabs expanded, memoised on `source` (the repository
+/// under translation) under the body's content hash, and hashed when
+/// derived: a Makefile every sample emits alike is rewritten once.
+fn tabs_expanded(source: &SourceRepo, body: &Body) -> Body {
+    let derive = || {
+        let expanded = Body::from(body.replace('\t', "    "));
+        expanded.hash();
+        TabsExpanded(expanded)
+    };
+    source.memoized(body.hash(), derive).0
 }
 
 #[cfg(test)]
@@ -400,15 +418,9 @@ mod tests {
         fn translate(&mut self, job: &FileJob) -> Result<BackendOutput, BackendError> {
             self.calls += 1;
             if job.kind.is_build_file() {
-                let sources: Vec<String> = self
-                    .repo
-                    .iter()
-                    .filter(|(p, _)| FileKind::of(p) == FileKind::Source)
-                    .map(|(p, _)| transpile::rename_for_target(p, job.pair.to))
-                    .collect();
-                let (p, c) = transpile::transpile_build_file(job.pair, &job.binary, &sources);
+                let build = transpile::translated_build_file(&self.repo, job.pair, &job.binary);
                 return Ok(BackendOutput {
-                    files: vec![(p, c)],
+                    files: vec![(build.path, build.text)],
                     summary: "translated build system".into(),
                 });
             }
@@ -553,7 +565,7 @@ mod tests {
     fn assert_prompt_lens_match(app: &pareval_apps::Application) {
         for pair in app.pairs() {
             let j = job(app, pair);
-            let files: Vec<(&str, Arc<str>)> = translatable_files(j.source_repo).collect();
+            let files: Vec<(&str, Body)> = translatable_files(j.source_repo).collect();
             let translated: Vec<(String, String)> = files
                 .iter()
                 .map(|(p, _)| (p.to_string(), format!("translated {p} to {}", pair.to)))
@@ -590,7 +602,10 @@ mod tests {
                         );
                     }
                 }
-                let swe = format!("{issue}\nResolve the issue for file {path}:\n{contents}\n");
+                let swe = format!(
+                    "{issue}\nResolve the issue for file {path}:\n{}\n",
+                    &**contents
+                );
                 assert_eq!(
                     ByteCount::of(|n| write_swe_prompt(n, &issue, path, contents)),
                     swe.len()

@@ -17,18 +17,47 @@ use minihpc_lang::model::{ExecutionModel, TranslationPair};
 use minihpc_lang::parser;
 use minihpc_lang::pragma::*;
 use minihpc_lang::printer;
-use minihpc_lang::repo::{FileKind, SourceRepo};
+use minihpc_lang::repo::{Body, FileKind, SourceRepo};
 use minihpc_lang::walk::{walk, walk_stmts, Node};
 use rw::{call_name, map_exprs, map_exprs_stmt, map_type, rewrite_stmts};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Outcome of transpiling one source/header file.
+///
+/// Besides the translated body, the cold transpile records what callers
+/// would otherwise rescan in the text on every use: whether it carries a
+/// parallel construct, and its line count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileResult {
     pub path: String,
-    pub text: String,
+    /// The translated body, hashed when it is derived, so every repository
+    /// it is added to by handle carries its content hash.
+    pub text: Body,
     pub used_curand: bool,
+    /// The text carries an offload `target` construct, a
+    /// `Kokkos::parallel_for` or an OpenMP `parallel` region.
+    pub parallel: bool,
+    /// `text.lines().count()`.
+    pub lines: usize,
+}
+
+impl FileResult {
+    fn new(path: String, text: String, used_curand: bool) -> Self {
+        let parallel = text.contains("#pragma omp target")
+            || text.contains("Kokkos::parallel_for")
+            || text.contains("#pragma omp parallel");
+        let lines = text.lines().count();
+        let text = Body::from(text);
+        text.hash();
+        FileResult {
+            path,
+            text,
+            used_curand,
+            parallel,
+            lines,
+        }
+    }
 }
 
 /// Portable-RNG helpers emitted where cuRAND was used. The arithmetic is
@@ -59,28 +88,26 @@ const RNG_PROTOS: &str = "long rng_mix(long x);\nvoid rng_seed_into(long seed, l
 /// the translated sources *and* build system (the "Overall" configuration).
 ///
 /// A pure function of its arguments. Each code file goes through
-/// [`transpile_file`], so repeated calls on one repository are served from
-/// its memo; the build file and the RNG-helper pass are redone per call.
+/// [`transpile_file`] and the build file through [`translated_build_file`],
+/// so repeated calls on one repository are served from its memo, and the
+/// other files are carried by handle; the RNG-helper pass is redone per
+/// call.
 pub fn transpile_repo(repo: &SourceRepo, pair: TranslationPair, binary: &str) -> SourceRepo {
     let mut out = SourceRepo::new();
-    let mut translated_sources: Vec<String> = Vec::new();
     let mut curand_files: Vec<String> = Vec::new();
     let mut results: Vec<FileResult> = Vec::new();
 
-    for (path, text) in repo.iter() {
+    for (path, body) in repo.iter_bodies() {
         match FileKind::of(path) {
             FileKind::Source | FileKind::Header => {
-                let r = transpile_file(repo, path, text, pair);
+                let r = transpile_file(repo, path, body, pair);
                 if r.used_curand {
                     curand_files.push(r.path.clone());
-                }
-                if FileKind::of(&r.path) == FileKind::Source {
-                    translated_sources.push(r.path.clone());
                 }
                 results.push(r);
             }
             FileKind::Makefile | FileKind::CMakeLists => {} // regenerated below
-            FileKind::Other => out.add(path, text),
+            FileKind::Other => out.add(path, body.clone()),
         }
     }
 
@@ -93,17 +120,18 @@ pub fn transpile_repo(repo: &SourceRepo, pair: TranslationPair, binary: &str) ->
         .cloned();
     for mut r in results {
         if r.used_curand && pair.to == ExecutionModel::OmpOffload {
-            if Some(&r.path) == definer.as_ref() {
-                r.text = format!("{RNG_HELPERS}\n{}", r.text);
+            let helpers = if Some(&r.path) == definer.as_ref() {
+                RNG_HELPERS
             } else {
-                r.text = format!("{RNG_PROTOS}\n{}", r.text);
-            }
+                RNG_PROTOS
+            };
+            r.text = Body::from(format!("{helpers}\n{}", &*r.text));
         }
         out.add(r.path, r.text);
     }
 
-    let (bpath, btext) = transpile_build_file(pair, binary, &translated_sources);
-    out.add(bpath, btext);
+    let build = translated_build_file(repo, pair, binary);
+    out.add(build.path, build.text);
     out
 }
 
@@ -142,11 +170,7 @@ fn transpile_file_cold(
     let Ok(mut file) = parser::parse_file(text) else {
         // Untranslatable input passes through (the build will fail there,
         // as it would have in the source model).
-        return FileResult {
-            path: new_path,
-            text: text.to_string(),
-            used_curand: false,
-        };
+        return FileResult::new(new_path, text.to_string(), false);
     };
     let used_curand = file_uses_curand(&file);
     match (pair.from, pair.to) {
@@ -155,11 +179,38 @@ fn transpile_file_cold(
         (ExecutionModel::OmpThreads, ExecutionModel::OmpOffload) => threads_to_offload(&mut file),
         _ => {}
     }
-    FileResult {
-        path: new_path,
-        text: printer::print_file(&file),
-        used_curand,
-    }
+    FileResult::new(new_path, printer::print_file(&file), used_curand)
+}
+
+/// The destination build file of `repo`'s translation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BuildFile {
+    pub path: String,
+    /// Hashed when it is derived, like [`FileResult::text`].
+    pub text: Body,
+}
+
+/// [`transpile_build_file`] for `repo`'s source files, renamed for
+/// `pair`'s target. A pure function of `repo`'s file paths, `pair` and
+/// `binary`, so it is memoised on `repo` under the [`Fnv128`] hash of
+/// (`pair`, `binary`) and counted there as a cold derivation of a
+/// [`BuildFile`].
+pub fn translated_build_file(repo: &SourceRepo, pair: TranslationPair, binary: &str) -> BuildFile {
+    let mut key = Fnv128::new();
+    key.field(pair.from.id().as_bytes());
+    key.field(pair.to.id().as_bytes());
+    key.field(binary.as_bytes());
+    repo.memoized(key.finish(), || {
+        let sources: Vec<String> = repo
+            .paths()
+            .filter(|p| FileKind::of(p) == FileKind::Source)
+            .map(|p| rename_for_target(p, pair.to))
+            .collect();
+        let (path, text) = transpile_build_file(pair, binary, &sources);
+        let text = Body::from(text);
+        text.hash();
+        BuildFile { path, text }
+    })
 }
 
 /// Generate the destination build file.
@@ -1201,6 +1252,7 @@ fn collect_decl_types(b: &Block, out: &mut BTreeMap<String, Type>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minihpc_lang::fnv::fnv128;
 
     #[test]
     fn memoised_transpile_matches_the_cold_path() {
@@ -1222,6 +1274,53 @@ mod tests {
                     "{} ({pair}): one cold transpile per file",
                     app.name
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_results_record_their_text() {
+        for app in pareval_apps::suite() {
+            for pair in app.pairs() {
+                let repo = app.repo(pair.from).unwrap();
+                for path in repo.code_files() {
+                    let r = transpile_file(repo, path, repo.get(path).unwrap(), pair);
+                    assert_eq!(r.text.hash(), fnv128(r.text.as_bytes()));
+                    assert_eq!(r.lines, r.text.lines().count(), "{path}");
+                    let parallel = [
+                        "#pragma omp target",
+                        "Kokkos::parallel_for",
+                        "#pragma omp parallel",
+                    ]
+                    .iter()
+                    .any(|construct| r.text.contains(construct));
+                    assert_eq!(r.parallel, parallel, "{}: {path} ({pair})", app.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_build_file_matches_transpile_build_file() {
+        for app in pareval_apps::suite() {
+            for pair in app.pairs() {
+                let repo = app.repo(pair.from).unwrap().clone();
+                // The translated sources, as the transpiled files name them.
+                let sources: Vec<String> = repo
+                    .code_files()
+                    .into_iter()
+                    .map(|p| transpile_file(&repo, p, repo.get(p).unwrap(), pair).path)
+                    .filter(|p| FileKind::of(p) == FileKind::Source)
+                    .collect();
+                let (path, text) = transpile_build_file(pair, &app.binary, &sources);
+                let first = translated_build_file(&repo, pair, &app.binary);
+                assert_eq!((&first.path, &*first.text), (&path, text.as_str()));
+                assert_eq!(first.text.hash(), fnv128(text.as_bytes()));
+                let warm = translated_build_file(&repo, pair, &app.binary);
+                assert!(Body::ptr_eq(&first.text, &warm.text));
+                assert_eq!(repo.cold_derivations::<BuildFile>(), 1);
+                let out = transpile_repo(&repo, pair, &app.binary);
+                assert_eq!(out.get(&path), Some(text.as_str()), "{} ({pair})", app.name);
             }
         }
     }
