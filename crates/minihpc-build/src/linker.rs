@@ -2,7 +2,10 @@
 //! paper's "Linker Error" category for undefined references, duplicate
 //! definitions, and a missing `main`. A linked program carries a content
 //! key built from its objects' unit keys, so a harness can run each
-//! distinct program once.
+//! distinct program once. Each piece of merged content is named by its
+//! class: the smallest unit key among the linked objects that carry equal
+//! content. So objects that carry a header's globals or struct definitions
+//! alike link to one key in any order.
 
 use crate::diag::{Diagnostic, ErrorCategory};
 use crate::object::{Executable, ObjectCode};
@@ -16,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Bumped whenever the executable key's inputs or their encoding change.
-const EXE_KEY_SALT: &str = "minihpc-exe-v1";
+const EXE_KEY_SALT: &str = "minihpc-exe-v2";
 
 /// Link objects into an executable named `output`.
 ///
@@ -119,11 +122,12 @@ pub fn link<B: Borrow<ObjectCode>>(
 /// name (argv\[0\]), the merged features, each function, the struct
 /// definitions and the globals. A function is named by the unit key of the
 /// object that defines it, which fixes its body, so the key hashes no AST.
-/// The key does not depend on link order wherever the merged program does
-/// not. Functions are keyed by name. A struct that several objects define
-/// alike is keyed by the sorted unit keys of its definers; when the
-/// definitions differ, the first one linked wins, so they are keyed in link
-/// order. Globals are concatenated in link order, and keyed so.
+/// Functions are keyed by name. Struct definitions and globals are named
+/// by their [`content_class`]: each struct by the class of its first
+/// definer's definition, which `link` keeps, and the globals by the class
+/// of each carrying object's list, in the link order `link` concatenates
+/// them in. Equal classes name equal content, so the key stays exact, and
+/// objects that carry equal content link to one key in any order.
 fn executable_key<B: Borrow<ObjectCode>>(
     objects: &[B],
     output: &str,
@@ -153,36 +157,42 @@ fn executable_key<B: Borrow<ObjectCode>>(
         h.field(&key.to_le_bytes());
     }
 
-    // The sort is stable, so each struct's definers stay in link order.
-    let mut structs: Vec<(&str, u128, &StructDef)> = keyed
-        .iter()
-        .flat_map(|&(o, key)| {
-            o.structs
-                .iter()
-                .map(move |(name, s)| (name.as_str(), key, s))
-        })
-        .collect();
-    structs.sort_by_key(|&(name, ..)| name);
-    let groups: Vec<_> = structs.chunk_by(|a, b| a.0 == b.0).collect();
-    h.field(&(groups.len() as u64).to_le_bytes());
-    for group in groups {
-        let alike = group.iter().all(|&(.., s)| s == group[0].2);
-        let mut definers: Vec<u128> = group.iter().map(|&(_, key, _)| key).collect();
-        if alike {
-            definers.sort_unstable();
+    let mut structs: BTreeMap<&str, (&StructDef, u128)> = BTreeMap::new();
+    for &(o, key) in &keyed {
+        for (name, s) in &o.structs {
+            structs.entry(name).or_insert((s, key));
         }
-        h.field(group[0].0.as_bytes());
-        h.field(&[u8::from(alike)]);
-        h.field(&(definers.len() as u64).to_le_bytes());
-        for key in definers {
-            h.field(&key.to_le_bytes());
-        }
+    }
+    h.field(&(structs.len() as u64).to_le_bytes());
+    for (name, (s, key)) in structs {
+        h.field(name.as_bytes());
+        let class = content_class(&keyed, key, s, |o| o.structs.get(name));
+        h.field(&class.to_le_bytes());
     }
 
-    for (_, key) in keyed.iter().filter(|(o, _)| !o.globals.is_empty()) {
-        h.field(&key.to_le_bytes());
+    for &(o, key) in keyed.iter().filter(|(o, _)| !o.globals.is_empty()) {
+        let class = content_class(&keyed, key, &o.globals, |o| Some(&o.globals));
+        h.field(&class.to_le_bytes());
     }
     Some(h.finish())
+}
+
+/// The class of `content`, which the object keyed `key` carries: the
+/// smallest unit key among that object and the `keyed` objects whose
+/// `part` equals `content`. A unit key fixes its object's content, so the
+/// class names the content exactly, and every object in the link that
+/// carries equal content names it alike.
+fn content_class<'o, T: PartialEq + 'o>(
+    keyed: &[(&'o ObjectCode, u128)],
+    key: u128,
+    content: &T,
+    part: impl Fn(&'o ObjectCode) -> Option<&'o T>,
+) -> u128 {
+    keyed
+        .iter()
+        .filter(|&&(o, _)| part(o) == Some(content))
+        .map(|&(_, k)| k)
+        .fold(key, u128::min)
 }
 
 #[cfg(test)]
@@ -333,10 +343,12 @@ mod tests {
         // Executable keys are FNV-128 over salted fields; this value must
         // not move unless `EXE_KEY_SALT` is bumped or the unit keys it
         // hashes change (last with `minihpc-unit-v2`, whose keys hash each
-        // closure body by its content hash).
+        // closure body by its content hash). Under `minihpc-exe-v1`, which
+        // hashed unit keys where v2 hashes content classes, it was
+        // 0xc2cb0484428c576b5ab816f3e93f6ea6.
         assert_eq!(
             exe_key(MAIN, HELPER, false, "app", false),
-            0xc2cb0484428c576b5ab816f3e93f6ea6
+            0x099dfa3c1a5a7348875b242da4b3e72b
         );
     }
 
@@ -394,6 +406,55 @@ mod tests {
             exe_key(&long_main, HELPER, false, "app", false),
             exe_key(&long_main, HELPER, true, "app", false)
         );
+    }
+
+    /// The key of the keyed objects `(path, source)` linked in this order.
+    fn linked_key(sources: &[(&str, &str)]) -> u128 {
+        let f = CompileFeatures::default();
+        let objects: Vec<ObjectCode> = sources
+            .iter()
+            .map(|&(path, src)| keyed_object(path, src))
+            .collect();
+        let exe = link(&objects, "app", CompilerKind::Gcc, &f).unwrap();
+        exe.key.expect("every object is keyed")
+    }
+
+    #[test]
+    fn objects_that_carry_one_globals_list_link_to_one_key_in_either_order() {
+        // Both units define the globals of one header, so their lists are
+        // equal and the concatenation `link` builds is the same in either
+        // order.
+        let globals = "int bias = 1;\ndouble scale_by = 2.0;\n";
+        let main = format!("{globals}{MAIN}");
+        let helper = format!("{globals}int scale(int v) {{ return 2 * v + bias - 1; }}");
+        let forward = [("main.cpp", main.as_str()), ("helper.cpp", helper.as_str())];
+        let backward = [forward[1], forward[0]];
+        assert_eq!(linked_key(&forward), linked_key(&backward));
+    }
+
+    #[test]
+    fn objects_whose_globals_differ_link_to_order_dependent_keys() {
+        let main = format!("int offset = 0;\n{MAIN}");
+        let forward = [("main.cpp", main.as_str()), ("helper.cpp", HELPER)];
+        let backward = [forward[1], forward[0]];
+        assert_ne!(linked_key(&forward), linked_key(&backward));
+    }
+
+    #[test]
+    fn a_struct_defined_differently_is_keyed_by_its_first_definer() {
+        let main = "struct P { int x; };\nint main() { struct P p; p.x = 0; return p.x; }";
+        let a = "struct P { long x; };\nvoid a(void) { }";
+        let b = "struct P { double x; };\nvoid b(void) { }";
+        let key = |order: [usize; 3]| {
+            let units = [("main.cpp", main), ("a.cpp", a), ("b.cpp", b)];
+            linked_key(&order.map(|i| units[i]))
+        };
+        // Which definition comes first decides the merged `struct P`.
+        assert_ne!(key([0, 1, 2]), key([1, 0, 2]));
+        assert_ne!(key([1, 0, 2]), key([2, 0, 1]));
+        // The later definitions are dropped, so their order does not count.
+        assert_eq!(key([0, 1, 2]), key([0, 2, 1]));
+        assert_eq!(key([1, 0, 2]), key([1, 2, 0]));
     }
 
     #[test]

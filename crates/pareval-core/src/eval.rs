@@ -1151,13 +1151,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn overall_and_code_only_builds_of_one_program_share_its_runs() {
-        // The translated Makefile lists microXOR's two sources in the
-        // reverse of the ground-truth order. So the two scorings are
-        // distinct outcomes, each built cold, that link the same program,
-        // and the run memo runs its test case once.
-        let task = task_named("microXOR", TranslationPair::CUDA_TO_OMP_OFFLOAD);
+    /// `task`'s ground-truth build file with its source list reversed.
+    fn reversed_ground_truth(task: &Task) -> (String, String) {
+        let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
+        let rule = format!("{}: ", task.app.binary);
+        let sources = gt_text
+            .lines()
+            .find_map(|line| line.strip_prefix(&rule))
+            .expect("the ground-truth Makefile has a rule for the binary");
+        let reversed: Vec<&str> = sources.split(' ').rev().collect();
+        (
+            gt_path.clone(),
+            gt_text.replace(sources, &reversed.join(" ")),
+        )
+    }
+
+    /// The oracle's translation of `task`, with its ground-truth Makefile
+    /// reversed. So the Overall and Code-only scorings are distinct
+    /// outcomes, each built cold, that link the same program.
+    fn oracle_with_reversed_makefile(task: &Task) -> SourceRepo {
         let model = model_by_name("o4-mini").unwrap();
         let source_repo = task.app.repo_arc(task.pair.from).unwrap();
         let spec = AttemptSpec {
@@ -1181,12 +1193,18 @@ mod tests {
         let mut repo = translate_with(Technique::NonAgentic, &job, &mut attempt)
             .repo
             .unwrap();
-        let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
-        let reordered =
-            gt_text.replace("src/main.cpp src/kernel.cpp", "src/kernel.cpp src/main.cpp");
-        assert_ne!(reordered, **gt_text);
-        repo.add(gt_path.clone(), reordered);
+        let (gt_path, reordered) = reversed_ground_truth(task);
+        assert_ne!(reordered, *task.app.ground_truth_build[&task.pair.to].1);
+        repo.add(gt_path, reordered);
+        repo
+    }
 
+    /// Both scorings of `app`'s reversed-Makefile translation pass, and
+    /// the run memo runs its first test case once, as the uncached
+    /// pipeline scores them.
+    fn assert_both_scorings_share_one_run(app: &str) {
+        let task = task_named(app, TranslationPair::CUDA_TO_OMP_OFFLOAD);
+        let repo = oracle_with_reversed_makefile(&task);
         let pipeline = EvalPipeline::new(eval_config());
         let overall = pipeline.evaluate(&task, &repo);
         let code_only = pipeline.code_only_outcome(&task, &repo, &overall);
@@ -1204,6 +1222,59 @@ mod tests {
         let cold = uncached.evaluate(&task, &repo);
         assert_eq!(cold, overall);
         assert_eq!(uncached.code_only_outcome(&task, &repo, &cold), code_only);
+    }
+
+    #[test]
+    fn overall_and_code_only_builds_of_one_program_share_its_runs() {
+        assert_both_scorings_share_one_run("microXOR");
+    }
+
+    #[test]
+    fn builds_whose_objects_share_a_headers_globals_share_their_runs() {
+        // Every llm.c object defines the globals of `src/llmc.h`, and the
+        // linker concatenates them in link order. The lists are equal, so
+        // both orders link one program, which runs once.
+        assert_both_scorings_share_one_run("llm.c");
+    }
+
+    #[test]
+    fn reversing_a_ground_truth_makefile_moves_the_key_only_where_the_program_changes() {
+        // Each offload ground-truth Makefile, with its source list
+        // reversed, links the oracle translation of its app to one key,
+        // except XSBench's. Every XSBench object defines the header's
+        // `N_CHANNELS` macro as a global, but `materials.o` adds its own
+        // `MAX_NUCS`. The globals `link` concatenates then put `MAX_NUCS`
+        // at another position, so the two orders link two programs.
+        let (mut checked, mut moved) = (0, Vec::new());
+        for task in all_tasks() {
+            if task.pair != TranslationPair::CUDA_TO_OMP_OFFLOAD {
+                continue;
+            }
+            checked += 1;
+            let translated = pareval_translate::transpile_repo(
+                &task.app.repo_arc(task.pair.from).unwrap(),
+                task.pair,
+                &task.app.binary,
+            );
+            let cache = BuildCache::new();
+            let key = |repo: &SourceRepo| {
+                let out =
+                    build_repo_with(repo, &BuildRequest::new(&*task.app.binary), Some(&cache));
+                let exe = out.executable.expect("the oracle translation builds");
+                exe.key
+                    .expect("every object compiled through the unit tier")
+            };
+            let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
+            let mut ground_truth = translated.clone();
+            ground_truth.add(gt_path.clone(), gt_text.clone());
+            let mut reversed = translated;
+            let (gt_path, reordered) = reversed_ground_truth(&task);
+            reversed.add(gt_path, reordered);
+            if key(&ground_truth) != key(&reversed) {
+                moved.push(task.app.name.to_string());
+            }
+        }
+        assert_eq!((checked, moved), (6, vec!["XSBench".to_string()]));
     }
 
     #[test]

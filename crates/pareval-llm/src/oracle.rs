@@ -12,6 +12,7 @@
 use crate::attempt::{Attempt, AttemptSpec, RepairContext, RepairOutcome, TranslationBackend};
 use crate::backend::TokenUsage;
 use crate::profiles::ModelProfile;
+use minihpc_lang::fnv::Fnv128;
 use minihpc_lang::model::TranslationPair;
 use minihpc_lang::repo::{Body, FileKind, SourceRepo};
 use pareval_translate::techniques::{Backend, BackendError, BackendOutput, FileJob};
@@ -74,24 +75,47 @@ struct OracleAttempt {
     pair: TranslationPair,
     source_repo: Arc<SourceRepo>,
     solvable: bool,
-    /// The whole-repo reference translation, computed on first use and
+    /// The whole-repo reference translation, fetched on first use and
     /// served file by file. Going through [`transpile::transpile_repo`]
     /// (rather than per-file transpile calls) keeps repo-level passes —
     /// e.g. injecting the portable-RNG helpers into exactly one file —
     /// intact, so oracle output is exactly the artifact the transpiler's
     /// own integration tests verify.
-    translated: Option<SourceRepo>,
+    translated: Option<Arc<SourceRepo>>,
     usage: TokenUsage,
 }
 
+/// The memoised reference translation: a type of its own, so its memo
+/// entry is told apart from other results by type.
+#[derive(Clone)]
+struct Reference(Arc<SourceRepo>);
+
+/// The reference translation of `source_repo` under `pair`, memoised on
+/// `source_repo` under the [`Fnv128`] hash of (`pair`, `binary`).
+/// `transpile_repo` is pure, so every attempt on the same app shares one
+/// translation: only the first assembles it, and every later attempt
+/// serves the same bodies by handle, with their hashes.
+fn reference(source_repo: &SourceRepo, pair: TranslationPair, binary: &str) -> Arc<SourceRepo> {
+    let mut key = Fnv128::new();
+    key.field(pair.from.id().as_bytes());
+    key.field(pair.to.id().as_bytes());
+    key.field(binary.as_bytes());
+    let derive = || {
+        Reference(Arc::new(transpile::transpile_repo(
+            source_repo,
+            pair,
+            binary,
+        )))
+    };
+    source_repo.memoized(key.finish(), derive).0
+}
+
 impl OracleAttempt {
-    /// This attempt's reference translation. `transpile_repo` is pure, and
-    /// its per-file transpiles come from `source_repo`'s memo, which every
-    /// attempt on the same app shares; so only the first attempt of a
-    /// (repo, pair) transpiles its files, and later ones only reassemble.
+    /// This attempt's reference translation, shared with every attempt on
+    /// the same source repo, pair and binary.
     fn translated(&mut self, binary: &str) -> &SourceRepo {
         self.translated
-            .get_or_insert_with(|| transpile::transpile_repo(&self.source_repo, self.pair, binary))
+            .get_or_insert_with(|| reference(&self.source_repo, self.pair, binary))
     }
 }
 
@@ -273,6 +297,57 @@ mod tests {
             "o4-mini",
             "XSBench"
         ));
+    }
+
+    #[test]
+    fn oracle_attempts_on_one_app_share_one_reference_translation() {
+        // SimpleMOC-kernel uses cuRAND, so its translation prefixes the
+        // portable-RNG helpers to the files that used it: bodies that only
+        // the whole-repo pass derives.
+        let app = pareval_apps::by_name("SimpleMOC-kernel").unwrap();
+        let pair = TranslationPair::CUDA_TO_OMP_OFFLOAD;
+        let repo = app.repo_arc(pair.from).unwrap();
+        let model = model_by_name("gpt-4o-mini").unwrap();
+        let translate = || {
+            let spec = AttemptSpec {
+                model: &model,
+                technique: Technique::NonAgentic,
+                pair,
+                app_name: &app.name,
+                source_repo: Arc::clone(&repo),
+                seed: 1,
+                sample: 0,
+            };
+            let job = TranslationJob {
+                app_name: &app.name,
+                binary: &app.binary,
+                source_repo: &repo,
+                pair,
+                cli_spec: &app.cli_spec,
+                build_spec: &app.build_spec,
+            };
+            let mut attempt = OracleBackend.start_attempt(&spec);
+            let run = translate_with(Technique::NonAgentic, &job, &mut attempt);
+            run.repo.expect("oracle completes")
+        };
+        let cold = || {
+            [
+                repo.cold_derivations::<Reference>(),
+                repo.cold_derivations::<transpile::FileResult>(),
+                repo.cold_derivations::<transpile::BuildFile>(),
+            ]
+        };
+        let first = translate();
+        let before = cold();
+        assert_eq!(before[0], 1);
+        let second = translate();
+        assert_eq!(cold(), before, "the second attempt derived cold");
+        assert!(first.iter().any(|(_, text)| text.contains("rng_uniform")));
+        assert_eq!(first.len(), second.len());
+        for (path, body) in second.iter_bodies() {
+            let shared = first.get_body(path).unwrap();
+            assert!(Body::ptr_eq(body, shared), "{path} was copied");
+        }
     }
 
     #[test]

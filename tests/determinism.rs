@@ -228,6 +228,14 @@ fn repair_heavy_grid_runs_each_reference_once() {
         [("SimpleMOC-kernel", 0), ("XSBench", 1), ("llm.c", 1)],
         "reference work changed"
     );
+    // Work-counter pin: the cold outcomes run 5 programs, each once. The
+    // llm.c builds that list the same objects in another order link one
+    // program, since every object carries the globals of `src/llmc.h`
+    // alike; 8 runs when the key named globals by their objects' unit keys
+    // in link order. XSBench's two orders stay two programs: `materials.o`
+    // adds a global the others lack, so the concatenated globals differ.
+    let stats = pipeline.cache_stats();
+    assert_eq!(stats.runs, 5, "cold test runs: {stats:?}");
 }
 
 #[test]
