@@ -263,7 +263,10 @@ pub fn check(
 
     // Pass 1: collect top-level declarations.
     // Object-like macros from headers behave as constants across the TU
-    // (lexer-level expansion is per-file; cross-file uses resolve here).
+    // (lexer-level expansion is per-file; cross-file uses resolve here):
+    // each becomes a `static` global of this object, so every object that
+    // includes a header carries a copy, and `link` keeps one copy of each
+    // name whose copies are equal constants.
     let mut define_globals: Vec<VarDecl> = Vec::new();
     for item in tu.items() {
         if let ItemKind::Define { name, body_text } = &item.kind {

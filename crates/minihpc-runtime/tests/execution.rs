@@ -1115,3 +1115,41 @@ int main() {
     assert!(r.error.is_none(), "{:?}", r.error);
     assert_eq!(r.race_vars, vec!["acc".to_string(), "g".to_string()]);
 }
+
+/// `files` built into `app` from `sources`, linked in the order listed.
+fn run_linked_in_order(files: &[(&str, &str)], sources: &[&str]) -> String {
+    let sources = sources.join(" ");
+    let makefile = format!("app: {sources}\n\tg++ -O2 -o app {sources}\n");
+    let repo = files
+        .iter()
+        .fold(SourceRepo::new(), |repo, &(path, src)| {
+            repo.with_file(path, src)
+        })
+        .with_file("Makefile", makefile);
+    let r = build_and_run(&repo, &[]);
+    assert_eq!(r.error, None);
+    r.stdout
+}
+
+#[test]
+fn a_macro_defined_differently_reads_its_last_linked_copy() {
+    // The two objects' copies of `N` differ, so both stay, and every use
+    // reads the copy linked last.
+    let files = [
+        ("n.h", "#define N 4\n"),
+        (
+            "main.cpp",
+            "#include <stdio.h>\n#include \"n.h\"\n\
+             int main() { printf(\"%d\\n\", N); return 0; }",
+        ),
+        ("other.cpp", "#define N 5\nvoid other(void) { }"),
+    ];
+    assert_eq!(
+        run_linked_in_order(&files, &["main.cpp", "other.cpp"]),
+        "5\n"
+    );
+    assert_eq!(
+        run_linked_in_order(&files, &["other.cpp", "main.cpp"]),
+        "4\n"
+    );
+}

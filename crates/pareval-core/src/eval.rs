@@ -1018,6 +1018,7 @@ fn evaluate_uncached(
 mod tests {
     use super::*;
     use crate::task::all_tasks;
+    use minihpc_build::Executable;
     use minihpc_lang::model::TranslationPair;
     use pareval_llm::{model_by_name, OracleBackend, SimulatedBackend};
 
@@ -1154,11 +1155,15 @@ mod tests {
     /// `task`'s ground-truth build file with its source list reversed.
     fn reversed_ground_truth(task: &Task) -> (String, String) {
         let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
-        let rule = format!("{}: ", task.app.binary);
+        let binary = &task.app.binary;
+        let (make_rule, cmake_rule) = (format!("{binary}: "), format!("add_executable({binary} "));
         let sources = gt_text
             .lines()
-            .find_map(|line| line.strip_prefix(&rule))
-            .expect("the ground-truth Makefile has a rule for the binary");
+            .find_map(|line| {
+                line.strip_prefix(&make_rule)
+                    .or_else(|| line.strip_prefix(&cmake_rule)?.strip_suffix(')'))
+            })
+            .expect("the ground-truth build file lists the binary's sources");
         let reversed: Vec<&str> = sources.split(' ').rev().collect();
         (
             gt_path.clone(),
@@ -1231,50 +1236,108 @@ mod tests {
 
     #[test]
     fn builds_whose_objects_share_a_headers_globals_share_their_runs() {
-        // Every llm.c object defines the globals of `src/llmc.h`, and the
-        // linker concatenates them in link order. The lists are equal, so
-        // both orders link one program, which runs once.
+        // Every llm.c object defines the macros of `src/llmc.h` as globals,
+        // every XSBench object `N_CHANNELS`, and only its `materials.o`
+        // `MAX_NUCS`. The linker keeps one copy of each, so both orders
+        // link one program, which runs once.
         assert_both_scorings_share_one_run("llm.c");
+        assert_both_scorings_share_one_run("XSBench");
+    }
+
+    /// The oracle translation of `task` built with its ground-truth build
+    /// file as given and with its source list reversed, through one cache,
+    /// or `None` when it does not build.
+    fn ground_truth_and_reversed_builds(task: &Task) -> Option<[Executable; 2]> {
+        let mut translated = pareval_translate::transpile_repo(
+            &task.app.repo_arc(task.pair.from).unwrap(),
+            task.pair,
+            &task.app.binary,
+        );
+        let build_files: Vec<String> = translated
+            .iter()
+            .filter(|(p, _)| FileKind::of(p).is_build_file())
+            .map(|(p, _)| p.to_string())
+            .collect();
+        for p in build_files {
+            translated.remove(&p);
+        }
+        let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
+        let cache = BuildCache::new();
+        let reversed = reversed_ground_truth(task);
+        let [a, b] = [(gt_path.clone(), gt_text.to_string()), reversed].map(|(path, text)| {
+            let mut repo = translated.clone();
+            repo.add(path, text);
+            build_repo_with(&repo, &BuildRequest::new(&*task.app.binary), Some(&cache)).executable
+        });
+        Some([a?, b?])
     }
 
     #[test]
-    fn reversing_a_ground_truth_makefile_moves_the_key_only_where_the_program_changes() {
+    fn reversing_a_ground_truth_makefile_moves_no_apps_key() {
         // Each offload ground-truth Makefile, with its source list
-        // reversed, links the oracle translation of its app to one key,
-        // except XSBench's. Every XSBench object defines the header's
-        // `N_CHANNELS` macro as a global, but `materials.o` adds its own
-        // `MAX_NUCS`. The globals `link` concatenates then put `MAX_NUCS`
-        // at another position, so the two orders link two programs.
-        let (mut checked, mut moved) = (0, Vec::new());
+        // reversed, links the oracle translation of its app to one key.
+        // Every XSBench object defines the header's `N_CHANNELS` macro as a
+        // global, and `materials.o` adds its own `MAX_NUCS`; the linker
+        // keeps one copy of each, so both orders link one program.
+        let (mut checked, mut moved, mut globals) = (0, Vec::new(), Vec::new());
         for task in all_tasks() {
             if task.pair != TranslationPair::CUDA_TO_OMP_OFFLOAD {
                 continue;
             }
             checked += 1;
-            let translated = pareval_translate::transpile_repo(
-                &task.app.repo_arc(task.pair.from).unwrap(),
-                task.pair,
-                &task.app.binary,
-            );
-            let cache = BuildCache::new();
-            let key = |repo: &SourceRepo| {
-                let out =
-                    build_repo_with(repo, &BuildRequest::new(&*task.app.binary), Some(&cache));
-                let exe = out.executable.expect("the oracle translation builds");
+            let [ground_truth, reversed] =
+                ground_truth_and_reversed_builds(&task).expect("the oracle translation builds");
+            let key = |exe: &Executable| {
                 exe.key
                     .expect("every object compiled through the unit tier")
             };
-            let (gt_path, gt_text) = &task.app.ground_truth_build[&task.pair.to];
-            let mut ground_truth = translated.clone();
-            ground_truth.add(gt_path.clone(), gt_text.clone());
-            let mut reversed = translated;
-            let (gt_path, reordered) = reversed_ground_truth(&task);
-            reversed.add(gt_path, reordered);
             if key(&ground_truth) != key(&reversed) {
                 moved.push(task.app.name.to_string());
             }
+            if !ground_truth.globals.is_empty() {
+                globals.push((task.app.name.to_string(), ground_truth.globals.len()));
+            }
         }
-        assert_eq!((checked, moved), (6, vec!["XSBench".to_string()]));
+        assert_eq!((checked, moved), (6, Vec::<String>::new()));
+        // One global per macro: 8 and 20 when each object kept its copies.
+        assert_eq!(
+            globals,
+            [("XSBench".to_string(), 2), ("llm.c".to_string(), 4)]
+        );
+    }
+
+    #[test]
+    fn builds_that_link_to_one_key_run_alike() {
+        // Every task with a ground-truth build file, linked in its order and
+        // in reversed source order: wherever the keys agree, the run memo
+        // would share one run, so both programs must run alike.
+        let mut compared = Vec::new();
+        for task in all_tasks() {
+            if !task.app.ground_truth_build.contains_key(&task.pair.to) {
+                continue;
+            }
+            let Some([ground_truth, reversed]) = ground_truth_and_reversed_builds(&task) else {
+                continue;
+            };
+            if ground_truth.key != reversed.key {
+                continue;
+            }
+            let case = &task.app.tests[0];
+            let [a, b] = [&ground_truth, &reversed]
+                .map(|exe| run(exe, RunConfig::with_args(case.args.iter().cloned())));
+            let what = format!("{} {:?}", task.app.name, task.pair);
+            assert_eq!(a.stdout, b.stdout, "{what}");
+            assert_eq!(a.exit_code, b.exit_code, "{what}");
+            assert_eq!(a.error, b.error, "{what}");
+            assert_eq!(a.steps, b.steps, "{what}");
+            assert_eq!(a.telemetry, b.telemetry, "{what}");
+            assert_eq!(a.races, b.races, "{what}");
+            compared.push(what);
+        }
+        // Every task whose oracle translation builds: all but the two
+        // Kokkos translations the oracle transpiler cannot solve
+        // (SimpleMOC-kernel and XSBench).
+        assert_eq!(compared.len(), 14, "{compared:?}");
     }
 
     #[test]
