@@ -6,8 +6,13 @@
 //! (`num_threads(n)`, `map` section bounds): a caller that needs those
 //! reads the directive of the [`Node::Stmt`] it is handed. Model-usage
 //! detection, cyclomatic complexity, the analyzer's identifier and call
-//! scans and the transpilers' read-only scans all go through it; the
-//! transpilers' rewriter is the one mutable traversal.
+//! scans and the transpilers' read-only scans all go through it: the
+//! CUDA→Kokkos view-parameter map, device allocations and pointer aliases,
+//! each file's declared-type table, and the identifiers a threads→offload
+//! loop references. The transpilers' in-place edits (directive upgrades,
+//! cuRAND renames, view indexing, host API rewrites) go through their
+//! rewriter, `pareval-translate`'s `transpile/rw.rs`, the one mutable
+//! traversal.
 
 use crate::ast::{Expr, ExprKind, Init, Stmt, StmtKind};
 

@@ -107,17 +107,6 @@ pub(crate) mod codec {
     use minihpc_build::{Diagnostic, ErrorCategory, Severity};
     use pareval_llm::TokenUsage;
 
-    /// Stable on-disk code of an [`ErrorCategory`] — the canonical numbering
-    /// lives on the type itself ([`ErrorCategory::code`]) so the journal and
-    /// the disk build cache can never drift apart.
-    fn category_code(c: ErrorCategory) -> u8 {
-        c.code()
-    }
-
-    fn category_from_code(code: u8) -> Option<ErrorCategory> {
-        ErrorCategory::from_code(code)
-    }
-
     /// Append-only byte encoder.
     #[derive(Default)]
     pub(crate) struct Enc {
@@ -156,7 +145,7 @@ pub(crate) mod codec {
             match o.error_category {
                 Some(c) => {
                     self.u8(1);
-                    self.u8(category_code(c));
+                    self.u8(c.code());
                 }
                 None => self.u8(0),
             }
@@ -164,7 +153,7 @@ pub(crate) mod codec {
             self.u32(o.error_diagnostics.len() as u32);
             for d in &o.error_diagnostics {
                 self.boolean(d.severity == Severity::Error);
-                self.u8(category_code(d.category));
+                self.u8(d.category.code());
                 self.str(&d.message);
                 self.str(&d.file);
                 match d.line {
@@ -271,7 +260,7 @@ pub(crate) mod codec {
             let passed = self.boolean()?;
             let error_category = match self.u8()? {
                 0 => None,
-                1 => Some(category_from_code(self.u8()?)?),
+                1 => Some(ErrorCategory::from_code(self.u8()?)?),
                 _ => return None,
             };
             let build_log = self.str()?;
@@ -283,7 +272,7 @@ pub(crate) mod codec {
                 } else {
                     Severity::Warning
                 };
-                let category = category_from_code(self.u8()?)?;
+                let category = ErrorCategory::from_code(self.u8()?)?;
                 let message = self.str()?;
                 let file = self.str()?;
                 let line = match self.u8()? {
@@ -526,9 +515,9 @@ pub(crate) mod codec {
                 ErrorCategory::Other,
             ];
             for c in all {
-                assert_eq!(category_from_code(category_code(c)), Some(c));
+                assert_eq!(ErrorCategory::from_code(c.code()), Some(c));
             }
-            assert_eq!(category_from_code(200), None);
+            assert_eq!(ErrorCategory::from_code(200), None);
         }
 
         #[test]

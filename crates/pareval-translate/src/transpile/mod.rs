@@ -8,8 +8,8 @@
 //! the paper as well, e.g. XSBench's pointer-arithmetic helpers under
 //! Kokkos).
 
-pub mod kernel;
-pub mod rw;
+mod kernel;
+mod rw;
 
 use minihpc_lang::ast::*;
 use minihpc_lang::fnv::Fnv128;
@@ -19,7 +19,7 @@ use minihpc_lang::pragma::*;
 use minihpc_lang::printer;
 use minihpc_lang::repo::{Body, FileKind, SourceRepo};
 use minihpc_lang::walk::{walk, walk_stmts, Node};
-use rw::{call_name, map_exprs, map_exprs_stmt, map_type, rewrite_stmts};
+use rw::{call, for_each_stmt, map_exprs, map_exprs_stmt, map_type, rewrite_stmts};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -290,7 +290,11 @@ fn cuda_to_offload(file: &mut SourceFile) {
         f.quals.cuda_host = false;
         if was_kernel {
             if let Some(loops) = kernel::extract(f) {
-                let directive = offload_directive(&loops, &f.params);
+                let n = loops.vars.len();
+                let collapse = (n > 1).then_some(OmpClause::Collapse(n as i64));
+                // Map every pointer parameter.
+                let pointers = f.params.iter().filter_map(|p| pointer(&p.name, &p.ty));
+                let directive = offload_directive(collapse.into_iter().collect(), pointers);
                 let nest = kernel::build_for_nest(&loops);
                 f.body = Some(Block::new(vec![Stmt::synth(StmtKind::Omp {
                     directive,
@@ -299,12 +303,18 @@ fn cuda_to_offload(file: &mut SourceFile) {
             }
         }
         if let Some(body) = &mut f.body {
-            rewrite_cuda_host_stmts(body, &var_types, HostStyle::Offload);
+            rewrite_cuda_host_stmts(body, &var_types);
         }
     }
 }
 
-fn offload_directive(loops: &kernel::KernelLoops, params: &[Param]) -> OmpDirective {
+/// `target teams distribute parallel for` with `clauses`, then the
+/// `pointers`: those whose pointee is const go only to the device
+/// (`map(to:)`), the others both ways (`map(tofrom:)`).
+fn offload_directive<'a>(
+    clauses: Vec<OmpClause>,
+    pointers: impl Iterator<Item = (&'a str, bool)>,
+) -> OmpDirective {
     let mut d = OmpDirective::new(vec![
         OmpConstruct::Target,
         OmpConstruct::Teams,
@@ -312,34 +322,26 @@ fn offload_directive(loops: &kernel::KernelLoops, params: &[Param]) -> OmpDirect
         OmpConstruct::Parallel,
         OmpConstruct::For,
     ]);
-    if loops.vars.len() > 1 {
-        d = d.with_clause(OmpClause::Collapse(loops.vars.len() as i64));
-    }
-    // Map every pointer parameter; const pointers only go to the device.
-    let mut to_vars = Vec::new();
-    let mut tofrom_vars = Vec::new();
-    for p in params {
-        if let Type::Ptr(inner) = p.ty.unqualified() {
-            if matches!(**inner, Type::Const(_)) {
-                to_vars.push(ArraySection::scalar(p.name.clone()));
-            } else {
-                tofrom_vars.push(ArraySection::scalar(p.name.clone()));
-            }
+    d.clauses = clauses;
+    let (to, tofrom): (Vec<_>, Vec<_>) = pointers.partition(|&(_, is_const)| is_const);
+    for (kind, vars) in [(MapKind::To, to), (MapKind::ToFrom, tofrom)] {
+        if !vars.is_empty() {
+            let sections = vars.into_iter().map(|(v, _)| ArraySection::scalar(v));
+            d.clauses.push(OmpClause::Map {
+                kind,
+                sections: sections.collect(),
+            });
         }
     }
-    if !to_vars.is_empty() {
-        d = d.with_clause(OmpClause::Map {
-            kind: MapKind::To,
-            sections: to_vars,
-        });
-    }
-    if !tofrom_vars.is_empty() {
-        d = d.with_clause(OmpClause::Map {
-            kind: MapKind::ToFrom,
-            sections: tofrom_vars,
-        });
-    }
     d
+}
+
+/// `(name, pointee is const)` when `ty` is a pointer.
+fn pointer<'a>(name: &'a str, ty: &Type) -> Option<(&'a str, bool)> {
+    match ty.unqualified() {
+        Type::Ptr(inner) => Some((name, matches!(**inner, Type::Const(_)))),
+        _ => None,
+    }
 }
 
 // ===========================================================================
@@ -406,11 +408,11 @@ fn cuda_to_kokkos(file: &mut SourceFile, repo: &SourceRepo) {
                         ],
                     )
                 };
-                let call = Expr::call(
+                let parallel_for = Expr::call(
                     Expr::path(&["Kokkos", "parallel_for"]),
                     vec![policy, lambda],
                 );
-                f.body = Some(Block::new(vec![Stmt::expr(call)]));
+                f.body = Some(Block::new(vec![Stmt::expr(parallel_for)]));
             }
         } else if !view_params.is_empty() {
             // Device helper / wrapper: rewrite indexing of its view params.
@@ -590,22 +592,53 @@ fn scalar_pointee(t: &Type) -> Option<ScalarType> {
 /// that became device views.
 fn kokkos_rewrite_host(body: &mut Block, var_types: &BTreeMap<String, Type>) -> HashSet<String> {
     // Pass 1: find device allocations `cudaMalloc(&p, n * sizeof(T))`.
-    let mut device_views: HashSet<String> = HashSet::new();
     let mut view_info: BTreeMap<String, (ScalarType, Expr)> = BTreeMap::new();
-    collect_cuda_mallocs(body, var_types, &mut view_info);
-    for name in view_info.keys() {
-        device_views.insert(name.clone());
-    }
+    walk_stmts(&body.stmts, &mut |n| {
+        let Node::Stmt(Stmt {
+            kind: StmtKind::Expr(e),
+            ..
+        }) = n
+        else {
+            return;
+        };
+        if let Some(("cudaMalloc", [target, bytes, ..])) = call(e) {
+            if let Some(var) = malloc_target_var(target) {
+                let elem = var_types.get(&var).and_then(scalar_pointee);
+                let elem = elem.unwrap_or(ScalarType::Double);
+                view_info.insert(var, (elem, element_count_expr(bytes)));
+            }
+        }
+    });
     // Pointer aliases of device views (`int* tmp = d_in;` ping-pong swaps)
-    // become view handles too; iterate to a fixpoint.
-    let mut alias_elems: BTreeMap<String, ScalarType> = view_info
+    // become view handles too; iterate to a fixpoint. Each view keeps the
+    // element type of the first view it aliases.
+    let mut views: BTreeMap<String, ScalarType> = view_info
         .iter()
         .map(|(k, (e, _))| (k.clone(), *e))
         .collect();
     loop {
-        let before = device_views.len();
-        collect_view_aliases(body, &mut device_views, &mut alias_elems);
-        if device_views.len() == before {
+        let before = views.len();
+        walk_stmts(&body.stmts, &mut |n| {
+            let Node::Stmt(Stmt {
+                kind: StmtKind::Decl(d),
+                ..
+            }) = n
+            else {
+                return;
+            };
+            let Some(Init::Expr(Expr {
+                kind: ExprKind::Ident(v),
+                ..
+            })) = &d.init
+            else {
+                return;
+            };
+            let Some(&elem) = views.get(v) else { return };
+            if d.ty.is_pointer() {
+                views.entry(d.name.clone()).or_insert(elem);
+            }
+        });
+        if views.len() == before {
             break;
         }
     }
@@ -614,28 +647,24 @@ fn kokkos_rewrite_host(body: &mut Block, var_types: &BTreeMap<String, Type>) -> 
     rewrite_stmts(body, &mut |s| {
         match &s.kind {
             // Drop the plain pointer declaration of a future view.
-            StmtKind::Decl(d) if device_views.contains(&d.name) && d.init.is_none() => vec![],
+            StmtKind::Decl(d) if views.contains_key(&d.name) && d.init.is_none() => vec![],
             StmtKind::Decl(d) if matches!(d.ty.unqualified(), Type::Dim3) => vec![],
             // Alias declarations become view-handle declarations.
             StmtKind::Decl(d)
-                if device_views.contains(&d.name)
+                if views.contains_key(&d.name)
                     && matches!(&d.init, Some(Init::Expr(e))
-                        if matches!(&e.kind, ExprKind::Ident(v) if device_views.contains(v))) =>
+                        if matches!(&e.kind, ExprKind::Ident(v) if views.contains_key(v))) =>
             {
                 let mut d = d.clone();
-                let elem = alias_elems
-                    .get(&d.name)
-                    .copied()
-                    .unwrap_or(ScalarType::Double);
-                d.ty = Type::View { elem, rank: 1 };
+                d.ty = Type::View {
+                    elem: views[&d.name],
+                    rank: 1,
+                };
                 vec![Stmt::synth(StmtKind::Decl(d))]
             }
-            StmtKind::Expr(e) => match call_name(e) {
-                Some("cudaMalloc") => {
-                    let ExprKind::Call { args, .. } = &e.kind else {
-                        return vec![s];
-                    };
-                    let Some(var) = malloc_target_var(&args[0]) else {
+            StmtKind::Expr(e) => match call(e) {
+                Some(("cudaMalloc", [target, _, ..])) => {
+                    let Some(var) = malloc_target_var(target) else {
                         return vec![s];
                     };
                     let Some((elem, len)) = view_info.get(&var) else {
@@ -655,17 +684,12 @@ fn kokkos_rewrite_host(body: &mut Block, var_types: &BTreeMap<String, Type>) -> 
                         is_static: false,
                     }))]
                 }
-                Some("cudaMemcpy") => {
-                    let ExprKind::Call { args, .. } = &e.kind else {
-                        return vec![s];
-                    };
-                    vec![Stmt::expr(Expr::call(
-                        Expr::path(&["Kokkos", "deep_copy"]),
-                        vec![args[0].clone(), args[1].clone()],
-                    ))]
-                }
-                Some("cudaFree") => vec![],
-                Some("cudaDeviceSynchronize") | Some("cudaGetLastError") => {
+                Some(("cudaMemcpy", [dst, src, ..])) => vec![Stmt::expr(Expr::call(
+                    Expr::path(&["Kokkos", "deep_copy"]),
+                    vec![dst.clone(), src.clone()],
+                ))],
+                Some(("cudaFree", _)) => vec![],
+                Some(("cudaDeviceSynchronize" | "cudaGetLastError", _)) => {
                     vec![Stmt::expr(Expr::call(
                         Expr::path(&["Kokkos", "fence"]),
                         vec![],
@@ -682,85 +706,7 @@ fn kokkos_rewrite_host(body: &mut Block, var_types: &BTreeMap<String, Type>) -> 
             _ => vec![s],
         }
     });
-    device_views
-}
-
-fn collect_cuda_mallocs(
-    block: &Block,
-    var_types: &BTreeMap<String, Type>,
-    out: &mut BTreeMap<String, (ScalarType, Expr)>,
-) {
-    for s in &block.stmts {
-        match &s.kind {
-            StmtKind::Expr(e) if call_name(e) == Some("cudaMalloc") => {
-                let ExprKind::Call { args, .. } = &e.kind else {
-                    continue;
-                };
-                let Some(var) = malloc_target_var(&args[0]) else {
-                    continue;
-                };
-                let elem = var_types
-                    .get(&var)
-                    .and_then(scalar_pointee)
-                    .unwrap_or(ScalarType::Double);
-                let len = element_count_expr(&args[1]);
-                out.insert(var, (elem, len));
-            }
-            StmtKind::Block(b) => collect_cuda_mallocs(b, var_types, out),
-            StmtKind::If { then, els, .. } => {
-                if let StmtKind::Block(b) = &then.kind {
-                    collect_cuda_mallocs(b, var_types, out);
-                }
-                if let Some(e) = els {
-                    if let StmtKind::Block(b) = &e.kind {
-                        collect_cuda_mallocs(b, var_types, out);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Find `T* alias = <view var>;` declarations and record them as views.
-fn collect_view_aliases(
-    block: &Block,
-    views: &mut HashSet<String>,
-    elems: &mut BTreeMap<String, ScalarType>,
-) {
-    for s in &block.stmts {
-        match &s.kind {
-            StmtKind::Decl(d) => {
-                if let Some(Init::Expr(e)) = &d.init {
-                    if let ExprKind::Ident(v) = &e.kind {
-                        if views.contains(v) && d.ty.is_pointer() {
-                            let elem = elems.get(v).copied().unwrap_or(ScalarType::Double);
-                            if views.insert(d.name.clone()) {
-                                elems.insert(d.name.clone(), elem);
-                            }
-                        }
-                    }
-                }
-            }
-            StmtKind::Block(b) => collect_view_aliases(b, views, elems),
-            StmtKind::If { then, els, .. } => {
-                if let StmtKind::Block(b) = &then.kind {
-                    collect_view_aliases(b, views, elems);
-                }
-                if let Some(e) = els {
-                    if let StmtKind::Block(b) = &e.kind {
-                        collect_view_aliases(b, views, elems);
-                    }
-                }
-            }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                if let StmtKind::Block(b) = &body.kind {
-                    collect_view_aliases(b, views, elems);
-                }
-            }
-            _ => {}
-        }
-    }
+    views.into_keys().collect()
 }
 
 /// `&p` (possibly cast) → `p`.
@@ -845,112 +791,47 @@ fn wrap_main_with_kokkos(body: &mut Block) {
 // ===========================================================================
 
 fn threads_to_offload(file: &mut SourceFile) {
-    let fn_param_types: Vec<(String, Vec<Param>)> = file
-        .functions()
-        .map(|f| (f.name.clone(), f.params.clone()))
-        .collect();
-    let _ = fn_param_types;
     for item in &mut file.items {
         let ItemKind::Function(f) = &mut item.kind else {
             continue;
         };
-        let params = f.params.clone();
         let Some(body) = &mut f.body else { continue };
-        upgrade_parallel_for(body, &params);
-    }
-}
-
-fn upgrade_parallel_for(block: &mut Block, params: &[Param]) {
-    // Track pointer-typed locals seen so far (for map clauses).
-    let mut pointer_vars: Vec<(String, bool)> = params
-        .iter()
-        .filter_map(|p| match p.ty.unqualified() {
-            Type::Ptr(inner) => Some((p.name.clone(), matches!(**inner, Type::Const(_)))),
-            _ => None,
-        })
-        .collect();
-    upgrade_in_block(block, &mut pointer_vars);
-}
-
-fn upgrade_in_block(block: &mut Block, pointer_vars: &mut Vec<(String, bool)>) {
-    for s in &mut block.stmts {
-        match &mut s.kind {
-            StmtKind::Decl(d) => {
-                if let Type::Ptr(inner) = d.ty.unqualified() {
-                    pointer_vars.push((d.name.clone(), matches!(**inner, Type::Const(_))));
-                }
-            }
-            StmtKind::Block(b) => upgrade_in_block(b, pointer_vars),
-            StmtKind::If { then, els, .. } => {
-                if let StmtKind::Block(b) = &mut then.kind {
-                    upgrade_in_block(b, pointer_vars);
-                }
-                if let Some(e) = els {
-                    if let StmtKind::Block(b) = &mut e.kind {
-                        upgrade_in_block(b, pointer_vars);
+        // A directive maps the pointer parameters and the pointers declared
+        // before it (in preorder) that its loop references. An upgraded
+        // loop is device code: nothing in it is upgraded or mapped later.
+        let mut pointers: Vec<(String, bool)> = f
+            .params
+            .iter()
+            .filter_map(|p| pointer(&p.name, &p.ty))
+            .map(|(v, is_const)| (v.to_string(), is_const))
+            .collect();
+        for s in &mut body.stmts {
+            for_each_stmt(s, &mut |s| match &mut s.kind {
+                StmtKind::Decl(d) => {
+                    if let Some((v, is_const)) = pointer(&d.name, &d.ty) {
+                        pointers.push((v.to_string(), is_const));
                     }
+                    true
                 }
-            }
-            StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                if let StmtKind::Block(b) = &mut body.kind {
-                    upgrade_in_block(b, pointer_vars);
-                }
-            }
-            StmtKind::Omp { directive, body } => {
-                if directive.has(OmpConstruct::Parallel)
-                    && directive.has(OmpConstruct::For)
-                    && !directive.targets_device()
+                StmtKind::Omp { directive, body }
+                    if directive.has(OmpConstruct::Parallel)
+                        && directive.has(OmpConstruct::For)
+                        && !directive.targets_device() =>
                 {
-                    let mut new = OmpDirective::new(vec![
-                        OmpConstruct::Target,
-                        OmpConstruct::Teams,
-                        OmpConstruct::Distribute,
-                        OmpConstruct::Parallel,
-                        OmpConstruct::For,
-                    ]);
-                    // Keep collapse/reduction/schedule-free clauses.
-                    for c in &directive.clauses {
-                        match c {
-                            OmpClause::Collapse(_) | OmpClause::Reduction { .. } => {
-                                new.clauses.push(c.clone());
-                            }
-                            _ => {}
-                        }
-                    }
-                    // Map the pointers referenced in the loop body.
+                    // Keep collapse/reduction clauses only.
+                    let kept = directive.clauses.iter().filter(|c| {
+                        matches!(c, OmpClause::Collapse(_) | OmpClause::Reduction { .. })
+                    });
                     let referenced = referenced_idents(body.as_deref());
-                    let mut to_secs = Vec::new();
-                    let mut tofrom_secs = Vec::new();
-                    for (name, is_const) in pointer_vars.iter() {
-                        if referenced.contains(name.as_str()) {
-                            if *is_const {
-                                to_secs.push(ArraySection::scalar(name.clone()));
-                            } else {
-                                tofrom_secs.push(ArraySection::scalar(name.clone()));
-                            }
-                        }
-                    }
-                    if !to_secs.is_empty() {
-                        new.clauses.push(OmpClause::Map {
-                            kind: MapKind::To,
-                            sections: to_secs,
-                        });
-                    }
-                    if !tofrom_secs.is_empty() {
-                        new.clauses.push(OmpClause::Map {
-                            kind: MapKind::ToFrom,
-                            sections: tofrom_secs,
-                        });
-                    }
-                    *directive = new;
+                    let mapped = pointers
+                        .iter()
+                        .filter(|(v, _)| referenced.contains(v.as_str()))
+                        .map(|(v, is_const)| (v.as_str(), *is_const));
+                    *directive = offload_directive(kept.cloned().collect(), mapped);
+                    false
                 }
-                if let Some(b) = body {
-                    if let StmtKind::Block(inner) = &mut b.kind {
-                        upgrade_in_block(inner, pointer_vars);
-                    }
-                }
-            }
-            _ => {}
+                _ => true,
+            });
         }
     }
 }
@@ -974,70 +855,47 @@ fn referenced_idents(s: Option<&Stmt>) -> HashSet<&str> {
 // Shared rewrites
 // ===========================================================================
 
-#[derive(Clone, Copy, PartialEq)]
-enum HostStyle {
-    Offload,
-}
-
 /// Rewrite CUDA host API statements for the OpenMP-offload target: device
 /// buffers become plain host allocations and transfers become memcpy.
-fn rewrite_cuda_host_stmts(
-    body: &mut Block,
-    var_types: &BTreeMap<String, Type>,
-    _style: HostStyle,
-) {
+fn rewrite_cuda_host_stmts(body: &mut Block, var_types: &BTreeMap<String, Type>) {
     rewrite_stmts(body, &mut |mut s| {
-        if let StmtKind::Decl(d) = &s.kind {
-            if matches!(d.ty.unqualified(), Type::Dim3) {
-                return vec![];
-            }
-        }
-        if let StmtKind::Expr(e) = &mut s.kind {
-            match call_name(e) {
-                Some("cudaDeviceSynchronize") | Some("cudaGetLastError") => return vec![],
-                Some("cudaMalloc") => {
-                    let ExprKind::Call { args, .. } = &e.kind else {
-                        return vec![s];
-                    };
-                    let Some(var) = malloc_target_var(&args[0]) else {
-                        return vec![s];
-                    };
-                    let ptr_ty = var_types
-                        .get(&var)
-                        .cloned()
-                        .unwrap_or(Type::ptr(Type::DOUBLE));
-                    let size = args[1].clone();
-                    *e = Expr::synth(ExprKind::Assign {
-                        op: None,
-                        lhs: Box::new(Expr::ident(var)),
-                        rhs: Box::new(Expr::synth(ExprKind::Cast {
-                            ty: strip_const_ptr(&ptr_ty),
-                            expr: Box::new(Expr::call(Expr::ident("malloc"), vec![size])),
-                        })),
-                    });
-                    return vec![s];
-                }
-                Some("cudaMemcpy") => {
-                    let ExprKind::Call { args, .. } = &e.kind else {
-                        return vec![s];
-                    };
-                    *e = Expr::call(
+        match &mut s.kind {
+            StmtKind::Decl(d) if matches!(d.ty.unqualified(), Type::Dim3) => return vec![],
+            StmtKind::Expr(e) => {
+                let host = match call(e) {
+                    Some(("cudaDeviceSynchronize" | "cudaGetLastError", _)) => return vec![],
+                    Some(("cudaMalloc", [target, size, ..])) => {
+                        malloc_target_var(target).map(|var| {
+                            let ptr_ty = var_types.get(&var).cloned();
+                            let ptr_ty = ptr_ty.unwrap_or(Type::ptr(Type::DOUBLE));
+                            Expr::synth(ExprKind::Assign {
+                                op: None,
+                                lhs: Box::new(Expr::ident(var)),
+                                rhs: Box::new(Expr::synth(ExprKind::Cast {
+                                    ty: strip_const_ptr(&ptr_ty),
+                                    expr: Box::new(Expr::call(
+                                        Expr::ident("malloc"),
+                                        vec![size.clone()],
+                                    )),
+                                })),
+                            })
+                        })
+                    }
+                    Some(("cudaMemcpy", [dst, src, bytes, ..])) => Some(Expr::call(
                         Expr::ident("memcpy"),
-                        vec![args[0].clone(), args[1].clone(), args[2].clone()],
-                    );
-                    return vec![s];
+                        vec![dst.clone(), src.clone(), bytes.clone()],
+                    )),
+                    Some(("cudaFree", [p, ..])) => {
+                        Some(Expr::call(Expr::ident("free"), vec![p.clone()]))
+                    }
+                    _ => None,
+                };
+                match host {
+                    Some(host) => *e = host,
+                    None => launch_to_call(e),
                 }
-                Some("cudaFree") => {
-                    let ExprKind::Call { args, .. } = &e.kind else {
-                        return vec![s];
-                    };
-                    *e = Expr::call(Expr::ident("free"), vec![args[0].clone()]);
-                    return vec![s];
-                }
-                _ => {}
             }
-            launch_to_call(e);
-            rewrite_curand_calls(e);
+            _ => {}
         }
         vec![s]
     });
@@ -1050,112 +908,64 @@ fn strip_const_ptr(t: &Type) -> Type {
     }
 }
 
-fn rewrite_curand_calls(e: &mut Expr) {
-    map_exprs(e, &mut |e| {
-        if let ExprKind::Call { callee, .. } = &mut e.kind {
-            if let ExprKind::Ident(n) = &mut callee.kind {
-                match n.as_str() {
-                    "curand_init" => *n = "rng_seed_into".into(),
-                    "curand_uniform" | "curand_uniform_double" => *n = "rng_uniform".into(),
-                    _ => {}
-                }
-            }
-        }
-    });
-}
-
-/// `curandState` → `long` throughout (types and sizeof).
+/// `curandState` → `long` throughout (types and sizeof), and the cuRAND
+/// calls → the portable RNG helpers.
 fn rewrite_curand_types(file: &mut SourceFile) {
-    let fix_type = |t: &mut Type| {
-        map_type(t, &mut |t| {
-            if matches!(t, Type::Named(n) if n == "curandState") {
-                *t = Type::Scalar(ScalarType::Long);
-            }
-        });
-    };
     for item in &mut file.items {
         match &mut item.kind {
             ItemKind::Function(f) => {
-                fix_type(&mut f.ret);
+                fix_curand_type(&mut f.ret);
                 for p in &mut f.params {
-                    fix_type(&mut p.ty);
+                    fix_curand_type(&mut p.ty);
                 }
-                if let Some(body) = &mut f.body {
-                    for s in &mut body.stmts {
-                        fix_types_in_stmt(s);
-                        map_exprs_stmt(s, &mut |e| {
-                            match &mut e.kind {
-                                ExprKind::SizeOfType(t) => fix_type_value(t),
-                                ExprKind::SizeOfExpr(inner) => {
-                                    if matches!(&inner.kind, ExprKind::Ident(n) if n == "curandState")
-                                    {
-                                        e.kind =
-                                            ExprKind::SizeOfType(Type::Scalar(ScalarType::Long));
-                                    }
-                                }
-                                ExprKind::Cast { ty, .. } => fix_type_value(ty),
-                                _ => {}
+                for s in f.body.iter_mut().flat_map(|b| &mut b.stmts) {
+                    for_each_stmt(s, &mut |s| {
+                        if let StmtKind::Decl(d) = &mut s.kind {
+                            fix_curand_type(&mut d.ty);
+                        }
+                        true
+                    });
+                    map_exprs_stmt(s, &mut |e| match &mut e.kind {
+                        ExprKind::SizeOfType(t) | ExprKind::Cast { ty: t, .. } => {
+                            fix_curand_type(t)
+                        }
+                        ExprKind::SizeOfExpr(inner) => {
+                            if matches!(&inner.kind, ExprKind::Ident(n) if n == "curandState") {
+                                e.kind = ExprKind::SizeOfType(Type::Scalar(ScalarType::Long));
                             }
-                            rewrite_curand_calls_inner(e);
-                        });
-                    }
+                        }
+                        ExprKind::Call { callee, .. } => {
+                            if let ExprKind::Ident(n) = &mut callee.kind {
+                                match n.as_str() {
+                                    "curand_init" => *n = "rng_seed_into".into(),
+                                    "curand_uniform" | "curand_uniform_double" => {
+                                        *n = "rng_uniform".into()
+                                    }
+                                    _ => {}
+                                }
+                            }
+                        }
+                        _ => {}
+                    });
                 }
             }
             ItemKind::Struct(sd) => {
                 for f in &mut sd.fields {
-                    fix_type(&mut f.ty);
+                    fix_curand_type(&mut f.ty);
                 }
             }
-            ItemKind::Global(g) => fix_type(&mut g.ty),
+            ItemKind::Global(g) => fix_curand_type(&mut g.ty),
             _ => {}
         }
     }
 }
 
-fn fix_type_value(t: &mut Type) {
+fn fix_curand_type(t: &mut Type) {
     map_type(t, &mut |t| {
         if matches!(t, Type::Named(n) if n == "curandState") {
             *t = Type::Scalar(ScalarType::Long);
         }
     });
-}
-
-fn fix_types_in_stmt(s: &mut Stmt) {
-    match &mut s.kind {
-        StmtKind::Decl(d) => fix_type_value(&mut d.ty),
-        StmtKind::Block(b) => {
-            for s in &mut b.stmts {
-                fix_types_in_stmt(s);
-            }
-        }
-        StmtKind::If { then, els, .. } => {
-            fix_types_in_stmt(then);
-            if let Some(e) = els {
-                fix_types_in_stmt(e);
-            }
-        }
-        StmtKind::For { init, body, .. } => {
-            if let Some(i) = init {
-                fix_types_in_stmt(i);
-            }
-            fix_types_in_stmt(body);
-        }
-        StmtKind::While { body, .. } => fix_types_in_stmt(body),
-        StmtKind::Omp { body: Some(b), .. } => fix_types_in_stmt(b),
-        _ => {}
-    }
-}
-
-fn rewrite_curand_calls_inner(e: &mut Expr) {
-    if let ExprKind::Call { callee, .. } = &mut e.kind {
-        if let ExprKind::Ident(n) = &mut callee.kind {
-            match n.as_str() {
-                "curand_init" => *n = "rng_seed_into".into(),
-                "curand_uniform" | "curand_uniform_double" => *n = "rng_uniform".into(),
-                _ => {}
-            }
-        }
-    }
 }
 
 /// Replace CUDA system includes; ensure `adds` are present (once) if any
@@ -1203,50 +1013,18 @@ fn collect_fn_types(file: &SourceFile) -> BTreeMap<String, Type> {
         for p in &f.params {
             out.insert(p.name.clone(), p.ty.clone());
         }
-        if let Some(body) = &f.body {
-            collect_decl_types(body, &mut out);
-        }
-    }
-    out
-}
-
-fn collect_decl_types(b: &Block, out: &mut BTreeMap<String, Type>) {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Decl(d) => {
+        let body = f.body.as_ref().map_or(&[][..], |b| &b.stmts);
+        walk_stmts(body, &mut |n| {
+            if let Node::Stmt(Stmt {
+                kind: StmtKind::Decl(d),
+                ..
+            }) = n
+            {
                 out.insert(d.name.clone(), d.ty.clone());
             }
-            StmtKind::Block(inner) => collect_decl_types(inner, out),
-            StmtKind::If { then, els, .. } => {
-                if let StmtKind::Block(inner) = &then.kind {
-                    collect_decl_types(inner, out);
-                }
-                if let Some(e) = els {
-                    if let StmtKind::Block(inner) = &e.kind {
-                        collect_decl_types(inner, out);
-                    }
-                }
-            }
-            StmtKind::For { init, body, .. } => {
-                if let Some(i) = init {
-                    if let StmtKind::Decl(d) = &i.kind {
-                        out.insert(d.name.clone(), d.ty.clone());
-                    }
-                }
-                if let StmtKind::Block(inner) = &body.kind {
-                    collect_decl_types(inner, out);
-                }
-            }
-            StmtKind::Omp {
-                body: Some(body), ..
-            } => {
-                if let StmtKind::Block(inner) = &body.kind {
-                    collect_decl_types(inner, out);
-                }
-            }
-            _ => {}
-        }
+        });
     }
+    out
 }
 
 #[cfg(test)]
@@ -1323,6 +1101,52 @@ mod tests {
                 assert_eq!(out.get(&path), Some(text.as_str()), "{} ({pair})", app.name);
             }
         }
+    }
+
+    #[test]
+    fn short_cuda_calls_pass_through_unchanged() {
+        // Too few arguments to translate: the call is left as it is, never
+        // a panic. (Under Kokkos every `cudaFree` is dropped, and
+        // `cudaMemcpy` needs only two arguments.)
+        let src = "int main() {\n    double* p;\n    cudaMalloc(&p);\n    \
+                   cudaMemcpy(p, p);\n    cudaMemcpy(p);\n    cudaFree();\n    return 0;\n}\n";
+        let offload = [
+            "cudaMalloc(&p);",
+            "cudaMemcpy(p, p);",
+            "cudaMemcpy(p);",
+            "cudaFree();",
+        ];
+        let kokkos = ["cudaMalloc(&p);", "cudaMemcpy(p);"];
+        for (pair, kept) in [
+            (TranslationPair::CUDA_TO_OMP_OFFLOAD, &offload[..]),
+            (TranslationPair::CUDA_TO_KOKKOS, &kokkos[..]),
+        ] {
+            let mut repo = SourceRepo::new();
+            repo.add("main.cu", src);
+            let out = transpile_file(&repo, "main.cu", src, pair).text;
+            for call in kept {
+                assert!(out.contains(call), "{pair}: {call} missing from\n{}", &*out);
+            }
+        }
+    }
+
+    #[test]
+    fn a_directive_maps_the_pointers_declared_before_it() {
+        // `tmp` is declared before both loops and `row` inside each one;
+        // `out` is referenced by neither.
+        let src = "void f(const double* in, double* out, int n) {\n    double* tmp = out;\n    \
+                   #pragma omp parallel for\n    for (int i = 0; i < n; i++) {\n        \
+                   double* row = tmp;\n        row[i] = in[i];\n    }\n    \
+                   #pragma omp parallel for\n    for (int i = 0; i < n; i++) {\n        \
+                   double* row = tmp;\n        row[i] = row[i] + 1.0;\n    }\n}\n";
+        let mut repo = SourceRepo::new();
+        repo.add("f.cpp", src);
+        let pair = TranslationPair::OMP_THREADS_TO_OFFLOAD;
+        let out = transpile_file(&repo, "f.cpp", src, pair).text;
+        let target = "#pragma omp target teams distribute parallel for";
+        let first = format!("{target} map(to: in) map(tofrom: tmp)\n");
+        let second = format!("{target} map(tofrom: tmp)\n");
+        assert!(out.contains(&first) && out.contains(&second), "{}", &*out);
     }
 
     #[test]

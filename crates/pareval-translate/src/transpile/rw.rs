@@ -1,85 +1,95 @@
-//! Small AST-rewriting toolkit shared by the transpilers.
+//! The transpilers' mutable traversals of statement and expression trees.
+//!
+//! [`for_each_stmt`] is the one statement recursion for in-place edits:
+//! it hands every statement to its callback in preorder. [`map_exprs_stmt`]
+//! runs [`map_exprs`] over each of those statements' own expressions, and
+//! [`rewrite_stmts`] replaces statements by lists of statements. Read-only
+//! scans use `minihpc_lang::walk` instead.
 
 use minihpc_lang::ast::*;
+use minihpc_lang::pragma::OmpClause;
 
-/// Rewrite every expression in a statement tree bottom-up.
-pub fn map_exprs_stmt(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+/// Call `f` on `s` and, unless it returns `false`, then on every statement
+/// nested in what `f` left, in preorder: `if` branches, loop bodies, a
+/// `for` initializer, block statements and OpenMP region bodies. Lambda
+/// bodies are expressions, so only [`map_exprs`] enters them.
+pub fn for_each_stmt(s: &mut Stmt, f: &mut impl FnMut(&mut Stmt) -> bool) {
+    if !f(s) {
+        return;
+    }
     match &mut s.kind {
-        StmtKind::Decl(d) => {
-            for dim in &mut d.array_dims {
-                map_exprs(dim, f);
-            }
-            match &mut d.init {
-                Some(Init::Expr(e)) => map_exprs(e, f),
-                Some(Init::List(es)) | Some(Init::Ctor(es)) => {
-                    for e in es {
-                        map_exprs(e, f);
-                    }
-                }
-                None => {}
-            }
-        }
-        StmtKind::Expr(e) => map_exprs(e, f),
-        StmtKind::If { cond, then, els } => {
-            map_exprs(cond, f);
-            map_exprs_stmt(then, f);
+        StmtKind::If { then, els, .. } => {
+            for_each_stmt(then, f);
             if let Some(e) = els {
-                map_exprs_stmt(e, f);
+                for_each_stmt(e, f);
             }
         }
-        StmtKind::While { cond, body } => {
-            map_exprs(cond, f);
-            map_exprs_stmt(body, f);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
+        StmtKind::For { init, body, .. } => {
             if let Some(i) = init {
-                map_exprs_stmt(i, f);
+                for_each_stmt(i, f);
             }
-            if let Some(c) = cond {
-                map_exprs(c, f);
-            }
-            if let Some(st) = step {
-                map_exprs(st, f);
-            }
-            map_exprs_stmt(body, f);
+            for_each_stmt(body, f);
         }
-        StmtKind::Return(Some(e)) => map_exprs(e, f),
+        StmtKind::While { body, .. }
+        | StmtKind::Omp {
+            body: Some(body), ..
+        } => for_each_stmt(body, f),
         StmtKind::Block(b) => {
             for s in &mut b.stmts {
-                map_exprs_stmt(s, f);
-            }
-        }
-        StmtKind::Omp { directive, body } => {
-            for clause in &mut directive.clauses {
-                use minihpc_lang::pragma::OmpClause;
-                match clause {
-                    OmpClause::NumThreads(e)
-                    | OmpClause::NumTeams(e)
-                    | OmpClause::ThreadLimit(e)
-                    | OmpClause::If(e)
-                    | OmpClause::Device(e) => map_exprs(e, f),
-                    OmpClause::Map { sections, .. } => {
-                        for s in sections {
-                            for (lo, len) in &mut s.ranges {
-                                map_exprs(lo, f);
-                                map_exprs(len, f);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(b) = body {
-                map_exprs_stmt(b, f);
+                for_each_stmt(s, f);
             }
         }
         _ => {}
     }
+}
+
+/// Rewrite every expression in a statement tree, OpenMP clause expressions
+/// included, each one bottom-up. Statements are visited in preorder, so
+/// `f` must not depend on the order in which statements are visited.
+pub fn map_exprs_stmt(s: &mut Stmt, f: &mut impl FnMut(&mut Expr)) {
+    for_each_stmt(s, &mut |s| {
+        match &mut s.kind {
+            StmtKind::Decl(d) => {
+                let init = match &mut d.init {
+                    Some(Init::Expr(e)) => std::slice::from_mut(e),
+                    Some(Init::List(es)) | Some(Init::Ctor(es)) => es,
+                    None => &mut [],
+                };
+                for e in d.array_dims.iter_mut().chain(init) {
+                    map_exprs(e, f);
+                }
+            }
+            StmtKind::Expr(e)
+            | StmtKind::Return(Some(e))
+            | StmtKind::If { cond: e, .. }
+            | StmtKind::While { cond: e, .. } => map_exprs(e, f),
+            StmtKind::For { cond, step, .. } => {
+                for e in cond.iter_mut().chain(step) {
+                    map_exprs(e, f);
+                }
+            }
+            StmtKind::Omp { directive, .. } => {
+                for clause in &mut directive.clauses {
+                    match clause {
+                        OmpClause::NumThreads(e)
+                        | OmpClause::NumTeams(e)
+                        | OmpClause::ThreadLimit(e)
+                        | OmpClause::If(e)
+                        | OmpClause::Device(e) => map_exprs(e, f),
+                        OmpClause::Map { sections, .. } => {
+                            for (lo, len) in sections.iter_mut().flat_map(|s| &mut s.ranges) {
+                                map_exprs(lo, f);
+                                map_exprs(len, f);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+        true
+    });
 }
 
 /// Rewrite an expression tree bottom-up (children first, then the node).
@@ -178,11 +188,11 @@ pub fn map_type(t: &mut Type, f: &mut impl FnMut(&mut Type)) {
     f(t);
 }
 
-/// Extract the callee name of a plain `name(args)` call expression.
-pub fn call_name(e: &Expr) -> Option<&str> {
+/// The callee name and arguments of a plain `name(args)` call expression.
+pub fn call(e: &Expr) -> Option<(&str, &[Expr])> {
     match &e.kind {
-        ExprKind::Call { callee, .. } => match &callee.kind {
-            ExprKind::Ident(n) => Some(n),
+        ExprKind::Call { callee, args } => match &callee.kind {
+            ExprKind::Ident(n) => Some((n, args)),
             _ => None,
         },
         _ => None,
@@ -209,6 +219,46 @@ mod tests {
     }
 
     #[test]
+    fn map_exprs_stmt_reaches_every_expression() {
+        let src = r#"
+void f() {
+    int a[d0];
+    int b = i0;
+    int c[2] = { l0, l1 };
+    dim3 g(c0, c1);
+    if (if0) t0; else { e0; }
+    while (w0) w1;
+    for (int i = f0; f1; f2) f3;
+    k<<<g0, b0>>>(k0);
+    Kokkos::parallel_for(n0, KOKKOS_LAMBDA(int i) { int v = lam0; });
+    #pragma omp parallel for num_threads(nt) map(to: arr[lo:len])
+    for (int i = 0; o0; i++) o1;
+    return r0;
+}
+"#;
+        let mut file = minihpc_lang::parser::parse_file(src).unwrap();
+        let ItemKind::Function(f) = &mut file.items[0].kind else {
+            panic!()
+        };
+        let mut seen = Vec::new();
+        for s in &mut f.body.as_mut().unwrap().stmts {
+            map_exprs_stmt(s, &mut |e| {
+                if let ExprKind::Ident(n) = &e.kind {
+                    seen.push(n.clone());
+                }
+            });
+        }
+        seen.sort();
+        seen.dedup();
+        let mut want = [
+            "d0", "i0", "l0", "l1", "c0", "c1", "if0", "t0", "e0", "w0", "w1", "f0", "f1", "f2",
+            "f3", "g0", "b0", "k0", "n0", "lam0", "nt", "lo", "len", "o0", "i", "o1", "r0",
+        ];
+        want.sort();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
     fn rewrite_stmts_deletes_and_replaces() {
         let mut s = parse_stmt_str("{ cudaFree(p); x = 1; }").unwrap();
         let StmtKind::Block(ref mut b) = s.kind else {
@@ -216,7 +266,7 @@ mod tests {
         };
         rewrite_stmts(b, &mut |s| {
             if let StmtKind::Expr(e) = &s.kind {
-                if call_name(e) == Some("cudaFree") {
+                if matches!(call(e), Some(("cudaFree", _))) {
                     return vec![];
                 }
             }
@@ -233,7 +283,7 @@ mod tests {
         let mut wrapper = Block::new(vec![s.clone()]);
         rewrite_stmts(&mut wrapper, &mut |s| {
             if let StmtKind::Expr(e) = &s.kind {
-                if call_name(e) == Some("cudaDeviceSynchronize") {
+                if matches!(call(e), Some(("cudaDeviceSynchronize", _))) {
                     return vec![];
                 }
             }
