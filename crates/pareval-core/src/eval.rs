@@ -31,21 +31,23 @@
 //! cold evaluation it replaced (`tests/backends.rs` proves this by
 //! property test, `tests/determinism.rs` end to end).
 
-use crate::journal::codec;
+use crate::journal::{codec, read_frame, write_frame, FRAME_HEADER};
 use crate::plan::{ExperimentPlan, SampleSpec};
 use crate::runner::SampleRecord;
 use crate::task::{EvalConfig, EvalOutcome, RepairRound, SampleResult, Task};
 use minihpc_analyze::{AnalysisFinding, Confidence};
 use minihpc_build::preprocess::ParsedFile;
 use minihpc_build::{build_repo_with, BuildRequest, CompiledUnit, ErrorCategory, UnitCache};
-use minihpc_lang::fnv::{fnv128, fnv64, Fnv128};
+use minihpc_lang::fnv::{fnv128, Fnv128};
 use minihpc_lang::memo::OnceMap;
 use minihpc_lang::repo::{FileKind, SourceRepo};
 use minihpc_runtime::{run, RunConfig};
 use pareval_llm::{AttemptSpec, ModelProfile, RepairContext, RepairOutcome, TranslationBackend};
 use pareval_translate::techniques::{translate_with, TranslationJob};
 use pareval_translate::Technique;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -92,223 +94,260 @@ impl CacheStats {
     }
 }
 
-/// The persistent tier of a [`BuildCache`]: one `.entry` file per outcome
-/// in a shared directory, named by the hex content key, each payload
-/// checksummed. Because the file *name* is
-/// the full 128-bit key — which hashes every input that can change the
-/// stored value — a harness whose key computation changes (a new knob, a
-/// new hash input, a codec bump) simply stops matching old entries; it can
-/// never be served a stale value computed under different semantics.
+/// The persistent tier of a [`BuildCache`]: one append-only log,
+/// `outcomes.log`, in a directory that processes may share. Each record is
+/// a journal frame ([`write_frame`]) whose payload is the 16-byte outcome
+/// key followed by the encoded outcome. The key hashes every input that
+/// can change the stored value, so a harness whose key computation changes
+/// (a new knob, a new hash input, a codec bump) simply stops matching old
+/// records; it can never be served a stale value computed under different
+/// semantics.
 ///
-/// Durability is best-effort by design: a read that fails its checksum (a
-/// torn write, bit rot) deletes the entry and reports a miss — a corrupted
-/// entry can cost a rebuild, never a wrong result. Store errors (disk
-/// full, permissions) are swallowed; the run continues on the memory tier.
+/// Processes coordinate through locks on the log file: a load holds a
+/// shared lock, a store an exclusive one. Under either, a process first
+/// reopens the log if another process's compaction renamed a new one into
+/// place, then indexes the frames appended since its last known offset. So
+/// live processes see each other's entries and hold one byte budget.
 ///
-/// Eviction is least-recently-used by byte budget: the in-process index
-/// orders entries by last touch (seeded from file mtimes at open, so LRU
-/// order survives across processes), and inserts evict from the cold end
-/// until the tier fits the budget again.
+/// Durability is best-effort by design. A frame that fails its checksum (a
+/// torn write, bit rot) ends the readable log, as in journal replay, and
+/// the next store truncates it away before appending. A frame whose
+/// payload does not decode is a miss. A corrupted entry can cost a rebuild,
+/// never a wrong result. I/O errors (disk full, permissions) are
+/// swallowed; the run continues on the memory tier.
+///
+/// The log keeps write order, and eviction follows it: when a store takes
+/// the log past the budget, the storing process copies the newest frames
+/// that fit half the budget (at least the one just stored) into a new log
+/// and renames it into place. So one rewrite pays for many appends, and
+/// frames a key's later store superseded drop off with the cold end.
+/// Loads do not reorder entries: the cold end is the oldest write, as the
+/// per-file tier's mtimes were (its loads never touched them).
 ///
 /// Only outcomes persist. Compile units stay in memory: decoding an AST
-/// from disk cost more than re-running sema. `.unit` files left in the
-/// directory by older harness versions are ignored by [`DiskCache::open`]
-/// and can be deleted.
+/// from disk cost more than re-running sema. `.unit` and `.entry` files
+/// left in the directory by older harness versions are ignored and can be
+/// deleted.
 #[derive(Debug)]
 struct DiskCache {
-    dir: PathBuf,
+    path: PathBuf,
     budget: u64,
-    index: Mutex<DiskIndex>,
+    log: Mutex<DiskLog>,
 }
 
-/// One indexed disk entry: its position in the LRU order and its on-disk
-/// size.
+/// One indexed frame of the log: its offset and its size with the frame
+/// header.
 #[derive(Debug, Clone, Copy)]
 struct IndexSlot {
-    touch: u64,
+    offset: u64,
     size: u64,
 }
 
-/// LRU bookkeeping of a [`DiskCache`].
+/// A process's index of the log: each key's live frame, the last one
+/// written for it.
 ///
-/// Invariant (held under the [`DiskCache::index`] lock, which every file
-/// delete also holds): `total_bytes` equals the sum of the on-disk sizes
-/// of exactly the indexed entries. `slots` maps each key to its slot;
-/// `order` mirrors the slots keyed by touch counter, so the coldest entry
-/// is `order`'s first value and both touch and eviction are O(log n):
-/// a directory of thousands of entries never costs a quadratic scan.
+/// Invariant (held under the [`DiskCache::log`] lock): `total_bytes` equals
+/// the sum of the sizes of exactly the indexed frames, and `end` is the
+/// offset just past the last frame indexed.
 ///
 /// `visited` is the work counter the regression test pins: **contract —
-/// every index operation (`touch`/`remove`/`coldest`) increments it by
-/// exactly 1**, i.e. examines one slot, never a scan. A reintroduced
-/// linear scan has nowhere to hide: it would have to bump `visited` per
-/// element examined (as the dbscan fix's counter does) and the test's
-/// equality assertion fails.
+/// every index operation (`push`/`remove`) increments it by exactly 1**,
+/// i.e. examines one slot, never a scan. A reintroduced linear scan has
+/// nowhere to hide: it would have to bump `visited` per element examined
+/// (as the dbscan fix's counter does) and the test's equality assertion
+/// fails.
 #[derive(Debug, Default)]
 struct DiskIndex {
     slots: HashMap<u128, IndexSlot>,
-    order: BTreeMap<u64, u128>,
-    next_touch: u64,
+    end: u64,
     total_bytes: u64,
     visited: u64,
 }
 
 impl DiskIndex {
-    /// Move `key` to the hot end (or insert it), updating the byte total.
-    fn touch(&mut self, key: u128, size: u64) {
+    /// Index the frame of `size` bytes at `end` as `key`'s live frame.
+    fn push(&mut self, key: u128, size: u64) {
         self.visited += 1;
-        let t = self.next_touch;
-        self.next_touch += 1;
-        match self.slots.get_mut(&key) {
-            Some(slot) => {
-                self.order.remove(&slot.touch);
-                self.total_bytes -= slot.size;
-                slot.touch = t;
-                slot.size = size;
-            }
-            None => {
-                self.slots.insert(key, IndexSlot { touch: t, size });
-            }
+        let offset = self.end;
+        if let Some(old) = self.slots.insert(key, IndexSlot { offset, size }) {
+            self.total_bytes -= old.size;
         }
-        self.order.insert(t, key);
         self.total_bytes += size;
+        self.end += size;
     }
 
     fn remove(&mut self, key: u128) {
         self.visited += 1;
         if let Some(slot) = self.slots.remove(&key) {
-            self.order.remove(&slot.touch);
             self.total_bytes -= slot.size;
         }
     }
+}
 
-    fn contains(&self, key: u128) -> bool {
-        self.slots.contains_key(&key)
+/// The log file a process has open, and its index.
+#[derive(Debug)]
+struct DiskLog {
+    file: File,
+    index: DiskIndex,
+}
+
+/// How an operation locks the log: [`File::lock_shared`] or [`File::lock`].
+type Lock = fn(&File) -> std::io::Result<()>;
+
+/// The identity of a file (device and inode), which a rename into its path
+/// changes. Unix only: elsewhere the disk tier does not open.
+#[cfg(unix)]
+fn file_id(meta: &std::fs::Metadata) -> std::io::Result<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    Ok((meta.dev(), meta.ino()))
+}
+
+#[cfg(not(unix))]
+fn file_id(_: &std::fs::Metadata) -> std::io::Result<(u64, u64)> {
+    Err(std::io::ErrorKind::Unsupported.into())
+}
+
+impl DiskLog {
+    fn open(path: &Path) -> std::io::Result<DiskLog> {
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let index = DiskIndex::default();
+        Ok(DiskLog { file, index })
     }
 
-    /// The least-recently-used entry, if any.
-    fn coldest(&mut self) -> Option<u128> {
-        self.visited += 1;
-        self.order.values().next().copied()
+    /// Lock the log at `path` with `lock` and index the frames appended past the
+    /// index's end, up to the first that does not validate. A log that
+    /// another process's compaction replaced, or that was cut below the
+    /// index's end, is reopened and indexed from the start.
+    fn refresh(&mut self, path: &Path, lock: Lock) -> std::io::Result<()> {
+        loop {
+            lock(&self.file)?;
+            let meta = self.file.metadata()?;
+            let id = file_id(&meta)?;
+            let current = std::fs::metadata(path).is_ok_and(|m| file_id(&m).ok() == Some(id));
+            if current && meta.len() >= self.index.end {
+                break;
+            }
+            // Dropping the old file releases its lock.
+            *self = DiskLog::open(path)?;
+        }
+        let mut reader = BufReader::new(&self.file);
+        reader.seek(SeekFrom::Start(self.index.end))?;
+        while let Some(payload) = read_frame(&mut reader) {
+            let Some(key) = payload.first_chunk::<16>() else {
+                break;
+            };
+            let size = FRAME_HEADER + payload.len() as u64;
+            self.index.push(u128::from_le_bytes(*key), size);
+        }
+        Ok(())
     }
 
-    fn len(&self) -> usize {
-        self.slots.len()
+    /// The validated payload of the frame at `slot`.
+    fn payload(&self, slot: IndexSlot) -> Option<Vec<u8>> {
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(slot.offset)).ok()?;
+        read_frame(&mut file.take(slot.size))
+    }
+
+    /// Append `key`'s frame at the index's end, first truncating a torn
+    /// tail past it.
+    fn append(&mut self, key: u128, payload: &[u8]) -> std::io::Result<()> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload)?;
+        self.file.set_len(self.index.end)?;
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(self.index.end))?;
+        file.write_all(&frame)?;
+        self.index.push(key, frame.len() as u64);
+        Ok(())
+    }
+
+    /// Keep the log's newest frames that fit `keep` bytes, and at least
+    /// the one at `newest`: copy them to a new log, rename it onto `path`,
+    /// and lock and index it. Returns how many entries were evicted.
+    fn compact(&mut self, path: &Path, keep: u64, newest: u64) -> std::io::Result<u64> {
+        let end = self.index.end;
+        let offsets = self.index.slots.values().map(|slot| slot.offset);
+        let fits = offsets.clone().filter(|&at| end - at <= keep);
+        let cut = fits.chain([newest]).min().unwrap_or(newest);
+        let evicted = offsets.filter(|&at| at < cut).count() as u64;
+        let tmp = path.with_extension("log.tmp");
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(cut))?;
+        std::io::copy(&mut file, &mut File::create(&tmp)?)?;
+        std::fs::rename(&tmp, path)?;
+        *self = DiskLog::open(path)?;
+        self.refresh(path, File::lock).map(|()| evicted)
     }
 }
 
 impl DiskCache {
-    /// Frame magic of an outcome entry.
-    const MAGIC: &'static [u8; 8] = b"PEBC0001";
-
-    /// Open (creating if needed) the cache directory and rebuild the LRU
-    /// index from the `.entry` files already on disk, coldest mtime first.
+    /// Open (creating if needed) the cache directory and its log, and index
+    /// the log. Fails if the directory or the log cannot be opened or
+    /// locked.
     fn open(dir: &Path, budget: u64) -> std::io::Result<DiskCache> {
         std::fs::create_dir_all(dir)?;
-        let mut found: Vec<(u128, u64, std::time::SystemTime)> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(key) = name
-                .to_str()
-                .and_then(|n| n.strip_suffix(".entry"))
-                .and_then(|hex| u128::from_str_radix(hex, 16).ok())
-            else {
-                continue;
-            };
-            let Ok(meta) = entry.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            found.push((key, meta.len(), mtime));
-        }
-        found.sort_by_key(|&(key, _, mtime)| (mtime, key));
-        let mut index = DiskIndex::default();
-        for (key, size, _) in found {
-            index.touch(key, size);
-        }
-        Ok(DiskCache {
-            dir: dir.to_path_buf(),
-            budget,
-            index: Mutex::new(index),
+        let path = dir.join("outcomes.log");
+        let mut log = DiskLog::open(&path)?;
+        log.refresh(&path, File::lock_shared)?;
+        log.file.unlock()?;
+        let log = Mutex::new(log);
+        Ok(DiskCache { path, budget, log })
+    }
+
+    /// Run `op` on the log refreshed under `lock` (see
+    /// [`DiskLog::refresh`]), then unlock; `None` when the log cannot be
+    /// locked or read.
+    fn locked<R>(&self, lock: Lock, op: impl FnOnce(&mut DiskLog) -> Option<R>) -> Option<R> {
+        let mut log = self.log.lock().expect("cache lock poisoned");
+        let result = log
+            .refresh(&self.path, lock)
+            .ok()
+            .and_then(|()| op(&mut log));
+        let _ = log.file.unlock();
+        result
+    }
+
+    /// Read-through lookup of a verified outcome. A frame that fails to
+    /// read, carries another key or does not decode is a miss and leaves
+    /// the index, so the key's next store appends it afresh; it can never
+    /// surface as a wrong value.
+    fn load(&self, key: u128) -> Option<EvalOutcome> {
+        self.locked(File::lock_shared, |log| {
+            let slot = *log.index.slots.get(&key)?;
+            let value = log.payload(slot).and_then(|payload| {
+                codec::decode_outcome(payload.strip_prefix(&key.to_le_bytes())?)
+            });
+            if value.is_none() {
+                log.index.remove(key);
+            }
+            value
         })
     }
 
-    fn path_of(&self, key: u128) -> PathBuf {
-        self.dir.join(format!("{key:032x}.entry"))
-    }
-
-    /// Read-through lookup of a verified outcome. Any failure — missing
-    /// file, bad magic, bad checksum, undecodable payload — deletes the
-    /// entry and reports a miss; a corrupted entry can never surface as a
-    /// wrong value.
-    fn load(&self, key: u128) -> Option<EvalOutcome> {
-        let path = self.path_of(key);
-        let bytes = std::fs::read(&path).ok();
-        // Account the entry at the length actually read: re-statting the
-        // file here would race a concurrent eviction's delete and record
-        // the entry at size 0, permanently desyncing `total_bytes` from
-        // real disk usage.
-        let file_len = bytes.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-        let value = bytes.and_then(|bytes| {
-            let payload = bytes.strip_prefix(Self::MAGIC)?;
-            let (sum, payload) = payload.split_first_chunk::<8>()?;
-            if u64::from_le_bytes(*sum) != fnv64(payload) {
-                return None;
-            }
-            codec::decode_outcome(payload)
-        });
-        match value {
-            Some(value) => {
-                // Touch under the same lock eviction deletes files under,
-                // and only while the entry still exists — an entry evicted
-                // between our read and this lock must not be resurrected
-                // into the index as a ghost.
-                let mut index = self.index.lock().expect("cache lock poisoned");
-                if index.contains(key) || path.exists() {
-                    index.touch(key, file_len);
-                }
-                Some(value)
-            }
-            None => {
-                let mut index = self.index.lock().expect("cache lock poisoned");
-                let _ = std::fs::remove_file(&path);
-                index.remove(key);
-                None
-            }
-        }
-    }
-
-    /// Write-through insert: encode and frame the outcome (magic +
-    /// checksum), write to a temp file, rename into place (atomic on
-    /// POSIX), then evict cold entries until the tier is back under budget.
-    /// Returns how many entries were evicted.
+    /// Write-through insert: append the outcome's frame, unless another
+    /// process stored the key first, and compact the log once it exceeds
+    /// the budget. Returns how many entries were evicted.
     fn store(&self, key: u128, outcome: &EvalOutcome) -> u64 {
-        let payload = codec::encode_outcome(outcome);
-        let mut bytes = Vec::with_capacity(Self::MAGIC.len() + 8 + payload.len());
-        bytes.extend_from_slice(Self::MAGIC);
-        bytes.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        let path = self.path_of(key);
-        let tmp = self.dir.join(format!("{key:032x}.entry.tmp"));
-        if std::fs::write(&tmp, &bytes).is_err() || std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return 0;
-        }
-        let mut index = self.index.lock().expect("cache lock poisoned");
-        index.touch(key, bytes.len() as u64);
-        // Evict coldest-first until under budget. The entry just written is
-        // at the hot end and is never evicted on its own insert (a single
-        // over-budget entry is still worth keeping until something newer
-        // displaces it).
-        let mut evicted = 0;
-        while index.total_bytes > self.budget && index.len() > 1 {
-            let Some(cold) = index.coldest() else {
-                break;
-            };
-            let _ = std::fs::remove_file(self.path_of(cold));
-            index.remove(cold);
-            evicted += 1;
-        }
-        evicted
+        let mut payload = key.to_le_bytes().to_vec();
+        payload.extend(codec::encode_outcome(outcome));
+        let evicted = self.locked(File::lock, |log| {
+            if log.index.slots.contains_key(&key) {
+                return Some(0);
+            }
+            log.append(key, &payload).ok()?;
+            if log.index.end <= self.budget {
+                return Some(0);
+            }
+            let newest = log.index.slots[&key].offset;
+            log.compact(&self.path, self.budget / 2, newest).ok()
+        });
+        evicted.unwrap_or(0)
     }
 }
 
@@ -446,7 +485,7 @@ impl BuildCache {
     pub fn len_disk(&self) -> usize {
         self.disk
             .as_ref()
-            .map(|d| d.index.lock().expect("cache lock poisoned").len())
+            .and_then(|d| d.locked(File::lock_shared, |log| Some(log.index.slots.len())))
             .unwrap_or(0)
     }
 
@@ -1021,6 +1060,7 @@ mod tests {
     use minihpc_build::Executable;
     use minihpc_lang::model::TranslationPair;
     use pareval_llm::{model_by_name, OracleBackend, SimulatedBackend};
+    use std::collections::BTreeMap;
 
     fn eval_config() -> EvalConfig {
         EvalConfig {
@@ -1391,14 +1431,29 @@ mod tests {
         path
     }
 
+    /// Every frame of the log at `path`, read independently of any index:
+    /// each key's last frame, as (key, (offset, size)).
+    fn log_frames(path: &Path) -> BTreeMap<u128, (u64, u64)> {
+        let bytes = std::fs::read(path).unwrap();
+        let mut reader = bytes.as_slice();
+        let mut frames = BTreeMap::new();
+        let mut offset = 0;
+        while let Some(payload) = read_frame(&mut reader) {
+            let key = u128::from_le_bytes(payload[..16].try_into().unwrap());
+            let size = FRAME_HEADER + payload.len() as u64;
+            frames.insert(key, (offset, size));
+            offset += size;
+        }
+        assert_eq!(offset, bytes.len() as u64, "the log has a torn tail");
+        frames
+    }
+
     #[test]
     fn concurrent_load_and_evict_keep_byte_accounting_in_sync() {
-        // Regression pin for the load-path accounting bug: `load` used to
-        // re-stat the entry file *after* reading it, so an eviction racing
-        // between the read and the stat recorded the entry at size 0 and
-        // resurrected evicted keys as ghost index entries. The fix accounts
-        // the bytes actually read and re-touches under the eviction lock
-        // only while the entry still exists.
+        // Loaders hammer a hot key while a storer appends and compacts on
+        // nearly every insert. Afterwards the index must describe exactly
+        // the log's live frames, offsets included, and `total_bytes` must
+        // be their sum.
         let dir = scratch_dir("load-evict");
         let outcome = EvalOutcome {
             built: true,
@@ -1407,48 +1462,72 @@ mod tests {
             build_log: "x".repeat(64),
             error_diagnostics: Vec::new(),
         };
-        // Budget fits only a handful of entries, so the storer thread
-        // evicts on nearly every insert while loaders hammer a hot key.
-        let entry_len = (codec::encode_outcome(&outcome).len() + 16) as u64;
+        // Budget fits only a handful of entries.
+        let entry_len = FRAME_HEADER + 16 + codec::encode_outcome(&outcome).len() as u64;
         let cache = DiskCache::open(&dir, entry_len * 4).unwrap();
         cache.store(0, &outcome);
-        std::thread::scope(|s| {
+        let evicted = std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
                     for _ in 0..300 {
-                        let _ = cache.load(0);
+                        // Evicted or not, never a wrong value.
+                        assert!(cache.load(0).is_none_or(|hit| hit == outcome));
                     }
                 });
             }
-            s.spawn(|| {
-                for k in 1..300u128 {
-                    cache.store(k, &outcome);
-                }
-            });
+            s.spawn(|| (1..300u128).map(|k| cache.store(k, &outcome)).sum::<u64>())
+                .join()
+                .unwrap()
         });
-        // Quiesced invariant: the index tracks exactly the on-disk entry
-        // files, and `total_bytes` is the sum of their real sizes.
-        let index = cache.index.lock().expect("cache lock poisoned");
-        let mut on_disk = std::collections::BTreeMap::new();
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let entry = entry.unwrap();
-            let name = entry.file_name().into_string().unwrap();
-            let hex = name.strip_suffix(".entry").expect("only .entry files");
-            let key = u128::from_str_radix(hex, 16).unwrap();
-            on_disk.insert(key, entry.metadata().unwrap().len());
-        }
-        let indexed: std::collections::BTreeMap<u128, u64> = index
+        assert!(evicted > 0, "the budget never forced an eviction");
+        let log = cache.log.lock().expect("cache lock poisoned");
+        let on_disk = log_frames(&cache.path);
+        let indexed: BTreeMap<u128, (u64, u64)> = log
+            .index
             .slots
             .iter()
-            .map(|(&key, slot)| (key, slot.size))
+            .map(|(&key, slot)| (key, (slot.offset, slot.size)))
             .collect();
-        assert_eq!(indexed, on_disk, "index and directory disagree");
+        assert_eq!(indexed, on_disk, "index and log disagree");
         assert_eq!(
-            index.total_bytes,
-            on_disk.values().sum::<u64>(),
-            "total_bytes desynced from real disk usage"
+            log.index.total_bytes,
+            on_disk.values().map(|&(_, size)| size).sum::<u64>(),
+            "total_bytes desynced from the live frames"
         );
-        drop(index);
+        assert!(log.index.end <= entry_len * 4, "the log exceeds its budget");
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_oversized_frame_length_ends_the_log_and_the_next_store_cuts_it() {
+        // A frame whose length field exceeds the reader's bound is garbage:
+        // the log ends at the frame before it, and a store truncates it
+        // away before appending.
+        let dir = scratch_dir("oversized");
+        let outcome = EvalOutcome {
+            built: false,
+            passed: false,
+            error_category: Some(ErrorCategory::CodeSyntax),
+            build_log: "error".into(),
+            error_diagnostics: Vec::new(),
+        };
+        let cache = DiskCache::open(&dir, 64 << 20).unwrap();
+        cache.store(1, &outcome);
+        cache.store(2, &outcome);
+        let intact = std::fs::metadata(&cache.path).unwrap().len();
+        let mut log = File::options().append(true).open(&cache.path).unwrap();
+        let mut header = u32::MAX.to_le_bytes().to_vec();
+        header.extend([0; 8 + 32]);
+        log.write_all(&header).unwrap();
+        drop(log);
+        let cache = DiskCache::open(&dir, 64 << 20).unwrap();
+        assert_eq!(cache.log.lock().unwrap().index.end, intact);
+        assert_eq!(cache.load(2), Some(outcome.clone()));
+        cache.store(3, &outcome);
+        let frames = log_frames(&cache.path);
+        assert_eq!(frames.keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(frames[&3].0, intact, "the store did not cut the tail");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1462,35 +1541,29 @@ mod tests {
         let mut index = DiskIndex::default();
         let mut ops = 0u64;
         for k in 0..N {
-            index.touch(k, 10);
+            index.push(k, 10);
             ops += 1;
         }
         assert_eq!(index.total_bytes, 10 * N as u64);
-        // Re-touch every entry in insertion order (the worst case for the
+        // Re-store every entry in insertion order (the worst case for the
         // old index: each re-touch scanned to the cold end).
         for k in 0..N {
-            index.touch(k, 12);
+            index.push(k, 12);
             ops += 1;
         }
         assert_eq!(index.total_bytes, 12 * N as u64);
+        assert_eq!(index.end, 22 * N as u64);
         // A key beyond the range is a new slot.
-        index.touch(N, 100);
+        index.push(N, 100);
         ops += 1;
-        assert_eq!(index.len(), N as usize + 1);
+        assert_eq!(index.slots.len(), N as usize + 1);
         assert_eq!(index.total_bytes, 12 * N as u64 + 100);
-        for k in 0..N / 2 {
+        for k in 0..=N {
             index.remove(k);
             ops += 1;
         }
-        // Drain the rest the way eviction does: coldest probe + remove.
-        while let Some(k) = index.coldest() {
-            ops += 1;
-            index.remove(k);
-            ops += 1;
-        }
-        ops += 1; // the final coldest() that found the index empty
         assert_eq!(index.total_bytes, 0);
-        assert_eq!(index.len(), 0);
+        assert_eq!(index.slots.len(), 0);
         assert_eq!(
             index.visited, ops,
             "an index operation examined more than one slot"

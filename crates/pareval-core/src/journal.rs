@@ -51,6 +51,36 @@ const HEADER_LEN: u64 = 8 + 16;
 /// certainly garbage (a torn write inside the length field itself) and
 /// stops replay rather than attempting a multi-gigabyte allocation.
 const MAX_RECORD_LEN: u32 = 64 << 20;
+/// Bytes of a frame before its payload: length (u32 LE) and checksum (u64
+/// LE, FNV-1a over the payload).
+pub(crate) const FRAME_HEADER: u64 = 4 + 8;
+
+/// Append one `len | checksum | payload` frame: the one frame writer of the
+/// journal and of the build cache's disk log.
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&fnv64(payload).to_le_bytes())?;
+    w.write_all(payload)
+}
+
+/// Read the next frame's payload: the one frame reader. `None` at end of
+/// input and at the first frame that does not validate (a short header or
+/// payload, a length above [`MAX_RECORD_LEN`], a checksum mismatch). The
+/// payload buffer grows only as bytes arrive, so a torn length field costs
+/// no allocation beyond the bytes actually present.
+pub(crate) fn read_frame(r: &mut impl Read) -> Option<Vec<u8>> {
+    let mut header = [0u8; FRAME_HEADER as usize];
+    r.read_exact(&mut header).ok()?;
+    let (len, sum) = header.split_at(4);
+    let len = u32::from_le_bytes(len.try_into().unwrap());
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let mut payload = Vec::new();
+    r.take(u64::from(len)).read_to_end(&mut payload).ok()?;
+    let intact = payload.len() == len as usize && fnv64(&payload).to_le_bytes() == sum;
+    intact.then_some(payload)
+}
 
 /// Why a journal could not be opened or matched to a plan. I/O errors and
 /// structural problems are fatal (the caller is pointing at the wrong
@@ -97,9 +127,9 @@ impl From<std::io::Error> for JournalError {
 
 /// Byte codec shared by the journal and the disk build cache: explicit
 /// little-endian, length-prefixed encoding of the record types, framed by
-/// callers with a [`fnv64`] checksum. Decoders are total — any malformed
-/// input yields `None`, never a panic — because their input is untrusted
-/// bytes from a possibly torn or corrupted file.
+/// [`write_frame`]. Decoders are total — any malformed input yields `None`,
+/// never a panic — because their input is untrusted bytes from a possibly
+/// torn or corrupted file.
 pub(crate) mod codec {
     use crate::runner::SampleRecord;
     use crate::task::{EvalOutcome, RepairRound, SampleResult};
@@ -139,16 +169,18 @@ pub(crate) mod codec {
             self.buf.extend_from_slice(s.as_bytes());
         }
 
+        /// An optional value: 0 for `None`, or 1 and the value.
+        fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+            self.boolean(v.is_some());
+            if let Some(v) = v {
+                put(self, v);
+            }
+        }
+
         fn outcome(&mut self, o: &EvalOutcome) {
             self.boolean(o.built);
             self.boolean(o.passed);
-            match o.error_category {
-                Some(c) => {
-                    self.u8(1);
-                    self.u8(c.code());
-                }
-                None => self.u8(0),
-            }
+            self.opt(o.error_category, |e, c| e.u8(c.code()));
             self.str(&o.build_log);
             self.u32(o.error_diagnostics.len() as u32);
             for d in &o.error_diagnostics {
@@ -156,23 +188,7 @@ pub(crate) mod codec {
                 self.u8(d.category.code());
                 self.str(&d.message);
                 self.str(&d.file);
-                match d.line {
-                    Some(line) => {
-                        self.u8(1);
-                        self.u32(line);
-                    }
-                    None => self.u8(0),
-                }
-            }
-        }
-
-        fn opt_outcome(&mut self, o: &Option<EvalOutcome>) {
-            match o {
-                Some(o) => {
-                    self.u8(1);
-                    self.outcome(o);
-                }
-                None => self.u8(0),
+                self.opt(d.line, Enc::u32);
             }
         }
 
@@ -186,26 +202,16 @@ pub(crate) mod codec {
             self.boolean(f.severity == Severity::Error);
             self.str(&f.variable);
             self.str(&f.file);
-            match f.line {
-                Some(line) => {
-                    self.u8(1);
-                    self.u32(line);
-                }
-                None => self.u8(0),
-            }
+            self.opt(f.line, Enc::u32);
             self.str(&f.message);
             self.u8(f.confidence.code());
-            match &f.fixit {
-                Some(fx) => {
-                    self.u8(1);
-                    self.str(&fx.file);
-                    self.u32(fx.line);
-                    self.str(&fx.title);
-                    self.u8(fx.edit.code());
-                    self.str(fx.edit.payload());
-                }
-                None => self.u8(0),
-            }
+            self.opt(f.fixit.as_ref(), |e, fx| {
+                e.str(&fx.file);
+                e.u32(fx.line);
+                e.str(&fx.title);
+                e.u8(fx.edit.code());
+                e.str(fx.edit.payload());
+            });
         }
     }
 
@@ -255,14 +261,18 @@ pub(crate) mod codec {
             String::from_utf8(bytes.to_vec()).ok()
         }
 
+        /// An optional value, as [`Enc::opt`] wrote it.
+        fn opt<T>(&mut self, get: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+            Some(match self.boolean()? {
+                true => Some(get(self)?),
+                false => None,
+            })
+        }
+
         fn outcome(&mut self) -> Option<EvalOutcome> {
             let built = self.boolean()?;
             let passed = self.boolean()?;
-            let error_category = match self.u8()? {
-                0 => None,
-                1 => Some(ErrorCategory::from_code(self.u8()?)?),
-                _ => return None,
-            };
+            let error_category = self.opt(|d| ErrorCategory::from_code(d.u8()?))?;
             let build_log = self.str()?;
             let ndiags = self.u32()? as usize;
             let mut error_diagnostics = Vec::with_capacity(ndiags.min(1024));
@@ -275,11 +285,7 @@ pub(crate) mod codec {
                 let category = ErrorCategory::from_code(self.u8()?)?;
                 let message = self.str()?;
                 let file = self.str()?;
-                let line = match self.u8()? {
-                    0 => None,
-                    1 => Some(self.u32()?),
-                    _ => return None,
-                };
+                let line = self.opt(Dec::u32)?;
                 error_diagnostics.push(Diagnostic {
                     severity,
                     category,
@@ -295,14 +301,6 @@ pub(crate) mod codec {
                 build_log,
                 error_diagnostics,
             })
-        }
-
-        fn opt_outcome(&mut self) -> Option<Option<EvalOutcome>> {
-            match self.u8()? {
-                0 => Some(None),
-                1 => Some(Some(self.outcome()?)),
-                _ => None,
-            }
         }
 
         fn tokens(&mut self) -> Option<TokenUsage> {
@@ -321,30 +319,22 @@ pub(crate) mod codec {
             };
             let variable = self.str()?;
             let file = self.str()?;
-            let line = match self.u8()? {
-                0 => None,
-                1 => Some(self.u32()?),
-                _ => return None,
-            };
+            let line = self.opt(Dec::u32)?;
             let message = self.str()?;
             let confidence = Confidence::from_code(self.u8()?)?;
-            let fixit = match self.u8()? {
-                0 => None,
-                1 => {
-                    let file = self.str()?;
-                    let line = self.u32()?;
-                    let title = self.str()?;
-                    let code = self.u8()?;
-                    let payload = self.str()?;
-                    Some(FixIt {
-                        file,
-                        line,
-                        title,
-                        edit: FixItEdit::from_parts(code, payload)?,
-                    })
-                }
-                _ => return None,
-            };
+            let fixit = self.opt(|d| {
+                let file = d.str()?;
+                let line = d.u32()?;
+                let title = d.str()?;
+                let code = d.u8()?;
+                let payload = d.str()?;
+                Some(FixIt {
+                    file,
+                    line,
+                    title,
+                    edit: FixItEdit::from_parts(code, payload)?,
+                })
+            })?;
             Some(AnalysisFinding {
                 rule,
                 severity,
@@ -383,15 +373,9 @@ pub(crate) mod codec {
         e.u32(record.sample_index);
         let r = &record.result;
         e.boolean(r.feasible);
-        match &r.failure_reason {
-            Some(reason) => {
-                e.u8(1);
-                e.str(reason);
-            }
-            None => e.u8(0),
-        }
-        e.opt_outcome(&r.code_only);
-        e.opt_outcome(&r.overall);
+        e.opt(r.failure_reason.as_deref(), Enc::str);
+        e.opt(r.code_only.as_ref(), Enc::outcome);
+        e.opt(r.overall.as_ref(), Enc::outcome);
         e.tokens(r.tokens);
         e.u32(r.rounds.len() as u32);
         for round in &r.rounds {
@@ -421,13 +405,9 @@ pub(crate) mod codec {
         let app = d.str()?;
         let sample_index = d.u32()?;
         let feasible = d.boolean()?;
-        let failure_reason = match d.u8()? {
-            0 => None,
-            1 => Some(d.str()?),
-            _ => return None,
-        };
-        let code_only = d.opt_outcome()?;
-        let overall = d.opt_outcome()?;
+        let failure_reason = d.opt(Dec::str)?;
+        let code_only = d.opt(Dec::outcome)?;
+        let overall = d.opt(Dec::outcome)?;
         let tokens = d.tokens()?;
         let nrounds = d.u32()? as usize;
         let mut rounds = Vec::with_capacity(nrounds.min(1024));
@@ -584,14 +564,7 @@ impl JournalSink {
         file.write_all(MAGIC)?;
         file.write_all(&plan.fingerprint().to_le_bytes())?;
         file.sync_data()?;
-        Ok(JournalSink {
-            state: Mutex::new(SinkState {
-                file: BufWriter::new(file),
-                unsynced: 0,
-                written: 0,
-            }),
-            sync_every: 1,
-        })
+        Ok(JournalSink::appending_to(file))
     }
 
     /// Reopen an existing journal for appending — the sink a *resumed* run
@@ -604,19 +577,24 @@ impl JournalSink {
         // the last frame that validated.
         let mut reader = JournalReader::open(path, plan)?;
         while reader.next().is_some() {}
-        let end = reader.intact_bytes;
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(end)?;
-        let mut file = file;
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(reader.intact_bytes)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(JournalSink {
-            state: Mutex::new(SinkState {
-                file: BufWriter::new(file),
-                unsynced: 0,
-                written: 0,
-            }),
+        Ok(JournalSink::appending_to(file))
+    }
+
+    /// A sink appending to `file` at its current position, fsyncing every
+    /// record.
+    fn appending_to(file: File) -> JournalSink {
+        let state = SinkState {
+            file: BufWriter::new(file),
+            unsynced: 0,
+            written: 0,
+        };
+        JournalSink {
+            state: Mutex::new(state),
             sync_every: 1,
-        })
+        }
     }
 
     /// Set the fsync batching interval: the file is flushed and fsynced
@@ -660,15 +638,7 @@ impl ProgressSink for JournalSink {
         let payload = codec::encode_record(record);
         let mut state = self.state();
         let frame_err = "journal append failed (durability lost)";
-        state
-            .file
-            .write_all(&(payload.len() as u32).to_le_bytes())
-            .expect(frame_err);
-        state
-            .file
-            .write_all(&fnv64(&payload).to_le_bytes())
-            .expect(frame_err);
-        state.file.write_all(&payload).expect(frame_err);
+        write_frame(&mut state.file, &payload).expect(frame_err);
         state.written += 1;
         state.unsynced += 1;
         if self.sync_every > 0 && state.unsynced >= self.sync_every {
@@ -771,24 +741,12 @@ impl JournalReader {
     /// Try to read and validate the next frame; `None` ends iteration for
     /// good (EOF or first corruption).
     fn next_frame(&mut self) -> Option<SampleRecord> {
-        let mut len_buf = [0u8; 4];
-        self.file.read_exact(&mut len_buf).ok()?;
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_RECORD_LEN {
-            return None;
-        }
-        let mut sum_buf = [0u8; 8];
-        self.file.read_exact(&mut sum_buf).ok()?;
-        let mut payload = vec![0u8; len as usize];
-        self.file.read_exact(&mut payload).ok()?;
-        if fnv64(&payload) != u64::from_le_bytes(sum_buf) {
-            return None;
-        }
+        let payload = read_frame(&mut self.file)?;
         let raw = codec::decode_record(&payload)?;
         let key = *self
             .cells
             .get(&(raw.pair_id, raw.technique, raw.model, raw.app))?;
-        self.intact_bytes += 4 + 8 + u64::from(len);
+        self.intact_bytes += FRAME_HEADER + payload.len() as u64;
         self.records += 1;
         Some(SampleRecord {
             key,
@@ -805,13 +763,9 @@ impl Iterator for JournalReader {
         if self.done {
             return None;
         }
-        match self.next_frame() {
-            Some(record) => Some(record),
-            None => {
-                self.done = true;
-                None
-            }
-        }
+        let record = self.next_frame();
+        self.done = record.is_none();
+        record
     }
 }
 
@@ -881,5 +835,56 @@ mod tests {
         let recovered = scan(&path, &plan).unwrap().records;
         std::fs::remove_file(&path).unwrap();
         assert_eq!(recovered, written);
+    }
+
+    /// A frame header claiming a payload longer than [`MAX_RECORD_LEN`].
+    fn oversized_header() -> Vec<u8> {
+        [(MAX_RECORD_LEN + 1).to_le_bytes().as_slice(), &[0; 8]].concat()
+    }
+
+    /// An endless source of zeros that counts the bytes read from it.
+    struct Zeros(u64);
+
+    impl Read for Zeros {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            buf.fill(0);
+            self.0 += buf.len() as u64;
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn an_oversized_length_ends_the_read_before_its_payload() {
+        // Behind the header sit endless zeros: only the length bound stops
+        // the reader from consuming and buffering 64 MiB of them.
+        let header = oversized_header();
+        let mut zeros = Zeros(0);
+        assert_eq!(read_frame(&mut header.as_slice().chain(&mut zeros)), None);
+        assert_eq!(zeros.0, 0, "the reader went on into the payload");
+    }
+
+    #[test]
+    fn a_journal_ends_at_the_frame_before_an_oversized_length() {
+        let plan = ExperimentPlan::builder()
+            .samples(2)
+            .pairs([TranslationPair::CUDA_TO_OMP_OFFLOAD])
+            .apps(["nanoXOR"])
+            .build();
+        let path = std::env::temp_dir().join(format!("oversized-{}.journal", std::process::id()));
+        let sink = JournalSink::create(&path, &plan).unwrap();
+        ScheduledRunner::new(1).run_with(&plan, &EvalPipeline::new(plan.eval().clone()), &sink);
+        let written = sink.records_written();
+        drop(sink);
+        let intact = std::fs::metadata(&path).unwrap().len();
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&oversized_header()).unwrap();
+        file.write_all(&[0; 64]).unwrap();
+        drop(file);
+        assert_eq!(scan(&path, &plan).unwrap().records, written);
+        // Reopening for append cuts the file back to the intact prefix.
+        drop(JournalSink::append(&path, &plan).unwrap());
+        let reopened = std::fs::metadata(&path).unwrap().len();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(reopened, intact);
     }
 }

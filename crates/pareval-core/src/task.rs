@@ -145,13 +145,15 @@ pub struct EvalConfig {
     pub repair_diag_lines: usize,
     /// Directory of the persistent disk tier of the
     /// [`crate::eval::BuildCache`]. `None` (the default) keeps the cache
-    /// purely in-memory, dying with the process; `Some(dir)` makes build +
-    /// run outcomes survive crashes and lets concurrent grid runs share
-    /// builds across processes. Like [`EvalConfig::build_cache`] this is
+    /// purely in-memory, dying with the process; `Some(dir)` appends the
+    /// outcomes of builds and runs to one log, `outcomes.log`, in `dir`, so
+    /// they survive crashes, and concurrent grid runs share builds across
+    /// processes through file locks on it. Like [`EvalConfig::build_cache`] this is
     /// purely a wall-clock knob — results are byte-identical either way.
     pub disk_cache_dir: Option<std::path::PathBuf>,
-    /// Byte budget of the disk tier: least-recently-used entries are
-    /// evicted once the stored entries exceed it.
+    /// Byte budget of the disk tier's log, held by every process sharing
+    /// the directory: a store that takes the log past it rewrites the log
+    /// with the newest entries that fit half the budget.
     pub disk_cache_budget: u64,
     /// Run the static race/directive analyzer (`minihpc-analyze`) over the
     /// final translated repository as a post-build verdict stage. Off by

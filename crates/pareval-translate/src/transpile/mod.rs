@@ -267,9 +267,50 @@ pub fn rename_for_target(path: &str, to: ExecutionModel) -> String {
     }
 }
 
+/// Does the file use cuRAND: does an include path, a type name, an
+/// identifier or a string literal mention it? Comments never reach the AST,
+/// so they never count.
 fn file_uses_curand(file: &SourceFile) -> bool {
-    let text = printer::print_file(file);
-    text.contains("curand")
+    fn named(s: &str) -> bool {
+        s.contains("curand")
+    }
+    fn typed(t: &Type) -> bool {
+        match t {
+            Type::Ptr(inner) | Type::Const(inner) => typed(inner),
+            Type::Named(n) => named(n),
+            _ => false,
+        }
+    }
+    let declared = |p: &Param| named(&p.name) || typed(&p.ty);
+    let mut in_code = false;
+    let mut visit = |n: Node| {
+        in_code |= match n {
+            Node::Stmt(s) => {
+                matches!(&s.kind, StmtKind::Decl(d) if named(&d.name) || typed(&d.ty))
+            }
+            Node::Expr(e) => match &e.kind {
+                ExprKind::Ident(s) | ExprKind::StrLit(s) => named(s),
+                ExprKind::KernelLaunch { kernel, .. } => named(kernel),
+                ExprKind::Path(segments) => segments.iter().any(|s| named(s)),
+                ExprKind::Cast { ty, .. } | ExprKind::SizeOfType(ty) => typed(ty),
+                ExprKind::Lambda { params, .. } => params.iter().any(declared),
+                _ => false,
+            },
+        }
+    };
+    let in_items = file.items.iter().any(|item| match &item.kind {
+        ItemKind::Include { path, .. } => named(path),
+        ItemKind::Struct(s) => s.fields.iter().any(|f| named(&f.name) || typed(&f.ty)),
+        ItemKind::Global(g) => named(&g.name) || typed(&g.ty),
+        ItemKind::Function(f) => {
+            if let Some(body) = &f.body {
+                walk_stmts(&body.stmts, &mut visit);
+            }
+            named(&f.name) || typed(&f.ret) || f.params.iter().any(declared)
+        }
+        ItemKind::Define { .. } | ItemKind::OtherDirective(_) => false,
+    });
+    in_items || in_code
 }
 
 // ===========================================================================
@@ -380,7 +421,9 @@ fn cuda_to_kokkos(file: &mut SourceFile, repo: &SourceRepo) {
         }
 
         if was_kernel {
-            if let Some(loops) = kernel::extract(f) {
+            // The runtime's `MDRangePolicy` has rank 2: a kernel with more
+            // index variables stays as it is, like one `extract` rejects.
+            if let Some(loops) = kernel::extract(f).filter(|loops| loops.vars.len() <= 2) {
                 let lambda_params: Vec<Param> = loops
                     .vars
                     .iter()
@@ -1128,6 +1171,54 @@ mod tests {
                 assert!(out.contains(call), "{pair}: {call} missing from\n{}", &*out);
             }
         }
+    }
+
+    #[test]
+    fn curand_named_only_in_comments_is_not_a_use() {
+        let uses = |src: &str| file_uses_curand(&parser::parse_file(src).unwrap());
+        assert!(!uses(
+            "// seeds like curand_init\nvoid f(long* s) {\n    /* curandState */\n    s[0] = 1;\n}\n"
+        ));
+        assert!(uses("#include <curand_kernel.h>\n"));
+        assert!(uses("void f(curandState* s);\n"));
+        assert!(uses(
+            "void f(float* x, long* s) {\n    x[0] = curand_uniform(s);\n}\n"
+        ));
+    }
+
+    #[test]
+    fn a_kernel_with_three_index_variables_stays_untranslated() {
+        // The runtime's `MDRangePolicy` takes two dimensions; a 3-D kernel
+        // is left as `kernel::extract` leaves a kernel it cannot read.
+        let kernel = |dims: &[(&str, &str, &str)]| {
+            let idx: String = dims
+                .iter()
+                .map(|(v, axis, _)| {
+                    format!("    int {v} = blockIdx.{axis} * blockDim.{axis} + threadIdx.{axis};\n")
+                })
+                .collect();
+            let guard: Vec<String> = dims.iter().map(|(v, _, n)| format!("{v} < {n}")).collect();
+            format!(
+                "__global__ void fill(double* a, int n, int m, int p) {{\n{idx}    if ({}) {{\n        \
+                 a[0] = 1.0;\n    }}\n}}\n",
+                guard.join(" && ")
+            )
+        };
+        let pair = TranslationPair::CUDA_TO_KOKKOS;
+        let translate = |src: String| {
+            let mut repo = SourceRepo::new();
+            repo.add("k.cu", src.as_str());
+            transpile_file(&repo, "k.cu", &src, pair).text
+        };
+        let two = translate(kernel(&[("i", "x", "n"), ("j", "y", "m")]));
+        assert!(two.contains("Kokkos::MDRangePolicy"), "{}", &*two);
+        let three = translate(kernel(&[("i", "x", "n"), ("j", "y", "m"), ("k", "z", "p")]));
+        assert!(!three.contains("Kokkos::parallel_for"), "{}", &*three);
+        assert!(
+            three.contains("if (i < n && j < m && k < p)"),
+            "{}",
+            &*three
+        );
     }
 
     #[test]

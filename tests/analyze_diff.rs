@@ -49,7 +49,7 @@ fn racy_spec(i: u64) -> GenSpec {
     let spec = GenSpec::new(0xD1FF_8000 + i)
         .with_files(1 + (i as usize % 3))
         .with_errors(ErrorProfile::DirectiveRace);
-    if i % 2 == 0 {
+    if i.is_multiple_of(2) {
         spec
     } else {
         spec.with_pragma_model(PragmaModel::Offload)

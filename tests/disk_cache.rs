@@ -1,18 +1,23 @@
 //! The persistent disk tier of the build cache: cross-process reuse,
-//! LRU eviction under a byte budget, corruption = miss (never a wrong
-//! result), and the no-aliasing regression pin for `BuildCache::key`.
+//! LRU eviction under a byte budget that processes sharing a directory
+//! hold together, corruption = miss (never a wrong result), and the
+//! no-aliasing regression pin for `BuildCache::key`.
 
 mod common;
 
 use common::TestDir;
-use minihpc_lang::fnv::Fnv128;
+use minihpc_lang::fnv::{fnv64, Fnv128};
 use minihpc_lang::model::TranslationPair;
 use minihpc_lang::repo::SourceRepo;
-use pareval_core::{EvalConfig, EvalPipeline, ExperimentPlan, Runner, ScheduledRunner, Task};
+use pareval_core::{
+    BuildCache, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults, Runner,
+    ScheduledRunner, Task,
+};
 use pareval_llm::all_models;
 use pareval_repo as _;
 use pareval_translate::Technique;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn disk_eval(dir: &Path, budget: u64, repair_budget: u32) -> EvalConfig {
     EvalConfig {
@@ -33,8 +38,17 @@ fn plan_on(eval: EvalConfig) -> ExperimentPlan {
         .build()
 }
 
+/// `plan` run with the build cache off: the results every cached run must
+/// reproduce.
+fn uncached(plan: &ExperimentPlan) -> ExperimentResults {
+    let mut eval = plan.eval().clone();
+    eval.build_cache = false;
+    eval.disk_cache_dir = None;
+    ScheduledRunner::new(1).run_with(plan, &EvalPipeline::new(eval), &pareval_core::NullSink)
+}
+
 /// Every file in `dir`, sorted.
-fn all_files(dir: &Path) -> Vec<std::path::PathBuf> {
+fn all_files(dir: &Path) -> Vec<PathBuf> {
     let mut out: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -43,18 +57,45 @@ fn all_files(dir: &Path) -> Vec<std::path::PathBuf> {
     out
 }
 
-fn entry_files(dir: &Path) -> Vec<std::path::PathBuf> {
-    all_files(dir)
-        .into_iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "entry"))
-        .collect()
+fn log_path(dir: &Path) -> PathBuf {
+    dir.join("outcomes.log")
 }
 
+/// The bytes of every file in `dir`, as the benchmark counts a disk tier.
 fn dir_bytes(dir: &Path) -> u64 {
-    entry_files(dir)
+    all_files(dir)
         .iter()
         .map(|p| std::fs::metadata(p).unwrap().len())
         .sum()
+}
+
+/// Whether the tier in `dir` is within `budget`, or holds a single entry
+/// (one oversized entry may stand alone).
+fn within_budget(dir: &Path, budget: u64) -> bool {
+    dir_bytes(dir) <= budget || BuildCache::with_disk(dir, budget).unwrap().len_disk() == 1
+}
+
+/// The start offsets of the log's frames, read from each frame's length
+/// field (`len: u32 LE | checksum: u64 LE | payload`), and the log's
+/// length.
+fn frame_offsets(log: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        offsets.push(at);
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap());
+        at += 12 + len as usize;
+    }
+    assert_eq!(at, log.len(), "the log has a torn tail");
+    offsets
+}
+
+/// One frame in the journal's layout, as a test writes it by hand.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend(fnv64(payload).to_le_bytes());
+    out.extend(payload);
+    out
 }
 
 #[test]
@@ -69,13 +110,13 @@ fn second_process_gets_disk_hits_and_identical_results() {
     assert!(first.disk_cache_active());
     let warm = ScheduledRunner::new(1).run_with(&plan, &first, &pareval_core::NullSink);
     assert_eq!(first.cache_stats().disk_hits, 0, "empty tier cannot hit");
-    assert!(!entry_files(dir.path()).is_empty(), "nothing persisted");
+    assert!(dir_bytes(dir.path()) > 0, "nothing persisted");
     // Only outcomes persist: compile units stay in memory, so the tier
-    // holds `.entry` files and nothing else.
+    // holds its log and nothing else.
     assert_eq!(
         all_files(dir.path()),
-        entry_files(dir.path()),
-        "the disk tier holds files other than outcome entries"
+        [log_path(dir.path())],
+        "the disk tier holds files other than its log"
     );
 
     let second = EvalPipeline::new(plan.eval().clone());
@@ -86,16 +127,7 @@ fn second_process_gets_disk_hits_and_identical_results() {
         "fresh pipeline saw no disk hits: {stats:?}"
     );
     assert_eq!(warm, reused);
-
-    let mut uncached_eval = plan.eval().clone();
-    uncached_eval.build_cache = false;
-    uncached_eval.disk_cache_dir = None;
-    let uncached = ScheduledRunner::new(1).run_with(
-        &plan,
-        &EvalPipeline::new(uncached_eval),
-        &pareval_core::NullSink,
-    );
-    assert_eq!(warm, uncached, "cache changed the results");
+    assert_eq!(warm, uncached(&plan), "cache changed the results");
 }
 
 #[test]
@@ -113,10 +145,10 @@ fn eviction_respects_the_byte_budget() {
         stats.evictions > 0,
         "budget never forced an eviction: {stats:?}"
     );
-    let stored = dir_bytes(dir.path());
     assert!(
-        stored <= budget || entry_files(dir.path()).len() == 1,
-        "stored {stored} bytes exceeds budget {budget}"
+        within_budget(dir.path(), budget),
+        "stored {} bytes exceeds budget {budget}",
+        dir_bytes(dir.path())
     );
 }
 
@@ -125,37 +157,38 @@ fn corrupted_entry_is_a_miss_never_a_wrong_result() {
     let dir = TestDir::new("disk-corrupt");
     let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
     let baseline = ScheduledRunner::new(1).run(&plan);
-
-    // Corrupt every persisted entry three different ways: payload bit
-    // flip, truncation, and magic clobber.
-    let files = entry_files(dir.path());
+    let log = std::fs::read(log_path(dir.path())).unwrap();
+    let offsets = frame_offsets(&log);
     assert!(
-        files.len() >= 3,
+        offsets.len() >= 3,
         "need several entries, got {}",
-        files.len()
+        offsets.len()
     );
-    for (i, file) in files.iter().enumerate() {
-        let mut bytes = std::fs::read(file).unwrap();
-        match i % 3 {
-            0 => {
-                let at = bytes.len() - 1;
-                bytes[at] ^= 0x08;
-            }
-            1 => bytes.truncate(bytes.len() / 2),
-            _ => bytes[..8].copy_from_slice(b"XXXXXXXX"),
-        }
-        std::fs::write(file, &bytes).unwrap();
-    }
 
-    let pipeline = EvalPipeline::new(plan.eval().clone());
-    let rerun = ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
-    assert_eq!(baseline, rerun, "a corrupt entry leaked into the results");
-    let stats = pipeline.cache_stats();
-    assert_eq!(
-        stats.disk_hits, 0,
-        "corrupt entries must never serve hits: {stats:?}"
-    );
-    assert!(stats.misses > 0);
+    // Corrupt the middle frame three different ways: payload bit flip,
+    // truncation, and a length field beyond any frame. The log is readable
+    // up to that frame, so exactly the frames before it hit.
+    let middle = offsets.len() / 2;
+    let (at, next) = (offsets[middle], offsets[middle + 1]);
+    for corrupt in 0..3 {
+        let mut bytes = log.clone();
+        match corrupt {
+            0 => bytes[next - 1] ^= 0x08,
+            1 => bytes.truncate(at + (next - at) / 2),
+            _ => bytes[at..at + 4].copy_from_slice(&[0xff; 4]),
+        }
+        std::fs::write(log_path(dir.path()), &bytes).unwrap();
+
+        let pipeline = EvalPipeline::new(plan.eval().clone());
+        let rerun = ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
+        assert_eq!(baseline, rerun, "a corrupt entry leaked into the results");
+        let stats = pipeline.cache_stats();
+        assert_eq!(
+            stats.disk_hits, middle as u64,
+            "only the frames before the corruption may hit: {stats:?}"
+        );
+        assert!(stats.misses > 0);
+    }
 }
 
 #[test]
@@ -163,18 +196,25 @@ fn corrupt_entries_are_deleted_and_rewritten() {
     let dir = TestDir::new("disk-heal");
     let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
     ScheduledRunner::new(1).run(&plan);
-    let files = entry_files(dir.path());
-    let victim = &files[0];
-    std::fs::write(victim, b"not an entry").unwrap();
+    let mut log = std::fs::read(log_path(dir.path())).unwrap();
+    let stored = frame_offsets(&log).len();
+    let victim = frame_offsets(&log)[1];
+    log[victim + 4] ^= 0x01;
+    std::fs::write(log_path(dir.path()), &log).unwrap();
 
-    // The re-run detects the corruption, drops the file, and re-stores the
-    // freshly computed outcome — the tier heals.
+    // The re-run misses from the corrupt frame on, cuts the log there and
+    // appends the freshly computed outcomes: the tier heals.
     ScheduledRunner::new(1).run(&plan);
-    let healed = std::fs::read(victim).unwrap();
-    assert!(healed.starts_with(b"PEBC"), "entry was not rewritten");
+    let healed = std::fs::read(log_path(dir.path())).unwrap();
+    assert_eq!(
+        frame_offsets(&healed).len(),
+        stored,
+        "log was not rewritten"
+    );
     let pipeline = EvalPipeline::new(plan.eval().clone());
     ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
-    assert!(pipeline.cache_stats().disk_hits > 0);
+    let stats = pipeline.cache_stats();
+    assert_eq!((stats.disk_hits, stats.misses), (stored as u64, 0));
 }
 
 #[test]
@@ -196,15 +236,7 @@ fn config_changes_never_alias_disk_entries() {
         "budget-2 run hit budget-0 entries: aliased keys"
     );
     // And the budget-2 results still match an uncached budget-2 run.
-    let mut uncached_eval = plan_b2.eval().clone();
-    uncached_eval.build_cache = false;
-    uncached_eval.disk_cache_dir = None;
-    let uncached = ScheduledRunner::new(1).run_with(
-        &plan_b2,
-        &EvalPipeline::new(uncached_eval),
-        &pareval_core::NullSink,
-    );
-    assert_eq!(results, uncached);
+    assert_eq!(results, uncached(&plan_b2));
 
     // Same config again: its own entries now hit.
     let same = EvalPipeline::new(plan_b2.eval().clone());
@@ -294,15 +326,30 @@ fn disk_hits_count_toward_the_hit_rate() {
 
 #[test]
 fn unit_files_from_older_runs_are_ignored() {
-    // Older harness versions also persisted compile units as `.unit`
-    // files. Opening such a directory indexes only the `.entry` files, so
-    // a stale unit neither counts toward the budget nor gets evicted.
+    // Older harness versions persisted compile units as `.unit` files and
+    // outcomes as `.entry` files. The tier reads and writes only its log:
+    // the stale files neither count toward the budget nor get evicted.
     let dir = TestDir::new("disk-stale-unit");
-    let stale = dir.file(&format!("{:032x}.unit", 7u128));
-    std::fs::write(&stale, b"PEBU0001 stale compile unit").unwrap();
-    let cache = pareval_core::BuildCache::with_disk(dir.path(), 64 << 20).unwrap();
-    assert_eq!(cache.len_disk(), 0, "a .unit file was indexed");
-    assert!(stale.exists());
+    let stale = [
+        (
+            dir.file(&format!("{:032x}.unit", 7u128)),
+            "PEBU0001 stale unit",
+        ),
+        (
+            dir.file(&format!("{:032x}.entry", 8u128)),
+            "PEBC0001 stale entry",
+        ),
+    ];
+    for (path, bytes) in &stale {
+        std::fs::write(path, bytes).unwrap();
+    }
+    let cache = BuildCache::with_disk(dir.path(), 64 << 20).unwrap();
+    assert_eq!(cache.len_disk(), 0, "a stale file was indexed");
+    let plan = plan_on(disk_eval(dir.path(), 64 << 20, 0));
+    ScheduledRunner::new(1).run(&plan);
+    for (path, bytes) in &stale {
+        assert_eq!(std::fs::read_to_string(path).unwrap(), *bytes);
+    }
 }
 
 /// The outcome key as its v1 format computed it, hashing every file's
@@ -332,10 +379,10 @@ fn v1_outcome_key(task: &Task, repo: &SourceRepo, eval: &EvalConfig) -> u128 {
 
 #[test]
 fn entries_under_the_v1_key_format_miss_cleanly() {
-    // A directory written by an older run names its entries by the v1
-    // key. Put a well-formed entry there, holding another repo's outcome,
-    // under the v1 key of the repo evaluated next: the lookup must miss,
-    // and the outcome must be the uncached one.
+    // A log written by an older run keys its frames by the v1 key. Put a
+    // well-formed frame there, holding another repo's outcome, under the
+    // v1 key of the repo evaluated next: the lookup must miss, and the
+    // outcome must be the uncached one.
     let task = pareval_core::all_tasks()
         .into_iter()
         .find(|t| t.app.name == "nanoXOR" && t.pair == TranslationPair::CUDA_TO_OMP_OFFLOAD)
@@ -351,16 +398,16 @@ fn entries_under_the_v1_key_format_miss_cleanly() {
     let writer = EvalPipeline::new(disk_eval(writer_dir.path(), 64 << 20, 0));
     let wrong = writer.evaluate(&task, &unbuildable);
     assert!(!wrong.built);
-    let written = entry_files(writer_dir.path());
-    assert_eq!(written.len(), 1);
+    let written = std::fs::read(log_path(writer_dir.path())).unwrap();
+    assert_eq!(frame_offsets(&written), [0], "one frame");
 
+    // The same outcome, re-keyed: the payload is the key, then the outcome.
     let dir = TestDir::new("disk-v1");
     let eval = disk_eval(dir.path(), 64 << 20, 0);
-    let v1_entry = dir.file(&format!(
-        "{:032x}.entry",
-        v1_outcome_key(&task, &repo, &eval)
-    ));
-    std::fs::copy(&written[0], &v1_entry).unwrap();
+    let mut payload = v1_outcome_key(&task, &repo, &eval).to_le_bytes().to_vec();
+    payload.extend(&written[12 + 16..]);
+    let v1_frame = frame(&payload);
+    std::fs::write(log_path(dir.path()), &v1_frame).unwrap();
 
     let pipeline = EvalPipeline::new(eval.clone());
     let outcome = pipeline.evaluate(&task, &repo);
@@ -373,12 +420,101 @@ fn entries_under_the_v1_key_format_miss_cleanly() {
     .evaluate(&task, &repo);
     assert_eq!(outcome, uncached);
     assert!(outcome.passed, "the translated repo builds and passes");
-    // The old entry is left alone; the new one sits beside it.
-    assert!(v1_entry.exists());
-    assert_eq!(entry_files(dir.path()).len(), 2);
+    // The old frame is left alone; the new one follows it.
+    let log = std::fs::read(log_path(dir.path())).unwrap();
+    assert!(log.starts_with(&v1_frame));
+    assert_eq!(frame_offsets(&log).len(), 2);
 
     // Control: the same bytes under the current key are served.
     let reader = EvalPipeline::new(disk_eval(writer_dir.path(), 64 << 20, 0));
     assert_eq!(reader.evaluate(&task, &unbuildable), wrong);
     assert_eq!(reader.cache_stats().disk_hits, 1);
+}
+
+/// Budget of the directory the child processes share: a few entries, far
+/// below what any one child's plan stores.
+const SHARED_BUDGET: u64 = 2_000;
+
+/// The plan of child `i`: each child translates to its own model pair.
+fn child_plan(i: usize, dir: &Path) -> ExperimentPlan {
+    let pairs = [
+        TranslationPair::CUDA_TO_OMP_OFFLOAD,
+        TranslationPair::CUDA_TO_KOKKOS,
+        TranslationPair::OMP_THREADS_TO_OFFLOAD,
+    ];
+    ExperimentPlan::builder()
+        .samples(2)
+        .pairs(if i < pairs.len() {
+            vec![pairs[i]]
+        } else {
+            pairs.to_vec()
+        })
+        .apps(["nanoXOR", "microXORh", "SimpleMOC-kernel"])
+        .eval(disk_eval(dir, SHARED_BUDGET, 0))
+        .build()
+}
+
+/// The body of one child process of
+/// `processes_sharing_a_directory_share_its_budget`, which re-executes
+/// this test binary; a no-op unless that test started it.
+#[test]
+fn shared_directory_child() {
+    let (Ok(i), Ok(dir)) = (
+        std::env::var("PAREVAL_DISK_CHILD"),
+        std::env::var("PAREVAL_DISK_DIR"),
+    ) else {
+        return;
+    };
+    let plan = child_plan(i.parse().unwrap(), Path::new(&dir));
+    let pipeline = EvalPipeline::new(plan.eval().clone());
+    assert!(pipeline.disk_cache_active());
+    let results = ScheduledRunner::new(2).run_with(&plan, &pipeline, &pareval_core::NullSink);
+    assert!(pipeline.cache_stats().evictions > 0);
+    assert_eq!(results, uncached(&plan), "the shared tier changed a result");
+}
+
+#[test]
+fn processes_sharing_a_directory_share_its_budget() {
+    // Three processes store into one directory at once, each on its own
+    // plan. Each checks its results against an uncached run. Together
+    // they must leave the tier within its one budget, and what they leave
+    // must serve a later process.
+    let dir = TestDir::new("disk-shared");
+    let children: Vec<_> = (0..3)
+        .map(|i| {
+            Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", "shared_directory_child", "--test-threads=1"])
+                .env("PAREVAL_DISK_CHILD", i.to_string())
+                .env("PAREVAL_DISK_DIR", dir.path())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    for child in children {
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "a child failed:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(
+        within_budget(dir.path(), SHARED_BUDGET),
+        "the processes left {} bytes over a budget of {SHARED_BUDGET}",
+        dir_bytes(dir.path())
+    );
+
+    // Every child's plan at once, with room for all it stores: none of
+    // the entries the children left is evicted before it is looked up.
+    let plan = child_plan(usize::MAX, dir.path());
+    let pipeline = EvalPipeline::new(EvalConfig {
+        disk_cache_budget: 64 << 20,
+        ..plan.eval().clone()
+    });
+    let results = ScheduledRunner::new(1).run_with(&plan, &pipeline, &pareval_core::NullSink);
+    assert!(pipeline.cache_stats().disk_hits > 0);
+    assert_eq!(results, uncached(&plan));
 }
