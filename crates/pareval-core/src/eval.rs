@@ -146,9 +146,8 @@ struct IndexSlot {
 /// A process's index of the log: each key's live frame, the last one
 /// written for it.
 ///
-/// Invariant (held under the [`DiskCache::log`] lock): `total_bytes` equals
-/// the sum of the sizes of exactly the indexed frames, and `end` is the
-/// offset just past the last frame indexed.
+/// Invariant (held under the [`DiskCache::log`] lock): `end` is the offset
+/// just past the last frame indexed.
 ///
 /// `visited` is the work counter the regression test pins: **contract —
 /// every index operation (`push`/`remove`) increments it by exactly 1**,
@@ -160,7 +159,6 @@ struct IndexSlot {
 struct DiskIndex {
     slots: HashMap<u128, IndexSlot>,
     end: u64,
-    total_bytes: u64,
     visited: u64,
 }
 
@@ -169,18 +167,13 @@ impl DiskIndex {
     fn push(&mut self, key: u128, size: u64) {
         self.visited += 1;
         let offset = self.end;
-        if let Some(old) = self.slots.insert(key, IndexSlot { offset, size }) {
-            self.total_bytes -= old.size;
-        }
-        self.total_bytes += size;
+        self.slots.insert(key, IndexSlot { offset, size });
         self.end += size;
     }
 
     fn remove(&mut self, key: u128) {
         self.visited += 1;
-        if let Some(slot) = self.slots.remove(&key) {
-            self.total_bytes -= slot.size;
-        }
+        self.slots.remove(&key);
     }
 }
 
@@ -1452,8 +1445,7 @@ mod tests {
     fn concurrent_load_and_evict_keep_byte_accounting_in_sync() {
         // Loaders hammer a hot key while a storer appends and compacts on
         // nearly every insert. Afterwards the index must describe exactly
-        // the log's live frames, offsets included, and `total_bytes` must
-        // be their sum.
+        // the log's live frames, offsets and sizes included.
         let dir = scratch_dir("load-evict");
         let outcome = EvalOutcome {
             built: true,
@@ -1489,11 +1481,6 @@ mod tests {
             .map(|(&key, slot)| (key, (slot.offset, slot.size)))
             .collect();
         assert_eq!(indexed, on_disk, "index and log disagree");
-        assert_eq!(
-            log.index.total_bytes,
-            on_disk.values().map(|&(_, size)| size).sum::<u64>(),
-            "total_bytes desynced from the live frames"
-        );
         assert!(log.index.end <= entry_len * 4, "the log exceeds its budget");
         drop(log);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1539,30 +1526,31 @@ mod tests {
         // O(N) per touch/remove (~N·K/2 visits on this workload).
         const N: u128 = 512;
         let mut index = DiskIndex::default();
+        let live = |index: &DiskIndex| index.slots.values().map(|s| s.size).sum::<u64>();
         let mut ops = 0u64;
         for k in 0..N {
             index.push(k, 10);
             ops += 1;
         }
-        assert_eq!(index.total_bytes, 10 * N as u64);
+        assert_eq!(live(&index), 10 * N as u64);
         // Re-store every entry in insertion order (the worst case for the
         // old index: each re-touch scanned to the cold end).
         for k in 0..N {
             index.push(k, 12);
             ops += 1;
         }
-        assert_eq!(index.total_bytes, 12 * N as u64);
+        assert_eq!(live(&index), 12 * N as u64);
         assert_eq!(index.end, 22 * N as u64);
         // A key beyond the range is a new slot.
         index.push(N, 100);
         ops += 1;
         assert_eq!(index.slots.len(), N as usize + 1);
-        assert_eq!(index.total_bytes, 12 * N as u64 + 100);
+        assert_eq!(live(&index), 12 * N as u64 + 100);
         for k in 0..=N {
             index.remove(k);
             ops += 1;
         }
-        assert_eq!(index.total_bytes, 0);
+        assert_eq!(live(&index), 0);
         assert_eq!(index.slots.len(), 0);
         assert_eq!(
             index.visited, ops,

@@ -267,9 +267,10 @@ pub fn rename_for_target(path: &str, to: ExecutionModel) -> String {
     }
 }
 
-/// Does the file use cuRAND: does an include path, a type name, an
-/// identifier or a string literal mention it? Comments never reach the AST,
-/// so they never count.
+/// Does the file use cuRAND: does any text the printer would emit for it
+/// mention it? That is include paths, macro and directive text, type and
+/// struct names, declared names, identifiers, members, pragmas and string
+/// literals. Comments never reach the AST, so they never count.
 fn file_uses_curand(file: &SourceFile) -> bool {
     fn named(s: &str) -> bool {
         s.contains("curand")
@@ -285,12 +286,16 @@ fn file_uses_curand(file: &SourceFile) -> bool {
     let mut in_code = false;
     let mut visit = |n: Node| {
         in_code |= match n {
-            Node::Stmt(s) => {
-                matches!(&s.kind, StmtKind::Decl(d) if named(&d.name) || typed(&d.ty))
-            }
+            Node::Stmt(s) => match &s.kind {
+                StmtKind::Decl(d) => named(&d.name) || typed(&d.ty),
+                StmtKind::Omp { directive, .. } => named(&directive.text()),
+                StmtKind::RawPragma(text) => named(text),
+                _ => false,
+            },
             Node::Expr(e) => match &e.kind {
                 ExprKind::Ident(s) | ExprKind::StrLit(s) => named(s),
                 ExprKind::KernelLaunch { kernel, .. } => named(kernel),
+                ExprKind::Member { member, .. } => named(member),
                 ExprKind::Path(segments) => segments.iter().any(|s| named(s)),
                 ExprKind::Cast { ty, .. } | ExprKind::SizeOfType(ty) => typed(ty),
                 ExprKind::Lambda { params, .. } => params.iter().any(declared),
@@ -300,15 +305,31 @@ fn file_uses_curand(file: &SourceFile) -> bool {
     };
     let in_items = file.items.iter().any(|item| match &item.kind {
         ItemKind::Include { path, .. } => named(path),
-        ItemKind::Struct(s) => s.fields.iter().any(|f| named(&f.name) || typed(&f.ty)),
-        ItemKind::Global(g) => named(&g.name) || typed(&g.ty),
+        ItemKind::Define { name, body_text } => named(name) || named(body_text),
+        ItemKind::OtherDirective(text) => named(text),
+        ItemKind::Struct(s) => {
+            for dim in s.fields.iter().flat_map(|f| &f.array_dims) {
+                walk(Node::Expr(dim), &mut visit);
+            }
+            named(&s.name) || s.fields.iter().any(|f| named(&f.name) || typed(&f.ty))
+        }
+        ItemKind::Global(g) => {
+            let init = match &g.init {
+                Some(Init::Expr(e)) => std::slice::from_ref(e),
+                Some(Init::List(es) | Init::Ctor(es)) => es,
+                None => &[],
+            };
+            for e in g.array_dims.iter().chain(init) {
+                walk(Node::Expr(e), &mut visit);
+            }
+            named(&g.name) || typed(&g.ty)
+        }
         ItemKind::Function(f) => {
             if let Some(body) = &f.body {
                 walk_stmts(&body.stmts, &mut visit);
             }
             named(&f.name) || typed(&f.ret) || f.params.iter().any(declared)
         }
-        ItemKind::Define { .. } | ItemKind::OtherDirective(_) => false,
     });
     in_items || in_code
 }
@@ -1184,6 +1205,13 @@ mod tests {
         assert!(uses(
             "void f(float* x, long* s) {\n    x[0] = curand_uniform(s);\n}\n"
         ));
+        // Text the AST keeps outside identifiers counts as the printed file did.
+        assert!(uses("#define RNG_T curandState\nvoid f(RNG_T* s);\n"));
+        assert!(uses("struct curand_box {\n    long s;\n};\n"));
+        assert!(uses(
+            "void f(struct Box* b) {\n    b->curand_seed = 1;\n}\n"
+        ));
+        assert!(uses("long seeds[4] = {1, curand_seed, 3, 4};\n"));
     }
 
     #[test]
