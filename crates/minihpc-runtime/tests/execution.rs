@@ -1153,3 +1153,334 @@ fn a_macro_defined_differently_reads_its_last_linked_copy() {
         "4\n"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Control flow and the step count: a step is charged for every statement
+// executed and for every loop iteration, and the budget is exact.
+// ---------------------------------------------------------------------------
+
+/// `main` built alone and run with `cfg`.
+fn run_main(main: &str, cfg: RunConfig) -> minihpc_runtime::RunResult {
+    let out = build_repo(&make_repo(main), &BuildRequest::new("app"));
+    assert!(out.succeeded(), "build failed:\n{}", out.log.text());
+    run(&out.executable.unwrap(), cfg)
+}
+
+/// 13 steps: `s`'s declaration, the `for`, its `i` declaration, three
+/// iterations of (iteration, block, `s += i`), and the `return`.
+const THIRTEEN_STEPS: &str = r#"
+int main() {
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        s += i;
+    }
+    return s - 3;
+}
+"#;
+
+#[test]
+fn a_program_runs_clean_on_a_budget_of_exactly_its_steps() {
+    let r = run_main(THIRTEEN_STEPS, RunConfig::default());
+    assert_eq!((r.error, r.exit_code, r.steps), (None, 0, 13));
+    let exact = RunConfig {
+        max_steps: 13,
+        ..RunConfig::default()
+    };
+    let r = run_main(THIRTEEN_STEPS, exact);
+    assert_eq!((r.error, r.exit_code, r.steps), (None, 0, 13));
+}
+
+#[test]
+fn one_step_short_of_the_budget_is_a_step_limit() {
+    let short = RunConfig {
+        max_steps: 12,
+        ..RunConfig::default()
+    };
+    let r = run_main(THIRTEEN_STEPS, short);
+    let err = r.error.expect("12 steps cannot finish a 13-step program");
+    assert_eq!(err.kind, RuntimeErrorKind::StepLimit);
+    assert_eq!(err.message, "step limit of 12 exceeded (runaway loop?)");
+    assert_eq!((r.exit_code, r.steps), (1, 13));
+}
+
+#[test]
+fn continue_in_a_for_loop_still_runs_the_step_expression() {
+    let r = run_main(
+        r#"
+#include <stdio.h>
+
+int main() {
+    int s = 0;
+    for (int i = 0; i < 6; i++) {
+        if (i % 2 == 0) continue;
+        s += i;
+    }
+    printf("%d\n", s);
+    return 0;
+}
+"#,
+        RunConfig::default(),
+    );
+    assert_eq!(r.error, None);
+    assert_eq!(r.stdout, "9\n");
+    assert_eq!(r.steps, 29);
+}
+
+#[test]
+fn break_and_continue_work_inside_while() {
+    let r = run_main(
+        r#"
+#include <stdio.h>
+
+int main() {
+    int i = 0;
+    int s = 0;
+    while (1) {
+        i++;
+        if (i > 7) break;
+        if (i % 3 == 0) continue;
+        s += i;
+    }
+    printf("%d %d\n", i, s);
+    return 0;
+}
+"#,
+        RunConfig::default(),
+    );
+    assert_eq!(r.error, None);
+    assert_eq!(r.stdout, "8 19\n");
+    assert_eq!(r.steps, 52);
+}
+
+#[test]
+fn return_leaves_nested_loops_at_once() {
+    let r = run_main(
+        r#"
+#include <stdio.h>
+
+int find(int target) {
+    for (int i = 0; i < 10; i++) {
+        int j = 0;
+        while (j < 10) {
+            if (i * 10 + j == target) return i * 100 + j;
+            j++;
+        }
+    }
+    return -1;
+}
+
+int main() {
+    printf("%d %d\n", find(23), find(100));
+    return 0;
+}
+"#,
+        RunConfig::default(),
+    );
+    assert_eq!(r.error, None);
+    assert_eq!(r.stdout, "203 -1\n");
+    assert_eq!(r.steps, 555);
+}
+
+#[test]
+fn a_parallel_for_body_runs_on_four_workers() {
+    let main = r#"
+#include <stdio.h>
+#include <omp.h>
+
+int main() {
+    int a[8];
+    int sum = 0;
+    #pragma omp parallel for reduction(+:sum)
+    for (int i = 0; i < 8; i++) {
+        if (i % 2 == 1) continue;
+        a[i] = i * i;
+        sum += i;
+    }
+    printf("%d %d %d\n", sum, a[2], a[6]);
+    return 0;
+}
+"#;
+    let out = build_repo(&omp_threads_repo(main), &BuildRequest::new("app"));
+    assert!(out.succeeded(), "{}", out.log.text());
+    let exe = out.executable.unwrap();
+    let seq = run(&exe, RunConfig::default());
+    let par = run(
+        &exe,
+        RunConfig {
+            parallel: true,
+            workers: 4,
+            ..RunConfig::default()
+        },
+    );
+    for r in [&seq, &par] {
+        assert_eq!(r.error, None);
+        assert_eq!(r.stdout, "12 4 36\n");
+        assert_eq!(r.telemetry.host_parallel_regions, 1);
+    }
+    assert_eq!((seq.steps, par.steps), (33, 33));
+}
+
+// ---------------------------------------------------------------------------
+// Runtime error text: the kind and the exact message of each error the
+// interpreter raises.
+// ---------------------------------------------------------------------------
+
+fn cuda_repo(main: &str) -> SourceRepo {
+    SourceRepo::new()
+        .with_file(
+            "Makefile",
+            "app: main.cu\n\tnvcc -O2 -arch=sm_80 -o app main.cu\n",
+        )
+        .with_file("main.cu", main)
+}
+
+/// The error `repo`'s run stops with.
+fn run_error(repo: &SourceRepo) -> (RuntimeErrorKind, String) {
+    let r = build_and_run(repo, &[]);
+    assert_eq!(r.exit_code, 1);
+    let err = r.error.expect("the run must fail");
+    (err.kind, err.message)
+}
+
+fn main_error(body: &str) -> (RuntimeErrorKind, String) {
+    run_error(&make_repo(&format!(
+        "#include <stdio.h>\n#include <stdlib.h>\n\
+         struct P {{ int x; }};\n\
+         int helper(int n) {{ return n; }}\n\
+         int main() {{\n{body}\nreturn 0;\n}}\n"
+    )))
+}
+
+#[test]
+fn memory_errors_keep_their_kind_and_text() {
+    use RuntimeErrorKind::*;
+    let cases = [
+        (
+            "int* p = NULL; int v = *p;",
+            IllegalAccess,
+            "null pointer dereference",
+        ),
+        (
+            "int* p = NULL; p[0] = 1;",
+            IllegalAccess,
+            "null pointer indexed",
+        ),
+        (
+            "int a[4]; int i = -2; a[i] = 1;",
+            OutOfBounds,
+            "negative effective index -2",
+        ),
+        (
+            "int a[4]; int i = 4; int v = a[i];",
+            OutOfBounds,
+            "index 4 out of bounds for Host buffer 0 of length 4",
+        ),
+        (
+            "int a[4]; int i = 5; a[i] = 1;",
+            OutOfBounds,
+            "index 5 out of bounds for Host buffer 0 of length 4",
+        ),
+        (
+            "int n = 1; int z = 0; int v = n / z;",
+            DivByZero,
+            "integer division by zero",
+        ),
+        (
+            "int n = 1; int z = 0; n %= z;",
+            DivByZero,
+            "integer modulo by zero",
+        ),
+    ];
+    for (body, kind, message) in cases {
+        assert_eq!(main_error(body), (kind, message.to_string()), "{body}");
+    }
+}
+
+#[test]
+fn name_and_member_errors_keep_their_kind_and_text() {
+    use RuntimeErrorKind::*;
+    // A function name used as a value has no type at build time, so these
+    // reach the interpreter.
+    let cases = [
+        (
+            "int v = helper;",
+            TypeError,
+            "use of unbound identifier 'helper' at run time",
+        ),
+        (
+            "helper = 3;",
+            TypeError,
+            "assignment to unbound variable 'helper'",
+        ),
+        (
+            "int v = (0 ? helper : 1)->x;",
+            TypeError,
+            "'->' on non-pointer int",
+        ),
+        (
+            "struct P p; int v = (0 ? helper : p).y;",
+            TypeError,
+            "no field 'y' in 'P'",
+        ),
+        (
+            "struct P* q = (struct P*)malloc(sizeof(struct P)); (0 ? helper : q)->y = 1;",
+            TypeError,
+            "no field 'y' in struct 'P'",
+        ),
+    ];
+    for (body, kind, message) in cases {
+        assert_eq!(main_error(body), (kind, message.to_string()), "{body}");
+    }
+}
+
+#[test]
+fn unbounded_recursion_stops_at_the_depth_limit() {
+    // Two hundred nested activations outgrow a test thread's default
+    // stack in an unoptimised build, so this runs on a larger one.
+    let run = || main_error("int v = helper(1) + main();");
+    let handle = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(run)
+        .unwrap();
+    assert_eq!(
+        handle.join().unwrap(),
+        (
+            RuntimeErrorKind::StepLimit,
+            "recursion depth limit exceeded".to_string()
+        )
+    );
+}
+
+#[test]
+fn cuda_errors_keep_their_kind_and_text() {
+    use RuntimeErrorKind::*;
+    let load = "double* d; cudaMalloc(&d, 4 * sizeof(double)); double v = d[1];";
+    let store = "double* d; cudaMalloc(&d, 4 * sizeof(double)); d[1] = 2.0;";
+    let cases = [
+        (
+            load,
+            IllegalAccess,
+            "Host code dereferenced a Device pointer (buffer 0); \
+             copy the data with cudaMemcpy / map / deep_copy first",
+        ),
+        (
+            store,
+            IllegalAccess,
+            "Host code wrote through a Device pointer (buffer 0)",
+        ),
+        (
+            "relay();",
+            TypeError,
+            "__global__ function 'fill' called without a launch",
+        ),
+    ];
+    for (body, kind, message) in cases {
+        let repo = cuda_repo(&format!(
+            "#include <cuda_runtime.h>\n\
+             __global__ void fill() {{ }}\n\
+             __device__ void relay() {{ fill(); }}\n\
+             int main() {{\n{body}\nreturn 0;\n}}\n"
+        ));
+        assert_eq!(run_error(&repo), (kind, message.to_string()), "{body}");
+    }
+}
