@@ -1,7 +1,6 @@
 //! Builtin function dispatch: libc, libm, the CUDA runtime API, cuRAND, and
 //! the Kokkos core API.
 
-use super::expr::Place;
 use super::*;
 
 /// A host library function: libc, libm, the OpenMP and CUDA runtime APIs.
@@ -143,77 +142,128 @@ impl Kokkos {
     }
 }
 
+/// What a call reaches.
+pub(crate) enum Target {
+    User(u32),
+    Builtin(Builtin),
+    /// `cudaMalloc(&place, bytes)`: the place and its pointee type, or
+    /// `None` when the first argument is not `&place`.
+    CudaMalloc(Option<(PlaceFn, Type)>),
+    CurandInit(RngState),
+    /// `curand` (integer) or `curand_uniform*` (float).
+    CurandNext(RngState, bool),
+    /// A Kokkos entry point, and the result place of a `parallel_reduce`.
+    Kokkos(Kokkos, Option<PlaceFn>),
+    /// `view.method(args)`.
+    Method(ExprFn, Rc<str>),
+    Fail(String),
+}
+
+/// The cuRAND state argument: `&place`, or a pointer value.
+pub(crate) enum RngState {
+    Place(PlaceFn),
+    Pointer(ExprFn),
+}
+
+/// A `<<<grid, block>>>` launch.
+pub(crate) struct Launch {
+    pub kernel: Result<u32, Rc<str>>,
+    pub grid: ExprFn,
+    pub block: ExprFn,
+    pub args: Vec<ExprFn>,
+}
+
+pub(crate) fn launch(launch: Launch) -> ExprFn {
+    lower(move |i, f| i.cuda_launch(f, &launch))
+}
+
+/// A call of `target`. `view` is the local the callee names, if any: a
+/// call on a local holding a Kokkos view is an element access.
+pub(crate) fn call(view: Option<u32>, target: Target, args: Vec<ExprFn>) -> ExprFn {
+    let args: Rc<[ExprFn]> = args.into();
+    let call = target_call(target, args.clone());
+    let Some(slot) = view else {
+        return call;
+    };
+    lower(move |i, f| {
+        if let Value::View(h) = &f.slots[slot as usize] {
+            let h = h.clone();
+            let place = i.view_place(f, &h, &args)?;
+            return i.read_place(f, &place);
+        }
+        call(i, f)
+    })
+}
+
+fn target_call(target: Target, args: Rc<[ExprFn]>) -> ExprFn {
+    match target {
+        // Out-parameter builtins get their place arguments resolved.
+        Target::CudaMalloc(dst) => lower(move |i, f| i.cuda_malloc(f, dst.as_ref(), &args[1])),
+        Target::CurandInit(state) => lower(move |i, f| i.curand_init(f, &args, &state)),
+        Target::CurandNext(state, int) => lower(move |i, f| i.curand_next(f, &state, int)),
+        Target::User(func) => lower(move |i, f| {
+            let func = &i.prog.functions[func as usize];
+            if func.cuda_global && f.cuda.is_none() {
+                return Err(type_err(format!(
+                    "__global__ function '{}' called without a launch",
+                    func.name
+                ))
+                .into());
+            }
+            // Arguments go straight to the parameter slots; extra ones are
+            // evaluated and dropped.
+            let mut slots = i.slots(func.vars.len());
+            for (k, a) in args.iter().enumerate() {
+                let v = a(i, f)?;
+                if k < func.params {
+                    slots[k] = v;
+                }
+            }
+            i.call_function(f, func, slots)
+        }),
+        // libm with its exact arity: no argument vector.
+        Target::Builtin(Builtin::Math(m)) if args.len() == 1 => {
+            lower(move |i, f| Ok(Value::Float(m(flt(&args[0](i, f)?)))))
+        }
+        Target::Builtin(Builtin::Math2(m)) if args.len() == 2 => lower(move |i, f| {
+            let x = flt(&args[0](i, f)?);
+            Ok(Value::Float(m(x, flt(&args[1](i, f)?))))
+        }),
+        Target::Builtin(b) => lower(move |i, f| {
+            let mut values = Vec::with_capacity(args.len());
+            for a in args.iter() {
+                values.push(a(i, f)?);
+            }
+            i.call_host_builtin(f, &b, values)
+        }),
+        Target::Method(base, method) => lower(move |i, f| {
+            // View method calls.
+            if let Value::View(h) = base(i, f)? {
+                if &*method != "extent" {
+                    let msg = format!("unsupported view method '{method}'");
+                    return Err(type_err(msg).into());
+                }
+                let k = args
+                    .first()
+                    .map(|a| a(i, f))
+                    .transpose()?
+                    .and_then(|v| v.as_int())
+                    .unwrap_or(0);
+                let d = h.dims.get(k as usize).copied().unwrap_or(1);
+                return Ok(Value::Int(d as i64));
+            }
+            Err(type_err("method calls are only supported on Kokkos views").into())
+        }),
+        Target::Kokkos(k, result) => lower(move |i, f| i.eval_kokkos(f, &k, &args, &result)),
+        Target::Fail(msg) => super::expr::fail(msg),
+    }
+}
+
+fn flt(v: &Value) -> f64 {
+    v.as_float().unwrap_or(0.0)
+}
+
 impl<'p> Interp<'p> {
-    pub(super) fn eval_call(&self, frame: &mut Frame, call: &RCall) -> IResult<Value> {
-        let args = &call.args;
-        // Kokkos view element read: `v(i, j)`.
-        if let Some(slot) = call.view {
-            if let Value::View(h) = &frame.slots[slot as usize] {
-                let h = h.clone();
-                let place = self.view_place(frame, &h, args)?;
-                return self.read_place(frame, &place);
-            }
-        }
-        match &call.target {
-            // Out-parameter builtins get their place arguments resolved.
-            Target::CudaMalloc(dst) => self.cuda_malloc(frame, dst.as_ref(), &args[1]),
-            Target::CurandInit(state) => self.curand_init(frame, args, state),
-            Target::CurandNext(state, int) => self.curand_next(frame, state, *int),
-            Target::User(f) => {
-                let f = &self.prog.functions[*f as usize];
-                if f.cuda_global && frame.cuda.is_none() {
-                    return Err(type_err(format!(
-                        "__global__ function '{}' called without a launch",
-                        f.name
-                    ))
-                    .into());
-                }
-                // Arguments go straight to the parameter slots; extra
-                // ones are evaluated and dropped.
-                let mut slots = self.slots(f.vars.len());
-                for (i, a) in args.iter().enumerate() {
-                    let v = self.eval(frame, a)?;
-                    if i < f.params {
-                        slots[i] = v;
-                    }
-                }
-                self.call_function(frame, f, slots)
-            }
-            Target::Builtin(b) => {
-                let values = self.eval_args(frame, args)?;
-                self.call_host_builtin(frame, b, values)
-            }
-            Target::Method(base, method) => {
-                // View method calls.
-                if let Value::View(h) = self.eval(frame, base)? {
-                    if &**method != "extent" {
-                        let msg = format!("unsupported view method '{method}'");
-                        return Err(type_err(msg).into());
-                    }
-                    let i = args
-                        .first()
-                        .map(|a| self.eval(frame, a))
-                        .transpose()?
-                        .and_then(|v| v.as_int())
-                        .unwrap_or(0);
-                    let d = h.dims.get(i as usize).copied().unwrap_or(1);
-                    return Ok(Value::Int(d as i64));
-                }
-                Err(type_err("method calls are only supported on Kokkos views").into())
-            }
-            Target::Kokkos(k) => self.eval_kokkos(frame, k, args),
-            Target::Fail(msg) => Err(type_err(msg.as_str()).into()),
-        }
-    }
-
-    fn eval_args(&self, frame: &mut Frame, args: &[RExpr]) -> IResult<Vec<Value>> {
-        let mut values = Vec::with_capacity(args.len());
-        for a in args {
-            values.push(self.eval(frame, a)?);
-        }
-        Ok(values)
-    }
-
     fn call_host_builtin(
         &self,
         frame: &mut Frame,
@@ -221,7 +271,6 @@ impl<'p> Interp<'p> {
         values: Vec<Value>,
     ) -> IResult<Value> {
         let int = |v: &Value| v.as_int().unwrap_or(0);
-        let flt = |v: &Value| v.as_float().unwrap_or(0.0);
         let arg = |i: usize| values.get(i).cloned().unwrap_or(Value::Int(0));
         match builtin {
             Builtin::Printf => {
@@ -430,11 +479,10 @@ impl<'p> Interp<'p> {
     fn cuda_malloc(
         &self,
         frame: &mut Frame,
-        dst: Option<&(RExpr, Type)>,
-        size: &RExpr,
+        dst: Option<&(PlaceFn, Type)>,
+        size: &ExprFn,
     ) -> IResult<Value> {
-        let bytes = self
-            .eval(frame, size)?
+        let bytes = size(self, frame)?
             .as_int()
             .filter(|n| *n >= 0)
             .ok_or_else(|| type_err("cudaMalloc size must be a non-negative integer"))?
@@ -443,7 +491,7 @@ impl<'p> Interp<'p> {
         let Some((dst, elem)) = dst else {
             return Err(type_err("cudaMalloc first argument must be &pointer").into());
         };
-        let place = self.resolve_place(frame, dst)?;
+        let place = dst(self, frame)?;
         let len = bytes / self.sizeof(elem).max(1);
         let buf = self.alloc_zeroed(Space::Device, elem.clone(), len);
         self.write_place(
@@ -463,8 +511,8 @@ impl<'p> Interp<'p> {
     fn rng_place(&self, frame: &mut Frame, state: &RngState) -> IResult<Place> {
         // The state argument is `&states[i]` or a curandState* value.
         match state {
-            RngState::Place(place) => self.resolve_place(frame, place),
-            RngState::Pointer(e) => match self.eval(frame, e)? {
+            RngState::Place(place) => place(self, frame),
+            RngState::Pointer(e) => match e(self, frame)? {
                 Value::Ptr(p) => Ok(Place::Mem {
                     space: p.space,
                     buffer: p.buffer,
@@ -479,10 +527,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn curand_init(&self, frame: &mut Frame, args: &[RExpr], state: &RngState) -> IResult<Value> {
-        let seed = self.eval(frame, &args[0])?.as_int().unwrap_or(0) as u64;
-        let seq = self.eval(frame, &args[1])?.as_int().unwrap_or(0) as u64;
-        let offset = self.eval(frame, &args[2])?.as_int().unwrap_or(0) as u64;
+    fn curand_init(&self, frame: &mut Frame, args: &[ExprFn], state: &RngState) -> IResult<Value> {
+        let seed = args[0](self, frame)?.as_int().unwrap_or(0) as u64;
+        let seq = args[1](self, frame)?.as_int().unwrap_or(0) as u64;
+        let offset = args[2](self, frame)?.as_int().unwrap_or(0) as u64;
         let place = self.rng_place(frame, state)?;
         let state = splitmix(seed ^ seq.wrapping_mul(0x9E3779B97F4A7C15) ^ offset);
         let layout = self
@@ -517,7 +565,7 @@ impl<'p> Interp<'p> {
 
     // -- CUDA kernel launch ------------------------------------------------
 
-    pub(super) fn cuda_launch(&self, frame: &mut Frame, launch: &RLaunch) -> IResult<Value> {
+    fn cuda_launch(&self, frame: &mut Frame, launch: &Launch) -> IResult<Value> {
         let to_dim3 = |v: Value| -> IResult<Dim3> {
             match v {
                 Value::Dim3(d) => Ok(d),
@@ -529,13 +577,16 @@ impl<'p> Interp<'p> {
                 .into()),
             }
         };
-        let grid = to_dim3(self.eval(frame, &launch.grid)?)?;
-        let block = to_dim3(self.eval(frame, &launch.block)?)?;
+        let grid = to_dim3((launch.grid)(self, frame)?)?;
+        let block = to_dim3((launch.block)(self, frame)?)?;
         let f = match &launch.kernel {
             Ok(f) => &self.prog.functions[*f as usize],
             Err(kernel) => return Err(type_err(format!("kernel '{kernel}' not found")).into()),
         };
-        let values = self.eval_args(frame, &launch.args)?;
+        let mut values = Vec::with_capacity(launch.args.len());
+        for a in &launch.args {
+            values.push(a(self, frame)?);
+        }
         let total = grid.count() * block.count();
         self.record_device_region(total);
         self.mem.detector.begin_kernel();
@@ -580,7 +631,13 @@ impl<'p> Interp<'p> {
 
     // -- Kokkos -------------------------------------------------------------
 
-    fn eval_kokkos(&self, frame: &mut Frame, k: &Kokkos, args: &[RExpr]) -> IResult<Value> {
+    fn eval_kokkos(
+        &self,
+        frame: &mut Frame,
+        k: &Kokkos,
+        args: &[ExprFn],
+        result: &Option<PlaceFn>,
+    ) -> IResult<Value> {
         match k {
             Kokkos::Initialize => {
                 self.kokkos_initialized.set(true);
@@ -596,8 +653,8 @@ impl<'p> Interp<'p> {
                 let [lo, hi, ..] = args else {
                     return Err(type_err("MiniHPC RangePolicy takes (lo, hi)").into());
                 };
-                let lo = self.eval(frame, lo)?.as_int().unwrap_or(0);
-                let hi = self.eval(frame, hi)?.as_int().unwrap_or(0);
+                let lo = lo(self, frame)?.as_int().unwrap_or(0);
+                let hi = hi(self, frame)?.as_int().unwrap_or(0);
                 Ok(Value::Policy(Policy::Range { lo, hi }))
             }
             Kokkos::MDRangePolicy => {
@@ -608,7 +665,7 @@ impl<'p> Interp<'p> {
                 }
                 let mut v = [0i64; 4];
                 for (i, a) in args.iter().enumerate() {
-                    v[i] = self.eval(frame, a)?.as_int().unwrap_or(0);
+                    v[i] = a(self, frame)?.as_int().unwrap_or(0);
                 }
                 Ok(Value::Policy(Policy::MDRange {
                     lo: [v[0], v[1]],
@@ -619,8 +676,8 @@ impl<'p> Interp<'p> {
                 // Accepts (View, View), and — modelling Kokkos unmanaged
                 // host views wrapping raw pointers — (View, host ptr) or
                 // (host ptr, View), with the view's length.
-                let a = self.eval(frame, &args[0])?;
-                let b = self.eval(frame, &args[1])?;
+                let a = args[0](self, frame)?;
+                let b = args[1](self, frame)?;
                 let (dst_space, dst_buf, dst_off, src_space, src_buf, src_off, len) = match (&a, &b)
                 {
                     (Value::View(d), Value::View(s)) => (
@@ -653,7 +710,7 @@ impl<'p> Interp<'p> {
                 Ok(Value::Void)
             }
             Kokkos::CreateMirrorView => {
-                let Value::View(v) = self.eval(frame, &args[0])? else {
+                let Value::View(v) = args[0](self, frame)? else {
                     return Err(type_err("create_mirror_view requires a view").into());
                 };
                 let buf = self.alloc_zeroed(Space::Host, Type::Scalar(v.elem), v.len());
@@ -665,7 +722,7 @@ impl<'p> Interp<'p> {
             }
             Kokkos::Parallel { reduce, label } => {
                 let rest = &args[usize::from(*label)..];
-                self.kokkos_parallel(frame, *reduce, rest)
+                self.kokkos_parallel(frame, *reduce, rest, result)
             }
             Kokkos::Unsupported(other) => {
                 Err(type_err(format!("unsupported Kokkos function '{other}'")).into())
@@ -675,7 +732,13 @@ impl<'p> Interp<'p> {
 
     /// `parallel_for(policy, lambda)` or `parallel_reduce(policy, lambda,
     /// result)`, label already skipped.
-    fn kokkos_parallel(&self, frame: &mut Frame, reduce: bool, rest: &[RExpr]) -> IResult<Value> {
+    fn kokkos_parallel(
+        &self,
+        frame: &mut Frame,
+        reduce: bool,
+        rest: &[ExprFn],
+        result: &Option<PlaceFn>,
+    ) -> IResult<Value> {
         let which = if reduce {
             "parallel_reduce"
         } else {
@@ -687,7 +750,7 @@ impl<'p> Interp<'p> {
             ))
             .into());
         }
-        let policy = match self.eval(frame, &rest[0])? {
+        let policy = match rest[0](self, frame)? {
             Value::Policy(p) => p,
             Value::Int(n) => Policy::Range { lo: 0, hi: n },
             other => {
@@ -698,7 +761,7 @@ impl<'p> Interp<'p> {
                 .into())
             }
         };
-        let Value::Lambda(closure) = self.eval(frame, &rest[1])? else {
+        let Value::Lambda(closure) = rest[1](self, frame)? else {
             return Err(type_err(format!("Kokkos::{which} requires a lambda")).into());
         };
         let lambda = &*closure.lambda;
@@ -750,9 +813,9 @@ impl<'p> Interp<'p> {
                 type_err("parallel_reduce lambda must take (index..., accumulator&)").into(),
             );
         }
-        if rest.len() < 3 {
+        let Some(result) = result else {
             return Err(type_err("parallel_reduce requires a result argument").into());
-        }
+        };
         let acc_slot = lambda.params - 1;
 
         let mut acc = Value::Float(0.0);
@@ -763,7 +826,7 @@ impl<'p> Interp<'p> {
             acc = std::mem::take(&mut kframe.slots[acc_slot]);
             self.recycle(kframe.slots);
         }
-        let place = self.resolve_place(frame, &rest[2])?;
+        let place = result(self, frame)?;
         self.write_place(frame, &place, acc)?;
         Ok(Value::Void)
     }

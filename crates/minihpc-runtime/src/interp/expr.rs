@@ -1,9 +1,9 @@
-//! Expression evaluation, lvalue (place) resolution, and operators.
+//! Expression and place closures, and the operators.
 
 use super::*;
 
 /// A resolved assignment target.
-pub(super) enum Place {
+pub(crate) enum Place {
     Local(u32),
     Global(u32),
     /// A name with no variable behind it: reading or writing it fails.
@@ -18,154 +18,639 @@ pub(super) enum Place {
     Field(Box<Place>, usize),
 }
 
-impl<'p> Interp<'p> {
-    /// Evaluate an expression. Literals and locals, the commonest
-    /// operands, are read inline at every call site.
+impl Place {
+    fn mem(p: Pointer) -> Place {
+        Place::Mem {
+            space: p.space,
+            buffer: p.buffer,
+            index: p.offset,
+        }
+    }
+}
+
+pub(crate) fn lit(v: Value) -> ExprFn {
+    lower(move |_, _| Ok(v.clone()))
+}
+
+/// A type error raised when evaluated.
+pub(crate) fn fail(msg: String) -> ExprFn {
+    lower(move |_, _| Err(type_err(msg.as_str()).into()))
+}
+
+/// A place that cannot be assigned: a type error when resolved.
+pub(crate) fn fail_place(msg: &'static str) -> PlaceFn {
+    lower(move |_, _| Err(type_err(msg).into()))
+}
+
+/// The value of the variable a name denotes.
+pub(crate) fn var(name: Name) -> ExprFn {
+    match name {
+        Name::Local(slot) => {
+            let slot = slot as usize;
+            lower(move |_, f| Ok(f.slots[slot].clone()))
+        }
+        Name::Global(g) => lower(move |i, _| Ok(i.globals.borrow()[g as usize].clone())),
+        Name::Mapped { slot, global } => lower(move |i, f| match &f.slots[slot as usize] {
+            Value::Void => Ok(i.globals.borrow()[global as usize].clone()),
+            v => Ok(v.clone()),
+        }),
+        Name::Cuda(dim, global, name) => lower(move |i, f| {
+            if let Some(ctx) = f.cuda {
+                return Ok(Value::Dim3(match dim {
+                    CudaDim::ThreadIdx => ctx.thread_idx,
+                    CudaDim::BlockIdx => ctx.block_idx,
+                    CudaDim::BlockDim => ctx.block_dim,
+                    CudaDim::GridDim => ctx.grid_dim,
+                }));
+            }
+            match global {
+                Some(g) => Ok(i.globals.borrow()[g as usize].clone()),
+                None => Err(unbound(&name)),
+            }
+        }),
+        Name::Const(v, _) => lit(v),
+        Name::Unbound(name) => lower(move |_, _| Err(unbound(&name))),
+    }
+}
+
+/// The variable a name denotes, as an assignment target.
+pub(crate) fn var_place(name: Name) -> PlaceFn {
+    match name {
+        Name::Local(slot) => lower(move |_, _| Ok(Place::Local(slot))),
+        name => lower(move |_, f| Ok(name_place(f, &name))),
+    }
+}
+
+/// The variable `name` denotes in `frame`.
+pub(super) fn name_place(frame: &Frame, name: &Name) -> Place {
+    match name {
+        Name::Local(slot) => Place::Local(*slot),
+        Name::Global(g) | Name::Cuda(_, Some(g), _) => Place::Global(*g),
+        Name::Mapped { slot, global } => match frame.slots[*slot as usize] {
+            Value::Void => Place::Global(*global),
+            _ => Place::Local(*slot),
+        },
+        Name::Cuda(_, None, name) | Name::Const(_, name) | Name::Unbound(name) => {
+            Place::Unbound(name.clone())
+        }
+    }
+}
+
+pub(crate) fn neg(inner: ExprFn) -> ExprFn {
+    lower(move |i, f| match inner(i, f)? {
+        Value::Int(n) => Ok(Value::Int(-n)),
+        Value::Float(x) => Ok(Value::Float(-x)),
+        Value::Bool(b) => Ok(Value::Int(-i64::from(b))),
+        other => Err(type_err(format!("cannot negate {}", other.type_name())).into()),
+    })
+}
+
+pub(crate) fn not(inner: ExprFn) -> ExprFn {
+    lower(move |i, f| Ok(Value::Bool(!inner(i, f)?.truthy())))
+}
+
+pub(crate) fn bit_not(inner: ExprFn) -> ExprFn {
+    lower(move |i, f| {
+        let n = inner(i, f)?
+            .as_int()
+            .ok_or_else(|| type_err("operator ~ requires an integer"))?;
+        Ok(Value::Int(!n))
+    })
+}
+
+/// The element a pointer value addresses.
+fn deref_value(v: Value) -> IResult<Pointer> {
+    match v {
+        Value::Ptr(p) => Ok(p),
+        Value::Null => Err(RuntimeError::illegal("null pointer dereference").into()),
+        other => Err(type_err(format!("cannot dereference {} value", other.type_name())).into()),
+    }
+}
+
+/// `*ptr`.
+pub(crate) fn deref(ptr: ExprFn) -> ExprFn {
+    lower(move |i, f| {
+        let p = deref_value(ptr(i, f)?)?;
+        Ok(i.mem.load(f.space, p.space, p.buffer, p.offset)?)
+    })
+}
+
+/// `*ptr` as an assignment target.
+pub(crate) fn deref_place(ptr: ExprFn) -> PlaceFn {
+    lower(move |i, f| Ok(Place::mem(deref_value(ptr(i, f)?)?)))
+}
+
+/// `&place`: meaningful for memory places only.
+pub(crate) fn addr_of(place: PlaceFn) -> ExprFn {
+    lower(move |i, f| {
+        let place = place(i, f)?;
+        let elem = match place {
+            Place::Mem {
+                space,
+                buffer,
+                index,
+            } => {
+                return Ok(Value::Ptr(Pointer {
+                    space,
+                    buffer,
+                    offset: index,
+                }))
+            }
+            Place::Field(..) => {
+                return Err(type_err("cannot take the address of a struct field").into())
+            }
+            Place::Local(slot) => f.vars[slot as usize].ty.as_ref().map(|d| d.ty.clone()),
+            Place::Global(_) | Place::Unbound(_) => None,
+        };
+        // Taking the address of a variable: MiniHPC copies it into a
+        // 1-element buffer and leaves the variable as it is (value
+        // semantics). Supported uses are call-by-pointer out-params,
+        // handled by builtins.
+        let current = i.read_place(f, &place)?;
+        let elem = elem.unwrap_or(Type::Scalar(ScalarType::Long));
+        let buf = i.alloc_with(f.space, elem, vec![current]);
+        Ok(Value::Ptr(Pointer {
+            space: f.space,
+            buffer: buf,
+            offset: 0,
+        }))
+    })
+}
+
+/// `old` incremented by `delta` (`++`/`--`).
+fn bumped(old: &Value, delta: i64) -> IResult<Value> {
+    match old {
+        Value::Int(n) => Ok(Value::Int(n + delta)),
+        Value::Float(x) => Ok(Value::Float(x + delta as f64)),
+        Value::Ptr(p) => {
+            let off = p.offset as i64 + delta;
+            if off < 0 {
+                return Err(RuntimeError::oob("pointer decremented below buffer start").into());
+            }
+            Ok(Value::Ptr(Pointer {
+                offset: off as usize,
+                ..*p
+            }))
+        }
+        other => Err(type_err(format!("cannot increment {}", other.type_name())).into()),
+    }
+}
+
+/// The step of `++`/`--`, and whether it yields the old value.
+fn step_of(op: UnaryOp) -> (i64, bool) {
+    let delta = if matches!(op, UnaryOp::PreInc | UnaryOp::PostInc) {
+        1
+    } else {
+        -1
+    };
+    (delta, matches!(op, UnaryOp::PostInc | UnaryOp::PostDec))
+}
+
+/// `++`/`--`, prefix or postfix, on a place.
+pub(crate) fn inc_dec(op: UnaryOp, place: PlaceFn) -> ExprFn {
+    let (delta, post) = step_of(op);
+    lower(move |i, f| {
+        let place = place(i, f)?;
+        let old = i.read_place(f, &place)?;
+        let new = bumped(&old, delta)?;
+        i.write_place(f, &place, new.clone())?;
+        Ok(if post { old } else { new })
+    })
+}
+
+/// [`inc_dec`] on a local slot.
+pub(crate) fn inc_dec_local(op: UnaryOp, slot: u32) -> ExprFn {
+    let (delta, post) = step_of(op);
+    lower(move |i, f| {
+        let s = slot as usize;
+        let new = bumped(&f.slots[s], delta)?;
+        if f.watch.is_some() {
+            i.record_watched_write(f, &Place::Local(slot));
+        }
+        let old = std::mem::replace(&mut f.slots[s], new.clone());
+        Ok(if post { old } else { new })
+    })
+}
+
+/// An operand as lowered for a closure that reads it itself: a local
+/// slot or a constant is read in place, without a closure call.
+pub(crate) enum Operand {
+    Local(u32),
+    Const(Value),
+    Expr(ExprFn),
+}
+
+/// How a closure specialised on an operand's shape reads it.
+trait Arg: 'static {
+    fn get(&self, i: &Interp<'_>, f: &mut Frame<'_>) -> IResult<Value>;
+}
+
+struct Slot(usize);
+
+impl Arg for Slot {
     #[inline(always)]
-    pub(super) fn eval(&self, frame: &mut Frame, e: &RExpr) -> IResult<Value> {
-        match e {
-            RExpr::Lit(v) => Ok(v.clone()),
-            RExpr::Var(Name::Local(slot)) => Ok(frame.slots[*slot as usize].clone()),
-            _ => self.eval_node(frame, e),
+    fn get(&self, _: &Interp<'_>, f: &mut Frame<'_>) -> IResult<Value> {
+        Ok(f.slots[self.0].clone())
+    }
+}
+
+impl Arg for Value {
+    #[inline(always)]
+    fn get(&self, _: &Interp<'_>, _: &mut Frame<'_>) -> IResult<Value> {
+        Ok(self.clone())
+    }
+}
+
+impl Arg for ExprFn {
+    #[inline(always)]
+    fn get(&self, i: &Interp<'_>, f: &mut Frame<'_>) -> IResult<Value> {
+        self(i, f)
+    }
+}
+
+/// Lower `a` and `b` to closure-specialised operands and build `make`'s
+/// closure over them. A constant left operand is rare enough to read
+/// through a closure.
+macro_rules! with_operands {
+    ($a:expr, $b:expr, |$x:ident, $y:ident| $make:expr) => {
+        match ($a, $b) {
+            (Operand::Local(a), Operand::Local(b)) => {
+                let ($x, $y) = (Slot(a as usize), Slot(b as usize));
+                $make
+            }
+            (Operand::Local(a), Operand::Const(b)) => {
+                let ($x, $y) = (Slot(a as usize), b);
+                $make
+            }
+            (Operand::Local(a), Operand::Expr(b)) => {
+                let ($x, $y) = (Slot(a as usize), b);
+                $make
+            }
+            (a, Operand::Local(b)) => {
+                let ($x, $y) = (a.lowered(), Slot(b as usize));
+                $make
+            }
+            (a, Operand::Const(b)) => {
+                let ($x, $y) = (a.lowered(), b);
+                $make
+            }
+            (a, Operand::Expr(b)) => {
+                let ($x, $y) = (a.lowered(), b);
+                $make
+            }
+        }
+    };
+}
+
+impl Operand {
+    /// The operand as a closure of its own.
+    pub(crate) fn lowered(self) -> ExprFn {
+        match self {
+            Operand::Local(slot) => var(Name::Local(slot)),
+            Operand::Const(v) => lit(v),
+            Operand::Expr(e) => e,
         }
     }
+}
 
-    fn eval_node(&self, frame: &mut Frame, e: &RExpr) -> IResult<Value> {
-        match e {
-            RExpr::Lit(v) => Ok(v.clone()),
-            RExpr::Var(name) => self.eval_name(frame, name),
-            RExpr::Fail(msg) => Err(type_err(msg.as_str()).into()),
-            RExpr::Unary(op, inner) => self.eval_unary(frame, *op, inner),
-            RExpr::Binary(op, lhs, rhs) => {
-                if !op.is_logical() {
-                    // Operands that are locals or literals are read in place.
-                    if let (Some(a), Some(b)) = (peek(frame, lhs), peek(frame, rhs)) {
-                        return Ok(apply_binop(*op, a, b)?);
+/// A binary operator with both operands evaluated, left first, and its
+/// numeric case tried before [`apply_binop`].
+fn arith<A: Arg, B: Arg, F>(op: BinOp, a: A, b: B, fast: F) -> ExprFn
+where
+    F: Fn(&Value, &Value) -> Option<Value> + 'static,
+{
+    lower(move |i, f| {
+        let x = a.get(i, f)?;
+        let y = b.get(i, f)?;
+        if let Some(v) = fast(&x, &y) {
+            // The numeric case takes plain numbers only, which own nothing.
+            std::mem::forget((x, y));
+            return Ok(v);
+        }
+        Ok(apply_binop(op, &x, &y)?)
+    })
+}
+
+pub(crate) fn binary(op: BinOp, a: Operand, b: Operand) -> ExprFn {
+    match op {
+        // Short-circuit logicals.
+        BinOp::And => {
+            let (a, b) = (a.lowered(), b.lowered());
+            lower(move |i, f| Ok(Value::Bool(a(i, f)?.truthy() && b(i, f)?.truthy())))
+        }
+        BinOp::Or => {
+            let (a, b) = (a.lowered(), b.lowered());
+            lower(move |i, f| Ok(Value::Bool(a(i, f)?.truthy() || b(i, f)?.truthy())))
+        }
+        _ => operators::binary(op, a, b),
+    }
+}
+
+/// An operator applied to two values, chosen while lowering a compound
+/// assignment: its numeric case inlined, then [`apply_binop`].
+pub(crate) type Apply = fn(&Value, &Value) -> RtResult<Value>;
+
+pub(crate) fn operator(op: BinOp) -> Apply {
+    operators::applied(op)
+}
+
+/// Each operator on exact `Int∘Int` and `Float∘Float` operands: `None`
+/// for the pairs it rejects (integer division by zero, bitwise operators
+/// on floats) and for every other operand pair, which [`apply_binop`]
+/// promotes first.
+macro_rules! operators {
+    ($($op:ident: |$x:ident, $y:ident| $int:expr, $float:expr;)*) => {
+        #[allow(non_snake_case, unused_variables)]
+        mod operators {
+            use super::*;
+            $(
+                #[inline(always)]
+                pub(super) fn $op(a: &Value, b: &Value) -> Option<Value> {
+                    match (a, b) {
+                        (&Value::Int($x), &Value::Int($y)) => $int,
+                        (&Value::Float($x), &Value::Float($y)) => $float,
+                        _ => None,
                     }
                 }
-                let a = self.eval(frame, lhs)?;
-                // Short-circuit logicals.
+            )*
+
+            /// A closure per operator, each with its numeric case inlined.
+            pub(super) fn binary(op: BinOp, a: Operand, b: Operand) -> ExprFn {
                 match op {
-                    BinOp::And if !a.truthy() => return Ok(Value::Bool(false)),
-                    BinOp::And => return Ok(Value::Bool(self.eval(frame, rhs)?.truthy())),
-                    BinOp::Or if a.truthy() => return Ok(Value::Bool(true)),
-                    BinOp::Or => return Ok(Value::Bool(self.eval(frame, rhs)?.truthy())),
-                    _ => {}
-                }
-                let b = self.eval(frame, rhs)?;
-                Ok(apply_binop(*op, &a, &b)?)
-            }
-            RExpr::Assign(op, lhs, rhs) => {
-                let rhs_v = self.eval(frame, rhs)?;
-                let place = self.resolve_place(frame, lhs)?;
-                let value = match op {
-                    Some(op) => {
-                        let old = self.read_place(frame, &place)?;
-                        apply_binop(*op, &old, &rhs_v)?
-                    }
-                    None => rhs_v,
-                };
-                // Coerce to the declared type of locals so that
-                // `double x; x = 1;` stores a float.
-                let value = match &place {
-                    Place::Local(slot) => self.coerce_to(value, &frame.vars[*slot as usize]),
-                    Place::Mem { space, buffer, .. } => {
-                        let (space, buffer) = (*space, *buffer);
-                        let conv = self.mem.with_elem_type(space, buffer, Conv::of)?;
-                        match (conv, value) {
-                            (Conv::Pointer, Value::UntypedAlloc { bytes }) => {
-                                let ty = self.mem.elem_type(space, buffer)?;
-                                self.typed_alloc(bytes, &ty)
-                            }
-                            (conv, value) => conv.apply(value),
-                        }
-                    }
-                    _ => value,
-                };
-                self.write_place(frame, &place, value.clone())?;
-                Ok(value)
-            }
-            RExpr::Ternary(cond, then, els) => {
-                if self.eval(frame, cond)?.truthy() {
-                    self.eval(frame, then)
-                } else {
-                    self.eval(frame, els)
+                    $(BinOp::$op => with_operands!(a, b, |x, y| arith(op, x, y, $op)),)*
                 }
             }
-            RExpr::Call(call) => self.eval_call(frame, call),
-            RExpr::Launch(launch) => self.cuda_launch(frame, launch),
-            RExpr::Index(base, index) => {
-                let p = self.element(frame, base, index)?;
-                Ok(self.mem.load(frame.space, p.space, p.buffer, p.offset)?)
-            }
-            RExpr::Member(base, arrow, field) => {
-                let bv = self.eval(frame, base)?;
-                let sv = if *arrow {
-                    match bv {
-                        Value::Ptr(p) => self
-                            .mem
-                            .load(frame.space, p.space, p.buffer, p.offset)
-                            .map_err(Interrupt::from)?,
-                        Value::Null => {
-                            return Err(RuntimeError::illegal("null pointer dereference").into())
-                        }
-                        other => {
-                            return Err(type_err(format!(
-                                "'->' on non-pointer {}",
-                                other.type_name()
-                            ))
-                            .into())
-                        }
-                    }
-                } else {
-                    bv
-                };
-                let member = &field.name;
-                match sv {
-                    Value::Dim3(d) => match &**member {
-                        "x" => Ok(Value::Int(d.x as i64)),
-                        "y" => Ok(Value::Int(d.y as i64)),
-                        "z" => Ok(Value::Int(d.z as i64)),
-                        other => Err(type_err(format!("no member '{other}' in dim3")).into()),
-                    },
-                    Value::Struct(mut s) => {
-                        let idx = self.field_index(&s, field, "")?;
-                        Ok(std::mem::take(&mut s.fields[idx]))
-                    }
-                    other => Err(type_err(format!(
-                        "member access '{member}' on {}",
-                        other.type_name()
-                    ))
-                    .into()),
-                }
-            }
-            RExpr::Cast(ty, expr) => {
-                let v = self.eval(frame, expr)?;
-                Ok(self.coerce(v, ty))
-            }
-            RExpr::SizeOfValue(inner) => {
-                let v = self.eval(frame, inner)?;
-                let size: usize = match &v {
-                    Value::Int(_) => 4,
-                    Value::Float(_) => 8,
-                    Value::Bool(_) => 1,
-                    Value::Ptr(_) | Value::Null | Value::UntypedAlloc { .. } => 8,
-                    Value::Struct(s) => self.layout(&s.name).map_or(8, |l| l.fields_size),
-                    _ => 8,
-                };
-                Ok(Value::Int(size as i64))
-            }
-            RExpr::Lambda(lambda) => Ok(Value::Lambda(Box::new(Closure {
-                captures: lambda
-                    .captures
-                    .iter()
-                    .map(|(outer, _)| frame.slots[*outer as usize].clone())
-                    .collect(),
-                lambda: lambda.clone(),
-            }))),
-        }
-    }
 
+            pub(super) fn numeric(op: BinOp) -> fn(&Value, &Value) -> Option<Value> {
+                match op {
+                    $(BinOp::$op => $op,)*
+                }
+            }
+
+            pub(super) fn applied(op: BinOp) -> Apply {
+                match op {
+                    $(BinOp::$op => |a, b| $op(a, b).map_or_else(|| apply_binop(BinOp::$op, a, b), Ok),)*
+                }
+            }
+        }
+    };
+}
+
+operators! {
+    Add: |x, y| Some(Value::Int(x.wrapping_add(y))), Some(Value::Float(x + y));
+    Sub: |x, y| Some(Value::Int(x.wrapping_sub(y))), Some(Value::Float(x - y));
+    Mul: |x, y| Some(Value::Int(x.wrapping_mul(y))), Some(Value::Float(x * y));
+    Div: |x, y| (y != 0).then(|| Value::Int(x.wrapping_div(y))), Some(Value::Float(x / y));
+    Rem: |x, y| (y != 0).then(|| Value::Int(x.wrapping_rem(y))), Some(Value::Float(x % y));
+    Shl: |x, y| Some(Value::Int(x.wrapping_shl(y as u32 & 63))), None;
+    Shr: |x, y| Some(Value::Int((x as u64 >> (y as u32 & 63)) as i64)), None;
+    BitAnd: |x, y| Some(Value::Int(x & y)), None;
+    BitOr: |x, y| Some(Value::Int(x | y)), None;
+    BitXor: |x, y| Some(Value::Int(x ^ y)), None;
+    Lt: |x, y| Some(Value::Bool(x < y)), Some(Value::Bool(x < y));
+    Gt: |x, y| Some(Value::Bool(x > y)), Some(Value::Bool(x > y));
+    Le: |x, y| Some(Value::Bool(x <= y)), Some(Value::Bool(x <= y));
+    Ge: |x, y| Some(Value::Bool(x >= y)), Some(Value::Bool(x >= y));
+    Eq: |x, y| Some(Value::Bool(x == y)), Some(Value::Bool(x == y));
+    Ne: |x, y| Some(Value::Bool(x != y)), Some(Value::Bool(x != y));
+    And: |x, y| Some(Value::Bool(x != 0 && y != 0)), Some(Value::Bool(x != 0.0 && y != 0.0));
+    Or: |x, y| Some(Value::Bool(x != 0 || y != 0)), Some(Value::Bool(x != 0.0 || y != 0.0));
+}
+
+/// `lhs = rhs` or `lhs op= rhs`: the right side is evaluated first, then
+/// the place; the value stored is the expression's value.
+pub(crate) fn assign(op: Option<Apply>, place: PlaceFn, rhs: ExprFn) -> ExprFn {
+    lower(move |i, f| {
+        let rhs = rhs(i, f)?;
+        let place = place(i, f)?;
+        let value = match op {
+            Some(apply) => apply(&i.read_place(f, &place)?, &rhs)?,
+            None => rhs,
+        };
+        // Coerce to the declared type of locals so that `double x; x = 1;`
+        // stores a float.
+        let value = match &place {
+            Place::Local(slot) => i.coerce_to(value, &f.vars[*slot as usize]),
+            Place::Mem { space, buffer, .. } => i.coerce_elem(*space, *buffer, value)?,
+            _ => value,
+        };
+        i.write_place(f, &place, value.clone())?;
+        Ok(value)
+    })
+}
+
+/// [`assign`] to a local slot of declared type `to`.
+pub(crate) fn assign_local(
+    op: Option<Apply>,
+    slot: u32,
+    to: Option<Rc<Declared>>,
+    rhs: ExprFn,
+) -> ExprFn {
+    lower(move |i, f| {
+        let rhs = rhs(i, f)?;
+        let s = slot as usize;
+        let value = match op {
+            Some(apply) => apply(&f.slots[s], &rhs)?,
+            None => rhs,
+        };
+        let value = match &to {
+            Some(to) => i.coerce(value, to),
+            None => value,
+        };
+        if f.watch.is_some() {
+            i.record_watched_write(f, &Place::Local(slot));
+        }
+        overwrite(&mut f.slots[s], value.clone());
+        Ok(value)
+    })
+}
+
+pub(crate) fn ternary(cond: ExprFn, then: ExprFn, els: ExprFn) -> ExprFn {
+    lower(move |i, f| {
+        if cond(i, f)?.truthy() {
+            then(i, f)
+        } else {
+            els(i, f)
+        }
+    })
+}
+
+/// The element `base[index]` addresses.
+fn element(base: Value, index: Value) -> IResult<Pointer> {
+    let idx = match index {
+        Value::Int(n) => n,
+        other => other
+            .as_int()
+            .ok_or_else(|| type_err("array index must be an integer"))?,
+    };
+    match base {
+        Value::Ptr(p) => {
+            let off = p.offset as i64 + idx;
+            if off < 0 {
+                return Err(RuntimeError::oob(format!("negative effective index {off}")).into());
+            }
+            Ok(Pointer {
+                offset: off as usize,
+                ..p
+            })
+        }
+        Value::Null => Err(RuntimeError::illegal("null pointer indexed").into()),
+        other => Err(type_err(format!("subscripted value has type {}", other.type_name())).into()),
+    }
+}
+
+/// `base[index]`.
+pub(crate) fn index(base: Operand, index: Operand) -> ExprFn {
+    fn load<A: Arg, B: Arg>(base: A, index: B) -> ExprFn {
+        lower(move |i, f| {
+            let b = base.get(i, f)?;
+            let p = element(b, index.get(i, f)?)?;
+            Ok(i.mem.load(f.space, p.space, p.buffer, p.offset)?)
+        })
+    }
+    with_operands!(base, index, |b, x| load(b, x))
+}
+
+/// [`assign`] to `base[index]`.
+pub(crate) fn assign_index(
+    op: Option<Apply>,
+    base: Operand,
+    index: Operand,
+    rhs: ExprFn,
+) -> ExprFn {
+    fn store<A: Arg, B: Arg>(op: Option<Apply>, base: A, index: B, rhs: ExprFn) -> ExprFn {
+        lower(move |i, f| {
+            let rhs = rhs(i, f)?;
+            let b = base.get(i, f)?;
+            let p = element(b, index.get(i, f)?)?;
+            let value = match op {
+                Some(apply) => {
+                    let old = i.mem.load(f.space, p.space, p.buffer, p.offset)?;
+                    apply(&old, &rhs)?
+                }
+                None => rhs,
+            };
+            let value = i.coerce_elem(p.space, p.buffer, value)?;
+            let stored = value.clone();
+            i.mem
+                .store(f.space, p.space, p.buffer, p.offset, stored, f.thread)?;
+            Ok(value)
+        })
+    }
+    with_operands!(base, index, |b, x| store(op, b, x, rhs))
+}
+
+/// `base[index]` as an assignment target.
+pub(crate) fn index_place(base: ExprFn, index: ExprFn) -> PlaceFn {
+    lower(move |i, f| {
+        let b = base(i, f)?;
+        Ok(Place::mem(element(b, index(i, f)?)?))
+    })
+}
+
+/// `base.field`, or `base->field` when `arrow`.
+pub(crate) fn member(base: ExprFn, arrow: bool, field: FieldName) -> ExprFn {
+    lower(move |i, f| {
+        let bv = base(i, f)?;
+        let sv = if arrow {
+            match bv {
+                Value::Ptr(p) => i.mem.load(f.space, p.space, p.buffer, p.offset)?,
+                Value::Null => return Err(RuntimeError::illegal("null pointer dereference").into()),
+                other => {
+                    let msg = format!("'->' on non-pointer {}", other.type_name());
+                    return Err(type_err(msg).into());
+                }
+            }
+        } else {
+            bv
+        };
+        let member = &field.name;
+        match sv {
+            Value::Dim3(d) => match &**member {
+                "x" => Ok(Value::Int(d.x as i64)),
+                "y" => Ok(Value::Int(d.y as i64)),
+                "z" => Ok(Value::Int(d.z as i64)),
+                other => Err(type_err(format!("no member '{other}' in dim3")).into()),
+            },
+            Value::Struct(mut s) => {
+                let idx = i.field_index(&s, &field, "")?;
+                Ok(std::mem::take(&mut s.fields[idx]))
+            }
+            other => {
+                let msg = format!("member access '{member}' on {}", other.type_name());
+                Err(type_err(msg).into())
+            }
+        }
+    })
+}
+
+/// A field of the struct at `base` (already dereferenced for `->`), as an
+/// assignment target.
+pub(crate) fn member_place(base: PlaceFn, field: FieldName) -> PlaceFn {
+    lower(move |i, f| {
+        let base = base(i, f)?;
+        let sv = i.read_place(f, &base)?;
+        let Value::Struct(s) = &sv else {
+            return Err(type_err(format!(
+                "member access '{}' on non-struct {}",
+                field.name,
+                sv.type_name()
+            ))
+            .into());
+        };
+        let idx = i.field_index(s, &field, "struct ")?;
+        Ok(Place::Field(Box::new(base), idx))
+    })
+}
+
+/// A Kokkos view element as an assignment target: `v(i) = x;`.
+pub(crate) fn view_element(slot: u32, args: Vec<ExprFn>) -> PlaceFn {
+    lower(move |i, f| {
+        if let Value::View(h) = &f.slots[slot as usize] {
+            let h = h.clone();
+            return i.view_place(f, &h, &args);
+        }
+        Err(type_err("call expression is not assignable").into())
+    })
+}
+
+pub(crate) fn cast(to: Declared, e: ExprFn) -> ExprFn {
+    lower(move |i, f| {
+        let v = e(i, f)?;
+        Ok(i.coerce(v, &to))
+    })
+}
+
+/// `sizeof expr` where no declared type applies: sized by value.
+pub(crate) fn size_of_value(e: ExprFn) -> ExprFn {
+    lower(move |i, f| {
+        let size: usize = match &e(i, f)? {
+            Value::Int(_) => 4,
+            Value::Float(_) => 8,
+            Value::Bool(_) => 1,
+            Value::Ptr(_) | Value::Null | Value::UntypedAlloc { .. } => 8,
+            Value::Struct(s) => i.layout(&s.name).map_or(8, |l| l.fields_size),
+            _ => 8,
+        };
+        Ok(Value::Int(size as i64))
+    })
+}
+
+/// A lambda expression: a closure value over the captured slots.
+pub(crate) fn lambda(lambda: Rc<Lambda>) -> ExprFn {
+    lower(move |_, f| {
+        Ok(Value::Lambda(Box::new(Closure {
+            captures: lambda
+                .captures
+                .iter()
+                .map(|(outer, _)| f.slots[*outer as usize].clone())
+                .collect(),
+            lambda: lambda.clone(),
+        })))
+    })
+}
+
+impl<'p> Interp<'p> {
     /// The index of `field` in struct value `s`. `within` is the error
     /// message's article: "" for reads, "struct " for places.
     fn field_index(&self, s: &StructVal, field: &FieldName, within: &str) -> IResult<usize> {
@@ -182,243 +667,29 @@ impl<'p> Interp<'p> {
             })
     }
 
-    fn eval_name(&self, frame: &Frame, name: &Name) -> IResult<Value> {
-        match name {
-            Name::Local(slot) => Ok(frame.slots[*slot as usize].clone()),
-            Name::Global(g) => Ok(self.globals.borrow()[*g as usize].clone()),
-            Name::Mapped { slot, global } => match &frame.slots[*slot as usize] {
-                Value::Void => Ok(self.globals.borrow()[*global as usize].clone()),
-                v => Ok(v.clone()),
-            },
-            Name::Cuda(dim, global, name) => {
-                if let Some(ctx) = frame.cuda {
-                    return Ok(Value::Dim3(match dim {
-                        CudaDim::ThreadIdx => ctx.thread_idx,
-                        CudaDim::BlockIdx => ctx.block_idx,
-                        CudaDim::BlockDim => ctx.block_dim,
-                        CudaDim::GridDim => ctx.grid_dim,
-                    }));
-                }
-                match global {
-                    Some(g) => Ok(self.globals.borrow()[*g as usize].clone()),
-                    None => Err(unbound(name)),
-                }
+    /// A value converted to the element type of a buffer it is stored in.
+    fn coerce_elem(&self, space: Space, buffer: usize, value: Value) -> IResult<Value> {
+        let conv = self.mem.with_elem_type(space, buffer, Conv::of)?;
+        Ok(match (conv, value) {
+            (Conv::Pointer, Value::UntypedAlloc { bytes }) => {
+                let ty = self.mem.elem_type(space, buffer)?;
+                self.typed_alloc(bytes, &ty)
             }
-            Name::Const(v, _) => Ok(v.clone()),
-            Name::Unbound(name) => Err(unbound(name)),
-        }
+            (conv, value) => conv.apply(value),
+        })
     }
 
-    /// The variable a name denotes as an assignment target.
-    pub(super) fn name_place(&self, frame: &Frame, name: &Name) -> Place {
-        match name {
-            Name::Local(slot) => Place::Local(*slot),
-            Name::Global(g) | Name::Cuda(_, Some(g), _) => Place::Global(*g),
-            Name::Mapped { slot, global } => match frame.slots[*slot as usize] {
-                Value::Void => Place::Global(*global),
-                _ => Place::Local(*slot),
-            },
-            Name::Cuda(_, None, name) | Name::Const(_, name) | Name::Unbound(name) => {
-                Place::Unbound(name.clone())
-            }
-        }
-    }
-
-    fn eval_unary(&self, frame: &mut Frame, op: UnaryOp, inner: &RExpr) -> IResult<Value> {
-        match op {
-            UnaryOp::Neg => {
-                let v = self.eval(frame, inner)?;
-                match v {
-                    Value::Int(n) => Ok(Value::Int(-n)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    Value::Bool(b) => Ok(Value::Int(-i64::from(b))),
-                    other => Err(type_err(format!("cannot negate {}", other.type_name())).into()),
-                }
-            }
-            UnaryOp::Not => Ok(Value::Bool(!self.eval(frame, inner)?.truthy())),
-            UnaryOp::BitNot => {
-                let n = self
-                    .eval(frame, inner)?
-                    .as_int()
-                    .ok_or_else(|| type_err("operator ~ requires an integer"))?;
-                Ok(Value::Int(!n))
-            }
-            UnaryOp::Deref => {
-                let place = self.resolve_deref(frame, inner)?;
-                self.read_place(frame, &place)
-            }
-            UnaryOp::AddrOf => {
-                // `&lvalue` is meaningful for memory places only.
-                let place = self.resolve_place(frame, inner)?;
-                let elem = match place {
-                    Place::Mem {
-                        space,
-                        buffer,
-                        index,
-                    } => {
-                        return Ok(Value::Ptr(Pointer {
-                            space,
-                            buffer,
-                            offset: index,
-                        }))
-                    }
-                    Place::Field(..) => {
-                        return Err(type_err("cannot take the address of a struct field").into())
-                    }
-                    Place::Local(slot) => {
-                        frame.vars[slot as usize].ty.as_ref().map(|d| d.ty.clone())
-                    }
-                    Place::Global(_) | Place::Unbound(_) => None,
-                };
-                // Taking the address of a variable: MiniHPC copies it into
-                // a 1-element buffer and leaves the variable as it is
-                // (value semantics). Supported uses are call-by-pointer
-                // out-params, handled by builtins.
-                let current = self.read_place(frame, &place)?;
-                let elem = elem.unwrap_or(Type::Scalar(ScalarType::Long));
-                let buf = self.alloc_with(frame.space, elem, vec![current]);
-                Ok(Value::Ptr(Pointer {
-                    space: frame.space,
-                    buffer: buf,
-                    offset: 0,
-                }))
-            }
-            UnaryOp::PreInc | UnaryOp::PreDec | UnaryOp::PostInc | UnaryOp::PostDec => {
-                let place = self.resolve_place(frame, inner)?;
-                let old = self.read_place(frame, &place)?;
-                let delta = if matches!(op, UnaryOp::PreInc | UnaryOp::PostInc) {
-                    1
-                } else {
-                    -1
-                };
-                let new = match &old {
-                    Value::Int(n) => Value::Int(n + delta),
-                    Value::Float(f) => Value::Float(f + delta as f64),
-                    Value::Ptr(p) => {
-                        let off = p.offset as i64 + delta;
-                        if off < 0 {
-                            return Err(RuntimeError::oob(
-                                "pointer decremented below buffer start",
-                            )
-                            .into());
-                        }
-                        Value::Ptr(Pointer {
-                            offset: off as usize,
-                            ..*p
-                        })
-                    }
-                    other => {
-                        return Err(
-                            type_err(format!("cannot increment {}", other.type_name())).into()
-                        )
-                    }
-                };
-                self.write_place(frame, &place, new.clone())?;
-                Ok(if matches!(op, UnaryOp::PostInc | UnaryOp::PostDec) {
-                    old
-                } else {
-                    new
-                })
-            }
-        }
-    }
-
-    fn resolve_deref(&self, frame: &mut Frame, ptr_expr: &RExpr) -> IResult<Place> {
-        let v = self.eval(frame, ptr_expr)?;
-        match v {
-            Value::Ptr(p) => Ok(Place::Mem {
-                space: p.space,
-                buffer: p.buffer,
-                index: p.offset,
-            }),
-            Value::Null => Err(RuntimeError::illegal("null pointer dereference").into()),
-            other => {
-                Err(type_err(format!("cannot dereference {} value", other.type_name())).into())
-            }
-        }
-    }
-
-    /// Resolve an expression to an assignable place.
-    pub(super) fn resolve_place(&self, frame: &mut Frame, e: &RExpr) -> IResult<Place> {
-        match e {
-            RExpr::Var(name) => Ok(self.name_place(frame, name)),
-            RExpr::Unary(UnaryOp::Deref, expr) => self.resolve_deref(frame, expr),
-            RExpr::Index(base, index) => {
-                let p = self.element(frame, base, index)?;
-                Ok(Place::Mem {
-                    space: p.space,
-                    buffer: p.buffer,
-                    index: p.offset,
-                })
-            }
-            RExpr::Member(base, arrow, field) => {
-                let base_place = if *arrow {
-                    self.resolve_deref(frame, base)?
-                } else {
-                    self.resolve_place(frame, base)?
-                };
-                let sv = self.read_place(frame, &base_place)?;
-                let Value::Struct(s) = &sv else {
-                    return Err(type_err(format!(
-                        "member access '{}' on non-struct {}",
-                        field.name,
-                        sv.type_name()
-                    ))
-                    .into());
-                };
-                let idx = self.field_index(s, field, "struct ")?;
-                Ok(Place::Field(Box::new(base_place), idx))
-            }
-            // Kokkos view element as lvalue: `v(i) = x;`
-            RExpr::Call(call) => {
-                if let Some(slot) = call.view {
-                    if let Value::View(h) = &frame.slots[slot as usize] {
-                        let h = h.clone();
-                        return self.view_place(frame, &h, &call.args);
-                    }
-                }
-                Err(type_err("call expression is not assignable").into())
-            }
-            _ => Err(type_err("expression is not assignable").into()),
-        }
-    }
-
-    /// The element `base[index]` addresses.
-    fn element(&self, frame: &mut Frame, base: &RExpr, index: &RExpr) -> IResult<Pointer> {
-        let base_v = self.eval(frame, base)?;
-        let idx = self
-            .eval(frame, index)?
-            .as_int()
-            .ok_or_else(|| type_err("array index must be an integer"))?;
-        match base_v {
-            Value::Ptr(p) => {
-                let off = p.offset as i64 + idx;
-                if off < 0 {
-                    return Err(RuntimeError::oob(format!("negative effective index {off}")).into());
-                }
-                Ok(Pointer {
-                    offset: off as usize,
-                    ..p
-                })
-            }
-            Value::Null => Err(RuntimeError::illegal("null pointer indexed").into()),
-            other => {
-                Err(type_err(format!("subscripted value has type {}", other.type_name())).into())
-            }
-        }
-    }
-
+    /// The element `v(i, j)` of view `h` addresses.
     pub(super) fn view_place(
         &self,
         frame: &mut Frame,
         h: &ViewHandle,
-        args: &[RExpr],
+        args: &[ExprFn],
     ) -> IResult<Place> {
         // Rank 1 and 2 indices stay on the stack.
         let (mut short, mut long) = ([0i64; 2], Vec::new());
         for (i, a) in args.iter().enumerate() {
-            let v = self
-                .eval(frame, a)?
+            let v = a(self, frame)?
                 .as_int()
                 .ok_or_else(|| type_err("view index must be an integer"))?;
             if i < 2 {
@@ -458,10 +729,7 @@ impl<'p> Interp<'p> {
                 space,
                 buffer,
                 index,
-            } => self
-                .mem
-                .load(frame.space, *space, *buffer, *index)
-                .map_err(Interrupt::from),
+            } => Ok(self.mem.load(frame.space, *space, *buffer, *index)?),
             Place::Field(base, idx) => {
                 let v = self.read_place(frame, base)?;
                 match v {
@@ -475,32 +743,35 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// Shared-write recording (opt-in): a write to the watched region's
+    /// shared snapshot — or to a global — is a write to state every
+    /// worker sees.
+    fn record_watched_write(&self, frame: &Frame, place: &Place) {
+        let Some(watch) = &frame.watch else {
+            return;
+        };
+        let name = match place {
+            Place::Local(slot) if (*slot as usize) < frame.watch_base => {
+                &*frame.vars[*slot as usize].name
+            }
+            Place::Global(g) => &*self.prog.globals[*g as usize].name,
+            Place::Unbound(name) => &**name,
+            _ => return,
+        };
+        if !watch.exempt.iter().any(|e| e == name) {
+            self.mem
+                .detector
+                .record_shared_write(watch.region, name, frame.thread);
+        }
+    }
+
     pub(super) fn write_place(
         &self,
         frame: &mut Frame,
         place: &Place,
         value: Value,
     ) -> IResult<()> {
-        // Shared-write recording (opt-in): a write to the region's shared
-        // snapshot — or to a global — is a write to state every worker
-        // sees.
-        if let Some(watch) = &frame.watch {
-            let name = match place {
-                Place::Local(slot) if (*slot as usize) < frame.watch_base => {
-                    Some(&*frame.vars[*slot as usize].name)
-                }
-                Place::Global(g) => Some(&*self.prog.globals[*g as usize].name),
-                Place::Unbound(name) => Some(&**name),
-                _ => None,
-            };
-            if let Some(name) = name {
-                if !watch.exempt.iter().any(|e| e == name) {
-                    self.mem
-                        .detector
-                        .record_shared_write(watch.region, name, frame.thread);
-                }
-            }
-        }
+        self.record_watched_write(frame, place);
         match place {
             Place::Local(slot) => {
                 frame.slots[*slot as usize] = value;
@@ -517,10 +788,9 @@ impl<'p> Interp<'p> {
                 space,
                 buffer,
                 index,
-            } => self
+            } => Ok(self
                 .mem
-                .store(frame.space, *space, *buffer, *index, value, frame.thread)
-                .map_err(Interrupt::from),
+                .store(frame.space, *space, *buffer, *index, value, frame.thread)?),
             Place::Field(base, idx) => {
                 let current = self.read_place(frame, base)?;
                 match current {
@@ -539,64 +809,32 @@ impl<'p> Interp<'p> {
     }
 }
 
-/// The value of a local or a literal, without copying it.
-fn peek<'f>(frame: &'f Frame, e: &'f RExpr) -> Option<&'f Value> {
-    match e {
-        RExpr::Lit(v) => Some(v),
-        RExpr::Var(Name::Local(slot)) => Some(&frame.slots[*slot as usize]),
-        _ => None,
-    }
-}
-
 fn unbound(name: &str) -> Interrupt {
     type_err(format!("use of unbound identifier '{name}' at run time")).into()
 }
 
-/// Apply a binary operator to two values with C-like promotion.
+/// Apply a binary operator to two values with C-like promotion. Kept out
+/// of line: it is the slow path of every operator closure.
+#[inline(never)]
 pub(super) fn apply_binop(op: BinOp, a: &Value, b: &Value) -> RtResult<Value> {
     use BinOp::*;
-    let both_int =
-        matches!(a, Value::Int(_) | Value::Bool(_)) && matches!(b, Value::Int(_) | Value::Bool(_));
-    if both_int {
-        let x = a.as_int().unwrap();
-        let y = b.as_int().unwrap();
-        let v = match op {
-            Add => Value::Int(x.wrapping_add(y)),
-            Sub => Value::Int(x.wrapping_sub(y)),
-            Mul => Value::Int(x.wrapping_mul(y)),
-            Div => {
-                if y == 0 {
-                    return Err(RuntimeError::new(
-                        RuntimeErrorKind::DivByZero,
-                        "integer division by zero",
-                    ));
-                }
-                Value::Int(x.wrapping_div(y))
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(RuntimeError::new(
-                        RuntimeErrorKind::DivByZero,
-                        "integer modulo by zero",
-                    ));
-                }
-                Value::Int(x.wrapping_rem(y))
-            }
-            Shl => Value::Int(x.wrapping_shl(y as u32 & 63)),
-            Shr => Value::Int((x as u64 >> (y as u32 & 63)) as i64),
-            BitAnd => Value::Int(x & y),
-            BitOr => Value::Int(x | y),
-            BitXor => Value::Int(x ^ y),
-            Lt => Value::Bool(x < y),
-            Gt => Value::Bool(x > y),
-            Le => Value::Bool(x <= y),
-            Ge => Value::Bool(x >= y),
-            Eq => Value::Bool(x == y),
-            Ne => Value::Bool(x != y),
-            And => Value::Bool(x != 0 && y != 0),
-            Or => Value::Bool(x != 0 || y != 0),
-        };
+    let numeric = operators::numeric(op);
+    if let Some(v) = numeric(a, b) {
         return Ok(v);
+    }
+    let int = |v: &Value| matches!(v, Value::Int(_) | Value::Bool(_));
+    if int(a) && int(b) {
+        let (x, y) = (
+            Value::Int(a.as_int().unwrap()),
+            Value::Int(b.as_int().unwrap()),
+        );
+        return numeric(&x, &y).ok_or_else(|| {
+            let what = if op == Div { "division" } else { "modulo" };
+            RuntimeError::new(
+                RuntimeErrorKind::DivByZero,
+                format!("integer {what} by zero"),
+            )
+        });
     }
 
     // Pointer arithmetic and comparison (no pattern matches two numbers).
@@ -659,28 +897,12 @@ pub(super) fn apply_binop(op: BinOp, a: &Value, b: &Value) -> RtResult<Value> {
             b.type_name()
         )));
     };
-    let v = match op {
-        Add => Value::Float(x + y),
-        Sub => Value::Float(x - y),
-        Mul => Value::Float(x * y),
-        Div => Value::Float(x / y), // IEEE semantics: inf/nan like C
-        Rem => Value::Float(x % y),
-        Lt => Value::Bool(x < y),
-        Gt => Value::Bool(x > y),
-        Le => Value::Bool(x <= y),
-        Ge => Value::Bool(x >= y),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        And => Value::Bool(x != 0.0 && y != 0.0),
-        Or => Value::Bool(x != 0.0 || y != 0.0),
-        Shl | Shr | BitAnd | BitOr | BitXor => {
-            return Err(type_err(format!(
-                "bitwise operator '{}' requires integer operands",
-                op.symbol()
-            )))
-        }
-    };
-    Ok(v)
+    numeric(&Value::Float(x), &Value::Float(y)).ok_or_else(|| {
+        type_err(format!(
+            "bitwise operator '{}' requires integer operands",
+            op.symbol()
+        ))
+    })
 }
 
 #[cfg(test)]

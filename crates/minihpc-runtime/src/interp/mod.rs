@@ -122,7 +122,7 @@ impl RunResult {
 }
 
 /// Internal control signals.
-enum Interrupt {
+pub(crate) enum Interrupt {
     /// Boxed, so results on the evaluation path stay small.
     Rt(Box<RuntimeError>),
     Exit(i64),
@@ -134,19 +134,42 @@ impl From<RuntimeError> for Interrupt {
     }
 }
 
-type IResult<T> = Result<T, Interrupt>;
+pub(crate) type IResult<T> = Result<T, Interrupt>;
 
-enum Flow {
+/// How a statement ended. A `return` leaves its value in [`Frame::ret`],
+/// so a statement's result stays two words wide.
+#[derive(Clone, Copy)]
+pub(crate) enum Flow {
     Normal,
     Break,
     Continue,
-    Return(Value),
+    Return,
+}
+
+/// A lowered node: the resolve pass builds one closure per node, and
+/// each calls its children's closures directly.
+pub(crate) type Lowered<T> = Box<dyn Fn(&Interp<'_>, &mut Frame<'_>) -> IResult<T>>;
+pub(crate) type ExprFn = Lowered<Value>;
+/// A lowered statement. It charges its own step.
+pub(crate) type StmtFn = Lowered<Flow>;
+/// A lowered assignment target.
+pub(crate) type PlaceFn = Lowered<Place>;
+/// A lowered statement that can be shared: a `for` loop's body, which a
+/// canonical OpenMP loop nest also runs on its own.
+pub(crate) type SharedStmt = Rc<dyn Fn(&Interp<'_>, &mut Frame<'_>) -> IResult<Flow>>;
+/// A lowered block's statements.
+pub(crate) type Block = Box<[StmtFn]>;
+
+pub(crate) fn lower<T>(
+    f: impl Fn(&Interp<'_>, &mut Frame<'_>) -> IResult<T> + 'static,
+) -> Lowered<T> {
+    Box::new(f)
 }
 
 /// Per-execution-context state (one per logical thread): the slots of
 /// one function or lambda activation.
-struct Frame<'p> {
-    slots: Vec<Value>,
+pub(crate) struct Frame<'p> {
+    pub(crate) slots: Vec<Value>,
     /// Name and declared type of each slot.
     vars: &'p [SlotVar],
     space: Space,
@@ -160,6 +183,8 @@ struct Frame<'p> {
     /// Slots below this hold the region's shared snapshot on worker
     /// frames; 0 everywhere else (a callee's slots are all private).
     watch_base: usize,
+    /// The value of the `return` that ended the body, if one did.
+    ret: Value,
 }
 
 /// One watched parallel region (see [`RunConfig::record_shared_writes`]).
@@ -192,6 +217,7 @@ impl<'p> Frame<'p> {
             depth,
             watch: None,
             watch_base: 0,
+            ret: Value::Void,
         }
     }
 }
@@ -215,8 +241,8 @@ pub struct Interp<'p> {
     regions: Cell<u64>,
 }
 
-/// Run a linked executable to completion: resolve it, then execute the
-/// resolved tree.
+/// Run a linked executable to completion: lower it to closures, then call
+/// `main`'s.
 pub fn run(exe: &Executable, config: RunConfig) -> RunResult {
     let prog = resolve(exe);
     let detect = config.detect_races;
@@ -272,10 +298,11 @@ impl<'p> Interp<'p> {
             depth: 0,
             watch: None,
             watch_base: 0,
+            ret: Value::Void,
         };
         // Initialise globals.
         for (i, g) in self.prog.globals.iter().enumerate() {
-            let value = self.decl_value(&mut frame, &g.init)?;
+            let value = (g.init)(self, &mut frame)?;
             self.globals.borrow_mut()[i] = value;
         }
         let main = self
@@ -338,19 +365,26 @@ impl<'p> Interp<'p> {
         self.mem.alloc(space, elem, len, zero)
     }
 
+    /// Charge one step: each statement, and each loop iteration.
+    #[inline(always)]
     fn step(&self) -> IResult<()> {
         let n = self.steps.get();
         self.steps.set(n + 1);
         if n >= self.config.max_steps {
-            return Err(Interrupt::from(RuntimeError::new(
-                RuntimeErrorKind::StepLimit,
-                format!(
-                    "step limit of {} exceeded (runaway loop?)",
-                    self.config.max_steps
-                ),
-            )));
+            return Err(self.step_limit());
         }
         Ok(())
+    }
+
+    #[cold]
+    fn step_limit(&self) -> Interrupt {
+        Interrupt::from(RuntimeError::new(
+            RuntimeErrorKind::StepLimit,
+            format!(
+                "step limit of {} exceeded (runaway loop?)",
+                self.config.max_steps
+            ),
+        ))
     }
 
     /// A device region of `logical_threads` threads ran.
@@ -381,10 +415,6 @@ impl<'p> Interp<'p> {
         self.prog.layouts.size_of(ty)
     }
 
-    // ------------------------------------------------------------------
-    // Statements
-    // ------------------------------------------------------------------
-
     /// Call `f` with `slots` from [`Interp::slots`], the arguments
     /// already in the parameter slots.
     fn call_function(
@@ -414,7 +444,7 @@ impl<'p> Interp<'p> {
         let flow = self.exec_block(&mut frame, body)?;
         self.recycle(frame.slots);
         match flow {
-            Flow::Return(v) => Ok(v),
+            Flow::Return => Ok(frame.ret),
             _ => Ok(Value::Void),
         }
     }
@@ -442,9 +472,9 @@ impl<'p> Interp<'p> {
         self.spare.borrow_mut().push(slots);
     }
 
-    fn exec_block(&self, frame: &mut Frame, b: &RBlock) -> IResult<Flow> {
-        for s in &b.stmts {
-            let flow = self.exec_stmt(frame, s)?;
+    fn exec_block(&self, frame: &mut Frame, stmts: &[StmtFn]) -> IResult<Flow> {
+        for s in stmts {
+            let flow = s(self, frame)?;
             if !matches!(flow, Flow::Normal) {
                 return Ok(flow);
             }
@@ -452,159 +482,8 @@ impl<'p> Interp<'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&self, frame: &mut Frame, s: &RStmt) -> IResult<Flow> {
-        self.step()?;
-        match s {
-            RStmt::Decl(slot, init) => {
-                frame.slots[*slot as usize] = self.decl_value(frame, init)?;
-                Ok(Flow::Normal)
-            }
-            RStmt::Expr(e) => {
-                self.eval(frame, e)?;
-                Ok(Flow::Normal)
-            }
-            RStmt::If(cond, then, els) => {
-                if self.eval(frame, cond)?.truthy() {
-                    self.exec_stmt(frame, then)
-                } else if let Some(els) = els {
-                    self.exec_stmt(frame, els)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            RStmt::While(cond, body) => {
-                while self.eval(frame, cond)?.truthy() {
-                    self.step()?;
-                    match self.exec_stmt(frame, body)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        _ => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::For(f) => {
-                if let Some(i) = &f.init {
-                    self.exec_stmt(frame, i)?;
-                }
-                loop {
-                    if let Some(c) = &f.cond {
-                        if !self.eval(frame, c)?.truthy() {
-                            return Ok(Flow::Normal);
-                        }
-                    }
-                    self.step()?;
-                    match self.exec_stmt(frame, &f.body)? {
-                        Flow::Break => return Ok(Flow::Normal),
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        _ => {}
-                    }
-                    if let Some(st) = &f.step {
-                        self.eval(frame, st)?;
-                    }
-                }
-            }
-            RStmt::Return(e) => {
-                let v = match e {
-                    Some(e) => self.eval(frame, e)?,
-                    None => Value::Void,
-                };
-                Ok(Flow::Return(v))
-            }
-            RStmt::Break => Ok(Flow::Break),
-            RStmt::Continue => Ok(Flow::Continue),
-            RStmt::Block(b) => self.exec_block(frame, b),
-            RStmt::Omp(omp) => self.exec_omp(frame, omp),
-            RStmt::Empty => Ok(Flow::Normal),
-        }
-    }
-
-    fn decl_value(&self, frame: &mut Frame, init: &DeclInit) -> IResult<Value> {
-        match init {
-            // Fixed-size arrays allocate a buffer in the current space.
-            DeclInit::Array {
-                dims,
-                elem,
-                zero,
-                list,
-            } => {
-                let mut len = 1usize;
-                for dim in dims {
-                    let n = self
-                        .eval(frame, dim)?
-                        .as_int()
-                        .filter(|n| *n >= 0)
-                        .ok_or_else(|| {
-                            type_err("array dimension must be a non-negative integer")
-                        })?;
-                    len *= n as usize;
-                }
-                let buf = self.mem.alloc(frame.space, elem.clone(), len, zero.clone());
-                for (i, e) in list.iter().enumerate() {
-                    let v = self.eval(frame, e)?;
-                    self.mem
-                        .store(frame.space, frame.space, buf, i, v, frame.thread)
-                        .map_err(Interrupt::from)?;
-                }
-                Ok(Value::Ptr(Pointer {
-                    space: frame.space,
-                    buffer: buf,
-                    offset: 0,
-                }))
-            }
-            // Kokkos view construction: `View<double*> v("label", n, ...)`.
-            DeclInit::View {
-                elem,
-                rank,
-                extents,
-            } => {
-                let mut dims = [1usize; 2];
-                for (i, a) in extents.iter().enumerate() {
-                    dims[i] = self
-                        .eval(frame, a)?
-                        .as_int()
-                        .filter(|n| *n >= 0)
-                        .ok_or_else(|| type_err("view extent must be a non-negative integer"))?
-                        as usize;
-                }
-                let len = if *rank == 1 {
-                    dims[0]
-                } else {
-                    dims[0] * dims[1]
-                };
-                let buf = self.alloc_zeroed(Space::Device, Type::Scalar(*elem), len);
-                Ok(Value::View(ViewHandle {
-                    space: Space::Device,
-                    buffer: buf,
-                    dims,
-                    rank: *rank,
-                    elem: *elem,
-                }))
-            }
-            // dim3 construction.
-            DeclInit::Dim3(args) => {
-                let mut parts = [1u32; 3];
-                for (i, a) in args.iter().enumerate() {
-                    parts[i] = self
-                        .eval(frame, a)?
-                        .as_int()
-                        .filter(|n| *n >= 0)
-                        .ok_or_else(|| type_err("dim3 component must be a non-negative integer"))?
-                        as u32;
-                }
-                Ok(Value::Dim3(Dim3::new(parts[0], parts[1], parts[2])))
-            }
-            DeclInit::Expr(e, ty) => {
-                let v = self.eval(frame, e)?;
-                Ok(self.coerce(v, ty))
-            }
-            DeclInit::Zero(zero) => Ok(zero.clone()),
-            DeclInit::Fail(msg) => Err(type_err(msg.as_str()).into()),
-        }
-    }
-
     /// Convert a value to a declared type.
-    #[inline]
+    #[inline(always)]
     fn coerce(&self, v: Value, to: &Declared) -> Value {
         match (to.conv, v) {
             (Conv::Pointer, Value::UntypedAlloc { bytes }) => self.typed_alloc(bytes, &to.ty),
@@ -623,6 +502,7 @@ impl<'p> Interp<'p> {
 
     /// `malloc`'s untyped allocation of `bytes`, assigned to pointer type
     /// `ptr`: this is where it becomes a typed buffer.
+    #[inline(never)]
     fn typed_alloc(&self, bytes: usize, ptr: &Type) -> Value {
         let elem = ptr.pointee().expect("a pointer type").clone();
         let len = bytes / self.sizeof(&elem).max(1);
@@ -635,12 +515,206 @@ impl<'p> Interp<'p> {
     }
 }
 
+// ----------------------------------------------------------------------
+// Statements
+// ----------------------------------------------------------------------
+
+/// A declaration of `slot`: `init`'s value, converted to `to` if given.
+pub(crate) fn decl(slot: u32, init: ExprFn, to: Option<Declared>) -> StmtFn {
+    let slot = slot as usize;
+    lower(move |i, f| {
+        i.step()?;
+        let v = init(i, f)?;
+        let v = match &to {
+            Some(to) => i.coerce(v, to),
+            None => v,
+        };
+        overwrite(&mut f.slots[slot], v);
+        Ok(Flow::Normal)
+    })
+}
+
+pub(crate) fn expr_stmt(e: ExprFn) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        e(i, f)?;
+        Ok(Flow::Normal)
+    })
+}
+
+pub(crate) fn if_else(cond: ExprFn, then: StmtFn, els: Option<StmtFn>) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        if cond(i, f)?.truthy() {
+            then(i, f)
+        } else if let Some(els) = &els {
+            els(i, f)
+        } else {
+            Ok(Flow::Normal)
+        }
+    })
+}
+
+pub(crate) fn while_loop(cond: ExprFn, body: StmtFn) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        while cond(i, f)?.truthy() {
+            i.step()?;
+            match body(i, f)? {
+                Flow::Break => break,
+                Flow::Return => return Ok(Flow::Return),
+                _ => {}
+            }
+        }
+        Ok(Flow::Normal)
+    })
+}
+
+/// A `for` loop. Its body is shared with the OpenMP loop nest it may
+/// head.
+pub(crate) fn for_loop(
+    init: Option<StmtFn>,
+    cond: Option<ExprFn>,
+    step: Option<ExprFn>,
+    body: SharedStmt,
+) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        if let Some(init) = &init {
+            init(i, f)?;
+        }
+        loop {
+            if let Some(c) = &cond {
+                if !c(i, f)?.truthy() {
+                    return Ok(Flow::Normal);
+                }
+            }
+            i.step()?;
+            match body(i, f)? {
+                Flow::Break => return Ok(Flow::Normal),
+                Flow::Return => return Ok(Flow::Return),
+                _ => {}
+            }
+            if let Some(st) = &step {
+                st(i, f)?;
+            }
+        }
+    })
+}
+
+pub(crate) fn ret(e: Option<ExprFn>) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        f.ret = match &e {
+            Some(e) => e(i, f)?,
+            None => Value::Void,
+        };
+        Ok(Flow::Return)
+    })
+}
+
+/// `break`, `continue`, or an empty statement (`Flow::Normal`).
+pub(crate) fn jump(flow: Flow) -> StmtFn {
+    lower(move |i, _| {
+        i.step()?;
+        Ok(flow)
+    })
+}
+
+pub(crate) fn block(stmts: Block) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        i.exec_block(f, &stmts)
+    })
+}
+
+// ----------------------------------------------------------------------
+// Declaration initialisers
+// ----------------------------------------------------------------------
+
+/// A fixed-size array: a zeroed buffer in the current space, optionally
+/// filled from a list.
+pub(crate) fn array(dims: Vec<ExprFn>, elem: Type, zero: Value, list: Vec<ExprFn>) -> ExprFn {
+    lower(move |i, f| {
+        let mut len = 1usize;
+        for dim in &dims {
+            let n = dim(i, f)?
+                .as_int()
+                .filter(|n| *n >= 0)
+                .ok_or_else(|| type_err("array dimension must be a non-negative integer"))?;
+            len *= n as usize;
+        }
+        let buf = i.mem.alloc(f.space, elem.clone(), len, zero.clone());
+        for (k, e) in list.iter().enumerate() {
+            let v = e(i, f)?;
+            i.mem.store(f.space, f.space, buf, k, v, f.thread)?;
+        }
+        Ok(Value::Ptr(Pointer {
+            space: f.space,
+            buffer: buf,
+            offset: 0,
+        }))
+    })
+}
+
+/// Kokkos view construction: `View<double*> v("label", n, ...)`.
+pub(crate) fn view(elem: ScalarType, rank: u8, extents: Vec<ExprFn>) -> ExprFn {
+    lower(move |i, f| {
+        let mut dims = [1usize; 2];
+        for (k, a) in extents.iter().enumerate() {
+            dims[k] = a(i, f)?
+                .as_int()
+                .filter(|n| *n >= 0)
+                .ok_or_else(|| type_err("view extent must be a non-negative integer"))?
+                as usize;
+        }
+        let len = if rank == 1 {
+            dims[0]
+        } else {
+            dims[0] * dims[1]
+        };
+        let buf = i.alloc_zeroed(Space::Device, Type::Scalar(elem), len);
+        Ok(Value::View(ViewHandle {
+            space: Space::Device,
+            buffer: buf,
+            dims,
+            rank,
+            elem,
+        }))
+    })
+}
+
+/// `dim3` construction.
+pub(crate) fn dim3(args: Vec<ExprFn>) -> ExprFn {
+    lower(move |i, f| {
+        let mut parts = [1u32; 3];
+        for (k, a) in args.iter().enumerate() {
+            parts[k] = a(i, f)?
+                .as_int()
+                .filter(|n| *n >= 0)
+                .ok_or_else(|| type_err("dim3 component must be a non-negative integer"))?
+                as u32;
+        }
+        Ok(Value::Dim3(Dim3::new(parts[0], parts[1], parts[2])))
+    })
+}
+
+/// `= expr`, converted to the declared type.
+pub(crate) fn converted(e: ExprFn, to: Declared) -> ExprFn {
+    lower(move |i, f| {
+        let v = e(i, f)?;
+        Ok(i.coerce(v, &to))
+    })
+}
+
 fn type_err(msg: impl Into<String>) -> RuntimeError {
     RuntimeError::new(RuntimeErrorKind::TypeError, msg)
 }
 
-// Expression evaluation, builtins, lvalues, and the OpenMP engine live in
+// Expression closures and places, builtins, and the OpenMP engine live in
 // sibling modules to keep files reviewable.
 pub(crate) mod builtins;
-mod expr;
-mod omp;
+pub(crate) mod expr;
+pub(crate) mod omp;
+
+pub(crate) use expr::Place;

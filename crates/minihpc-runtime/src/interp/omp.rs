@@ -4,6 +4,71 @@
 use super::*;
 use minihpc_lang::pragma::MapKind;
 
+/// An OpenMP directive with a body.
+pub(crate) struct ROmp {
+    /// `map` clauses of a target construct, in clause order.
+    pub maps: Vec<RMap>,
+    pub region: Region,
+    pub body: StmtFn,
+}
+
+pub(crate) struct RMap {
+    pub kind: MapKind,
+    pub name: Rc<str>,
+    /// The variable's binding outside the region.
+    pub var: Name,
+    /// The slot that holds the device pointer inside the region.
+    pub slot: Option<u32>,
+    /// The first array section `[lo : len]`, if any.
+    pub range: Option<(ExprFn, ExprFn)>,
+}
+
+pub(crate) enum Region {
+    TargetData,
+    Target,
+    HostParallel,
+    Loop(Box<RLoop>),
+    /// A loop directive not followed by a `for` loop.
+    NotALoop(String),
+}
+
+pub(crate) struct RLoop {
+    pub target: bool,
+    /// `parallel` or `teams`: iterations are distributed.
+    pub parallel: bool,
+    pub nest: NestPlan,
+    pub reductions: Vec<(ReductionOp, Rc<str>, Option<u32>)>,
+    /// Names the directive privatizes per worker (reduction, `private`,
+    /// `firstprivate`): exempt from shared-write recording.
+    pub exempt: Vec<String>,
+    /// Slots below this hold the state every worker shares.
+    pub shared_slots: u32,
+}
+
+/// A canonical loop nest's bounds, resolved outside the loop. The levels
+/// are evaluated in order; a nest that is not canonical lists the levels
+/// evaluated before its shape check fails, and then runs serially.
+pub(crate) struct NestPlan {
+    pub levels: Vec<NestLevel>,
+    /// The innermost loop's body, when the nest is canonical.
+    pub body: Option<SharedStmt>,
+}
+
+pub(crate) struct NestLevel {
+    pub slot: u32,
+    pub start: ExprFn,
+    /// `None` when the level's shape check fails after its start.
+    pub bound: Option<ExprFn>,
+    pub inclusive: bool,
+}
+
+pub(crate) fn omp(omp: ROmp) -> StmtFn {
+    lower(move |i, f| {
+        i.step()?;
+        i.exec_omp(f, &omp)
+    })
+}
+
 /// A mapping established by a `map(...)` clause for the extent of a region.
 struct Mapping {
     /// The slot rebound to the device buffer inside the region.
@@ -23,8 +88,8 @@ struct LoopNest<'a> {
     slots: Vec<u32>,
     starts: Vec<i64>,
     counts: Vec<u64>,
-    /// The innermost loop's body, borrowed from the resolved tree.
-    body: &'a RStmt,
+    /// The innermost loop's body, shared with the loop's own closure.
+    body: &'a SharedStmt,
 }
 
 impl LoopNest<'_> {
@@ -37,18 +102,18 @@ impl LoopNest<'_> {
         for level in (0..self.slots.len()).rev() {
             let c = self.counts[level].max(1);
             let idx = self.starts[level] + (logical % c) as i64;
-            slots[self.slots[level] as usize] = Value::Int(idx);
+            overwrite(&mut slots[self.slots[level] as usize], Value::Int(idx));
             logical /= c;
         }
     }
 }
 
 impl<'p> Interp<'p> {
-    pub(super) fn exec_omp(&self, frame: &mut Frame, omp: &ROmp) -> IResult<Flow> {
+    fn exec_omp(&self, frame: &mut Frame, omp: &ROmp) -> IResult<Flow> {
         // Without -fopenmp the pragma was warned about at compile time and
         // is ignored: the body executes as plain serial code.
         if !self.exe.features.openmp {
-            return self.exec_stmt(frame, &omp.body);
+            return (omp.body)(self, frame);
         }
         // Establish map-clause mappings (target constructs only; `map` on a
         // host directive was a compile-time warning and is a no-op here),
@@ -85,12 +150,12 @@ impl<'p> Interp<'p> {
         // the mappings in place. `target data` itself stays on the host;
         // a bare `target` region moves execution to the device.
         let l = match &omp.region {
-            Region::TargetData => return self.exec_stmt(frame, &omp.body),
+            Region::TargetData => return (omp.body)(self, frame),
             Region::Target => {
                 self.record_device_region(1);
                 let saved = frame.space;
                 frame.space = Space::Device;
-                let r = self.exec_stmt(frame, &omp.body);
+                let r = (omp.body)(self, frame);
                 frame.space = saved;
                 return r;
             }
@@ -99,13 +164,13 @@ impl<'p> Interp<'p> {
             // schedule.
             Region::HostParallel => {
                 self.record_host_region();
-                return self.exec_stmt(frame, &omp.body);
+                return (omp.body)(self, frame);
             }
             Region::NotALoop(msg) => return Err(type_err(msg.as_str()).into()),
             Region::Loop(l) => l,
         };
 
-        let nest = self.analyze_nest(frame, &l.nest, &omp.body)?;
+        let nest = self.analyze_nest(frame, &l.nest)?;
         if l.target {
             let total = nest.as_ref().map(|n| n.total()).unwrap_or(1);
             self.record_device_region(if l.parallel { total } else { 1 });
@@ -122,7 +187,7 @@ impl<'p> Interp<'p> {
                 // Non-canonical loop: run it serially in the right space.
                 let saved = frame.space;
                 frame.space = exec_space;
-                let r = self.exec_stmt(frame, &omp.body);
+                let r = (omp.body)(self, frame);
                 frame.space = saved;
                 r.map(|_| Flow::Normal)
             }
@@ -147,7 +212,7 @@ impl<'p> Interp<'p> {
             let result = (|| -> IResult<()> {
                 for logical in 0..total {
                     nest.bind(&mut frame.slots, logical);
-                    self.exec_stmt(frame, nest.body)?;
+                    (nest.body)(self, frame)?;
                 }
                 Ok(())
             })();
@@ -192,6 +257,7 @@ impl<'p> Interp<'p> {
                 depth: frame.depth,
                 watch: watch.clone(),
                 watch_base: l.shared_slots as usize,
+                ret: Value::Void,
             };
             // Private reduction accumulators.
             for (op, _, slot) in &l.reductions {
@@ -201,7 +267,7 @@ impl<'p> Interp<'p> {
             }
             for logical in lo..hi {
                 nest.bind(&mut wframe.slots, logical);
-                self.exec_stmt(&mut wframe, nest.body)?;
+                (nest.body)(self, &mut wframe)?;
             }
             // Fold this worker's partials into the shared frame.
             for (op, var, slot) in &l.reductions {
@@ -224,7 +290,7 @@ impl<'p> Interp<'p> {
             let current = match &m.var {
                 Name::Local(slot) => Some(frame.slots[*slot as usize].clone()),
                 Name::Mapped { .. } | Name::Global(_) | Name::Cuda(_, Some(_), _) => {
-                    Some(self.read_place(frame, &self.name_place(frame, &m.var))?)
+                    Some(self.read_place(frame, &expr::name_place(frame, &m.var))?)
                 }
                 _ => None,
             };
@@ -261,14 +327,12 @@ impl<'p> Interp<'p> {
             // Evaluate the array section bounds.
             let (lo, len) = match &m.range {
                 Some((lo_e, len_e)) => {
-                    let lo = self
-                        .eval(frame, lo_e)?
+                    let lo = lo_e(self, frame)?
                         .as_int()
                         .filter(|v| *v >= 0)
                         .ok_or_else(|| type_err("map lower bound must be >= 0"))?
                         as usize;
-                    let len = self
-                        .eval(frame, len_e)?
+                    let len = len_e(self, frame)?
                         .as_int()
                         .filter(|v| *v >= 0)
                         .ok_or_else(|| type_err("map length must be >= 0"))?
@@ -343,20 +407,19 @@ impl<'p> Interp<'p> {
     fn analyze_nest<'a>(
         &self,
         frame: &mut Frame,
-        plan: &NestPlan,
-        stmt: &'a RStmt,
+        plan: &'a NestPlan,
     ) -> IResult<Option<LoopNest<'a>>> {
         let mut slots = Vec::with_capacity(plan.levels.len());
         let mut starts = Vec::with_capacity(plan.levels.len());
         let mut counts = Vec::with_capacity(plan.levels.len());
         for level in &plan.levels {
-            let Some(start) = self.eval(frame, &level.start)?.as_int() else {
+            let Some(start) = (level.start)(self, frame)?.as_int() else {
                 return Ok(None);
             };
             let Some(bound) = &level.bound else {
                 return Ok(None);
             };
-            let Some(bound) = self.eval(frame, bound)?.as_int() else {
+            let Some(bound) = bound(self, frame)?.as_int() else {
                 return Ok(None);
             };
             let end = if level.inclusive { bound + 1 } else { bound };
@@ -364,24 +427,7 @@ impl<'p> Interp<'p> {
             starts.push(start);
             counts.push((end - start).max(0) as u64);
         }
-        if !plan.canonical {
-            return Ok(None);
-        }
-        // The innermost body: descend through each level's `for`, and the
-        // single-statement block around a nested one.
-        let mut body = stmt;
-        for level in 0..slots.len() {
-            let RStmt::For(f) = body else {
-                unreachable!("a canonical nest is perfectly nested")
-            };
-            body = &f.body;
-            if level + 1 < slots.len() {
-                if let RStmt::Block(b) = body {
-                    body = &b.stmts[0];
-                }
-            }
-        }
-        Ok(Some(LoopNest {
+        Ok(plan.body.as_ref().map(|body| LoopNest {
             slots,
             starts,
             counts,

@@ -1,9 +1,10 @@
 //! # minihpc-runtime
 //!
-//! The simulated execution environment for MiniHPC programs: a tree-walking
-//! interpreter over linked [`minihpc_build::Executable`]s with a discrete
-//! host/device memory model, CUDA/OpenMP/Kokkos execution semantics, an
-//! optional data-race detector, and execution telemetry.
+//! The simulated execution environment for MiniHPC programs: an
+//! interpreter that compiles each linked [`minihpc_build::Executable`] it
+//! runs into closures, with a discrete host/device memory model,
+//! CUDA/OpenMP/Kokkos execution semantics, an optional data-race detector,
+//! and execution telemetry.
 //!
 //! The telemetry ([`interp::TelemetrySnapshot`]) is how the ParEval-Repo
 //! harness enforces the paper's correctness rule that a translation

@@ -1,7 +1,16 @@
-//! The resolve pass: lowers a linked [`Executable`] to the tree the
-//! interpreter runs, with every name looked up once per run instead of
+//! The resolve pass: lowers a linked [`Executable`] to the closures the
+//! interpreter calls, with every name looked up once per run instead of
 //! once per access.
 //!
+//! - Every function body, statement, expression, assignment target
+//!   ("place"), OpenMP loop nest and lambda body becomes a boxed closure
+//!   that calls its children's closures directly, so a run dispatches once
+//!   per node. What can be decided here is decided here: each binary
+//!   operator gets a closure of its own, with its `Int∘Int` and
+//!   `Float∘Float` cases inlined; operators and `a[i]` loads and stores
+//!   read an operand that is a local slot or a constant in place; and
+//!   assignments and increments of a local slot skip the general place
+//!   path.
 //! - Every local and parameter is a frame slot, with its declared type
 //!   stored per slot. Each declaration gets a slot of its own, so a slot's
 //!   type and name never change during a run.
@@ -14,23 +23,29 @@
 //! - Struct fields are resolved to interned symbols, and struct names are
 //!   shared `Rc<str>`s.
 //!
-//! Resolution never fails. A construct the interpreter rejects becomes a
-//! node that raises the same error, at the same point, when it executes.
-//! Scoping follows the interpreter's dynamic rules statically: a name
-//! resolves to the innermost binding declared before it, then (inside a
-//! lambda) to a by-value capture of the enclosing frame's binding, then to
-//! a CUDA builtin (in a kernel's frame), the global of that name, or a
-//! constant.
+//! Lowering never fails. A construct the interpreter rejects becomes a
+//! closure that raises the same error, at the same point, when it runs.
+//! The AST is read, not kept: a run owns only its closures, and frees them
+//! when it ends. Scoping follows the interpreter's dynamic rules
+//! statically: a name resolves to the innermost binding declared before
+//! it, then (inside a lambda) to a by-value capture of the enclosing
+//! frame's binding, then to a CUDA builtin (in a kernel's frame), the
+//! global of that name, or a constant.
 
-use crate::interp::builtins::{Builtin, Kokkos};
+use crate::interp::builtins::{self, Builtin, Kokkos, Launch, RngState, Target};
+use crate::interp::expr::{self, Operand};
+use crate::interp::omp::{self, NestLevel, NestPlan, RLoop, RMap, ROmp, Region};
+use crate::interp::{self, Block, ExprFn, Flow, PlaceFn, SharedStmt, StmtFn};
 use crate::value::*;
 use minihpc_build::object::Executable;
-use minihpc_lang::ast::*;
-use minihpc_lang::pragma::{MapKind, OmpClause, OmpConstruct, OmpDirective, ReductionOp};
+use minihpc_lang::ast::{
+    self, BinOp, Expr, ExprKind, Function, Init, ScalarType, Stmt, StmtKind, Type, UnaryOp, VarDecl,
+};
+use minihpc_lang::pragma::{OmpClause, OmpConstruct, OmpDirective};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// A resolved executable: what [`crate::run`] executes.
+/// A lowered executable: what [`crate::run`] executes.
 pub(crate) struct Program {
     pub functions: Vec<RFunction>,
     pub main: Option<u32>,
@@ -41,7 +56,7 @@ pub(crate) struct Program {
 
 pub(crate) struct RGlobal {
     pub name: Rc<str>,
-    pub init: DeclInit,
+    pub init: ExprFn,
 }
 
 /// The executable's struct layouts, and the `curandState` the runtime
@@ -86,14 +101,12 @@ pub(crate) struct StructLayout {
 /// declared type, if the binding has one. Lambda captures and the device
 /// copies of mapped globals are untyped, as they were in the interpreter's
 /// name-keyed frames.
-#[derive(Debug)]
 pub(crate) struct SlotVar {
     pub name: Rc<str>,
-    pub ty: Option<Declared>,
+    pub ty: Option<Rc<Declared>>,
 }
 
 /// A declared type, with how values convert to it.
-#[derive(Debug)]
 pub(crate) struct Declared {
     pub ty: Type,
     pub conv: Conv,
@@ -114,21 +127,29 @@ pub(crate) struct RFunction {
     /// Parameter `i` lives in slot `i`.
     pub params: usize,
     pub vars: Vec<SlotVar>,
-    pub body: Option<RBlock>,
+    pub body: Option<Block>,
 }
 
-/// A lambda body, shared by every closure its expression creates.
-#[derive(Debug)]
+/// A lambda body, shared by every closure value its expression creates.
 pub(crate) struct Lambda {
     pub(crate) vars: Vec<SlotVar>,
     /// Parameter `i` lives in slot `i`.
     pub(crate) params: usize,
     /// (enclosing frame's slot, this frame's slot): copied at creation.
     pub(crate) captures: Vec<(u32, u32)>,
-    pub(crate) body: RBlock,
+    pub(crate) body: Block,
 }
 
-#[derive(Debug, Clone, Copy)]
+impl std::fmt::Debug for Lambda {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lambda")
+            .field("params", &self.params)
+            .field("captures", &self.captures)
+            .finish_non_exhaustive()
+    }
+}
+
+#[derive(Clone, Copy)]
 pub(crate) enum CudaDim {
     ThreadIdx,
     BlockIdx,
@@ -137,7 +158,7 @@ pub(crate) enum CudaDim {
 }
 
 /// What an identifier names.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) enum Name {
     Local(u32),
     Global(u32),
@@ -155,194 +176,22 @@ pub(crate) enum Name {
     Unbound(Rc<str>),
 }
 
-#[derive(Debug)]
-pub(crate) enum RExpr {
-    Lit(Value),
-    Var(Name),
-    /// A type error raised when evaluated.
-    Fail(String),
-    Unary(UnaryOp, Box<RExpr>),
-    Binary(BinOp, Box<RExpr>, Box<RExpr>),
-    Assign(Option<BinOp>, Box<RExpr>, Box<RExpr>),
-    Ternary(Box<RExpr>, Box<RExpr>, Box<RExpr>),
-    Call(Box<RCall>),
-    Launch(Box<RLaunch>),
-    Index(Box<RExpr>, Box<RExpr>),
-    Member(Box<RExpr>, bool, FieldName),
-    Cast(Declared, Box<RExpr>),
-    /// `sizeof expr` where no declared type applies: sized by value.
-    SizeOfValue(Box<RExpr>),
-    Lambda(Rc<Lambda>),
-}
-
-#[derive(Debug)]
 pub(crate) struct FieldName {
     pub name: Rc<str>,
     pub sym: u32,
 }
 
-#[derive(Debug)]
-pub(crate) struct RCall {
-    /// The local the callee names, if any: a call on a local holding a
-    /// Kokkos view is an element access.
-    pub view: Option<u32>,
-    pub target: Target,
-    pub args: Vec<RExpr>,
-}
-
-#[derive(Debug)]
-pub(crate) enum Target {
-    User(u32),
-    Builtin(Builtin),
-    /// `cudaMalloc(&place, bytes)`: the place and its pointee type, or
-    /// `None` when the first argument is not `&place`.
-    CudaMalloc(Option<(RExpr, Type)>),
-    CurandInit(RngState),
-    /// `curand` (integer) or `curand_uniform*` (float).
-    CurandNext(RngState, bool),
-    Kokkos(Kokkos),
-    /// `view.method(args)`.
-    Method(RExpr, Rc<str>),
-    Fail(String),
-}
-
-/// The cuRAND state argument: `&place`, or a pointer value.
-#[derive(Debug)]
-pub(crate) enum RngState {
-    Place(RExpr),
-    Pointer(RExpr),
-}
-
-#[derive(Debug)]
-pub(crate) struct RLaunch {
-    pub kernel: Result<u32, Rc<str>>,
-    pub grid: RExpr,
-    pub block: RExpr,
-    pub args: Vec<RExpr>,
-}
-
-#[derive(Debug)]
-pub(crate) enum RStmt {
-    Decl(u32, Box<DeclInit>),
-    Expr(RExpr),
-    If(RExpr, Box<RStmt>, Option<Box<RStmt>>),
-    While(RExpr, Box<RStmt>),
-    For(Box<RFor>),
-    Return(Option<RExpr>),
-    Break,
-    Continue,
-    Block(RBlock),
-    Omp(Box<ROmp>),
-    Empty,
-}
-
-#[derive(Debug)]
-pub(crate) struct RBlock {
-    pub stmts: Vec<RStmt>,
-}
-
-#[derive(Debug)]
-pub(crate) struct RFor {
-    pub init: Option<RStmt>,
-    pub cond: Option<RExpr>,
-    pub step: Option<RExpr>,
-    pub body: RStmt,
-}
-
-/// How a declaration computes its initial value.
-#[derive(Debug)]
-pub(crate) enum DeclInit {
-    /// A fixed-size array: a zeroed buffer, optionally filled from a list.
-    Array {
-        dims: Vec<RExpr>,
-        elem: Type,
-        zero: Value,
-        list: Vec<RExpr>,
-    },
-    /// `View<T*> v("label", extents...)`.
-    View {
-        elem: ScalarType,
-        rank: u8,
-        extents: Vec<RExpr>,
-    },
-    Dim3(Vec<RExpr>),
-    /// `= expr`, converted to the declared type.
-    Expr(RExpr, Declared),
-    Zero(Value),
-    Fail(String),
-}
-
-/// An OpenMP directive with a body.
-#[derive(Debug)]
-pub(crate) struct ROmp {
-    /// `map` clauses of a target construct, in clause order.
-    pub maps: Vec<RMap>,
-    pub region: Region,
-    pub body: RStmt,
-}
-
-#[derive(Debug)]
-pub(crate) struct RMap {
-    pub kind: MapKind,
-    pub name: Rc<str>,
-    /// The variable's binding outside the region.
-    pub var: Name,
-    /// The slot that holds the device pointer inside the region.
-    pub slot: Option<u32>,
-    /// The first array section `[lo : len]`, if any.
-    pub range: Option<(RExpr, RExpr)>,
-}
-
-#[derive(Debug)]
-pub(crate) enum Region {
-    TargetData,
-    Target,
-    HostParallel,
-    Loop(Box<RLoop>),
-    /// A loop directive not followed by a `for` loop.
-    NotALoop(String),
-}
-
-#[derive(Debug)]
-pub(crate) struct RLoop {
-    pub target: bool,
-    /// `parallel` or `teams`: iterations are distributed.
-    pub parallel: bool,
-    pub nest: NestPlan,
-    pub reductions: Vec<(ReductionOp, Rc<str>, Option<u32>)>,
-    /// Names the directive privatizes per worker (reduction, `private`,
-    /// `firstprivate`): exempt from shared-write recording.
-    pub exempt: Vec<String>,
-    /// Slots below this hold the state every worker shares.
-    pub shared_slots: u32,
-}
-
-/// A canonical loop nest's bounds, resolved outside the loop. The levels
-/// are evaluated in order; a nest that is not canonical lists the levels
-/// evaluated before its shape check fails, and then runs serially.
-#[derive(Debug)]
-pub(crate) struct NestPlan {
-    pub levels: Vec<NestLevel>,
-    pub canonical: bool,
-}
-
-#[derive(Debug)]
-pub(crate) struct NestLevel {
-    pub slot: u32,
-    pub start: RExpr,
-    /// `None` when the level's shape check fails after its start.
-    pub bound: Option<RExpr>,
-    pub inclusive: bool,
-}
-
-/// Resolve a linked executable.
+/// Lower a linked executable.
 pub(crate) fn resolve(exe: &Executable) -> Program {
     let mut r = Resolver::new(exe);
     let mut globals = Vec::with_capacity(exe.globals.len());
     // A global initialiser sees the globals declared before it.
     for (i, d) in exe.globals.iter().enumerate() {
         r.ctxs.push(FnCtx::new(false));
-        let init = r.decl_init(d);
+        let init = match r.decl_init(d) {
+            (init, Some(to)) => interp::converted(init, to),
+            (init, None) => init,
+        };
         r.ctxs.pop();
         globals.push(RGlobal {
             name: d.name.as_str().into(),
@@ -384,7 +233,7 @@ impl<'a> FnCtx<'a> {
     fn slot(&mut self, name: &str, ty: Option<Type>) -> u32 {
         self.vars.push(SlotVar {
             name: name.into(),
-            ty: ty.map(Declared::new),
+            ty: ty.map(|t| Rc::new(Declared::new(t))),
         });
         (self.vars.len() - 1) as u32
     }
@@ -399,6 +248,14 @@ impl<'a> FnCtx<'a> {
     }
 }
 
+/// A lowered `for` loop: its statement, the slot its `int i = …` init
+/// declares, and its body, for the OpenMP loop nest it may head.
+struct ForLoop<'a> {
+    stmt: &'a Stmt,
+    init_slot: Option<u32>,
+    body: SharedStmt,
+}
+
 struct Resolver<'a> {
     ctxs: Vec<FnCtx<'a>>,
     global_ids: HashMap<&'a str, u32>,
@@ -407,6 +264,9 @@ struct Resolver<'a> {
     fn_ids: HashMap<&'a str, u32>,
     layouts: Layouts,
     syms: HashMap<String, u32>,
+    /// The `for` loops lowered so far in this function. An OpenMP loop
+    /// directive finds its nest's levels here, then drops its body's.
+    loops: Vec<ForLoop<'a>>,
 }
 
 /// `ty` with one pointer level per array dimension.
@@ -436,6 +296,7 @@ impl<'a> Resolver<'a> {
                 .collect(),
             layouts: Layouts(Vec::new()),
             syms: HashMap::new(),
+            loops: Vec::new(),
         };
         let mut defs: Vec<(&str, Vec<(String, Type)>)> = exe
             .structs
@@ -570,6 +431,22 @@ impl<'a> Resolver<'a> {
         slot_ty.or_else(|| self.global_types.get(name).cloned())
     }
 
+    /// The slot `name` names in the innermost context, if it is local.
+    fn local_slot(&mut self, name: &'a str) -> Option<u32> {
+        let depth = self.ctxs.len() - 1;
+        match self.local(depth, name) {
+            Some(Name::Local(s) | Name::Mapped { slot: s, .. }) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn field(&mut self, member: &str) -> FieldName {
+        FieldName {
+            name: member.into(),
+            sym: self.sym(member),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Functions and statements
     // ------------------------------------------------------------------
@@ -581,6 +458,7 @@ impl<'a> Resolver<'a> {
         }
         let body = f.body.as_ref().map(|b| self.block(b));
         let ctx = self.ctxs.pop().unwrap();
+        self.loops.clear();
         RFunction {
             name: f.name.clone(),
             cuda_global: f.quals.cuda_global,
@@ -590,31 +468,35 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn block(&mut self, b: &'a Block) -> RBlock {
+    fn block(&mut self, b: &'a ast::Block) -> Block {
         self.push_scope();
         let stmts = b.stmts.iter().map(|s| self.stmt(s)).collect();
         self.pop_scope();
-        RBlock { stmts }
+        stmts
     }
 
-    fn boxed(&mut self, s: &'a Stmt) -> Box<RStmt> {
-        Box::new(self.stmt(s))
+    /// A declaration: the slot it declares, and the statement that
+    /// initialises it.
+    fn decl(&mut self, d: &'a VarDecl) -> (u32, StmtFn) {
+        let (init, to) = self.decl_init(d);
+        let ty = array_type(&d.ty, d.array_dims.len());
+        let slot = self.declare(&d.name, Some(ty));
+        (slot, interp::decl(slot, init, to))
     }
 
-    fn stmt(&mut self, s: &'a Stmt) -> RStmt {
+    fn stmt(&mut self, s: &'a Stmt) -> StmtFn {
         match &s.kind {
-            StmtKind::Decl(d) => {
-                let init = self.decl_init(d);
-                let ty = array_type(&d.ty, d.array_dims.len());
-                RStmt::Decl(self.declare(&d.name, Some(ty)), Box::new(init))
-            }
-            StmtKind::Expr(e) => RStmt::Expr(self.expr(e)),
+            StmtKind::Decl(d) => self.decl(d).1,
+            StmtKind::Expr(e) => interp::expr_stmt(self.expr(e)),
             StmtKind::If { cond, then, els } => {
                 let cond = self.expr(cond);
-                let then = self.boxed(then);
-                RStmt::If(cond, then, els.as_ref().map(|e| self.boxed(e)))
+                let then = self.stmt(then);
+                interp::if_else(cond, then, els.as_ref().map(|e| self.stmt(e)))
             }
-            StmtKind::While { cond, body } => RStmt::While(self.expr(cond), self.boxed(body)),
+            StmtKind::While { cond, body } => {
+                let cond = self.expr(cond);
+                interp::while_loop(cond, self.stmt(body))
+            }
             StmtKind::For {
                 init,
                 cond,
@@ -622,73 +504,90 @@ impl<'a> Resolver<'a> {
                 body,
             } => {
                 self.push_scope();
-                let f = RFor {
-                    init: init.as_ref().map(|i| self.stmt(i)),
-                    cond: cond.as_ref().map(|c| self.expr(c)),
-                    step: step.as_ref().map(|e| self.expr(e)),
-                    body: self.stmt(body),
+                let (init_slot, init) = match init.as_deref() {
+                    Some(Stmt {
+                        kind: StmtKind::Decl(d),
+                        ..
+                    }) => {
+                        let (slot, init) = self.decl(d);
+                        (Some(slot), Some(init))
+                    }
+                    other => (None, other.map(|i| self.stmt(i))),
                 };
+                let cond = cond.as_ref().map(|c| self.expr(c));
+                let step = step.as_ref().map(|e| self.expr(e));
+                let body: SharedStmt = self.stmt(body).into();
                 self.pop_scope();
-                RStmt::For(Box::new(f))
+                self.loops.push(ForLoop {
+                    stmt: s,
+                    init_slot,
+                    body: body.clone(),
+                });
+                interp::for_loop(init, cond, step, body)
             }
-            StmtKind::Return(e) => RStmt::Return(e.as_ref().map(|e| self.expr(e))),
-            StmtKind::Break => RStmt::Break,
-            StmtKind::Continue => RStmt::Continue,
-            StmtKind::Block(b) => RStmt::Block(self.block(b)),
+            StmtKind::Return(e) => interp::ret(e.as_ref().map(|e| self.expr(e))),
+            StmtKind::Break => interp::jump(Flow::Break),
+            StmtKind::Continue => interp::jump(Flow::Continue),
+            StmtKind::Block(b) => interp::block(self.block(b)),
             StmtKind::Omp {
                 directive,
                 body: Some(body),
-            } if !directive.is_standalone() => RStmt::Omp(Box::new(self.omp(directive, body))),
-            StmtKind::Omp { .. } | StmtKind::RawPragma(_) | StmtKind::Empty => RStmt::Empty,
+            } if !directive.is_standalone() => self.omp(directive, body),
+            StmtKind::Omp { .. } | StmtKind::RawPragma(_) | StmtKind::Empty => {
+                interp::jump(Flow::Normal)
+            }
         }
     }
 
-    fn decl_init(&mut self, d: &'a VarDecl) -> DeclInit {
+    /// How a declaration computes its initial value, and the type that
+    /// value is converted to, if any.
+    fn decl_init(&mut self, d: &'a VarDecl) -> (ExprFn, Option<Declared>) {
         if !d.array_dims.is_empty() {
+            // A fixed-size array: a zeroed buffer, optionally filled from a
+            // list.
             let list = match &d.init {
                 Some(Init::List(elems)) => self.exprs(elems),
                 _ => vec![],
             };
-            return DeclInit::Array {
-                dims: self.exprs(&d.array_dims),
-                elem: d.ty.clone(),
-                zero: self.layouts.zero_of(&d.ty),
-                list,
-            };
+            let dims = self.exprs(&d.array_dims);
+            let zero = self.layouts.zero_of(&d.ty);
+            return (interp::array(dims, d.ty.clone(), zero, list), None);
         }
-        match (&d.init, d.ty.unqualified()) {
+        let init = match (&d.init, d.ty.unqualified()) {
             (Some(Init::Ctor(args)), Type::View { elem, rank }) => {
                 let labelled = matches!(args.first().map(|a| &a.kind), Some(ExprKind::StrLit(_)));
                 let extents = &args[usize::from(labelled)..];
                 if extents.len() != *rank as usize {
-                    return DeclInit::Fail(format!(
-                        "view '{}' of rank {rank} constructed with {} extents",
-                        d.name,
-                        extents.len()
-                    ));
+                    return (
+                        expr::fail(format!(
+                            "view '{}' of rank {rank} constructed with {} extents",
+                            d.name,
+                            extents.len()
+                        )),
+                        None,
+                    );
                 }
-                DeclInit::View {
-                    elem: *elem,
-                    rank: *rank,
-                    extents: self.exprs(extents),
-                }
+                interp::view(*elem, *rank, self.exprs(extents))
             }
             (Some(Init::Ctor(args)), Type::Dim3) => {
-                DeclInit::Dim3(args.iter().take(3).map(|a| self.expr(a)).collect())
+                interp::dim3(args.iter().take(3).map(|a| self.expr(a)).collect())
             }
-            (Some(Init::Ctor(_)), _) => DeclInit::Fail(format!(
+            (Some(Init::Ctor(_)), _) => expr::fail(format!(
                 "constructor syntax is not supported for type of '{}'",
                 d.name
             )),
-            (Some(Init::Expr(e)), _) => DeclInit::Expr(self.expr(e), Declared::new(d.ty.clone())),
-            (Some(Init::List(_)), _) => {
-                DeclInit::Fail("initialiser lists are only supported on arrays".into())
+            (Some(Init::Expr(e)), _) => {
+                return (self.expr(e), Some(Declared::new(d.ty.clone())));
             }
-            (None, _) => DeclInit::Zero(self.layouts.zero_of(&d.ty)),
-        }
+            (Some(Init::List(_)), _) => {
+                expr::fail("initialiser lists are only supported on arrays".into())
+            }
+            (None, _) => expr::lit(self.layouts.zero_of(&d.ty)),
+        };
+        (init, None)
     }
 
-    fn omp(&mut self, d: &'a OmpDirective, body: &'a Stmt) -> ROmp {
+    fn omp(&mut self, d: &'a OmpDirective, body: &'a Stmt) -> StmtFn {
         let target = d.targets_device();
         let mut maps = Vec::new();
         let mut names: Vec<&'a str> = Vec::new();
@@ -746,17 +645,18 @@ impl<'a> Resolver<'a> {
                 parallel: d.has(OmpConstruct::Parallel) || d.has(OmpConstruct::Teams),
                 nest: NestPlan {
                     levels: vec![],
-                    canonical: false,
+                    body: None,
                 },
                 reductions: vec![],
                 exempt: vec![],
                 shared_slots: self.ctx().vars.len() as u32,
             }))
         };
+        let mark = self.loops.len();
         let rbody = self.stmt(body);
         let region = match region {
             Region::Loop(mut l) => {
-                l.nest = self.nest(body, &rbody, d.collapse().max(1) as usize);
+                l.nest = self.nest(body, d.collapse().max(1) as usize);
                 for (op, vars) in d.reductions() {
                     for v in vars {
                         let slot = match self.name(v) {
@@ -779,37 +679,43 @@ impl<'a> Resolver<'a> {
             }
             other => other,
         };
+        self.loops.truncate(mark);
         self.pop_scope();
-        ROmp {
+        omp::omp(ROmp {
             maps,
             region,
             body: rbody,
-        }
+        })
     }
 
     /// The canonical-nest plan of up to `depth` perfectly nested loops
-    /// starting at `stmt` (resolved as `rstmt`), with bounds resolved in
-    /// the scope enclosing the loop.
-    fn nest(&mut self, stmt: &'a Stmt, rstmt: &RStmt, depth: usize) -> NestPlan {
+    /// starting at `stmt` (already lowered), with bounds resolved in the
+    /// scope enclosing the loop.
+    fn nest(&mut self, stmt: &'a Stmt, depth: usize) -> NestPlan {
         let mut levels = Vec::new();
-        let (mut current, mut rcurrent) = (stmt, rstmt);
+        let mut current = stmt;
         for level in 0..depth {
-            let (
-                StmtKind::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                },
-                RStmt::For(rfor),
-            ) = (&current.kind, rcurrent)
+            let StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } = &current.kind
+            else {
+                break;
+            };
+            let Some(lowered) = self
+                .loops
+                .iter()
+                .position(|l| std::ptr::eq(l.stmt, current))
             else {
                 break;
             };
             // init: `int i = <expr>`
-            let (Some(StmtKind::Decl(d)), Some(RStmt::Decl(slot, _))) =
-                (init.as_deref().map(|s| &s.kind), &rfor.init)
-            else {
+            let (Some(StmtKind::Decl(d)), Some(slot)) = (
+                init.as_deref().map(|s| &s.kind),
+                self.loops[lowered].init_slot,
+            ) else {
                 break;
             };
             let Some(Init::Expr(start)) = &d.init else {
@@ -817,7 +723,7 @@ impl<'a> Resolver<'a> {
             };
             let var = d.name.as_str();
             let mut lvl = NestLevel {
-                slot: *slot,
+                slot,
                 start: self.expr(start),
                 bound: None,
                 inclusive: false,
@@ -856,65 +762,68 @@ impl<'a> Resolver<'a> {
             if level + 1 == depth {
                 return NestPlan {
                     levels,
-                    canonical: true,
+                    body: Some(self.loops[lowered].body.clone()),
                 };
             }
             // Descend into the (single) nested loop.
-            (current, rcurrent) = match (&body.kind, &rfor.body) {
-                (StmtKind::Block(b), RStmt::Block(rb)) if b.stmts.len() == 1 => {
-                    (&b.stmts[0], &rb.stmts[0])
-                }
-                (StmtKind::For { .. }, _) => (&**body, &rfor.body),
+            current = match &body.kind {
+                StmtKind::Block(b) if b.stmts.len() == 1 => &b.stmts[0],
+                StmtKind::For { .. } => body,
                 _ => break,
             };
         }
-        NestPlan {
-            levels,
-            canonical: false,
-        }
+        NestPlan { levels, body: None }
     }
 
     // ------------------------------------------------------------------
-    // Expressions
+    // Expressions and places
     // ------------------------------------------------------------------
 
-    fn exprs(&mut self, es: &'a [Expr]) -> Vec<RExpr> {
+    fn exprs(&mut self, es: &'a [Expr]) -> Vec<ExprFn> {
         es.iter().map(|e| self.expr(e)).collect()
     }
 
-    fn boxed_expr(&mut self, e: &'a Expr) -> Box<RExpr> {
-        Box::new(self.expr(e))
-    }
-
-    fn expr(&mut self, e: &'a Expr) -> RExpr {
+    fn expr(&mut self, e: &'a Expr) -> ExprFn {
         match &e.kind {
-            ExprKind::IntLit(v) => RExpr::Lit(Value::Int(*v)),
-            ExprKind::FloatLit(v) => RExpr::Lit(Value::Float(*v)),
-            ExprKind::StrLit(s) => RExpr::Lit(Value::Str(s.as_str().into())),
-            ExprKind::CharLit(c) => RExpr::Lit(Value::Int(*c as i64)),
-            ExprKind::BoolLit(b) => RExpr::Lit(Value::Bool(*b)),
-            ExprKind::Ident(name) => RExpr::Var(self.name(name)),
-            ExprKind::Path(_) => RExpr::Fail("a namespace path is not a value".into()),
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Ident(_) => self.operand(e).lowered(),
+            ExprKind::Path(_) => expr::fail("a namespace path is not a value".into()),
             ExprKind::Paren(inner) => self.expr(inner),
-            ExprKind::Unary { op, expr } => RExpr::Unary(*op, self.boxed_expr(expr)),
+            ExprKind::Unary { op, expr: inner } => self.unary(*op, inner),
             ExprKind::Binary { op, lhs, rhs } => {
-                RExpr::Binary(*op, self.boxed_expr(lhs), self.boxed_expr(rhs))
+                let a = self.operand(lhs);
+                expr::binary(*op, a, self.operand(rhs))
             }
             ExprKind::Assign { op, lhs, rhs } => {
-                RExpr::Assign(*op, self.boxed_expr(lhs), self.boxed_expr(rhs))
+                let op = op.map(expr::operator);
+                if let ExprKind::Index { base, index } = &lhs.kind {
+                    let (base, index) = (self.operand(base), self.operand(index));
+                    return expr::assign_index(op, base, index, self.expr(rhs));
+                }
+                match self.target(lhs) {
+                    Ok(slot) => {
+                        let to = self.ctx().vars[slot as usize].ty.clone();
+                        expr::assign_local(op, slot, to, self.expr(rhs))
+                    }
+                    Err(place) => expr::assign(op, place, self.expr(rhs)),
+                }
             }
-            ExprKind::Ternary { cond, then, els } => RExpr::Ternary(
-                self.boxed_expr(cond),
-                self.boxed_expr(then),
-                self.boxed_expr(els),
-            ),
-            ExprKind::Call { callee, args } => RExpr::Call(Box::new(self.call(callee, args))),
+            ExprKind::Ternary { cond, then, els } => {
+                let cond = self.expr(cond);
+                let then = self.expr(then);
+                expr::ternary(cond, then, self.expr(els))
+            }
+            ExprKind::Call { callee, args } => self.call(callee, args),
             ExprKind::KernelLaunch {
                 kernel,
                 grid,
                 block,
                 args,
-            } => RExpr::Launch(Box::new(RLaunch {
+            } => builtins::launch(Launch {
                 kernel: self
                     .fn_ids
                     .get(kernel.as_str())
@@ -923,37 +832,35 @@ impl<'a> Resolver<'a> {
                 grid: self.expr(grid),
                 block: self.expr(block),
                 args: self.exprs(args),
-            })),
+            }),
             ExprKind::Index { base, index } => {
-                RExpr::Index(self.boxed_expr(base), self.boxed_expr(index))
+                let base = self.operand(base);
+                expr::index(base, self.operand(index))
             }
             ExprKind::Member {
                 base,
                 member,
                 arrow,
             } => {
-                let field = FieldName {
-                    name: member.as_str().into(),
-                    sym: self.sym(member),
-                };
-                RExpr::Member(self.boxed_expr(base), *arrow, field)
+                let field = self.field(member);
+                expr::member(self.expr(base), *arrow, field)
             }
-            ExprKind::Cast { ty, expr } => {
-                RExpr::Cast(Declared::new(ty.clone()), self.boxed_expr(expr))
+            ExprKind::Cast { ty, expr: inner } => {
+                expr::cast(Declared::new(ty.clone()), self.expr(inner))
             }
-            ExprKind::SizeOfType(ty) => RExpr::Lit(Value::Int(self.layouts.size_of(ty) as i64)),
+            ExprKind::SizeOfType(ty) => expr::lit(Value::Int(self.layouts.size_of(ty) as i64)),
             ExprKind::SizeOfExpr(inner) => {
                 // Prefer the declared type of a plain variable, then a
                 // struct of that name.
                 if let ExprKind::Ident(name) = &inner.kind {
                     if let Some(ty) = self.declared_type(name) {
-                        return RExpr::Lit(Value::Int(self.layouts.size_of(&ty) as i64));
+                        return expr::lit(Value::Int(self.layouts.size_of(&ty) as i64));
                     }
                     if let Some(l) = self.layouts.get(name) {
-                        return RExpr::Lit(Value::Int(l.fields_size.max(1) as i64));
+                        return expr::lit(Value::Int(l.fields_size.max(1) as i64));
                     }
                 }
-                RExpr::SizeOfValue(self.boxed_expr(inner))
+                expr::size_of_value(self.expr(inner))
             }
             ExprKind::Lambda { params, body, .. } => {
                 self.ctxs.push(FnCtx::new(true));
@@ -962,7 +869,7 @@ impl<'a> Resolver<'a> {
                 }
                 let body = self.block(body);
                 let ctx = self.ctxs.pop().unwrap();
-                RExpr::Lambda(Rc::new(Lambda {
+                expr::lambda(Rc::new(Lambda {
                     vars: ctx.vars,
                     params: params.len(),
                     captures: ctx.captures,
@@ -972,15 +879,99 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    fn call(&mut self, callee: &'a Expr, args: &'a [Expr]) -> RCall {
+    fn unary(&mut self, op: UnaryOp, inner: &'a Expr) -> ExprFn {
+        match op {
+            UnaryOp::Neg => expr::neg(self.expr(inner)),
+            UnaryOp::Not => expr::not(self.expr(inner)),
+            UnaryOp::BitNot => expr::bit_not(self.expr(inner)),
+            UnaryOp::Deref => expr::deref(self.expr(inner)),
+            UnaryOp::AddrOf => expr::addr_of(self.place(inner)),
+            UnaryOp::PreInc | UnaryOp::PreDec | UnaryOp::PostInc | UnaryOp::PostDec => {
+                match self.target(inner) {
+                    Ok(slot) => expr::inc_dec_local(op, slot),
+                    Err(place) => expr::inc_dec(op, place),
+                }
+            }
+        }
+    }
+
+    /// `e` lowered as an operand: a local slot or a constant stays visible
+    /// to the closure that reads it.
+    fn operand(&mut self, e: &'a Expr) -> Operand {
+        match &e.kind {
+            ExprKind::Paren(inner) => self.operand(inner),
+            ExprKind::IntLit(v) => Operand::Const(Value::Int(*v)),
+            ExprKind::FloatLit(v) => Operand::Const(Value::Float(*v)),
+            ExprKind::StrLit(s) => Operand::Const(Value::Str(s.as_str().into())),
+            ExprKind::CharLit(c) => Operand::Const(Value::Int(*c as i64)),
+            ExprKind::BoolLit(b) => Operand::Const(Value::Bool(*b)),
+            ExprKind::Ident(name) => match self.name(name) {
+                Name::Local(slot) => Operand::Local(slot),
+                Name::Const(v, _) => Operand::Const(v),
+                name => Operand::Expr(expr::var(name)),
+            },
+            _ => Operand::Expr(self.expr(e)),
+        }
+    }
+
+    /// The local slot `e` names, else `e` lowered as a place.
+    fn target(&mut self, e: &'a Expr) -> Result<u32, PlaceFn> {
+        match &e.kind {
+            ExprKind::Paren(inner) => self.target(inner),
+            ExprKind::Ident(name) => match self.name(name) {
+                Name::Local(slot) => Ok(slot),
+                name => Err(expr::var_place(name)),
+            },
+            _ => Err(self.place(e)),
+        }
+    }
+
+    /// `e` as an assignment target.
+    fn place(&mut self, e: &'a Expr) -> PlaceFn {
+        match &e.kind {
+            ExprKind::Paren(inner) => self.place(inner),
+            ExprKind::Ident(name) => expr::var_place(self.name(name)),
+            ExprKind::Unary {
+                op: UnaryOp::Deref,
+                expr: inner,
+            } => expr::deref_place(self.expr(inner)),
+            ExprKind::Index { base, index } => {
+                let base = self.expr(base);
+                expr::index_place(base, self.expr(index))
+            }
+            ExprKind::Member {
+                base,
+                member,
+                arrow,
+            } => {
+                let field = self.field(member);
+                let base = if *arrow {
+                    expr::deref_place(self.expr(base))
+                } else {
+                    self.place(base)
+                };
+                expr::member_place(base, field)
+            }
+            // Kokkos view element as lvalue: `v(i) = x;`
+            ExprKind::Call { callee, args } => {
+                let slot = match &callee.kind {
+                    ExprKind::Ident(name) => self.local_slot(name),
+                    _ => None,
+                };
+                match slot {
+                    Some(slot) => expr::view_element(slot, self.exprs(args)),
+                    None => expr::fail_place("call expression is not assignable"),
+                }
+            }
+            _ => expr::fail_place("expression is not assignable"),
+        }
+    }
+
+    fn call(&mut self, callee: &'a Expr, args: &'a [Expr]) -> ExprFn {
         let mut view = None;
         let target = match &callee.kind {
             ExprKind::Ident(name) => {
-                let depth = self.ctxs.len() - 1;
-                view = match self.local(depth, name) {
-                    Some(Name::Local(s) | Name::Mapped { slot: s, .. }) => Some(s),
-                    _ => None,
-                };
+                view = self.local_slot(name);
                 self.named_target(name, args)
             }
             ExprKind::Member { base, member, .. } => {
@@ -992,16 +983,22 @@ impl<'a> Resolver<'a> {
                 } else {
                     let func = segments.get(1).map(String::as_str).unwrap_or("");
                     let label = matches!(args.first().map(|a| &a.kind), Some(ExprKind::StrLit(_)));
-                    Target::Kokkos(Kokkos::from_name(func, label))
+                    let k = Kokkos::from_name(func, label);
+                    // `parallel_reduce(policy, lambda, result)` writes its
+                    // result to a place.
+                    let result = match k {
+                        Kokkos::Parallel {
+                            reduce: true,
+                            label,
+                        } => args.get(usize::from(label) + 2).map(|r| self.place(r)),
+                        _ => None,
+                    };
+                    Target::Kokkos(k, result)
                 }
             }
             _ => Target::Fail("unsupported call target".into()),
         };
-        RCall {
-            view,
-            target,
-            args: self.exprs(args),
-        }
+        builtins::call(view, target, self.exprs(args))
     }
 
     /// What a call to `name` reaches when `name` holds no view.
@@ -1030,7 +1027,7 @@ impl<'a> Resolver<'a> {
                         .place_type(inner)
                         .and_then(|t| t.pointee().cloned())
                         .unwrap_or(Type::Scalar(ScalarType::Double));
-                    (self.expr(inner), elem)
+                    (self.place(inner), elem)
                 }))
             }
             "curand_init" => match args {
@@ -1053,7 +1050,7 @@ impl<'a> Resolver<'a> {
             ExprKind::Unary {
                 op: UnaryOp::AddrOf,
                 expr,
-            } => RngState::Place(self.expr(expr)),
+            } => RngState::Place(self.place(expr)),
             _ => RngState::Pointer(self.expr(e)),
         }
     }

@@ -171,6 +171,13 @@ impl Value {
         }
     }
 
+    /// Does the value own or share heap data, so that dropping it does
+    /// work?
+    #[inline(always)]
+    fn owns_heap(&self) -> bool {
+        matches!(self, Value::Str(_) | Value::Struct(_) | Value::Lambda(_))
+    }
+
     /// Truthiness for conditions.
     pub fn truthy(&self) -> bool {
         match self {
@@ -218,6 +225,18 @@ impl Value {
             Value::Lambda(_) => "lambda",
             Value::UntypedAlloc { .. } => "void*",
         }
+    }
+}
+
+/// Store `v` in `slot`. `Value` is recursive, so its drop glue is an
+/// out-of-line call; an old value that owns nothing skips it.
+#[inline(always)]
+pub(crate) fn overwrite(slot: &mut Value, v: Value) {
+    let old = std::mem::replace(slot, v);
+    if old.owns_heap() {
+        drop(old);
+    } else {
+        std::mem::forget(old);
     }
 }
 

@@ -140,8 +140,8 @@ impl Application {
     /// case's arguments. Panics if the reference itself fails — that is a
     /// bug in the benchmark suite, not in a translation — and a failure is
     /// never memoised, so every call panics again. Turning that panic into
-    /// a typed infeasibility is still open (ROADMAP item 8); it too must
-    /// stay lazy.
+    /// a typed infeasibility is still open (ROADMAP item 6, "Close the
+    /// remaining robustness gaps"); it too must stay lazy.
     pub fn expected_output(&self, case: &TestCase) -> String {
         let (model, repo) = self.reference_repo();
         let mut key = Fnv128::new();

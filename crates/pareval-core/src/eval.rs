@@ -511,8 +511,8 @@ impl BuildCache {
 /// Parses are derived once, like outcomes, and shared by `Arc`. Units go
 /// through the trait's split lookup and store, so two workers that miss the
 /// same unit at once both compile it, and at two or more workers
-/// `file_hits`/`file_misses` depend on timing (ROADMAP item 7 decides
-/// whether the tier stays).
+/// `file_hits`/`file_misses` depend on timing (ROADMAP item 5, "Subtract,
+/// round 2: close the tier trials", decides whether the tier stays).
 impl UnitCache for BuildCache {
     fn parse_file(&self, text: &str) -> ParsedFile {
         self.parse_hashed(fnv128(text.as_bytes()), text)
