@@ -822,13 +822,14 @@ pub(super) fn apply_binop(op: BinOp, a: &Value, b: &Value) -> RtResult<Value> {
     if let Some(v) = numeric(a, b) {
         return Ok(v);
     }
-    let int = |v: &Value| matches!(v, Value::Int(_) | Value::Bool(_));
-    if int(a) && int(b) {
-        let (x, y) = (
-            Value::Int(a.as_int().unwrap()),
-            Value::Int(b.as_int().unwrap()),
-        );
-        return numeric(&x, &y).ok_or_else(|| {
+    // Bools promote to integers.
+    let int = |v: &Value| match v {
+        Value::Int(n) => Some(*n),
+        Value::Bool(b) => Some(i64::from(*b)),
+        _ => None,
+    };
+    if let (Some(x), Some(y)) = (int(a), int(b)) {
+        return numeric(&Value::Int(x), &Value::Int(y)).ok_or_else(|| {
             let what = if op == Div { "division" } else { "modulo" };
             RuntimeError::new(
                 RuntimeErrorKind::DivByZero,
