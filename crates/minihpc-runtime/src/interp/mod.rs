@@ -169,7 +169,7 @@ pub(crate) fn lower<T>(
 /// Per-execution-context state (one per logical thread): the slots of
 /// one function or lambda activation.
 pub(crate) struct Frame<'p> {
-    pub(crate) slots: Vec<Value>,
+    slots: Vec<Value>,
     /// Name and declared type of each slot.
     vars: &'p [SlotVar],
     space: Space,

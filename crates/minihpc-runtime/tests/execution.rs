@@ -1435,8 +1435,8 @@ fn name_and_member_errors_keep_their_kind_and_text() {
 
 #[test]
 fn unbounded_recursion_stops_at_the_depth_limit() {
-    // Two hundred nested activations outgrow a test thread's default
-    // stack in an unoptimised build, so this runs on a larger one.
+    // Two hundred nested activations run on a stack large enough that an
+    // unoptimised build's frame sizes cannot decide the outcome.
     let run = || main_error("int v = helper(1) + main();");
     let handle = std::thread::Builder::new()
         .stack_size(64 << 20)
