@@ -8,7 +8,7 @@ use crate::diag::{BuildLog, Diagnostic, ErrorCategory};
 use crate::linker;
 use crate::makefile;
 use crate::object::{Executable, ObjectCode};
-use crate::preprocess;
+use crate::preprocess::{self, Parses};
 use crate::sema;
 use crate::toolchain::{parse_invocation, Invocation};
 use crate::unit::{unit_key, CompiledUnit, UnitCache};
@@ -53,7 +53,8 @@ impl BuildOutcome {
 }
 
 /// Build the repository per its build system (Makefile preferred, else
-/// CMakeLists.txt), parsing and compiling every unit from scratch.
+/// CMakeLists.txt), compiling every unit from scratch. Each distinct file
+/// is parsed once per call, however many units include it.
 pub fn build_repo(repo: &SourceRepo, request: &BuildRequest) -> BuildOutcome {
     build_repo_with(repo, request, None)
 }
@@ -71,6 +72,10 @@ pub fn build_repo_with(
     request: &BuildRequest,
     cache: Option<&dyn UnitCache>,
 ) -> BuildOutcome {
+    build(repo, request, &Parses::new(cache))
+}
+
+fn build(repo: &SourceRepo, request: &BuildRequest, parses: &Parses<'_>) -> BuildOutcome {
     let mut log = BuildLog::new();
     let Some((build_path, build_text)) = repo.build_file() else {
         log.diagnostic(Diagnostic::error(
@@ -86,8 +91,8 @@ pub fn build_repo_with(
     let build_text = build_text.to_string();
 
     match FileKind::of(build_path) {
-        FileKind::Makefile => build_with_make(repo, &build_text, request, cache, log),
-        FileKind::CMakeLists => build_with_cmake(repo, &build_text, request, cache, log),
+        FileKind::Makefile => build_with_make(repo, &build_text, request, parses, log),
+        FileKind::CMakeLists => build_with_cmake(repo, &build_text, request, parses, log),
         _ => unreachable!("build_file returns only build files"),
     }
 }
@@ -96,7 +101,7 @@ fn build_with_make(
     repo: &SourceRepo,
     text: &str,
     request: &BuildRequest,
-    cache: Option<&dyn UnitCache>,
+    parses: &Parses<'_>,
     mut log: BuildLog,
 ) -> BuildOutcome {
     let target_desc = request.make_target.clone().unwrap_or_default();
@@ -147,7 +152,7 @@ fn build_with_make(
                 };
             }
         };
-        if let Err(()) = run_invocation(repo, &inv, cache, &mut state, &mut log) {
+        if let Err(()) = run_invocation(repo, &inv, parses, &mut state, &mut log) {
             log.note(format!("make: *** [Makefile:{}] Error 1", cmd.line));
             return BuildOutcome {
                 log,
@@ -162,7 +167,7 @@ fn build_with_cmake(
     repo: &SourceRepo,
     text: &str,
     request: &BuildRequest,
-    cache: Option<&dyn UnitCache>,
+    parses: &Parses<'_>,
     mut log: BuildLog,
 ) -> BuildOutcome {
     log.note("$ cmake -B build . && cmake --build build".to_string());
@@ -183,7 +188,7 @@ fn build_with_cmake(
     let mut state = ExecState::default();
     for (name, inv) in &cfg.invocations {
         log.note(format!("[build] Building CXX executable {name}"));
-        if let Err(()) = run_invocation(repo, inv, cache, &mut state, &mut log) {
+        if let Err(()) = run_invocation(repo, inv, parses, &mut state, &mut log) {
             log.note(format!(
                 "gmake[2]: *** [CMakeFiles/{name}.dir/build.make] Error 1"
             ));
@@ -204,11 +209,12 @@ struct ExecState {
     executables: BTreeMap<String, Executable>,
 }
 
-/// Compile one source input to a unit, consulting `cache` when present.
+/// Compile one source input to a unit, consulting the build's unit cache
+/// when it has one.
 ///
 /// Assembly always runs — it is what discovers the include closure the
-/// unit key hashes — but parses inside it are memoized by the cache and
-/// shared by pointer, the key reads each closure file's body hash, never
+/// unit key hashes — but parses inside it are memoized (see [`Parses`])
+/// and shared by pointer, the key reads each closure file's body hash, never
 /// its text, and a key hit skips sema entirely, replaying the
 /// stored object and diagnostics. An object compiled through the cache
 /// records its unit key, from which `link` keys the executable. Assembly
@@ -218,11 +224,11 @@ fn compile_input(
     repo: &SourceRepo,
     input: &str,
     inv: &Invocation,
-    cache: Option<&dyn UnitCache>,
+    parses: &Parses<'_>,
 ) -> Result<CompiledUnit, Vec<Diagnostic>> {
-    let tu = preprocess::assemble_with(repo, input, &inv.features, cache)?;
+    let tu = preprocess::assemble_with(repo, input, &inv.features, parses)?;
     let obj_name = object_name_for(input);
-    let keyed = cache.map(|c| {
+    let keyed = parses.cache().map(|c| {
         let closure = tu.files.iter().map(|p| {
             let spliced = "assembly splices only files the repo holds";
             (p.as_str(), repo.body_hash(p).expect(spliced))
@@ -251,7 +257,7 @@ fn compile_input(
 fn run_invocation(
     repo: &SourceRepo,
     inv: &Invocation,
-    cache: Option<&dyn UnitCache>,
+    parses: &Parses<'_>,
     state: &mut ExecState,
     log: &mut BuildLog,
 ) -> Result<(), ()> {
@@ -283,7 +289,7 @@ fn run_invocation(
             ));
             return Err(());
         }
-        let unit = match compile_input(repo, input, inv, cache) {
+        let unit = match compile_input(repo, input, inv, parses) {
             Ok(unit) => unit,
             Err(diags) => {
                 log.extend_diagnostics(diags);
@@ -494,9 +500,8 @@ int main() {
         );
     }
 
-    #[test]
-    fn object_file_pipeline() {
-        let repo = SourceRepo::new()
+    fn object_file_repo() -> SourceRepo {
+        SourceRepo::new()
             .with_file(
                 "Makefile",
                 "app: main.o util.o\n\tg++ -o app main.o util.o\n\
@@ -511,9 +516,24 @@ int main() {
             .with_file(
                 "main.cpp",
                 "#include \"util.h\"\nint main() { return util(41) - 42; }\n",
-            );
-        let out = build_repo(&repo, &BuildRequest::new("app"));
+            )
+    }
+
+    #[test]
+    fn object_file_pipeline() {
+        let out = build_repo(&object_file_repo(), &BuildRequest::new("app"));
         assert!(out.succeeded(), "log:\n{}", out.log.text());
+    }
+
+    #[test]
+    fn one_build_parses_each_distinct_file_once() {
+        // `main.cpp` and `util.cpp` both include `util.h`: two units, four
+        // files assembled, three distinct files parsed.
+        let repo = object_file_repo();
+        let parses = Parses::new(None);
+        let out = build(&repo, &BuildRequest::new("app"), &parses);
+        assert!(out.succeeded(), "log:\n{}", out.log.text());
+        assert_eq!(parses.own_parses(), 3);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::diag::{Diagnostic, ErrorCategory};
 use crate::toolchain::CompileFeatures;
 use crate::unit::UnitCache;
 use minihpc_lang::ast::{Item, ItemKind, SourceFile};
+use minihpc_lang::memo::OnceMap;
 use minihpc_lang::parser::{self, ParseError};
 use minihpc_lang::repo::SourceRepo;
 use minihpc_lang::span;
@@ -96,25 +97,63 @@ pub fn parse_body(
     }
 }
 
-/// Assemble the translation unit rooted at `main_path`, parsing every file
-/// fresh.
+/// Where one build gets its ASTs: through the unit cache's memo when the
+/// build has a cache (see [`parse_body`]), and otherwise through a memo of
+/// its own, so a header that several units include is parsed once per
+/// build. Both memos key a body by its content hash. The build's own memo
+/// lives as long as this value, one build, so no AST outlives the build.
+pub struct Parses<'a> {
+    cache: Option<&'a dyn UnitCache>,
+    build: OnceMap<u128, ParsedFile>,
+}
+
+impl<'a> Parses<'a> {
+    pub fn new(cache: Option<&'a dyn UnitCache>) -> Self {
+        Parses {
+            cache,
+            build: OnceMap::default(),
+        }
+    }
+
+    /// The unit cache the build compiles through, if any.
+    pub fn cache(&self) -> Option<&'a dyn UnitCache> {
+        self.cache
+    }
+
+    /// Parse `text`, `repo`'s body at `path`, through the build's memo.
+    pub fn parse(&self, repo: &SourceRepo, path: &str, text: &str) -> ParsedFile {
+        match self.cache {
+            Some(_) => parse_body(repo, path, text, self.cache),
+            None => self
+                .build
+                .get_or_init(repo.hash_of(path, text), || parse(text)),
+        }
+    }
+
+    /// Files the build's own memo has parsed; 0 with a cache.
+    pub fn own_parses(&self) -> usize {
+        self.build.derivations()
+    }
+}
+
+/// Assemble the translation unit rooted at `main_path`, as a build without
+/// a cache would.
 pub fn assemble(
     repo: &SourceRepo,
     main_path: &str,
     features: &CompileFeatures,
 ) -> Result<TranslationUnit, Vec<Diagnostic>> {
-    assemble_with(repo, main_path, features, None)
+    assemble_with(repo, main_path, features, &Parses::new(None))
 }
 
 /// Assemble the translation unit rooted at `main_path`, obtaining each
-/// file's AST through `cache`'s parse memo when there is one (see
-/// [`parse_body`]), so a header shared by many units (or unchanged across
-/// re-evaluations) is parsed once.
+/// file's AST through `parses`, so a header shared by many units (or, with
+/// a cache, unchanged across re-evaluations) is parsed once.
 pub fn assemble_with(
     repo: &SourceRepo,
     main_path: &str,
     features: &CompileFeatures,
-    cache: Option<&dyn UnitCache>,
+    parses: &Parses<'_>,
 ) -> Result<TranslationUnit, Vec<Diagnostic>> {
     let mut tu = TranslationUnit {
         files: Vec::new(),
@@ -126,7 +165,7 @@ pub fn assemble_with(
         repo,
         main_path,
         features,
-        cache,
+        parses,
         &mut included,
         &mut tu,
         &mut diags,
@@ -141,7 +180,7 @@ fn expand_file(
     repo: &SourceRepo,
     path: &str,
     features: &CompileFeatures,
-    cache: Option<&dyn UnitCache>,
+    parses: &Parses<'_>,
     included: &mut HashSet<String>,
     tu: &mut TranslationUnit,
     diags: &mut Vec<Diagnostic>,
@@ -158,7 +197,7 @@ fn expand_file(
         return;
     };
     tu.files.push(path.to_string());
-    let parsed = match parse_body(repo, path, text, cache) {
+    let parsed = match parses.parse(repo, path, text) {
         Ok(p) => p,
         Err(e) => {
             let line = span::line_col(text, e.span.start).line;
@@ -184,7 +223,7 @@ fn expand_file(
             // Available system headers contribute builtins via sema, not items.
             header_available(inc, features)
         } else if let Some(resolved) = repo.resolve_include(path, inc) {
-            expand_file(repo, resolved, features, cache, included, tu, diags);
+            expand_file(repo, resolved, features, parses, included, tu, diags);
             true
         } else {
             false
@@ -272,7 +311,7 @@ mod tests {
             parse("int in_a(void);\n").unwrap(),
         );
         let features = CompileFeatures::default();
-        let tu = assemble_with(&repo, "main.cpp", &features, Some(&memo)).unwrap();
+        let tu = assemble_with(&repo, "main.cpp", &features, &Parses::new(Some(&memo))).unwrap();
         assert_eq!(function_names(&tu), vec!["before", "in_a", "after"]);
         assert!(
             std::ptr::eq(tu.items().nth(1).unwrap(), &memo.1.items[0]),

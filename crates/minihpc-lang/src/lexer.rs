@@ -63,7 +63,9 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(&mut self) -> Result<Vec<Token>, LexError> {
-        let mut out = Vec::new();
+        // The suite and generated code average about 3.8 bytes a token, so
+        // one allocation holds most files' streams whole.
+        let mut out = Vec::with_capacity(self.bytes.len() / 3 + 1);
         loop {
             let tok = self.next_token()?;
             let eof = tok.kind == TokenKind::Eof;
@@ -584,9 +586,16 @@ fn parse_include_target(rest: &str) -> Option<(String, bool)> {
 
 /// Expand simple object-like macros in a token stream (single pass — macros
 /// defined earlier in the stream substitute into later tokens only, which
-/// matches how our apps use them for problem-size constants).
+/// matches how our apps use them for problem-size constants). A stream
+/// with no `#define` is returned as it is.
 pub fn expand_defines(tokens: Vec<Token>) -> Vec<Token> {
     use std::collections::HashMap;
+    if !tokens
+        .iter()
+        .any(|t| matches!(t.kind, TokenKind::Define { .. }))
+    {
+        return tokens;
+    }
     let mut defs: HashMap<String, Vec<Token>> = HashMap::new();
     let mut out = Vec::with_capacity(tokens.len());
     for tok in tokens {
@@ -747,13 +756,29 @@ mod tests {
 
     #[test]
     fn expand_defines_substitutes_later_uses() {
-        let toks = lex("#define N 16\nint a = N + N;").unwrap();
+        let toks = lex("int b = N;\n#define N 16\nint a = N + N;").unwrap();
         let expanded = expand_defines(toks);
         let ints = expanded
             .iter()
             .filter(|t| matches!(t.kind, K::Int(16)))
             .count();
         assert_eq!(ints, 2);
+        // A use before the `#define` stays an identifier.
+        let names: Vec<&K> = expanded
+            .iter()
+            .map(|t| &t.kind)
+            .filter(|k| **k == K::Ident("N".into()))
+            .collect();
+        assert_eq!(names.len(), 1);
+    }
+
+    #[test]
+    fn expand_defines_hands_back_a_stream_without_defines() {
+        let toks = lex("#include \"a.h\"\n#pragma omp parallel\nint a = N + 1;").unwrap();
+        let (buffer, copy) = (toks.as_ptr(), toks.clone());
+        let expanded = expand_defines(toks);
+        assert_eq!(expanded, copy);
+        assert_eq!(expanded.as_ptr(), buffer, "the stream must not be rebuilt");
     }
 
     #[test]

@@ -74,12 +74,11 @@ pub fn parse_stmt_str(src: &str) -> Result<Stmt, ParseError> {
 /// Parse the token stream of a `#pragma` line. Returns `Ok(None)` for
 /// non-OpenMP pragmas (which are preserved verbatim).
 pub fn parse_omp_directive(
-    tokens: &[Token],
+    mut tokens: Vec<Token>,
     span: Span,
 ) -> Result<Option<OmpDirective>, ParseError> {
-    let mut toks = tokens.to_vec();
-    toks.push(Token::new(TokenKind::Eof, span));
-    let mut p = Parser::new(toks);
+    tokens.push(Token::new(TokenKind::Eof, span));
+    let mut p = Parser::new(tokens);
     if !p.at_ident("omp") {
         return Ok(None);
     }
@@ -91,6 +90,8 @@ pub fn parse_omp_directive(
     Ok(Some(d))
 }
 
+/// The parser owns its token stream and moves each token out as it
+/// consumes it: a consumed token is read again only for its span.
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -119,16 +120,34 @@ impl Parser {
         self.peek().span
     }
 
+    /// Consume the current token and move it out. Its slot keeps the span
+    /// and an `Eof` kind. The stream's final `Eof` is never consumed: at
+    /// the end, each call returns a copy of it.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        let slot = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token::new(std::mem::replace(&mut slot.kind, TokenKind::Eof), slot.span)
+    }
+
+    /// Consume the current token, which the caller has peeked to be an
+    /// identifier, and move its name out.
+    fn bump_ident(&mut self) -> String {
+        match self.bump().kind {
+            TokenKind::Ident(name) => name,
+            other => unreachable!("peeked an identifier, consumed {}", other.describe()),
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
         self.peek_kind() == kind
+    }
+
+    fn at_any_ident(&self) -> bool {
+        matches!(self.peek_kind(), TokenKind::Ident(_))
     }
 
     fn at_ident(&self, name: &str) -> bool {
@@ -176,17 +195,14 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), ParseError> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                let sp = self.span();
-                self.bump();
-                Ok((s, sp))
-            }
-            other => Err(ParseError::new(
-                format!("expected identifier, found {}", other.describe()),
-                self.span(),
-            )),
+        if !self.at_any_ident() {
+            return self.error(format!(
+                "expected identifier, found {}",
+                self.peek_kind().describe()
+            ));
         }
+        let span = self.span();
+        Ok((self.bump_ident(), span))
     }
 
     fn expect_eof(&mut self) -> Result<(), ParseError> {
@@ -219,45 +235,29 @@ impl Parser {
 
     fn parse_item(&mut self) -> Result<Item, ParseError> {
         let start = self.span();
-        match self.peek_kind().clone() {
-            TokenKind::Include { path, system } => {
-                self.bump();
-                Ok(Item {
-                    kind: ItemKind::Include { path, system },
-                    span: start,
-                })
-            }
-            TokenKind::Define { name, body } => {
-                self.bump();
-                let body_text = tokens_to_text(&body);
-                Ok(Item {
-                    kind: ItemKind::Define { name, body_text },
-                    span: start,
-                })
-            }
-            TokenKind::OtherDirective(d) => {
-                self.bump();
-                Ok(Item {
-                    kind: ItemKind::OtherDirective(d),
-                    span: start,
-                })
-            }
-            TokenKind::Pragma { text, .. } => {
-                // Item-level pragmas (e.g. `#pragma once`) are preserved.
-                self.bump();
-                Ok(Item {
-                    kind: ItemKind::OtherDirective(format!("pragma {text}")),
-                    span: start,
-                })
-            }
-            TokenKind::Ident(kw) if kw == "typedef" => self.parse_typedef_struct(),
+        let kind = match self.peek_kind() {
+            TokenKind::Ident(kw) if kw == "typedef" => return self.parse_typedef_struct(),
             TokenKind::Ident(kw)
                 if kw == "struct" && matches!(self.peek_ahead(2), TokenKind::LBrace) =>
             {
-                self.parse_struct_def(false)
+                return self.parse_struct_def(false);
             }
-            _ => self.parse_function_or_global(),
-        }
+            kind if kind.is_preprocessor() => match self.bump().kind {
+                TokenKind::Include { path, system } => ItemKind::Include { path, system },
+                TokenKind::Define { name, body } => ItemKind::Define {
+                    name,
+                    body_text: tokens_to_text(&body),
+                },
+                TokenKind::OtherDirective(d) => ItemKind::OtherDirective(d),
+                // Item-level pragmas (e.g. `#pragma once`) are preserved.
+                TokenKind::Pragma { text, .. } => {
+                    ItemKind::OtherDirective(format!("pragma {text}"))
+                }
+                other => unreachable!("peeked a directive, consumed {}", other.describe()),
+            },
+            _ => return self.parse_function_or_global(),
+        };
+        Ok(Item { kind, span: start })
     }
 
     fn parse_typedef_struct(&mut self) -> Result<Item, ParseError> {
@@ -266,18 +266,13 @@ impl Parser {
         if !self.eat_ident("struct") {
             return self.error("only `typedef struct` is supported");
         }
-        // Optional tag name.
-        let mut tag = None;
-        if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            if !self.at(&TokenKind::LBrace) {
-                tag = Some(name);
-                self.bump();
-            }
+        // An optional tag name, which MiniHPC does not record.
+        if self.at_any_ident() {
+            self.bump();
         }
         let fields = self.parse_struct_fields()?;
         let (name, _) = self.expect_ident()?;
         self.expect(&TokenKind::Semi)?;
-        let _ = tag;
         Ok(Item {
             kind: ItemKind::Struct(StructDef {
                 name,
@@ -411,13 +406,11 @@ impl Parser {
             // MiniHPC treats reference parameters as the interpreter's
             // accumulator convention, so the `&` is accepted and dropped.
             self.eat(&TokenKind::Amp);
-            let name = match self.peek_kind().clone() {
-                TokenKind::Ident(s) => {
-                    self.bump();
-                    s
-                }
+            let name = if self.at_any_ident() {
+                self.bump_ident()
+            } else {
                 // Unnamed parameter in a prototype.
-                _ => String::new(),
+                String::new()
             };
             // `T x[]` decays to pointer.
             let mut ty = ty;
@@ -485,8 +478,8 @@ impl Parser {
         // `unsigned int` / `unsigned long` treated as their signed widths
         // (MiniHPC ints are i64 at runtime; signedness is not modelled).
         if self.eat_ident("unsigned") {
-            if let TokenKind::Ident(s) = self.peek_kind().clone() {
-                if let Some(sc) = ScalarType::from_keyword(&s) {
+            if let TokenKind::Ident(s) = self.peek_kind() {
+                if let Some(sc) = ScalarType::from_keyword(s) {
                     self.bump();
                     return Ok(Type::Scalar(sc));
                 }
@@ -572,20 +565,21 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.span();
-        match self.peek_kind().clone() {
-            TokenKind::Pragma { text, tokens } => {
-                let span = self.span();
-                self.bump();
-                match parse_omp_directive(&tokens, span)? {
+        match self.peek_kind() {
+            TokenKind::Pragma { .. } => {
+                let TokenKind::Pragma { text, tokens } = self.bump().kind else {
+                    unreachable!("peeked a pragma")
+                };
+                match parse_omp_directive(tokens, start)? {
                     Some(directive) => {
                         let body = if directive.is_standalone() {
                             None
                         } else {
                             Some(Box::new(self.parse_stmt()?))
                         };
-                        Ok(Stmt::new(StmtKind::Omp { directive, body }, span))
+                        Ok(Stmt::new(StmtKind::Omp { directive, body }, start))
                     }
-                    None => Ok(Stmt::new(StmtKind::RawPragma(text), span)),
+                    None => Ok(Stmt::new(StmtKind::RawPragma(text), start)),
                 }
             }
             TokenKind::LBrace => {
@@ -1192,22 +1186,16 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         let start = self.span();
-        match self.peek_kind().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::IntLit(v), start))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::FloatLit(v), start))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::StrLit(s), start))
-            }
-            TokenKind::Char(c) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::CharLit(c), start))
+        match self.peek_kind() {
+            TokenKind::Int(_) | TokenKind::Float(_) | TokenKind::Str(_) | TokenKind::Char(_) => {
+                let kind = match self.bump().kind {
+                    TokenKind::Int(v) => ExprKind::IntLit(v),
+                    TokenKind::Float(v) => ExprKind::FloatLit(v),
+                    TokenKind::Str(s) => ExprKind::StrLit(s),
+                    TokenKind::Char(c) => ExprKind::CharLit(c),
+                    other => unreachable!("peeked a literal, consumed {}", other.describe()),
+                };
+                Ok(Expr::new(kind, start))
             }
             TokenKind::LParen => {
                 self.bump();
@@ -1232,7 +1220,7 @@ impl Parser {
                     }
                     _ => {}
                 }
-                self.bump();
+                let name = self.bump_ident();
                 // `::`-separated path.
                 if self.at(&TokenKind::ColonColon) {
                     let mut segments = vec![name];
@@ -1366,8 +1354,8 @@ impl Parser {
 
     fn parse_omp_body(&mut self, span: Span) -> Result<OmpDirective, ParseError> {
         let mut constructs = Vec::new();
-        while let Some(name) = self.ident_ahead(0).map(str::to_string) {
-            let construct = match name.as_str() {
+        while let Some(name) = self.ident_ahead(0) {
+            let construct = match name {
                 "parallel" => OmpConstruct::Parallel,
                 "for" => OmpConstruct::For,
                 "simd" => OmpConstruct::Simd,
@@ -1461,13 +1449,17 @@ impl Parser {
             }
             "reduction" => {
                 self.expect(&TokenKind::LParen)?;
-                let op_sym = match self.peek_kind().clone() {
-                    TokenKind::Plus => "+".to_string(),
-                    TokenKind::Star => "*".to_string(),
-                    TokenKind::Caret => "^".to_string(),
-                    TokenKind::Amp => "&".to_string(),
-                    TokenKind::Pipe => "|".to_string(),
-                    TokenKind::Ident(s) => s,
+                let op_sym = match self.peek_kind() {
+                    TokenKind::Ident(_) => self.bump_ident(),
+                    op @ (TokenKind::Plus
+                    | TokenKind::Star
+                    | TokenKind::Caret
+                    | TokenKind::Amp
+                    | TokenKind::Pipe) => {
+                        let symbol = op.symbol().to_string();
+                        self.bump();
+                        symbol
+                    }
                     other => {
                         return Err(ParseError::new(
                             format!("invalid reduction operator {}", other.describe()),
@@ -1475,7 +1467,6 @@ impl Parser {
                         ))
                     }
                 };
-                self.bump();
                 let op = ReductionOp::from_symbol(&op_sym).ok_or_else(|| {
                     ParseError::new(format!("invalid reduction operator `{op_sym}`"), sp)
                 })?;

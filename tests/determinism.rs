@@ -7,10 +7,12 @@
 mod common;
 
 use common::{serial_reference, serial_reference_of};
+use minihpc_build::{build_repo, build_repo_with, BuildRequest, Executable};
 use minihpc_lang::model::{ExecutionModel, TranslationPair};
+use minihpc_runtime::{run, RunConfig};
 use pareval_core::{
-    report, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults, NullSink,
-    ProgressSink, Runner, SampleRecord, ScheduledRunner,
+    report, BuildCache, CountingSink, EvalConfig, EvalPipeline, ExperimentPlan, ExperimentResults,
+    NullSink, ProgressSink, Runner, SampleRecord, ScheduledRunner,
 };
 use pareval_repo as _;
 use pareval_translate::transpile::FileResult;
@@ -83,6 +85,36 @@ fn cached_parallel_matches_uncached_serial_byte_for_byte() {
     );
     assert_eq!(cached, uncached);
     assert_eq!(format!("{cached:?}"), format!("{uncached:?}"));
+}
+
+#[test]
+fn cached_and_uncached_builds_log_and_print_the_same() {
+    // An uncached build parses through a memo of its own, a cached one
+    // through the unit cache's: every suite repo must build to the same
+    // log and run its first case to the same stdout either way. The cache
+    // is shared across repos, as a grid shares it.
+    let cache = BuildCache::new();
+    for app in pareval_apps::suite() {
+        let request = BuildRequest::new(&*app.binary);
+        let args = &app.tests[0].args;
+        for model in app.available_models() {
+            let repo = app.repo(model).unwrap();
+            let uncached = build_repo(repo, &request);
+            let cached = build_repo_with(repo, &request, Some(&cache));
+            let label = format!("{} {model}", app.name);
+            assert_eq!(uncached.log.text(), cached.log.text(), "{label}");
+            let stdout =
+                |exe: &Executable| run(exe, RunConfig::with_args(args.iter().cloned())).stdout;
+            let (Some(a), Some(b)) = (&uncached.executable, &cached.executable) else {
+                panic!("{label} did not build:\n{}", uncached.log.text());
+            };
+            assert_eq!(stdout(a), stdout(b), "{label}");
+        }
+    }
+    assert!(
+        cache.stats().parses > 0,
+        "the cached builds parsed through the cache"
+    );
 }
 
 #[test]

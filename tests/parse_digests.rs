@@ -62,7 +62,10 @@ fn parse_digests_text() -> String {
 #[test]
 fn parsed_trees_match_golden() {
     let text = parse_digests_text();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/parse_digests.txt");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/parse_digests.txt"
+    );
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, &text).unwrap();
     }
