@@ -500,8 +500,9 @@ int main() {
         );
     }
 
-    fn object_file_repo() -> SourceRepo {
-        SourceRepo::new()
+    #[test]
+    fn object_file_pipeline() {
+        let repo = SourceRepo::new()
             .with_file(
                 "Makefile",
                 "app: main.o util.o\n\tg++ -o app main.o util.o\n\
@@ -516,20 +517,9 @@ int main() {
             .with_file(
                 "main.cpp",
                 "#include \"util.h\"\nint main() { return util(41) - 42; }\n",
-            )
-    }
-
-    #[test]
-    fn object_file_pipeline() {
-        let out = build_repo(&object_file_repo(), &BuildRequest::new("app"));
-        assert!(out.succeeded(), "log:\n{}", out.log.text());
-    }
-
-    #[test]
-    fn one_build_parses_each_distinct_file_once() {
-        // `main.cpp` and `util.cpp` both include `util.h`: two units, four
-        // files assembled, three distinct files parsed.
-        let repo = object_file_repo();
+            );
+        // Both units include `util.h`: the build parses each of its three
+        // code files once.
         let parses = Parses::new(None);
         let out = build(&repo, &BuildRequest::new("app"), &parses);
         assert!(out.succeeded(), "log:\n{}", out.log.text());

@@ -102,13 +102,13 @@ pub fn parse_body(
 /// its own, so a header that several units include is parsed once per
 /// build. Both memos key a body by its content hash. The build's own memo
 /// lives as long as this value, one build, so no AST outlives the build.
-pub struct Parses<'a> {
+pub(crate) struct Parses<'a> {
     cache: Option<&'a dyn UnitCache>,
     build: OnceMap<u128, ParsedFile>,
 }
 
 impl<'a> Parses<'a> {
-    pub fn new(cache: Option<&'a dyn UnitCache>) -> Self {
+    pub(crate) fn new(cache: Option<&'a dyn UnitCache>) -> Self {
         Parses {
             cache,
             build: OnceMap::default(),
@@ -116,22 +116,22 @@ impl<'a> Parses<'a> {
     }
 
     /// The unit cache the build compiles through, if any.
-    pub fn cache(&self) -> Option<&'a dyn UnitCache> {
+    pub(crate) fn cache(&self) -> Option<&'a dyn UnitCache> {
         self.cache
     }
 
     /// Parse `text`, `repo`'s body at `path`, through the build's memo.
-    pub fn parse(&self, repo: &SourceRepo, path: &str, text: &str) -> ParsedFile {
+    fn parse(&self, repo: &SourceRepo, path: &str, text: &str) -> ParsedFile {
+        let hash = repo.hash_of(path, text);
         match self.cache {
-            Some(_) => parse_body(repo, path, text, self.cache),
-            None => self
-                .build
-                .get_or_init(repo.hash_of(path, text), || parse(text)),
+            Some(cache) => cache.parse_hashed(hash, text),
+            None => self.build.get_or_init(hash, || parse(text)),
         }
     }
 
     /// Files the build's own memo has parsed; 0 with a cache.
-    pub fn own_parses(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn own_parses(&self) -> usize {
         self.build.derivations()
     }
 }
@@ -149,7 +149,7 @@ pub fn assemble(
 /// Assemble the translation unit rooted at `main_path`, obtaining each
 /// file's AST through `parses`, so a header shared by many units (or, with
 /// a cache, unchanged across re-evaluations) is parsed once.
-pub fn assemble_with(
+pub(crate) fn assemble_with(
     repo: &SourceRepo,
     main_path: &str,
     features: &CompileFeatures,
