@@ -763,13 +763,11 @@ mod tests {
             .filter(|t| matches!(t.kind, K::Int(16)))
             .count();
         assert_eq!(ints, 2);
-        // A use before the `#define` stays an identifier.
-        let names: Vec<&K> = expanded
+        let names = expanded
             .iter()
-            .map(|t| &t.kind)
-            .filter(|k| **k == K::Ident("N".into()))
-            .collect();
-        assert_eq!(names.len(), 1);
+            .filter(|t| t.kind == K::Ident("N".into()))
+            .count();
+        assert_eq!(names, 1, "a use before the `#define` stays an identifier");
     }
 
     #[test]
